@@ -18,7 +18,8 @@ Exit codes are a stable contract:
     2  usage errors and invalid parameters
     3  Escape or Undetermined classification, or conservation drift
     4  initialization, integration, or reconstruction failure
-       (diagnostic JSON on stderr; reconstruction names the sample)
+       (diagnostic JSON on stderr; reconstruction names the sample,
+       for a vanishing Z-product or an eta that does not increase)
     5  certificate found a counterexample
     6  certificate inconclusive at the depth limit
 
@@ -27,7 +28,8 @@ decimals.  A value starting with a minus sign parses when attached
 (--s1=-7/10) or when it is a plain decimal (--s1 -0.7).  When --mode is
 omitted it defaults to spin+ on the k+l bundle and spin- on the k and l
 bundles, matching the chirality carried by each cone point.  The
-environment variable SPIN7_THREADS caps sweep workers.  Identical
+environment variable SPIN7_THREADS caps sweep workers; the cap never
+exceeds the machine's CPU count (os.cpu_count()).  Identical
 invocations of integrate, classify, sweep, and reconstruct produce
 byte-identical output on the same build.
 """
@@ -347,7 +349,7 @@ def cmd_certify(args):
 # reconstruct
 
 
-def _load_trajectory(path, rel_tol):
+def _load_trajectory(path):
     try:
         with open(path, newline="") as handle:
             reader = csv.reader(handle)
@@ -377,16 +379,14 @@ def _load_trajectory(path, rel_tol):
         raise _DataError("%s: reconstruction needs at least 3 samples, "
                          "file has %d" % (path, len(rows)))
     table = np.asarray(rows, dtype=float)
-    return SimpleNamespace(spec=SimpleNamespace(rel_tol=rel_tol),
-                           etas=table[:, 0], states=table[:, 1:9], dense=())
+    return SimpleNamespace(etas=table[:, 0], states=table[:, 1:9])
 
 
 def cmd_reconstruct(args):
-    traj = _load_trajectory(args.trajectory, float(args.rel_tol))
+    traj = _load_trajectory(args.trajectory)
     profile = reconstruct_metric(traj, gauge=float(args.gauge))
     lines = [PROFILE_HEADER]
-    for row in zip(profile.t, profile.a, profile.b, profile.c, profile.f,
-                   profile.trl_inv):
+    for row in profile.rows():
         lines.append(",".join(_fmt(v) for v in row))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -639,9 +639,6 @@ def build_parser():
     sub.add_argument("trajectory", help="trajectory CSV written by integrate")
     sub.add_argument("--gauge", type=_rational, default=Fraction(1),
                      help="scale of 1/trL at the first sample (default 1)")
-    sub.add_argument("--rel-tol", type=_rational,
-                     default=Fraction(1, 10 ** 10),
-                     help="quadrature tolerance")
     _add_out(sub)
     sub.set_defaults(func=cmd_reconstruct)
 

@@ -9,6 +9,7 @@ entries involve a single quadratic surd.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import isqrt
 
@@ -78,9 +79,10 @@ def _collapse(a, b, d):
 class QuadExt:
     """A number a + b*sqrt(d) with rational a, b and fixed squarefree d >= 2.
 
-    Arithmetic with Fraction and int operands stays exact.  Operations that
-    would leave the field (mixing distinct d with both surd parts nonzero)
-    raise TypeError.  Results with vanishing surd part collapse to Fraction.
+    Arithmetic and order with Fraction and int operands stay exact.
+    Operations that would leave the field (mixing distinct d with both
+    surd parts nonzero) raise TypeError.  Results with vanishing surd part
+    collapse to Fraction.
     """
 
     __slots__ = ("a", "b", "d")
@@ -208,28 +210,39 @@ class QuadExt:
     def __float__(self):
         return float(self.a) + float(self.b) * float(self.d) ** 0.5
 
+    def _sign(self):
+        """Exact sign -1, 0 or 1; opposite-sign parts compare a^2, b^2*d."""
+        sa = (self.a > 0) - (self.a < 0)
+        sb = (self.b > 0) - (self.b < 0)
+        if sa * sb >= 0:
+            return sa or sb
+        gap = self.a * self.a - self.b * self.b * self.d
+        return sa if gap > 0 else sb if gap < 0 else 0
+
+    def _order(self, other, op):
+        """op(self, other), decided exactly unless other is a float."""
+        if isinstance(other, float):
+            return op(float(self), other)
+        parts = self._split(other)
+        if parts is None:
+            return NotImplemented
+        oa, ob = parts
+        return op(QuadExt(self.a - oa, self.b - ob, self.d)._sign(), 0)
+
     def __abs__(self):
-        return self if float(self) >= 0 else -self
+        return self if self._sign() >= 0 else -self
 
     def __lt__(self, other):
-        if isinstance(other, (int, Fraction, float, QuadExt)):
-            return float(self) < float(other)
-        return NotImplemented
+        return self._order(other, operator.lt)
 
     def __le__(self, other):
-        if isinstance(other, (int, Fraction, float, QuadExt)):
-            return float(self) <= float(other)
-        return NotImplemented
+        return self._order(other, operator.le)
 
     def __gt__(self, other):
-        if isinstance(other, (int, Fraction, float, QuadExt)):
-            return float(self) > float(other)
-        return NotImplemented
+        return self._order(other, operator.gt)
 
     def __ge__(self, other):
-        if isinstance(other, (int, Fraction, float, QuadExt)):
-            return float(self) >= float(other)
-        return NotImplemented
+        return self._order(other, operator.ge)
 
     def __repr__(self):
         return f"QuadExt({self.a!r}, {self.b!r}, {self.d})"

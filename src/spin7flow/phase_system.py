@@ -12,7 +12,8 @@ and the four curvature-type polynomials R1..R4 below, the flow is
 
 Every coefficient is an exact rational in (k, l), so all evaluators in this
 module return exact values on Fraction (or QuadExt) states and ordinary
-floats otherwise.  ``flow_rhs`` and ``reduced_z_rhs`` provide
+floats otherwise; given numpy columns they give each sample the bits of
+a scalar call on it.  ``flow_rhs`` and ``reduced_z_rhs`` provide
 float-specialized closures for the integrator hot path.
 """
 
@@ -136,11 +137,19 @@ def quartic_coefficients(params):
             Fraction(params.k ** 2, d2))
 
 
+def _matching(coeffs, z):
+    """coeffs as given on exact Z, else as floats: Fraction * numpy column
+    is an object array, and Fraction * float is float(coeff) * float."""
+    if all(is_exact_scalar(v) for v in z):
+        return coeffs
+    return tuple(float(c) for c in coeffs)
+
+
 def scalar_terms(params, state):
     """Evaluate G, R1..R4, and Rs = 2*R1 + 2*R2 + 2*R3 + R4 at a state."""
     x1, x2, x3, x4 = state.X
     z1, z2, z3, z4 = state.Z
-    ca, cb, cc = quartic_coefficients(params)
+    ca, cb, cc = _matching(quartic_coefficients(params), state.Z)
     g = 2 * (x1 * x1 + x2 * x2 + x3 * x3) + x4 * x4
     z4sq = z4 * z4
     t23 = z2 * z2 * z3 * z3 * z4sq
@@ -172,7 +181,7 @@ def residuals(params, state):
     """All constraint residuals at a state."""
     x1, x2, x3, x4 = state.X
     z1, z2, z3, z4 = state.Z
-    da, db, dc = cubic_coefficients(params)
+    da, db, dc = _matching(cubic_coefficients(params), state.Z)
     terms = scalar_terms(params, state)
     u23 = z2 * z3 * z4
     u13 = z1 * z3 * z4
@@ -201,7 +210,7 @@ def x_from_z(params, z, chirality):
     Solves F = 0 (PLUS) or H = 0 (MINUS) for X given Z, which is linear.
     """
     z1, z2, z3, z4 = z
-    da, db, dc = cubic_coefficients(params)
+    da, db, dc = _matching(cubic_coefficients(params), z)
     sgn = 1 if chirality is Chirality.PLUS else -1
     u23 = da * (z2 * z3 * z4) * sgn
     u13 = db * (z1 * z3 * z4) * sgn

@@ -30,13 +30,11 @@ defect ever grows past FACE_RELEASE_TOL, so nudged runs never lock.
 
 import math
 import os
-from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
+from scipy.integrate import cumulative_simpson, solve_ivp
 
 from .aw_algebra import AWParams, BundleIndex, BundleTag, bundle
 from .critical_points import (LABEL_P0_K, LABEL_P0_KPLUSL, LABEL_P0_L,
@@ -164,7 +162,6 @@ class Trajectory:
     events: tuple
     outcome: Asymptotics
     face_lock: str = None
-    dense: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
         for arr in (self.etas, self.states, self.residual_log):
@@ -371,22 +368,6 @@ def _limit_candidates(params):
     return tuple(out)
 
 
-def _chirality_residual(res, mode):
-    f_norm = max(abs(v) for v in res.F)
-    h_norm = max(abs(v) for v in res.H)
-    if mode is FlowClass.SPIN_PLUS:
-        return f_norm
-    if mode is FlowClass.SPIN_MINUS:
-        return h_norm
-    return min(f_norm, h_norm)
-
-
-def _residual_row(params, row, mode):
-    res = residuals(params, PhaseState.from_sequence(row))
-    return (abs(res.hyperplane), abs(res.conservation),
-            _chirality_residual(res, mode))
-
-
 def _trailing_decision(etas, states, candidates):
     """Earliest eta from which the tail stays inside one decision ball."""
     span = etas[-1] - etas[0]
@@ -482,17 +463,27 @@ def integrate(spec):
         con = _full_constraints(params)
         locked = None
 
-    def rebuild(vec):
-        if not spin:
-            return np.array(vec, dtype=float)
-        x = x_from_z(params, tuple(float(v) for v in vec), chirality)
-        return np.array([float(v) for v in x] + [float(v) for v in vec])
+    def rebuild(block):
+        """Full rows and residual-log rows for a block of solver states."""
+        cols = tuple(np.asarray(block, dtype=float).T)
+        if spin:
+            cols = x_from_z(params, cols, chirality) + cols
+        res = residuals(params, PhaseState(cols[:4], cols[4:]))
+        f_norm = np.max(np.abs(res.F), axis=0)
+        h_norm = np.max(np.abs(res.H), axis=0)
+        chiral = {FlowClass.SPIN_PLUS: f_norm,
+                  FlowClass.SPIN_MINUS: h_norm}.get(
+                      spec.mode, np.minimum(f_norm, h_norm))
+        return np.column_stack(cols), np.column_stack(
+            [np.abs(res.hyperplane), np.abs(res.conservation), chiral])
 
-    etas = [0.0]
-    rows = [rebuild(state)]
-    res_rows = [_residual_row(params, rows[0], spec.mode)]
+    chunks = [(np.zeros(1),) + rebuild([state])]
+
+    def joined():
+        """etas, rows and residual-log rows of all chunks so far."""
+        return [np.concatenate(part) for part in zip(*chunks)]
+
     events = []
-    dense = []
     candidates = _limit_candidates(params)
     eta = 0.0
     drift_logged = False
@@ -505,52 +496,47 @@ def integrate(spec):
                         max_step=spec.max_step, dense_output=True,
                         events=[escape])
         reached = float(sol.t[-1])
-        dense.append((eta, reached, sol.sol, spin))
-        grid = np.arange(eta + SAMPLE_STEP, reached + 1e-9, SAMPLE_STEP)
-        if grid.size == 0 or reached - grid[-1] > 1e-9:
-            grid = np.append(grid, reached)
-        for point in grid:
-            row = rebuild(sol.sol(min(point, reached)))
-            etas.append(float(point))
-            rows.append(row)
-            res_rows.append(_residual_row(params, row, spec.mode))
+        if sol.status == 0:
+            end = sol.y[:, -1]
+            if spin:
+                drift = abs(zc(end)[0])
+                if locked is not None and _face_defect(locked, end) > \
+                        FACE_RELEASE_TOL:
+                    locked = None
+                state = _project_z(params, end, chirality, locked)
+            else:
+                drift = float(np.max(np.abs(con(end)[0])))
+                state = _project_full(params, end)
+            if drift > DRIFT_FACTOR * spec.rel_tol and not drift_logged:
+                events.append((reached, "drift"))
+                drift_logged = True
+        if reached > eta:
+            grid = np.arange(eta + SAMPLE_STEP, reached + 1e-9, SAMPLE_STEP)
+            if grid.size == 0 or reached - grid[-1] > 1e-9:
+                grid = np.append(grid, reached)
+            block = sol.sol(np.minimum(grid, reached)).T
+            if sol.status == 0:
+                block[-1] = state
+            chunks.append((grid,) + rebuild(block))
         if sol.status == 1:
             events.append((reached, "escaped"))
             break
         if sol.status != 0:
             events.append((reached, "stiff-failure"))
             break
-        state = sol.y[:, -1]
-        if spin:
-            drift = abs(zc(state)[0])
-            if locked is not None and _face_defect(locked, state) > \
-                    FACE_RELEASE_TOL:
-                locked = None
-            state = _project_z(params, state, chirality, locked)
-        else:
-            drift = float(np.max(np.abs(con(state)[0])))
-            state = _project_full(params, state)
-        if drift > DRIFT_FACTOR * spec.rel_tol and not drift_logged:
-            events.append((reached, "drift"))
-            drift_logged = True
-        rows[-1] = rebuild(state)
-        res_rows[-1] = _residual_row(params, rows[-1], spec.mode)
         eta = top
         if spec.stop_on_converged:
-            decided = _trailing_decision(np.array(etas), np.array(rows),
-                                         candidates)
+            etas, rows, _ = joined()
+            decided = _trailing_decision(etas, rows, candidates)
             if decided is not None:
                 events.append((decided.eta_at_decision, "converged"))
                 stopped = True
 
-    etas_arr = np.array(etas)
-    states_arr = np.array(rows)
-    res_arr = np.array(res_rows)
+    etas, rows, res_rows = joined()
     traj = Trajectory(
-        spec=spec, etas=etas_arr, states=states_arr, residual_log=res_arr,
+        spec=spec, etas=etas, states=rows, residual_log=res_rows,
         events=tuple(events), outcome=Asymptotics(OUTCOME_UNDETERMINED),
-        face_lock=locked.name if locked is not None else None,
-        dense=tuple(dense))
+        face_lock=locked.name if locked is not None else None)
     outcome = classify(traj)
     if outcome.kind == OUTCOME_AC and traj.face_lock is not None:
         outcome = replace(
@@ -561,82 +547,33 @@ def integrate(spec):
     return replace(traj, outcome=outcome)
 
 
-def _dense_g(traj):
-    """Evaluate the scalar 2(X1^2+X2^2+X3^2)+X4^2 anywhere on the run.
-
-    Prefers the integrator's dense output.  A trajectory rebuilt from
-    stored samples (no dense segments, as after a CSV round trip) falls
-    back to monotone cubic interpolation of the sampled scalar, whose
-    error on the solver's own grid stays far below the sampling error.
-    """
-    if not getattr(traj, "dense", ()):
-        etas = np.asarray(traj.etas, dtype=float)
-        x = np.asarray(traj.states, dtype=float)[:, :4]
-        g = 2.0 * np.sum(x[:, :3] ** 2, axis=1) + x[:, 3] ** 2
-        keep = np.concatenate(([True], np.diff(etas) > 0.0))
-        interp = PchipInterpolator(etas[keep], g[keep], extrapolate=False)
-        lo, hi = float(etas[0]), float(etas[-1])
-
-        def sampled(eta):
-            return float(interp(min(max(eta, lo), hi)))
-        return sampled
-    params = traj.spec.params
-    chirality = _CHIRALITY.get(traj.spec.mode)
-    spans = [seg[0] for seg in traj.dense]
-
-    def fun(eta):
-        i = max(0, min(len(spans) - 1, bisect_right(spans, eta) - 1))
-        lo, hi, sol, spin = traj.dense[i]
-        vec = sol(min(max(eta, lo), hi))
-        if spin:
-            x = [float(v) for v in
-                 x_from_z(params, tuple(float(v) for v in vec), chirality)]
-        else:
-            x = [float(v) for v in vec[:4]]
-        return 2.0*(x[0]*x[0] + x[1]*x[1] + x[2]*x[2]) + x[3]*x[3]
-    return fun
-
-
-def _adaptive_simpson(fun, a, b, rel_tol, depth=20):
-    """Adaptive Simpson quadrature to a tolerance relative to the result."""
-    if b <= a:
-        return 0.0
-    fa, fm, fb = fun(a), fun(0.5*(a + b)), fun(b)
-    whole = (b - a) * (fa + 4.0*fm + fb) / 6.0
-    tol = max(abs(whole), (b - a)) * rel_tol
-    return _asr(fun, a, b, fa, fm, fb, whole, tol, depth)
-
-
-def _asr(fun, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5*(a + b)
-    lm, rm = 0.5*(a + m), 0.5*(m + b)
-    flm, frm = fun(lm), fun(rm)
-    left = (m - a) * (fa + 4.0*flm + fm) / 6.0
-    right = (b - m) * (fm + 4.0*frm + fb) / 6.0
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    half = 0.5*tol
-    return (_asr(fun, a, m, fa, flm, fm, left, half, depth - 1)
-            + _asr(fun, m, b, fm, frm, fb, right, half, depth - 1))
-
-
 def reconstruct_metric(traj, gauge=1.0):
     """Recover the metric coefficient profile along a trajectory.
 
+    Reads only the stored samples (traj.etas and traj.states), so a
+    trajectory and its CSV table reconstruct to the same profile.
     1/trL solves (1/trL)' = (1/trL) * G with 1/trL = gauge at the first
-    stored sample, by adaptive Simpson quadrature of G on the dense
-    output; t is the arclength integral of 1/trL, anchored so that the
+    sample, where G = 2(X1^2 + X2^2 + X3^2) + X4^2: log(1/trL) is the
+    cumulative Simpson integral of G over the sample grid.  t is the
+    cumulative Simpson integral of 1/trL, anchored so that the
     leading-order cone solution has t -> 0 at the vertex (t at the first
     sample equals gauge / G there).  Coefficients: a = (1/trL)/sqrt(Z2 Z3),
     b = (1/trL)/sqrt(Z1 Z3), c = (1/trL)/sqrt(Z1 Z2), f = (1/trL) Z4.
     The first sample is dropped when a Z-product vanishes there (the run
-    starts next to a cone point where one Z is zero); a vanishing
-    product at any later sample raises ReconstructionDomainError.
+    starts next to a cone point where one Z is zero).  A vanishing
+    product at any later sample, or an eta that does not increase,
+    raises ReconstructionDomainError naming the sample.
     """
     etas = np.asarray(traj.etas, dtype=float)
     states = np.asarray(traj.states, dtype=float)
     if etas.size < 3:
         raise InvalidRequestError("reconstruction needs at least 3 samples")
+    stuck = np.nonzero(~(np.diff(etas) > 0.0))[0]
+    if stuck.size:
+        i = int(stuck[0]) + 1
+        raise ReconstructionDomainError(
+            "eta does not increase at sample %d (eta = %.6g after %.6g)"
+            % (i, etas[i], etas[i-1]))
     z = states[:, 4:]
     prods = np.column_stack([z[:, 1]*z[:, 2], z[:, 0]*z[:, 2],
                              z[:, 0]*z[:, 1]])
@@ -646,33 +583,10 @@ def reconstruct_metric(traj, gauge=1.0):
         i = int(bad[0]) + start
         raise ReconstructionDomainError(
             "Z-product vanishes at sample %d (eta = %.6g)" % (i, etas[i]))
-    g_raw = _dense_g(traj)
-    g_memo = {}
-
-    def g_fun(eta):
-        val = g_memo.get(eta)
-        if val is None:
-            val = g_raw(eta)
-            g_memo[eta] = val
-        return val
-
-    tol = traj.spec.rel_tol
-    n = etas.size
-    log_trl = np.zeros(n)
-    for i in range(1, n):
-        step = _adaptive_simpson(g_fun, etas[i-1], etas[i], tol)
-        log_trl[i] = log_trl[i-1] + step
-
-    def trl_between(i, eta):
-        inner = _adaptive_simpson(g_fun, etas[i], eta, tol)
-        return gauge * math.exp(log_trl[i] + inner)
-
-    trl_inv = gauge * np.exp(log_trl)
-    t = np.zeros(n)
-    t[0] = gauge / g_fun(etas[0])
-    for i in range(1, n):
-        t[i] = t[i-1] + _adaptive_simpson(
-            lambda e, j=i-1: trl_between(j, e), etas[i-1], etas[i], tol)
+    x = states[:, :4]
+    g = 2.0 * np.sum(x[:, :3] ** 2, axis=1) + x[:, 3] ** 2
+    trl_inv = gauge * np.exp(cumulative_simpson(g, x=etas, initial=0))
+    t = gauge / g[0] + cumulative_simpson(trl_inv, x=etas, initial=0)
     sl = slice(start, None)
     return MetricProfile(
         t=t[sl],
@@ -685,17 +599,22 @@ def reconstruct_metric(traj, gauge=1.0):
 
 
 def worker_count(requested=None):
-    """Worker cap: explicit argument, else SPIN7_THREADS, else cpu count."""
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("SPIN7_THREADS", "").strip()
-    if env:
+    """Worker cap: explicit argument, else SPIN7_THREADS, else cpu count.
+
+    The cap is clamped to [1, os.cpu_count()], so no setting starts more
+    worker processes than the machine has CPUs.
+    """
+    cpus = max(1, os.cpu_count() or 1)
+    if requested is None:
+        env = os.environ.get("SPIN7_THREADS", "").strip()
+        if not env:
+            return cpus
         try:
-            return max(1, int(env))
+            requested = int(env)
         except ValueError:
             raise InvalidRequestError(
                 "SPIN7_THREADS must be an integer, got %r" % env) from None
-    return max(1, os.cpu_count() or 1)
+    return max(1, min(int(requested), cpus))
 
 
 def quadrant_grid(count):

@@ -8,7 +8,8 @@ import pytest
 
 from spin7flow.cli import (PROFILE_HEADER, SWEEP_HEADER, TRAJECTORY_HEADER,
                            main)
-from spin7flow.shooting import Asymptotics, SweepEntry
+from spin7flow.shooting import (Asymptotics, ShootSpec, SweepEntry, integrate,
+                                reconstruct_metric)
 
 RUN_32 = ["--k", "3", "--l", "2", "--bundle", "k+l", "--mode", "spin+",
           "--s1", "0.6", "--s2", "0.8"]
@@ -271,6 +272,34 @@ def test_reconstruct_deterministic_bytes(tmp_path, traj_csv):
     assert run(["reconstruct", str(traj_csv), "--out", str(one)]) == 0
     assert run(["reconstruct", str(traj_csv), "--out", str(two)]) == 0
     assert one.read_bytes() == two.read_bytes()
+
+
+def test_reconstruct_matches_library_bytes(tmp_path, traj_csv):
+    """The CSV round trip is exact, so both paths print the same rows."""
+    traj = integrate(ShootSpec((3, 2), "k+l", "spin+", (0.6, 0.8)))
+    profile = reconstruct_metric(traj)
+    expected = [PROFILE_HEADER] + [",".join(repr(float(v)) for v in row)
+                                   for row in profile.rows()]
+    out = tmp_path / "profile.csv"
+    assert run(["reconstruct", str(traj_csv), "--out", str(out)]) == 0
+    assert out.read_text() == "\n".join(expected) + "\n"
+
+
+def test_reconstruct_has_no_tolerance_flag(traj_csv):
+    assert run(["reconstruct", str(traj_csv), "--rel-tol", "1e-10"]) == 2
+
+
+def test_reconstruct_repeated_eta_names_sample(tmp_path, traj_csv, capsys):
+    lines = traj_csv.read_text().splitlines()
+    cells = lines[6].split(",")
+    cells[0] = lines[5].split(",")[0]
+    lines[6] = ",".join(cells)
+    path = tmp_path / "repeated.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert run(["reconstruct", str(path)]) == 4
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "ReconstructionDomainError"
+    assert "at sample 5 (" in diag["message"]
 
 
 def test_reconstruct_missing_file_exit_4(tmp_path, capsys):

@@ -66,11 +66,28 @@ def test_quadext_float_and_order():
     assert abs(QuadExt(0, -1, 10)) == QuadExt(0, 1, 10)
 
 
+def test_quadext_order_is_exact_at_pell_pairs():
+    # p^2 - 2q^2 = +1 puts -p + q*sqrt(2) just below zero and -1 just
+    # above; at these sizes both round to the float 0.0.
+    below = QuadExt(-768398401, 543339720, 2)
+    above = QuadExt(-10812186007, 7645370045, 2)
+    assert float(below) == 0.0 and float(above) == 0.0
+    assert below < 0 and below <= Fraction(0) and not below >= 0
+    assert above > 0 and above >= Fraction(0) and not above <= 0
+    assert below < above and above > below
+    assert QuadExt(0, 543339720, 2) < 768398401
+    assert abs(below) == -below and abs(above) == above
+    # A float operand still compares as a float.
+    assert not below < 0.0
+
+
 def test_quadext_mixed_fields():
     r2 = QuadExt(0, 1, 2)
     r3 = QuadExt(0, 1, 3)
     with pytest.raises(TypeError):
         _ = r2 + r3
+    with pytest.raises(TypeError):
+        _ = r2 < r3
     # A degenerate element with no surd part interoperates across fields.
     assert r2 + QuadExt(5, 0, 3) == QuadExt(5, 1, 2)
 

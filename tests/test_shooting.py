@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ import pytest
 from spin7flow.aw_algebra import AWParams
 from spin7flow.critical_points import catalog, unstable_frame
 from spin7flow.errors import InvalidRequestError, ReconstructionDomainError
-from spin7flow.phase_system import PhaseState, membership
+from spin7flow import shooting
+from spin7flow.phase_system import (Chirality, PhaseState, membership,
+                                    residuals, x_from_z)
 from spin7flow.shooting import (Asymptotics, ShootSpec, Trajectory, classify,
                                 initial_state, integrate, quadrant_grid,
                                 reconstruct_metric, sweep, worker_count)
@@ -37,6 +41,12 @@ def traj_line():
 def traj_curve():
     return integrate(ShootSpec(params=P11, bundle="k", mode="spin-",
                                s=S_CURVE))
+
+
+@pytest.fixture(scope="module")
+def traj_minus():
+    return integrate(ShootSpec(params=P32, bundle="k", mode="spin-",
+                               s=(0.8, 0.6)))
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +205,62 @@ def test_trajectory_arrays_are_read_only(traj_interior):
     assert isinstance(state0, PhaseState)
 
 
+@pytest.mark.parametrize("name", ["traj_interior", "traj_minus",
+                                  "traj_ricci"])
+def test_samples_match_scalar_evaluators(name, request):
+    """Each stored row equals a scalar evaluation of itself, bit for bit."""
+    traj = request.getfixturevalue(name)
+    chirality = {"spin+": Chirality.PLUS,
+                 "spin-": Chirality.MINUS}.get(traj.spec.mode.value)
+    for row, logged in zip(traj.states, traj.residual_log):
+        row = [float(v) for v in row]
+        if chirality is not None:
+            assert list(x_from_z(P32, tuple(row[4:]), chirality)) == row[:4]
+        res = residuals(P32, PhaseState.from_sequence(row))
+        f_norm = max(abs(v) for v in res.F)
+        h_norm = max(abs(v) for v in res.H)
+        chiral = {Chirality.PLUS: f_norm,
+                  Chirality.MINUS: h_norm}.get(chirality, min(f_norm, h_norm))
+        assert [abs(res.hyperplane), abs(res.conservation), chiral] == \
+            [float(v) for v in logged]
+
+
+def test_integrate_drops_zero_width_chunk(monkeypatch):
+    """A chunk that fails at its own start adds no sample."""
+    solve_ivp = shooting.solve_ivp
+    calls = []
+
+    def failing_second_chunk(fun, t_span, y0, **kwargs):
+        calls.append(t_span)
+        if len(calls) == 2:
+            return SimpleNamespace(t=np.array([t_span[0]]),
+                                   y=np.asarray(y0)[:, None], sol=None,
+                                   status=-1)
+        return solve_ivp(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(shooting, "solve_ivp", failing_second_chunk)
+    traj = integrate(ShootSpec(params=P32, bundle="k+l", mode="spin+",
+                               s=(0.6, 0.8)))
+    assert traj.events[-1] == (5.0, "stiff-failure")
+    assert traj.etas.size == 101
+    assert np.all(np.diff(traj.etas) > 0.0)
+    assert reconstruct_metric(traj).t.size == 101
+
+
+def test_reconstruct_constant_g_closed_form():
+    """Constant X makes G constant, so 1/trL and t are exponentials."""
+    etas = np.concatenate([np.arange(0.0, 10.0, 0.05), [10.0, 10.02]])
+    x = np.array([0.1, 0.2, 0.1, 0.3])
+    g = 2.0 * float(np.sum(x[:3] ** 2)) + x[3] ** 2
+    states = np.tile(np.concatenate([x, [0.3, 0.2, 0.1, 2.0]]),
+                     (etas.size, 1))
+    prof = reconstruct_metric(SimpleNamespace(etas=etas, states=states),
+                              gauge=2.0)
+    grow = np.exp(g * etas)
+    assert np.max(np.abs(prof.trl_inv / (2.0 * grow) - 1.0)) <= 1e-8
+    assert np.max(np.abs(prof.t / (2.0 / g * grow) - 1.0)) <= 1e-8
+
+
 def test_reconstruct_cone_anchor(traj_interior):
     prof = reconstruct_metric(traj_interior)
     assert np.all(np.diff(prof.t) > 0.0)
@@ -258,6 +324,7 @@ def test_quadrant_grid_unit_directions():
 
 
 def test_worker_count_env(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setenv("SPIN7_THREADS", "3")
     assert worker_count() == 3
     assert worker_count(5) == 5
@@ -266,3 +333,13 @@ def test_worker_count_env(monkeypatch):
         worker_count()
     monkeypatch.delenv("SPIN7_THREADS")
     assert worker_count() >= 1
+
+
+def test_worker_count_clamps_to_cpu_count(monkeypatch):
+    cpus = max(1, os.cpu_count() or 1)
+    monkeypatch.setenv("SPIN7_THREADS", str(10 ** 9))
+    assert worker_count() == cpus
+    assert worker_count(10 ** 9) == cpus
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert worker_count() == 3
+    assert worker_count(0) == 1
