@@ -634,7 +634,10 @@ def solve_homogeneous_einstein(params, grid_points=10, z_span=(0.05, 0.5),
 
     z4 is eliminated through R4 = 6/49, which fixes z4^2 rationally in
     terms of (z1, z2, z3); batched Newton iteration over a positive grid
-    finds the remaining three equations' roots.  Exactly two solutions are
+    finds the remaining three equations' roots.  Once every start's
+    residual is below resid_tol, the rest of the newton_iters iterations
+    run on the first start of each distinct solution only; the result is
+    the same as iterating every start.  Exactly two solutions are
     expected; anything else raises SolverIncompleteError.  Returns
     [(z_tuple, exact_flag), ...] sorted by descending z1, with exact
     rational (or quadratic-surd z4) coordinates whenever the numeric
@@ -660,6 +663,13 @@ def solve_homogeneous_einstein(params, grid_points=10, z_span=(0.05, 0.5),
     eye = np.eye(3)
     for _ in range(newton_iters):
         r0 = residual(z)
+        if len(z) == len(starts) and (np.abs(r0).max(axis=1)
+                                      < resid_tol).all():
+            # Rows iterate independently and only the first start of
+            # each solution is reported: keep iterating those alone.
+            _, first = np.unique(np.round(z, 9), axis=0, return_index=True)
+            keep = np.sort(first)
+            z, r0 = z[keep], r0[keep]
         jac = np.stack([(residual(z + h * eye[j]) - residual(z - h * eye[j]))
                         / (2 * h) for j in range(3)], axis=-1)
         ok = np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(r0).all(axis=1)

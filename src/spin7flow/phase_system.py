@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import sqrt
+from math import isfinite, sqrt
 
 from .errors import InvalidRequestError
 from .exact import is_exact_scalar
@@ -275,15 +275,25 @@ def identity_checks(params, state):
         spin_minus_sum=2 * (h1 + h2 + h3) + h4 - (res.hyperplane - res.zcons_minus))
 
 
+def _exact_or_float(value, tol):
+    """(value, tol) to compare exactly when value is exact, else floats.
+
+    An infinite tol decides every comparison alone, so it stays a float.
+    """
+    if is_exact_scalar(value) and isfinite(tol):
+        return value, Fraction(tol)
+    return float(value), tol
+
+
 def _eq(name, value, tol):
-    return ConditionCheck(name, "equality", float(value),
-                          abs(float(value)) <= tol)
+    value, tol = _exact_or_float(value, tol)
+    return ConditionCheck(name, "equality", float(value), abs(value) <= tol)
 
 
 def _ge(name, slack, tol):
     """Inequality 'slack >= 0' within tol."""
-    return ConditionCheck(name, "inequality", float(slack),
-                          float(slack) >= -tol)
+    slack, tol = _exact_or_float(slack, tol)
+    return ConditionCheck(name, "inequality", float(slack), slack >= -tol)
 
 
 def membership(params, state, set_id, tol=1e-9):

@@ -285,29 +285,31 @@ def slice(params, which, alpha, beta, delta=None):
     (Fraction, int, or a num/den string); floats are refused so the
     restriction stays exact.
     """
-    alpha = _rat(alpha)
-    beta = _rat(beta)
+    values = {"alpha": _rat(alpha), "beta": _rat(beta)}
     if which in LINE_SLICE_KINDS:
         if delta is not None:
             raise InvalidRequestError(
                 "delta applies only to the ray slices p1 and p2")
         source = line_slices(params)[LINE_SLICE_KINDS.index(which)]
-        out = ("u",)
-        image = {"alpha": alpha, "beta": beta,
-                 "u": RatPoly.variable(out, "u")}
     elif which in RAY_SLICE_KINDS:
         if delta is None:
             raise InvalidRequestError(
                 "the ray slices p1 and p2 need a delta value")
         source = ray_slices(params)[RAY_SLICE_KINDS.index(which)]
-        out = ("Z1",)
-        image = {"alpha": alpha, "beta": beta, "delta": _rat(delta),
-                 "Z1": RatPoly.variable(out, "Z1")}
+        values["delta"] = _rat(delta)
     else:
         raise InvalidRequestError(
             f"unknown slice {which!r}, expected one of "
             f"{LINE_SLICE_KINDS + RAY_SLICE_KINDS}")
-    return source.compose(out, image)
+    # The root variable is the last one; every other one is a parameter.
+    point = [values[name] for name in source.variables[:-1]]
+    out = {}
+    for exps, coeff in source.terms.items():
+        for x, e in zip(point, exps):
+            if e:
+                coeff = coeff * x ** e
+        out[exps[-1:]] = out.get(exps[-1:], 0) + coeff
+    return RatPoly(source.variables[-1:], out)
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +332,11 @@ def root_fn(params, which, point):
     slices q1 and p1, taken from the exact discriminant.  zeta is the
     smallest non-negative root of q2 on [0, 2/3] and sigma the
     smallest positive root of p2 on (0, 1/2], both isolated by Sturm
-    counts and exact bisection to 1e-12.  Returns None when no root
-    lies in the window.  A negative discriminant for omega or xi
-    raises DomainAnomalyError because two real roots are guaranteed
-    on the stated parameter boxes.
+    counts and then bisected to 1e-12 on the exact sign of the slice
+    polynomial.  Returns None when no root lies in the window.  A
+    negative discriminant for omega or xi raises DomainAnomalyError
+    because two real roots are guaranteed on the stated parameter
+    boxes.
     """
     found = _root_exact(params, which, point)
     if found is None:

@@ -493,6 +493,20 @@ def _horner(coeffs, x):
     return total
 
 
+def _sign_at(ints, x):
+    """Exact sign of an integer polynomial at a rational x.
+
+    Homogeneous Horner on x = p/q returns q**degree times the value,
+    which has the value's sign because q > 0.
+    """
+    p, q = x.numerator, x.denominator
+    total, scale = 0, 1
+    for c in reversed(ints):
+        total = total * p + c * scale
+        scale *= q
+    return (total > 0) - (total < 0)
+
+
 def _poly_divmod(num, den):
     num = list(num)
     den = _strip(den)
@@ -617,6 +631,8 @@ def smallest_root_in_interval(coeffs, lo, hi, include_lo=False,
     proven rational zero; otherwise it is the midpoint of a bracket no
     wider than accuracy.  Rational candidates with denominator up to
     snap_denominator are tested exactly before settling for a bracket.
+    Bisection uses Sturm counts while the bracket holds more than one
+    root, then the exact sign of the polynomial alone.
     """
     lo, hi = _coerce(lo), _coerce(hi)
     if hi <= lo:
@@ -641,24 +657,41 @@ def smallest_root_in_interval(coeffs, lo, hi, include_lo=False,
         if len(poly) <= 1:
             return (fallback, True)
     sequence = sturm_sequence(poly)
-    if count_distinct_roots(sequence, lo, hi) == 0:
+    count = count_distinct_roots(sequence, lo, hi)
+    if count == 0:
         return (fallback, True) if fallback is not None else None
     a, b = lo, hi
-    while b - a > accuracy:
+    while count > 1 and b - a > accuracy:
         mid = (a + b) / 2
         if _horner(poly, mid) == 0:
             quotient = _deflate(poly, mid)
             if len(quotient) <= 1:
                 return mid, True
             inner = sturm_sequence(quotient)
-            if count_distinct_roots(inner, a, mid) == 0:
+            left = count_distinct_roots(inner, a, mid)
+            if left == 0:
                 return mid, True
-            poly, sequence, b = quotient, inner, mid
+            poly, sequence, b, count = quotient, inner, mid, left
             continue
-        if count_distinct_roots(sequence, a, mid) >= 1:
-            b = mid
+        left = count_distinct_roots(sequence, a, mid)
+        if left >= 1:
+            b, count = mid, left
         else:
             a = mid
+    # One simple root left in (a, b): it lies in (a, mid) exactly when
+    # the sign changes there, so the brackets match the Sturm bisection.
+    scale = lcm(*(c.denominator for c in poly))
+    ints = [c.numerator * (scale // c.denominator) for c in poly]
+    sign_a = _sign_at(ints, a)
+    while b - a > accuracy:
+        mid = (a + b) / 2
+        sign = _sign_at(ints, mid)
+        if sign == 0:
+            return mid, True
+        if sign == sign_a:
+            a = mid
+        else:
+            b = mid
     for candidate in _convergents((a + b) / 2, snap_denominator):
         if a < candidate <= b and _horner(poly, candidate) == 0:
             return candidate, True

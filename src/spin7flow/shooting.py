@@ -376,9 +376,8 @@ def _trailing_decision(etas, states, candidates):
         inside = dist <= DECISION_RADIUS
         if not inside[-1]:
             continue
-        run_start = len(inside) - 1
-        while run_start > 0 and inside[run_start - 1]:
-            run_start -= 1
+        outside = np.flatnonzero(~inside)
+        run_start = int(outside[-1]) + 1 if outside.size else 0
         tail = etas[-1] - etas[run_start]
         if tail >= DECISION_WINDOW - 1e-9 or (run_start == 0 and span >= 0.0):
             return Asymptotics(

@@ -8,6 +8,7 @@ import pytest
 
 from spin7flow.aw_algebra import AWParams
 from spin7flow.errors import InvalidRequestError
+from spin7flow.exact import QuadExt
 from spin7flow.phase_system import (Chirality, PhaseState, SetId, flow_rhs,
                                     identity_checks, membership,
                                     reduced_z_rhs, residuals, scalar_terms,
@@ -151,6 +152,23 @@ def test_membership_negative_z4_reports_not_raises():
     assert not rep.ok
     names = [c.name for c in rep.conditions if not c.ok]
     assert "Z4 >= 0" in names
+
+
+def test_membership_decides_exact_values_exactly():
+    # s = a - 1001*sqrt(10) lies in [-1e-9, 0), but float(s) rounds to
+    # -1.0004e-09, which a float comparison would place outside the tol.
+    s = QuadExt(Fraction(3165439937827547711330892437914871, 10 ** 30),
+                -1001, 10)
+    tol = 1e-9
+    assert -Fraction(tol) <= s < 0 and float(s) < -tol
+    state = PhaseState((SIXTH,) * 3 + (0,), (SIXTH, SIXTH + s, SIXTH, s))
+    rep = membership(AWParams(1, 1), state, SetId.S_TILDE, tol=tol)
+    conds = {c.name: c for c in rep.conditions}
+    for name in ("Z4 >= 0", "Z2 = Z3"):
+        assert conds[name].ok
+        assert conds[name].value == float(s)
+    tighter = membership(AWParams(1, 1), state, SetId.S_TILDE, tol=tol / 2)
+    assert not {c.name: c.ok for c in tighter.conditions}["Z4 >= 0"]
 
 
 def test_membership_tilde_sets_restricted():

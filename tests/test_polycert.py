@@ -165,8 +165,75 @@ def test_slice_consistency_with_barrier_substitution(p):
         assert pc.slice(p, "p2", a, b, delta=d).evaluate((z1,)) == direct
 
 
+@pytest.mark.parametrize("p", PARAMS, ids=lambda p: f"{p.k},{p.l}")
+def test_slice_matches_symbolic_composition(p):
+    rng = random.Random(29)
+
+    def rational():
+        return F(rng.randint(-40, 40), rng.randint(1, 30))
+
+    for _ in range(8):
+        a, b, d = rational(), rational(), rational()
+        for i, which in enumerate(pc.LINE_SLICE_KINDS):
+            source = pc.line_slices(p)[i]
+            image = {"alpha": a, "beta": b,
+                     "u": RatPoly.variable(("u",), "u")}
+            assert pc.slice(p, which, a, b) == source.compose(("u",), image)
+        for i, which in enumerate(pc.RAY_SLICE_KINDS):
+            source = pc.ray_slices(p)[i]
+            image = {"alpha": a, "beta": b, "delta": d,
+                     "Z1": RatPoly.variable(("Z1",), "Z1")}
+            assert pc.slice(p, which, a, b, delta=d) == \
+                source.compose(("Z1",), image)
+
+
 # ---------------------------------------------------------------------------
 # root functions
+
+# (omega, zeta) and (xi, sigma) on points of the interlacing grids, as
+# the all-Sturm bisection returned them; root_fn must repeat every bit.
+RECORDED_LINE_ROOTS = {
+    (F(0), F(1)): (0.6666666666666666, 0.6666666666666666),
+    (F(1, 62), F(1, 32)): (0.48646332335183473, 0.5851577526103332),
+    (F(5, 62), F(17, 32)): (0.4459384227314285, 0.47646868242281926),
+    (F(15, 62), F(1)): (0.25816326900795183, 0.2985516591067305),
+    (F(31, 62), F(9, 32)): (0.023906115063997646, 0.17946005945395882),
+    (F(10, 62), F(3, 32)): (0.3398303369133444, 0.36994546286859986),
+}
+RECORDED_RAY_ROOTS = {
+    (3, 2): {
+        (F(1), F(0), F(1)): (0.3333333333333333, 0.3333333333333333),
+        (F(14, 15), F(3, 15), F(5, 16)):
+            (0.24428174519112877, 0.26821807220812843),
+        (F(7, 15), F(7, 15), F(1)): (0.2847086483221062, 0.2916149264733576),
+        (F(1, 15), F(0), F(1, 16)): (0.47004458149565664, None),
+        (F(11, 15), F(2, 15), F(9, 16)):
+            (0.2935324387551479, 0.31689441028220244),
+        (F(1), F(1), F(1)): (0.16666666666666666, 0.1818453532773674),
+    },
+    (1, 1): {
+        (F(1), F(0), F(1)): (0.3333333333333333, 0.3333333333333333),
+        (F(14, 15), F(3, 15), F(5, 16)):
+            (0.24434519768881113, 0.2682738456801417),
+        (F(7, 15), F(7, 15), F(1)):
+            (0.29141941722123965, 0.29416209773489754),
+        (F(1, 15), F(0), F(1, 16)): (0.47004458149565664, None),
+        (F(11, 15), F(2, 15), F(9, 16)):
+            (0.29409414417447755, 0.3170372952567959),
+        (F(1), F(1), F(1)): (0.16666666666666666, 0.18428657642152757),
+    },
+}
+
+
+@pytest.mark.parametrize("p", [AWParams(3, 2), AWParams(1, 1)],
+                         ids=lambda p: f"{p.k},{p.l}")
+def test_root_fn_repeats_recorded_grid_values(p):
+    for point, (omega, zeta) in RECORDED_LINE_ROOTS.items():
+        assert pc.root_fn(p, "omega", point) == omega
+        assert pc.root_fn(p, "zeta", point) == zeta
+    for point, (xi, sigma) in RECORDED_RAY_ROOTS[p.k, p.l].items():
+        assert pc.root_fn(p, "xi", point) == xi
+        assert pc.root_fn(p, "sigma", point) == sigma
 
 
 def test_root_values_at_anchor_points():

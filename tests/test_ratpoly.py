@@ -6,14 +6,17 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spin7flow.errors import InvalidRequestError
 from spin7flow.exact import exact_sqrt
-from spin7flow.ratpoly import (Ball, Box, Interval, RatPoly,
+from spin7flow.ratpoly import (ROOT_ACCURACY, SNAP_DENOMINATOR, Ball,
+                               Box, Interval, RatPoly,
                                STATUS_COUNTEREXAMPLE, STATUS_INCONCLUSIVE,
                                STATUS_NONNEGATIVE, _bernstein_tensor,
-                               _split_axis, certify_nonneg,
-                               count_distinct_roots,
+                               _convergents, _coerce, _deflate, _horner,
+                               _split_axis, _squarefree, _strip,
+                               certify_nonneg, count_distinct_roots,
                                random_nonnegativity_audit, rational_string,
                                smallest_root_in_interval, sturm_sequence,
                                sylvester_matrix, sylvester_resultant,
@@ -296,6 +299,104 @@ def test_smallest_root_absent_and_multiple():
     assert smallest_root_in_interval([F(1), F(0), F(1)], 0, 1) is None
     double = [F(1, 9), F(-2, 3), F(1)]
     assert smallest_root_in_interval(double, 0, 1) == (F(1, 3), True)
+
+
+def sturm_bisection_reference(coeffs, lo, hi, include_lo=False,
+                              accuracy=ROOT_ACCURACY,
+                              snap_denominator=SNAP_DENOMINATOR):
+    """smallest_root_in_interval with a Sturm count at every bisection
+    step; the library must return exactly what this returns."""
+    lo, hi = _coerce(lo), _coerce(hi)
+    poly = _strip(coeffs)
+    if len(poly) == 1:
+        return None
+    poly = _squarefree(poly)
+    if include_lo and _horner(poly, lo) == 0:
+        return lo, True
+    while _horner(poly, lo) == 0:
+        poly = _deflate(poly, lo)
+        if len(poly) <= 1:
+            return None
+    fallback = None
+    if _horner(poly, hi) == 0:
+        fallback = hi
+        poly = _deflate(poly, hi)
+        if len(poly) <= 1:
+            return (fallback, True)
+    sequence = sturm_sequence(poly)
+    if count_distinct_roots(sequence, lo, hi) == 0:
+        return (fallback, True) if fallback is not None else None
+    a, b = lo, hi
+    while b - a > accuracy:
+        mid = (a + b) / 2
+        if _horner(poly, mid) == 0:
+            quotient = _deflate(poly, mid)
+            if len(quotient) <= 1:
+                return mid, True
+            inner = sturm_sequence(quotient)
+            if count_distinct_roots(inner, a, mid) == 0:
+                return mid, True
+            poly, sequence, b = quotient, inner, mid
+            continue
+        if count_distinct_roots(sequence, a, mid) >= 1:
+            b = mid
+        else:
+            a = mid
+    for candidate in _convergents((a + b) / 2, snap_denominator):
+        if a < candidate <= b and _horner(poly, candidate) == 0:
+            return candidate, True
+    return (a + b) / 2, False
+
+
+def poly_product(factors):
+    out = [F(1)]
+    for factor in factors:
+        prod = [F(0)] * (len(out) + len(factor) - 1)
+        for i, c in enumerate(out):
+            for j, d in enumerate(factor):
+                prod[i + j] += c * d
+        out = prod
+    return out
+
+
+small_rationals = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+
+
+@st.composite
+def root_isolation_cases(draw):
+    """(coeffs, lo, hi, include_lo, accuracy) with roots placed on
+    bisection midpoints, at the window ends, repeated, and irrational."""
+    lo = draw(small_rationals)
+    hi = lo + draw(st.builds(F, st.integers(1, 30), st.integers(1, 8)))
+    dyadic = st.builds(lambda n, j: lo + (hi - lo) * F(n % (2 ** j), 2 ** j),
+                       st.integers(0, 2 ** 12), st.integers(1, 12))
+    roots = draw(st.lists(st.one_of(dyadic, st.sampled_from([lo, hi]),
+                                    small_rationals), max_size=4))
+    factors = []
+    for r in roots:
+        factors += [[-r, F(1)]] * draw(st.sampled_from([1, 1, 2]))
+    for _ in range(draw(st.integers(0, 2))):
+        # (x - m)**2 - c is irreducible for a non-square c; a negative c
+        # leaves no real root at all.
+        m = draw(small_rationals)
+        c = draw(st.sampled_from([F(2), F(3, 4), F(5, 9), F(7, 100), F(-1)]))
+        factors.append([m * m - c, -2 * m, F(1)])
+    lead = draw(st.builds(F, st.integers(1, 40), st.integers(1, 12)))
+    lead *= draw(st.sampled_from([1, -1]))
+    coeffs = [lead * c for c in poly_product(factors)]
+    include_lo = draw(st.booleans())
+    accuracy = draw(st.sampled_from([ROOT_ACCURACY, F(1, 2 ** 6)]))
+    return coeffs, lo, hi, include_lo, accuracy
+
+
+@settings(max_examples=300, deadline=None)
+@given(root_isolation_cases())
+def test_smallest_root_matches_sturm_bisection(case):
+    coeffs, lo, hi, include_lo, accuracy = case
+    got = smallest_root_in_interval(coeffs, lo, hi, include_lo=include_lo,
+                                    accuracy=accuracy)
+    assert got == sturm_bisection_reference(
+        coeffs, lo, hi, include_lo=include_lo, accuracy=accuracy)
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,31 @@ def test_classify_constant_trajectory_at_sink():
     assert out.eta_at_decision == 0.0
 
 
+@pytest.mark.parametrize("pattern", [
+    "1" * 7, "0" + "1" * 6, "1" * 30 + "0", "0" * 20 + "1" * 101,
+    "0" * 20 + "1" * 100, "1" * 50 + "0" + "1" * 101,
+    "10" * 40 + "1" * 120])
+def test_classify_decision_starts_after_last_outside_sample(pattern):
+    inside = np.array([c == "1" for c in pattern])
+    n = len(inside)
+    etas = np.arange(n) * 0.05
+    states = np.tile(catalog(P11).get("P1").state.as_floats(), (n, 1))
+    states[~inside] += 1e-3
+    traj = Trajectory(spec=None, etas=etas, states=states,
+                      residual_log=np.zeros((n, 3)), events=(),
+                      outcome=Asymptotics("Undetermined"))
+    out = classify(traj, params=P11)
+    run_start = n - 1
+    while run_start > 0 and inside[run_start - 1]:
+        run_start -= 1
+    if inside[-1] and (run_start == 0
+                       or etas[-1] - etas[run_start] >= 5.0 - 1e-9):
+        assert (out.kind, out.limit_label) == ("ALC", "P1")
+        assert out.eta_at_decision == etas[run_start]
+    else:
+        assert out.kind == "Undetermined"
+
+
 def test_classify_escape_from_norm_crossing():
     p1 = np.array(catalog(P11).get("P1").state.as_floats())
     states = np.tile(p1, (8, 1))
