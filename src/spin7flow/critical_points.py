@@ -15,11 +15,12 @@ constraint set:
   the X4 axis (``LineFamily``).
 
 Coordinates are stored exactly (Fraction, with QuadExt for the sqrt(10)
-entries).  The linearization is assembled from analytic derivatives, so it
-is exact at exact states; ``eigen`` adds a floating-point spectral
-decomposition with clustering, and ``reference_frame`` returns closed-form
-eigenvector tables for the cone points and the sink, with tangency flags
-computed from exact constraint gradients.
+entries).  The linearization and the constraint derivatives are those of
+``phase_system`` (re-exported here) and are exact at exact states;
+``eigen`` adds a floating-point spectral decomposition with clustering,
+and ``reference_frame`` returns closed-form eigenvector tables for the
+cone points and the sink, with tangency flags computed from exact
+constraint gradients.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ import numpy as np
 from .aw_algebra import AWParams
 from .errors import InvalidRequestError, SolverIncompleteError
 from .exact import QuadExt, exact_sqrt
-from .phase_system import (Chirality, PhaseState, cubic_coefficients,
-                           flow_rhs, quartic_coefficients, vector_field)
+from .phase_system import (Chirality, PhaseState, constraint_gradients,
+                           first_order_jacobians, flow_rhs, jacobian,
+                           quartic_coefficients, r_terms)
 
 __all__ = [
     "FlowClass",
@@ -283,57 +285,6 @@ def _ac_pair(params):
 # linearization
 
 
-def jacobian(params, state):
-    """Analytic 8x8 derivative of the vector field; exact at exact states."""
-    x1, x2, x3, x4 = state.X
-    z1, z2, z3, z4 = state.Z
-    ca, cb, cc = quartic_coefficients(params)
-    g = 2 * (x1 * x1 + x2 * x2 + x3 * x3) + x4 * x4
-    gm1 = g - 1
-    dg = (4 * x1, 4 * x2, 4 * x3, 2 * x4)
-    z4sq = z4 * z4
-
-    rows = []
-    # X rows: d(Xi*(G-1) + Ri)
-    dr = [
-        (2 * z1,
-         6 * z3 - 2 * z2 - 2 * ca * z2 * z3 * z3 * z4sq,
-         6 * z2 - 2 * z3 - 2 * ca * z2 * z2 * z3 * z4sq,
-         -2 * ca * z2 * z2 * z3 * z3 * z4),
-        (6 * z3 - 2 * z1 - 2 * cb * z1 * z3 * z3 * z4sq,
-         2 * z2,
-         6 * z1 - 2 * z3 - 2 * cb * z1 * z1 * z3 * z4sq,
-         -2 * cb * z1 * z1 * z3 * z3 * z4),
-        (6 * z2 - 2 * z1 - 2 * cc * z1 * z2 * z2 * z4sq,
-         6 * z1 - 2 * z2 - 2 * cc * z1 * z1 * z2 * z4sq,
-         2 * z3,
-         -2 * cc * z1 * z1 * z2 * z2 * z4),
-        (2 * cb * z1 * z3 * z3 * z4sq + 2 * cc * z1 * z2 * z2 * z4sq,
-         2 * ca * z2 * z3 * z3 * z4sq + 2 * cc * z1 * z1 * z2 * z4sq,
-         2 * ca * z2 * z2 * z3 * z4sq + 2 * cb * z1 * z1 * z3 * z4sq,
-         2 * z4 * (ca * z2 * z2 * z3 * z3 + cb * z1 * z1 * z3 * z3
-                   + cc * z1 * z1 * z2 * z2)),
-    ]
-    xs = (x1, x2, x3, x4)
-    for i in range(4):
-        xrow = [xs[i] * dg[j] for j in range(4)]
-        xrow[i] = xrow[i] + gm1
-        rows.append(tuple(xrow) + dr[i])
-
-    # Z rows
-    signs = ((1, -1, -1, 0), (-1, 1, -1, 0), (-1, -1, 1, 0))
-    zs = (z1, z2, z3)
-    diag = (g + x1 - x2 - x3, g + x2 - x3 - x1, g + x3 - x1 - x2)
-    for i in range(3):
-        xrow = tuple(zs[i] * (dg[j] + signs[i][j]) for j in range(4))
-        zrow = [0, 0, 0, 0]
-        zrow[i] = diag[i]
-        rows.append(xrow + tuple(zrow))
-    xrow = tuple(z4 * (-dg[j] + (1 if j == 3 else 0)) for j in range(4))
-    rows.append(xrow + (0, 0, 0, x4 - g))
-    return tuple(rows)
-
-
 def jacobian_fd(params, state, step=1e-6):
     """Central-difference derivative of the float vector field."""
     rhs = flow_rhs(params)
@@ -476,57 +427,6 @@ def _table_p1():
         (2, 2, 2, 0, 1, 1, 1, 0),
     ]
     return vals, vecs
-
-
-def constraint_gradients(params, state):
-    """Exact gradients of the hyperplane and conservation constraints."""
-    x1, x2, x3, x4 = state.X
-    z1, z2, z3, z4 = state.Z
-    ca, cb, cc = quartic_coefficients(params)
-    dg = (4 * x1, 4 * x2, 4 * x3, 2 * x4)
-    z4sq = z4 * z4
-    # dRs/dZ with Rs = 2R1 + 2R2 + 2R3 + R4
-    dr1 = (2 * z1,
-           6 * z3 - 2 * z2 - 2 * ca * z2 * z3 * z3 * z4sq,
-           6 * z2 - 2 * z3 - 2 * ca * z2 * z2 * z3 * z4sq,
-           -2 * ca * z2 * z2 * z3 * z3 * z4)
-    dr2 = (6 * z3 - 2 * z1 - 2 * cb * z1 * z3 * z3 * z4sq,
-           2 * z2,
-           6 * z1 - 2 * z3 - 2 * cb * z1 * z1 * z3 * z4sq,
-           -2 * cb * z1 * z1 * z3 * z3 * z4)
-    dr3 = (6 * z2 - 2 * z1 - 2 * cc * z1 * z2 * z2 * z4sq,
-           6 * z1 - 2 * z2 - 2 * cc * z1 * z1 * z2 * z4sq,
-           2 * z3,
-           -2 * cc * z1 * z1 * z2 * z2 * z4)
-    dr4 = (2 * cb * z1 * z3 * z3 * z4sq + 2 * cc * z1 * z2 * z2 * z4sq,
-           2 * ca * z2 * z3 * z3 * z4sq + 2 * cc * z1 * z1 * z2 * z4sq,
-           2 * ca * z2 * z2 * z3 * z4sq + 2 * cb * z1 * z1 * z3 * z4sq,
-           2 * z4 * (ca * z2 * z2 * z3 * z3 + cb * z1 * z1 * z3 * z3
-                     + cc * z1 * z1 * z2 * z2))
-    drs = tuple(2 * dr1[j] + 2 * dr2[j] + 2 * dr3[j] + dr4[j] for j in range(4))
-    return {
-        "hyperplane": (2, 2, 2, 1, 0, 0, 0, 0),
-        "conservation": dg + drs,
-    }
-
-
-def first_order_jacobians(params, state):
-    """Exact 4x8 derivatives of the F system and of the H system."""
-    z1, z2, z3, z4 = state.Z
-    da, db, dc = cubic_coefficients(params)
-
-    def block(sign):
-        a, b, c = sign * da, sign * db, sign * dc
-        return (
-            (1, 0, 0, 0, 1, -1 + a * z3 * z4, -1 + a * z2 * z4, a * z2 * z3),
-            (0, 1, 0, 0, -1 - b * z3 * z4, 1, -1 - b * z1 * z4, -b * z1 * z3),
-            (0, 0, 1, 0, -1 - c * z2 * z4, -1 - c * z1 * z4, 1, -c * z1 * z2),
-            (0, 0, 0, 1, b * z3 * z4 + c * z2 * z4,
-             -a * z3 * z4 + c * z1 * z4, -a * z2 * z4 + b * z1 * z4,
-             -a * z2 * z3 + b * z1 * z3 + c * z1 * z2),
-        )
-
-    return block(1), block(-1)
 
 
 def _dot(u, v):
@@ -709,27 +609,21 @@ def solve_homogeneous_einstein(params, grid_points=10, z_span=(0.05, 0.5),
 
 
 def _try_exact_einstein(params, z123):
-    """Rationalize a numeric solution and verify it exactly, or None."""
-    ca, cb, cc = quartic_coefficients(params)
+    """Rationalize a numeric solution and verify it exactly, or None.
+
+    At X = (1/7, ..., 1/7) the vector field's X rows are R_i - 6/49 and
+    its Z rows vanish.  R_i needs only Z4^2, so the check runs before
+    exact_sqrt, whose factoring stalls on near misses.
+    """
+    coeffs = quartic_coefficients(params)
     zr = tuple(Fraction(v).limit_denominator(10 ** 6) for v in z123)
-    for v, r in zip(z123, zr):
-        if abs(float(r) - v) > 1e-9:
-            return None
+    if any(abs(float(r) - v) > 1e-9 for v, r in zip(z123, zr)):
+        return None
     z1, z2, z3 = zr
-    q = ca * (z2 * z3) ** 2 + cb * (z1 * z3) ** 2 + cc * (z1 * z2) ** 2
+    q = r_terms(coeffs, z1, z2, z3, 1)[3]  # R4 = q*Z4^2
     if q == 0:
         return None
     w = EINSTEIN_LEVEL / q  # exact z4^2
-    checks = (
-        6 * z2 * z3 + z1 ** 2 - z2 ** 2 - z3 ** 2 - ca * (z2 * z3) ** 2 * w,
-        6 * z1 * z3 + z2 ** 2 - z3 ** 2 - z1 ** 2 - cb * (z1 * z3) ** 2 * w,
-        6 * z1 * z2 + z3 ** 2 - z1 ** 2 - z2 ** 2 - cc * (z1 * z2) ** 2 * w,
-    )
-    if any(c != EINSTEIN_LEVEL for c in checks):
+    if any(r != EINSTEIN_LEVEL for r in r_terms(coeffs, z1, z2, z3, w)):
         return None
-    z4 = exact_sqrt(w)
-    state = PhaseState((SEVENTH,) * 4, (z1, z2, z3, z4))
-    vel = vector_field(params, state)
-    if any(v != 0 for v in vel.as_tuple()):
-        return None
-    return (z1, z2, z3, z4)
+    return (z1, z2, z3, exact_sqrt(w))

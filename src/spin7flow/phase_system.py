@@ -1,4 +1,4 @@
-"""The 8-dimensional polynomial flow and its algebraic constraint sets.
+"""The 8-dimensional polynomial flow, its constraints and their derivatives.
 
 The state is (X1, X2, X3, X4, Z1, Z2, Z3, Z4).  With
 
@@ -10,11 +10,18 @@ and the four curvature-type polynomials R1..R4 below, the flow is
     Z1' = Z1*(G + X1 - X2 - X3)    Z2' = Z2*(G + X2 - X3 - X1)
     Z3' = Z3*(G + X3 - X1 - X2)    Z4' = Z4*(X4 - G)
 
-Every coefficient is an exact rational in (k, l), so all evaluators in this
-module return exact values on Fraction (or QuadExt) states and ordinary
-floats otherwise; given numpy columns they give each sample the bits of
-a scalar call on it.  ``flow_rhs`` and ``reduced_z_rhs`` provide
-float-specialized closures for the integrator hot path.
+It preserves the hyperplane 2*(X1 + X2 + X3) + X4 = 1, the conservation
+law G - 1 + Rs = 0 (Rs = 2*R1 + 2*R2 + 2*R3 + R4) and the first-order
+Spin(7) systems F = 0, H = 0, on whose sets X is linear in Z.
+
+This module is the one place where a flow polynomial or a derivative of
+one is written, each once, generic over exact values (Fraction, QuadExt,
+RatPoly), floats and numpy columns.  Rounding rule: a float expression
+associates as the integrator runs it (``flow_rhs``, ``reduced_z_rhs``,
+``zcons_constraint``, ``crf_constraints``): da*Z2*Z3*Z4 left to right, Rs
+as 12*(Z1*Z2 + Z2*Z3 + Z3*Z1) - 2*(Z1^2 + Z2^2 + Z3^2) - q*Z4^2, since a
+last-bit change there moves integrated states well beyond an ulp.  The
+evaluators thus agree with the integrator bit for bit.
 """
 
 from __future__ import annotations
@@ -23,6 +30,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import isfinite, sqrt
+
+import numpy as np
 
 from .errors import InvalidRequestError
 from .exact import is_exact_scalar
@@ -44,11 +53,17 @@ __all__ = [
     "identity_checks",
     "cubic_coefficients",
     "quartic_coefficients",
+    "g_of_x",
+    "r_terms",
+    "jacobian",
+    "constraint_gradients",
+    "first_order_jacobians",
     "flow_rhs",
     "reduced_z_rhs",
+    "zcons_constraint",
+    "crf_constraints",
 ]
 
-HALF = Fraction(1, 2)
 TWO_THIRDS = Fraction(2, 3)
 
 
@@ -137,71 +152,172 @@ def quartic_coefficients(params):
             Fraction(params.k ** 2, d2))
 
 
+def _scalars(values):
+    """Python floats: float64 arithmetic, faster than numpy scalars."""
+    return np.asarray(values, dtype=float).tolist()
+
+
 def _matching(coeffs, z):
-    """coeffs as given on exact Z, else as floats: Fraction * numpy column
-    is an object array, and Fraction * float is float(coeff) * float."""
-    if all(is_exact_scalar(v) for v in z):
-        return coeffs
-    return tuple(float(c) for c in coeffs)
+    """coeffs as floats on float or numpy Z, else exact: Fraction * numpy
+    column is an object array, Fraction * float is float(coeff) * float."""
+    if any(isinstance(v, (float, np.generic, np.ndarray)) for v in z):
+        return tuple(map(float, coeffs))
+    return coeffs
+
+
+def _spin_coefficients(params, chirality):
+    """Cubic coefficients with the chirality's sign: F has +a, H has -a."""
+    sgn = 1 if chirality is Chirality.PLUS else -1
+    return tuple(sgn * c for c in cubic_coefficients(params))
+
+
+# ---------------------------------------------------------------------------
+# polynomials and derivatives; c = quartic, d = (signed) cubic coefficients
+
+
+def g_of_x(x):
+    """G = 2*X1^2 + 2*X2^2 + 2*X3^2 + X4^2; needs no orbit parameters."""
+    x1, x2, x3, x4 = x
+    return 2 * (x1 * x1 + x2 * x2 + x3 * x3) + x4 * x4
+
+
+def r_terms(c, z1, z2, z3, z4sq):
+    """R1..R4; Z4 enters only through Z4^2."""
+    ca, cb, cc = c
+    t23 = z2 * z2 * z3 * z3 * z4sq
+    t13 = z1 * z1 * z3 * z3 * z4sq
+    t12 = z1 * z1 * z2 * z2 * z4sq
+    return (6 * z2 * z3 + z1 * z1 - z2 * z2 - z3 * z3 - ca * t23,
+            6 * z1 * z3 + z2 * z2 - z3 * z3 - z1 * z1 - cb * t13,
+            6 * z1 * z2 + z3 * z3 - z1 * z1 - z2 * z2 - cc * t12,
+            ca * t23 + cb * t13 + cc * t12)
+
+
+def _quartic_sum(c, z):
+    """q with R4 = q*Z4^2."""
+    ca, cb, cc = c
+    z1, z2, z3, _ = z
+    return (ca * z2 * z2 * z3 * z3 + cb * z1 * z1 * z3 * z3
+            + cc * z1 * z1 * z2 * z2)
+
+
+def _rs(c, z):
+    z1, z2, z3, z4 = z
+    return (12 * (z1 * z2 + z2 * z3 + z3 * z1)
+            - 2 * (z1 * z1 + z2 * z2 + z3 * z3)
+            - _quartic_sum(c, z) * z4 * z4)
+
+
+def _crf_values(c, x, z):
+    """The hyperplane and conservation residuals."""
+    x1, x2, x3, x4 = x
+    return 2 * (x1 + x2 + x3) + x4 - 1, g_of_x(x) - 1 + _rs(c, z)
+
+
+def _z_field(g, x, z):
+    x1, x2, x3, x4 = x
+    z1, z2, z3, z4 = z
+    return (z1 * (g + x1 - x2 - x3), z2 * (g + x2 - x3 - x1),
+            z3 * (g + x3 - x1 - x2), z4 * (x4 - g))
+
+
+def _field(c, x, z):
+    x1, x2, x3, x4 = x
+    z1, z2, z3, z4 = z
+    g = g_of_x(x)
+    gm1 = g - 1
+    r1, r2, r3, r4 = r_terms(c, z1, z2, z3, z4 * z4)
+    return ((x1 * gm1 + r1, x2 * gm1 + r2, x3 * gm1 + r3, x4 * gm1 + r4)
+            + _z_field(g, x, z))
+
+
+def _cubic_terms(d, z):
+    """(a23, a13, a12), or their negatives for signed coefficients of H."""
+    da, db, dc = d
+    z1, z2, z3, z4 = z
+    return da * z2 * z3 * z4, db * z1 * z3 * z4, dc * z1 * z2 * z4
+
+
+def _x_of_z(z, u):
+    """X solving F = 0 (cubic terms u) or H = 0 (-u); F, H = X minus it."""
+    z1, z2, z3, _ = z
+    u23, u13, u12 = u
+    return (z2 + z3 - z1 - u23,
+            z3 + z1 - z2 + u13,
+            z1 + z2 - z3 + u12,
+            u23 - u13 - u12)
+
+
+def _zcons(z, u):
+    z1, z2, z3, _ = z
+    u23, u13, u12 = u
+    return 2 * (z1 + z2 + z3) - u23 + u13 + u12 - 1
+
+
+HYPERPLANE_GRADIENT = (2, 2, 2, 1, 0, 0, 0, 0)
+
+
+def _g_gradient(x):
+    x1, x2, x3, x4 = x
+    return (4 * x1, 4 * x2, 4 * x3, 2 * x4)
+
+
+def _conservation_gradient(c, x, z):
+    ca, cb, cc = c
+    z1, z2, z3, z4 = z
+    return _g_gradient(x) + (
+        12 * (z2 + z3) - 4 * z1
+        - 2 * z1 * (cb * z3 * z3 + cc * z2 * z2) * z4 * z4,
+        12 * (z1 + z3) - 4 * z2
+        - 2 * z2 * (ca * z3 * z3 + cc * z1 * z1) * z4 * z4,
+        12 * (z1 + z2) - 4 * z3
+        - 2 * z3 * (ca * z2 * z2 + cb * z1 * z1) * z4 * z4,
+        -2 * z4 * _quartic_sum(c, z))
+
+
+def _cubic_partials(d, z):
+    """Z-gradients of the three cubic terms."""
+    da, db, dc = d
+    z1, z2, z3, z4 = z
+    return ((0, da * z3 * z4, da * z2 * z4, da * z2 * z3),
+            (db * z3 * z4, 0, db * z1 * z4, db * z1 * z3),
+            (dc * z2 * z4, dc * z1 * z4, 0, dc * z1 * z2))
+
+
+def _zcons_gradient(d, z):
+    p23, p13, p12 = _cubic_partials(d, z)
+    return (2 + p13[0] + p12[0],
+            2 - p23[1] + p12[1],
+            2 - p23[2] + p13[2],
+            -p23[3] + p13[3] + p12[3])
 
 
 def scalar_terms(params, state):
     """Evaluate G, R1..R4, and Rs = 2*R1 + 2*R2 + 2*R3 + R4 at a state."""
-    x1, x2, x3, x4 = state.X
+    c = _matching(quartic_coefficients(params), state.Z)
     z1, z2, z3, z4 = state.Z
-    ca, cb, cc = _matching(quartic_coefficients(params), state.Z)
-    g = 2 * (x1 * x1 + x2 * x2 + x3 * x3) + x4 * x4
-    z4sq = z4 * z4
-    t23 = z2 * z2 * z3 * z3 * z4sq
-    t13 = z1 * z1 * z3 * z3 * z4sq
-    t12 = z1 * z1 * z2 * z2 * z4sq
-    r1 = 6 * z2 * z3 + z1 * z1 - z2 * z2 - z3 * z3 - ca * t23
-    r2 = 6 * z1 * z3 + z2 * z2 - z3 * z3 - z1 * z1 - cb * t13
-    r3 = 6 * z1 * z2 + z3 * z3 - z1 * z1 - z2 * z2 - cc * t12
-    r4 = ca * t23 + cb * t13 + cc * t12
-    rs = 2 * r1 + 2 * r2 + 2 * r3 + r4
-    return ScalarTerms(G=g, R=(r1, r2, r3, r4), Rs=rs)
+    return ScalarTerms(G=g_of_x(state.X), R=r_terms(c, z1, z2, z3, z4 * z4),
+                       Rs=_rs(c, state.Z))
 
 
 def vector_field(params, state):
     """The flow's velocity at a state, as a PhaseState of components."""
-    x1, x2, x3, x4 = state.X
-    z1, z2, z3, z4 = state.Z
-    terms = scalar_terms(params, state)
-    g = terms.G
-    r1, r2, r3, r4 = terms.R
-    gm1 = g - 1
-    return PhaseState(
-        X=(x1 * gm1 + r1, x2 * gm1 + r2, x3 * gm1 + r3, x4 * gm1 + r4),
-        Z=(z1 * (g + x1 - x2 - x3), z2 * (g + x2 - x3 - x1),
-           z3 * (g + x3 - x1 - x2), z4 * (x4 - g)))
+    c = _matching(quartic_coefficients(params), state.Z)
+    return PhaseState.from_sequence(_field(c, state.X, state.Z))
 
 
 def residuals(params, state):
     """All constraint residuals at a state."""
-    x1, x2, x3, x4 = state.X
-    z1, z2, z3, z4 = state.Z
-    da, db, dc = _matching(cubic_coefficients(params), state.Z)
-    terms = scalar_terms(params, state)
-    u23 = z2 * z3 * z4
-    u13 = z1 * z3 * z4
-    u12 = z1 * z2 * z4
-    f = (x1 + z1 - z2 - z3 + da * u23,
-         x2 + z2 - z3 - z1 - db * u13,
-         x3 + z3 - z1 - z2 - dc * u12,
-         x4 - da * u23 + db * u13 + dc * u12)
-    h = (x1 + z1 - z2 - z3 - da * u23,
-         x2 + z2 - z3 - z1 + db * u13,
-         x3 + z3 - z1 - z2 + dc * u12,
-         x4 + da * u23 - db * u13 - dc * u12)
-    zsum = z1 + z2 + z3
+    x, z = state.X, state.Z
+    hyperplane, conservation = _crf_values(
+        _matching(quartic_coefficients(params), z), x, z)
+    plus = _cubic_terms(_matching(cubic_coefficients(params), z), z)
+    minus = tuple(-u for u in plus)
+    f, h = (tuple(a - b for a, b in zip(x, _x_of_z(z, u)))
+            for u in (plus, minus))
     return ConstraintResiduals(
-        hyperplane=2 * (x1 + x2 + x3) + x4 - 1,
-        conservation=terms.G - 1 + terms.Rs,
-        F=f,
-        H=h,
-        zcons_plus=2 * zsum - da * u23 + db * u13 + dc * u12 - 1,
-        zcons_minus=2 * zsum + da * u23 - db * u13 - dc * u12 - 1)
+        hyperplane=hyperplane, conservation=conservation, F=f, H=h,
+        zcons_plus=_zcons(z, plus), zcons_minus=_zcons(z, minus))
 
 
 def x_from_z(params, z, chirality):
@@ -209,16 +325,72 @@ def x_from_z(params, z, chirality):
 
     Solves F = 0 (PLUS) or H = 0 (MINUS) for X given Z, which is linear.
     """
-    z1, z2, z3, z4 = z
-    da, db, dc = _matching(cubic_coefficients(params), z)
-    sgn = 1 if chirality is Chirality.PLUS else -1
-    u23 = da * (z2 * z3 * z4) * sgn
-    u13 = db * (z1 * z3 * z4) * sgn
-    u12 = dc * (z1 * z2 * z4) * sgn
-    return (z2 + z3 - z1 - u23,
-            z3 + z1 - z2 + u13,
-            z1 + z2 - z3 + u12,
-            u23 - u13 - u12)
+    d = _matching(_spin_coefficients(params, chirality), z)
+    return _x_of_z(z, _cubic_terms(d, z))
+
+
+def jacobian(params, state):
+    """Analytic 8x8 derivative of the vector field; exact at exact states."""
+    z1, z2, z3, z4 = state.Z
+    ca, cb, cc = c = _matching(quartic_coefficients(params), state.Z)
+    g = g_of_x(state.X)
+    dg = _g_gradient(state.X)
+    z4sq = z4 * z4
+    # X rows: d(Xi*(G-1) + Ri)
+    dr = [
+        (2 * z1,
+         6 * z3 - 2 * z2 - 2 * ca * z2 * z3 * z3 * z4sq,
+         6 * z2 - 2 * z3 - 2 * ca * z2 * z2 * z3 * z4sq,
+         -2 * ca * z2 * z2 * z3 * z3 * z4),
+        (6 * z3 - 2 * z1 - 2 * cb * z1 * z3 * z3 * z4sq,
+         2 * z2,
+         6 * z1 - 2 * z3 - 2 * cb * z1 * z1 * z3 * z4sq,
+         -2 * cb * z1 * z1 * z3 * z3 * z4),
+        (6 * z2 - 2 * z1 - 2 * cc * z1 * z2 * z2 * z4sq,
+         6 * z1 - 2 * z2 - 2 * cc * z1 * z1 * z2 * z4sq,
+         2 * z3,
+         -2 * cc * z1 * z1 * z2 * z2 * z4),
+        (2 * cb * z1 * z3 * z3 * z4sq + 2 * cc * z1 * z2 * z2 * z4sq,
+         2 * ca * z2 * z3 * z3 * z4sq + 2 * cc * z1 * z1 * z2 * z4sq,
+         2 * ca * z2 * z2 * z3 * z4sq + 2 * cb * z1 * z1 * z3 * z4sq,
+         2 * z4 * _quartic_sum(c, state.Z)),
+    ]
+    rows = []
+    for i in range(4):
+        xrow = [state.X[i] * dg[j] for j in range(4)]
+        xrow[i] = xrow[i] + (g - 1)
+        rows.append(tuple(xrow) + dr[i])
+    # Z rows: d(Zi*Li), with the factors Li the Z-field at Z = (1, 1, 1, 1)
+    lz = _z_field(g, state.X, (1, 1, 1, 1))
+    dl = ((1, -1, -1, 0), (-1, 1, -1, 0), (-1, -1, 1, 0), (0, 0, 0, 1))
+    for i in range(4):
+        dgi = dg if i < 3 else tuple(-v for v in dg)  # Z4' = Z4*(X4 - G)
+        rows.append(tuple(state.Z[i] * (dgi[j] + dl[i][j])
+                          for j in range(4))
+                    + tuple(lz[i] if j == i else 0 for j in range(4)))
+    return tuple(rows)
+
+
+def constraint_gradients(params, state):
+    """Gradients of the hyperplane and conservation constraints."""
+    c = _matching(quartic_coefficients(params), state.Z)
+    return {"hyperplane": HYPERPLANE_GRADIENT,
+            "conservation": _conservation_gradient(c, state.X, state.Z)}
+
+
+def first_order_jacobians(params, state):
+    """4x8 derivatives of the F system and of the H system."""
+    out = []
+    for chirality in (Chirality.PLUS, Chirality.MINUS):
+        d = _matching(_spin_coefficients(params, chirality), state.Z)
+        p23, p13, p12 = _cubic_partials(d, state.Z)
+        dz = (tuple(s + p for s, p in zip((1, -1, -1, 0), p23)),
+              tuple(s - p for s, p in zip((-1, 1, -1, 0), p13)),
+              tuple(s - p for s, p in zip((-1, -1, 1, 0), p12)),
+              tuple(-p + q + r for p, q, r in zip(p23, p13, p12)))
+        out.append(tuple((0,) * i + (1,) + (0,) * (3 - i) + row
+                         for i, row in enumerate(dz)))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -262,11 +434,9 @@ class IdentityReport:
 
 def identity_checks(params, state):
     res = residuals(params, state)
-    terms = scalar_terms(params, state)
-    vel = vector_field(params, state)
-    v1, v2, v3, v4 = vel.X
+    v1, v2, v3, v4 = vector_field(params, state).X
     flow_sum = 2 * (v1 + v2 + v3) + v4
-    expected = res.hyperplane * (terms.G - 1) + (terms.G - 1 + terms.Rs)
+    expected = res.hyperplane * (g_of_x(state.X) - 1) + res.conservation
     f1, f2, f3, f4 = res.F
     h1, h2, h3, h4 = res.H
     return IdentityReport(
@@ -378,23 +548,11 @@ def membership(params, state, set_id, tol=1e-9):
 
 def flow_rhs(params):
     """Float-specialized right-hand side for the full 8-dimensional flow."""
-    ca, cb, cc = (float(c) for c in quartic_coefficients(params))
+    c = tuple(map(float, quartic_coefficients(params)))
 
     def rhs(eta, y):
-        x1, x2, x3, x4, z1, z2, z3, z4 = y
-        g = 2.0 * (x1 * x1 + x2 * x2 + x3 * x3) + x4 * x4
-        z4sq = z4 * z4
-        t23 = z2 * z2 * z3 * z3 * z4sq
-        t13 = z1 * z1 * z3 * z3 * z4sq
-        t12 = z1 * z1 * z2 * z2 * z4sq
-        r1 = 6.0 * z2 * z3 + z1 * z1 - z2 * z2 - z3 * z3 - ca * t23
-        r2 = 6.0 * z1 * z3 + z2 * z2 - z3 * z3 - z1 * z1 - cb * t13
-        r3 = 6.0 * z1 * z2 + z3 * z3 - z1 * z1 - z2 * z2 - cc * t12
-        r4 = ca * t23 + cb * t13 + cc * t12
-        gm1 = g - 1.0
-        return (x1 * gm1 + r1, x2 * gm1 + r2, x3 * gm1 + r3, x4 * gm1 + r4,
-                z1 * (g + x1 - x2 - x3), z2 * (g + x2 - x3 - x1),
-                z3 * (g + x3 - x1 - x2), z4 * (x4 - g))
+        y = _scalars(y)
+        return _field(c, y[:4], y[4:])
 
     return rhs
 
@@ -406,20 +564,35 @@ def reduced_z_rhs(params, chirality):
     equations close up; this is the system actually integrated in the spin
     shooting modes.
     """
-    da, db, dc = (float(c) for c in cubic_coefficients(params))
-    sgn = 1.0 if chirality is Chirality.PLUS else -1.0
+    d = tuple(map(float, _spin_coefficients(params, chirality)))
 
     def rhs(eta, z):
-        z1, z2, z3, z4 = z
-        u23 = sgn * da * z2 * z3 * z4
-        u13 = sgn * db * z1 * z3 * z4
-        u12 = sgn * dc * z1 * z2 * z4
-        x1 = z2 + z3 - z1 - u23
-        x2 = z3 + z1 - z2 + u13
-        x3 = z1 + z2 - z3 + u12
-        x4 = u23 - u13 - u12
-        g = 2.0 * (x1 * x1 + x2 * x2 + x3 * x3) + x4 * x4
-        return (z1 * (g + x1 - x2 - x3), z2 * (g + x2 - x3 - x1),
-                z3 * (g + x3 - x1 - x2), z4 * (x4 - g))
+        z = _scalars(z)
+        x = _x_of_z(z, _cubic_terms(d, z))
+        return _z_field(g_of_x(x), x, z)
 
     return rhs
+
+
+def zcons_constraint(params, chirality):
+    """Float closure z -> ((zcons+ or zcons-,), (its Z-gradient,))."""
+    d = tuple(map(float, _spin_coefficients(params, chirality)))
+
+    def fun(z):
+        z = _scalars(z)
+        return (_zcons(z, _cubic_terms(d, z)),), (_zcons_gradient(d, z),)
+
+    return fun
+
+
+def crf_constraints(params):
+    """Float closure y -> ((hyperplane, conservation), their gradients)."""
+    c = tuple(map(float, quartic_coefficients(params)))
+
+    def fun(y):
+        y = _scalars(y)
+        x, z = y[:4], y[4:]
+        return (_crf_values(c, x, z),
+                (HYPERPLANE_GRADIENT, _conservation_gradient(c, x, z)))
+
+    return fun

@@ -34,6 +34,7 @@ from .errors import (
     InvalidRequestError,
 )
 from .exact import exact_sqrt
+from .phase_system import PhaseState, residuals, scalar_terms
 from .ratpoly import (
     Ball,
     Box,
@@ -175,26 +176,16 @@ def _barrier_a(params):
 
 
 def _barrier_p(params):
-    z1, z2, z3, z4 = _barrier_variables()
-    k, l, delta = params.k, params.l, params.delta
-    return (1 - 2 * (z1 + z2 + z3)
-            - Fraction(k + l, 2 * delta) * z2 * z3 * z4
-            + Fraction(l, 2 * delta) * z1 * z3 * z4
-            + Fraction(k, 2 * delta) * z1 * z2 * z4)
+    """P = -zcons-, the Z-only constraint of the minus chirality set."""
+    state = PhaseState((0, 0, 0, 0), _barrier_variables())
+    return -residuals(params, state).zcons_minus
 
 
 def _barrier_b(params):
-    z1, z2, z3, z4 = _barrier_variables()
-    k, l, delta = params.k, params.l, params.delta
-    return (2 * (z1 * z1 + z2 * z2 + z3 * z3)
-            - 12 * (z2 * z3 + z1 * z2 + z1 * z3)
-            + 2 - 2 * (z1 + z2 + z3)
-            + Fraction(1, 2) * Fraction(k + l, delta) ** 2
-            * z2 ** 2 * z3 ** 2 * z4 ** 2
-            + Fraction(1, 2) * Fraction(l, delta) ** 2
-            * z1 ** 2 * z3 ** 2 * z4 ** 2
-            + Fraction(1, 2) * Fraction(k, delta) ** 2
-            * z1 ** 2 * z2 ** 2 * z4 ** 2)
+    """B = 2 - 2*(Z1 + Z2 + Z3) - Rs."""
+    z = _barrier_variables()
+    rs = scalar_terms(params, PhaseState((0, 0, 0, 0), z)).Rs
+    return 2 - 2 * (z[0] + z[1] + z[2]) - rs
 
 
 _BARRIER_BUILDERS = {

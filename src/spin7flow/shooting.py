@@ -42,9 +42,9 @@ from .critical_points import (LABEL_P0_K, LABEL_P0_KPLUSL, LABEL_P0_L,
                               catalog, unstable_frame)
 from .errors import (InitializationError, InvalidRequestError,
                      ReconstructionDomainError)
-from .phase_system import (Chirality, PhaseState, cubic_coefficients,
-                           flow_rhs, quartic_coefficients, reduced_z_rhs,
-                           residuals, x_from_z)
+from .phase_system import (Chirality, PhaseState, crf_constraints,
+                           flow_rhs, g_of_x, reduced_z_rhs, residuals,
+                           x_from_z, zcons_constraint)
 
 SAMPLE_STEP = 0.05
 CHUNK_LENGTH = 5.0
@@ -246,76 +246,20 @@ def _face_defect(face, z):
     return max(abs(eq(z)[0]) for eq in face.equations)
 
 
-def _zcons(params, chirality):
-    da, db, dc = (float(c) for c in cubic_coefficients(params))
-    sgn = 1.0 if chirality is Chirality.PLUS else -1.0
-
-    def fun(z):
-        z1, z2, z3, z4 = z
-        value = (2.0*(z1 + z2 + z3) - sgn*da*z2*z3*z4 + sgn*db*z1*z3*z4
-                 + sgn*dc*z1*z2*z4 - 1.0)
-        grad = np.array([
-            2.0 + sgn*db*z3*z4 + sgn*dc*z2*z4,
-            2.0 - sgn*da*z3*z4 + sgn*dc*z1*z4,
-            2.0 - sgn*da*z2*z4 + sgn*db*z1*z4,
-            -sgn*da*z2*z3 + sgn*db*z1*z3 + sgn*dc*z1*z2,
-        ])
-        return value, grad
-    return fun
-
-
-def _full_constraints(params):
-    ca, cb, cc = (float(c) for c in quartic_coefficients(params))
-
-    def fun(y):
-        x1, x2, x3, x4, z1, z2, z3, z4 = y
-        hyper = 2.0*(x1 + x2 + x3) + x4 - 1.0
-        g = 2.0*(x1*x1 + x2*x2 + x3*x3) + x4*x4
-        rs = (12.0*(z1*z2 + z2*z3 + z3*z1)
-              - 2.0*(z1*z1 + z2*z2 + z3*z3)
-              - (ca*z2*z2*z3*z3 + cb*z1*z1*z3*z3 + cc*z1*z1*z2*z2)*z4*z4)
-        cons = g - 1.0 + rs
-        grad_h = np.array([2.0, 2.0, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-        grad_c = np.array([
-            4.0*x1, 4.0*x2, 4.0*x3, 2.0*x4,
-            12.0*(z2 + z3) - 4.0*z1 - 2.0*z1*(cb*z3*z3 + cc*z2*z2)*z4*z4,
-            12.0*(z1 + z3) - 4.0*z2 - 2.0*z2*(ca*z3*z3 + cc*z1*z1)*z4*z4,
-            12.0*(z1 + z2) - 4.0*z3 - 2.0*z3*(ca*z2*z2 + cb*z1*z1)*z4*z4,
-            -2.0*z4*(ca*z2*z2*z3*z3 + cb*z1*z1*z3*z3 + cc*z1*z1*z2*z2),
-        ])
-        return np.array([hyper, cons]), np.vstack([grad_h, grad_c])
-    return fun
-
-
-def _project_z(params, z, chirality, face=None, max_iters=MAX_PROJECTION_ITERS):
-    """Least-norm Newton projection of Z onto {zcons = 0} (plus a face)."""
-    zc = _zcons(params, chirality)
-    z = np.array(z, dtype=float)
+def _project(con, v, face=None, max_iters=MAX_PROJECTION_ITERS):
+    """Least-norm Gauss-Newton projection onto con(v) = (values, rows) = 0,
+    joined by the equations of a locked face."""
+    equations = face.equations if face is not None else ()
+    v = np.array(v, dtype=float)
     for _ in range(max_iters):
-        rows = [zc(z)]
-        if face is not None:
-            rows.extend(eq(z) for eq in face.equations)
-        r = np.array([row[0] for row in rows])
+        r, jac = con(v)
+        extra = [eq(v) for eq in equations]
+        r = list(r) + [e[0] for e in extra]
+        jac = list(jac) + [e[1] for e in extra]
         if np.max(np.abs(r)) < PROJECTION_TARGET:
-            return z
-        jac = np.vstack([row[1] for row in rows])
+            return v
         step, *_ = np.linalg.lstsq(jac, r, rcond=None)
-        z = z - step
-    raise InitializationError(
-        "constraint projection did not converge in %d iterations"
-        % max_iters)
-
-
-def _project_full(params, y, max_iters=MAX_PROJECTION_ITERS):
-    """Least-norm Gauss-Newton projection onto the two flow constraints."""
-    con = _full_constraints(params)
-    y = np.array(y, dtype=float)
-    for _ in range(max_iters):
-        r, jac = con(y)
-        if np.max(np.abs(r)) < PROJECTION_TARGET:
-            return y
-        step, *_ = np.linalg.lstsq(jac, r, rcond=None)
-        y = y - step
+        v = v - step
     raise InitializationError(
         "constraint projection did not converge in %d iterations"
         % max_iters)
@@ -345,10 +289,11 @@ def initial_state(spec):
                    cat.get(spec.cone_label).state.as_tuple()])
     w = _offset_direction(spec)
     if spec.mode is FlowClass.RICCI_FLAT:
-        y = _project_full(spec.params, p0 + spec.epsilon * w)
+        y = _project(crf_constraints(spec.params), p0 + spec.epsilon * w)
         return PhaseState.from_sequence(y)
     chirality = _CHIRALITY[spec.mode]
-    z = _project_z(spec.params, p0[4:] + spec.epsilon * w[4:], chirality)
+    z = _project(zcons_constraint(spec.params, chirality),
+                 p0[4:] + spec.epsilon * w[4:])
     x = [float(v) for v in x_from_z(spec.params, tuple(z), chirality)]
     return PhaseState(tuple(x), tuple(z))
 
@@ -452,14 +397,14 @@ def integrate(spec):
     if spin:
         rhs = reduced_z_rhs(params, chirality)
         state = np.array(start.Z, dtype=float)
-        zc = _zcons(params, chirality)
+        con = zcons_constraint(params, chirality)
         face = boundary_face(params, chirality)
         locked = (face if face is not None
                   and _face_defect(face, state) < FACE_LOCK_TOL else None)
     else:
         rhs = flow_rhs(params)
         state = np.array(start.as_tuple(), dtype=float)
-        con = _full_constraints(params)
+        con = crf_constraints(params)
         locked = None
 
     def rebuild(block):
@@ -497,15 +442,11 @@ def integrate(spec):
         reached = float(sol.t[-1])
         if sol.status == 0:
             end = sol.y[:, -1]
-            if spin:
-                drift = abs(zc(end)[0])
-                if locked is not None and _face_defect(locked, end) > \
-                        FACE_RELEASE_TOL:
-                    locked = None
-                state = _project_z(params, end, chirality, locked)
-            else:
-                drift = float(np.max(np.abs(con(end)[0])))
-                state = _project_full(params, end)
+            drift = float(np.max(np.abs(con(end)[0])))
+            if locked is not None and _face_defect(locked, end) > \
+                    FACE_RELEASE_TOL:
+                locked = None
+            state = _project(con, end, locked)
             if drift > DRIFT_FACTOR * spec.rel_tol and not drift_logged:
                 events.append((reached, "drift"))
                 drift_logged = True
@@ -582,8 +523,7 @@ def reconstruct_metric(traj, gauge=1.0):
         i = int(bad[0]) + start
         raise ReconstructionDomainError(
             "Z-product vanishes at sample %d (eta = %.6g)" % (i, etas[i]))
-    x = states[:, :4]
-    g = 2.0 * np.sum(x[:, :3] ** 2, axis=1) + x[:, 3] ** 2
+    g = g_of_x(states[:, :4].T)
     trl_inv = gauge * np.exp(cumulative_simpson(g, x=etas, initial=0))
     t = gauge / g[0] + cumulative_simpson(trl_inv, x=etas, initial=0)
     sl = slice(start, None)

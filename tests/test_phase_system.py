@@ -1,18 +1,28 @@
 """Tests for the polynomial flow, constraint residuals, and membership."""
 
+import ast
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import spin7flow
+from spin7flow import phase_system
 from spin7flow.aw_algebra import AWParams
 from spin7flow.errors import InvalidRequestError
 from spin7flow.exact import QuadExt
-from spin7flow.phase_system import (Chirality, PhaseState, SetId, flow_rhs,
-                                    identity_checks, membership,
+from spin7flow.phase_system import (Chirality, PhaseState, SetId,
+                                    constraint_gradients, crf_constraints,
+                                    first_order_jacobians, flow_rhs,
+                                    identity_checks, jacobian, membership,
                                     reduced_z_rhs, residuals, scalar_terms,
-                                    vector_field, x_from_z)
+                                    vector_field, x_from_z, zcons_constraint)
+from spin7flow.ratpoly import RatPoly
 
 THIRD = Fraction(1, 3)
 SIXTH = Fraction(1, 6)
@@ -225,3 +235,123 @@ def test_spin_chirality_of_cone_points_matches_bundles():
         if p.l > 0:
             res = residuals(p, cone_point_l(p))
             assert all(v == 0 for v in res.H)
+
+
+# ---------------------------------------------------------------------------
+# one source: hand derivatives against RatPoly partials, float closures
+# against the evaluators, and no coefficient tuples outside phase_system
+
+NAMES = ("X1", "X2", "X3", "X4", "Z1", "Z2", "Z3", "Z4")
+CHIRALITIES = (Chirality.PLUS, Chirality.MINUS)
+
+
+@lru_cache(maxsize=None)
+def symbolic_derivatives(k, l):
+    """Exact partials of the flow and of every constraint, taken from the
+    evaluators run on RatPoly symbols."""
+    p = AWParams(k, l)
+    sym = PhaseState.from_sequence(
+        RatPoly.variable(NAMES, n) for n in NAMES)
+    res = residuals(p, sym)
+
+    def grad(poly, names=NAMES):
+        return tuple(poly.partial(n) for n in names)
+
+    return {
+        "jacobian": tuple(grad(f) for f in vector_field(p, sym).as_tuple()),
+        "hyperplane": grad(res.hyperplane),
+        "conservation": grad(res.conservation),
+        "F": tuple(grad(f) for f in res.F),
+        "H": tuple(grad(h) for h in res.H),
+        Chirality.PLUS: grad(res.zcons_plus, NAMES[4:]),
+        Chirality.MINUS: grad(res.zcons_minus, NAMES[4:]),
+    }
+
+
+def coprime_pairs():
+    return st.tuples(st.integers(1, 40), st.integers(0, 40)).filter(
+        lambda kl: kl[0] >= kl[1] and gcd(*kl) == 1)
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kl=coprime_pairs(), values=st.lists(rationals, min_size=8,
+                                           max_size=8))
+@example(kl=(1, 0), values=[Fraction(1, 3)] * 8)
+@example(kl=(1, 1), values=[Fraction(-1, 2), 0, 2, 1, 0, 3, Fraction(1, 5), 1])
+def test_hand_derivatives_equal_ratpoly_partials(kl, values):
+    p = AWParams(*kl)
+    state = PhaseState.from_sequence(values)
+    sym = symbolic_derivatives(*kl)
+
+    def at(rows):
+        return tuple(tuple(v.evaluate(values) for v in row) for row in rows)
+
+    assert jacobian(p, state) == at(sym["jacobian"])
+    grads = constraint_gradients(p, state)
+    assert grads["hyperplane"] == at([sym["hyperplane"]])[0]
+    assert grads["conservation"] == at([sym["conservation"]])[0]
+    assert first_order_jacobians(p, state) == (at(sym["F"]), at(sym["H"]))
+    for chir in CHIRALITIES:
+        d = phase_system._spin_coefficients(p, chir)
+        assert (phase_system._zcons_gradient(d, state.Z)
+                == at([sym[chir]])[0])
+
+
+def random_float_state(rng):
+    return tuple(rng.uniform(-1.0, 1.0) for _ in range(7)) + (
+        rng.uniform(0.0, 20.0),)
+
+
+@pytest.mark.parametrize("p", PARAMS)
+def test_float_closures_equal_evaluators_bit_for_bit(p):
+    rng = random.Random(p.k * 100 + p.l)
+    rhs = flow_rhs(p)
+    con = crf_constraints(p)
+    for _ in range(50):
+        y = random_float_state(rng)
+        state = PhaseState.from_sequence(y)
+        assert tuple(rhs(0.0, y)) == vector_field(p, state).as_tuple()
+        res = residuals(p, state)
+        assert con(y)[0] == (res.hyperplane, res.conservation)
+    for chir in CHIRALITIES:
+        rhs = reduced_z_rhs(p, chir)
+        zcons = zcons_constraint(p, chir)
+        for _ in range(50):
+            z = random_float_state(rng)[4:]
+            state = PhaseState(x_from_z(p, z, chir), z)
+            assert tuple(rhs(0.0, z)) == vector_field(p, state).Z
+            res = residuals(p, state)
+            want = (res.zcons_plus if chir is Chirality.PLUS
+                    else res.zcons_minus)
+            assert zcons(z)[0] == (want,)
+
+
+COEFFICIENT_TUPLES = {"quartic_coefficients", "cubic_coefficients"}
+# The AC solve eliminates Z4^2 from R, a different function from the flow's.
+AC_SOLVE = {("critical_points", "solve_homogeneous_einstein"),
+            ("critical_points", "_try_exact_einstein")}
+
+
+def test_coefficient_tuples_stay_in_phase_system():
+    offenders = []
+    for path in sorted(Path(spin7flow.__file__).parent.glob("*.py")):
+        module = path.stem
+        if module == "phase_system":
+            continue
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            scope = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom):
+                    used = {a.name for a in node.names}
+                    allowed = module == "critical_points"
+                else:
+                    used = {getattr(node, "id", None),
+                            getattr(node, "attr", None)}
+                    allowed = (module, scope) in AC_SOLVE
+                if used & COEFFICIENT_TUPLES and not allowed:
+                    offenders.append("%s:%d" % (path.name, node.lineno))
+    assert offenders == []
