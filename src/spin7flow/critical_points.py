@@ -36,8 +36,8 @@ from .aw_algebra import AWParams
 from .errors import InvalidRequestError, SolverIncompleteError
 from .exact import QuadExt, exact_sqrt
 from .phase_system import (Chirality, PhaseState, constraint_gradients,
-                           first_order_jacobians, flow_rhs, jacobian,
-                           quartic_coefficients, r_terms)
+                           einstein_residual, first_order_jacobians, flow_rhs,
+                           jacobian)
 
 __all__ = [
     "FlowClass",
@@ -75,7 +75,7 @@ SIXTH = Fraction(1, 6)
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 SEVENTH = Fraction(1, 7)
-EINSTEIN_LEVEL = Fraction(6, 49)
+CLUSTER_TOL = 1e-8  # eigen: cluster width; smaller imaginary parts read as 0
 
 
 class FlowClass(Enum):
@@ -193,7 +193,8 @@ def catalog(params):
     l = 0) or whose coordinates are not exactly representable (the AC pair
     away from algebraically solvable parameters) are recorded in
     ``notes``; AC entries are still cataloged in that case, flagged
-    ``exact=False`` with numerically refined coordinates.
+    ``exact=False``, with Z1..Z3 the correctly rounded roots of the
+    homogeneous Einstein condition (see solve_homogeneous_einstein).
     """
     return _catalog_cached(params.k, params.l)
 
@@ -324,7 +325,7 @@ def _resolve_point(params, point_or_label):
     raise InvalidRequestError(f"cannot resolve {point_or_label!r}")
 
 
-def eigen(params, point_or_label, cluster_tol=1e-8):
+def eigen(params, point_or_label):
     """Floating-point spectrum of the linearization at a critical point."""
     pt = _resolve_point(params, point_or_label)
     mat = np.array([[float(v) for v in row] for row in jacobian(params, pt.state)])
@@ -335,12 +336,12 @@ def eigen(params, point_or_label, cluster_tol=1e-8):
                 for i in range(len(vals)))
     clusters = []
     for v in vals:
-        if clusters and abs(v - clusters[-1][0]) <= cluster_tol:
+        if clusters and abs(v - clusters[-1][0]) <= CLUSTER_TOL:
             val, mult = clusters[-1]
             clusters[-1] = ((val * mult + v) / (mult + 1), mult + 1)
         else:
             clusters.append((v, 1))
-    clusters = tuple((complex(v).real if abs(complex(v).imag) < cluster_tol
+    clusters = tuple((complex(v).real if abs(complex(v).imag) < CLUSTER_TOL
                       else complex(v), m) for v, m in clusters)
     return EigenData(label=pt.label, values=tuple(vals), clusters=clusters,
                      vectors=vecs, max_residual=resid)
@@ -528,50 +529,64 @@ def unstable_frame(params, label, flow_class):
 # homogeneous Einstein solve (the AC pair)
 
 
-def solve_homogeneous_einstein(params, grid_points=10, z_span=(0.05, 0.5),
-                               newton_iters=80, resid_tol=1e-12):
+# Starts of the batched Newton iteration: a GRID_POINTS^3 grid on Z_SPAN^3.
+GRID_POINTS = 10
+Z_SPAN = (0.05, 0.5)
+NEWTON_ITERS = 80
+RESID_TOL = 1e-12
+FD_STEP = 1e-7
+
+
+def _einstein_rows(params, z):
+    """R1..R3 - 6/49 for each row (z1, z2, z3) of z."""
+    return np.stack(einstein_residual(params, z[..., 0], z[..., 1],
+                                      z[..., 2])[0], axis=-1)
+
+
+def _einstein_jacobian(params, z):
+    """Central-difference Jacobian of _einstein_rows, one 3x3 per row."""
+    eye = np.eye(3)
+    return np.stack([(_einstein_rows(params, z + FD_STEP * eye[j])
+                      - _einstein_rows(params, z - FD_STEP * eye[j]))
+                     / (2 * FD_STEP) for j in range(3)], axis=-1)
+
+
+def _polish(params, z123):
+    """(z1, z2, z3, z4) after one Newton step with an exact residual.
+
+    The float iterates cycle through a few ulps around the root; with the
+    residual in Fractions the step lands far closer than half an ulp, so
+    the single final rounding gives the correctly rounded root whichever
+    iterate the step starts from.  z4 = sqrt(Z4^2) in floats there.
+    """
+    resid = einstein_residual(params, *map(Fraction, z123))[0]
+    jac = _einstein_jacobian(params, np.array(z123))
+    delta = np.linalg.solve(jac, [float(r) for r in resid]).tolist()
+    z123 = tuple(float(Fraction(v) - Fraction(d))
+                 for v, d in zip(z123, delta))
+    return z123 + (einstein_residual(params, *z123)[1] ** 0.5,)
+
+
+def solve_homogeneous_einstein(params):
     """Solve R_i(z) = 6/49 (i = 1..4) with all z_i > 0.
 
     z4 is eliminated through R4 = 6/49, which fixes z4^2 rationally in
     terms of (z1, z2, z3); batched Newton iteration over a positive grid
-    finds the remaining three equations' roots.  Once every start's
-    residual is below resid_tol, the rest of the newton_iters iterations
-    run on the first start of each distinct solution only; the result is
-    the same as iterating every start.  Exactly two solutions are
-    expected; anything else raises SolverIncompleteError.  Returns
-    [(z_tuple, exact_flag), ...] sorted by descending z1, with exact
-    rational (or quadratic-surd z4) coordinates whenever the numeric
-    solution rationalizes and verifies exactly.
+    finds the remaining three equations' roots and stops once every
+    start has converged.  Exactly two solutions are expected; anything
+    else raises SolverIncompleteError.  Returns [(z_tuple, exact_flag),
+    ...] sorted by descending z1, with exact rational (or quadratic-surd
+    z4) coordinates whenever the numeric solution rationalizes and
+    verifies exactly, and otherwise z1..z3 the correctly rounded roots
+    (see _polish).
     """
-    ca, cb, cc = (float(c) for c in quartic_coefficients(params))
-    level = float(EINSTEIN_LEVEL)
-
-    def residual(z):
-        z1, z2, z3 = z[..., 0], z[..., 1], z[..., 2]
-        q = ca * (z2 * z3) ** 2 + cb * (z1 * z3) ** 2 + cc * (z1 * z2) ** 2
-        w = level / q  # z4^2
-        r1 = 6 * z2 * z3 + z1 ** 2 - z2 ** 2 - z3 ** 2 - ca * (z2 * z3) ** 2 * w
-        r2 = 6 * z1 * z3 + z2 ** 2 - z3 ** 2 - z1 ** 2 - cb * (z1 * z3) ** 2 * w
-        r3 = 6 * z1 * z2 + z3 ** 2 - z1 ** 2 - z2 ** 2 - cc * (z1 * z2) ** 2 * w
-        return np.stack([r1 - level, r2 - level, r3 - level], axis=-1)
-
-    lo, hi = z_span
-    axis = np.linspace(lo, hi, grid_points)
-    starts = np.array(np.meshgrid(axis, axis, axis)).reshape(3, -1).T
-    z = starts.copy()
-    h = 1e-7
-    eye = np.eye(3)
-    for _ in range(newton_iters):
-        r0 = residual(z)
-        if len(z) == len(starts) and (np.abs(r0).max(axis=1)
-                                      < resid_tol).all():
-            # Rows iterate independently and only the first start of
-            # each solution is reported: keep iterating those alone.
-            _, first = np.unique(np.round(z, 9), axis=0, return_index=True)
-            keep = np.sort(first)
-            z, r0 = z[keep], r0[keep]
-        jac = np.stack([(residual(z + h * eye[j]) - residual(z - h * eye[j]))
-                        / (2 * h) for j in range(3)], axis=-1)
+    axis = np.linspace(*Z_SPAN, GRID_POINTS)
+    z = np.array(np.meshgrid(axis, axis, axis)).reshape(3, -1).T
+    for _ in range(NEWTON_ITERS):
+        r0 = _einstein_rows(params, z)
+        if (np.abs(r0).max(axis=1) < RESID_TOL).all():
+            break
+        jac = _einstein_jacobian(params, z)
         ok = np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(r0).all(axis=1)
         dets = np.zeros(len(z))
         dets[ok] = np.abs(np.linalg.det(jac[ok]))
@@ -581,49 +596,31 @@ def solve_homogeneous_einstein(params, grid_points=10, z_span=(0.05, 0.5),
             step[ok] = np.linalg.solve(jac[ok], r0[ok][..., None])[..., 0]
         z = np.clip(z - step, 1e-4, 4.0)
 
-    final = residual(z)
-    good = np.nonzero(np.abs(final).max(axis=1) < resid_tol)[0]
     found = {}
-    for i in good:
-        key = tuple(np.round(z[i], 9))
-        if key not in found:
-            found[key] = z[i]
+    for row in z[np.abs(_einstein_rows(params, z)).max(axis=1) < RESID_TOL]:
+        found.setdefault(tuple(np.round(row, 9)), tuple(row.tolist()))
     sols = sorted(found.values(), key=lambda v: -v[0])
     if len(sols) != 2:
         raise SolverIncompleteError(
             f"expected exactly 2 homogeneous Einstein solutions, found "
-            f"{len(sols)}: {[tuple(map(float, s)) for s in sols]}")
+            f"{len(sols)}: {sols}")
 
     out = []
-    for zvec in sols:
-        z123 = tuple(float(v) for v in zvec)
-        q = (ca * (z123[1] * z123[2]) ** 2 + cb * (z123[0] * z123[2]) ** 2
-             + cc * (z123[0] * z123[1]) ** 2)
-        z4 = (level / q) ** 0.5
+    for z123 in sols:
         exact = _try_exact_einstein(params, z123)
-        if exact is not None:
-            out.append((exact, True))
-        else:
-            out.append(((z123[0], z123[1], z123[2], z4), False))
+        out.append((exact, True) if exact else (_polish(params, z123), False))
     return out
 
 
 def _try_exact_einstein(params, z123):
     """Rationalize a numeric solution and verify it exactly, or None.
 
-    At X = (1/7, ..., 1/7) the vector field's X rows are R_i - 6/49 and
-    its Z rows vanish.  R_i needs only Z4^2, so the check runs before
-    exact_sqrt, whose factoring stalls on near misses.
+    The residual needs only Z4^2, so the check runs before exact_sqrt.
     """
-    coeffs = quartic_coefficients(params)
     zr = tuple(Fraction(v).limit_denominator(10 ** 6) for v in z123)
     if any(abs(float(r) - v) > 1e-9 for v, r in zip(z123, zr)):
         return None
-    z1, z2, z3 = zr
-    q = r_terms(coeffs, z1, z2, z3, 1)[3]  # R4 = q*Z4^2
-    if q == 0:
+    resid, z4sq = einstein_residual(params, *zr)
+    if any(resid):
         return None
-    w = EINSTEIN_LEVEL / q  # exact z4^2
-    if any(r != EINSTEIN_LEVEL for r in r_terms(coeffs, z1, z2, z3, w)):
-        return None
-    return (z1, z2, z3, exact_sqrt(w))
+    return zr + (exact_sqrt(z4sq),)

@@ -13,6 +13,8 @@ import operator
 from fractions import Fraction
 from math import isqrt
 
+from .errors import SolverIncompleteError
+
 __all__ = [
     "parse_rational",
     "squarefree_decompose",
@@ -36,12 +38,21 @@ def parse_rational(text):
     return Fraction(s)
 
 
+TRIAL_DIVISION_BOUND = 10 ** 5  # B in squarefree_decompose
+
+
 def squarefree_decompose(n):
-    """Write n >= 1 as s*s*d with d squarefree; return (s, d)."""
+    """Write n >= 1 as s*s*d with d squarefree; return (s, d).
+
+    Trial division stops at p = B.  The cofactor m left then has only
+    prime factors above B, so m is decided when it is a perfect square
+    or below B**3 (a prime or a product of two distinct primes); any
+    other m raises SolverIncompleteError (CLI exit 4).
+    """
     if n < 1:
         raise ValueError("need a positive integer")
     s, d, p = 1, 1, 2
-    while p * p <= n:
+    while p * p <= n and p <= TRIAL_DIVISION_BOUND:
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -51,25 +62,32 @@ def squarefree_decompose(n):
             if e % 2:
                 d *= p
         p += 1 if p == 2 else 2
+    if p * p <= n:
+        root = isqrt(n)
+        if root * root == n:
+            return s * root, d
+        if n >= TRIAL_DIVISION_BOUND ** 3:
+            raise SolverIncompleteError(
+                "squarefree part undecided: a %d-digit cofactor" % len(str(n)))
     return s, d * n
 
 
 def exact_sqrt(value):
     """Exact square root of a non-negative Fraction or int.
 
-    Returns a Fraction when the root is rational, otherwise a QuadExt.
+    Returns a Fraction when the root is rational, otherwise a QuadExt
+    from squarefree_decompose, which may raise SolverIncompleteError.
     """
     q = value if isinstance(value, Fraction) else Fraction(value)
     if q < 0:
         raise ValueError("square root of a negative rational")
-    if q == 0:
-        return Fraction(0)
+    num, den = q.numerator, q.denominator
+    rnum, rden = isqrt(num), isqrt(den)
+    if rnum * rnum == num and rden * rden == den:
+        return Fraction(rnum, rden)
     # sqrt(a/b) = sqrt(a*b)/b
-    s, d = squarefree_decompose(q.numerator * q.denominator)
-    coeff = Fraction(s, q.denominator)
-    if d == 1:
-        return coeff
-    return QuadExt(0, coeff, d)
+    s, d = squarefree_decompose(num * den)
+    return QuadExt(0, Fraction(s, den), d)
 
 
 def _collapse(a, b, d):

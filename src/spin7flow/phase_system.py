@@ -55,6 +55,7 @@ __all__ = [
     "quartic_coefficients",
     "g_of_x",
     "r_terms",
+    "einstein_residual",
     "jacobian",
     "constraint_gradients",
     "first_order_jacobians",
@@ -65,6 +66,7 @@ __all__ = [
 ]
 
 TWO_THIRDS = Fraction(2, 3)
+EINSTEIN_LEVEL = Fraction(6, 49)
 
 
 class Chirality(Enum):
@@ -191,6 +193,16 @@ def r_terms(c, z1, z2, z3, z4sq):
             6 * z1 * z3 + z2 * z2 - z3 * z3 - z1 * z1 - cb * t13,
             6 * z1 * z2 + z3 * z3 - z1 * z1 - z2 * z2 - cc * t12,
             ca * t23 + cb * t13 + cc * t12)
+
+
+def einstein_residual(params, z1, z2, z3):
+    """((R1, R2, R3) - 6/49, Z4^2) with Z4^2 = (6/49)/q solving R4 = 6/49:
+    the vector field's X rows at X = (1/7, ..., 1/7), where its Z rows
+    vanish (the homogeneous Einstein condition)."""
+    *c, level = _matching(quartic_coefficients(params) + (EINSTEIN_LEVEL,),
+                          (z1, z2, z3))
+    z4sq = level / r_terms(c, z1, z2, z3, 1)[3]
+    return tuple(r - level for r in r_terms(c, z1, z2, z3, z4sq)[:3]), z4sq
 
 
 def _quartic_sum(c, z):

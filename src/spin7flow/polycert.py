@@ -41,7 +41,6 @@ from .ratpoly import (
     Certificate,
     Interval,
     RatPoly,
-    DEFAULT_MAX_DEPTH,
     _coerce as _rat,
     certify_nonneg,
     random_nonnegativity_audit,
@@ -714,23 +713,20 @@ def boundary_zero_report(params):
     }
 
 
-def certify_line_resultant(max_depth=DEFAULT_MAX_DEPTH,
-                           exclusion_radius=DEFAULT_EXCLUSION_RADIUS):
+def certify_line_resultant():
     """Certificate that the line resultant is non-negative on the
     closed box [0, 1/2] x [0, 1].
 
     The lone zero at (alpha, beta) = (0, 1) is excluded by a ball of
-    the given radius; local positivity inside the ball is the
+    radius DEFAULT_EXCLUSION_RADIUS; positivity inside the ball is the
     business of the implicit-derivative data, not of subdivision.
     """
-    poly = line_resultant()
-    ball = Ball((Fraction(0), Fraction(1)), Fraction(exclusion_radius))
-    return certify_nonneg(poly, LINE_PARAMETER_DOMAIN,
-                          exclusions=(ball,), max_depth=max_depth)
+    ball = Ball((Fraction(0), Fraction(1)), DEFAULT_EXCLUSION_RADIUS)
+    return certify_nonneg(line_resultant(), LINE_PARAMETER_DOMAIN,
+                          exclusions=(ball,))
 
 
-def certify_ray_resultant(params, max_depth=DEFAULT_MAX_DEPTH,
-                          exclusion_radius=DEFAULT_EXCLUSION_RADIUS):
+def certify_ray_resultant(params):
     """Certificate that the reduced ray resultant is non-negative on
     the closed unit cube in (alpha, beta, delta).
 
@@ -741,7 +737,6 @@ def certify_ray_resultant(params, max_depth=DEFAULT_MAX_DEPTH,
     """
     params = _as_params(params)
     poly = rtilde(params)
-    balls = tuple(Ball(center, Fraction(exclusion_radius))
+    balls = tuple(Ball(center, DEFAULT_EXCLUSION_RADIUS)
                   for center in stated_boundary_zeros(params))
-    return certify_nonneg(poly, RAY_PARAMETER_DOMAIN,
-                          exclusions=balls, max_depth=max_depth)
+    return certify_nonneg(poly, RAY_PARAMETER_DOMAIN, exclusions=balls)

@@ -1051,65 +1051,44 @@ def certify_nonneg(poly, box, exclusions=(), max_depth=DEFAULT_MAX_DEPTH):
     return Certificate(STATUS_NONNEGATIVE, balls, boxes_processed, deepest)
 
 
-def _is_dyadic(q):
-    return q.denominator & (q.denominator - 1) == 0
-
-
 def random_nonnegativity_audit(poly, box, samples, seed):
     """Exact spot check of a certified box.
 
-    Draws dyadic random points inside the closed box, evaluates the
-    polynomial exactly at each, and returns the worst pair
-    (value, point) encountered.  Boxes with dyadic endpoints take an
-    all-integer evaluation path, which keeps large sample counts cheap.
+    Draws random points lo + width * r / 2^16 (r uniform in 0..2^16) in
+    the closed box, evaluates the polynomial exactly at each, and returns
+    the worst pair (value, point) encountered.  Every coordinate is an
+    integer over one common unit (the box's denominators' lcm times
+    2^16), so each sample is evaluated in integers.
     """
+    if samples < 1:
+        raise InvalidRequestError("the audit needs at least one sample")
     if not isinstance(box, Box):
         box = Box.from_bounds(box)
     rng = random.Random(seed)
-    bits = 16
-    scale = 1 << bits
-    worst_value = None
-    worst_point = None
+    scale = 1 << 16
     lowers = [iv.lower for iv in box.intervals]
     widths = [iv.width for iv in box.intervals]
-    dyadic = all(_is_dyadic(lo) and _is_dyadic(w)
-                 for lo, w in zip(lowers, widths))
-    if dyadic and not poly.is_zero:
-        shift = max(
-            bits + max(lo.denominator.bit_length(),
-                       w.denominator.bit_length())
-            for lo, w in zip(lowers, widths))
-        unit = 1 << shift
-        clear = lcm(*[c.denominator for c in poly.terms.values()])
-        int_terms = [(int(c * clear), exps)
-                     for exps, c in poly.terms.items()]
-        max_deg = [max(poly.degree(v), 0) for v in poly.variables]
-        worst_num = None
-        worst_coords = None
-        for _ in range(samples):
-            coords = [
-                int(unit * lo) + (unit * w // scale)
-                * rng.randrange(scale + 1)
-                for lo, w in zip(lowers, widths)]
-            numerator = 0
-            for coeff, exps in int_terms:
-                term = coeff
-                for x, e, m in zip(coords, exps, max_deg):
-                    term *= x ** e << (shift * (m - e))
-                numerator += term
-            if worst_num is None or numerator < worst_num:
-                worst_num = numerator
-                worst_coords = coords
-        worst_value = Fraction(
-            worst_num, clear * (1 << (shift * sum(max_deg))))
-        worst_point = tuple(Fraction(c, unit) for c in worst_coords)
-        return worst_value, worst_point
+    unit = scale * lcm(*[q.denominator for q in lowers + widths])
+    starts = [int(lo * unit) for lo in lowers]
+    steps = [int(w * unit) // scale for w in widths]
+    clear = lcm(*[c.denominator for c in poly.terms.values()])
+    int_terms = [(int(c * clear), exps) for exps, c in poly.terms.items()]
+    max_deg = [max(poly.degree(v), 0) for v in poly.variables]
+    unit_powers = [unit ** e for e in range(max(max_deg, default=0) + 1)]
+    worst_num = worst_coords = None
     for _ in range(samples):
-        point = tuple(
-            lo + w * Fraction(rng.randrange(scale + 1), scale)
-            for lo, w in zip(lowers, widths))
-        value = poly.evaluate(point)
-        if worst_value is None or value < worst_value:
-            worst_value = value
-            worst_point = point
-    return worst_value, worst_point
+        coords = [start + step * rng.randrange(scale + 1)
+                  for start, step in zip(starts, steps)]
+        # x^e * unit^(m - e): each term homogenized to degree m per variable
+        tables = [[x ** e * unit_powers[m - e] for e in range(m + 1)]
+                  for x, m in zip(coords, max_deg)]
+        numerator = 0
+        for coeff, exps in int_terms:
+            for table, e in zip(tables, exps):
+                coeff *= table[e]
+            numerator += coeff
+        if worst_num is None or numerator < worst_num:
+            worst_num = numerator
+            worst_coords = coords
+    worst_value = Fraction(worst_num, clear * unit ** sum(max_deg))
+    return worst_value, tuple(Fraction(c, unit) for c in worst_coords)

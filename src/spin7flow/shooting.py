@@ -91,7 +91,6 @@ class ShootSpec:
     eta_max: float = 200.0
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = math.inf
     stop_on_converged: bool = True
 
     def __post_init__(self):
@@ -122,8 +121,7 @@ class ShootSpec:
         object.__setattr__(self, "epsilon", eps)
         if not self.eta_max > 0.0:
             raise InvalidRequestError("eta_max must be positive")
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0
-                and self.max_step > 0.0):
+        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise InvalidRequestError("integrator tolerances must be positive")
 
     @property
@@ -246,12 +244,12 @@ def _face_defect(face, z):
     return max(abs(eq(z)[0]) for eq in face.equations)
 
 
-def _project(con, v, face=None, max_iters=MAX_PROJECTION_ITERS):
+def _project(con, v, face=None):
     """Least-norm Gauss-Newton projection onto con(v) = (values, rows) = 0,
     joined by the equations of a locked face."""
     equations = face.equations if face is not None else ()
     v = np.array(v, dtype=float)
-    for _ in range(max_iters):
+    for _ in range(MAX_PROJECTION_ITERS):
         r, jac = con(v)
         extra = [eq(v) for eq in equations]
         r = list(r) + [e[0] for e in extra]
@@ -262,7 +260,7 @@ def _project(con, v, face=None, max_iters=MAX_PROJECTION_ITERS):
         v = v - step
     raise InitializationError(
         "constraint projection did not converge in %d iterations"
-        % max_iters)
+        % MAX_PROJECTION_ITERS)
 
 
 def _offset_direction(spec):
@@ -437,8 +435,7 @@ def integrate(spec):
         top = min(eta + CHUNK_LENGTH, spec.eta_max)
         sol = solve_ivp(rhs, (eta, top), state, method="RK45",
                         rtol=spec.rel_tol, atol=spec.abs_tol,
-                        max_step=spec.max_step, dense_output=True,
-                        events=[escape])
+                        dense_output=True, events=[escape])
         reached = float(sol.t[-1])
         if sol.status == 0:
             end = sol.y[:, -1]

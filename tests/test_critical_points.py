@@ -1,5 +1,7 @@
 """Tests for the critical-point catalog, linearizations, and eigenframes."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,13 +9,13 @@ import numpy as np
 import pytest
 
 from spin7flow.aw_algebra import AWParams
-from spin7flow.critical_points import (FlowClass, catalog, eigen, jacobian,
-                                       jacobian_fd, reference_frame,
+from spin7flow.critical_points import (FlowClass, _polish, catalog, eigen,
+                                       jacobian, jacobian_fd, reference_frame,
                                        solve_homogeneous_einstein,
                                        unstable_frame)
 from spin7flow.errors import InvalidRequestError
-from spin7flow.phase_system import (PhaseState, flow_rhs, quartic_coefficients,
-                                    residuals, vector_field)
+from spin7flow.phase_system import (PhaseState, flow_rhs, residuals,
+                                    vector_field)
 
 from printed_tables import (expected_lin_cone_k, expected_lin_cone_kpl,
                             expected_lin_sink)
@@ -80,50 +82,29 @@ def test_ac_solver_finds_two_positive_solutions():
             assert all(float(v) > 0 for v in z)
 
 
-def newton_every_start_reference(params, iters=80, tol=1e-12):
-    """The AC solver's batched Newton iteration run on every start for
-    every iteration; z-triples of the distinct converged solutions."""
-    ca, cb, cc = (float(c) for c in quartic_coefficients(params))
-    level = 6 / 49
-
-    def residual(z):
-        z1, z2, z3 = z[..., 0], z[..., 1], z[..., 2]
-        q = ca * (z2 * z3) ** 2 + cb * (z1 * z3) ** 2 + cc * (z1 * z2) ** 2
-        w = level / q
-        r1 = 6 * z2 * z3 + z1 ** 2 - z2 ** 2 - z3 ** 2 - ca * (z2 * z3) ** 2 * w
-        r2 = 6 * z1 * z3 + z2 ** 2 - z3 ** 2 - z1 ** 2 - cb * (z1 * z3) ** 2 * w
-        r3 = 6 * z1 * z2 + z3 ** 2 - z1 ** 2 - z2 ** 2 - cc * (z1 * z2) ** 2 * w
-        return np.stack([r1 - level, r2 - level, r3 - level], axis=-1)
-
-    axis = np.linspace(0.05, 0.5, 10)
-    z = np.array(np.meshgrid(axis, axis, axis)).reshape(3, -1).T
-    eye = np.eye(3)
-    for _ in range(iters):
-        r0 = residual(z)
-        jac = np.stack([(residual(z + 1e-7 * eye[j])
-                         - residual(z - 1e-7 * eye[j])) / 2e-7
-                        for j in range(3)], axis=-1)
-        ok = np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(r0).all(axis=1)
-        dets = np.zeros(len(z))
-        dets[ok] = np.abs(np.linalg.det(jac[ok]))
-        ok &= dets > 1e-14
-        step = np.zeros_like(z)
-        if ok.any():
-            step[ok] = np.linalg.solve(jac[ok], r0[ok][..., None])[..., 0]
-        z = np.clip(z - step, 1e-4, 4.0)
-    found = {}
-    for i in np.nonzero(np.abs(residual(z)).max(axis=1) < tol)[0]:
-        found.setdefault(tuple(np.round(z[i], 9)), tuple(map(float, z[i])))
-    return sorted(found.values(), key=lambda v: -v[0])
+def shifted(z, offsets):
+    """z moved by offsets[i] ulps in coordinate i."""
+    out = []
+    for v, k in zip(z, offsets):
+        for _ in range(abs(k)):
+            v = math.nextafter(v, math.copysign(math.inf, k))
+        out.append(v)
+    return tuple(out)
 
 
 @pytest.mark.parametrize("kl", [(3, 2), (17, 5), (55, 41), (59, 23)])
-def test_ac_solver_matches_iterating_every_start(kl):
-    # The converged starts cycle through a few ulps between iterations,
-    # so this checks that the narrowed iteration lands on the same bits.
-    sols = solve_homogeneous_einstein(AWParams(*kl))
-    assert [z[:3] for z, exact in sols if not exact] == \
-        newton_every_start_reference(AWParams(*kl))
+def test_ac_polish_is_canonical(kl):
+    # The converged float iterates cycle through a few ulps; the exact
+    # polish maps every float near a root to the same point.
+    p = AWParams(*kl)
+    rng = random.Random(kl[0] * 100 + kl[1])
+    offsets = list(itertools.product((-8, 8), repeat=3)) + [
+        tuple(rng.randint(-8, 8) for _ in range(3)) for _ in range(25)]
+    for z, exact in solve_homogeneous_einstein(p):
+        assert not exact
+        assert _polish(p, z[:3]) == z
+        for off in offsets:
+            assert _polish(p, shifted(z[:3], off)) == z
 
 
 def test_g2_points_satisfy_both_first_order_systems():

@@ -1,12 +1,15 @@
 """Tests for exact rational helpers and the quadratic extension type."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spin7flow.exact import (QuadExt, exact_sqrt, exact_str, parse_rational,
-                             squarefree_decompose)
+from spin7flow.errors import SolverIncompleteError
+from spin7flow.exact import (TRIAL_DIVISION_BOUND, QuadExt, exact_sqrt,
+                             exact_str, parse_rational, squarefree_decompose)
 
 
 def test_parse_rational_forms():
@@ -41,6 +44,31 @@ def test_exact_sqrt():
     assert (root * root) == Fraction(10, 144)
     with pytest.raises(ValueError):
         exact_sqrt(Fraction(-1, 2))
+
+
+# Mersenne primes 2^p - 1 of 19, 27, 33 and 39 digits.
+M61, M89, M107, M127 = (2 ** p - 1 for p in (61, 89, 107, 127))
+
+
+def test_large_inputs_end_within_a_bound():
+    """60-90-digit inputs decide or raise after at most B/2 divisions."""
+    start = time.perf_counter()
+    root = M89 * 10 ** 10 + 7
+    assert exact_sqrt(Fraction(root ** 2, M61 ** 2)) == Fraction(root, M61)
+    assert squarefree_decompose(6 * M127 ** 2) == (M127, 6)
+    assert squarefree_decompose(72 * M107 ** 2) == (6 * M107, 2)
+    # A cofactor below B^3 whose prime factors all exceed B is squarefree.
+    assert squarefree_decompose(12 * 100003 * 100019) == \
+        (2, 3 * 100003 * 100019)
+    assert 100003 > TRIAL_DIVISION_BOUND
+    for n in (1001 * M61 * M127, M89 * M127, 30 * M61 * M89 * M107,
+              M61 * M89 ** 2, 2 ** 30 * M107 * M127):
+        assert 60 <= len(str(n)) <= 90
+        with pytest.raises(SolverIncompleteError):
+            squarefree_decompose(n)
+    with pytest.raises(SolverIncompleteError):
+        exact_sqrt(Fraction(M89, M127))
+    assert time.perf_counter() - start < 2.0
 
 
 def test_quadext_field_arithmetic():
@@ -99,3 +127,61 @@ def test_exact_str():
     assert exact_str(QuadExt(0, Fraction(-1, 12), 10)) == "-sqrt(10)/12"
     assert exact_str(QuadExt(Fraction(1, 2), Fraction(5, 3), 7)) == "1/2 + 5*sqrt(7)/3"
     assert exact_str(0.5) == "0.5"
+
+
+# ---------------------------------------------------------------------------
+# QuadExt properties against the exact (a, b) pair expansion
+
+small = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def same_field(draw, count=3):
+    d = draw(st.sampled_from((2, 3, 5, 6, 7, 10, 13)))
+    return d, [QuadExt(draw(small), draw(small), d) for _ in range(count)]
+
+
+def pair(value):
+    if isinstance(value, QuadExt):
+        return value.a, value.b
+    return Fraction(value), Fraction(0)
+
+
+@settings(max_examples=100, deadline=1000)
+@given(same_field())
+def test_quadext_field_laws(case):
+    d, (x, y, z) = case
+    (xa, xb), (ya, yb) = pair(x), pair(y)
+    assert pair(x + y) == (xa + ya, xb + yb)
+    assert pair(x - y) == (xa - ya, xb - yb)
+    assert pair(x * y) == (xa * ya + xb * yb * d, xa * yb + xb * ya)
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + 0 == x and x * 1 == x and x - x == 0
+    assert -x + x == 0 and x * 0 == 0
+    if x != 0:
+        assert x * (1 / x) == 1
+        assert (y / x) * x == y
+    assert x ** 2 == x * x
+    # Results with no surd part collapse to Fraction.
+    assert isinstance(x - QuadExt(0, xb, d), Fraction)
+
+
+@settings(max_examples=100, deadline=1000)
+@given(same_field())
+def test_quadext_order(case):
+    _, (x, y, z) = case
+    assert sum((x < y, x == y, x > y)) == 1
+    assert (x <= y) == (x < y or x == y)
+    assert (x >= y) == (y <= x)
+    if x < y:
+        assert x + z < y + z
+        if z > 0:
+            assert x * z < y * z
+    if x < y and y < z:
+        assert x < z
+    assert abs(x) >= 0 and (abs(x) == x or abs(x) == -x)
+    if abs(float(x) - float(y)) > 1e-9:
+        assert (x < y) == (float(x) < float(y))

@@ -330,28 +330,18 @@ def test_float_closures_equal_evaluators_bit_for_bit(p):
 
 
 COEFFICIENT_TUPLES = {"quartic_coefficients", "cubic_coefficients"}
-# The AC solve eliminates Z4^2 from R, a different function from the flow's.
-AC_SOLVE = {("critical_points", "solve_homogeneous_einstein"),
-            ("critical_points", "_try_exact_einstein")}
 
 
 def test_coefficient_tuples_stay_in_phase_system():
     offenders = []
     for path in sorted(Path(spin7flow.__file__).parent.glob("*.py")):
-        module = path.stem
-        if module == "phase_system":
+        if path.stem == "phase_system":
             continue
-        tree = ast.parse(path.read_text())
-        for top in tree.body:
-            scope = getattr(top, "name", None)
-            for node in ast.walk(top):
-                if isinstance(node, ast.ImportFrom):
-                    used = {a.name for a in node.names}
-                    allowed = module == "critical_points"
-                else:
-                    used = {getattr(node, "id", None),
-                            getattr(node, "attr", None)}
-                    allowed = (module, scope) in AC_SOLVE
-                if used & COEFFICIENT_TUPLES and not allowed:
-                    offenders.append("%s:%d" % (path.name, node.lineno))
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                used = {a.name for a in node.names}
+            else:
+                used = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if used & COEFFICIENT_TUPLES:
+                offenders.append("%s:%d" % (path.name, node.lineno))
     assert offenders == []

@@ -581,3 +581,39 @@ def test_audit_detects_negativity():
 def test_rational_string():
     assert rational_string(F(-3, 7)) == "-3/7"
     assert rational_string(F(5)) == "5/1"
+
+
+@pytest.mark.parametrize("bounds", [[(0, 1)], [(0, F(1, 3))]],
+                         ids=["dyadic", "generic"])
+def test_audit_needs_a_sample(bounds):
+    with pytest.raises(InvalidRequestError):
+        random_nonnegativity_audit(X, Box.from_bounds(bounds), 0, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# RatPoly ring laws; evaluate is a ring homomorphism
+
+coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+polys_xy = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), coefficients,
+    max_size=5).map(lambda terms: RatPoly(("x", "y"), terms))
+points_xy = st.tuples(coefficients, coefficients)
+
+
+@settings(max_examples=100, deadline=1000)
+@given(polys_xy, polys_xy, polys_xy, points_xy)
+def test_ratpoly_ring_laws_and_evaluation(p, q, r, point):
+    zero = RatPoly.zero(("x", "y"))
+    one = RatPoly.constant(("x", "y"), 1)
+    assert p + q == q + p and p * q == q * p
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p + zero == p and p * one == p and p * zero == zero
+    assert p - p == zero and -p + p == zero
+    assert p ** 2 == p * p
+    pv, qv = p.evaluate(point), q.evaluate(point)
+    assert (p + q).evaluate(point) == pv + qv
+    assert (p - q).evaluate(point) == pv - qv
+    assert (p * q).evaluate(point) == pv * qv
+    assert one.evaluate(point) == 1 and zero.evaluate(point) == 0
