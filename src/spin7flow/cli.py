@@ -218,19 +218,23 @@ def _trajectory_json(traj):
     return {"columns": TRAJECTORY_HEADER.split(","), "rows": rows}
 
 
+def _outcome_json(out):
+    return {
+        "kind": out.kind,
+        "limit_point": out.limit_label,
+        "distance": _finite_or_none(out.limit_distance),
+        "eta": _finite_or_none(out.eta_at_decision),
+    }
+
+
 def _classification_json(traj):
-    spec, out = traj.spec, traj.outcome
+    spec = traj.spec
     return {
         "params": {"k": spec.params.k, "l": spec.params.l},
         "bundle": spec.bundle.tag.value,
         "mode": getattr(spec.mode, "value", spec.mode),
         "s": [float(v) for v in spec.s],
-        "outcome": {
-            "kind": out.kind,
-            "limit_point": out.limit_label,
-            "distance": _finite_or_none(out.limit_distance),
-            "eta": _finite_or_none(out.eta_at_decision),
-        },
+        "outcome": _outcome_json(traj.outcome),
     }
 
 
@@ -292,12 +296,7 @@ def cmd_sweep(args):
             if entry.outcome is None:
                 row["error"] = str(entry.error)
             else:
-                row["outcome"] = {
-                    "kind": entry.outcome.kind,
-                    "limit_point": entry.outcome.limit_label,
-                    "distance": _finite_or_none(entry.outcome.limit_distance),
-                    "eta": _finite_or_none(entry.outcome.eta_at_decision),
-                }
+                row["outcome"] = _outcome_json(entry.outcome)
             rows.append(row)
         _emit(_json_text(rows), args.out)
     else:

@@ -484,7 +484,6 @@ def line_resultant(params=None, cross_check=True):
     """
     q1, q2 = line_slices(params)
     computed = sylvester_resultant(q1, q2, "u")
-    computed = computed.with_variables(("alpha", "beta"))
     if cross_check:
         _require_equal(computed, printed_line_resultant(),
                        "line resultant")
@@ -611,7 +610,6 @@ def rtilde(params, cross_check=True):
     params = _as_params(params)
     p1, p2 = ray_slices(params)
     resultant = sylvester_resultant(p1, p2, "Z1")
-    resultant = resultant.with_variables(RAY_PARAMETER_VARIABLES)
     reduced = {}
     offenders = []
     for exps, coeff in resultant.terms.items():

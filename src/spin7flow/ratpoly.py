@@ -121,10 +121,6 @@ class RatPoly:
         exps = tuple(1 if v == name else 0 for v in variables)
         return cls(variables, {exps: 1})
 
-    @classmethod
-    def monomial(cls, variables, exps, coeff):
-        return cls(variables, {tuple(exps): coeff})
-
     @property
     def is_zero(self):
         return not self.terms
@@ -321,18 +317,6 @@ class RatPoly:
         out = {tuple(e for i, e in enumerate(exps) if i != idx): coeff
                for exps, coeff in self.terms.items()}
         return RatPoly(rest, out)
-
-    def with_variables(self, variables_out):
-        """Reorder or extend the variable list by name."""
-        variables_out = tuple(variables_out)
-        mapping = {}
-        for name in self.variables:
-            if name not in variables_out and self.degree(name) > 0:
-                raise InvalidRequestError(
-                    f"{name!r} is used but absent from {variables_out}")
-            mapping[name] = (RatPoly.variable(variables_out, name)
-                            if name in variables_out else Fraction(0))
-        return self.compose(variables_out, mapping)
 
     def univariate_coefficients(self, name=None):
         """Ascending coefficient list of an effectively univariate
@@ -621,22 +605,24 @@ def _convergents(value, max_denominator):
 
 
 def smallest_root_in_interval(coeffs, lo, hi, include_lo=False,
-                              accuracy=ROOT_ACCURACY,
-                              snap_denominator=SNAP_DENOMINATOR):
+                              accuracy=ROOT_ACCURACY):
     """Leftmost real root of an exact univariate polynomial on an
     interval, or None.
 
     The search covers (lo, hi], and [lo, hi] when include_lo is set.
     Returns a pair (root, exact).  When exact is True the root is a
     proven rational zero; otherwise it is the midpoint of a bracket no
-    wider than accuracy.  Rational candidates with denominator up to
-    snap_denominator are tested exactly before settling for a bracket.
+    wider than accuracy, which must be positive.  Rational candidates
+    with denominator up to SNAP_DENOMINATOR are tested exactly before
+    settling for a bracket.
     Bisection uses Sturm counts while the bracket holds more than one
     root, then the exact sign of the polynomial alone.
     """
     lo, hi = _coerce(lo), _coerce(hi)
     if hi <= lo:
         raise InvalidRequestError("need lo < hi for root isolation")
+    if accuracy <= 0:
+        raise InvalidRequestError("root accuracy must be positive")
     poly = _strip(coeffs)
     if not poly:
         raise InvalidRequestError(
@@ -692,7 +678,7 @@ def smallest_root_in_interval(coeffs, lo, hi, include_lo=False,
             a = mid
         else:
             b = mid
-    for candidate in _convergents((a + b) / 2, snap_denominator):
+    for candidate in _convergents((a + b) / 2, SNAP_DENOMINATOR):
         if a < candidate <= b and _horner(poly, candidate) == 0:
             return candidate, True
     return (a + b) / 2, False
@@ -860,33 +846,46 @@ def _dense_coefficients(poly):
 
 
 def _axis_transform(flat, dims, strides, axis, table):
-    """Apply a lower-triangular table along one tensor axis."""
+    """Apply a square table along one tensor axis.
+
+    Each fiber f along the axis becomes table @ f; zero entries of the
+    table are skipped.
+    """
     size = dims[axis]
     stride = strides[axis]
     total = len(flat)
     out = list(flat)
+    rows = [[(j, factor) for j, factor in enumerate(row) if factor]
+            for row in table]
     block = stride * size
     for base in range(0, total, block):
         for offset in range(stride):
             start = base + offset
             fiber = [flat[start + i * stride] for i in range(size)]
-            for i in range(size):
+            for i, row in enumerate(rows):
                 acc = Fraction(0)
-                for j in range(i + 1):
-                    factor = table[i][j]
-                    if factor:
-                        acc += factor * fiber[j]
+                for j, factor in row:
+                    acc += factor * fiber[j]
                 out[start + i * stride] = acc
     return out
 
 
-def _bernstein_tensor(poly):
-    """Bernstein coefficients of a polynomial over the unit cube."""
+def _bernstein_tensor(poly, box):
+    """Bernstein coefficients of a polynomial over a box.
+
+    On each axis the power coefficients of x go through the affine map
+    x = lo + w*u onto the unit interval (a Taylor shift and a scaling)
+    and then to the degree-d Bernstein basis in u, both in one product
+    table: entry (k, j) sums C(k,i)/C(d,i) * C(j,i) lo^(j-i) w^i over i.
+    """
     flat, dims, strides = _dense_coefficients(poly)
-    for axis, size in enumerate(dims):
+    for axis, (size, iv) in enumerate(zip(dims, box.intervals)):
         d = size - 1
-        table = [[Fraction(comb(i, j), comb(d, j)) if j <= i else None
-                  for j in range(size)] for i in range(size)]
+        lo, w = iv.lower, iv.width
+        table = [[sum(Fraction(comb(k, i) * comb(j, i), comb(d, i))
+                      * lo ** (j - i) * w ** i
+                      for i in range(min(k, j) + 1))
+                  for j in range(size)] for k in range(size)]
         flat = _axis_transform(flat, dims, strides, axis, table)
     return flat, dims, strides
 
@@ -928,6 +927,17 @@ def _corner_indices(dims, strides):
     return tuple(corners)
 
 
+def _box_for(poly, box):
+    """The box as a Box, checked against the polynomial's variables."""
+    if not isinstance(box, Box):
+        box = Box.from_bounds(box)
+    if box.dimension != len(poly.variables):
+        raise InvalidRequestError(
+            f"box dimension {box.dimension} does not match "
+            f"{len(poly.variables)} variables")
+    return box
+
+
 def certify_nonneg(poly, box, exclusions=(), max_depth=DEFAULT_MAX_DEPTH):
     """Branch-and-bound certificate that poly >= 0 on a closed box.
 
@@ -942,13 +952,8 @@ def certify_nonneg(poly, box, exclusions=(), max_depth=DEFAULT_MAX_DEPTH):
     """
     if not isinstance(poly, RatPoly):
         raise InvalidRequestError("certify_nonneg expects a RatPoly")
-    if not isinstance(box, Box):
-        box = Box.from_bounds(box)
-    dimension = len(poly.variables)
-    if box.dimension != dimension:
-        raise InvalidRequestError(
-            f"box dimension {box.dimension} does not match "
-            f"{dimension} variables")
+    box = _box_for(poly, box)
+    dimension = box.dimension
     if any(iv.width == 0 for iv in box.intervals):
         raise InvalidRequestError(
             "degenerate box edges are not supported; evaluate instead")
@@ -959,20 +964,12 @@ def certify_nonneg(poly, box, exclusions=(), max_depth=DEFAULT_MAX_DEPTH):
     lowers = [iv.lower for iv in box.intervals]
     widths = [iv.width for iv in box.intervals]
     if dimension == 0 or poly.is_zero:
-        value = poly.evaluate([0] * dimension) if dimension else \
-            poly.evaluate([])
+        value = poly.evaluate([0] * dimension)
         status = STATUS_NONNEGATIVE if value >= 0 else STATUS_COUNTEREXAMPLE
         counter = None if value >= 0 else ((), value)
         return Certificate(status, balls, 1, 0, counterexample=counter)
 
-    unit = tuple(f"u{i}" for i in range(dimension))
-    mapping = {
-        name: RatPoly.constant(unit, lowers[i])
-        + widths[i] * RatPoly.variable(unit, unit[i])
-        for i, name in enumerate(poly.variables)
-    }
-    cube_poly = poly.compose(unit, mapping)
-    bern, dims, strides = _bernstein_tensor(cube_poly)
+    bern, dims, strides = _bernstein_tensor(poly, box)
     denominator = lcm(*[c.denominator for c in bern]) if bern else 1
     nums = tuple(int(c * denominator) for c in bern)
     corner_cells = _corner_indices(dims, strides)
@@ -1062,8 +1059,7 @@ def random_nonnegativity_audit(poly, box, samples, seed):
     """
     if samples < 1:
         raise InvalidRequestError("the audit needs at least one sample")
-    if not isinstance(box, Box):
-        box = Box.from_bounds(box)
+    box = _box_for(poly, box)
     rng = random.Random(seed)
     scale = 1 << 16
     lowers = [iv.lower for iv in box.intervals]

@@ -195,8 +195,6 @@ def test_drop_and_reorder_variables():
     f = x * y
     with pytest.raises(InvalidRequestError):
         f.drop_variable("y")
-    with pytest.raises(InvalidRequestError):
-        f.with_variables(("x",))
     g = (x + 0 * y).drop_variable("y")
     assert g.variables == ("x",)
 
@@ -295,6 +293,14 @@ def test_smallest_root_irrational_bracket():
     assert abs(float(root) - math.sqrt(2)) < 1e-12
 
 
+@pytest.mark.parametrize("accuracy", [F(0), F(-1, 10)],
+                         ids=["zero", "negative"])
+def test_smallest_root_rejects_nonpositive_accuracy(accuracy):
+    with pytest.raises(InvalidRequestError, match="accuracy"):
+        smallest_root_in_interval([F(-2), F(0), F(1)], 0, 2,
+                                  accuracy=accuracy)
+
+
 def test_smallest_root_absent_and_multiple():
     assert smallest_root_in_interval([F(1), F(0), F(1)], 0, 1) is None
     double = [F(1, 9), F(-2, 3), F(1)]
@@ -302,8 +308,7 @@ def test_smallest_root_absent_and_multiple():
 
 
 def sturm_bisection_reference(coeffs, lo, hi, include_lo=False,
-                              accuracy=ROOT_ACCURACY,
-                              snap_denominator=SNAP_DENOMINATOR):
+                              accuracy=ROOT_ACCURACY):
     """smallest_root_in_interval with a Sturm count at every bisection
     step; the library must return exactly what this returns."""
     lo, hi = _coerce(lo), _coerce(hi)
@@ -342,7 +347,7 @@ def sturm_bisection_reference(coeffs, lo, hi, include_lo=False,
             b = mid
         else:
             a = mid
-    for candidate in _convergents((a + b) / 2, snap_denominator):
+    for candidate in _convergents((a + b) / 2, SNAP_DENOMINATOR):
         if a < candidate <= b and _horner(poly, candidate) == 0:
             return candidate, True
     return (a + b) / 2, False
@@ -414,14 +419,9 @@ def test_split_halves_match_fresh_tensors():
         if poly.is_zero:
             continue
         trials += 1
-        unit = tuple(f"u{i}" for i in range(n))
 
         def tensor(los, his):
-            mapping = {
-                name: RatPoly.constant(unit, los[i])
-                + (his[i] - los[i]) * RatPoly.variable(unit, unit[i])
-                for i, name in enumerate(names)}
-            return _bernstein_tensor(poly.compose(unit, mapping))
+            return _bernstein_tensor(poly, Box.from_bounds(zip(los, his)))
 
         bern, dims, strides = tensor([F(0)] * n, [F(1)] * n)
         den = lcm(*[c.denominator for c in bern])
@@ -444,13 +444,31 @@ def test_split_halves_match_fresh_tensors():
 def test_bernstein_corner_coefficients_are_values():
     rng = random.Random(9)
     poly = random_poly(rng, ("x", "y"), 3, 6)
-    unit = ("u0", "u1")
-    cube = poly.compose(unit, {"x": RatPoly.variable(unit, "u0"),
-                               "y": RatPoly.variable(unit, "u1")})
-    bern, dims, strides = _bernstein_tensor(cube)
-    assert bern[0] == poly.evaluate((0, 0))
+    box = Box.from_bounds([(F(-3, 2), F(2, 3)), (F(1, 5), F(7, 3))])
+    bern, dims, strides = _bernstein_tensor(poly, box)
+    assert bern[0] == poly.evaluate((F(-3, 2), F(1, 5)))
     top = (dims[0] - 1) * strides[0] + (dims[1] - 1) * strides[1]
-    assert bern[top] == poly.evaluate((1, 1))
+    assert bern[top] == poly.evaluate((F(2, 3), F(7, 3)))
+
+
+def test_bernstein_box_map_matches_composed_unit_cube():
+    rng = random.Random(23)
+    for _ in range(40):
+        n = rng.choice((1, 2, 3))
+        names = tuple("xyz"[:n])
+        poly = random_poly(rng, names, rng.choice((1, 2, 3, 4)),
+                           rng.randint(1, 8))
+        if poly.is_zero:
+            continue
+        los = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in names]
+        widths = [F(rng.randint(1, 9), rng.randint(1, 7)) for _ in names]
+        box = Box.from_bounds([(lo, lo + w) for lo, w in zip(los, widths)])
+        unit = tuple(f"u{i}" for i in range(n))
+        mapping = {name: los[i] + widths[i] * RatPoly.variable(unit, unit[i])
+                   for i, name in enumerate(names)}
+        cube = poly.compose(unit, mapping)
+        assert _bernstein_tensor(poly, box) == \
+            _bernstein_tensor(cube, Box.unit(n))
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +594,18 @@ def test_audit_detects_negativity():
         X - F(1, 2), Box.from_bounds([(0, 1)]), 200, seed=3)
     assert worst < 0
     assert worst == point[0] - F(1, 2)
+
+
+@pytest.mark.parametrize("bounds", [[(0, 1)], [(0, 1)] * 3],
+                         ids=["too-few", "too-many"])
+def test_audit_rejects_box_dimension_mismatch(bounds):
+    x, y = xy()
+    box = Box.from_bounds(bounds)
+    message = f"box dimension {len(bounds)} does not match 2 variables"
+    with pytest.raises(InvalidRequestError, match=message):
+        certify_nonneg(x - 2 * y, box)
+    with pytest.raises(InvalidRequestError, match=message):
+        random_nonnegativity_audit(x - 2 * y, box, 50, seed=1)
 
 
 def test_rational_string():
