@@ -443,9 +443,16 @@ def reference_frame(params, label):
     Tangency flags are computed exactly: a vector is tangent to the
     Ricci-flat set when it annihilates the gradients of the hyperplane and
     conservation constraints, and tangent to a chirality set when it
-    additionally lies in the kernel of that system's derivative.
+    additionally lies in the kernel of that system's derivative.  Frames
+    are cached per (k, l, label); they are frozen, so callers share them.
     """
-    k, l, d = params.k, params.l, params.delta
+    return _reference_frame_cached(params.k, params.l, label)
+
+
+@lru_cache(maxsize=32)
+def _reference_frame_cached(k, l, label):
+    params = AWParams(k, l)
+    d = params.delta
     if label == LABEL_P0_KPLUSL:
         vals, vecs = _table_p0_kplusl(k, l, d)
     elif label == LABEL_P0_K:

@@ -156,7 +156,9 @@ def quartic_coefficients(params):
 
 def _scalars(values):
     """Python floats: float64 arithmetic, faster than numpy scalars."""
-    return np.asarray(values, dtype=float).tolist()
+    if isinstance(values, np.ndarray):
+        return values.astype(float, copy=False).tolist()
+    return list(map(float, values))
 
 
 def _matching(coeffs, z):

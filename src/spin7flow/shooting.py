@@ -34,7 +34,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, solve_ivp
 
 from .aw_algebra import AWParams, BundleIndex, BundleTag, bundle
 from .critical_points import (LABEL_P0_K, LABEL_P0_KPLUSL, LABEL_P0_L,
@@ -311,24 +310,61 @@ def _limit_candidates(params):
     return tuple(out)
 
 
+class _DecisionScan:
+    """The trailing-window decision over a table that grows by blocks.
+
+    Per candidate it keeps the index of the last row outside the
+    decision ball and the distance of the last row, both updated from
+    the new rows only, so deciding after every chunk of a run costs
+    O(rows) in all.
+    """
+
+    def __init__(self, candidates):
+        self._candidates = candidates
+        self._targets = np.array([target for _, _, target in candidates])
+        self._etas = []
+        self._last_outside = [-1] * len(candidates)
+        self._last_distance = [math.inf] * len(candidates)
+
+    def extend(self, etas, states):
+        base = len(self._etas)
+        self._etas.extend(etas.tolist())
+        # max-norm distance of every row to every target, one coordinate
+        # at a time: no rows x targets x coordinates temporary
+        dist = np.zeros((len(states), len(self._targets)))
+        for column, values in zip(states.T, self._targets.T):
+            np.maximum(dist, np.abs(column[:, None] - values), out=dist)
+        outside = ~(dist <= DECISION_RADIUS)
+        last = base + len(dist) - 1 - np.argmax(outside[::-1], axis=0)
+        for i in np.flatnonzero(outside.any(axis=0)).tolist():
+            self._last_outside[i] = int(last[i])
+        self._last_distance = dist[-1].tolist()
+
+    def decision(self):
+        """Earliest eta from which the tail stays inside one decision
+        ball, as an Asymptotics, or None."""
+        etas = self._etas
+        span = etas[-1] - etas[0]
+        for (kind, label, target), outside, dist in zip(
+                self._candidates, self._last_outside, self._last_distance):
+            if outside == len(etas) - 1:
+                continue
+            run_start = outside + 1
+            tail = etas[-1] - etas[run_start]
+            if tail >= DECISION_WINDOW - 1e-9 or (run_start == 0
+                                                  and span >= 0.0):
+                return Asymptotics(
+                    kind=kind, limit_label=label,
+                    limit_state=tuple(float(v) for v in target),
+                    limit_distance=dist, eta_at_decision=etas[run_start])
+        return None
+
+
 def _trailing_decision(etas, states, candidates):
     """Earliest eta from which the tail stays inside one decision ball."""
-    span = etas[-1] - etas[0]
-    for kind, label, target in candidates:
-        dist = np.max(np.abs(states - target), axis=1)
-        inside = dist <= DECISION_RADIUS
-        if not inside[-1]:
-            continue
-        outside = np.flatnonzero(~inside)
-        run_start = int(outside[-1]) + 1 if outside.size else 0
-        tail = etas[-1] - etas[run_start]
-        if tail >= DECISION_WINDOW - 1e-9 or (run_start == 0 and span >= 0.0):
-            return Asymptotics(
-                kind=kind, limit_label=label,
-                limit_state=tuple(float(v) for v in target),
-                limit_distance=float(dist[-1]),
-                eta_at_decision=float(etas[run_start]))
-    return None
+    scan = _DecisionScan(candidates)
+    scan.extend(etas, states)
+    return scan.decision()
 
 
 def classify(traj, params=None):
@@ -368,25 +404,172 @@ def classify(traj, params=None):
                                                         nearest[0]))
 
 
-def _escape_event():
-    def event(eta, y):
-        return ESCAPE_NORM - float(np.max(np.abs(y)))
-    event.terminal = True
-    event.direction = -1.0
-    return event
+# ---------------------------------------------------------------------------
+# Dormand-Prince 5(4) with the step control of Hairer, Norsett & Wanner,
+# Solving ODEs I, Sec. II.4: scipy RK45's tableau, error weights,
+# dense-output matrix, initial-step rule and step-size factors.
+
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = (19372 / 6561, -25360 / 2187, 64448 / 6561,
+                          -212 / 729)
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
+                                49 / 176, -5103 / 18656)
+_B1, _B3, _B4, _B5, _B6 = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784,
+                           11 / 84)
+_E1, _E3, _E4, _E5, _E6, _E7 = (-71 / 57600, 71 / 16695, -71 / 1920,
+                                17253 / 339200, -22 / 525, 1 / 40)
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1 / 5
+
+
+def _rms(values):
+    return math.sqrt(sum(v * v for v in values)) / len(values) ** 0.5
+
+
+def _initial_step(fun, t, y, f, span, rtol, atol):
+    """First step size from the size of y, f and a trial Euler step."""
+    scale = [atol + abs(v) * rtol for v in y]
+    d0 = _rms([v / s for v, s in zip(y, scale)])
+    d1 = _rms([v / s for v, s in zip(f, scale)])
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    f1 = fun(t + h0, [v + h0 * g for v, g in zip(y, f)])
+    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f, scale)]) / h0
+    d = max(d1, d2)
+    h1 = max(1e-6, h0 * 1e-3) if d <= 1e-15 else (0.01 / d) ** (1 / 5)
+    return min(100 * h0, h1, span)
+
+
+def _dense(steps, grid):
+    """The continuous extension of accepted steps at grid points.
+
+    Each point takes the step whose span holds it (the earlier step at a
+    shared end point, as scipy's OdeSolution does); per step Q = K^T P,
+    and y = y_old + h * Q (x, x^2, x^3, x^4) with x = (t - t_old) / h.
+    """
+    table = np.array(steps)
+    n = (table.shape[1] - 2) // 8
+    starts, widths = table[:, 0], table[:, 1]
+    seg = np.clip(np.searchsorted(starts, grid) - 1, 0, len(steps) - 1)
+    q = table[:, 2 + n:].reshape(-1, 7, n).transpose(0, 2, 1) @ _P
+    x = (grid - starts[seg]) / widths[seg]
+    powers = np.cumprod(np.repeat(x[:, None], 4, axis=1), axis=1)
+    return (widths[seg, None] * (q[seg] @ powers[:, :, None])[:, :, 0]
+            + table[seg, 2:2 + n])
+
+
+def _crossing(step, t_end):
+    """Bisect the step's interpolant on [t_old, t_end] down to adjacent
+    floats for where its max-norm reaches ESCAPE_NORM; returns the upper
+    end of the last bracket."""
+    lo, hi = step[0], t_end
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if np.max(np.abs(_dense([step], np.array([mid])))) >= ESCAPE_NORM:
+            hi = mid
+        else:
+            lo = mid
+
+
+def _dopri5(fun, t, y, t_bound, rtol, atol):
+    """Integrate y' = fun(t, y) from t to t_bound on Python floats.
+
+    y is a list of floats.  Returns (status, t, y, steps): status 0
+    when t_bound was reached; 1 when an accepted step ended at max-norm
+    ESCAPE_NORM or more, with t the crossing on that step's interpolant
+    and y the interpolant there; -1 when the step size fell below ten
+    ulps of t (a non-finite start or right-hand side ends here too),
+    with t, y the last accepted point.  steps holds one row
+    (t_old, h, *y_old, *k1, ..., *k7) per accepted step, for _dense.
+    """
+    steps = []
+    f = fun(t, y)
+    if not all(map(math.isfinite, [*y, *f])):
+        return -1, t, y, steps
+    h_abs = _initial_step(fun, t, y, f, t_bound - t, rtol, atol)
+    while t < t_bound:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                return -1, t, y, steps
+            t_new = min(t + h_abs, t_bound)
+            h = h_abs = t_new - t
+            k1 = f
+            k2 = fun(t + _C2 * h, [v + a * _A21 * h
+                                   for v, a in zip(y, k1)])
+            k3 = fun(t + _C3 * h, [v + (a * _A31 + b * _A32) * h
+                                   for v, a, b in zip(y, k1, k2)])
+            k4 = fun(t + _C4 * h, [
+                v + (a * _A41 + b * _A42 + c * _A43) * h
+                for v, a, b, c in zip(y, k1, k2, k3)])
+            k5 = fun(t + _C5 * h, [
+                v + (a * _A51 + b * _A52 + c * _A53 + d * _A54) * h
+                for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+            k6 = fun(t + h, [
+                v + (a * _A61 + b * _A62 + c * _A63 + d * _A64
+                     + e * _A65) * h
+                for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+            y_new = [v + h * (a * _B1 + c * _B3 + d * _B4 + e * _B5
+                              + g * _B6)
+                     for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
+            k7 = fun(t + h, y_new)
+            error = _rms([
+                (a * _E1 + c * _E3 + d * _E4 + e * _E5 + g * _E6
+                 + w * _E7) * h / (atol + max(abs(v), abs(u)) * rtol)
+                for a, c, d, e, g, w, v, u
+                in zip(k1, k3, k4, k5, k6, k7, y, y_new)])
+            if error < 1:
+                factor = (_MAX_FACTOR if error == 0 else
+                          min(_MAX_FACTOR,
+                              _SAFETY * error ** _ERROR_EXPONENT))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
+            rejected = True
+        steps.append((t, h, *y, *k1, *k2, *k3, *k4, *k5, *k6, *k7))
+        if max(map(abs, y_new)) >= ESCAPE_NORM:
+            t_cross = _crossing(steps[-1], t_new)
+            y_cross = _dense(steps[-1:], np.array([t_cross]))[0]
+            return 1, t_cross, y_cross.tolist(), steps
+        t, y, f = t_new, y_new, k7
+    return 0, t, y, steps
 
 
 def integrate(spec):
     """Run one shooting trajectory and classify it.
 
-    The integrator is an adaptive embedded Runge-Kutta 5(4) pair with
-    dense output, driven in chunks of CHUNK_LENGTH; at every chunk
-    boundary the state is renormalized onto the constraint set (see the
-    module docstring) and the pre-projection defect is logged.  Events:
-    "escaped" (max-norm crossed ESCAPE_NORM), "stiff-failure" (step-size
-    underflow; partial trajectory returned), "drift" (defect above
-    DRIFT_FACTOR * rel_tol), "converged" (trailing window settled inside
-    a decision ball; stops the run when stop_on_converged is set).
+    The integrator is the Dormand-Prince 5(4) pair (_dopri5: scipy
+    RK45's coefficients and step control, run on Python floats), driven
+    in chunks of CHUNK_LENGTH; each chunk's samples on the SAMPLE_STEP
+    grid come from its dense output.  At every chunk boundary the state
+    is renormalized onto the constraint set (see the module docstring)
+    and the pre-projection defect is logged.  Events: "escaped" (an
+    accepted step ended at max-norm ESCAPE_NORM or more; the crossing is
+    bisected on that step's interpolant), "stiff-failure" (step-size
+    underflow, also forced by a non-finite right-hand side; partial
+    trajectory returned), "drift" (defect above DRIFT_FACTOR * rel_tol),
+    "converged" (trailing window settled inside a decision ball, checked
+    after every chunk from the new rows only; stops the run when
+    stop_on_converged is set).
     """
     params = spec.params
     spin = spec.mode is not FlowClass.RICCI_FLAT
@@ -419,26 +602,25 @@ def integrate(spec):
         return np.column_stack(cols), np.column_stack(
             [np.abs(res.hyperplane), np.abs(res.conservation), chiral])
 
-    chunks = [(np.zeros(1),) + rebuild([state])]
+    chunks = []
+    scan = (_DecisionScan(_limit_candidates(params))
+            if spec.stop_on_converged else None)
 
-    def joined():
-        """etas, rows and residual-log rows of all chunks so far."""
-        return [np.concatenate(part) for part in zip(*chunks)]
+    def add(grid, block):
+        rows, res_rows = rebuild(block)
+        chunks.append((grid, rows, res_rows))
+        if scan is not None:
+            scan.extend(grid, rows)
 
+    add(np.zeros(1), [state])
     events = []
-    candidates = _limit_candidates(params)
     eta = 0.0
     drift_logged = False
-    stopped = False
-    escape = _escape_event()
-    while not stopped and eta < spec.eta_max - 1e-12:
+    while eta < spec.eta_max - 1e-12:
         top = min(eta + CHUNK_LENGTH, spec.eta_max)
-        sol = solve_ivp(rhs, (eta, top), state, method="RK45",
-                        rtol=spec.rel_tol, atol=spec.abs_tol,
-                        dense_output=True, events=[escape])
-        reached = float(sol.t[-1])
-        if sol.status == 0:
-            end = sol.y[:, -1]
+        status, reached, end, steps = _dopri5(
+            rhs, eta, state.tolist(), top, spec.rel_tol, spec.abs_tol)
+        if status == 0:
             drift = float(np.max(np.abs(con(end)[0])))
             if locked is not None and _face_defect(locked, end) > \
                     FACE_RELEASE_TOL:
@@ -451,25 +633,24 @@ def integrate(spec):
             grid = np.arange(eta + SAMPLE_STEP, reached + 1e-9, SAMPLE_STEP)
             if grid.size == 0 or reached - grid[-1] > 1e-9:
                 grid = np.append(grid, reached)
-            block = sol.sol(np.minimum(grid, reached)).T
-            if sol.status == 0:
+            block = _dense(steps, np.minimum(grid, reached))
+            if status == 0:
                 block[-1] = state
-            chunks.append((grid,) + rebuild(block))
-        if sol.status == 1:
+            add(grid, block)
+        if status == 1:
             events.append((reached, "escaped"))
             break
-        if sol.status != 0:
+        if status != 0:
             events.append((reached, "stiff-failure"))
             break
         eta = top
-        if spec.stop_on_converged:
-            etas, rows, _ = joined()
-            decided = _trailing_decision(etas, rows, candidates)
-            if decided is not None:
-                events.append((decided.eta_at_decision, "converged"))
-                stopped = True
+        decided = scan.decision() if scan is not None else None
+        if decided is not None:
+            events.append((decided.eta_at_decision, "converged"))
+            break
 
-    etas, rows, res_rows = joined()
+    etas, rows, res_rows = (np.concatenate(part)
+                            for part in zip(*chunks))
     traj = Trajectory(
         spec=spec, etas=etas, states=rows, residual_log=res_rows,
         events=tuple(events), outcome=Asymptotics(OUTCOME_UNDETERMINED),
@@ -484,6 +665,36 @@ def integrate(spec):
     return replace(traj, outcome=outcome)
 
 
+def _simpson_pieces(y, dx):
+    """Simpson integral over the first interval of each consecutive
+    interval pair, for unequal widths dx."""
+    x21, x32 = dx[:-1], dx[1:]
+    x21_x31 = x21 / (x21 + x32)
+    x21_x32 = x21 / x32
+    both = x21_x31 * x21_x32
+    return x21 / 6 * ((3 - x21_x31) * y[:-2] + (3 + both + x21_x31) * y[1:-1]
+                      + -both * y[2:])
+
+
+def _cumulative_simpson(y, x):
+    """Cumulative composite Simpson integral of y over x (3 or more
+    increasing points), starting at 0.
+
+    Interval i takes its integral from the quadratic through points i,
+    i+1, i+2 for even i and through i-1, i, i+1 for odd i; the last
+    interval always uses the points before it.  The same operations as
+    scipy.integrate.cumulative_simpson(y, x=x, initial=0).
+    """
+    dx = np.diff(x)
+    forward = _simpson_pieces(y, dx)
+    backward = _simpson_pieces(y[::-1], dx[::-1])[::-1]
+    pieces = np.empty(dx.size)
+    pieces[:-1:2] = forward[::2]
+    pieces[1::2] = backward[::2]
+    pieces[-1] = backward[-1]
+    return np.concatenate(([0.0], np.cumsum(pieces)))
+
+
 def reconstruct_metric(traj, gauge=1.0):
     """Recover the metric coefficient profile along a trajectory.
 
@@ -491,7 +702,9 @@ def reconstruct_metric(traj, gauge=1.0):
     trajectory and its CSV table reconstruct to the same profile.
     1/trL solves (1/trL)' = (1/trL) * G with 1/trL = gauge at the first
     sample, where G = 2(X1^2 + X2^2 + X3^2) + X4^2: log(1/trL) is the
-    cumulative Simpson integral of G over the sample grid.  t is the
+    cumulative Simpson integral of G over the sample grid (the
+    unequal-interval rule of _cumulative_simpson, which also covers a
+    run's shorter last interval).  t is the
     cumulative Simpson integral of 1/trL, anchored so that the
     leading-order cone solution has t -> 0 at the vertex (t at the first
     sample equals gauge / G there).  Coefficients: a = (1/trL)/sqrt(Z2 Z3),
@@ -521,8 +734,8 @@ def reconstruct_metric(traj, gauge=1.0):
         raise ReconstructionDomainError(
             "Z-product vanishes at sample %d (eta = %.6g)" % (i, etas[i]))
     g = g_of_x(states[:, :4].T)
-    trl_inv = gauge * np.exp(cumulative_simpson(g, x=etas, initial=0))
-    t = gauge / g[0] + cumulative_simpson(trl_inv, x=etas, initial=0)
+    trl_inv = gauge * np.exp(_cumulative_simpson(g, etas))
+    t = gauge / g[0] + _cumulative_simpson(trl_inv, etas)
     sl = slice(start, None)
     return MetricProfile(
         t=t[sl],

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from spin7flow.aw_algebra import AWParams
+from spin7flow import critical_points
+from spin7flow.cli import main
 from spin7flow.critical_points import (FlowClass, _polish, catalog, eigen,
                                        jacobian, jacobian_fd, reference_frame,
                                        solve_homogeneous_einstein,
@@ -232,6 +234,24 @@ def test_reference_frames_are_exact_eigenpairs():
                          for i in range(8)]
                 want = [pair.value * c for c in pair.vector]
                 assert image == want, (p, label, pair)
+
+
+def test_reference_frame_is_cached_per_orbit_and_label(tmp_path):
+    """Frames are shared per (k, l, label), equal to a fresh build, and
+    critical-points prints the same bytes with a cold or a warm cache."""
+    cold = tmp_path / "cold.json"
+    warm = tmp_path / "warm.json"
+    critical_points._reference_frame_cached.cache_clear()
+    assert main(["critical-points", "--k", "3", "--l", "2",
+                 "--out", str(cold)]) == 0
+    assert main(["critical-points", "--k", "3", "--l", "2",
+                 "--out", str(warm)]) == 0
+    assert cold.read_bytes() == warm.read_bytes()
+    for label in ("P0_KplusL", "P0_K", "P0_L", "P1"):
+        shared = reference_frame(AWParams(3, 2), label)
+        assert reference_frame(AWParams(3, 2), label) is shared
+        critical_points._reference_frame_cached.cache_clear()
+        assert reference_frame(AWParams(3, 2), label) == shared
 
 
 def test_reference_frame_vectors_match_printed_forms():

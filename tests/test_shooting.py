@@ -252,18 +252,16 @@ def test_samples_match_scalar_evaluators(name, request):
 
 def test_integrate_drops_zero_width_chunk(monkeypatch):
     """A chunk that fails at its own start adds no sample."""
-    solve_ivp = shooting.solve_ivp
+    dopri5 = shooting._dopri5
     calls = []
 
-    def failing_second_chunk(fun, t_span, y0, **kwargs):
-        calls.append(t_span)
+    def failing_second_chunk(fun, t, y, t_bound, rtol, atol):
+        calls.append((t, t_bound))
         if len(calls) == 2:
-            return SimpleNamespace(t=np.array([t_span[0]]),
-                                   y=np.asarray(y0)[:, None], sol=None,
-                                   status=-1)
-        return solve_ivp(fun, t_span, y0, **kwargs)
+            return -1, t, y, []
+        return dopri5(fun, t, y, t_bound, rtol, atol)
 
-    monkeypatch.setattr(shooting, "solve_ivp", failing_second_chunk)
+    monkeypatch.setattr(shooting, "_dopri5", failing_second_chunk)
     traj = integrate(ShootSpec(params=P32, bundle="k+l", mode="spin+",
                                s=(0.6, 0.8)))
     assert traj.events[-1] == (5.0, "stiff-failure")
