@@ -542,6 +542,7 @@ Z_SPAN = (0.05, 0.5)
 NEWTON_ITERS = 80
 RESID_TOL = 1e-12
 FD_STEP = 1e-7
+ROOT_SEPARATION = 1e-6  # max-norm distance of distinct roots
 
 
 def _einstein_rows(params, z):
@@ -550,28 +551,50 @@ def _einstein_rows(params, z):
                                       z[..., 2])[0], axis=-1)
 
 
-def _einstein_jacobian(params, z):
-    """Central-difference Jacobian of _einstein_rows, one 3x3 per row."""
-    eye = np.eye(3)
-    return np.stack([(_einstein_rows(params, z + FD_STEP * eye[j])
-                      - _einstein_rows(params, z - FD_STEP * eye[j]))
-                     / (2 * FD_STEP) for j in range(3)], axis=-1)
+def _einstein_system(params, z):
+    """The rows of _einstein_rows at z and their central-difference
+    Jacobian, one 3x3 per row.
+
+    One _einstein_rows call evaluates the stack z, z + FD_STEP e_j,
+    z - FD_STEP e_j (j = 1..3); its operations are elementwise, so each
+    row gets the same bits as from a call of its own.
+    """
+    shifts = FD_STEP * np.eye(3)
+    rows = _einstein_rows(params, np.stack(
+        [z, *(z + h for h in shifts), *(z - h for h in shifts)]))
+    return rows[0], np.moveaxis((rows[1:4] - rows[4:]) / (2 * FD_STEP), 0, -1)
 
 
 def _polish(params, z123):
     """(z1, z2, z3, z4) after one Newton step with an exact residual.
 
-    The float iterates cycle through a few ulps around the root; with the
-    residual in Fractions the step lands far closer than half an ulp, so
-    the single final rounding gives the correctly rounded root whichever
-    iterate the step starts from.  z4 = sqrt(Z4^2) in floats there.
+    The float iterates stop anywhere within RESID_TOL of the root; with
+    the residual in Fractions the step lands far closer than half an
+    ulp, so the single final rounding gives the correctly rounded root
+    whichever iterate the step starts from.  z4 = sqrt(Z4^2) in floats
+    there.
     """
     resid = einstein_residual(params, *map(Fraction, z123))[0]
-    jac = _einstein_jacobian(params, np.array(z123))
+    jac = _einstein_system(params, np.array(z123))[1]
     delta = np.linalg.solve(jac, [float(r) for r in resid]).tolist()
     z123 = tuple(float(Fraction(v) - Fraction(d))
                  for v, d in zip(z123, delta))
     return z123 + (einstein_residual(params, *z123)[1] ** 0.5,)
+
+
+def _distinct_roots(z):
+    """The first row of each cluster of rows of z, in row order.
+
+    A row joins the cluster of an earlier kept row within max-norm
+    distance ROOT_SEPARATION; the iterates of one root differ by far
+    less, while rounding them to a fixed number of digits can split
+    them across a rounding boundary.
+    """
+    roots = []
+    while len(z):
+        roots.append(tuple(z[0].tolist()))
+        z = z[np.abs(z - z[0]).max(axis=1) >= ROOT_SEPARATION]
+    return roots
 
 
 def solve_homogeneous_einstein(params):
@@ -579,9 +602,12 @@ def solve_homogeneous_einstein(params):
 
     z4 is eliminated through R4 = 6/49, which fixes z4^2 rationally in
     terms of (z1, z2, z3); batched Newton iteration over a positive grid
-    finds the remaining three equations' roots and stops once every
-    start has converged.  Exactly two solutions are expected; anything
-    else raises SolverIncompleteError.  Returns [(z_tuple, exact_flag),
+    finds the remaining three equations' roots.  A start retires, keeping
+    its iterate, once its residual is below RESID_TOL; only live starts
+    are iterated, each as it would be alone.  Converged starts within
+    ROOT_SEPARATION of one another count as one root (see
+    _distinct_roots).  Exactly two solutions are expected; anything else
+    raises SolverIncompleteError.  Returns [(z_tuple, exact_flag),
     ...] sorted by descending z1, with exact rational (or quadratic-surd
     z4) coordinates whenever the numeric solution rationalizes and
     verifies exactly, and otherwise z1..z3 the correctly rounded roots
@@ -589,24 +615,25 @@ def solve_homogeneous_einstein(params):
     """
     axis = np.linspace(*Z_SPAN, GRID_POINTS)
     z = np.array(np.meshgrid(axis, axis, axis)).reshape(3, -1).T
-    for _ in range(NEWTON_ITERS):
-        r0 = _einstein_rows(params, z)
-        if (np.abs(r0).max(axis=1) < RESID_TOL).all():
+    live = np.arange(len(z))
+    converged = np.zeros(len(z), dtype=bool)
+    for sweep in range(NEWTON_ITERS + 1):
+        r0, jac = _einstein_system(params, z[live])
+        done = np.abs(r0).max(axis=1) < RESID_TOL
+        converged[live[done]] = True
+        live, r0, jac = live[~done], r0[~done], jac[~done]
+        if not len(live) or sweep == NEWTON_ITERS:
             break
-        jac = _einstein_jacobian(params, z)
         ok = np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(r0).all(axis=1)
-        dets = np.zeros(len(z))
+        dets = np.zeros(len(live))
         dets[ok] = np.abs(np.linalg.det(jac[ok]))
         ok &= dets > 1e-14
-        step = np.zeros_like(z)
+        step = np.zeros((len(live), 3))
         if ok.any():
             step[ok] = np.linalg.solve(jac[ok], r0[ok][..., None])[..., 0]
-        z = np.clip(z - step, 1e-4, 4.0)
+        z[live] = np.clip(z[live] - step, 1e-4, 4.0)
 
-    found = {}
-    for row in z[np.abs(_einstein_rows(params, z)).max(axis=1) < RESID_TOL]:
-        found.setdefault(tuple(np.round(row, 9)), tuple(row.tolist()))
-    sols = sorted(found.values(), key=lambda v: -v[0])
+    sols = sorted(_distinct_roots(z[converged]), key=lambda v: -v[0])
     if len(sols) != 2:
         raise SolverIncompleteError(
             f"expected exactly 2 homogeneous Einstein solutions, found "

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import SolverIncompleteError
 
@@ -39,15 +39,98 @@ def parse_rational(text):
 
 
 TRIAL_DIVISION_BOUND = 10 ** 5  # B in squarefree_decompose
+RHO_ITERATIONS = 2 ** 16  # cap on Pollard-Brent rho steps per cofactor
+# Miller-Rabin with the first 13 prime bases decides primality below
+# MILLER_RABIN_BOUND (Sorenson & Webster, Math. Comp. 86, 2017).
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
+def _is_prime(m):
+    """Deterministic Miller-Rabin for odd m with 41 < m < the bound."""
+    d, r = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(m):
+    """A proper factor of the odd composite m, or None.
+
+    Pollard's rho with Brent's cycle search on x -> x*x + c, with
+    c = 1, 2, ..., for at most RHO_ITERATIONS steps in all (the
+    backtrack after an overshooting batch adds at most one batch).
+    """
+    steps, c = 0, 0
+    while steps + 2 <= RHO_ITERATIONS:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1 and steps + 2 * r <= RHO_ITERATIONS:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % m
+                    q = q * (x - y) % m
+                g = gcd(q, m)
+                k += 128
+            steps += 2 * r
+            r *= 2
+        if g == m:
+            # The batch overshot: step one at a time from its start.
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = gcd(x - ys, m)
+        if 1 < g < m:
+            return g
+    return None
+
+
+def _decompose_cofactor(m):
+    """(s, d) with m = s*s*d, d squarefree, for m > 1 whose prime
+    factors all exceed TRIAL_DIVISION_BOUND."""
+    root = isqrt(m)
+    if root * root == m:
+        return root, 1
+    # Below B**3, m is a prime or a product of two distinct primes.
+    if m < TRIAL_DIVISION_BOUND ** 3 or (
+            m < MILLER_RABIN_BOUND and _is_prime(m)):
+        return 1, m
+    factor = _rho_factor(m)
+    if factor is None:
+        raise SolverIncompleteError(
+            "squarefree part undecided: a %d-digit cofactor" % len(str(m)))
+    s1, d1 = _decompose_cofactor(factor)
+    s2, d2 = _decompose_cofactor(m // factor)
+    g = gcd(d1, d2)
+    return s1 * s2 * g, (d1 // g) * (d2 // g)
 
 
 def squarefree_decompose(n):
     """Write n >= 1 as s*s*d with d squarefree; return (s, d).
 
     Trial division stops at p = B.  The cofactor m left then has only
-    prime factors above B, so m is decided when it is a perfect square
-    or below B**3 (a prime or a product of two distinct primes); any
-    other m raises SolverIncompleteError (CLI exit 4).
+    prime factors above B, so m is decided when it is a perfect square,
+    below B**3 (a prime or a product of two distinct primes) or a prime
+    by Miller-Rabin below MILLER_RABIN_BOUND; otherwise Pollard-Brent rho
+    splits it, within RHO_ITERATIONS steps, and each factor is decided
+    the same way.  A cofactor still undecided raises
+    SolverIncompleteError (CLI exit 4).
     """
     if n < 1:
         raise ValueError("need a positive integer")
@@ -62,14 +145,10 @@ def squarefree_decompose(n):
             if e % 2:
                 d *= p
         p += 1 if p == 2 else 2
-    if p * p <= n:
-        root = isqrt(n)
-        if root * root == n:
-            return s * root, d
-        if n >= TRIAL_DIVISION_BOUND ** 3:
-            raise SolverIncompleteError(
-                "squarefree part undecided: a %d-digit cofactor" % len(str(n)))
-    return s, d * n
+    if p * p > n:
+        return s, d * n
+    s_rest, d_rest = _decompose_cofactor(n)
+    return s * s_rest, d * d_rest
 
 
 def exact_sqrt(value):

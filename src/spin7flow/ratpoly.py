@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
+from operator import add
 
 from .errors import InvalidRequestError
 
@@ -410,38 +411,57 @@ def sylvester_matrix(f, g, var):
 
 
 def _poly_determinant(matrix):
-    """Exact determinant by column expansion with minor memoization."""
+    """Exact determinant by column expansion with minor memoization.
+
+    Each row is cleared of denominators once, by the lcm of its
+    coefficients' denominators, so the expansion runs on integer
+    {exponents: int} dicts; the product of the row scales divides out
+    once at the end.
+    """
     size = len(matrix)
     if size == 0:
         raise InvalidRequestError("empty matrix")
     variables = matrix[0][0].variables
+    scale = 1
+    rows = []
+    for row in matrix:
+        row_scale = lcm(*(c.denominator for entry in row
+                          for c in entry.terms.values()))
+        scale *= row_scale
+        rows.append([{e: c.numerator * (row_scale // c.denominator)
+                      for e, c in entry.terms.items()} for entry in row])
     memo = {}
+    unit = {(0,) * len(variables): 1}
 
     def minor(col, row_mask):
         if col == size:
-            return RatPoly.constant(variables, 1)
+            return unit
         key = (col, row_mask)
         cached = memo.get(key)
         if cached is not None:
             return cached
-        total = RatPoly.zero(variables)
+        total = {}
         parity = 0
         for row in range(size):
             bit = 1 << row
             if row_mask & bit:
                 continue
-            entry = matrix[row][col]
-            if not entry.is_zero:
+            entry = rows[row][col]
+            if entry:
                 sub = minor(col + 1, row_mask | bit)
-                contribution = entry * sub
-                if parity & 1:
-                    contribution = -contribution
-                total = total + contribution
+                sign = -1 if parity & 1 else 1
+                for e1, c1 in entry.items():
+                    c1 *= sign
+                    for e2, c2 in sub.items():
+                        exps = tuple(map(add, e1, e2))
+                        total[exps] = total.get(exps, 0) + c1 * c2
             parity += 1
+        total = {e: c for e, c in total.items() if c}
         memo[key] = total
         return total
 
-    return minor(0, 0)
+    return RatPoly(variables, {e: Fraction(c, scale)
+                               for e, c in minor(0, 0).items()})
 
 
 def sylvester_resultant(f, g, var=None):

@@ -11,8 +11,10 @@ import pytest
 from spin7flow.aw_algebra import AWParams
 from spin7flow import critical_points
 from spin7flow.cli import main
-from spin7flow.critical_points import (FlowClass, _polish, catalog, eigen,
-                                       jacobian, jacobian_fd, reference_frame,
+from spin7flow.critical_points import (FD_STEP, FlowClass, _distinct_roots,
+                                       _einstein_rows, _einstein_system,
+                                       _polish, catalog, eigen, jacobian,
+                                       jacobian_fd, reference_frame,
                                        solve_homogeneous_einstein,
                                        unstable_frame)
 from spin7flow.errors import InvalidRequestError
@@ -107,6 +109,35 @@ def test_ac_polish_is_canonical(kl):
         assert _polish(p, z[:3]) == z
         for off in offsets:
             assert _polish(p, shifted(z[:3], off)) == z
+
+
+@pytest.mark.parametrize("kl", [(1, 0), (3, 2), (55, 41)])
+def test_einstein_system_matches_separate_evaluations(kl):
+    # The stacked evaluation gives the bits of one _einstein_rows call
+    # per shifted copy of z, for a batch of rows and for a single row.
+    p = AWParams(*kl)
+    z = np.random.default_rng(kl[0]).uniform(0.05, 0.5, size=(40, 3))
+    for zz in (z, z[7]):
+        rows, jac = _einstein_system(p, zz)
+        assert np.array_equal(rows, _einstein_rows(p, zz))
+        for j, h in enumerate(FD_STEP * np.eye(3)):
+            column = (_einstein_rows(p, zz + h)
+                      - _einstein_rows(p, zz - h)) / (2 * FD_STEP)
+            assert np.array_equal(jac[..., j], column)
+
+
+def test_distinct_roots_joins_iterates_across_a_rounding_boundary():
+    # Rows 0, 1 and 3 are iterates of one root; rows 0 and 1 are 4.4e-13
+    # apart but round to different 9-digit keys (...925 and ...926).
+    # Row 2 is another root.
+    near, far = 0.24020192549974, 0.24020192550018
+    assert round(near, 9) != round(far, 9)
+    z = np.array([[0.31, near, 0.12], [0.31, far, 0.12],
+                  [0.09, 0.23, 0.25], [0.31, near, 0.12 + 1e-12]])
+    assert _distinct_roots(z) == [(0.31, near, 0.12), (0.09, 0.23, 0.25)]
+    assert _distinct_roots(z[[2, 1, 0]]) == [(0.09, 0.23, 0.25),
+                                             (0.31, far, 0.12)]
+    assert _distinct_roots(z[:0]) == []
 
 
 def test_g2_points_satisfy_both_first_order_systems():

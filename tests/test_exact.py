@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spin7flow.errors import SolverIncompleteError
-from spin7flow.exact import (TRIAL_DIVISION_BOUND, QuadExt, exact_sqrt,
-                             exact_str, parse_rational, squarefree_decompose)
+from spin7flow.exact import (TRIAL_DIVISION_BOUND, QuadExt, _is_prime,
+                             exact_sqrt, exact_str, parse_rational,
+                             squarefree_decompose)
 
 
 def test_parse_rational_forms():
@@ -51,7 +52,8 @@ M61, M89, M107, M127 = (2 ** p - 1 for p in (61, 89, 107, 127))
 
 
 def test_large_inputs_end_within_a_bound():
-    """60-90-digit inputs decide or raise after at most B/2 divisions."""
+    """60-90-digit inputs decide or raise after at most B/2 divisions
+    and a bounded rho search."""
     start = time.perf_counter()
     root = M89 * 10 ** 10 + 7
     assert exact_sqrt(Fraction(root ** 2, M61 ** 2)) == Fraction(root, M61)
@@ -69,6 +71,24 @@ def test_large_inputs_end_within_a_bound():
     with pytest.raises(SolverIncompleteError):
         exact_sqrt(Fraction(M89, M127))
     assert time.perf_counter() - start < 2.0
+
+
+def test_cofactors_past_the_cube_bound_are_decided():
+    # 999999000001 and 1000003 are primes above B: rho splits the product.
+    n = 999999000001 * 1000003
+    assert n >= TRIAL_DIVISION_BOUND ** 3
+    assert squarefree_decompose(n) == (1, n)
+    # A prime past B^3 is proven prime below the Miller-Rabin bound.
+    assert squarefree_decompose(10 * M61) == (1, 10 * M61)
+    # Strong pseudoprime to the first nine prime bases, all factors > B.
+    psp = 149491 * 747451 * 34233211
+    assert not _is_prime(psp)
+    assert squarefree_decompose(psp) == (1, psp)
+    assert squarefree_decompose(12 * 149491 * psp) == \
+        (2 * 149491, 3 * 747451 * 34233211)
+    assert squarefree_decompose(1000003 ** 3 * 999999000001) == \
+        (1000003, 1000003 * 999999000001)
+    assert exact_sqrt(Fraction(n, 4)) == QuadExt(0, Fraction(1, 2), n)
 
 
 def test_quadext_field_arithmetic():

@@ -254,6 +254,69 @@ def test_resultant_vanishes_exactly_on_shared_roots():
             assert sylvester_resultant(f, g_coprime, "x") != 0
 
 
+def bareiss_determinant(matrix):
+    """Fraction-free (Bareiss) elimination on a Fraction matrix."""
+    m = [list(row) for row in matrix]
+    size, sign, previous = len(m), 1, F(1)
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, size) if m[i][k] != 0),
+                        None)
+            if swap is None:
+                return F(0)
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / previous
+        previous = m[k][k]
+    return sign * m[-1][-1]
+
+
+non_integers = st.builds(F, st.integers(-9, 9), st.integers(2, 7)).filter(
+    lambda q: q.denominator > 1)
+
+
+@st.composite
+def sylvester_cases(draw):
+    """(f, g, var, point): f and g of degree 1-4 in var over 2-3
+    variables, with non-integer Fraction coefficients."""
+    names = ("a", "x") if draw(st.booleans()) else ("a", "b", "x")
+    var = draw(st.sampled_from(names))
+    rest = [i for i, name in enumerate(names) if name != var]
+    slot = names.index(var)
+
+    def univariate(degree):
+        terms = {}
+        for power in range(degree + 1):
+            if power < degree and draw(st.booleans()):
+                continue
+            for _ in range(draw(st.integers(1, 3))):
+                exps = [0] * len(names)
+                for i in rest:
+                    exps[i] = draw(st.integers(0, 2))
+                exps[slot] = power
+                terms[tuple(exps)] = draw(non_integers)
+        return RatPoly(names, terms)
+
+    f = univariate(draw(st.integers(1, 4)))
+    g = univariate(draw(st.integers(1, 4)))
+    point = tuple(draw(st.fractions(-3, 3, max_denominator=5))
+                  for _ in names)
+    return f, g, var, point
+
+
+@settings(max_examples=60, deadline=2000)
+@given(sylvester_cases())
+def test_resultant_equals_determinant_of_evaluated_sylvester_matrix(case):
+    f, g, var, point = case
+    resultant = sylvester_resultant(f, g, var)
+    rest = tuple(v for name, v in zip(f.variables, point) if name != var)
+    matrix = [[entry.evaluate(point) for entry in row]
+              for row in sylvester_matrix(f, g, var)]
+    assert resultant.evaluate(rest) == bareiss_determinant(matrix)
+
+
 # ---------------------------------------------------------------------------
 # univariate real-root machinery
 
@@ -516,6 +579,60 @@ def test_certify_zero_face_discharges_exactly():
     cert = certify_nonneg(x * x * (1 + y), Box.unit(2))
     assert cert.status == STATUS_NONNEGATIVE
     assert cert.boxes_processed == 1
+
+
+def dyadic_grid(box, level):
+    """Every point lo + width * i / 2^level of the box, i = 0..2^level."""
+    points = [()]
+    for iv in box.intervals:
+        points = [p + (iv.lower + iv.width * F(i, 2 ** level),)
+                  for p in points for i in range(2 ** level + 1)]
+    return points
+
+
+@st.composite
+def nonnegativity_cases(draw):
+    """A small polynomial in 1-2 variables on a rational box: random,
+    a square plus a constant, or a paraboloid c*|x - a|^2 - eps whose
+    dip at a point a of the level-4 dyadic grid is too narrow to show
+    at the corners of the first few subdivisions."""
+    names = ("x",) if draw(st.booleans()) else ("x", "y")
+    small = st.fractions(-4, 4, max_denominator=6)
+    bounds = []
+    for _ in names:
+        lo = draw(small)
+        bounds.append((lo, lo + draw(st.fractions(F(1, 4), 3,
+                                                  max_denominator=6))))
+    box = Box.from_bounds(bounds)
+    kind = draw(st.sampled_from(["random", "square", "dip"]))
+    if kind == "dip":
+        poly = RatPoly.zero(names)
+        for name, (lo, hi) in zip(names, bounds):
+            a = lo + (hi - lo) * F(draw(st.integers(0, 16)), 16)
+            poly = poly + (RatPoly.variable(names, name) - a) ** 2
+        eps = min(hi - lo for lo, hi in bounds) ** 2 / 1024
+        return poly - draw(st.sampled_from([eps, -eps])), box
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * len(names)), small,
+        min_size=1, max_size=4))
+    poly = RatPoly(names, terms)
+    if kind == "square":
+        poly = poly * poly + draw(st.fractions(-1, 1, max_denominator=50))
+    return poly, box
+
+
+@settings(max_examples=90, deadline=2000)
+@given(nonnegativity_cases())
+def test_certify_agrees_with_exact_dense_evaluation(case):
+    poly, box = case
+    cert = certify_nonneg(poly, box, max_depth=10)
+    if cert.status == STATUS_NONNEGATIVE:
+        assert all(poly.evaluate(p) >= 0 for p in dyadic_grid(box, 4))
+    elif cert.status == STATUS_COUNTEREXAMPLE:
+        point, value = cert.counterexample
+        assert value == poly.evaluate(point) < 0
+        assert all(iv.lower <= c <= iv.upper
+                   for iv, c in zip(box.intervals, point))
 
 
 def test_certify_input_validation():
