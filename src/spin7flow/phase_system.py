@@ -560,15 +560,27 @@ def membership(params, state, set_id, tol=1e-9):
                             conditions=conds)
 
 
+def _float_rhs(on_floats):
+    """A right-hand side (eta, values) for any sequence of numbers, which
+    _scalars turns into Python floats for on_floats.  on_floats itself
+    is kept as the attribute of that name, for callers that already hold
+    a list of Python floats (the integrator)."""
+
+    def rhs(eta, values):
+        return on_floats(eta, _scalars(values))
+
+    rhs.on_floats = on_floats
+    return rhs
+
+
 def flow_rhs(params):
     """Float-specialized right-hand side for the full 8-dimensional flow."""
     c = tuple(map(float, quartic_coefficients(params)))
 
-    def rhs(eta, y):
-        y = _scalars(y)
+    def on_floats(eta, y):
         return _field(c, y[:4], y[4:])
 
-    return rhs
+    return _float_rhs(on_floats)
 
 
 def reduced_z_rhs(params, chirality):
@@ -580,12 +592,11 @@ def reduced_z_rhs(params, chirality):
     """
     d = tuple(map(float, _spin_coefficients(params, chirality)))
 
-    def rhs(eta, z):
-        z = _scalars(z)
+    def on_floats(eta, z):
         x = _x_of_z(z, _cubic_terms(d, z))
         return _z_field(g_of_x(x), x, z)
 
-    return rhs
+    return _float_rhs(on_floats)
 
 
 def zcons_constraint(params, chirality):

@@ -25,6 +25,7 @@ convenience return value of root_fn.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .aw_algebra import AWParams
 from .errors import (
@@ -111,9 +112,6 @@ RAY_PARAMETER_DOMAIN = Box((
 # use the exact discriminant instead of a window.
 ZETA_WINDOW = (Fraction(0), Fraction(2, 3))
 SIGMA_WINDOW = (Fraction(0), Fraction(1, 2))
-
-_LINE_CACHE = {}
-_RAY_CACHE = {}
 
 
 def _as_params(params):
@@ -210,12 +208,14 @@ def line_slices(params=None):
     split between Z2 and Z3.
     """
     params = _as_params(params)
-    key = (params.k, params.l)
-    if key not in _LINE_CACHE:
-        q1 = _restrict_line(barrier(params, "Q"), params)
-        q2 = _restrict_line(barrier(params, "A"), params)
-        _LINE_CACHE[key] = (q1, q2)
-    return _LINE_CACHE[key]
+    return _line_slices_cached(params.k, params.l)
+
+
+@lru_cache(maxsize=32)
+def _line_slices_cached(k, l):
+    params = AWParams(k, l)
+    return (_restrict_line(barrier(params, "Q"), params),
+            _restrict_line(barrier(params, "A"), params))
 
 
 def _restrict_line(poly, params):
@@ -244,26 +244,28 @@ def ray_slices(params):
     The substitution (Z2, Z3) = (alpha*Z1, beta*Z1) with
     Z4 = (6*Delta/k)*delta leaves polynomials whose coefficients
     depend on the orbit integers only through rho = l/k, so results
-    are cached per ratio.
+    are cached per ratio (one-to-one with the coprime pair k >= l >= 0).
     """
     params = _as_params(params)
-    rho = params.rho
-    if rho not in _RAY_CACHE:
-        names = RAY_SLICE_VARIABLES
-        alpha = RatPoly.variable(names, "alpha")
-        beta = RatPoly.variable(names, "beta")
-        delta = RatPoly.variable(names, "delta")
-        z1 = RatPoly.variable(names, "Z1")
-        image = {
-            "Z1": z1,
-            "Z2": alpha * z1,
-            "Z3": beta * z1,
-            "Z4": Fraction(6 * params.delta, params.k) * delta,
-        }
-        p1 = barrier(params, "P").compose(names, image)
-        p2 = barrier(params, "B").compose(names, image)
-        _RAY_CACHE[rho] = (p1, p2)
-    return _RAY_CACHE[rho]
+    return _ray_slices_cached(params.k, params.l)
+
+
+@lru_cache(maxsize=32)
+def _ray_slices_cached(k, l):
+    params = AWParams(k, l)
+    names = RAY_SLICE_VARIABLES
+    alpha = RatPoly.variable(names, "alpha")
+    beta = RatPoly.variable(names, "beta")
+    delta = RatPoly.variable(names, "delta")
+    z1 = RatPoly.variable(names, "Z1")
+    image = {
+        "Z1": z1,
+        "Z2": alpha * z1,
+        "Z3": beta * z1,
+        "Z4": Fraction(6 * params.delta, params.k) * delta,
+    }
+    return (barrier(params, "P").compose(names, image),
+            barrier(params, "B").compose(names, image))
 
 
 def slice(params, which, alpha, beta, delta=None):
@@ -605,10 +607,21 @@ def rtilde(params, cross_check=True):
     against the recorded rho-expansion coefficient by coefficient.
     A zero at (alpha, beta, delta) is equivalent to the two ray
     slices sharing a root, so non-negativity with a known zero set
-    is what the ray containment argument needs.
+    is what the ray containment argument needs.  The resultant is
+    computed once per ratio; the cross-check runs on every call.
     """
     params = _as_params(params)
-    p1, p2 = ray_slices(params)
+    computed = _reduced_ray_resultant(params.k, params.l)
+    if cross_check:
+        _require_equal(computed, printed_ray_expansion(params),
+                       f"reduced ray resultant at (k, l) = "
+                       f"({params.k}, {params.l})")
+    return computed
+
+
+@lru_cache(maxsize=32)
+def _reduced_ray_resultant(k, l):
+    p1, p2 = _ray_slices_cached(k, l)
     resultant = sylvester_resultant(p1, p2, "Z1")
     reduced = {}
     offenders = []
@@ -622,12 +635,7 @@ def rtilde(params, cross_check=True):
         raise FormulaDiscrepancyError(
             "ray resultant lacks the expected 36*delta**2 prefactor",
             offenders)
-    computed = RatPoly(RAY_PARAMETER_VARIABLES, reduced)
-    if cross_check:
-        _require_equal(computed, printed_ray_expansion(params),
-                       f"reduced ray resultant at (k, l) = "
-                       f"({params.k}, {params.l})")
-    return computed
+    return RatPoly(RAY_PARAMETER_VARIABLES, reduced)
 
 
 def _require_equal(computed, recorded, label):

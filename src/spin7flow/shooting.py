@@ -32,6 +32,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -380,6 +381,15 @@ def classify(traj, params=None):
         params = traj.spec.params
     etas = np.asarray(traj.etas, dtype=float)
     states = np.asarray(traj.states, dtype=float)
+    candidates = _limit_candidates(params)
+    return _outcome(etas, states, candidates,
+                    lambda: _trailing_decision(etas, states, candidates))
+
+
+def _outcome(etas, states, candidates, decision):
+    """classify's verdict on a sample table: escape at the first sample
+    past ESCAPE_NORM, else decision() (the trailing-window decision over
+    the whole table), else Undetermined."""
     if len(etas) < 2:
         raise InvalidRequestError("classification needs at least 2 samples")
     norms = np.max(np.abs(states), axis=1)
@@ -390,8 +400,7 @@ def classify(traj, params=None):
             kind=OUTCOME_ESCAPE, limit_distance=float(norms[i]),
             eta_at_decision=float(etas[i]),
             note="state max-norm crossed %g" % ESCAPE_NORM)
-    candidates = _limit_candidates(params)
-    decided = _trailing_decision(etas, states, candidates)
+    decided = decision()
     if decided is not None:
         return decided
     dists = [(float(np.max(np.abs(states[-1] - target))), label)
@@ -436,10 +445,22 @@ _P = np.array([
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5
+# (time fraction, A row) of stages 2..6; stage 6 runs at t + h
+_STAGES = ((_C2, (_A21,)), (_C3, (_A31, _A32)), (_C4, (_A41, _A42, _A43)),
+           (_C5, (_A51, _A52, _A53, _A54)),
+           (None, (_A61, _A62, _A63, _A64, _A65)))
+_B_TERMS = ((1, _B1), (3, _B3), (4, _B4), (5, _B5), (6, _B6))
+_E_TERMS = ((1, _E1), (3, _E3), (4, _E4), (5, _E5), (6, _E6), (7, _E7))
 
 
 def _rms(values):
-    return math.sqrt(sum(v * v for v in values)) / len(values) ** 0.5
+    """Root mean square, the squares added from left to right (sum()
+    compensates float sums from Python 3.12 on, which would make step
+    control depend on the interpreter)."""
+    total = 0.0
+    for v in values:
+        total += v * v
+    return math.sqrt(total) / len(values) ** 0.5
 
 
 def _initial_step(fun, t, y, f, span, rtol, atol):
@@ -488,6 +509,64 @@ def _crossing(step, t_end):
             lo = mid
 
 
+def _attempt_source(n):
+    """Python source of one step attempt on n components, written out.
+
+    attempt(fun, t, h, y, k1, rtol, atol) returns (y_new, k7, error,
+    row) with row = (t, h, *y, *k1, ..., *k7).  Every component is one
+    straight-line expression in the association of the list form:
+    stage i is y_j + (k1_j*A_i1 + ... + k(i-1)_j*A_i(i-1))*h, the new
+    state y_j + h*(k1_j*B1 + k3_j*B3 + ... + k6_j*B6), the scaled error
+    (k1_j*E1 + ... + k7_j*E7)*h / (atol + max(|y_j|, |y_new_j|)*rtol),
+    and error their _rms.  Tableau values are written as float literals
+    (repr round-trips), max(a, b) as "b if b > a else a", its meaning
+    on floats.
+    """
+    comps = range(n)
+
+    def names(stage):
+        return ", ".join("k%d_%d" % (stage, j) for j in comps)
+
+    def combo(terms, j):
+        return " + ".join("k%d_%d * %r" % (s, j, coeff)
+                          for s, coeff in terms)
+
+    lines = ["def attempt(fun, t, h, y, k1, rtol, atol):",
+             "    %s, = y" % ", ".join("y_%d" % j for j in comps),
+             "    %s, = k1" % names(1)]
+    for stage, (c, row) in enumerate(_STAGES, start=2):
+        terms = tuple(enumerate(row, start=1))
+        args = ", ".join("y_%d + (%s) * h" % (j, combo(terms, j))
+                         for j in comps)
+        at = "t + h" if c is None else "t + %r * h" % c
+        lines.append("    k%d = fun(%s, [%s])" % (stage, at, args))
+        lines.append("    %s, = k%d" % (names(stage), stage))
+    for j in comps:
+        lines.append("    u_%d = y_%d + h * (%s)" % (j, j, combo(_B_TERMS, j)))
+    lines.append("    y_new = [%s]" % ", ".join("u_%d" % j for j in comps))
+    lines.append("    k7 = fun(t + h, y_new)")
+    lines.append("    %s, = k7" % names(7))
+    for j in comps:
+        lines.append("    a, b = abs(y_%d), abs(u_%d)" % (j, j))
+        lines.append("    s_%d = (%s) * h / (atol + (b if b > a else a)"
+                     " * rtol)" % (j, combo(_E_TERMS, j)))
+    lines.append("    error = sqrt(%s) / %r" % (
+        " + ".join("s_%d * s_%d" % (j, j) for j in comps), n ** 0.5))
+    lines.append("    return y_new, k7, error, (t, h, %s, %s)" % (
+        ", ".join("y_%d" % j for j in comps),
+        ", ".join(names(stage) for stage in range(1, 8))))
+    return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=16)
+def _attempt(n):
+    """The compiled _attempt_source(n)."""
+    namespace = {"sqrt": math.sqrt}
+    exec(compile(_attempt_source(n), "<dopri5 attempt, n=%d>" % n, "exec"),
+         namespace)
+    return namespace["attempt"]
+
+
 def _dopri5(fun, t, y, t_bound, rtol, atol):
     """Integrate y' = fun(t, y) from t to t_bound on Python floats.
 
@@ -498,7 +577,10 @@ def _dopri5(fun, t, y, t_bound, rtol, atol):
     ulps of t (a non-finite start or right-hand side ends here too),
     with t, y the last accepted point.  steps holds one row
     (t_old, h, *y_old, *k1, ..., *k7) per accepted step, for _dense.
+    Each attempt runs the straight-line stages of _attempt(len(y)), and
+    every call of fun gets a list of floats.
     """
+    attempt = _attempt(len(y))
     steps = []
     f = fun(t, y)
     if not all(map(math.isfinite, [*y, *f])):
@@ -513,30 +595,7 @@ def _dopri5(fun, t, y, t_bound, rtol, atol):
                 return -1, t, y, steps
             t_new = min(t + h_abs, t_bound)
             h = h_abs = t_new - t
-            k1 = f
-            k2 = fun(t + _C2 * h, [v + a * _A21 * h
-                                   for v, a in zip(y, k1)])
-            k3 = fun(t + _C3 * h, [v + (a * _A31 + b * _A32) * h
-                                   for v, a, b in zip(y, k1, k2)])
-            k4 = fun(t + _C4 * h, [
-                v + (a * _A41 + b * _A42 + c * _A43) * h
-                for v, a, b, c in zip(y, k1, k2, k3)])
-            k5 = fun(t + _C5 * h, [
-                v + (a * _A51 + b * _A52 + c * _A53 + d * _A54) * h
-                for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-            k6 = fun(t + h, [
-                v + (a * _A61 + b * _A62 + c * _A63 + d * _A64
-                     + e * _A65) * h
-                for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-            y_new = [v + h * (a * _B1 + c * _B3 + d * _B4 + e * _B5
-                              + g * _B6)
-                     for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
-            k7 = fun(t + h, y_new)
-            error = _rms([
-                (a * _E1 + c * _E3 + d * _E4 + e * _E5 + g * _E6
-                 + w * _E7) * h / (atol + max(abs(v), abs(u)) * rtol)
-                for a, c, d, e, g, w, v, u
-                in zip(k1, k3, k4, k5, k6, k7, y, y_new)])
+            y_new, k7, error, row = attempt(fun, t, h, y, f, rtol, atol)
             if error < 1:
                 factor = (_MAX_FACTOR if error == 0 else
                           min(_MAX_FACTOR,
@@ -545,7 +604,7 @@ def _dopri5(fun, t, y, t_bound, rtol, atol):
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
             rejected = True
-        steps.append((t, h, *y, *k1, *k2, *k3, *k4, *k5, *k6, *k7))
+        steps.append(row)
         if max(map(abs, y_new)) >= ESCAPE_NORM:
             t_cross = _crossing(steps[-1], t_new)
             y_cross = _dense(steps[-1:], np.array([t_cross]))[0]
@@ -570,6 +629,12 @@ def integrate(spec):
     "converged" (trailing window settled inside a decision ball, checked
     after every chunk from the new rows only; stops the run when
     stop_on_converged is set).
+
+    The residual log is computed once, over the whole sample table, when
+    the run ends; its operations are elementwise, so the rows carry the
+    bits a per-row evaluation gives.  The outcome is classify's, taken
+    from the decision scan the run kept chunk by chunk instead of a
+    second pass over the table.
     """
     params = spec.params
     spin = spec.mode is not FlowClass.RICCI_FLAT
@@ -587,30 +652,22 @@ def integrate(spec):
         state = np.array(start.as_tuple(), dtype=float)
         con = crf_constraints(params)
         locked = None
+    # _dopri5 passes lists of Python floats, which need no conversion
+    rhs = getattr(rhs, "on_floats", rhs)
 
-    def rebuild(block):
-        """Full rows and residual-log rows for a block of solver states."""
+    chunks = []
+    candidates = _limit_candidates(params)
+    scan = _DecisionScan(candidates)
+
+    def add(grid, block):
+        """Store a block of solver states as full rows (X rebuilt from Z
+        in spin modes) and feed them to the decision scan."""
         cols = tuple(np.asarray(block, dtype=float).T)
         if spin:
             cols = x_from_z(params, cols, chirality) + cols
-        res = residuals(params, PhaseState(cols[:4], cols[4:]))
-        f_norm = np.max(np.abs(res.F), axis=0)
-        h_norm = np.max(np.abs(res.H), axis=0)
-        chiral = {FlowClass.SPIN_PLUS: f_norm,
-                  FlowClass.SPIN_MINUS: h_norm}.get(
-                      spec.mode, np.minimum(f_norm, h_norm))
-        return np.column_stack(cols), np.column_stack(
-            [np.abs(res.hyperplane), np.abs(res.conservation), chiral])
-
-    chunks = []
-    scan = (_DecisionScan(_limit_candidates(params))
-            if spec.stop_on_converged else None)
-
-    def add(grid, block):
-        rows, res_rows = rebuild(block)
-        chunks.append((grid, rows, res_rows))
-        if scan is not None:
-            scan.extend(grid, rows)
+        rows = np.column_stack(cols)
+        chunks.append((grid, rows))
+        scan.extend(grid, rows)
 
     add(np.zeros(1), [state])
     events = []
@@ -644,25 +701,32 @@ def integrate(spec):
             events.append((reached, "stiff-failure"))
             break
         eta = top
-        decided = scan.decision() if scan is not None else None
-        if decided is not None:
-            events.append((decided.eta_at_decision, "converged"))
-            break
+        if spec.stop_on_converged:
+            decided = scan.decision()
+            if decided is not None:
+                events.append((decided.eta_at_decision, "converged"))
+                break
 
-    etas, rows, res_rows = (np.concatenate(part)
-                            for part in zip(*chunks))
-    traj = Trajectory(
-        spec=spec, etas=etas, states=rows, residual_log=res_rows,
-        events=tuple(events), outcome=Asymptotics(OUTCOME_UNDETERMINED),
-        face_lock=locked.name if locked is not None else None)
-    outcome = classify(traj)
-    if outcome.kind == OUTCOME_AC and traj.face_lock is not None:
+    etas, rows = (np.concatenate(part) for part in zip(*chunks))
+    res = residuals(params, PhaseState.from_sequence(rows.T))
+    f_norm = np.max(np.abs(res.F), axis=0)
+    h_norm = np.max(np.abs(res.H), axis=0)
+    chiral = {FlowClass.SPIN_PLUS: f_norm,
+              FlowClass.SPIN_MINUS: h_norm}.get(
+                  spec.mode, np.minimum(f_norm, h_norm))
+    res_rows = np.column_stack(
+        [np.abs(res.hyperplane), np.abs(res.conservation), chiral])
+    outcome = _outcome(etas, rows, candidates, scan.decision)
+    if outcome.kind == OUTCOME_AC and locked is not None:
         outcome = replace(
             outcome,
             note=("limit identified by coordinates while locked to the "
                   "invariant boundary segment; an alternative labeling "
                   "convention swaps the two boundary limits"))
-    return replace(traj, outcome=outcome)
+    return Trajectory(
+        spec=spec, etas=etas, states=rows, residual_log=res_rows,
+        events=tuple(events), outcome=outcome,
+        face_lock=locked.name if locked is not None else None)
 
 
 def _simpson_pieces(y, dx):

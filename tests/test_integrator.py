@@ -2,8 +2,10 @@
 
 scipy is a test dependency only: solve_ivp(method="RK45") is the oracle
 for the Dormand-Prince stepper and cumulative_simpson for the quadrature
-of reconstruct_metric.  The incremental decision scan is checked against
-the whole-table decision, and the package must import without scipy.
+of reconstruct_metric.  The list-form stepper (tests/list_dopri5.py) is
+the bit-for-bit oracle of the straight-line one.  The incremental
+decision scan is checked against the whole-table decision, integrate's
+outcome against classify, and the package must import without scipy.
 """
 
 import ast
@@ -12,6 +14,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,12 +22,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import cumulative_simpson, solve_ivp
 
+import list_dopri5
 import spin7flow
 from spin7flow import shooting
 from spin7flow.aw_algebra import AWParams
 from spin7flow.critical_points import FlowClass, catalog
 from spin7flow.phase_system import Chirality, flow_rhs, reduced_z_rhs
-from spin7flow.shooting import ShootSpec, initial_state, integrate
+from spin7flow.shooting import ShootSpec, classify, initial_state, integrate
 
 P32 = AWParams(3, 2)
 P11 = AWParams(1, 1)
@@ -171,6 +175,102 @@ def test_dopri5_nonfinite_start_fails_at_once():
     assert (status, reached, steps) == (-1, 0.0, [])
 
 
+def _relax(t, y):
+    return (-50.0 * (y[0] - math.cos(t)),)
+
+
+def _blow_up(t, y):
+    return (y[0] * y[0],)
+
+
+def _chunk_case(name):
+    """(fun for the stepper, fun for the oracle, y0, t0, t_bound); the
+    phase-system cases give the stepper the float kernel integrate uses
+    and the oracle the converting public closure."""
+    spec, eta0 = CHUNK_CASES[name]
+    rhs = _rhs(spec)
+    return (rhs.on_floats, rhs, _chunk_start(spec, eta0), eta0,
+            eta0 + shooting.CHUNK_LENGTH)
+
+
+def _non_finite_case():
+    """The spin+ start chunk with a right-hand side that turns NaN
+    after t = 2.5."""
+    rhs, _, y0, t0, t_bound = _chunk_case("spin+ start")
+
+    def poisoned(t, y):
+        return tuple(math.nan if t > 2.5 else v for v in rhs(t, y))
+    return poisoned, poisoned, y0, t0, t_bound
+
+
+ORACLE_CASES = {
+    "n=1 relax": lambda: (_relax, _relax, [0.0], 0.0, 3.0),
+    "n=1 blow-up": lambda: (_blow_up, _blow_up, [1.0], 0.0, 2.0),
+    "n=2 vdp": lambda: (_van_der_pol, _van_der_pol, [2.0, 0.0], 0.0, 20.0),
+    "n=2 decay": lambda: (_decay, _decay, [1e-8, 1e-9], 0.0, 20.0),
+    "n=4 spin+": lambda: _chunk_case("spin+ start"),
+    "n=4 spin- mid-run": lambda: _chunk_case("spin- mid-run"),
+    "n=4 escape": lambda: _chunk_case("(1,1) escape"),
+    "n=4 non-finite": _non_finite_case,
+    "n=8 ricci": lambda: _chunk_case("ricci start"),
+    "n=8 ricci mid-run": lambda: _chunk_case("ricci mid-run"),
+}
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("tol", [(1e-6, 1e-9), (RTOL, ATOL)],
+                         ids=["coarse", "fine"])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_dopri5_matches_list_form_bit_for_bit(case, tol):
+    """Status, end point, every step row and every right-hand side call
+    equal the list-form stepper's, bit for bit, for n = 1, 2, 4 and 8."""
+    fun, oracle_fun, y0, t0, t_bound = ORACLE_CASES[case]()
+    ours, our_calls = _counted(fun)
+    ref, ref_calls = _counted(oracle_fun)
+    status, reached, end, steps = shooting._dopri5(ours, t0, list(y0),
+                                                   t_bound, *tol)
+    want = list_dopri5.dopri5(ref, t0, list(y0), t_bound, *tol)
+    assert status == want[0]
+    assert _bits([reached]) == _bits([want[1]])
+    assert _bits(end) == _bits(want[2])
+    assert len(steps) == len(want[3])
+    assert all(_bits(a) == _bits(b) for a, b in zip(steps, want[3]))
+    assert _bits(our_calls) == _bits(ref_calls)
+    assert status == {"n=1 blow-up": 1, "n=4 escape": 1,
+                      "n=4 non-finite": -1}.get(case, 0)
+
+
+def test_list_form_oracle_covers_every_size():
+    sizes = {len(ORACLE_CASES[case]()[2]) for case in ORACLE_CASES}
+    assert sizes == {1, 2, 4, 8}
+
+
+def test_rms_adds_left_to_right():
+    """Two squares of 1e-16 each vanish against 1.0 one at a time; a
+    compensated sum would keep them and move the last bit."""
+    assert shooting._rms([1.0, 1e-8, 1e-8]) == 1.0 / 3 ** 0.5
+
+
+def test_rhs_kernels_match_public_closures():
+    """The float kernels the stepper calls give the public closures'
+    values; the closures still take tuples, arrays and Fractions."""
+    z = [0.1, 0.25, 0.3, 2.5]
+    y = [0.1, 0.2, 0.15, 0.1] + z
+    for rhs, point in ((reduced_z_rhs(P32, Chirality.PLUS), z),
+                       (reduced_z_rhs(P32, Chirality.MINUS), z),
+                       (flow_rhs(P32), y)):
+        want = rhs(0.0, point)
+        assert _bits(rhs.on_floats(0.0, list(point))) == _bits(want)
+        assert _bits(rhs(0.0, tuple(point))) == _bits(want)
+        assert _bits(rhs(0.0, np.array(point))) == _bits(want)
+        exact = [Fraction(v).limit_denominator(1000) for v in point]
+        assert _bits(rhs(0.0, exact)) == _bits(
+            rhs(0.0, [float(v) for v in exact]))
+
+
 def test_integrate_stops_on_nonfinite_rhs(monkeypatch):
     factory = shooting.reduced_z_rhs
 
@@ -267,6 +367,39 @@ def test_integrate_keeps_constraint_residuals_small(bundle_mode, theta):
     traj = integrate(ShootSpec(P32, bundle, mode,
                                (math.cos(theta), math.sin(theta))))
     assert np.max(traj.residual_log) <= 1e-6
+
+
+OUTCOME_RUNS = {
+    "converging spin+": ShootSpec(P32, "k+l", "spin+", (0.6, 0.8)),
+    "converging spin- full horizon": ShootSpec(
+        P32, "k", "spin-", (0.8, 0.6), stop_on_converged=False),
+    "face-locked AC line": ShootSpec(
+        P11, "k+l", "spin+", (-3.0 / math.sqrt(10.0), 1.0 / math.sqrt(10.0))),
+    "face-locked AC curve, full horizon": ShootSpec(
+        P11, "k", "spin-", (-1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)),
+        stop_on_converged=False),
+    "escaping": ShootSpec(P11, "k", "spin-", (-0.9, math.sqrt(1.0 - 0.81))),
+    "ricci": ShootSpec(P32, "k+l", "ricci", (0.6, 0.8, 0.0)),
+    "ricci full horizon": ShootSpec(P32, "k+l", "ricci", (0.6, 0.8, 0.0),
+                                    stop_on_converged=False),
+    "undetermined": ShootSpec(P32, "k+l", "spin+", (0.6, 0.8), eta_max=3.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTCOME_RUNS))
+def test_integrate_outcome_equals_classify(name):
+    """The outcome integrate reads off its decision scan is classify's
+    verdict on the finished table (face-locked AC runs add a note)."""
+    traj = integrate(OUTCOME_RUNS[name])
+    expected = classify(traj)
+    if traj.face_lock is not None:
+        assert expected.kind == "AC" and expected.note == ""
+        assert "invariant boundary segment" in traj.outcome.note
+        expected = replace(expected, note=traj.outcome.note)
+    assert traj.outcome == expected
+    kind = {"escaping": "Escape", "undetermined": "Undetermined"}.get(
+        name, "AC" if "AC" in name else "ALC")
+    assert traj.outcome.kind == kind
 
 
 def test_package_imports_without_scipy():

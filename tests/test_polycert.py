@@ -414,6 +414,44 @@ def test_rtilde_alpha_face_vanishes_when_l_zero():
     assert not face.is_zero
 
 
+def test_rtilde_resultant_once_per_ratio_cross_check_every_call(
+        monkeypatch):
+    """rtilde, certify_ray_resultant and boundary_zero_report share one
+    Sylvester resultant per ratio; the recorded expansion is compared
+    on every cross-checked call."""
+    p = AWParams(7, 6)
+    want = pc.rtilde(p)
+    calls = {"sylvester_resultant": [], "printed_ray_expansion": []}
+
+    def recorded(name):
+        fun = getattr(pc, name)
+
+        def wrapped(*args):
+            calls[name].append(args)
+            return fun(*args)
+        monkeypatch.setattr(pc, name, wrapped)
+
+    recorded("sylvester_resultant")
+    recorded("printed_ray_expansion")
+    pc._reduced_ray_resultant.cache_clear()
+    assert pc.rtilde(p) == want
+    assert pc.rtilde(p, cross_check=False) == want
+    assert pc.certify_ray_resultant(p).status == "NonNegative"
+    pc.boundary_zero_report(p)
+    assert len(calls["sylvester_resultant"]) == 1
+    assert calls["printed_ray_expansion"] == [(p,)] * 3
+
+
+def test_slice_and_resultant_caches_are_bounded():
+    for cached in (pc._line_slices_cached, pc._ray_slices_cached,
+                   pc._reduced_ray_resultant):
+        assert cached.cache_info().maxsize == 32
+    pc._ray_slices_cached.cache_clear()
+    for k in range(2, 40):
+        pc.ray_slices(AWParams(k, 1))
+    assert pc._ray_slices_cached.cache_info().currsize == 32
+
+
 def test_boundary_zero_bookkeeping():
     assert pc.stated_boundary_zeros(AWParams(3, 2)) == \
         ((F(1), F(0), F(1)),)
