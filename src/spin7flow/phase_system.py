@@ -14,14 +14,18 @@ It preserves the hyperplane 2*(X1 + X2 + X3) + X4 = 1, the conservation
 law G - 1 + Rs = 0 (Rs = 2*R1 + 2*R2 + 2*R3 + R4) and the first-order
 Spin(7) systems F = 0, H = 0, on whose sets X is linear in Z.
 
-This module is the one place where a flow polynomial or a derivative of
-one is written, each once, generic over exact values (Fraction, QuadExt,
-RatPoly), floats and numpy columns.  Rounding rule: a float expression
-associates as the integrator runs it (``flow_rhs``, ``reduced_z_rhs``,
-``zcons_constraint``, ``crf_constraints``): da*Z2*Z3*Z4 left to right, Rs
-as 12*(Z1*Z2 + Z2*Z3 + Z3*Z1) - 2*(Z1^2 + Z2^2 + Z3^2) - q*Z4^2, since a
+This module is the one place where a flow polynomial is written, each
+once, generic over exact values (Fraction, QuadExt, RatPoly), floats,
+numpy columns and the duals of ``derivative``, which takes every
+Jacobian and gradient from the polynomial it differentiates.  Rounding
+rule: a float expression associates as the integrator runs it
+(``flow_rhs``, ``reduced_z_rhs``, ``zcons_constraint``,
+``crf_constraints``): da*Z2*Z3*Z4 left to right, Rs as
+12*(Z1*Z2 + Z2*Z3 + Z3*Z1) - 2*(Z1^2 + Z2^2 + Z3^2) - q*Z4^2, since a
 last-bit change there moves integrated states well beyond an ulp.  The
-evaluators thus agree with the integrator bit for bit.
+evaluators thus agree with the integrator bit for bit.  A float partial
+associates as the product rule d(ab) = da*b + a*db runs through that
+same expression.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ __all__ = [
     "g_of_x",
     "r_terms",
     "einstein_residual",
+    "derivative",
     "jacobian",
     "constraint_gradients",
     "first_order_jacobians",
@@ -154,13 +159,6 @@ def quartic_coefficients(params):
             Fraction(params.k ** 2, d2))
 
 
-def _scalars(values):
-    """Python floats: float64 arithmetic, faster than numpy scalars."""
-    if isinstance(values, np.ndarray):
-        return values.astype(float, copy=False).tolist()
-    return list(map(float, values))
-
-
 def _matching(coeffs, z):
     """coeffs as floats on float or numpy Z, else exact: Fraction * numpy
     column is an object array, Fraction * float is float(coeff) * float."""
@@ -176,7 +174,7 @@ def _spin_coefficients(params, chirality):
 
 
 # ---------------------------------------------------------------------------
-# polynomials and derivatives; c = quartic, d = (signed) cubic coefficients
+# polynomials; c = quartic, d = (signed) cubic coefficients
 
 
 def g_of_x(x):
@@ -207,19 +205,13 @@ def einstein_residual(params, z1, z2, z3):
     return tuple(r - level for r in r_terms(c, z1, z2, z3, z4sq)[:3]), z4sq
 
 
-def _quartic_sum(c, z):
-    """q with R4 = q*Z4^2."""
-    ca, cb, cc = c
-    z1, z2, z3, _ = z
-    return (ca * z2 * z2 * z3 * z3 + cb * z1 * z1 * z3 * z3
-            + cc * z1 * z1 * z2 * z2)
-
-
 def _rs(c, z):
+    ca, cb, cc = c
     z1, z2, z3, z4 = z
+    q = (ca * z2 * z2 * z3 * z3 + cb * z1 * z1 * z3 * z3
+         + cc * z1 * z1 * z2 * z2)  # R4 = q*Z4^2
     return (12 * (z1 * z2 + z2 * z3 + z3 * z1)
-            - 2 * (z1 * z1 + z2 * z2 + z3 * z3)
-            - _quartic_sum(c, z) * z4 * z4)
+            - 2 * (z1 * z1 + z2 * z2 + z3 * z3) - q * z4 * z4)
 
 
 def _crf_values(c, x, z):
@@ -268,42 +260,81 @@ def _zcons(z, u):
     return 2 * (z1 + z2 + z3) - u23 + u13 + u12 - 1
 
 
-HYPERPLANE_GRADIENT = (2, 2, 2, 1, 0, 0, 0, 0)
+def _first_order(x, z, plus, minus):
+    """F and H, from F's cubic terms and H's (their negatives)."""
+    return tuple(tuple(a - b for a, b in zip(x, _x_of_z(z, u)))
+                 for u in (plus, minus))
 
 
-def _g_gradient(x):
-    x1, x2, x3, x4 = x
-    return (4 * x1, 4 * x2, 4 * x3, 2 * x4)
+# ---------------------------------------------------------------------------
+# derivatives: the helpers above run on forward-mode duals
 
 
-def _conservation_gradient(c, x, z):
-    ca, cb, cc = c
-    z1, z2, z3, z4 = z
-    return _g_gradient(x) + (
-        12 * (z2 + z3) - 4 * z1
-        - 2 * z1 * (cb * z3 * z3 + cc * z2 * z2) * z4 * z4,
-        12 * (z1 + z3) - 4 * z2
-        - 2 * z2 * (ca * z3 * z3 + cc * z1 * z1) * z4 * z4,
-        12 * (z1 + z2) - 4 * z3
-        - 2 * z3 * (ca * z2 * z2 + cb * z1 * z1) * z4 * z4,
-        -2 * z4 * _quartic_sum(c, z))
+class _Dual:
+    """A value with its partials {coordinate index: value}, for
+    forward-mode differentiation (Griewank & Walther, Evaluating
+    Derivatives, 2008).  A product takes d(ab) = da*b + a*db in that
+    order and skips the terms with an exact-zero factor, so a
+    structurally zero partial is never stored; a seed's unit partial
+    times a factor is the factor itself."""
+
+    __slots__ = ("value", "partials")
+
+    def __init__(self, value, partials):
+        self.value = value
+        self.partials = partials
+
+    def __add__(self, other):
+        if type(other) is not _Dual:
+            return _Dual(self.value + other, self.partials)
+        out = self.partials.copy()
+        for j, p in other.partials.items():
+            out[j] = out[j] + p if j in out else p
+        return _Dual(self.value + other.value, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Dual(-self.value, {j: -p for j, p in self.partials.items()})
+
+    def __sub__(self, other):
+        if type(other) is not _Dual:
+            return _Dual(self.value - other, self.partials)
+        out = self.partials.copy()
+        for j, p in other.partials.items():
+            out[j] = out[j] - p if j in out else -p
+        return _Dual(self.value - other.value, out)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if type(other) is not _Dual:
+            other = _Dual(other, {})
+        a, b = self.value, other.value
+        out = {}
+        if b:
+            for j, p in self.partials.items():
+                out[j] = b if type(p) is int and p == 1 else p * b
+        if a:
+            for j, p in other.partials.items():
+                p = a if type(p) is int and p == 1 else p * a
+                out[j] = out[j] + p if j in out else p
+        return _Dual(a * b, out)
+
+    __rmul__ = __mul__
 
 
-def _cubic_partials(d, z):
-    """Z-gradients of the three cubic terms."""
-    da, db, dc = d
-    z1, z2, z3, z4 = z
-    return ((0, da * z3 * z4, da * z2 * z4, da * z2 * z3),
-            (db * z3 * z4, 0, db * z1 * z4, db * z1 * z3),
-            (dc * z2 * z4, dc * z1 * z4, 0, dc * z1 * z2))
+def derivative(fun, point):
+    """The rows d fun_i / d point_j at point, exact at exact points.
 
-
-def _zcons_gradient(d, z):
-    p23, p13, p12 = _cubic_partials(d, z)
-    return (2 + p13[0] + p12[0],
-            2 - p23[1] + p12[1],
-            2 - p23[2] + p13[2],
-            -p23[3] + p13[3] + p12[3])
+    fun, made of ring operations like every polynomial helper here, runs
+    once on duals seeded with unit partials; a constant gives a zero row.
+    """
+    n = len(point)
+    values = fun([_Dual(v, {j: 1}) for j, v in enumerate(point)])
+    return tuple(tuple(getattr(f, "partials", {}).get(j, 0)
+                       for j in range(n)) for f in values)
 
 
 def scalar_terms(params, state):
@@ -327,8 +358,7 @@ def residuals(params, state):
         _matching(quartic_coefficients(params), z), x, z)
     plus = _cubic_terms(_matching(cubic_coefficients(params), z), z)
     minus = tuple(-u for u in plus)
-    f, h = (tuple(a - b for a, b in zip(x, _x_of_z(z, u)))
-            for u in (plus, minus))
+    f, h = _first_order(x, z, plus, minus)
     return ConstraintResiduals(
         hyperplane=hyperplane, conservation=conservation, F=f, H=h,
         zcons_plus=_zcons(z, plus), zcons_minus=_zcons(z, minus))
@@ -344,67 +374,30 @@ def x_from_z(params, z, chirality):
 
 
 def jacobian(params, state):
-    """Analytic 8x8 derivative of the vector field; exact at exact states."""
-    z1, z2, z3, z4 = state.Z
-    ca, cb, cc = c = _matching(quartic_coefficients(params), state.Z)
-    g = g_of_x(state.X)
-    dg = _g_gradient(state.X)
-    z4sq = z4 * z4
-    # X rows: d(Xi*(G-1) + Ri)
-    dr = [
-        (2 * z1,
-         6 * z3 - 2 * z2 - 2 * ca * z2 * z3 * z3 * z4sq,
-         6 * z2 - 2 * z3 - 2 * ca * z2 * z2 * z3 * z4sq,
-         -2 * ca * z2 * z2 * z3 * z3 * z4),
-        (6 * z3 - 2 * z1 - 2 * cb * z1 * z3 * z3 * z4sq,
-         2 * z2,
-         6 * z1 - 2 * z3 - 2 * cb * z1 * z1 * z3 * z4sq,
-         -2 * cb * z1 * z1 * z3 * z3 * z4),
-        (6 * z2 - 2 * z1 - 2 * cc * z1 * z2 * z2 * z4sq,
-         6 * z1 - 2 * z2 - 2 * cc * z1 * z1 * z2 * z4sq,
-         2 * z3,
-         -2 * cc * z1 * z1 * z2 * z2 * z4),
-        (2 * cb * z1 * z3 * z3 * z4sq + 2 * cc * z1 * z2 * z2 * z4sq,
-         2 * ca * z2 * z3 * z3 * z4sq + 2 * cc * z1 * z1 * z2 * z4sq,
-         2 * ca * z2 * z2 * z3 * z4sq + 2 * cb * z1 * z1 * z3 * z4sq,
-         2 * z4 * _quartic_sum(c, state.Z)),
-    ]
-    rows = []
-    for i in range(4):
-        xrow = [state.X[i] * dg[j] for j in range(4)]
-        xrow[i] = xrow[i] + (g - 1)
-        rows.append(tuple(xrow) + dr[i])
-    # Z rows: d(Zi*Li), with the factors Li the Z-field at Z = (1, 1, 1, 1)
-    lz = _z_field(g, state.X, (1, 1, 1, 1))
-    dl = ((1, -1, -1, 0), (-1, 1, -1, 0), (-1, -1, 1, 0), (0, 0, 0, 1))
-    for i in range(4):
-        dgi = dg if i < 3 else tuple(-v for v in dg)  # Z4' = Z4*(X4 - G)
-        rows.append(tuple(state.Z[i] * (dgi[j] + dl[i][j])
-                          for j in range(4))
-                    + tuple(lz[i] if j == i else 0 for j in range(4)))
-    return tuple(rows)
+    """8x8 derivative of the vector field; exact at exact states."""
+    c = _matching(quartic_coefficients(params), state.Z)
+    return derivative(lambda y: _field(c, y[:4], y[4:]), state.as_tuple())
 
 
 def constraint_gradients(params, state):
     """Gradients of the hyperplane and conservation constraints."""
     c = _matching(quartic_coefficients(params), state.Z)
-    return {"hyperplane": HYPERPLANE_GRADIENT,
-            "conservation": _conservation_gradient(c, state.X, state.Z)}
+    hyperplane, conservation = derivative(
+        lambda y: _crf_values(c, y[:4], y[4:]), state.as_tuple())
+    return {"hyperplane": hyperplane, "conservation": conservation}
 
 
 def first_order_jacobians(params, state):
     """4x8 derivatives of the F system and of the H system."""
-    out = []
-    for chirality in (Chirality.PLUS, Chirality.MINUS):
-        d = _matching(_spin_coefficients(params, chirality), state.Z)
-        p23, p13, p12 = _cubic_partials(d, state.Z)
-        dz = (tuple(s + p for s, p in zip((1, -1, -1, 0), p23)),
-              tuple(s - p for s, p in zip((-1, 1, -1, 0), p13)),
-              tuple(s - p for s, p in zip((-1, -1, 1, 0), p12)),
-              tuple(-p + q + r for p, q, r in zip(p23, p13, p12)))
-        out.append(tuple((0,) * i + (1,) + (0,) * (3 - i) + row
-                         for i, row in enumerate(dz)))
-    return tuple(out)
+    d = _matching(cubic_coefficients(params), state.Z)
+
+    def systems(y):
+        plus = _cubic_terms(d, y[4:])
+        return sum(_first_order(y[:4], y[4:], plus,
+                                tuple(-u for u in plus)), ())
+
+    rows = derivative(systems, state.as_tuple())
+    return rows[:4], rows[4:]
 
 
 @dataclass(frozen=True)
@@ -562,12 +555,15 @@ def membership(params, state, set_id, tol=1e-9):
 
 def _float_rhs(on_floats):
     """A right-hand side (eta, values) for any sequence of numbers, which
-    _scalars turns into Python floats for on_floats.  on_floats itself
-    is kept as the attribute of that name, for callers that already hold
-    a list of Python floats (the integrator)."""
+    it turns into Python floats (float64 arithmetic, faster than numpy
+    scalars) for on_floats.  on_floats itself is kept as the attribute of
+    that name, for callers that already hold a list of Python floats (the
+    integrator)."""
 
     def rhs(eta, values):
-        return on_floats(eta, _scalars(values))
+        if isinstance(values, np.ndarray):
+            return on_floats(eta, values.astype(float, copy=False).tolist())
+        return on_floats(eta, list(map(float, values)))
 
     rhs.on_floats = on_floats
     return rhs
@@ -600,24 +596,22 @@ def reduced_z_rhs(params, chirality):
 
 
 def zcons_constraint(params, chirality):
-    """Float closure z -> ((zcons+ or zcons-,), (its Z-gradient,))."""
+    """Closure z -> (zcons+,) or (zcons-,); z holds Python floats (or
+    the duals of derivative)."""
     d = tuple(map(float, _spin_coefficients(params, chirality)))
 
     def fun(z):
-        z = _scalars(z)
-        return (_zcons(z, _cubic_terms(d, z)),), (_zcons_gradient(d, z),)
+        return (_zcons(z, _cubic_terms(d, z)),)
 
     return fun
 
 
 def crf_constraints(params):
-    """Float closure y -> ((hyperplane, conservation), their gradients)."""
+    """Closure y -> (hyperplane, conservation); y holds Python floats (or
+    the duals of derivative)."""
     c = tuple(map(float, quartic_coefficients(params)))
 
     def fun(y):
-        y = _scalars(y)
-        x, z = y[:4], y[4:]
-        return (_crf_values(c, x, z),
-                (HYPERPLANE_GRADIENT, _conservation_gradient(c, x, z)))
+        return _crf_values(c, y[:4], y[4:])
 
     return fun

@@ -43,8 +43,8 @@ from .critical_points import (LABEL_P0_K, LABEL_P0_KPLUSL, LABEL_P0_L,
 from .errors import (InitializationError, InvalidRequestError,
                      ReconstructionDomainError)
 from .phase_system import (Chirality, PhaseState, crf_constraints,
-                           flow_rhs, g_of_x, reduced_z_rhs, residuals,
-                           x_from_z, zcons_constraint)
+                           derivative, flow_rhs, g_of_x, reduced_z_rhs,
+                           residuals, x_from_z, zcons_constraint)
 
 SAMPLE_STEP = 0.05
 CHUNK_LENGTH = 5.0
@@ -119,8 +119,8 @@ class ShootSpec:
             raise InvalidRequestError(
                 "epsilon must lie in (0, 1e-2], got %g" % eps)
         object.__setattr__(self, "epsilon", eps)
-        if not self.eta_max > 0.0:
-            raise InvalidRequestError("eta_max must be positive")
+        if not (self.eta_max > 0.0 and math.isfinite(self.eta_max)):
+            raise InvalidRequestError("eta_max must be positive and finite")
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise InvalidRequestError("integrator tolerances must be positive")
 
@@ -203,26 +203,18 @@ class SweepEntry:
 
 @dataclass(frozen=True)
 class _BoundaryFace:
-    """An invariant boundary segment given by polynomial equations on Z."""
+    """An invariant boundary segment: the zeros of equations(z), one
+    function of Z that returns the segment's polynomial values."""
 
     name: str
-    equations: tuple
+    equations: object
 
 
-def _line_face():
-    return _BoundaryFace(
-        "boundary-line",
-        (lambda z: (z[1] - z[2], np.array([0.0, 1.0, -1.0, 0.0])),
-         lambda z: (3.0*z[0] + 3.0*z[1] - 1.0,
-                    np.array([3.0, 3.0, 0.0, 0.0]))))
-
-
-def _curve_face():
-    return _BoundaryFace(
-        "boundary-curve",
-        (lambda z: (z[1] + z[2] - z[0], np.array([-1.0, 1.0, 1.0, 0.0])),
-         lambda z: ((z[1] + z[2])*z[3] - 6.0,
-                    np.array([0.0, z[3], z[3], z[1] + z[2]]))))
+_LINE_FACE = _BoundaryFace(
+    "boundary-line", lambda z: (z[1] - z[2], 3.0*z[0] + 3.0*z[1] - 1.0))
+_CURVE_FACE = _BoundaryFace(
+    "boundary-curve",
+    lambda z: (z[1] + z[2] - z[0], (z[1] + z[2])*z[3] - 6.0))
 
 
 def boundary_face(params, chirality):
@@ -231,31 +223,36 @@ def boundary_face(params, chirality):
     Only the (1, 1) orbit ships one: the plus chirality region has the
     line segment {Z2 = Z3, 3Z1 + 3Z2 = 1} and the minus chirality
     region the curve {Z2 + Z3 = Z1, (Z2 + Z3) Z4 = 6}.  Returns None
-    when no verified segment exists.
+    when no verified segment exists.  equations(z) returns the two
+    segment values; derivative(face.equations, z) gives their gradients.
     """
     if (params.k, params.l) != (1, 1):
         return None
-    if chirality is Chirality.PLUS:
-        return _line_face()
-    return _curve_face()
+    return _LINE_FACE if chirality is Chirality.PLUS else _CURVE_FACE
 
 
 def _face_defect(face, z):
-    return max(abs(eq(z)[0]) for eq in face.equations)
+    return max(abs(v) for v in face.equations(z))
 
 
 def _project(con, v, face=None):
-    """Least-norm Gauss-Newton projection onto con(v) = (values, rows) = 0,
-    joined by the equations of a locked face."""
-    equations = face.equations if face is not None else ()
+    """Least-norm Gauss-Newton projection onto con(v) = 0, joined by the
+    equations of a locked face; the derivative is taken only for a step.
+    Returns the projected point and the pre-projection defect, the
+    max-norm of con at v."""
+    extra = face.equations if face is not None else (lambda y: ())
     v = np.array(v, dtype=float)
+    defect = None
     for _ in range(MAX_PROJECTION_ITERS):
-        r, jac = con(v)
-        extra = [eq(v) for eq in equations]
-        r = list(r) + [e[0] for e in extra]
-        jac = list(jac) + [e[1] for e in extra]
-        if np.max(np.abs(r)) < PROJECTION_TARGET:
-            return v
+        y = v.tolist()
+        values = con(y)
+        r = values + extra(y)
+        size = np.abs(r)
+        if defect is None:
+            defect = float(size[:len(values)].max())
+        if size.max() < PROJECTION_TARGET:
+            return v, defect
+        jac = derivative(lambda t: con(t) + extra(t), y)
         step, *_ = np.linalg.lstsq(jac, r, rcond=None)
         v = v - step
     raise InitializationError(
@@ -287,11 +284,11 @@ def initial_state(spec):
                    cat.get(spec.cone_label).state.as_tuple()])
     w = _offset_direction(spec)
     if spec.mode is FlowClass.RICCI_FLAT:
-        y = _project(crf_constraints(spec.params), p0 + spec.epsilon * w)
+        y, _ = _project(crf_constraints(spec.params), p0 + spec.epsilon * w)
         return PhaseState.from_sequence(y)
     chirality = _CHIRALITY[spec.mode]
-    z = _project(zcons_constraint(spec.params, chirality),
-                 p0[4:] + spec.epsilon * w[4:])
+    z, _ = _project(zcons_constraint(spec.params, chirality),
+                    p0[4:] + spec.epsilon * w[4:])
     x = [float(v) for v in x_from_z(spec.params, tuple(z), chirality)]
     return PhaseState(tuple(x), tuple(z))
 
@@ -678,11 +675,10 @@ def integrate(spec):
         status, reached, end, steps = _dopri5(
             rhs, eta, state.tolist(), top, spec.rel_tol, spec.abs_tol)
         if status == 0:
-            drift = float(np.max(np.abs(con(end)[0])))
             if locked is not None and _face_defect(locked, end) > \
                     FACE_RELEASE_TOL:
                 locked = None
-            state = _project(con, end, locked)
+            state, drift = _project(con, end, locked)
             if drift > DRIFT_FACTOR * spec.rel_tol and not drift_logged:
                 events.append((reached, "drift"))
                 drift_logged = True

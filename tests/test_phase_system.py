@@ -14,14 +14,16 @@ from hypothesis import example, given, settings, strategies as st
 import spin7flow
 from spin7flow import phase_system
 from spin7flow.aw_algebra import AWParams
+from spin7flow.critical_points import catalog
 from spin7flow.errors import InvalidRequestError
 from spin7flow.exact import QuadExt
 from spin7flow.phase_system import (Chirality, PhaseState, SetId,
                                     constraint_gradients, crf_constraints,
-                                    first_order_jacobians, flow_rhs,
-                                    identity_checks, jacobian, membership,
-                                    reduced_z_rhs, residuals, scalar_terms,
-                                    vector_field, x_from_z, zcons_constraint)
+                                    derivative, first_order_jacobians,
+                                    flow_rhs, identity_checks, jacobian,
+                                    membership, reduced_z_rhs, residuals,
+                                    scalar_terms, vector_field, x_from_z,
+                                    zcons_constraint)
 from spin7flow.ratpoly import RatPoly
 
 THIRD = Fraction(1, 3)
@@ -296,8 +298,151 @@ def test_hand_derivatives_equal_ratpoly_partials(kl, values):
     assert first_order_jacobians(p, state) == (at(sym["F"]), at(sym["H"]))
     for chir in CHIRALITIES:
         d = phase_system._spin_coefficients(p, chir)
-        assert (phase_system._zcons_gradient(d, state.Z)
-                == at([sym[chir]])[0])
+        assert derivative(lambda z: (phase_system._zcons(
+            z, phase_system._cubic_terms(d, z)),), state.Z) == at([sym[chir]])
+
+
+def exact_rows(rows, values):
+    return tuple(tuple(v.evaluate(values) for v in row) for row in rows)
+
+
+def derived_rows(p, state):
+    """Every derivative phase_system derives, keyed like
+    symbolic_derivatives; the zcons gradients come from differentiating
+    the float closures' formula with the state's own coefficients."""
+    grads = constraint_gradients(p, state)
+    f, h = first_order_jacobians(p, state)
+    out = {"jacobian": jacobian(p, state), "F": f, "H": h,
+           "hyperplane": (grads["hyperplane"],),
+           "conservation": (grads["conservation"],)}
+    for chir in CHIRALITIES:
+        d = phase_system._matching(
+            phase_system._spin_coefficients(p, chir), state.Z)
+        out[chir] = derivative(lambda z: (phase_system._zcons(
+            z, phase_system._cubic_terms(d, z)),), state.Z)
+    return out
+
+
+def symbolic_rows(sym):
+    return {key: (rows if key in ("jacobian", "F", "H") else (rows,))
+            for key, rows in sym.items()}
+
+
+@pytest.mark.parametrize("kl", [(1, 1), (3, 2), (13, 5)])
+def test_derivatives_equal_ratpoly_partials_on_quadext_states(kl):
+    """At the ALC_b points (Z1..Z3 in Q(sqrt d), Z4 = 0) and at the same
+    points moved to X4 = 1/3, Z4 = 1/2, where every term is live."""
+    p = AWParams(*kl)
+    sym = symbolic_rows(symbolic_derivatives(*kl))
+    cat = catalog(p)
+    for label in ("ALC_b1", "ALC_b2", "ALC_b3"):
+        base = cat.get(label).state.as_tuple()
+        for values in (base,
+                       base[:3] + (THIRD,) + base[4:7] + (Fraction(1, 2),)):
+            assert any(isinstance(v, QuadExt) for v in values)
+            got = derived_rows(p, PhaseState.from_sequence(values))
+            for key, rows in sym.items():
+                assert got[key] == exact_rows(rows, values), (label, key)
+
+
+# Float derivatives differ from the exact partials only by rounding: each
+# entry lies within FLOAT_PARTIAL_ULPS units of roundoff (u = 2^-53) times
+# the partial with absolute coefficients at |state|.  That is the
+# forward-error bound gamma_n of a polynomial evaluation (Higham, Accuracy
+# and Stability of Numerical Algorithms, 2nd ed., sec. 5.1), with n = 16
+# above the longest chain of roundings along any one term here (about a
+# dozen).  The worst ratio seen over these states is about 3.3.
+FLOAT_PARTIAL_ULPS = 16
+
+
+def absolute(poly):
+    return RatPoly(poly.variables,
+                   {e: abs(c) for e, c in poly.terms.items()})
+
+
+@pytest.mark.parametrize("p", PARAMS)
+def test_float_derivatives_within_rounding_of_exact_partials(p):
+    sym = symbolic_rows(symbolic_derivatives(p.k, p.l))
+    rng = random.Random(p.k * 1000 + p.l)
+    unit = Fraction(1, 2 ** 53)
+    for _ in range(20):
+        y = random_float_state(rng)
+        exact = [Fraction(v) for v in y]
+        magnitude = [abs(v) for v in exact]
+        got = derived_rows(p, PhaseState.from_sequence(y))
+        for key, rows in sym.items():
+            for got_row, row in zip(got[key], rows):
+                for value, poly in zip(got_row, row):
+                    err = abs(Fraction(value) - poly.evaluate(exact))
+                    bound = FLOAT_PARTIAL_ULPS * unit * (
+                        absolute(poly).evaluate(magnitude))
+                    assert err <= bound, (key, poly)
+
+
+def zcons_gradient_by_hand(d, z):
+    """The Z-gradient of zcons as once typed out term by term: the
+    reference association for the projection's float gradient."""
+    da, db, dc = d
+    z1, z2, z3, z4 = z
+    p23 = (0, da * z3 * z4, da * z2 * z4, da * z2 * z3)
+    p13 = (db * z3 * z4, 0, db * z1 * z4, db * z1 * z3)
+    p12 = (dc * z2 * z4, dc * z1 * z4, 0, dc * z1 * z2)
+    return (2 + p13[0] + p12[0], 2 - p23[1] + p12[1],
+            2 - p23[2] + p13[2], -p23[3] + p13[3] + p12[3])
+
+
+@pytest.mark.parametrize("p", PARAMS)
+def test_float_zcons_gradient_keeps_hand_association(p):
+    """Forward mode through zcons's own expression gives the float
+    gradient of the former hand formula bit for bit, signed zeros too;
+    the projection's Gauss-Newton steps in spin modes rest on these bits."""
+    rng = random.Random(p.k * 7 + p.l)
+    for chir in CHIRALITIES:
+        d = tuple(map(float, phase_system._spin_coefficients(p, chir)))
+        con = zcons_constraint(p, chir)
+        for _ in range(1250):
+            z = random_float_state(rng)[4:]
+            got = derivative(con, z)[0]
+            want = zcons_gradient_by_hand(d, z)
+            assert [v.hex() for v in map(float, got)] == \
+                [v.hex() for v in map(float, want)]
+
+
+def characteristic_polynomial(a):
+    """Coefficients of det(t*I - a), leading first (Faddeev-LeVerrier)."""
+    n = len(a)
+    coeffs = [Fraction(1)]
+    m = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum(a[i][t] * m[t][j] for t in range(n))
+              + (coeffs[-1] if i == j else 0) for j in range(n)]
+             for i in range(n)]
+        coeffs.append(-sum(sum(a[i][t] * m[t][i] for t in range(n))
+                           for i in range(n)) / k)
+    return coeffs
+
+
+def monic_with_roots(roots):
+    coeffs = [Fraction(1)]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+@pytest.mark.parametrize("kl", [(1, 0), (1, 1), (3, 2), (13, 5), (59, 23)])
+@pytest.mark.parametrize("chir", CHIRALITIES)
+def test_reduced_flow_jacobian_at_p1_is_exact(kl, chir):
+    """The reduced Z-flow (X = x_from_z(Z)) linearized at the ALC sink
+    P1 = (1/6, 1/6, 1/6, 0): an exact rational matrix with spectrum
+    +1/6, -1/6, -2/3, -2/3."""
+    p = AWParams(*kl)
+    z = catalog(p).get("P1").state.Z
+    assert z == (SIXTH, SIXTH, SIXTH, 0)
+    a = derivative(lambda w: vector_field(
+        p, PhaseState(x_from_z(p, w, chir), w)).Z, z)
+    assert all(isinstance(v, (int, Fraction)) for row in a for v in row)
+    assert characteristic_polynomial(a) == monic_with_roots(
+        [SIXTH, -SIXTH, -4 * SIXTH, -4 * SIXTH])
 
 
 def random_float_state(rng):
@@ -315,7 +460,7 @@ def test_float_closures_equal_evaluators_bit_for_bit(p):
         state = PhaseState.from_sequence(y)
         assert tuple(rhs(0.0, y)) == vector_field(p, state).as_tuple()
         res = residuals(p, state)
-        assert con(y)[0] == (res.hyperplane, res.conservation)
+        assert con(y) == (res.hyperplane, res.conservation)
     for chir in CHIRALITIES:
         rhs = reduced_z_rhs(p, chir)
         zcons = zcons_constraint(p, chir)
@@ -326,7 +471,7 @@ def test_float_closures_equal_evaluators_bit_for_bit(p):
             res = residuals(p, state)
             want = (res.zcons_plus if chir is Chirality.PLUS
                     else res.zcons_minus)
-            assert zcons(z)[0] == (want,)
+            assert zcons(z) == (want,)
 
 
 COEFFICIENT_TUPLES = {"quartic_coefficients", "cubic_coefficients"}

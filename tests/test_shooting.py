@@ -12,8 +12,9 @@ from spin7flow.aw_algebra import AWParams
 from spin7flow.critical_points import catalog, unstable_frame
 from spin7flow.errors import InvalidRequestError, ReconstructionDomainError
 from spin7flow import shooting
-from spin7flow.phase_system import (Chirality, PhaseState, membership,
-                                    residuals, x_from_z)
+from spin7flow.phase_system import (Chirality, PhaseState, derivative,
+                                    membership, residuals, x_from_z,
+                                    zcons_constraint)
 from spin7flow.shooting import (Asymptotics, ShootSpec, Trajectory, classify,
                                 initial_state, integrate, quadrant_grid,
                                 reconstruct_metric, sweep, worker_count)
@@ -78,6 +79,43 @@ def test_spec_epsilon_bounds():
     spec = ShootSpec(params=P32, bundle="k+l", mode="spin+", s=(1.0, 0.0),
                      epsilon=1e-2)
     assert spec.epsilon == 1e-2
+
+
+@pytest.mark.parametrize("eta_max", [math.inf, math.nan, 0.0, -5.0])
+def test_spec_rejects_nonfinite_or_nonpositive_eta_max(eta_max):
+    # Construction only: an infinite horizon never reaches integrate.
+    with pytest.raises(InvalidRequestError):
+        ShootSpec((3, 2), "k+l", "spin+", (0.6, 0.8), eta_max=eta_max,
+                  stop_on_converged=False)
+
+
+@pytest.mark.parametrize("chirality, bundle, s", [
+    (Chirality.PLUS, "k+l", S_LINE), (Chirality.MINUS, "k", S_CURVE)])
+def test_project_reports_constraint_defect_and_meets_face(chirality, bundle,
+                                                          s):
+    """The defect _project returns is max|con| at its input, without the
+    face equations; the projected point satisfies con and the face."""
+    con = zcons_constraint(P11, chirality)
+    face = shooting.boundary_face(P11, chirality)
+    z0 = initial_state(ShootSpec(P11, bundle, chirality.value, s)).Z
+    z = [v + 1e-7 * (j + 1) for j, v in enumerate(z0)]
+    assert shooting._face_defect(face, z) > max(abs(v) for v in con(z))
+    for locked in (None, face):
+        v, defect = shooting._project(con, z, locked)
+        assert defect == float(np.max(np.abs(con(z))))
+        assert abs(con(v.tolist())[0]) < shooting.PROJECTION_TARGET
+        if locked is not None:
+            assert shooting._face_defect(face, v) < shooting.PROJECTION_TARGET
+
+
+def test_boundary_face_gradients_come_from_its_equations():
+    z = [0.25, 0.5, 0.125, 4.0]
+    line = shooting.boundary_face(P11, Chirality.PLUS)
+    curve = shooting.boundary_face(P11, Chirality.MINUS)
+    assert derivative(line.equations, z) == ((0, 1, -1, 0), (3.0, 3.0, 0, 0))
+    assert derivative(curve.equations, z) == ((-1, 1, 1, 0),
+                                              (0, 4.0, 4.0, 0.625))
+    assert shooting.boundary_face(P32, Chirality.PLUS) is None
 
 
 def test_initial_state_offset_is_corrected_at_second_order():
