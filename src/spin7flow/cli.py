@@ -73,10 +73,6 @@ EXIT_COUNTEREXAMPLE = 5
 EXIT_INCONCLUSIVE = 6
 
 
-class _UsageError(Exception):
-    """Flag combinations argparse cannot check on its own."""
-
-
 class _DataError(Exception):
     """An input file that does not exist or does not parse."""
 
@@ -177,7 +173,7 @@ def cmd_critical_points(args):
 
 def _build_spec(args):
     if args.s1 is None or args.s2 is None:
-        raise _UsageError("this command requires --s1 and --s2")
+        raise InvalidRequestError("this command requires --s1 and --s2")
     if args.s3 is None:
         s = (float(args.s1), float(args.s2))
     else:
@@ -273,12 +269,12 @@ def cmd_classify(args):
 def _sweep_thetas(args):
     if args.theta is not None:
         if args.n not in (None, 1):
-            raise _UsageError("--theta runs a single direction; omit --n "
-                              "or pass --n 1")
+            raise InvalidRequestError("--theta runs a single direction; "
+                                      "omit --n or pass --n 1")
         return [float(args.theta)]
     count = 16 if args.n is None else args.n
     if count < 1:
-        raise _UsageError("--n must be at least 1")
+        raise InvalidRequestError("--n must be at least 1")
     return [math.pi * (2 * j + 1) / (2.0 * count) for j in range(count)]
 
 
@@ -330,7 +326,7 @@ def cmd_certify(args):
         payload = {"target": "r"}
     else:
         if args.k is None or args.l is None:
-            raise _UsageError("--target rtilde requires --k and --l")
+            raise InvalidRequestError("--target rtilde requires --k and --l")
         params = _params(args)
         cert = certify_ray_resultant(params)
         payload = {"target": "rtilde",
@@ -666,9 +662,6 @@ def main(argv=None):
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
     except (InvalidParameterError, InvalidRequestError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -490,13 +490,6 @@ def _strip(coeffs):
     return out
 
 
-def _horner(coeffs, x):
-    total = Fraction(0)
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
-
-
 def _sign_at(ints, x):
     """Exact sign of an integer polynomial at a rational x.
 
@@ -543,39 +536,42 @@ def _derivative(coeffs):
     return [c * i for i, c in enumerate(coeffs)][1:]
 
 
-def _squarefree(coeffs):
-    coeffs = _strip(coeffs)
-    if len(coeffs) <= 2:
-        return coeffs
-    g = univariate_gcd(coeffs, _derivative(coeffs))
-    if len(g) <= 1:
-        return coeffs
-    quotient, remainder = _poly_divmod(coeffs, g)
-    if remainder:
-        raise ArithmeticError("squarefree division left a remainder")
-    return _strip(quotient)
+def _integer_multiple(coeffs):
+    """Positive integer multiple of an exact coefficient list."""
+    scale = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (scale // c.denominator) for c in coeffs]
 
 
 def sturm_sequence(coeffs):
-    """Sturm sequence of a squarefree exact polynomial."""
+    """Sturm sequence of an exact polynomial p, as integer coefficient
+    lists.
+
+    One Euclid pass on (p, p').  When its last member g = gcd(p, p') is
+    not constant, every member is divided by the monic g, so the first
+    member is the squarefree part of p.  Each member is returned as a
+    positive integer multiple (denominators cleared by their lcm), which
+    leaves every sign unchanged.
+    """
     p0 = _strip(coeffs)
     if len(p0) <= 1:
-        return [p0] if p0 else []
+        return [_integer_multiple(p0)] if p0 else []
     seq = [p0, _derivative(p0)]
     while len(seq[-1]) > 1:
         _, rem = _poly_divmod(seq[-2], seq[-1])
         if not rem:
+            lead = seq[-1][-1]
+            monic = [c / lead for c in seq[-1]]
+            seq = [_poly_divmod(member, monic)[0] for member in seq]
             break
         seq.append([-c for c in rem])
-    return seq
+    return [_integer_multiple(member) for member in seq]
 
 
 def _sign_changes(seq, x):
     previous = 0
     changes = 0
     for coeffs in seq:
-        value = _horner(coeffs, x)
-        sign = (value > 0) - (value < 0)
+        sign = _sign_at(coeffs, x)
         if sign == 0:
             continue
         if previous and sign != previous:
@@ -585,25 +581,11 @@ def _sign_changes(seq, x):
 
 
 def count_distinct_roots(sequence, lo, hi):
-    """Distinct real roots in the open interval (lo, hi).
-
-    The first sequence entry must not vanish at either endpoint.
+    """Distinct real roots in the half-open interval (lo, hi] of the
+    first member of a Sturm sequence.  Either endpoint may be a root.
     """
     lo, hi = _coerce(lo), _coerce(hi)
-    if not sequence:
-        return 0
-    if _horner(sequence[0], lo) == 0 or _horner(sequence[0], hi) == 0:
-        raise InvalidRequestError(
-            "Sturm counting needs nonvanishing endpoints")
     return _sign_changes(sequence, lo) - _sign_changes(sequence, hi)
-
-
-def _deflate(coeffs, root):
-    """Exact synthetic division by (x - root)."""
-    quotient, remainder = _poly_divmod(coeffs, [-root, Fraction(1)])
-    if remainder:
-        raise ArithmeticError(f"{root} is not a root; deflation failed")
-    return _strip(quotient)
 
 
 def _convergents(value, max_denominator):
@@ -635,71 +617,51 @@ def smallest_root_in_interval(coeffs, lo, hi, include_lo=False,
     wider than accuracy, which must be positive.  Rational candidates
     with denominator up to SNAP_DENOMINATOR are tested exactly before
     settling for a bracket.
-    Bisection uses Sturm counts while the bracket holds more than one
-    root, then the exact sign of the polynomial alone.
+    Bisection uses Sturm counts on (a, b] while the bracket holds more
+    than one root, then the exact sign of the squarefree part alone.
     """
     lo, hi = _coerce(lo), _coerce(hi)
     if hi <= lo:
         raise InvalidRequestError("need lo < hi for root isolation")
     if accuracy <= 0:
         raise InvalidRequestError("root accuracy must be positive")
-    poly = _strip(coeffs)
-    if not poly:
+    sequence = sturm_sequence(coeffs)
+    if not sequence:
         raise InvalidRequestError(
             "the zero polynomial has no isolated roots")
-    if len(poly) == 1:
-        return None
-    poly = _squarefree(poly)
-    if include_lo and _horner(poly, lo) == 0:
+    squarefree = sequence[0]
+    if include_lo and _sign_at(squarefree, lo) == 0:
         return lo, True
-    while _horner(poly, lo) == 0:
-        poly = _deflate(poly, lo)
-        if len(poly) <= 1:
-            return None
-    fallback = None
-    if _horner(poly, hi) == 0:
-        fallback = hi
-        poly = _deflate(poly, hi)
-        if len(poly) <= 1:
-            return (fallback, True)
-    sequence = sturm_sequence(poly)
     count = count_distinct_roots(sequence, lo, hi)
     if count == 0:
-        return (fallback, True) if fallback is not None else None
+        return None
     a, b = lo, hi
     while count > 1 and b - a > accuracy:
         mid = (a + b) / 2
-        if _horner(poly, mid) == 0:
-            quotient = _deflate(poly, mid)
-            if len(quotient) <= 1:
-                return mid, True
-            inner = sturm_sequence(quotient)
-            left = count_distinct_roots(inner, a, mid)
-            if left == 0:
-                return mid, True
-            poly, sequence, b, count = quotient, inner, mid, left
-            continue
         left = count_distinct_roots(sequence, a, mid)
-        if left >= 1:
+        if left == 1 and _sign_at(squarefree, mid) == 0:
+            return mid, True
+        if left:
             b, count = mid, left
         else:
             a = mid
-    # One simple root left in (a, b): it lies in (a, mid) exactly when
-    # the sign changes there, so the brackets match the Sturm bisection.
-    scale = lcm(*(c.denominator for c in poly))
-    ints = [c.numerator * (scale // c.denominator) for c in poly]
-    sign_a = _sign_at(ints, a)
-    while b - a > accuracy:
-        mid = (a + b) / 2
-        sign = _sign_at(ints, mid)
-        if sign == 0:
-            return mid, True
-        if sign == sign_a:
-            a = mid
-        else:
-            b = mid
+    if count == 1:
+        # One simple root in (a, b]: b itself, or the one sign change in
+        # (a, b), read against b because a may be a root.
+        sign_b = _sign_at(squarefree, b)
+        if sign_b == 0:
+            return b, True
+        while b - a > accuracy:
+            mid = (a + b) / 2
+            sign = _sign_at(squarefree, mid)
+            if sign == 0:
+                return mid, True
+            if sign == sign_b:
+                b = mid
+            else:
+                a = mid
     for candidate in _convergents((a + b) / 2, SNAP_DENOMINATOR):
-        if a < candidate <= b and _horner(poly, candidate) == 0:
+        if a < candidate < b and _sign_at(squarefree, candidate) == 0:
             return candidate, True
     return (a + b) / 2, False
 

@@ -185,6 +185,13 @@ def test_sweep_rejects_theta_with_larger_n(capsys):
     capsys.readouterr()
 
 
+def test_sweep_rejects_empty_fan(capsys):
+    assert run(["sweep", "--k", "1", "--l", "1", "--n", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n must be at least 1" in captured.err
+
+
 def test_sweep_grid_is_midpoint_fan_in_order(monkeypatch, capsys):
     recorded = {}
 

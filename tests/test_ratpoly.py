@@ -14,8 +14,8 @@ from spin7flow.ratpoly import (ROOT_ACCURACY, SNAP_DENOMINATOR, Ball,
                                Box, Interval, RatPoly,
                                STATUS_COUNTEREXAMPLE, STATUS_INCONCLUSIVE,
                                STATUS_NONNEGATIVE, _bernstein_tensor,
-                               _convergents, _coerce, _deflate, _horner,
-                               _split_axis, _squarefree, _strip,
+                               _convergents, _coerce, _derivative,
+                               _poly_divmod, _split_axis, _strip,
                                certify_nonneg, count_distinct_roots,
                                random_nonnegativity_audit, rational_string,
                                smallest_root_in_interval, sturm_sequence,
@@ -332,8 +332,57 @@ def test_sturm_root_counting():
     seq = sturm_sequence(coeffs)
     assert count_distinct_roots(seq, 0, 4) == 3
     assert count_distinct_roots(seq, F(3, 2), 4) == 2
-    with pytest.raises(InvalidRequestError):
-        count_distinct_roots(seq, 1, 4)
+    # Half-open (lo, hi]: a root at lo is left out, one at hi counted.
+    assert count_distinct_roots(seq, 1, 4) == 2
+    assert count_distinct_roots(seq, 0, 2) == 2
+
+
+small_rationals = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+
+
+def poly_product(factors):
+    out = [F(1)]
+    for factor in factors:
+        prod = [F(0)] * (len(out) + len(factor) - 1)
+        for i, c in enumerate(out):
+            for j, d in enumerate(factor):
+                prod[i + j] += c * d
+        out = prod
+    return out
+
+
+@st.composite
+def repeated_root_cases(draw):
+    """(coeffs, roots, lo, hi): a product of rational linear factors of
+    multiplicity 1-3, with endpoints drawn from the roots as well."""
+    roots = draw(st.lists(small_rationals, max_size=5))
+    factors = []
+    for r in roots:
+        factors += [[-r, F(1)]] * draw(st.integers(1, 3))
+    lead = draw(st.builds(F, st.integers(1, 40), st.integers(1, 12)))
+    lead *= draw(st.sampled_from([1, -1]))
+    coeffs = [lead * c for c in poly_product(factors)]
+    endpoint = st.one_of(small_rationals, st.sampled_from(roots)) \
+        if roots else small_rationals
+    lo, hi = sorted([draw(endpoint), draw(endpoint)])
+    return coeffs, set(roots), lo, hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeated_root_cases())
+def test_sturm_counts_distinct_roots_on_half_open_interval(case):
+    coeffs, roots, lo, hi = case
+    seq = sturm_sequence(coeffs)
+    assert count_distinct_roots(seq, lo, hi) == \
+        sum(1 for r in roots if lo < r <= hi)
+    squarefree, rest = _poly_divmod(
+        coeffs, univariate_gcd(coeffs, _derivative(coeffs)))
+    assert not rest
+    first = seq[0]
+    assert len(first) == len(squarefree)
+    ratio = F(first[-1]) / squarefree[-1]
+    assert ratio > 0
+    assert [ratio * c for c in squarefree] == first
 
 
 def test_smallest_root_exact_rational():
@@ -370,10 +419,43 @@ def test_smallest_root_absent_and_multiple():
     assert smallest_root_in_interval(double, 0, 1) == (F(1, 3), True)
 
 
+def _horner(coeffs, x):
+    total = F(0)
+    for c in reversed(coeffs):
+        total = total * x + c
+    return total
+
+
+def _squarefree(coeffs):
+    coeffs = _strip(coeffs)
+    if len(coeffs) <= 2:
+        return coeffs
+    g = univariate_gcd(coeffs, _derivative(coeffs))
+    if len(g) <= 1:
+        return coeffs
+    quotient, remainder = _poly_divmod(coeffs, g)
+    if remainder:
+        raise ArithmeticError("squarefree division left a remainder")
+    return _strip(quotient)
+
+
+def _deflate(coeffs, root):
+    """Exact synthetic division by (x - root)."""
+    quotient, remainder = _poly_divmod(coeffs, [-root, F(1)])
+    if remainder:
+        raise ArithmeticError(f"{root} is not a root; deflation failed")
+    return _strip(quotient)
+
+
 def sturm_bisection_reference(coeffs, lo, hi, include_lo=False,
                               accuracy=ROOT_ACCURACY):
     """smallest_root_in_interval with a Sturm count at every bisection
-    step; the library must return exactly what this returns."""
+    step; the library must return exactly what this returns.
+
+    It squarefrees first, deflates roots at lo, at hi and at bisection
+    midpoints, and counts only on intervals whose ends are not roots,
+    so it does not rest on the library's half-open counting.
+    """
     lo, hi = _coerce(lo), _coerce(hi)
     poly = _strip(coeffs)
     if len(poly) == 1:
@@ -416,20 +498,6 @@ def sturm_bisection_reference(coeffs, lo, hi, include_lo=False,
     return (a + b) / 2, False
 
 
-def poly_product(factors):
-    out = [F(1)]
-    for factor in factors:
-        prod = [F(0)] * (len(out) + len(factor) - 1)
-        for i, c in enumerate(out):
-            for j, d in enumerate(factor):
-                prod[i + j] += c * d
-        out = prod
-    return out
-
-
-small_rationals = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
-
-
 @st.composite
 def root_isolation_cases(draw):
     """(coeffs, lo, hi, include_lo, accuracy) with roots placed on
@@ -442,7 +510,7 @@ def root_isolation_cases(draw):
                                     small_rationals), max_size=4))
     factors = []
     for r in roots:
-        factors += [[-r, F(1)]] * draw(st.sampled_from([1, 1, 2]))
+        factors += [[-r, F(1)]] * draw(st.sampled_from([1, 1, 2, 3]))
     for _ in range(draw(st.integers(0, 2))):
         # (x - m)**2 - c is irreducible for a non-square c; a negative c
         # leaves no real root at all.
