@@ -171,16 +171,31 @@ def cmd_critical_points(args):
 # integrate / classify
 
 
+def _float(value, flag):
+    """A numeric flag's value as a float; one too large for a float is a
+    usage error, not an OverflowError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidRequestError("%s does not fit a float" % flag) from None
+
+
+def _run_settings(args):
+    """The integrator settings integrate, classify and sweep share."""
+    return {"epsilon": _float(args.eps, "--eps"),
+            "eta_max": _float(args.eta_max, "--eta-max"),
+            "rel_tol": _float(args.rel_tol, "--rel-tol"),
+            "abs_tol": _float(args.abs_tol, "--abs-tol")}
+
+
 def _build_spec(args):
     if args.s1 is None or args.s2 is None:
         raise InvalidRequestError("this command requires --s1 and --s2")
-    if args.s3 is None:
-        s = (float(args.s1), float(args.s2))
-    else:
-        s = (float(args.s1), float(args.s2), float(args.s3))
+    s = [_float(args.s1, "--s1"), _float(args.s2, "--s2")]
+    if args.s3 is not None:
+        s.append(_float(args.s3, "--s3"))
     return ShootSpec(_params(args), args.bundle, _mode(args), s,
-                     epsilon=float(args.eps), eta_max=float(args.eta_max),
-                     rel_tol=float(args.rel_tol), abs_tol=float(args.abs_tol))
+                     **_run_settings(args))
 
 
 def _classification_exit(traj):
@@ -271,7 +286,7 @@ def _sweep_thetas(args):
         if args.n not in (None, 1):
             raise InvalidRequestError("--theta runs a single direction; "
                                       "omit --n or pass --n 1")
-        return [float(args.theta)]
+        return [_float(args.theta, "--theta")]
     count = 16 if args.n is None else args.n
     if count < 1:
         raise InvalidRequestError("--n must be at least 1")
@@ -283,8 +298,7 @@ def cmd_sweep(args):
     thetas = _sweep_thetas(args)
     s_values = [(math.cos(t), math.sin(t)) for t in thetas]
     entries = sweep(params, args.bundle, _mode(args), s_values,
-                    epsilon=float(args.eps), eta_max=float(args.eta_max),
-                    rel_tol=float(args.rel_tol), abs_tol=float(args.abs_tol))
+                    **_run_settings(args))
     if args.format == "json":
         rows = []
         for theta, entry in zip(thetas, entries):
@@ -379,7 +393,7 @@ def _load_trajectory(path):
 
 def cmd_reconstruct(args):
     traj = _load_trajectory(args.trajectory)
-    profile = reconstruct_metric(traj, gauge=float(args.gauge))
+    profile = reconstruct_metric(traj, gauge=_float(args.gauge, "--gauge"))
     lines = [PROFILE_HEADER]
     for row in profile.rows():
         lines.append(",".join(_fmt(v) for v in row))

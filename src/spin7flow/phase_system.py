@@ -17,7 +17,10 @@ Spin(7) systems F = 0, H = 0, on whose sets X is linear in Z.
 This module is the one place where a flow polynomial is written, each
 once, generic over exact values (Fraction, QuadExt, RatPoly), floats,
 numpy columns and the duals of ``derivative``, which takes every
-Jacobian and gradient from the polynomial it differentiates.  Rounding
+Jacobian and gradient from the polynomial it differentiates.  The
+integrator's float kernels come from the same helpers: ``_trace`` runs
+a right-hand side's body on recording scalars and writes it out as
+source, which the stepper inlines into its stages.  Rounding
 rule: a float expression associates as the integrator runs it
 (``flow_rhs``, ``reduced_z_rhs``, ``zcons_constraint``,
 ``crf_constraints``): da*Z2*Z3*Z4 left to right, Rs as
@@ -33,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import isfinite, sqrt
 
 import numpy as np
@@ -325,6 +329,117 @@ class _Dual:
     __rmul__ = __mul__
 
 
+class _Traced:
+    """A recording scalar: arithmetic on it builds the expression graph
+    of a float kernel instead of a value.  Each node is one +, -, * or
+    negation exactly as the helpers run it, so printing the graph keeps
+    their association, and with it every bit.  A trace makes each
+    operation on the same operands once.  Only int and float constants
+    combine with it; anything else (the time argument of an autonomous
+    right-hand side, passed as None) fails the trace."""
+
+    __slots__ = ("op", "args", "nodes")
+
+    def __init__(self, op, args, nodes):
+        self.op = op
+        self.args = args
+        self.nodes = nodes
+
+    def _apply(self, op, args):
+        if not all(type(a) in (_Traced, int, float) for a in args):
+            return NotImplemented
+        key = (op,) + tuple(a if type(a) is _Traced else (type(a), repr(a))
+                            for a in args)
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = _Traced(op, args, self.nodes)
+        return node
+
+    def __add__(self, other):
+        return self._apply("+", (self, other))
+
+    def __radd__(self, other):
+        return self._apply("+", (other, self))
+
+    def __sub__(self, other):
+        return self._apply("-", (self, other))
+
+    def __rsub__(self, other):
+        return self._apply("-", (other, self))
+
+    def __mul__(self, other):
+        return self._apply("*", (self, other))
+
+    def __rmul__(self, other):
+        return self._apply("*", (other, self))
+
+    def __neg__(self):
+        return self._apply("neg", (self,))
+
+
+# binding strength in Python source: + and - < * < unary minus < a name
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "neg": 3}
+
+
+def _trace(on_floats, n):
+    """The float kernel of on_floats(eta, y) on n components, as source.
+
+    The result is a template of assignment lines: input j reads
+    "{v}j", output i is assigned to "{k}i", and a value used more than
+    once is assigned to a temporary w_m first; every other value stays
+    nested in the expression that uses it.  Coefficients appear as
+    their repr literals, which round-trip.  Substituting names with
+    str.format and running the lines gives on_floats' bits.
+    """
+    nodes = {}
+    inputs = [_Traced("input", (j,), nodes) for j in range(n)]
+    outputs = on_floats(None, inputs)
+    uses = {}
+    order = []  # operation nodes, each after its operands
+
+    def visit(node):
+        if type(node) is not _Traced or node.op == "input":
+            return
+        uses[node] = uses.get(node, 0) + 1
+        if uses[node] == 1:
+            for arg in node.args:
+                visit(arg)
+            order.append(node)
+
+    for out in outputs:
+        visit(out)
+    names = {}
+
+    def text(node):
+        """(source, precedence) of a value as an operand."""
+        if type(node) is not _Traced:
+            source = repr(node)
+            return source, 3 if source.startswith("-") else 4
+        if node.op == "input":
+            return "{v}%d" % node.args[0], 4
+        if node in names:
+            return names[node], 4
+        return expression(node), _PRECEDENCE[node.op]
+
+    def expression(node):
+        prec = _PRECEDENCE[node.op]
+        if node.op == "neg":
+            source, inner = text(node.args[0])
+            return "-" + (source if inner >= prec else "(%s)" % source)
+        (left, lp), (right, rp) = map(text, node.args)
+        return "%s %s %s" % (left if lp >= prec else "(%s)" % left, node.op,
+                             right if rp > prec else "(%s)" % right)
+
+    lines = []
+    for node in order:
+        if uses[node] > 1:
+            lines.append("w_%d = %s" % (len(names), expression(node)))
+            names[node] = "w_%d" % len(names)
+    for i, out in enumerate(outputs):
+        lines.append("{k}%d = %s" % (i, text(out)[0]))
+    return "\n".join(lines) + "\n"
+
+
 def derivative(fun, point):
     """The rows d fun_i / d point_j at point, exact at exact points.
 
@@ -558,7 +673,7 @@ def _float_rhs(on_floats):
     it turns into Python floats (float64 arithmetic, faster than numpy
     scalars) for on_floats.  on_floats itself is kept as the attribute of
     that name, for callers that already hold a list of Python floats (the
-    integrator)."""
+    integrator), and its traced kernel as the attribute kernel on both."""
 
     def rhs(eta, values):
         if isinstance(values, np.ndarray):
@@ -566,17 +681,38 @@ def _float_rhs(on_floats):
         return on_floats(eta, list(map(float, values)))
 
     rhs.on_floats = on_floats
+    rhs.kernel = on_floats.kernel
     return rhs
 
 
-def flow_rhs(params):
-    """Float-specialized right-hand side for the full 8-dimensional flow."""
-    c = tuple(map(float, quartic_coefficients(params)))
+@lru_cache(maxsize=64)
+def _flow_on_floats(c):
+    """flow_rhs's body for quartic coefficients c, traced once per c."""
 
     def on_floats(eta, y):
         return _field(c, y[:4], y[4:])
 
-    return _float_rhs(on_floats)
+    on_floats.kernel = _trace(on_floats, 8)
+    return on_floats
+
+
+@lru_cache(maxsize=64)
+def _reduced_on_floats(d):
+    """reduced_z_rhs's body for signed cubic coefficients d, traced once
+    per d."""
+
+    def on_floats(eta, z):
+        x = _x_of_z(z, _cubic_terms(d, z))
+        return _z_field(g_of_x(x), x, z)
+
+    on_floats.kernel = _trace(on_floats, 4)
+    return on_floats
+
+
+def flow_rhs(params):
+    """Float-specialized right-hand side for the full 8-dimensional flow."""
+    return _float_rhs(_flow_on_floats(
+        tuple(map(float, quartic_coefficients(params)))))
 
 
 def reduced_z_rhs(params, chirality):
@@ -586,13 +722,8 @@ def reduced_z_rhs(params, chirality):
     equations close up; this is the system actually integrated in the spin
     shooting modes.
     """
-    d = tuple(map(float, _spin_coefficients(params, chirality)))
-
-    def on_floats(eta, z):
-        x = _x_of_z(z, _cubic_terms(d, z))
-        return _z_field(g_of_x(x), x, z)
-
-    return _float_rhs(on_floats)
+    return _float_rhs(_reduced_on_floats(
+        tuple(map(float, _spin_coefficients(params, chirality)))))
 
 
 def zcons_constraint(params, chirality):

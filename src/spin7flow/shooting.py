@@ -17,6 +17,15 @@ eigenvalue), so the integrator renormalizes: it works in fixed-length
 chunks and Newton-projects the state back onto the constraint set at
 every chunk boundary, logging the pre-projection defect as drift.
 
+The stepper's stages run the right-hand side as a kernel traced from
+the phase_system helpers and inlined into the step, so a stage makes
+no Python call and keeps the helpers' bits.  Samples are built lazily:
+a chunk keeps its accepted steps, and their dense output on the sample
+grid is evaluated, X rebuilt from Z, and the rows handed to the decision
+scan only when a decision could fire (an early-stopping run whose last
+projected state lies inside a decision ball) and when the run ends.
+A full-horizon run therefore samples all its chunks in one pass.
+
 Boundary runs need one more ingredient.  For (k, l) = (1, 1) the
 invariant region has one-dimensional boundary segments (a line for the
 plus chirality, a curve for the minus chirality) that join the cone
@@ -107,7 +116,14 @@ class ShootSpec:
         if len(s) != 3:
             raise InvalidRequestError(
                 "s must have two or three components, got %r" % (self.s,))
+        if not all(map(math.isfinite, s)):
+            raise InvalidRequestError("s must have finite components")
         norm = math.sqrt(s[0]*s[0] + s[1]*s[1] + s[2]*s[2])
+        if not math.isfinite(norm):
+            # the squares overflow: scale by the largest component first
+            big = max(map(abs, s))
+            s = tuple(v / big for v in s)
+            norm = math.sqrt(s[0]*s[0] + s[1]*s[1] + s[2]*s[2])
         if norm < 1e-12:
             raise InvalidRequestError("s must be a nonzero direction")
         if self.mode is not FlowClass.RICCI_FLAT and s[2] != 0.0:
@@ -121,8 +137,10 @@ class ShootSpec:
         object.__setattr__(self, "epsilon", eps)
         if not (self.eta_max > 0.0 and math.isfinite(self.eta_max)):
             raise InvalidRequestError("eta_max must be positive and finite")
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise InvalidRequestError("integrator tolerances must be positive")
+        if not all(0.0 < tol < math.inf
+                   for tol in (self.rel_tol, self.abs_tol)):
+            raise InvalidRequestError(
+                "integrator tolerances must be positive and finite")
 
     @property
     def cone_label(self):
@@ -338,6 +356,13 @@ class _DecisionScan:
             self._last_outside[i] = int(last[i])
         self._last_distance = dist[-1].tolist()
 
+    def may_decide(self, tail):
+        """False when every row ending in the coordinates tail lies
+        outside every decision ball; decision() after such a row is None.
+        A ball holds a row only if it holds the row's tail."""
+        near = np.abs(self._targets[:, -len(tail):] - tail) <= DECISION_RADIUS
+        return bool(near.all(axis=1).any())
+
     def decision(self):
         """Earliest eta from which the tail stays inside one decision
         ball, as an Asymptotics, or None."""
@@ -506,7 +531,7 @@ def _crossing(step, t_end):
             lo = mid
 
 
-def _attempt_source(n):
+def _attempt_source(n, kernel=None):
     """Python source of one step attempt on n components, written out.
 
     attempt(fun, t, h, y, k1, rtol, atol) returns (y_new, k7, error,
@@ -518,6 +543,13 @@ def _attempt_source(n):
     and error their _rms.  Tableau values are written as float literals
     (repr round-trips), max(a, b) as "b if b > a else a", its meaning
     on floats.
+
+    Each stage calls fun(t_i, [stage state]) unless a kernel is given:
+    the template of an autonomous right-hand side that
+    phase_system._trace wrote from fun's own body.  Its lines are then
+    inlined in place of every call, reading the stage state from v_j
+    (u_j, the new state, for k7) and writing kI_j, so a stage makes no
+    call and gives the bits the call would.
     """
     comps = range(n)
 
@@ -528,21 +560,32 @@ def _attempt_source(n):
         return " + ".join("k%d_%d * %r" % (s, j, coeff)
                           for s, coeff in terms)
 
+    def inlined(inputs, stage):
+        return ["    " + line for line in kernel.format(
+            v=inputs, k="k%d_" % stage).splitlines()]
+
     lines = ["def attempt(fun, t, h, y, k1, rtol, atol):",
              "    %s, = y" % ", ".join("y_%d" % j for j in comps),
              "    %s, = k1" % names(1)]
     for stage, (c, row) in enumerate(_STAGES, start=2):
         terms = tuple(enumerate(row, start=1))
-        args = ", ".join("y_%d + (%s) * h" % (j, combo(terms, j))
-                         for j in comps)
+        args = ["y_%d + (%s) * h" % (j, combo(terms, j)) for j in comps]
+        if kernel is not None:
+            lines += ["    v_%d = %s" % (j, arg) for j, arg in enumerate(args)]
+            lines += inlined("v_", stage)
+            continue
         at = "t + h" if c is None else "t + %r * h" % c
-        lines.append("    k%d = fun(%s, [%s])" % (stage, at, args))
+        lines.append("    k%d = fun(%s, [%s])" % (stage, at, ", ".join(args)))
         lines.append("    %s, = k%d" % (names(stage), stage))
     for j in comps:
         lines.append("    u_%d = y_%d + h * (%s)" % (j, j, combo(_B_TERMS, j)))
     lines.append("    y_new = [%s]" % ", ".join("u_%d" % j for j in comps))
-    lines.append("    k7 = fun(t + h, y_new)")
-    lines.append("    %s, = k7" % names(7))
+    if kernel is not None:
+        lines += inlined("u_", 7)
+        lines.append("    k7 = (%s,)" % names(7))
+    else:
+        lines.append("    k7 = fun(t + h, y_new)")
+        lines.append("    %s, = k7" % names(7))
     for j in comps:
         lines.append("    a, b = abs(y_%d), abs(u_%d)" % (j, j))
         lines.append("    s_%d = (%s) * h / (atol + (b if b > a else a)"
@@ -555,12 +598,12 @@ def _attempt_source(n):
     return "\n".join(lines) + "\n"
 
 
-@lru_cache(maxsize=16)
-def _attempt(n):
-    """The compiled _attempt_source(n)."""
+@lru_cache(maxsize=64)
+def _attempt(n, kernel=None):
+    """The compiled _attempt_source(n, kernel)."""
     namespace = {"sqrt": math.sqrt}
-    exec(compile(_attempt_source(n), "<dopri5 attempt, n=%d>" % n, "exec"),
-         namespace)
+    exec(compile(_attempt_source(n, kernel), "<dopri5 attempt, n=%d>" % n,
+                 "exec"), namespace)
     return namespace["attempt"]
 
 
@@ -575,9 +618,12 @@ def _dopri5(fun, t, y, t_bound, rtol, atol):
     with t, y the last accepted point.  steps holds one row
     (t_old, h, *y_old, *k1, ..., *k7) per accepted step, for _dense.
     Each attempt runs the straight-line stages of _attempt(len(y)), and
-    every call of fun gets a list of floats.
+    every call of fun gets a list of floats.  When fun carries a traced
+    kernel (the attribute kernel of the phase_system right-hand sides),
+    the stages run it inlined and fun is called only for the first
+    derivative and the initial-step trial.
     """
-    attempt = _attempt(len(y))
+    attempt = _attempt(len(y), getattr(fun, "kernel", None))
     steps = []
     f = fun(t, y)
     if not all(map(math.isfinite, [*y, *f])):
@@ -614,18 +660,29 @@ def integrate(spec):
     """Run one shooting trajectory and classify it.
 
     The integrator is the Dormand-Prince 5(4) pair (_dopri5: scipy
-    RK45's coefficients and step control, run on Python floats), driven
-    in chunks of CHUNK_LENGTH; each chunk's samples on the SAMPLE_STEP
-    grid come from its dense output.  At every chunk boundary the state
-    is renormalized onto the constraint set (see the module docstring)
-    and the pre-projection defect is logged.  Events: "escaped" (an
-    accepted step ended at max-norm ESCAPE_NORM or more; the crossing is
-    bisected on that step's interpolant), "stiff-failure" (step-size
-    underflow, also forced by a non-finite right-hand side; partial
-    trajectory returned), "drift" (defect above DRIFT_FACTOR * rel_tol),
-    "converged" (trailing window settled inside a decision ball, checked
-    after every chunk from the new rows only; stops the run when
-    stop_on_converged is set).
+    RK45's coefficients and step control, run on Python floats, its
+    stages on the right-hand side's traced kernel), driven in chunks of
+    CHUNK_LENGTH; each chunk's samples on the SAMPLE_STEP grid come from
+    its dense output, with the projected state as the chunk's last row.
+    At every chunk boundary the state is renormalized onto the
+    constraint set (see the module docstring) and the pre-projection
+    defect is logged.  Events: "escaped" (an accepted step ended at
+    max-norm ESCAPE_NORM or more; the crossing is bisected on that
+    step's interpolant), "stiff-failure" (step-size underflow, also
+    forced by a non-finite right-hand side; partial trajectory
+    returned), "drift" (defect above DRIFT_FACTOR * rel_tol),
+    "converged" (trailing window settled inside a decision ball; stops
+    the run when stop_on_converged is set).
+
+    Samples are built only where a decision can fire.  With
+    stop_on_converged set, a chunk whose projected end state lies
+    outside every decision ball leaves the decision None, so its
+    samples wait; the pending chunks are sampled in one dense-output
+    pass and fed to the decision scan once an end state may lie inside
+    a ball, and when the run ends.  A full-horizon run samples all its
+    chunks in one pass.
+    The decision scan is chunking-independent, so the table and the
+    events are those of sampling every chunk.
 
     The residual log is computed once, over the whole sample table, when
     the run ends; its operations are elementwise, so the rows carry the
@@ -652,7 +709,8 @@ def integrate(spec):
     # _dopri5 passes lists of Python floats, which need no conversion
     rhs = getattr(rhs, "on_floats", rhs)
 
-    chunks = []
+    table = []  # sampled (etas, rows) blocks
+    pending = []  # (grid, clipped grid, steps, projected end) per chunk
     candidates = _limit_candidates(params)
     scan = _DecisionScan(candidates)
 
@@ -663,8 +721,23 @@ def integrate(spec):
         if spin:
             cols = x_from_z(params, cols, chirality) + cols
         rows = np.column_stack(cols)
-        chunks.append((grid, rows))
+        table.append((grid, rows))
         scan.extend(grid, rows)
+
+    def sample():
+        """Add the pending chunks' samples, from one dense-output pass
+        over all their steps; a chunk's last sample is its projected end
+        state when it has one."""
+        if not pending:
+            return
+        grids, clipped, steps, ends = zip(*pending)
+        block = _dense([row for part in steps for row in part],
+                       np.concatenate(clipped))
+        for i, end in zip(np.cumsum([g.size for g in grids]) - 1, ends):
+            if end is not None:
+                block[i] = end
+        pending.clear()
+        add(np.concatenate(grids), block)
 
     add(np.zeros(1), [state])
     events = []
@@ -686,10 +759,8 @@ def integrate(spec):
             grid = np.arange(eta + SAMPLE_STEP, reached + 1e-9, SAMPLE_STEP)
             if grid.size == 0 or reached - grid[-1] > 1e-9:
                 grid = np.append(grid, reached)
-            block = _dense(steps, np.minimum(grid, reached))
-            if status == 0:
-                block[-1] = state
-            add(grid, block)
+            pending.append((grid, np.minimum(grid, reached), steps,
+                            state if status == 0 else None))
         if status == 1:
             events.append((reached, "escaped"))
             break
@@ -697,13 +768,15 @@ def integrate(spec):
             events.append((reached, "stiff-failure"))
             break
         eta = top
-        if spec.stop_on_converged:
+        if spec.stop_on_converged and scan.may_decide(state):
+            sample()
             decided = scan.decision()
             if decided is not None:
                 events.append((decided.eta_at_decision, "converged"))
                 break
+    sample()
 
-    etas, rows = (np.concatenate(part) for part in zip(*chunks))
+    etas, rows = (np.concatenate(part) for part in zip(*table))
     res = residuals(params, PhaseState.from_sequence(rows.T))
     f_norm = np.max(np.abs(res.F), axis=0)
     h_norm = np.max(np.abs(res.H), axis=0)

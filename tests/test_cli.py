@@ -142,6 +142,28 @@ def test_epsilon_out_of_range_exits_2(capsys):
     capsys.readouterr()
 
 
+OVERFLOW_CASES = [(command, flag)
+                  for command in ("integrate", "classify", "sweep")
+                  for flag in ("--rel-tol", "--abs-tol", "--eta-max", "--eps",
+                               "--theta" if command == "sweep" else "--s1")]
+
+
+@pytest.mark.parametrize("command, flag", OVERFLOW_CASES)
+def test_overflowing_numeric_flag_exits_2(command, flag, capsys):
+    """A value too large for a float is a usage error (exit 2), not an
+    OverflowError traceback (exit 1, the code of a failing verify)."""
+    argv = [command, "--k", "3", "--l", "2", flag + "=1e400"]
+    if command != "sweep":
+        argv += ["--s2", "0.8"] + (["--s1", "0.6"] if flag != "--s1" else [])
+    assert run(argv) == 2
+    assert "%s does not fit a float" % flag in capsys.readouterr().err
+
+
+def test_overflowing_gauge_exits_2(traj_csv, capsys):
+    assert run(["reconstruct", str(traj_csv), "--gauge", "1e400"]) == 2
+    assert "--gauge does not fit a float" in capsys.readouterr().err
+
+
 def test_integrate_deterministic_bytes(tmp_path, traj_csv):
     again = tmp_path / "again.csv"
     assert run(["integrate", *RUN_32, "--out", str(again)]) == 0

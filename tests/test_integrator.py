@@ -16,6 +16,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -248,6 +249,101 @@ def test_list_form_oracle_covers_every_size():
     assert sizes == {1, 2, 4, 8}
 
 
+KERNEL_CHUNKS = {
+    "(3,2) spin+": (ShootSpec(P32, "k+l", "spin+", (0.6, 0.8)), (0.0, 40.0)),
+    "(3,2) spin-": (ShootSpec(P32, "k", "spin-", (0.8, 0.6)), (0.0, 40.0)),
+    "(1,1) spin+": (ShootSpec(P11, "k+l", "spin+", (0.6, 0.8)), (0.0, 40.0)),
+    "(1,1) spin-": (ShootSpec(P11, "k", "spin-", (0.6, 0.8)), (0.0, 40.0)),
+    "(13,5) spin+": (ShootSpec(AWParams(13, 5), "k+l", "spin+", (0.6, 0.8)),
+                     (0.0, 40.0)),
+    "(13,5) spin-": (ShootSpec(AWParams(13, 5), "k", "spin-", (0.6, 0.8)),
+                     (0.0, 40.0)),
+    "(1,1) escape": (CHUNK_CASES["(1,1) escape"][0], (25.0,)),
+    "ricci": (CHUNK_CASES["ricci start"][0], (0.0, 40.0)),
+}
+
+
+@pytest.mark.parametrize("tol", [(1e-6, 1e-9), (RTOL, ATOL)],
+                         ids=["coarse", "fine"])
+@pytest.mark.parametrize("case, eta0", [
+    (case, eta0) for case in sorted(KERNEL_CHUNKS)
+    for eta0 in KERNEL_CHUNKS[case][1]])
+def test_traced_kernel_steps_match_list_form_bit_for_bit(case, eta0, tol):
+    """The stages run the kernel traced from the phase_system helpers,
+    inlined: status, end point and every step row equal the list-form
+    stepper's calling the public closure, bit for bit."""
+    spec = KERNEL_CHUNKS[case][0]
+    rhs = _rhs(spec)
+    kernel_fun, calls = _counted(rhs.on_floats)
+    kernel_fun.kernel = rhs.kernel
+    y0 = _chunk_start(spec, eta0)
+    t_bound = eta0 + shooting.CHUNK_LENGTH
+    status, reached, end, steps = shooting._dopri5(kernel_fun, eta0, list(y0),
+                                                   t_bound, *tol)
+    want = list_dopri5.dopri5(rhs, eta0, list(y0), t_bound, *tol)
+    assert status == want[0] == (1 if case == "(1,1) escape" else 0)
+    assert _bits([reached]) == _bits([want[1]])
+    assert _bits(end) == _bits(want[2])
+    assert len(steps) == len(want[3])
+    assert all(_bits(a) == _bits(b) for a, b in zip(steps, want[3]))
+    # the first derivative and the initial-step trial; no stage calls
+    assert len(calls) == 2
+
+
+def _compiled(kernel, n):
+    """A function (y) -> outputs running a kernel template's lines."""
+    body = kernel.format(v="v_", k="k_")
+    source = "def run(%s):\n%s    return (%s,)\n" % (
+        ", ".join("v_%d" % j for j in range(n)),
+        "".join("    %s\n" % line for line in body.splitlines()),
+        ", ".join("k_%d" % j for j in range(n)))
+    namespace = {}
+    exec(source, namespace)
+    return namespace["run"]
+
+
+KERNEL_ORBITS = [AWParams(3, 2), AWParams(1, 1), AWParams(13, 5),
+                 AWParams(59, 23), AWParams(1, 0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(orbit=st.sampled_from(KERNEL_ORBITS),
+       which=st.sampled_from(["spin+", "spin-", "flow"]),
+       y=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                  min_size=8, max_size=8))
+def test_traced_kernel_gives_on_floats_bits(orbit, which, y):
+    """A kernel compiled from the trace returns the bits of the
+    on_floats body it was traced from, overflow and all."""
+    if which == "flow":
+        rhs, n = flow_rhs(orbit), 8
+    else:
+        rhs, n = reduced_z_rhs(orbit, Chirality(which)), 4
+    point = y[:n]
+    with np.errstate(all="ignore"):
+        assert _bits(_compiled(rhs.kernel, n)(*point)) == \
+            _bits(rhs.on_floats(0.0, point))
+
+
+def test_traced_kernel_source_depends_only_on_coefficients():
+    """Tracing the same coefficients again gives the same source; other
+    coefficients give another."""
+    from spin7flow import phase_system
+    for params in KERNEL_ORBITS:
+        for fresh, cached in (
+                (phase_system._flow_on_floats.__wrapped__(
+                    tuple(map(float, phase_system.quartic_coefficients(
+                        params)))), flow_rhs(params)),
+                (phase_system._reduced_on_floats.__wrapped__(
+                    tuple(map(float, phase_system._spin_coefficients(
+                        params, Chirality.MINUS)))),
+                 reduced_z_rhs(params, Chirality.MINUS))):
+            assert fresh is not cached.on_floats
+            assert fresh.kernel == cached.kernel == cached.on_floats.kernel
+    assert reduced_z_rhs(P32, Chirality.PLUS).kernel != \
+        reduced_z_rhs(P32, Chirality.MINUS).kernel
+    assert flow_rhs(P32).kernel != flow_rhs(P11).kernel
+
+
 def test_rms_adds_left_to_right():
     """Two squares of 1e-16 each vanish against 1.0 one at a time; a
     compensated sum would keep them and move the last bit."""
@@ -400,6 +496,47 @@ def test_integrate_outcome_equals_classify(name):
     kind = {"escaping": "Escape", "undetermined": "Undetermined"}.get(
         name, "AC" if "AC" in name else "ALC")
     assert traj.outcome.kind == kind
+
+
+@pytest.mark.parametrize("window", [shooting.DECISION_WINDOW, 1.0])
+@pytest.mark.parametrize("name", sorted(
+    name for name, spec in OUTCOME_RUNS.items() if spec.stop_on_converged))
+def test_early_stop_is_the_full_run_cut_at_its_first_decision(name, window,
+                                                              monkeypatch):
+    """An early-stopped run is its full-horizon twin cut at the first
+    chunk end whose prefix classify decides, plus the "converged" event.
+
+    Full-horizon runs sample once at the end, so the oracle does not
+    depend on the test that decides when an early-stopping run samples.
+    With the shipped window a stopping row lies within 0.43 radii of
+    P1 (5 units at the slowest rate, 1/6); the 1-unit window also puts
+    stopping rows in the outer half of the ball.
+    """
+    monkeypatch.setattr(shooting, "DECISION_WINDOW", window)
+    spec = OUTCOME_RUNS[name]
+    early = integrate(spec)
+    full = integrate(replace(spec, stop_on_converged=False))
+    cut, outcome, events = len(full.etas), full.outcome, full.events
+    for top in np.arange(shooting.CHUNK_LENGTH, full.etas[-1] + 1e-9,
+                         shooting.CHUNK_LENGTH):
+        n = int(np.searchsorted(full.etas, top, side="right"))
+        verdict = classify(SimpleNamespace(etas=full.etas[:n],
+                                           states=full.states[:n]),
+                           spec.params)
+        if verdict.kind in ("ALC", "AC"):
+            cut, outcome = n, verdict
+            events = tuple(e for e in full.events if e[0] <= top) + (
+                (verdict.eta_at_decision, "converged"),)
+            break
+    assert (outcome is full.outcome) == (name in ("escaping",
+                                                  "undetermined"))
+    if early.face_lock is not None:
+        outcome = replace(outcome, note=early.outcome.note)
+    assert _bits(early.etas) == _bits(full.etas[:cut])
+    assert _bits(early.states) == _bits(full.states[:cut])
+    assert _bits(early.residual_log) == _bits(full.residual_log[:cut])
+    assert early.events == events
+    assert early.outcome == outcome
 
 
 def test_package_imports_without_scipy():

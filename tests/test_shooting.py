@@ -89,6 +89,35 @@ def test_spec_rejects_nonfinite_or_nonpositive_eta_max(eta_max):
                   stop_on_converged=False)
 
 
+def test_spec_rescales_a_direction_whose_squares_overflow():
+    """(1e200, 1e200) squares to an infinite norm; it normalizes as
+    (1, 1) does, and an ordinary direction keeps its bits."""
+    huge = ShootSpec(P32, "k+l", "spin+", (1e200, 1e200))
+    unit = ShootSpec(P32, "k+l", "spin+", (1.0, 1.0))
+    assert huge.s == unit.s
+    assert initial_state(huge) == initial_state(unit)
+    assert ShootSpec(P32, "k+l", "spin+", (-1e308, 1e300)).s == \
+        (-1.0, 1e300 / 1e308, 0.0)
+    plain = ShootSpec(P32, "k+l", "spin+", (0.6, 0.8))
+    norm = math.sqrt(0.6 * 0.6 + 0.8 * 0.8)
+    assert plain.s == (0.6 / norm, 0.8 / norm, 0.0)
+
+
+@pytest.mark.parametrize("s", [(math.inf, 1.0), (math.nan, 1.0),
+                               (1.0, -math.inf)])
+def test_spec_rejects_nonfinite_direction(s):
+    with pytest.raises(InvalidRequestError):
+        ShootSpec(P32, "k+l", "spin+", s)
+
+
+@pytest.mark.parametrize("tol", [{"rel_tol": math.inf},
+                                 {"abs_tol": math.inf},
+                                 {"rel_tol": math.nan}, {"abs_tol": 0.0}])
+def test_spec_requires_finite_positive_tolerances(tol):
+    with pytest.raises(InvalidRequestError):
+        ShootSpec(P32, "k+l", "spin+", (0.6, 0.8), **tol)
+
+
 @pytest.mark.parametrize("chirality, bundle, s", [
     (Chirality.PLUS, "k+l", S_LINE), (Chirality.MINUS, "k", S_CURVE)])
 def test_project_reports_constraint_defect_and_meets_face(chirality, bundle,
