@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .exact import QuadExt, exact_sqrt
 from .phase_system import (Chirality, PhaseState, constraint_gradients,
                            einstein_residual, first_order_jacobians, flow_rhs,
                            jacobian)
+from .ratpoly import _integer_multiple
 
 __all__ = [
     "FlowClass",
@@ -430,11 +432,9 @@ def _table_p1():
     return vals, vecs
 
 
-def _dot(u, v):
-    total = 0
-    for a, b in zip(u, v):
-        total = total + a * b
-    return total
+def _annihilates(rows, vec):
+    """Whether every integer row has a zero dot product with vec."""
+    return not any(sum(map(mul, row, vec)) for row in rows)
 
 
 def reference_frame(params, label):
@@ -443,7 +443,8 @@ def reference_frame(params, label):
     Tangency flags are computed exactly: a vector is tangent to the
     Ricci-flat set when it annihilates the gradients of the hyperplane and
     conservation constraints, and tangent to a chirality set when it
-    additionally lies in the kernel of that system's derivative.  Frames
+    additionally lies in the kernel of that system's derivative; each dot
+    product is taken on positive integer multiples of both sides.  Frames
     are cached per (k, l, label); they are frozen, so callers share them.
     """
     return _reference_frame_cached(params.k, params.l, label)
@@ -470,15 +471,18 @@ def _reference_frame_cached(k, l, label):
 
     point = catalog(params).get(label)
     grads = constraint_gradients(params, point.state)
-    df, dh = first_order_jacobians(params, point.state)
+    crf_rows = [_integer_multiple(grads[name])
+                for name in ("hyperplane", "conservation")]
+    df, dh = ([_integer_multiple(row) for row in rows]
+              for rows in first_order_jacobians(params, point.state))
     pairs = []
     for lam, vec in zip(vals, vecs):
         vec = tuple(Fraction(c) if not isinstance(c, Fraction) else c
                     for c in vec)
-        crf = (_dot(grads["hyperplane"], vec) == 0
-               and _dot(grads["conservation"], vec) == 0)
-        plus = crf and all(_dot(row, vec) == 0 for row in df)
-        minus = crf and all(_dot(row, vec) == 0 for row in dh)
+        ints = _integer_multiple(vec)
+        crf = _annihilates(crf_rows, ints)
+        plus = crf and _annihilates(df, ints)
+        minus = crf and _annihilates(dh, ints)
         pairs.append(FrameVector(value=lam, vector=vec, tangent_crf=crf,
                                  tangent_spin_plus=plus,
                                  tangent_spin_minus=minus))
@@ -565,6 +569,32 @@ def _einstein_system(params, z):
     return rows[0], np.moveaxis((rows[1:4] - rows[4:]) / (2 * FD_STEP), 0, -1)
 
 
+def _cross(u, v):
+    """u x v for vectors given as three component arrays."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _newton_step(jac, r):
+    """The solution s of jac @ s = r for each 3x3 jac and row r.
+
+    In closed form: with a0, a1, a2 the rows of jac, the columns of the
+    adjugate are a1 x a2, a2 x a0 and a0 x a1, and det = a0 . (a1 x a2).
+    A row with a non-finite entry in jac or r, or with |det| <= 1e-14,
+    gets the zero step.
+    """
+    with np.errstate(all="ignore"):
+        a0, a1, a2 = jac.transpose(1, 2, 0)
+        adj = _cross(a1, a2), _cross(a2, a0), _cross(a0, a1)
+        det = a0[0] * adj[0][0] + a0[1] * adj[0][1] + a0[2] * adj[0][2]
+        r0, r1, r2 = r.T
+        step = np.stack([c0 * r0 + c1 * r1 + c2 * r2
+                         for c0, c1, c2 in zip(*adj)], axis=1) / det[:, None]
+    ok = (np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(r).all(axis=1)
+          & (np.abs(det) > 1e-14))
+    return np.where(ok[:, None], step, 0.0)
+
+
 def _polish(params, z123):
     """(z1, z2, z3, z4) after one Newton step with an exact residual.
 
@@ -601,10 +631,11 @@ def solve_homogeneous_einstein(params):
     """Solve R_i(z) = 6/49 (i = 1..4) with all z_i > 0.
 
     z4 is eliminated through R4 = 6/49, which fixes z4^2 rationally in
-    terms of (z1, z2, z3); batched Newton iteration over a positive grid
-    finds the remaining three equations' roots.  A start retires, keeping
-    its iterate, once its residual is below RESID_TOL; only live starts
-    are iterated, each as it would be alone.  Converged starts within
+    terms of (z1, z2, z3); batched Newton iteration over a positive grid,
+    each 3x3 step solved in closed form (_newton_step), finds the other
+    three equations' roots.  A start retires, keeping its iterate, once
+    its residual is below RESID_TOL; only live starts are iterated, each
+    as it would be alone.  Converged starts within
     ROOT_SEPARATION of one another count as one root (see
     _distinct_roots).  Exactly two solutions are expected; anything else
     raises SolverIncompleteError.  Returns [(z_tuple, exact_flag),
@@ -624,14 +655,7 @@ def solve_homogeneous_einstein(params):
         live, r0, jac = live[~done], r0[~done], jac[~done]
         if not len(live) or sweep == NEWTON_ITERS:
             break
-        ok = np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(r0).all(axis=1)
-        dets = np.zeros(len(live))
-        dets[ok] = np.abs(np.linalg.det(jac[ok]))
-        ok &= dets > 1e-14
-        step = np.zeros((len(live), 3))
-        if ok.any():
-            step[ok] = np.linalg.solve(jac[ok], r0[ok][..., None])[..., 0]
-        z[live] = np.clip(z[live] - step, 1e-4, 4.0)
+        z[live] = np.clip(z[live] - _newton_step(jac, r0), 1e-4, 4.0)
 
     sols = sorted(_distinct_roots(z[converged]), key=lambda v: -v[0])
     if len(sols) != 2:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import add
 
 from .errors import InvalidRequestError
@@ -67,6 +67,16 @@ def rational_string(value):
     """Serialize an exact rational as an explicit num/den string."""
     q = _coerce(value)
     return f"{q.numerator}/{q.denominator}"
+
+
+def _product(f, g):
+    """Product of two {exponents: coefficient} dicts."""
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            key = tuple(map(add, e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
 
 
 class RatPoly:
@@ -163,12 +173,7 @@ class RatPoly:
             return RatPoly(self.variables,
                            {e: c * q for e, c in self.terms.items()})
         self._check_same_variables(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return RatPoly(self.variables, out)
+        return RatPoly(self.variables, _product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -266,7 +271,8 @@ class RatPoly:
         """Substitute every variable by a polynomial or exact scalar.
 
         mapping sends each of this polynomial's variable names to
-        either a RatPoly over variables_out or an exact rational.
+        either a RatPoly over variables_out or an exact rational.  Terms
+        and powers are plain dicts; only the result is a RatPoly.
         """
         variables_out = tuple(variables_out)
         images = []
@@ -278,23 +284,20 @@ class RatPoly:
                 raise InvalidRequestError(
                     f"image of {name!r} uses {image.variables}, "
                     f"expected {variables_out}")
-            images.append(image)
-        power_cache = [{0: RatPoly.constant(variables_out, 1)}
-                       for _ in images]
-        result = RatPoly.zero(variables_out)
+            images.append(image.terms)
+        zero = (0,) * len(variables_out)
+        powers = [[{zero: 1}] for _ in images]
+        out = {}
         for exps, coeff in self.terms.items():
-            term = RatPoly.constant(variables_out, coeff)
-            for i, e in enumerate(exps):
-                cache = power_cache[i]
-                if e not in cache:
-                    highest = max(cache)
-                    acc = cache[highest]
-                    for step in range(highest + 1, e + 1):
-                        acc = acc * images[i]
-                        cache[step] = acc
-                term = term * cache[e]
-            result = result + term
-        return result
+            term = {zero: coeff}
+            for image, cache, e in zip(images, powers, exps):
+                while len(cache) <= e:
+                    cache.append(_product(cache[-1], image))
+                if e:
+                    term = _product(term, cache[e])
+            for key, c in term.items():
+                out[key] = out.get(key, 0) + c
+        return RatPoly(variables_out, out)
 
     def coefficient_of(self, name, power):
         """The coefficient of name**power, as a polynomial with the
@@ -490,13 +493,12 @@ def _strip(coeffs):
     return out
 
 
-def _sign_at(ints, x):
-    """Exact sign of an integer polynomial at a rational x.
+def _sign_at(ints, p, q):
+    """Exact sign of an integer polynomial at x = p/q with q > 0.
 
-    Homogeneous Horner on x = p/q returns q**degree times the value,
-    which has the value's sign because q > 0.
+    Homogeneous Horner returns q**degree times the value, which has the
+    value's sign; p/q need not be in lowest terms.
     """
-    p, q = x.numerator, x.denominator
     total, scale = 0, 1
     for c in reversed(ints):
         total = total * p + c * scale
@@ -567,11 +569,11 @@ def sturm_sequence(coeffs):
     return [_integer_multiple(member) for member in seq]
 
 
-def _sign_changes(seq, x):
+def _sign_changes(seq, p, q):
     previous = 0
     changes = 0
     for coeffs in seq:
-        sign = _sign_at(coeffs, x)
+        sign = _sign_at(coeffs, p, q)
         if sign == 0:
             continue
         if previous and sign != previous:
@@ -585,7 +587,8 @@ def count_distinct_roots(sequence, lo, hi):
     first member of a Sturm sequence.  Either endpoint may be a root.
     """
     lo, hi = _coerce(lo), _coerce(hi)
-    return _sign_changes(sequence, lo) - _sign_changes(sequence, hi)
+    return (_sign_changes(sequence, *lo.as_integer_ratio())
+            - _sign_changes(sequence, *hi.as_integer_ratio()))
 
 
 def _convergents(value, max_denominator):
@@ -619,6 +622,8 @@ def smallest_root_in_interval(coeffs, lo, hi, include_lo=False,
     settling for a bracket.
     Bisection uses Sturm counts on (a, b] while the bracket holds more
     than one root, then the exact sign of the squarefree part alone.
+    The bracket is (a/q, b/q] with integers a, b and a denominator q
+    that doubles at each halving, so its tests run in integers.
     """
     lo, hi = _coerce(lo), _coerce(hi)
     if hi <= lo:
@@ -630,17 +635,21 @@ def smallest_root_in_interval(coeffs, lo, hi, include_lo=False,
         raise InvalidRequestError(
             "the zero polynomial has no isolated roots")
     squarefree = sequence[0]
-    if include_lo and _sign_at(squarefree, lo) == 0:
+    if include_lo and _sign_at(squarefree, *lo.as_integer_ratio()) == 0:
         return lo, True
     count = count_distinct_roots(sequence, lo, hi)
     if count == 0:
         return None
-    a, b = lo, hi
-    while count > 1 and b - a > accuracy:
-        mid = (a + b) / 2
-        left = count_distinct_roots(sequence, a, mid)
-        if left == 1 and _sign_at(squarefree, mid) == 0:
-            return mid, True
+    q = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (q // lo.denominator)
+    b = hi.numerator * (q // hi.denominator)
+    tol_num, tol_den = Fraction(accuracy).as_integer_ratio()
+    while count > 1 and (b - a) * tol_den > tol_num * q:
+        a, mid, b, q = 2 * a, a + b, 2 * b, 2 * q
+        left = count_distinct_roots(sequence, Fraction(a, q),
+                                    Fraction(mid, q))
+        if left == 1 and _sign_at(squarefree, mid, q) == 0:
+            return Fraction(mid, q), True
         if left:
             b, count = mid, left
         else:
@@ -648,22 +657,24 @@ def smallest_root_in_interval(coeffs, lo, hi, include_lo=False,
     if count == 1:
         # One simple root in (a, b]: b itself, or the one sign change in
         # (a, b), read against b because a may be a root.
-        sign_b = _sign_at(squarefree, b)
+        sign_b = _sign_at(squarefree, b, q)
         if sign_b == 0:
-            return b, True
-        while b - a > accuracy:
-            mid = (a + b) / 2
-            sign = _sign_at(squarefree, mid)
+            return Fraction(b, q), True
+        while (b - a) * tol_den > tol_num * q:
+            a, mid, b, q = 2 * a, a + b, 2 * b, 2 * q
+            sign = _sign_at(squarefree, mid, q)
             if sign == 0:
-                return mid, True
+                return Fraction(mid, q), True
             if sign == sign_b:
                 b = mid
             else:
                 a = mid
-    for candidate in _convergents((a + b) / 2, SNAP_DENOMINATOR):
-        if a < candidate < b and _sign_at(squarefree, candidate) == 0:
+    a, b, center = Fraction(a, q), Fraction(b, q), Fraction(a + b, 2 * q)
+    for candidate in _convergents(center, SNAP_DENOMINATOR):
+        if a < candidate < b and _sign_at(
+                squarefree, *candidate.as_integer_ratio()) == 0:
             return candidate, True
-    return (a + b) / 2, False
+    return center, False
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +823,8 @@ class Certificate:
 # ---------------------------------------------------------------------------
 
 def _dense_coefficients(poly):
-    """Dense power-basis coefficient tensor with per-axis degrees."""
+    """Dense power-basis coefficient tensor with per-axis degrees, as
+    integer numerators over scale, the lcm of the denominators."""
     dims = tuple(max(poly.degree(v), 0) + 1 for v in poly.variables)
     strides = []
     acc = 1
@@ -820,15 +832,16 @@ def _dense_coefficients(poly):
         strides.append(acc)
         acc *= size
     strides = tuple(reversed(strides))
-    flat = [Fraction(0)] * acc
+    scale = lcm(*(c.denominator for c in poly.terms.values()))
+    flat = [0] * acc
     for exps, coeff in poly.terms.items():
         index = sum(e * s for e, s in zip(exps, strides))
-        flat[index] = coeff
-    return flat, dims, strides
+        flat[index] = coeff.numerator * (scale // coeff.denominator)
+    return flat, scale, dims, strides
 
 
 def _axis_transform(flat, dims, strides, axis, table):
-    """Apply a square table along one tensor axis.
+    """Apply a square integer table along one tensor axis.
 
     Each fiber f along the axis becomes table @ f; zero entries of the
     table are skipped.
@@ -845,7 +858,7 @@ def _axis_transform(flat, dims, strides, axis, table):
             start = base + offset
             fiber = [flat[start + i * stride] for i in range(size)]
             for i, row in enumerate(rows):
-                acc = Fraction(0)
+                acc = 0
                 for j, factor in row:
                     acc += factor * fiber[j]
                 out[start + i * stride] = acc
@@ -853,23 +866,29 @@ def _axis_transform(flat, dims, strides, axis, table):
 
 
 def _bernstein_tensor(poly, box):
-    """Bernstein coefficients of a polynomial over a box.
+    """Bernstein coefficients of a polynomial over a box, in integers.
 
     On each axis the power coefficients of x go through the affine map
     x = lo + w*u onto the unit interval (a Taylor shift and a scaling)
     and then to the degree-d Bernstein basis in u, both in one product
     table: entry (k, j) sums C(k,i)/C(d,i) * C(j,i) lo^(j-i) w^i over i.
+    With lo = a/b and w = c/e the table is built times the integer
+    m b^d e^d, m = lcm_i C(d,i); coefficient i is nums[i]/scale, where
+    scale is the power coefficients' lcm times those factors.
     """
-    flat, dims, strides = _dense_coefficients(poly)
+    flat, scale, dims, strides = _dense_coefficients(poly)
     for axis, (size, iv) in enumerate(zip(dims, box.intervals)):
         d = size - 1
-        lo, w = iv.lower, iv.width
-        table = [[sum(Fraction(comb(k, i) * comb(j, i), comb(d, i))
-                      * lo ** (j - i) * w ** i
+        (a, b), (c, e) = (iv.lower.as_integer_ratio(),
+                          iv.width.as_integer_ratio())
+        m = lcm(*(comb(d, i) for i in range(size)))
+        table = [[sum(comb(k, i) * comb(j, i) * (m // comb(d, i))
+                      * a ** (j - i) * b ** (d - j + i) * c ** i * e ** (d - i)
                       for i in range(min(k, j) + 1))
                   for j in range(size)] for k in range(size)]
+        scale *= m * b ** d * e ** d
         flat = _axis_transform(flat, dims, strides, axis, table)
-    return flat, dims, strides
+    return flat, scale, dims, strides
 
 
 def _split_axis(nums, dims, strides, axis):
@@ -924,13 +943,14 @@ def certify_nonneg(poly, box, exclusions=(), max_depth=DEFAULT_MAX_DEPTH):
     """Branch-and-bound certificate that poly >= 0 on a closed box.
 
     Each box's range is enclosed by its exact rational Bernstein
-    coefficients.  A box is discharged when its Bernstein lower bound
-    is nonnegative or when it lies inside an exclusion ball.  A corner
-    coefficient is the exact value at that corner, so a negative corner
-    outside the exclusion balls is returned as a counterexample at an
-    exact rational point.  Subdivision bisects the widest axis; boxes
-    still alive at max_depth make the outcome Inconclusive and the one
-    with the worst bound is reported.
+    coefficients, integers over one denominator that each halving
+    multiplies by a power of two.  A box is discharged when its
+    Bernstein lower bound is nonnegative or when it lies inside an
+    exclusion ball.  A corner coefficient is the exact value at that
+    corner, so a negative corner outside the exclusion balls is returned
+    as a counterexample at an exact rational point.  Subdivision bisects
+    the widest axis; boxes still alive at max_depth make the outcome
+    Inconclusive and the one with the worst bound is reported.
     """
     if not isinstance(poly, RatPoly):
         raise InvalidRequestError("certify_nonneg expects a RatPoly")
@@ -951,9 +971,11 @@ def certify_nonneg(poly, box, exclusions=(), max_depth=DEFAULT_MAX_DEPTH):
         counter = None if value >= 0 else ((), value)
         return Certificate(status, balls, 1, 0, counterexample=counter)
 
-    bern, dims, strides = _bernstein_tensor(poly, box)
-    denominator = lcm(*[c.denominator for c in bern]) if bern else 1
-    nums = tuple(int(c * denominator) for c in bern)
+    nums, scale, dims, strides = _bernstein_tensor(poly, box)
+    # scale // g is the least common denominator of the coefficients.
+    g = gcd(scale, *nums)
+    nums = tuple(n // g for n in nums)
+    denominator = scale // g
     corner_cells = _corner_indices(dims, strides)
     degrees = tuple(size - 1 for size in dims)
 

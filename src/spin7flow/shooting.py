@@ -83,6 +83,21 @@ OUTCOME_ESCAPE = "Escape"
 OUTCOME_UNDETERMINED = "Undetermined"
 
 
+def _check_run_settings(epsilon, eta_max, rel_tol, abs_tol):
+    """epsilon as a float, after checking the run settings that do not
+    depend on the direction; raises InvalidRequestError."""
+    eps = float(epsilon)
+    if not 0.0 < eps <= 1e-2:
+        raise InvalidRequestError(
+            "epsilon must lie in (0, 1e-2], got %g" % eps)
+    if not (eta_max > 0.0 and math.isfinite(eta_max)):
+        raise InvalidRequestError("eta_max must be positive and finite")
+    if not all(0.0 < tol < math.inf for tol in (rel_tol, abs_tol)):
+        raise InvalidRequestError(
+            "integrator tolerances must be positive and finite")
+    return eps
+
+
 @dataclass(frozen=True)
 class ShootSpec:
     """Everything needed to reproduce one shooting run.
@@ -130,17 +145,8 @@ class ShootSpec:
             raise InvalidRequestError(
                 "spin modes have a two-vector frame; s3 must be 0")
         object.__setattr__(self, "s", tuple(v / norm for v in s))
-        eps = float(self.epsilon)
-        if not 0.0 < eps <= 1e-2:
-            raise InvalidRequestError(
-                "epsilon must lie in (0, 1e-2], got %g" % eps)
-        object.__setattr__(self, "epsilon", eps)
-        if not (self.eta_max > 0.0 and math.isfinite(self.eta_max)):
-            raise InvalidRequestError("eta_max must be positive and finite")
-        if not all(0.0 < tol < math.inf
-                   for tol in (self.rel_tol, self.abs_tol)):
-            raise InvalidRequestError(
-                "integrator tolerances must be positive and finite")
+        object.__setattr__(self, "epsilon", _check_run_settings(
+            self.epsilon, self.eta_max, self.rel_tol, self.abs_tol))
 
     @property
     def cone_label(self):
@@ -918,6 +924,8 @@ def sweep(params, bundle_tag, mode, s_values, epsilon=1e-6, eta_max=200.0,
           rel_tol=1e-10, abs_tol=1e-12, workers=None):
     """Classify one run per direction; failures are recorded, not raised.
 
+    An invalid shared setting (epsilon, eta_max, tolerances) raises
+    InvalidRequestError before any run; a bad direction fails its row.
     Runs are independent and distributed over a process pool capped by
     worker_count(workers); results keep the input order regardless of
     completion order.
@@ -925,6 +933,7 @@ def sweep(params, bundle_tag, mode, s_values, epsilon=1e-6, eta_max=200.0,
     s_values = tuple(tuple(float(v) for v in s) for s in s_values)
     if not s_values:
         raise InvalidRequestError("sweep grid must be non-empty")
+    _check_run_settings(epsilon, eta_max, rel_tol, abs_tol)
     specs = []
     failures = {}
     for i, s in enumerate(s_values):

@@ -214,6 +214,20 @@ def test_sweep_rejects_empty_fan(capsys):
     assert "--n must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--rel-tol", "0", "integrator tolerances must be positive"),
+    ("--eps", "1/2", "epsilon must lie in (0, 1e-2]"),
+])
+def test_sweep_invalid_run_setting_exits_2(flag, value, message, capsys):
+    """A setting every direction shares is a usage error (exit 2), as in
+    classify, and no row runs; it is not one error row per direction."""
+    assert run(["sweep", "--k", "1", "--l", "1", "--bundle", "k",
+                "--n", "2", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_sweep_grid_is_midpoint_fan_in_order(monkeypatch, capsys):
     recorded = {}
 

@@ -11,16 +11,18 @@ import pytest
 from spin7flow.aw_algebra import AWParams
 from spin7flow import critical_points
 from spin7flow.cli import main
-from spin7flow.critical_points import (FD_STEP, FlowClass, _distinct_roots,
+from spin7flow.critical_points import (FD_STEP, NEWTON_ITERS, RESID_TOL,
+                                       FlowClass, _distinct_roots,
                                        _einstein_rows, _einstein_system,
-                                       _polish, catalog, eigen, jacobian,
-                                       jacobian_fd, reference_frame,
+                                       _newton_step, _polish, catalog, eigen,
+                                       jacobian, jacobian_fd, reference_frame,
                                        solve_homogeneous_einstein,
                                        unstable_frame)
 from spin7flow.errors import InvalidRequestError
 from spin7flow.phase_system import (PhaseState, flow_rhs, residuals,
                                     vector_field)
 
+import fraction_reference
 from printed_tables import (expected_lin_cone_k, expected_lin_cone_kpl,
                             expected_lin_sink)
 
@@ -77,13 +79,64 @@ def test_ac_pair_printed_values_for_1_1():
 
 
 def test_ac_solver_finds_two_positive_solutions():
-    for p in PARAMS:
+    for kl in [(1, 0), (1, 1), (3, 2), (13, 5), (17, 5), (55, 41), (59, 23)]:
+        p = AWParams(*kl)
         sols = solve_homogeneous_einstein(p)
         assert len(sols) == 2
         (z_first, _), (z_second, _) = sols
         assert float(z_first[0]) > float(z_second[0])
-        for z, _ in sols:
+        for z, exact in sols:
             assert all(float(v) > 0 for v in z)
+            assert exact == (kl == (1, 1))
+            resid = critical_points.einstein_residual(
+                p, *(Fraction(v) for v in z[:3]))[0]
+            assert all(abs(r) < 1e-15 for r in resid)
+
+
+def test_ac_solver_on_1_0_runs_every_sweep(monkeypatch):
+    # Some (1, 0) starts wander without converging, so the batch runs
+    # all NEWTON_ITERS sweeps.  Which ones, and how many, depends on the
+    # rounding of the step; with the closed-form step it is 23 of the
+    # 1000 (9 with the LAPACK solve it replaced), and the roots are the
+    # same either way.
+    batches = []
+
+    def recording(params, z):
+        rows, jac = _einstein_system(params, z)
+        if np.ndim(z) == 2:
+            batches.append(rows)
+        return rows, jac
+
+    monkeypatch.setattr(critical_points, "_einstein_system", recording)
+    solve_homogeneous_einstein(AWParams(1, 0))
+    assert len(batches) == NEWTON_ITERS + 1
+    assert int((np.abs(batches[-1]).max(axis=1) >= RESID_TOL).sum()) == 23
+
+
+def test_newton_step_matches_lapack_solve():
+    rng = np.random.default_rng(7)
+    jac = 2.0 * np.eye(3) + 0.3 * rng.standard_normal((500, 3, 3))
+    r = rng.standard_normal((500, 3))
+    want = np.linalg.solve(jac, r[..., None])[..., 0]
+    got = _newton_step(jac, r)
+    ulp = np.finfo(float).eps * np.abs(want).max(axis=1, keepdims=True)
+    assert (np.abs(got - want) <= 8 * ulp).all()
+
+
+def test_newton_step_is_zero_on_masked_rows():
+    good = np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 1.0], [1.0, 0.0, 4.0]])
+    r = np.ones((7, 3))
+    jac = np.repeat(good[None], 7, axis=0)
+    jac[1, 0, 2] = np.nan
+    jac[2, 1, 1] = np.inf
+    r[3, 2] = -np.inf
+    jac[4] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]]
+    jac[5] = 1e-5 * np.eye(3)   # det 1e-15
+    jac[6] = 1e-4 * np.eye(3)   # det 1e-12 passes
+    step = _newton_step(jac, r)
+    assert np.array_equal(step[1:6], np.zeros((5, 3)))
+    assert np.allclose(step[0], np.linalg.solve(good, r[0]))
+    assert np.allclose(step[6], 1e4 * r[6])
 
 
 def shifted(z, offsets):
@@ -348,6 +401,18 @@ def test_tangency_flags():
             for v in pairs:
                 if v.tangent_spin_plus or v.tangent_spin_minus:
                     assert v.tangent_crf
+
+
+@pytest.mark.parametrize("kl", [(1, 0), (1, 1), (3, 2), (17, 5), (59, 23)])
+def test_tangency_flags_match_fraction_dot_products(kl):
+    p = AWParams(*kl)
+    for label in ("P0_KplusL", "P0_K", "P0_L", "P1"):
+        if label == "P0_L" and p.l == 0:
+            continue
+        pairs = reference_frame(p, label).pairs
+        assert [(v.tangent_crf, v.tangent_spin_plus, v.tangent_spin_minus)
+                for v in pairs] == fraction_reference.tangency_flags(
+            p, label, [v.vector for v in pairs])
 
 
 def test_unstable_frame_selection_and_chirality():

@@ -1,0 +1,69 @@
+"""Byte-identity guard for the exact outputs.
+
+The exact layer (catalog coordinates, reference frames, certificates)
+must not move when its arithmetic is reorganized.  These SHA-256
+digests were taken from the outputs before the integer kernels
+replaced the Fraction ones.  The float eigen data of the catalog is
+left out, since it depends on the LAPACK build.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from spin7flow.cli import main
+
+EXACT_FIELDS = ("label", "X", "Z", "exact", "frame")
+
+CATALOG_DIGESTS = {
+    (1, 0):
+        "cd660988f6e0c84350e57ecab8c869d53ce25c14a9ff5ba9f04907831df619fb",
+    (1, 1):
+        "2cc76bf94ecfad8464db0899f217965b73c614a1e09f9ca46455ed47f9accbfe",
+    (3, 2):
+        "0c3d800715eea6367f381ee29d4e43cd0ec11f89e34e6f0089a1ce7d48bc5417",
+    (13, 5):
+        "3ca53e65c4d10c9f07b258050b596508c14f995d43e0954cbb4d9b60d25f1c7d",
+    (55, 41):
+        "d4f03e887ff4747c9ead2d4ff2461935da83caa7b5ab7428a7c083bd1f953340",
+    (59, 23):
+        "dba603316fe32682e2e07c0b9a1d6856437de1d21161235315aeefe3876f22bc",
+}
+
+CERTIFY_DIGESTS = {
+    ("r",):
+        "6a1acb3a473ab1a4a36003538eedfea15bc4c57c9b881f71c6325d479e258f9e",
+    ("rtilde", 3, 2):
+        "25e707ac52b79da1d8d1a27d9bbe6b4847d8b6908605f2ad7876cc9a1309639e",
+    ("rtilde", 1, 1):
+        "9a44e991a126b11bb4195735a763dc457210a728ce2b94b8a4b842689d5a4ced",
+    ("rtilde", 13, 5):
+        "f2185c411f24cc039f9aa73b27e2453570400a68522dd60701df9e8a7a1e991b",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _stdout(argv, capsys):
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kl", sorted(CATALOG_DIGESTS))
+def test_catalog_exact_fields_are_unchanged(kl, capsys):
+    out = _stdout(["critical-points", "--k", str(kl[0]), "--l", str(kl[1])],
+                  capsys)
+    exact = [{name: point[name] for name in EXACT_FIELDS if name in point}
+             for point in json.loads(out)["points"]]
+    assert _sha256(json.dumps(exact, sort_keys=True)) == CATALOG_DIGESTS[kl]
+
+
+@pytest.mark.parametrize("target", sorted(CERTIFY_DIGESTS, key=str))
+def test_certify_output_is_unchanged(target, capsys):
+    argv = ["certify", "--target", target[0]]
+    if len(target) > 1:
+        argv += ["--k", str(target[1]), "--l", str(target[2])]
+    assert _sha256(_stdout(argv, capsys)) == CERTIFY_DIGESTS[target]

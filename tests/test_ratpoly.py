@@ -3,11 +3,12 @@
 import math
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fraction_reference
 from spin7flow.errors import InvalidRequestError
 from spin7flow.exact import exact_sqrt
 from spin7flow.ratpoly import (ROOT_ACCURACY, SNAP_DENOMINATOR, Ball,
@@ -178,6 +179,31 @@ def test_compose_image_variable_mismatch():
     with pytest.raises(InvalidRequestError):
         (x * y).compose(("a",), {"x": RatPoly.variable(("b",), "b"),
                                  "y": 1})
+
+
+@st.composite
+def compose_cases(draw):
+    """A polynomial over (x, y, z) and an image for each variable: a
+    polynomial over (s, t) or an exact scalar, zero included."""
+    names, out = ("x", "y", "z"), ("s", "t")
+    coeff = st.fractions(-9, 9, max_denominator=7)
+    poly = RatPoly(names, draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * 3), coeff, max_size=6)))
+    image_polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 2),
+                                  coeff, max_size=4).map(
+        lambda terms: RatPoly(out, terms))
+    images = {name: draw(st.one_of(image_polys, coeff)) for name in names}
+    return poly, out, images
+
+
+@settings(max_examples=150, deadline=None)
+@given(compose_cases())
+def test_compose_matches_term_by_term_oracle(case):
+    poly, out, images = case
+    got = poly.compose(out, images)
+    want = fraction_reference.compose(poly, out, images)
+    assert got.variables == want.variables
+    assert list(got.terms.items()) == list(want.terms.items())
 
 
 def test_coefficient_extraction():
@@ -533,10 +559,20 @@ def test_smallest_root_matches_sturm_bisection(case):
                                     accuracy=accuracy)
     assert got == sturm_bisection_reference(
         coeffs, lo, hi, include_lo=include_lo, accuracy=accuracy)
+    # The integer bracket returns the Fraction bracket's results.
+    assert got == fraction_reference.smallest_root_in_interval(
+        coeffs, lo, hi, include_lo=include_lo, accuracy=accuracy)
 
 
 # ---------------------------------------------------------------------------
 # Bernstein split soundness
+
+
+def bernstein_values(poly, box):
+    """_bernstein_tensor with its integer numerators over their scale
+    turned into Fractions."""
+    nums, scale, dims, strides = _bernstein_tensor(poly, box)
+    return [F(n, scale) for n in nums], dims, strides
 
 
 def test_split_halves_match_fresh_tensors():
@@ -552,7 +588,7 @@ def test_split_halves_match_fresh_tensors():
         trials += 1
 
         def tensor(los, his):
-            return _bernstein_tensor(poly, Box.from_bounds(zip(los, his)))
+            return bernstein_values(poly, Box.from_bounds(zip(los, his)))
 
         bern, dims, strides = tensor([F(0)] * n, [F(1)] * n)
         den = lcm(*[c.denominator for c in bern])
@@ -576,7 +612,7 @@ def test_bernstein_corner_coefficients_are_values():
     rng = random.Random(9)
     poly = random_poly(rng, ("x", "y"), 3, 6)
     box = Box.from_bounds([(F(-3, 2), F(2, 3)), (F(1, 5), F(7, 3))])
-    bern, dims, strides = _bernstein_tensor(poly, box)
+    bern, dims, strides = bernstein_values(poly, box)
     assert bern[0] == poly.evaluate((F(-3, 2), F(1, 5)))
     top = (dims[0] - 1) * strides[0] + (dims[1] - 1) * strides[1]
     assert bern[top] == poly.evaluate((F(2, 3), F(7, 3)))
@@ -598,8 +634,43 @@ def test_bernstein_box_map_matches_composed_unit_cube():
         mapping = {name: los[i] + widths[i] * RatPoly.variable(unit, unit[i])
                    for i, name in enumerate(names)}
         cube = poly.compose(unit, mapping)
-        assert _bernstein_tensor(poly, box) == \
-            _bernstein_tensor(cube, Box.unit(n))
+        assert bernstein_values(poly, box) == \
+            bernstein_values(cube, Box.unit(n))
+
+
+@st.composite
+def bernstein_cases(draw):
+    """A random polynomial in 1-3 variables on a box whose lower ends
+    may be negative and whose widths are not 1."""
+    n = draw(st.integers(1, 3))
+    names = tuple("xyz"[:n])
+    coeff = st.fractions(-9, 9, max_denominator=12)
+    poly = RatPoly(names, draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 4)] * n), coeff, min_size=1,
+        max_size=8)))
+    bounds = []
+    for _ in names:
+        lo = draw(st.fractions(-5, 3, max_denominator=9))
+        width = draw(st.fractions(F(1, 8), 4, max_denominator=9))
+        bounds.append((lo, lo + width))
+    return poly, Box.from_bounds(bounds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bernstein_cases())
+def test_bernstein_tensor_matches_fraction_tables(case):
+    poly, box = case
+    nums, scale, dims, strides = _bernstein_tensor(poly, box)
+    want, want_dims, want_strides = fraction_reference.bernstein_tensor(
+        poly, box)
+    assert (dims, strides) == (want_dims, want_strides)
+    assert [F(n, scale) for n in nums] == want
+    # certify_nonneg divides out g = gcd(scale, *nums): that leaves the
+    # least common denominator and the numerators over it.
+    g = gcd(scale, *nums)
+    denominator = lcm(*(c.denominator for c in want))
+    assert scale // g == denominator
+    assert [n // g for n in nums] == [int(c * denominator) for c in want]
 
 
 # ---------------------------------------------------------------------------
