@@ -15,11 +15,11 @@ Exit codes are a stable contract:
        catalog/reconstruction output written, sweep with at least one
        classified row
     1  verify found a failing invariant
-    2  usage errors and invalid parameters
+    2  usage errors and invalid parameters (reconstruct --gauge <= 0)
     3  Escape or Undetermined classification, or conservation drift
     4  initialization, integration, or reconstruction failure
        (diagnostic JSON on stderr; reconstruction names the sample,
-       for a vanishing Z-product or an eta that does not increase)
+       for a non-finite entry, a vanishing Z-product or a stuck eta)
     5  certificate found a counterexample
     6  certificate inconclusive at the depth limit
 

@@ -20,7 +20,8 @@ entries).  The linearization and the constraint derivatives are those of
 ``eigen`` adds a floating-point spectral decomposition with clustering,
 and ``reference_frame`` returns closed-form eigenvector tables for the
 cone points and the sink, with tangency flags computed from exact
-constraint gradients.
+constraint gradients.  The AC Newton batch takes its Jacobian the same
+way, on duals over numpy columns.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .aw_algebra import AWParams
 from .errors import InvalidRequestError, SolverIncompleteError
 from .exact import QuadExt, exact_sqrt
 from .phase_system import (Chirality, PhaseState, constraint_gradients,
-                           einstein_residual, first_order_jacobians, flow_rhs,
-                           jacobian)
+                           einstein_residual, first_order_jacobians, jacobian,
+                           value_and_derivative)
 from .ratpoly import _integer_multiple
 
 __all__ = [
@@ -52,7 +53,6 @@ __all__ = [
     "EigenData",
     "catalog",
     "jacobian",
-    "jacobian_fd",
     "eigen",
     "reference_frame",
     "unstable_frame",
@@ -286,22 +286,6 @@ def _ac_pair(params):
 
 # ---------------------------------------------------------------------------
 # linearization
-
-
-def jacobian_fd(params, state, step=1e-6):
-    """Central-difference derivative of the float vector field."""
-    rhs = flow_rhs(params)
-    y0 = np.asarray(state.as_floats(), dtype=float)
-    out = np.empty((8, 8))
-    for j in range(8):
-        h = step * max(1.0, abs(y0[j]))
-        yp, ym = y0.copy(), y0.copy()
-        yp[j] += h
-        ym[j] -= h
-        fp = np.asarray(rhs(0.0, yp))
-        fm = np.asarray(rhs(0.0, ym))
-        out[:, j] = (fp - fm) / (2.0 * h)
-    return out
 
 
 @dataclass(frozen=True)
@@ -545,28 +529,17 @@ GRID_POINTS = 10
 Z_SPAN = (0.05, 0.5)
 NEWTON_ITERS = 80
 RESID_TOL = 1e-12
-FD_STEP = 1e-7
 ROOT_SEPARATION = 1e-6  # max-norm distance of distinct roots
 
 
-def _einstein_rows(params, z):
-    """R1..R3 - 6/49 for each row (z1, z2, z3) of z."""
-    return np.stack(einstein_residual(params, z[..., 0], z[..., 1],
-                                      z[..., 2])[0], axis=-1)
-
-
 def _einstein_system(params, z):
-    """The rows of _einstein_rows at z and their central-difference
-    Jacobian, one 3x3 per row.
-
-    One _einstein_rows call evaluates the stack z, z + FD_STEP e_j,
-    z - FD_STEP e_j (j = 1..3); its operations are elementwise, so each
-    row gets the same bits as from a call of its own.
+    """R1..R3 - 6/49 at each row (z1, z2, z3) of z, shape (n, 3), and
+    their Jacobians, shape (n, 3, 3), from one pass of einstein_residual
+    on duals over the columns of z; each row gets the bits of its own.
     """
-    shifts = FD_STEP * np.eye(3)
-    rows = _einstein_rows(params, np.stack(
-        [z, *(z + h for h in shifts), *(z - h for h in shifts)]))
-    return rows[0], np.moveaxis((rows[1:4] - rows[4:]) / (2 * FD_STEP), 0, -1)
+    rows, jac = value_and_derivative(
+        lambda y: einstein_residual(params, *y)[0], tuple(z.T))
+    return np.array(rows).T, np.moveaxis(np.array(jac), -1, 0)
 
 
 def _cross(u, v):
@@ -601,12 +574,12 @@ def _polish(params, z123):
     The float iterates stop anywhere within RESID_TOL of the root; with
     the residual in Fractions the step lands far closer than half an
     ulp, so the single final rounding gives the correctly rounded root
-    whichever iterate the step starts from.  z4 = sqrt(Z4^2) in floats
-    there.
+    whichever iterate the step starts from; the float Jacobian and the
+    solve are the batch's.  z4 = sqrt(Z4^2) in floats there.
     """
     resid = einstein_residual(params, *map(Fraction, z123))[0]
-    jac = _einstein_system(params, np.array(z123))[1]
-    delta = np.linalg.solve(jac, [float(r) for r in resid]).tolist()
+    jac = _einstein_system(params, np.array([z123]))[1]
+    delta = _newton_step(jac, np.array([resid], dtype=float))[0].tolist()
     z123 = tuple(float(Fraction(v) - Fraction(d))
                  for v, d in zip(z123, delta))
     return z123 + (einstein_residual(params, *z123)[1] ** 0.5,)

@@ -27,8 +27,8 @@ class IntegrationError(Spin7FlowError, RuntimeError):
 
 
 class ReconstructionDomainError(Spin7FlowError, RuntimeError):
-    """Metric reconstruction hit a sample where a required Z-product
-    vanishes, so a metric coefficient is undefined there."""
+    """Metric reconstruction hit a sample where a metric coefficient is
+    undefined (non-finite entry, vanishing Z-product, eta not increasing)."""
 
 
 class CertificationError(Spin7FlowError, RuntimeError):

@@ -65,6 +65,7 @@ __all__ = [
     "r_terms",
     "einstein_residual",
     "derivative",
+    "value_and_derivative",
     "jacobian",
     "constraint_gradients",
     "first_order_jacobians",
@@ -165,8 +166,10 @@ def quartic_coefficients(params):
 
 def _matching(coeffs, z):
     """coeffs as floats on float or numpy Z, else exact: Fraction * numpy
-    column is an object array, Fraction * float is float(coeff) * float."""
-    if any(isinstance(v, (float, np.generic, np.ndarray)) for v in z):
+    column is an object array, Fraction * float is float(coeff) * float;
+    a dual counts as its value."""
+    if any(isinstance(v.value if type(v) is _Dual else v,
+                      (float, np.generic, np.ndarray)) for v in z):
         return tuple(map(float, coeffs))
     return coeffs
 
@@ -277,10 +280,12 @@ def _first_order(x, z, plus, minus):
 class _Dual:
     """A value with its partials {coordinate index: value}, for
     forward-mode differentiation (Griewank & Walther, Evaluating
-    Derivatives, 2008).  A product takes d(ab) = da*b + a*db in that
-    order and skips the terms with an exact-zero factor, so a
+    Derivatives, 2008).  A value is a scalar or a numpy column of
+    points.  A product takes d(ab) = da*b + a*db in that order and, on
+    scalars, skips the terms with an exact-zero factor, so a
     structurally zero partial is never stored; a seed's unit partial
-    times a factor is the factor itself."""
+    times a factor is the factor itself.  The one quotient is a
+    constant over a dual, c/q, with d(c/q) = -(c/q)/q * dq."""
 
     __slots__ = ("value", "partials")
 
@@ -317,16 +322,21 @@ class _Dual:
             other = _Dual(other, {})
         a, b = self.value, other.value
         out = {}
-        if b:
+        if type(b) is np.ndarray or b:
             for j, p in self.partials.items():
                 out[j] = b if type(p) is int and p == 1 else p * b
-        if a:
+        if type(a) is np.ndarray or a:
             for j, p in other.partials.items():
                 p = a if type(p) is int and p == 1 else p * a
                 out[j] = out[j] + p if j in out else p
         return _Dual(a * b, out)
 
     __rmul__ = __mul__
+
+    def __rtruediv__(self, other):
+        value = other / self.value
+        scale = -value / self.value
+        return _Dual(value, {j: p * scale for j, p in self.partials.items()})
 
 
 class _Traced:
@@ -440,16 +450,24 @@ def _trace(on_floats, n):
     return "\n".join(lines) + "\n"
 
 
-def derivative(fun, point):
-    """The rows d fun_i / d point_j at point, exact at exact points.
+def value_and_derivative(fun, point):
+    """(fun(point), the rows d fun_i / d point_j) from one pass of duals.
 
-    fun, made of ring operations like every polynomial helper here, runs
-    once on duals seeded with unit partials; a constant gives a zero row.
+    fun, made of ring operations and constants over a dual like every
+    helper here, runs on duals seeded with unit partials; a constant
+    output gives a zero row.  A coordinate may be a numpy column of
+    points, each of which gets the bits of scalar duals.
     """
     n = len(point)
-    values = fun([_Dual(v, {j: 1}) for j, v in enumerate(point)])
-    return tuple(tuple(getattr(f, "partials", {}).get(j, 0)
-                       for j in range(n)) for f in values)
+    outputs = fun([_Dual(v, {j: 1}) for j, v in enumerate(point)])
+    return (tuple(f.value if type(f) is _Dual else f for f in outputs),
+            tuple(tuple(f.partials.get(j, 0) if type(f) is _Dual else 0
+                        for j in range(n)) for f in outputs))
+
+
+def derivative(fun, point):
+    """The rows of value_and_derivative, exact at exact points."""
+    return value_and_derivative(fun, point)[1]
 
 
 def scalar_terms(params, state):

@@ -849,14 +849,21 @@ def reconstruct_metric(traj, gauge=1.0):
     sample equals gauge / G there).  Coefficients: a = (1/trL)/sqrt(Z2 Z3),
     b = (1/trL)/sqrt(Z1 Z3), c = (1/trL)/sqrt(Z1 Z2), f = (1/trL) Z4.
     The first sample is dropped when a Z-product vanishes there (the run
-    starts next to a cone point where one Z is zero).  A vanishing
-    product at any later sample, or an eta that does not increase,
-    raises ReconstructionDomainError naming the sample.
+    starts next to a cone point where one Z is zero).  A non-finite
+    entry, a vanishing product at any later sample, or an eta that does
+    not increase raises ReconstructionDomainError naming the sample; a
+    gauge outside 0 < gauge < inf raises InvalidRequestError.
     """
+    if not 0.0 < gauge < math.inf:
+        raise InvalidRequestError("gauge must be positive and finite")
     etas = np.asarray(traj.etas, dtype=float)
     states = np.asarray(traj.states, dtype=float)
     if etas.size < 3:
         raise InvalidRequestError("reconstruction needs at least 3 samples")
+    if not (np.isfinite(etas).all() and np.isfinite(states).all()):
+        i = np.nonzero(~np.isfinite(np.column_stack([etas, states])))[0][0]
+        raise ReconstructionDomainError(
+            "non-finite eta or state entry at sample %d" % i)
     stuck = np.nonzero(~(np.diff(etas) > 0.0))[0]
     if stuck.size:
         i = int(stuck[0]) + 1

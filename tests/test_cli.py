@@ -382,6 +382,30 @@ def test_reconstruct_domain_error_names_sample(tmp_path, capsys):
     assert "sample 2" in diag["message"]
 
 
+@pytest.mark.parametrize("cell, value", [(2, "inf"), (6, "nan")])
+def test_reconstruct_non_finite_cell_names_sample(tmp_path, traj_csv, capsys,
+                                                  cell, value):
+    # inf in an X cell, nan in a Z cell
+    lines = traj_csv.read_text().splitlines()
+    cells = lines[8].split(",")
+    cells[cell] = value
+    lines[8] = ",".join(cells)
+    path = tmp_path / "non_finite.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert run(["reconstruct", str(path)]) == 4
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "ReconstructionDomainError"
+    assert diag["message"] == "non-finite eta or state entry at sample 7"
+
+
+@pytest.mark.parametrize("flags", [["--gauge", "0"], ["--gauge=-1"],
+                                   ["--gauge", "-0.5"]])
+def test_reconstruct_gauge_must_be_positive(traj_csv, capsys, flags):
+    assert run(["reconstruct", str(traj_csv)] + flags) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "gauge must be positive and finite" in err
+
+
 # ---------------------------------------------------------------------------
 # certify
 

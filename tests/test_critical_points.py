@@ -11,16 +11,15 @@ import pytest
 from spin7flow.aw_algebra import AWParams
 from spin7flow import critical_points
 from spin7flow.cli import main
-from spin7flow.critical_points import (FD_STEP, NEWTON_ITERS, RESID_TOL,
-                                       FlowClass, _distinct_roots,
-                                       _einstein_rows, _einstein_system,
+from spin7flow.critical_points import (NEWTON_ITERS, RESID_TOL, FlowClass,
+                                       _distinct_roots, _einstein_system,
                                        _newton_step, _polish, catalog, eigen,
-                                       jacobian, jacobian_fd, reference_frame,
+                                       jacobian, reference_frame,
                                        solve_homogeneous_einstein,
                                        unstable_frame)
 from spin7flow.errors import InvalidRequestError
-from spin7flow.phase_system import (PhaseState, flow_rhs, residuals,
-                                    vector_field)
+from spin7flow.phase_system import (PhaseState, derivative, einstein_residual,
+                                    flow_rhs, residuals, vector_field)
 
 import fraction_reference
 from printed_tables import (expected_lin_cone_k, expected_lin_cone_kpl,
@@ -96,21 +95,20 @@ def test_ac_solver_finds_two_positive_solutions():
 def test_ac_solver_on_1_0_runs_every_sweep(monkeypatch):
     # Some (1, 0) starts wander without converging, so the batch runs
     # all NEWTON_ITERS sweeps.  Which ones, and how many, depends on the
-    # rounding of the step; with the closed-form step it is 23 of the
-    # 1000 (9 with the LAPACK solve it replaced), and the roots are the
-    # same either way.
+    # rounding of the step and of the Jacobian (73 of the 1000 here);
+    # the roots do not.  _polish's one-row calls are not sweeps.
     batches = []
 
     def recording(params, z):
         rows, jac = _einstein_system(params, z)
-        if np.ndim(z) == 2:
+        if len(z) > 1:
             batches.append(rows)
         return rows, jac
 
     monkeypatch.setattr(critical_points, "_einstein_system", recording)
     solve_homogeneous_einstein(AWParams(1, 0))
     assert len(batches) == NEWTON_ITERS + 1
-    assert int((np.abs(batches[-1]).max(axis=1) >= RESID_TOL).sum()) == 23
+    assert int((np.abs(batches[-1]).max(axis=1) >= RESID_TOL).sum()) == 73
 
 
 def test_newton_step_matches_lapack_solve():
@@ -165,18 +163,26 @@ def test_ac_polish_is_canonical(kl):
 
 
 @pytest.mark.parametrize("kl", [(1, 0), (3, 2), (55, 41)])
-def test_einstein_system_matches_separate_evaluations(kl):
-    # The stacked evaluation gives the bits of one _einstein_rows call
-    # per shifted copy of z, for a batch of rows and for a single row.
+def test_einstein_system_rows_and_jacobians(kl):
+    # The batch gives each row the bits of a one-row call, and each
+    # Jacobian entry is the exact partial at the same point up to
+    # rounding: at most 4.7e-16 of the largest partial in its row on
+    # these points.  Partials that nearly cancel are small, so an
+    # entry's error relative to itself reaches 1.4e-13.
     p = AWParams(*kl)
     z = np.random.default_rng(kl[0]).uniform(0.05, 0.5, size=(40, 3))
-    for zz in (z, z[7]):
-        rows, jac = _einstein_system(p, zz)
-        assert np.array_equal(rows, _einstein_rows(p, zz))
-        for j, h in enumerate(FD_STEP * np.eye(3)):
-            column = (_einstein_rows(p, zz + h)
-                      - _einstein_rows(p, zz - h)) / (2 * FD_STEP)
-            assert np.array_equal(jac[..., j], column)
+    rows, jac = _einstein_system(p, z)
+    assert rows.shape == (40, 3) and jac.shape == (40, 3, 3)
+    for n, zn in enumerate(z):
+        one_rows, one_jac = _einstein_system(p, zn[None])
+        assert np.array_equal(rows[n], one_rows[0])
+        assert np.array_equal(jac[n], one_jac[0])
+        exact = derivative(lambda y: einstein_residual(p, *y)[0],
+                           tuple(map(Fraction, zn.tolist())))
+        for got, want in zip(jac[n].tolist(), exact):
+            scale = max(map(abs, want))
+            for g, w in zip(got, want):
+                assert abs(Fraction(g) - w) <= 1e-14 * scale
 
 
 def test_distinct_roots_joins_iterates_across_a_rounding_boundary():
@@ -256,6 +262,22 @@ def test_jacobian_matches_closed_forms():
             for i in range(8):
                 for j in range(8):
                     assert got[i][j] == expected[i][j], (label, i, j)
+
+
+def jacobian_fd(params, state, step=1e-6):
+    """Central-difference derivative of the float vector field, an oracle
+    independent of the forward-mode Jacobian."""
+    rhs = flow_rhs(params)
+    y0 = np.asarray(state.as_floats(), dtype=float)
+    out = np.empty((8, 8))
+    for j in range(8):
+        h = step * max(1.0, abs(y0[j]))
+        yp, ym = y0.copy(), y0.copy()
+        yp[j] += h
+        ym[j] -= h
+        out[:, j] = (np.asarray(rhs(0.0, yp))
+                     - np.asarray(rhs(0.0, ym))) / (2.0 * h)
+    return out
 
 
 def test_jacobian_fd_cross_check():

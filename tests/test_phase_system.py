@@ -8,6 +8,7 @@ from math import gcd
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -17,13 +18,15 @@ from spin7flow.aw_algebra import AWParams
 from spin7flow.critical_points import catalog
 from spin7flow.errors import InvalidRequestError
 from spin7flow.exact import QuadExt
-from spin7flow.phase_system import (Chirality, PhaseState, SetId,
-                                    constraint_gradients, crf_constraints,
-                                    derivative, first_order_jacobians,
+from spin7flow.phase_system import (EINSTEIN_LEVEL, Chirality, PhaseState,
+                                    SetId, constraint_gradients,
+                                    crf_constraints, derivative,
+                                    einstein_residual, first_order_jacobians,
                                     flow_rhs, identity_checks, jacobian,
-                                    membership, reduced_z_rhs, residuals,
-                                    scalar_terms, vector_field, x_from_z,
-                                    zcons_constraint)
+                                    membership, quartic_coefficients,
+                                    r_terms, reduced_z_rhs, residuals,
+                                    scalar_terms, value_and_derivative,
+                                    vector_field, x_from_z, zcons_constraint)
 from spin7flow.ratpoly import RatPoly
 
 THIRD = Fraction(1, 3)
@@ -406,6 +409,87 @@ def test_float_zcons_gradient_keeps_hand_association(p):
             want = zcons_gradient_by_hand(d, z)
             assert [v.hex() for v in map(float, got)] == \
                 [v.hex() for v in map(float, want)]
+
+
+# ---------------------------------------------------------------------------
+# the dual layer: the quotient rule and duals over numpy columns
+
+
+@lru_cache(maxsize=None)
+def einstein_chain_rule_pieces(k, l):
+    """RatPoly partials of R1..R3 in Z1, Z2, Z3 and in W = Z4^2 taken as
+    a symbol of its own, and of q = R4 / Z4^2 in Z1, Z2, Z3."""
+    names = ("Z1", "Z2", "Z3", "W")
+    z1, z2, z3, w = (RatPoly.variable(names, n) for n in names)
+    c = quartic_coefficients(AWParams(k, l))
+    r = r_terms(c, z1, z2, z3, w)[:3]
+    q = r_terms(c, z1, z2, z3, 1)[3]
+    return (q, tuple(q.partial(n) for n in names[:3]),
+            tuple(tuple(ri.partial(n) for n in names) for ri in r))
+
+
+def einstein_jacobian_by_chain_rule(k, l, z):
+    """d(R_i - 6/49)/dZ_j at W = L/q (L = 6/49): the partial in Z_j plus
+    the partial in W times dW/dZ_j = -L * (dq/dZ_j) / q^2."""
+    q, dq, dr = einstein_chain_rule_pieces(k, l)
+    qz = q.evaluate(list(z) + [0])
+    at = list(z) + [EINSTEIN_LEVEL / qz]
+    dw = [-EINSTEIN_LEVEL * d.evaluate(at) / (qz * qz) for d in dq]
+    return tuple(tuple(row[j].evaluate(at) + row[3].evaluate(at) * dw[j]
+                       for j in range(3)) for row in dr)
+
+
+positive_rationals = st.fractions(min_value=Fraction(1, 12), max_value=3,
+                                  max_denominator=12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kl=coprime_pairs(),
+       z=st.tuples(positive_rationals, positive_rationals, positive_rationals))
+@example(kl=(1, 0), z=(Fraction(1, 3), Fraction(1, 2), Fraction(1, 4)))
+def test_einstein_residual_derivative_equals_chain_rule(kl, z):
+    p = AWParams(*kl)
+    got = derivative(lambda y: einstein_residual(p, *y)[0], z)
+    assert got == einstein_jacobian_by_chain_rule(*kl, z)
+
+
+def einstein_outputs(p):
+    def fun(y):
+        resid, z4sq = einstein_residual(p, *y)
+        return resid + (z4sq,)
+    return fun
+
+
+def field_outputs(p):
+    c = tuple(map(float, quartic_coefficients(p)))
+    return lambda y: phase_system._field(c, y[:4], y[4:])
+
+
+def nonzero_floats(low, high):
+    return st.floats(low, high).filter(lambda v: v != 0.0)
+
+
+def row_of(v, n):
+    return float(v[n] if isinstance(v, np.ndarray) else v).hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(kl=coprime_pairs(), points=st.lists(
+    st.tuples(*[nonzero_floats(-1.0, 1.0)] * 4,
+              *[nonzero_floats(0.01, 2.0)] * 4), min_size=1, max_size=6))
+def test_column_duals_give_each_row_the_bits_of_scalar_duals(kl, points):
+    """Nonzero points, so no scalar product skips a term."""
+    p = AWParams(*kl)
+    columns = np.array(points).T
+    for fun, cols in ((einstein_outputs(p), columns[4:7]),
+                      (field_outputs(p), columns)):
+        values, rows = value_and_derivative(fun, tuple(cols))
+        for n, point in enumerate(cols.T.tolist()):
+            one_values, one_rows = value_and_derivative(fun, point)
+            assert [row_of(v, n) for v in values] == \
+                [row_of(v, 0) for v in one_values]
+            assert [[row_of(v, n) for v in row] for row in rows] == \
+                [[row_of(v, 0) for v in row] for row in one_rows]
 
 
 def characteristic_polynomial(a):

@@ -377,6 +377,26 @@ def test_reconstruct_rejects_vanishing_z_product():
     assert "sample 100" in str(err.value)
 
 
+@pytest.mark.parametrize("column, value", [(0, math.nan), (1, math.inf),
+                                           (5, math.nan), (8, -math.inf)])
+def test_reconstruct_rejects_non_finite_samples(column, value):
+    traj = integrate(ShootSpec(params=P32, bundle="k+l", mode="spin+",
+                               s=(0.6, 0.8), eta_max=10.0))
+    table = np.column_stack([traj.etas, traj.states])
+    table[40, column] = value
+    bad = SimpleNamespace(etas=table[:, 0], states=table[:, 1:])
+    with pytest.raises(ReconstructionDomainError) as err:
+        reconstruct_metric(bad)
+    assert str(err.value) == "non-finite eta or state entry at sample 40"
+
+
+@pytest.mark.parametrize("gauge", [0.0, -1.0, math.inf, math.nan])
+def test_reconstruct_rejects_gauge_outside_positive_reals(traj_interior,
+                                                          gauge):
+    with pytest.raises(InvalidRequestError, match="gauge"):
+        reconstruct_metric(traj_interior, gauge=gauge)
+
+
 def test_sweep_is_ordered_and_classified(monkeypatch):
     monkeypatch.setenv("SPIN7_THREADS", "1")
     grid = quadrant_grid(3)
