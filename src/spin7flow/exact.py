@@ -2,22 +2,19 @@
 
 All algebraic identities in this package are checked with zero rounding
 error, so the building blocks here work over ``fractions.Fraction``.
-``QuadExt`` implements arithmetic in Q(sqrt(d)) for a fixed squarefree
-integer d >= 2, which is enough to store fixed-point coordinates whose
-entries involve a single quadratic surd.
+``QuadExt`` implements arithmetic in Q(sqrt(d)) for a fixed integer
+d >= 2 that is not a perfect square, which is enough to store
+fixed-point coordinates whose entries involve a single quadratic surd.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import gcd, isqrt
-
-from .errors import SolverIncompleteError
+from math import isqrt
 
 __all__ = [
     "parse_rational",
-    "squarefree_decompose",
     "exact_sqrt",
     "QuadExt",
     "is_exact_scalar",
@@ -38,99 +35,18 @@ def parse_rational(text):
     return Fraction(s)
 
 
-TRIAL_DIVISION_BOUND = 10 ** 5  # B in squarefree_decompose
-RHO_ITERATIONS = 2 ** 16  # cap on Pollard-Brent rho steps per cofactor
-# Miller-Rabin with the first 13 prime bases decides primality below
-# MILLER_RABIN_BOUND (Sorenson & Webster, Math. Comp. 86, 2017).
-MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-MILLER_RABIN_BOUND = 3317044064679887385961981
+TRIAL_DIVISION_BOUND = 10 ** 5  # B in _square_decompose
 
 
-def _is_prime(m):
-    """Deterministic Miller-Rabin for odd m with 41 < m < the bound."""
-    d, r = m - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in MILLER_RABIN_BASES:
-        x = pow(a, d, m)
-        if x in (1, m - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
+def _square_decompose(n):
+    """Write n >= 1 as s*s*d; return (s, d).
 
-
-def _rho_factor(m):
-    """A proper factor of the odd composite m, or None.
-
-    Pollard's rho with Brent's cycle search on x -> x*x + c, with
-    c = 1, 2, ..., for at most RHO_ITERATIONS steps in all (the
-    backtrack after an overshooting batch adds at most one batch).
-    """
-    steps, c = 0, 0
-    while steps + 2 <= RHO_ITERATIONS:
-        c += 1
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1 and steps + 2 * r <= RHO_ITERATIONS:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % m
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % m
-                    q = q * (x - y) % m
-                g = gcd(q, m)
-                k += 128
-            steps += 2 * r
-            r *= 2
-        if g == m:
-            # The batch overshot: step one at a time from its start.
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % m
-                g = gcd(x - ys, m)
-        if 1 < g < m:
-            return g
-    return None
-
-
-def _decompose_cofactor(m):
-    """(s, d) with m = s*s*d, d squarefree, for m > 1 whose prime
-    factors all exceed TRIAL_DIVISION_BOUND."""
-    root = isqrt(m)
-    if root * root == m:
-        return root, 1
-    # Below B**3, m is a prime or a product of two distinct primes.
-    if m < TRIAL_DIVISION_BOUND ** 3 or (
-            m < MILLER_RABIN_BOUND and _is_prime(m)):
-        return 1, m
-    factor = _rho_factor(m)
-    if factor is None:
-        raise SolverIncompleteError(
-            "squarefree part undecided: a %d-digit cofactor" % len(str(m)))
-    s1, d1 = _decompose_cofactor(factor)
-    s2, d2 = _decompose_cofactor(m // factor)
-    g = gcd(d1, d2)
-    return s1 * s2 * g, (d1 // g) * (d2 // g)
-
-
-def squarefree_decompose(n):
-    """Write n >= 1 as s*s*d with d squarefree; return (s, d).
-
-    Trial division stops at p = B.  The cofactor m left then has only
-    prime factors above B, so m is decided when it is a perfect square,
-    below B**3 (a prime or a product of two distinct primes) or a prime
-    by Miller-Rabin below MILLER_RABIN_BOUND; otherwise Pollard-Brent rho
-    splits it, within RHO_ITERATIONS steps, and each factor is decided
-    the same way.  A cofactor still undecided raises
-    SolverIncompleteError (CLI exit 4).
+    Trial division stops at p = B, so d is free of the squares of the
+    primes up to B.  The cofactor left then has only prime factors above
+    B; one isqrt test moves its root into s when it is a perfect square,
+    and otherwise it stays in d, which may then keep the square of a
+    prime above B.  QuadExt matches fields by a square test, so no
+    caller needs d squarefree.
     """
     if n < 1:
         raise ValueError("need a positive integer")
@@ -145,17 +61,17 @@ def squarefree_decompose(n):
             if e % 2:
                 d *= p
         p += 1 if p == 2 else 2
-    if p * p > n:
-        return s, d * n
-    s_rest, d_rest = _decompose_cofactor(n)
-    return s * s_rest, d * d_rest
+    root = isqrt(n)
+    if root * root == n:
+        return s * root, d
+    return s, d * n
 
 
 def exact_sqrt(value):
     """Exact square root of a non-negative Fraction or int.
 
     Returns a Fraction when the root is rational, otherwise a QuadExt
-    from squarefree_decompose, which may raise SolverIncompleteError.
+    b*sqrt(d) with d from _square_decompose.
     """
     q = value if isinstance(value, Fraction) else Fraction(value)
     if q < 0:
@@ -165,7 +81,7 @@ def exact_sqrt(value):
     if rnum * rnum == num and rden * rden == den:
         return Fraction(rnum, rden)
     # sqrt(a/b) = sqrt(a*b)/b
-    s, d = squarefree_decompose(num * den)
+    s, d = _square_decompose(num * den)
     return QuadExt(0, Fraction(s, den), d)
 
 
@@ -174,12 +90,16 @@ def _collapse(a, b, d):
 
 
 class QuadExt:
-    """A number a + b*sqrt(d) with rational a, b and fixed squarefree d >= 2.
+    """A number a + b*sqrt(d) with rational a, b and an integer d >= 2
+    that is not a perfect square.
 
+    d need not be squarefree: d and d' name one field when d*d' is a
+    perfect square, and an operand from d' enters d's field rescaled.
     Arithmetic and order with Fraction and int operands stay exact.
-    Operations that would leave the field (mixing distinct d with both
+    Operations that would leave the field (mixing two fields with both
     surd parts nonzero) raise TypeError.  Results with vanishing surd part
-    collapse to Fraction.
+    collapse to Fraction; of two QuadExt operands, the left one's d is
+    the result's.
     """
 
     __slots__ = ("a", "b", "d")
@@ -189,15 +109,18 @@ class QuadExt:
         self.b = b if isinstance(b, Fraction) else Fraction(b)
         self.d = int(d)
         if self.d < 2:
-            raise ValueError("d must be a squarefree integer >= 2")
+            raise ValueError("d must be an integer >= 2")
 
     def _split(self, other):
         """Return (a, b) parts of the operand inside this field, or None."""
         if isinstance(other, QuadExt):
-            if other.d == self.d:
+            if other.d == self.d or other.b == 0:
                 return other.a, other.b
-            if other.b == 0:
-                return other.a, Fraction(0)
+            # b'*sqrt(d') = b'*r/d*sqrt(d) where d*d' = r*r.
+            square = self.d * other.d
+            root = isqrt(square)
+            if root * root == square:
+                return other.a, other.b * root / self.d
             return None
         if isinstance(other, (int, Fraction)):
             return Fraction(other), Fraction(0)
@@ -299,7 +222,8 @@ class QuadExt:
     def __hash__(self):
         if self.b == 0:
             return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        # b*|b|*d is the same for every (b, d) that writes b*sqrt(d).
+        return hash((self.a, self.b * abs(self.b) * self.d))
 
     def __bool__(self):
         return self.a != 0 or self.b != 0

@@ -852,8 +852,10 @@ def reconstruct_metric(traj, gauge=1.0):
     starts next to a cone point where one Z is zero).  A non-finite
     entry, a vanishing product at any later sample, or an eta that does
     not increase raises ReconstructionDomainError naming the sample; a
-    gauge outside 0 < gauge < inf raises InvalidRequestError.
+    gauge, taken as a float, outside 0 < gauge < inf raises
+    InvalidRequestError.
     """
+    gauge = float(gauge)
     if not 0.0 < gauge < math.inf:
         raise InvalidRequestError("gauge must be positive and finite")
     etas = np.asarray(traj.etas, dtype=float)
@@ -890,7 +892,7 @@ def reconstruct_metric(traj, gauge=1.0):
         c=trl_inv[sl] / np.sqrt(prods[sl, 2]),
         f=trl_inv[sl] * z[sl, 3],
         trl_inv=trl_inv[sl],
-        gauge=float(gauge))
+        gauge=gauge)
 
 
 def worker_count(requested=None):

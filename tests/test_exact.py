@@ -1,5 +1,6 @@
 """Tests for exact rational helpers and the quadratic extension type."""
 
+import operator
 import random
 import time
 from fractions import Fraction
@@ -7,10 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spin7flow.errors import SolverIncompleteError
-from spin7flow.exact import (TRIAL_DIVISION_BOUND, QuadExt, _is_prime,
-                             exact_sqrt, exact_str, parse_rational,
-                             squarefree_decompose)
+from spin7flow.exact import (TRIAL_DIVISION_BOUND, QuadExt,
+                             _square_decompose, exact_sqrt, exact_str,
+                             parse_rational)
 
 
 def test_parse_rational_forms():
@@ -23,14 +23,15 @@ def test_parse_rational_forms():
 
 
 def test_squarefree_decompose():
-    assert squarefree_decompose(1) == (1, 1)
-    assert squarefree_decompose(4) == (2, 1)
-    assert squarefree_decompose(1440) == (12, 10)
-    assert squarefree_decompose(10) == (1, 10)
+    # Below B**2 trial division factors n completely: d is squarefree.
+    assert _square_decompose(1) == (1, 1)
+    assert _square_decompose(4) == (2, 1)
+    assert _square_decompose(1440) == (12, 10)
+    assert _square_decompose(10) == (1, 10)
     rng = random.Random(0)
     for _ in range(200):
         n = rng.randrange(1, 10_000)
-        s, d = squarefree_decompose(n)
+        s, d = _square_decompose(n)
         assert s * s * d == n
         for p in range(2, 100):
             assert d % (p * p) != 0
@@ -51,44 +52,52 @@ def test_exact_sqrt():
 M61, M89, M107, M127 = (2 ** p - 1 for p in (61, 89, 107, 127))
 
 
-def test_large_inputs_end_within_a_bound():
-    """60-90-digit inputs decide or raise after at most B/2 divisions
-    and a bounded rho search."""
+# Primes above B: 100003, 100019, 1000003, 999999000001, and 149491,
+# 747451, 34233211, the factors of a strong pseudoprime to the first
+# nine prime bases.
+PSP = 149491 * 747451 * 34233211
+BIG_SURD_INPUTS = (
+    6 * M127 ** 2, 72 * M107 ** 2, 12 * 100003 * 100019,
+    1001 * M61 * M127, M89 * M127, 30 * M61 * M89 * M107,
+    M61 * M89 ** 2, 2 ** 30 * M107 * M127,
+    999999000001 * 1000003, 10 * M61, PSP, 12 * 149491 * PSP,
+    1000003 ** 3 * 999999000001,
+    Fraction(M89, M127), Fraction(999999000001 * 1000003, 4),
+)
+
+
+def test_roots_of_large_inputs_square_back_within_a_bound():
+    """Inputs of up to 90 digits whose cofactors have prime factors
+    above B: every root is exact after at most B/2 divisions and one
+    isqrt."""
     start = time.perf_counter()
     root = M89 * 10 ** 10 + 7
     assert exact_sqrt(Fraction(root ** 2, M61 ** 2)) == Fraction(root, M61)
-    assert squarefree_decompose(6 * M127 ** 2) == (M127, 6)
-    assert squarefree_decompose(72 * M107 ** 2) == (6 * M107, 2)
-    # A cofactor below B^3 whose prime factors all exceed B is squarefree.
-    assert squarefree_decompose(12 * 100003 * 100019) == \
-        (2, 3 * 100003 * 100019)
+    for value in BIG_SURD_INPUTS:
+        r = exact_sqrt(value)
+        assert isinstance(r, QuadExt) and r * r == value
+        q = Fraction(value)
+        s, d = _square_decompose(q.numerator * q.denominator)
+        assert s * s * d == q.numerator * q.denominator
+    # A square cofactor goes into s; any other cofactor stays in d.
+    assert _square_decompose(6 * M127 ** 2) == (M127, 6)
+    assert _square_decompose(72 * M107 ** 2) == (6 * M107, 2)
+    assert _square_decompose(12 * 149491 * PSP) == (2, 3 * 149491 * PSP)
+    assert _square_decompose(M61 * M89 ** 2) == (1, M61 * M89 ** 2)
     assert 100003 > TRIAL_DIVISION_BOUND
-    for n in (1001 * M61 * M127, M89 * M127, 30 * M61 * M89 * M107,
-              M61 * M89 ** 2, 2 ** 30 * M107 * M127):
-        assert 60 <= len(str(n)) <= 90
-        with pytest.raises(SolverIncompleteError):
-            squarefree_decompose(n)
-    with pytest.raises(SolverIncompleteError):
-        exact_sqrt(Fraction(M89, M127))
     assert time.perf_counter() - start < 2.0
 
 
-def test_cofactors_past_the_cube_bound_are_decided():
-    # 999999000001 and 1000003 are primes above B: rho splits the product.
-    n = 999999000001 * 1000003
-    assert n >= TRIAL_DIVISION_BOUND ** 3
-    assert squarefree_decompose(n) == (1, n)
-    # A prime past B^3 is proven prime below the Miller-Rabin bound.
-    assert squarefree_decompose(10 * M61) == (1, 10 * M61)
-    # Strong pseudoprime to the first nine prime bases, all factors > B.
-    psp = 149491 * 747451 * 34233211
-    assert not _is_prime(psp)
-    assert squarefree_decompose(psp) == (1, psp)
-    assert squarefree_decompose(12 * 149491 * psp) == \
-        (2 * 149491, 3 * 747451 * 34233211)
-    assert squarefree_decompose(1000003 ** 3 * 999999000001) == \
-        (1000003, 1000003 * 999999000001)
-    assert exact_sqrt(Fraction(n, 4)) == QuadExt(0, Fraction(1, 2), n)
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from((100003, 1000003, 999999000001, M61)),
+       st.integers(1, 10 ** 6), st.sampled_from((1, 1, 4, 9)))
+def test_exact_sqrt_squares_back_past_the_trial_bound(p, m, den):
+    # p*p survives trial division whenever m keeps the cofactor from
+    # being a square; the root still squares back exactly.
+    n = Fraction(p * p * (100019 * m), den)
+    r = exact_sqrt(n)
+    assert r * r == n and r > 0
+    assert r == p * exact_sqrt(Fraction(100019 * m, den))
 
 
 def test_quadext_field_arithmetic():
@@ -138,6 +147,8 @@ def test_quadext_mixed_fields():
         _ = r2 < r3
     # A degenerate element with no surd part interoperates across fields.
     assert r2 + QuadExt(5, 0, 3) == QuadExt(5, 1, 2)
+    # sqrt(8) = 2*sqrt(2): one field, matched by a square test.
+    assert QuadExt(0, 1, 8) == 2 * r2 and r2 + QuadExt(0, 1, 8) == 3 * r2
 
 
 def test_exact_str():
@@ -205,3 +216,26 @@ def test_quadext_order(case):
     assert abs(x) >= 0 and (abs(x) == x or abs(x) == -x)
     if abs(float(x) - float(y)) > 1e-9:
         assert (x < y) == (float(x) < float(y))
+
+
+@settings(max_examples=100, deadline=1000)
+@given(small, small.filter(bool), st.sampled_from((2, 3, 5, 6, 7, 10, 13)),
+       st.integers(2, 12), small, small)
+def test_surd_with_square_factor_is_the_same_number(a, b, d, s, c, e):
+    # sqrt(s*s*d) and s*sqrt(d) agree in arithmetic, order, equality and hash.
+    x, y = QuadExt(a, b, s * s * d), QuadExt(a, b * s, d)
+    z = QuadExt(c, e, d)
+    assert x == y and y == x and not x != y
+    assert hash(x) == hash(y)
+    assert not x < y and not y < x and x <= y and x >= y
+    assert (x < z) == (y < z) and (z < x) == (z < y)
+    assert (x <= z) == (y <= z) and (x > z) == (y > z)
+    for op in (operator.add, operator.sub, operator.mul):
+        assert op(x, z) == op(y, z) and op(z, x) == op(z, y)
+        assert hash(op(x, z)) == hash(op(y, z))
+    assert x - y == 0 and x / y == 1
+    if z != 0:
+        assert x / z == y / z and hash(x / z) == hash(y / z)
+    assert z / x == z / y
+    assert x * x == y * y == \
+        QuadExt(a * a + b * b * s * s * d, 2 * a * b * s, d)

@@ -1,6 +1,7 @@
 """Tests for barrier slices, root functions, resultants, and the
 certified positivity layer."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -510,18 +511,37 @@ def test_certified_ray_box_random_audit():
 # ---------------------------------------------------------------------------
 # interlacing grids
 
+# SHA-256 over str() of every exact root a grid visits, in visiting
+# order: the quadratic surds of omega and xi keep their bytes.
+GRID_DIGESTS = {
+    "line":
+        "bae61c8bcc080bbe963ba3f78ab720cf45210be2edab8216514ac77f9e572426",
+    (3, 2):
+        "a8dd1d3ba26a25a400776d1c1216bd83d2f262d547a9eb81953c6b45e100ddcc",
+    (1, 1):
+        "dd2621eb194d4a03fb0c39668d4ebd4e7f09f353daab6f3019314a90ef5821b7",
+}
+
+
+def _grid_root(digest, params, which, point):
+    """root_fn's value, with the exact result it rounds fed to digest."""
+    found = pc._root_exact(params, which, point)
+    digest.update(str(found).encode())
+    return None if found is None else float(found[0])
+
 
 def test_omega_never_exceeds_zeta_on_grid():
     center = (F(0), F(1))
     radius = pc.DEFAULT_EXCLUSION_RADIUS
     equalities = []
     min_gap_outside = None
+    digest = hashlib.sha256()
     for i in range(32):
         a = F(i, 62)
         for j in range(1, 33):
             b = F(j, 32)
-            omega = pc.root_fn(None, "omega", (a, b))
-            zeta = pc.root_fn(None, "zeta", (a, b))
+            omega = _grid_root(digest, None, "omega", (a, b))
+            zeta = _grid_root(digest, None, "zeta", (a, b))
             assert omega is not None and zeta is not None
             gap = zeta - omega
             assert gap >= -1e-12
@@ -534,6 +554,7 @@ def test_omega_never_exceeds_zeta_on_grid():
                     min_gap_outside = gap
     assert equalities == [(F(0), F(1), True)]
     assert min_gap_outside > 1e-4
+    assert digest.hexdigest() == GRID_DIGESTS["line"]
 
 
 @pytest.mark.parametrize("p", [AWParams(3, 2), AWParams(1, 1)],
@@ -543,6 +564,7 @@ def test_xi_never_exceeds_sigma_on_grid(p):
     equalities = []
     min_gap_outside = None
     checked = 0
+    digest = hashlib.sha256()
     for i in range(16):
         a = F(i, 15)
         for j in range(16):
@@ -551,10 +573,10 @@ def test_xi_never_exceeds_sigma_on_grid(p):
                 continue
             for m in range(1, 17):
                 d = F(m, 16)
-                sigma = pc.root_fn(p, "sigma", (a, b, d))
+                sigma = _grid_root(digest, p, "sigma", (a, b, d))
                 if sigma is None:
                     continue
-                xi = pc.root_fn(p, "xi", (a, b, d))
+                xi = _grid_root(digest, p, "xi", (a, b, d))
                 checked += 1
                 gap = sigma - xi
                 assert gap >= -1e-12
@@ -568,3 +590,4 @@ def test_xi_never_exceeds_sigma_on_grid(p):
     assert checked > 1900
     assert equalities == [(F(1), F(0), F(1), True)]
     assert min_gap_outside > 1e-4
+    assert digest.hexdigest() == GRID_DIGESTS[p.k, p.l]

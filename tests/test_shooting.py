@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -364,6 +365,15 @@ def test_reconstruct_gauge_doubling(traj_interior):
     two = reconstruct_metric(traj_interior, gauge=2.0)
     for name in ("t", "a", "b", "c", "f", "trl_inv"):
         assert np.array_equal(getattr(two, name), 2.0 * getattr(one, name))
+
+
+def test_reconstruct_exact_gauge_gives_the_float_profile(traj_interior):
+    exact = reconstruct_metric(traj_interior, gauge=Fraction(1))
+    one = reconstruct_metric(traj_interior, gauge=1.0)
+    assert exact.gauge == 1.0 and isinstance(exact.gauge, float)
+    for name in ("t", "a", "b", "c", "f", "trl_inv"):
+        assert getattr(exact, name).dtype == np.float64
+        assert np.array_equal(getattr(exact, name), getattr(one, name))
 
 
 def test_reconstruct_rejects_vanishing_z_product():
