@@ -52,40 +52,60 @@ def test_exact_sqrt():
 M61, M89, M107, M127 = (2 ** p - 1 for p in (61, 89, 107, 127))
 
 
-# Primes above B: 100003, 100019, 1000003, 999999000001, and 149491,
-# 747451, 34233211, the factors of a strong pseudoprime to the first
-# nine prime bases.
-PSP = 149491 * 747451 * 34233211
-BIG_SURD_INPUTS = (
-    6 * M127 ** 2, 72 * M107 ** 2, 12 * 100003 * 100019,
-    1001 * M61 * M127, M89 * M127, 30 * M61 * M89 * M107,
-    M61 * M89 ** 2, 2 ** 30 * M107 * M127,
-    999999000001 * 1000003, 10 * M61, PSP, 12 * 149491 * PSP,
-    1000003 ** 3 * 999999000001,
-    Fraction(M89, M127), Fraction(999999000001 * 1000003, 4),
-)
+def _assert_squares_back(value):
+    r = exact_sqrt(value)
+    assert isinstance(r, QuadExt) and r * r == value
+    q = Fraction(value)
+    n = q.numerator * q.denominator
+    s, d = _square_decompose(n)
+    assert s * s * d == n
 
 
-def test_roots_of_large_inputs_square_back_within_a_bound():
-    """Inputs of up to 90 digits whose cofactors have prime factors
-    above B: every root is exact after at most B/2 divisions and one
-    isqrt."""
+def test_large_inputs_end_within_a_bound():
+    """60-90-digit inputs whose cofactors have prime factors above B:
+    every root is exact after at most B/2 divisions and one isqrt."""
     start = time.perf_counter()
     root = M89 * 10 ** 10 + 7
     assert exact_sqrt(Fraction(root ** 2, M61 ** 2)) == Fraction(root, M61)
-    for value in BIG_SURD_INPUTS:
-        r = exact_sqrt(value)
-        assert isinstance(r, QuadExt) and r * r == value
-        q = Fraction(value)
-        s, d = _square_decompose(q.numerator * q.denominator)
-        assert s * s * d == q.numerator * q.denominator
     # A square cofactor goes into s; any other cofactor stays in d.
     assert _square_decompose(6 * M127 ** 2) == (M127, 6)
     assert _square_decompose(72 * M107 ** 2) == (6 * M107, 2)
-    assert _square_decompose(12 * 149491 * PSP) == (2, 3 * 149491 * PSP)
+    assert _square_decompose(12 * 100003 * 100019) == \
+        (2, 3 * 100003 * 100019)
     assert _square_decompose(M61 * M89 ** 2) == (1, M61 * M89 ** 2)
     assert 100003 > TRIAL_DIVISION_BOUND
+    for n in (1001 * M61 * M127, M89 * M127, 30 * M61 * M89 * M107,
+              M61 * M89 ** 2, 2 ** 30 * M107 * M127):
+        assert 60 <= len(str(n)) <= 90
+        _assert_squares_back(n)
+    for value in (6 * M127 ** 2, 72 * M107 ** 2, 12 * 100003 * 100019,
+                  Fraction(M89, M127)):
+        _assert_squares_back(value)
     assert time.perf_counter() - start < 2.0
+
+
+def test_cofactors_past_the_cube_bound_are_decided():
+    # 999999000001 and 1000003 are primes above B: their product stays
+    # in d without being split.
+    n = 999999000001 * 1000003
+    assert n >= TRIAL_DIVISION_BOUND ** 3
+    assert _square_decompose(n) == (1, n)
+    assert _square_decompose(10 * M61) == (1, 10 * M61)
+    # Strong pseudoprime to the first nine prime bases, all factors > B.
+    psp = 149491 * 747451 * 34233211
+    assert _square_decompose(psp) == (1, psp)
+    assert _square_decompose(12 * 149491 * psp) == (2, 3 * 149491 * psp)
+    assert _square_decompose(1000003 ** 3 * 999999000001) == \
+        (1, 1000003 ** 3 * 999999000001)
+    assert exact_sqrt(Fraction(n, 4)) == QuadExt(0, Fraction(1, 2), n)
+    # The same numbers, read in the field of their squarefree part.
+    assert exact_sqrt(12 * 149491 * psp) == \
+        QuadExt(0, 2 * 149491, 3 * 747451 * 34233211)
+    assert exact_sqrt(1000003 ** 3 * 999999000001) == \
+        QuadExt(0, 1000003, 1000003 * 999999000001)
+    for value in (n, 10 * M61, psp, 12 * 149491 * psp,
+                  1000003 ** 3 * 999999000001, Fraction(n, 4)):
+        _assert_squares_back(value)
 
 
 @settings(max_examples=50, deadline=None)
