@@ -108,8 +108,9 @@ class QuadExt:
         self.a = a if isinstance(a, Fraction) else Fraction(a)
         self.b = b if isinstance(b, Fraction) else Fraction(b)
         self.d = int(d)
-        if self.d < 2:
-            raise ValueError("d must be an integer >= 2")
+        if self.d < 2 or isqrt(self.d) ** 2 == self.d:
+            raise ValueError(
+                "d must be an integer >= 2 that is not a perfect square")
 
     def _split(self, other):
         """Return (a, b) parts of the operand inside this field, or None."""

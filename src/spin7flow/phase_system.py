@@ -57,6 +57,8 @@ __all__ = [
     "vector_field",
     "residuals",
     "x_from_z",
+    "zcons_of_z",
+    "rs_of_z",
     "membership",
     "identity_checks",
     "cubic_coefficients",
@@ -190,26 +192,44 @@ def g_of_x(x):
     return 2 * (x1 * x1 + x2 * x2 + x3 * x3) + x4 * x4
 
 
-def r_terms(c, z1, z2, z3, z4sq):
-    """R1..R4; Z4 enters only through Z4^2."""
+def _squares(z1, z2, z3):
+    """The monomials (Z2*Z3)^2, (Z1*Z3)^2, (Z1*Z2)^2 of R4 / Z4^2."""
+    return z2 * z2 * z3 * z3, z1 * z1 * z3 * z3, z1 * z1 * z2 * z2
+
+
+def _r4(c, t):
+    """R4 from its three terms t: the squares times Z4^2."""
     ca, cb, cc = c
-    t23 = z2 * z2 * z3 * z3 * z4sq
-    t13 = z1 * z1 * z3 * z3 * z4sq
-    t12 = z1 * z1 * z2 * z2 * z4sq
+    t23, t13, t12 = t
+    return ca * t23 + cb * t13 + cc * t12
+
+
+def _r123(c, z1, z2, z3, t):
+    """R1..R3 from R4's three terms t."""
+    ca, cb, cc = c
+    t23, t13, t12 = t
     return (6 * z2 * z3 + z1 * z1 - z2 * z2 - z3 * z3 - ca * t23,
             6 * z1 * z3 + z2 * z2 - z3 * z3 - z1 * z1 - cb * t13,
-            6 * z1 * z2 + z3 * z3 - z1 * z1 - z2 * z2 - cc * t12,
-            ca * t23 + cb * t13 + cc * t12)
+            6 * z1 * z2 + z3 * z3 - z1 * z1 - z2 * z2 - cc * t12)
+
+
+def r_terms(c, z1, z2, z3, z4sq):
+    """R1..R4; Z4 enters only through Z4^2."""
+    t = tuple(m * z4sq for m in _squares(z1, z2, z3))
+    return _r123(c, z1, z2, z3, t) + (_r4(c, t),)
 
 
 def einstein_residual(params, z1, z2, z3):
     """((R1, R2, R3) - 6/49, Z4^2) with Z4^2 = (6/49)/q solving R4 = 6/49:
     the vector field's X rows at X = (1/7, ..., 1/7), where its Z rows
-    vanish (the homogeneous Einstein condition)."""
+    vanish (the homogeneous Einstein condition).  q is R4 on the bare
+    squares, which has the bits of R4 at Z4^2 = 1."""
     *c, level = _matching(quartic_coefficients(params) + (EINSTEIN_LEVEL,),
                           (z1, z2, z3))
-    z4sq = level / r_terms(c, z1, z2, z3, 1)[3]
-    return tuple(r - level for r in r_terms(c, z1, z2, z3, z4sq)[:3]), z4sq
+    squares = _squares(z1, z2, z3)
+    z4sq = level / _r4(c, squares)
+    t = tuple(m * z4sq for m in squares)
+    return tuple(r - level for r in _r123(c, z1, z2, z3, t)), z4sq
 
 
 def _rs(c, z):
@@ -504,6 +524,18 @@ def x_from_z(params, z, chirality):
     """
     d = _matching(_spin_coefficients(params, chirality), z)
     return _x_of_z(z, _cubic_terms(d, z))
+
+
+def zcons_of_z(params, z, chirality):
+    """zcons+ (PLUS) or zcons- (MINUS), the Z-only constraint of a
+    chirality set, without the rest of residuals."""
+    d = _matching(_spin_coefficients(params, chirality), z)
+    return _zcons(z, _cubic_terms(d, z))
+
+
+def rs_of_z(params, z):
+    """Rs = 2*R1 + 2*R2 + 2*R3 + R4 at Z alone, as scalar_terms gives it."""
+    return _rs(_matching(quartic_coefficients(params), z), z)
 
 
 def jacobian(params, state):

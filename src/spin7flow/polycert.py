@@ -35,7 +35,7 @@ from .errors import (
     InvalidRequestError,
 )
 from .exact import exact_sqrt
-from .phase_system import PhaseState, residuals, scalar_terms
+from .phase_system import Chirality, rs_of_z, zcons_of_z
 from .ratpoly import (
     Ball,
     Box,
@@ -174,15 +174,13 @@ def _barrier_a(params):
 
 def _barrier_p(params):
     """P = -zcons-, the Z-only constraint of the minus chirality set."""
-    state = PhaseState((0, 0, 0, 0), _barrier_variables())
-    return -residuals(params, state).zcons_minus
+    return -zcons_of_z(params, _barrier_variables(), Chirality.MINUS)
 
 
 def _barrier_b(params):
     """B = 2 - 2*(Z1 + Z2 + Z3) - Rs."""
     z = _barrier_variables()
-    rs = scalar_terms(params, PhaseState((0, 0, 0, 0), z)).Rs
-    return 2 - 2 * (z[0] + z[1] + z[2]) - rs
+    return 2 - 2 * (z[0] + z[1] + z[2]) - rs_of_z(params, z)
 
 
 _BARRIER_BUILDERS = {
@@ -201,19 +199,19 @@ def line_slices(params=None):
     """The two line restrictions (q1, q2) over (alpha, beta, u).
 
     The substitution Z1 = alpha, Z2 + Z3 = u, Z4 = 6*Delta*beta/(k+l)
-    cancels every orbit-integer factor, so the same pair is returned
-    for every parameter choice.  The construction still runs through
-    the barrier of the given params (defaulting to (1, 0)) and fails
-    loudly if the restriction ever picks up a dependence on how u is
-    split between Z2 and Z3.
+    cancels every orbit-integer factor, so one pair serves every
+    parameter choice: it is built once per process, from the barriers
+    of (1, 0), and the construction fails loudly if the restriction
+    ever picks up a dependence on how u is split between Z2 and Z3.
+    params is still validated.
     """
-    params = _as_params(params)
-    return _line_slices_cached(params.k, params.l)
+    _as_params(params)
+    return _line_slices_once()
 
 
-@lru_cache(maxsize=32)
-def _line_slices_cached(k, l):
-    params = AWParams(k, l)
+@lru_cache(maxsize=1)
+def _line_slices_once():
+    params = AWParams(1, 0)
     return (_restrict_line(barrier(params, "Q"), params),
             _restrict_line(barrier(params, "A"), params))
 
@@ -608,14 +606,22 @@ def rtilde(params, cross_check=True):
     A zero at (alpha, beta, delta) is equivalent to the two ray
     slices sharing a root, so non-negativity with a known zero set
     is what the ray containment argument needs.  The resultant is
-    computed once per ratio; the cross-check runs on every call.
+    computed once per ratio, and so is the cross-check: a cross-checked
+    call returns only a resultant already compared in this process.
     """
     params = _as_params(params)
-    computed = _reduced_ray_resultant(params.k, params.l)
     if cross_check:
-        _require_equal(computed, printed_ray_expansion(params),
-                       f"reduced ray resultant at (k, l) = "
-                       f"({params.k}, {params.l})")
+        return _checked_ray_resultant(params.k, params.l)
+    return _reduced_ray_resultant(params.k, params.l)
+
+
+@lru_cache(maxsize=32)
+def _checked_ray_resultant(k, l):
+    """_reduced_ray_resultant once it matches the recorded expansion; a
+    mismatch raises, and nothing is cached."""
+    computed = _reduced_ray_resultant(k, l)
+    _require_equal(computed, printed_ray_expansion(AWParams(k, l)),
+                   f"reduced ray resultant at (k, l) = ({k}, {l})")
     return computed
 
 

@@ -506,32 +506,15 @@ def _sign_at(ints, p, q):
     return (total > 0) - (total < 0)
 
 
-def _poly_divmod(num, den):
-    num = list(num)
-    den = _strip(den)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    quotient = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        factor = num[i + len(den) - 1] / lead
-        quotient[i] = factor
-        if factor:
-            for j, d in enumerate(den):
-                num[i + j] -= factor * d
-    return quotient, _strip(num)
-
-
 def univariate_gcd(a, b):
-    """Monic greatest common divisor of two exact coefficient lists."""
-    a, b = _strip(a), _strip(b)
+    """Monic greatest common divisor of two exact coefficient lists, from
+    the primitive pseudo-remainder chain of sturm_sequence."""
+    a, b = (_primitive(_integer_multiple(_strip(c))) for c in (a, b))
     while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
     if not a:
         return []
-    lead = a[-1]
-    return [c / lead for c in a]
+    return [Fraction(c, a[-1]) for c in a]
 
 
 def _derivative(coeffs):
@@ -544,29 +527,68 @@ def _integer_multiple(coeffs):
     return [c.numerator * (scale // c.denominator) for c in coeffs]
 
 
-def sturm_sequence(coeffs):
-    """Sturm sequence of an exact polynomial p, as integer coefficient
+def _primitive(ints):
+    """An integer list over the gcd of its entries, a positive divisor,
+    so every sign stays."""
+    content = gcd(*ints)
+    return [c // content for c in ints] if content > 1 else ints
+
+
+def _pseudo_divmod(num, den):
+    """(q, r) with s*num = q*den + r for an integer s > 0, on integer
     lists.
 
-    One Euclid pass on (p, p').  When its last member g = gcd(p, p') is
-    not constant, every member is divided by the monic g, so the first
-    member is the squarefree part of p.  Each member is returned as a
-    positive integer multiple (denominators cleared by their lcm), which
-    leaves every sign unchanged.
+    Pseudo-division (Collins 1967) with the scale's sign dropped: each
+    step multiplies q and num by |lc(den)| and cancels num's top term,
+    so no step divides, and q and r are positive multiples of the
+    rational quotient and remainder.
+    """
+    num = list(num)
+    lead = den[-1]
+    scale, sign = abs(lead), (1 if lead > 0 else -1)
+    low = den[:-1]
+    quotient = []  # highest power first
+    while len(num) >= len(den):
+        factor = num.pop() * sign
+        if factor:
+            if scale != 1:
+                num = [c * scale for c in num]
+                quotient = [c * scale for c in quotient]
+            offset = len(num) - len(low)
+            for j, d in enumerate(low):
+                num[offset + j] -= factor * d
+        quotient.append(factor)
+    while num and num[-1] == 0:
+        num.pop()
+    return quotient[::-1], num
+
+
+def sturm_sequence(coeffs):
+    """Sturm sequence of an exact polynomial p, as primitive integer
+    coefficient lists.
+
+    The primitive pseudo-remainder chain on (p, p') (Collins 1967; Brown
+    & Traub 1971): each member is minus the pseudo-remainder of the two
+    before it, divided by its content.  Both steps scale by a positive
+    integer, so each member is a positive multiple of the member that
+    Euclid's chain over the rationals gives, with the same signs
+    everywhere.  When the last member g = gcd(p, p') is not constant,
+    every member is divided by g with a positive leading coefficient,
+    so the first member is the squarefree part of p.
     """
     p0 = _strip(coeffs)
     if len(p0) <= 1:
         return [_integer_multiple(p0)] if p0 else []
-    seq = [p0, _derivative(p0)]
+    p0 = _primitive(_integer_multiple(p0))
+    seq = [p0, _primitive(_derivative(p0))]
     while len(seq[-1]) > 1:
-        _, rem = _poly_divmod(seq[-2], seq[-1])
+        rem = _pseudo_divmod(seq[-2], seq[-1])[1]
         if not rem:
-            lead = seq[-1][-1]
-            monic = [c / lead for c in seq[-1]]
-            seq = [_poly_divmod(member, monic)[0] for member in seq]
-            break
-        seq.append([-c for c in rem])
-    return [_integer_multiple(member) for member in seq]
+            g = seq[-1] if seq[-1][-1] > 0 else [-c for c in seq[-1]]
+            return [_primitive(_pseudo_divmod(member, g)[0])
+                    for member in seq]
+        seq.append(_primitive([-c for c in rem]))
+    return seq
 
 
 def _sign_changes(seq, p, q):

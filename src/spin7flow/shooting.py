@@ -855,7 +855,10 @@ def reconstruct_metric(traj, gauge=1.0):
     gauge, taken as a float, outside 0 < gauge < inf raises
     InvalidRequestError.
     """
-    gauge = float(gauge)
+    try:
+        gauge = float(gauge)
+    except OverflowError:  # an exact gauge past the float range
+        gauge = math.inf
     if not 0.0 < gauge < math.inf:
         raise InvalidRequestError("gauge must be positive and finite")
     etas = np.asarray(traj.etas, dtype=float)

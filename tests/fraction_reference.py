@@ -3,9 +3,11 @@
 ratpoly and critical_points run these kernels on integers: compose sums
 into one exponent dict, the Bernstein tables are cleared to integers,
 root bisection carries integer numerators over a doubling denominator,
+the Sturm chain and univariate_gcd run on primitive pseudo-remainders,
 and the tangency flags take integer dot products.  These are the forms
 they replaced, with every intermediate a Fraction or a RatPoly.  The
-new kernels must return exactly what these return.
+new kernels must return exactly what these return (for the Sturm
+chain: positive multiples of these members).
 """
 
 from fractions import Fraction
@@ -15,7 +17,8 @@ from spin7flow.critical_points import (catalog, constraint_gradients,
                                        first_order_jacobians)
 from spin7flow.errors import InvalidRequestError
 from spin7flow.ratpoly import (ROOT_ACCURACY, SNAP_DENOMINATOR, RatPoly,
-                               _convergents, _strip, sturm_sequence)
+                               _convergents, _derivative, _integer_multiple,
+                               _strip)
 
 
 def compose(poly, variables_out, mapping):
@@ -97,6 +100,51 @@ def bernstein_tensor(poly, box):
     return flat, dims, strides
 
 
+def poly_divmod(num, den):
+    """Long division of exact coefficient lists over the rationals."""
+    num = list(num)
+    den = _strip(den)
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    quotient = [Fraction(0)] * max(0, len(num) - len(den) + 1)
+    lead = den[-1]
+    for i in range(len(num) - len(den), -1, -1):
+        factor = num[i + len(den) - 1] / lead
+        quotient[i] = factor
+        if factor:
+            for j, d in enumerate(den):
+                num[i + j] -= factor * d
+    return quotient, _strip(num)
+
+
+def univariate_gcd(a, b):
+    """Euclid's monic gcd over the rationals."""
+    a, b = _strip(a), _strip(b)
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    if not a:
+        return []
+    return [c / a[-1] for c in a]
+
+
+def sturm_sequence(coeffs):
+    """Euclid's chain on (p, p') over the rationals, each member then
+    cleared of denominators; a non-constant gcd divides every member."""
+    p0 = _strip(coeffs)
+    if len(p0) <= 1:
+        return [_integer_multiple(p0)] if p0 else []
+    seq = [p0, _derivative(p0)]
+    while len(seq[-1]) > 1:
+        _, rem = poly_divmod(seq[-2], seq[-1])
+        if not rem:
+            lead = seq[-1][-1]
+            monic = [c / lead for c in seq[-1]]
+            seq = [poly_divmod(member, monic)[0] for member in seq]
+            break
+        seq.append([-c for c in rem])
+    return [_integer_multiple(member) for member in seq]
+
+
 def _sign_at(ints, x):
     total = Fraction(0)
     for c in reversed(ints):
@@ -109,26 +157,26 @@ def _sign_changes(sequence, x):
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-def _count(sequence, lo, hi):
+def count_distinct_roots(sequence, lo, hi):
     return _sign_changes(sequence, lo) - _sign_changes(sequence, hi)
 
 
 def smallest_root_in_interval(coeffs, lo, hi, include_lo=False,
                               accuracy=ROOT_ACCURACY):
     """Root bisection with a Fraction bracket (a, b], Fraction midpoints
-    and Fraction sign tests, on the library's Sturm chain."""
+    and Fraction sign tests, on the Fraction Euclid chain above."""
     lo, hi = Fraction(lo), Fraction(hi)
     sequence = sturm_sequence(_strip(coeffs))
     squarefree = sequence[0]
     if include_lo and _sign_at(squarefree, lo) == 0:
         return lo, True
-    count = _count(sequence, lo, hi)
+    count = count_distinct_roots(sequence, lo, hi)
     if count == 0:
         return None
     a, b = lo, hi
     while count > 1 and b - a > accuracy:
         mid = (a + b) / 2
-        left = _count(sequence, a, mid)
+        left = count_distinct_roots(sequence, a, mid)
         if left == 1 and _sign_at(squarefree, mid) == 0:
             return mid, True
         if left:

@@ -135,6 +135,14 @@ def test_quadext_field_arithmetic():
     assert -x + x == 0
 
 
+@pytest.mark.parametrize("d", [-4, 0, 1, 4, 9, 144, 10 ** 40])
+def test_quadext_refuses_d_below_two_or_a_perfect_square(d):
+    """sqrt(d) must be irrational: with d = 4, QuadExt(0, 1, 4) would be
+    a 2 that compares unequal to 2."""
+    with pytest.raises(ValueError, match="perfect square"):
+        QuadExt(0, 1, d)
+
+
 def test_quadext_float_and_order():
     r10 = QuadExt(0, Fraction(1, 12), 10)
     assert abs(float(r10) - 10 ** 0.5 / 12) < 1e-15

@@ -492,6 +492,54 @@ def test_column_duals_give_each_row_the_bits_of_scalar_duals(kl, points):
                 [[row_of(v, 0) for v in row] for row in one_rows]
 
 
+def einstein_residual_two_calls(p, z1, z2, z3):
+    """einstein_residual as r_terms twice: at Z4^2 = 1 for q = R4, then
+    at Z4^2 = (6/49)/q for R1..R3."""
+    *c, level = phase_system._matching(
+        quartic_coefficients(p) + (EINSTEIN_LEVEL,), (z1, z2, z3))
+    z4sq = level / r_terms(c, z1, z2, z3, 1)[3]
+    return tuple(r - level for r in r_terms(c, z1, z2, z3, z4sq)[:3]), z4sq
+
+
+def flat_einstein(fun, p):
+    def outputs(y):
+        resid, z4sq = fun(p, *y)
+        return resid + (z4sq,)
+    return outputs
+
+
+def float_bits(values):
+    """The bytes of each value as float64, so -0.0, shapes and the
+    integer 0 of a structurally zero partial all count."""
+    return [np.asarray(v, dtype=float).tobytes() + bytes(type(v).__name__,
+                                                         "ascii")
+            for v in values]
+
+
+def test_einstein_residual_equals_its_two_call_form():
+    """Bit for bit on floats, numpy columns and their duals, exactly on
+    Fractions, on a seeded sample of 40 orbits with 60 >= k > l >= 1."""
+    rng = random.Random(63)
+    pool = [(k, l) for k in range(2, 61) for l in range(1, k)
+            if gcd(k, l) == 1]
+    for kl in rng.sample(pool, 40):
+        p = AWParams(*kl)
+        new = flat_einstein(einstein_residual, p)
+        old = flat_einstein(einstein_residual_two_calls, p)
+        for _ in range(5):
+            z = tuple(rng.uniform(0.01, 2.0) for _ in range(3))
+            assert float_bits(new(z)) == float_bits(old(z))
+            z = tuple(Fraction(rng.randint(1, 60), rng.randint(1, 30))
+                      for _ in range(3))
+            assert new(z) == old(z)
+        columns = tuple(np.array([rng.uniform(0.01, 2.0) for _ in range(6)])
+                        for _ in range(3))
+        got, want = (value_and_derivative(f, columns) for f in (new, old))
+        assert float_bits(got[0]) == float_bits(want[0])
+        assert [float_bits(row) for row in got[1]] == \
+            [float_bits(row) for row in want[1]]
+
+
 def characteristic_polynomial(a):
     """Coefficients of det(t*I - a), leading first (Faddeev-LeVerrier)."""
     n = len(a)

@@ -10,8 +10,9 @@ import pytest
 
 from spin7flow.aw_algebra import AWParams
 from spin7flow.errors import (DegenerateRootError, DomainAnomalyError,
-                              InvalidRequestError)
+                              FormulaDiscrepancyError, InvalidRequestError)
 from spin7flow import polycert as pc
+from spin7flow.phase_system import PhaseState, residuals, scalar_terms
 from spin7flow.ratpoly import (RatPoly, random_nonnegativity_audit,
                                univariate_gcd)
 
@@ -415,12 +416,12 @@ def test_rtilde_alpha_face_vanishes_when_l_zero():
     assert not face.is_zero
 
 
-def test_rtilde_resultant_once_per_ratio_cross_check_every_call(
-        monkeypatch):
+def test_rtilde_resultant_and_cross_check_once_per_ratio(monkeypatch):
     """rtilde, certify_ray_resultant and boundary_zero_report share one
-    Sylvester resultant per ratio; the recorded expansion is compared
-    on every cross-checked call."""
-    p = AWParams(7, 6)
+    Sylvester resultant and one comparison with the recorded expansion
+    per ratio; a second ratio is compared on its own, and a forged
+    recorded expansion raises on every cross-checked call."""
+    p, second, forged = AWParams(7, 6), AWParams(8, 7), AWParams(9, 8)
     want = pc.rtilde(p)
     calls = {"sylvester_resultant": [], "printed_ray_expansion": []}
 
@@ -435,22 +436,69 @@ def test_rtilde_resultant_once_per_ratio_cross_check_every_call(
     recorded("sylvester_resultant")
     recorded("printed_ray_expansion")
     pc._reduced_ray_resultant.cache_clear()
+    pc._checked_ray_resultant.cache_clear()
     assert pc.rtilde(p) == want
     assert pc.rtilde(p, cross_check=False) == want
     assert pc.certify_ray_resultant(p).status == "NonNegative"
     pc.boundary_zero_report(p)
     assert len(calls["sylvester_resultant"]) == 1
-    assert calls["printed_ray_expansion"] == [(p,)] * 3
+    assert calls["printed_ray_expansion"] == [(p,)]
+    assert pc.rtilde(second) == pc.rtilde(second)
+    assert calls["printed_ray_expansion"] == [(p,), (second,)]
+
+    # A resultant computed without the check is still compared before a
+    # cross-checked call returns it.
+    computed = pc.rtilde(forged, cross_check=False)
+    recorded_poly = pc.printed_ray_expansion(forged)
+    wrong = recorded_poly + RatPoly.constant(recorded_poly.variables, 1)
+    monkeypatch.setattr(pc, "printed_ray_expansion", lambda params: wrong)
+    for _ in range(2):
+        with pytest.raises(FormulaDiscrepancyError):
+            pc.rtilde(forged)
+        with pytest.raises(FormulaDiscrepancyError):
+            pc.certify_ray_resultant(forged)
+    assert pc.rtilde(forged, cross_check=False) == computed
+    assert pc.rtilde(p) == want  # compared before the forgery
 
 
 def test_slice_and_resultant_caches_are_bounded():
-    for cached in (pc._line_slices_cached, pc._ray_slices_cached,
-                   pc._reduced_ray_resultant):
+    for cached in (pc._ray_slices_cached, pc._reduced_ray_resultant,
+                   pc._checked_ray_resultant):
         assert cached.cache_info().maxsize == 32
     pc._ray_slices_cached.cache_clear()
     for k in range(2, 40):
         pc.ray_slices(AWParams(k, 1))
     assert pc._ray_slices_cached.cache_info().currsize == 32
+    # The line slices do not depend on the orbit: one pair, built once.
+    assert pc._line_slices_once.cache_info().maxsize == 1
+    pc._line_slices_once.cache_clear()
+    pairs = {id(pc.line_slices(AWParams(k, 1))) for k in range(2, 40)}
+    assert len(pairs) == 1
+    assert pc._line_slices_once.cache_info().misses == 1
+
+
+def _orbit_sample(count, seed):
+    """A seeded sample of coprime orbits with 60 >= k > l >= 1."""
+    pool = [(k, l) for k in range(2, 61) for l in range(1, k)
+            if math.gcd(k, l) == 1]
+    return [AWParams(k, l) for k, l in random.Random(seed).sample(pool, count)]
+
+
+def test_line_slices_built_once_equal_each_orbits_restriction():
+    q1, q2 = pc.line_slices()
+    for p in _orbit_sample(40, 61):
+        assert pc._restrict_line(pc.barrier(p, "Q"), p) == q1
+        assert pc._restrict_line(pc.barrier(p, "A"), p) == q2
+
+
+def test_barriers_p_and_b_equal_their_residual_forms():
+    names = pc.BARRIER_VARIABLES
+    z = tuple(RatPoly.variable(names, n) for n in names)
+    state = PhaseState((0, 0, 0, 0), z)
+    for p in _orbit_sample(40, 62):
+        assert pc.barrier(p, "P") == -residuals(p, state).zcons_minus
+        assert pc.barrier(p, "B") == \
+            2 - 2 * (z[0] + z[1] + z[2]) - scalar_terms(p, state).Rs
 
 
 def test_boundary_zero_bookkeeping():

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fraction_reference
 from spin7flow.errors import InvalidRequestError
@@ -16,7 +16,7 @@ from spin7flow.ratpoly import (ROOT_ACCURACY, SNAP_DENOMINATOR, Ball,
                                STATUS_COUNTEREXAMPLE, STATUS_INCONCLUSIVE,
                                STATUS_NONNEGATIVE, _bernstein_tensor,
                                _convergents, _coerce, _derivative,
-                               _poly_divmod, _split_axis, _strip,
+                               _split_axis, _strip,
                                certify_nonneg, count_distinct_roots,
                                random_nonnegativity_audit, rational_string,
                                smallest_root_in_interval, sturm_sequence,
@@ -401,7 +401,7 @@ def test_sturm_counts_distinct_roots_on_half_open_interval(case):
     seq = sturm_sequence(coeffs)
     assert count_distinct_roots(seq, lo, hi) == \
         sum(1 for r in roots if lo < r <= hi)
-    squarefree, rest = _poly_divmod(
+    squarefree, rest = fraction_reference.poly_divmod(
         coeffs, univariate_gcd(coeffs, _derivative(coeffs)))
     assert not rest
     first = seq[0]
@@ -409,6 +409,48 @@ def test_sturm_counts_distinct_roots_on_half_open_interval(case):
     ratio = F(first[-1]) / squarefree[-1]
     assert ratio > 0
     assert [ratio * c for c in squarefree] == first
+
+
+@st.composite
+def integer_factor_products(draw):
+    """(coeffs, intervals): a product of integer factors of degree 1-3,
+    each of multiplicity 1-3, so gcd(p, p') is often not constant, and
+    intervals with ends among small rationals."""
+    factors = []
+    for _ in range(draw(st.integers(1, 4))):
+        low = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=3))
+        lead = draw(st.integers(1, 9)) * draw(st.sampled_from([1, -1]))
+        factors += [[F(c) for c in low] + [F(lead)]] * \
+            draw(st.integers(1, 3))
+    intervals = [sorted([draw(small_rationals), draw(small_rationals)])
+                 for _ in range(4)]
+    return poly_product(factors), intervals
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_factor_products())
+@example(([F(-1), F(3), F(-3), F(1)], [[F(0), F(2)]]))  # (x - 1)**3
+def test_integer_sturm_chain_is_a_positive_multiple_of_euclid(case):
+    """Each member of the integer chain is a positive multiple of the
+    Fraction Euclid chain's member, and the counts agree; univariate_gcd
+    on the same pseudo-remainders gives Euclid's monic gcd."""
+    coeffs, intervals = case
+    # p' and a quadratic from the drawn interval ends
+    for other in (_derivative(coeffs), intervals[0] + [F(1)]):
+        assert univariate_gcd(coeffs, other) == \
+            fraction_reference.univariate_gcd(coeffs, other)
+    got = sturm_sequence(coeffs)
+    want = fraction_reference.sturm_sequence(coeffs)
+    assert len(got) == len(want)
+    for member, oracle in zip(got, want):
+        assert all(type(c) is int for c in member)
+        assert len(member) == len(oracle)
+        ratio = F(member[-1], oracle[-1])
+        assert ratio > 0
+        assert [ratio * c for c in oracle] == member
+    for lo, hi in intervals:
+        assert count_distinct_roots(got, lo, hi) == \
+            fraction_reference.count_distinct_roots(want, lo, hi)
 
 
 def test_smallest_root_exact_rational():
@@ -459,7 +501,7 @@ def _squarefree(coeffs):
     g = univariate_gcd(coeffs, _derivative(coeffs))
     if len(g) <= 1:
         return coeffs
-    quotient, remainder = _poly_divmod(coeffs, g)
+    quotient, remainder = fraction_reference.poly_divmod(coeffs, g)
     if remainder:
         raise ArithmeticError("squarefree division left a remainder")
     return _strip(quotient)
@@ -467,7 +509,8 @@ def _squarefree(coeffs):
 
 def _deflate(coeffs, root):
     """Exact synthetic division by (x - root)."""
-    quotient, remainder = _poly_divmod(coeffs, [-root, F(1)])
+    quotient, remainder = fraction_reference.poly_divmod(
+        coeffs, [-root, F(1)])
     if remainder:
         raise ArithmeticError(f"{root} is not a root; deflation failed")
     return _strip(quotient)

@@ -407,6 +407,14 @@ def test_reconstruct_rejects_gauge_outside_positive_reals(traj_interior,
         reconstruct_metric(traj_interior, gauge=gauge)
 
 
+@pytest.mark.parametrize("gauge", [Fraction(10 ** 400),
+                                   Fraction(-10 ** 400)])
+def test_reconstruct_rejects_exact_gauge_past_float_range(traj_interior,
+                                                         gauge):
+    with pytest.raises(InvalidRequestError, match="gauge"):
+        reconstruct_metric(traj_interior, gauge=gauge)
+
+
 def test_sweep_is_ordered_and_classified(monkeypatch):
     monkeypatch.setenv("SPIN7_THREADS", "1")
     grid = quadrant_grid(3)
