@@ -17,11 +17,11 @@ constraint set:
 Coordinates are stored exactly (Fraction, with QuadExt for the sqrt(10)
 entries).  The linearization and the constraint derivatives are those of
 ``phase_system`` (re-exported here) and are exact at exact states;
-``eigen`` adds a floating-point spectral decomposition with clustering,
-and ``reference_frame`` returns closed-form eigenvector tables for the
-cone points and the sink, with tangency flags computed from exact
-constraint gradients.  The AC Newton batch takes its Jacobian the same
-way, on duals over numpy columns.
+``eigen`` rounds the linearization once and adds a floating-point
+spectral decomposition with clustering, and ``reference_frame`` returns
+closed-form eigenvector tables for the cone points and the sink, with
+tangency flags computed from exact constraint gradients.  The AC Newton
+batch takes its Jacobian from ``derivative``, on duals over numpy columns.
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ import numpy as np
 from .aw_algebra import AWParams
 from .errors import InvalidRequestError, SolverIncompleteError
 from .exact import QuadExt, exact_sqrt
-from .phase_system import (Chirality, PhaseState, constraint_gradients,
-                           einstein_residual, first_order_jacobians, jacobian,
+from .phase_system import (Chirality, PhaseState, _float_jacobian,
+                           constraint_gradients, einstein_residual,
+                           first_order_jacobians, jacobian,
                            value_and_derivative)
 from .ratpoly import _integer_multiple
 
@@ -314,7 +315,10 @@ def _resolve_point(params, point_or_label):
 def eigen(params, point_or_label):
     """Floating-point spectrum of the linearization at a critical point."""
     pt = _resolve_point(params, point_or_label)
-    mat = np.array([[float(v) for v in row] for row in jacobian(params, pt.state)])
+    mat = _float_jacobian(params, pt.state)
+    if not np.isfinite(mat).all():
+        raise InvalidRequestError(
+            f"{pt.label}: the linearization at this state is not finite")
     vals, vecs = np.linalg.eig(mat)
     order = np.argsort(-vals.real - 1e-12 * vals.imag)
     vals, vecs = vals[order], vecs[:, order]

@@ -17,10 +17,13 @@ Spin(7) systems F = 0, H = 0, on whose sets X is linear in Z.
 This module is the one place where a flow polynomial is written, each
 once, generic over exact values (Fraction, QuadExt, RatPoly), floats,
 numpy columns and the duals of ``derivative``, which takes every
-Jacobian and gradient from the polynomial it differentiates.  The
-integrator's float kernels come from the same helpers: ``_trace`` runs
-a right-hand side's body on recording scalars and writes it out as
-source, which the stepper inlines into its stages.  Rounding
+Jacobian and gradient from the polynomial it differentiates.  Kernels
+come from the same helpers: ``_trace`` runs a body on recording scalars
+and writes it out as source.  The stepper inlines the right-hand sides'
+kernels into its stages.  ``jacobian``, ``constraint_gradients`` and
+``first_order_jacobians`` run the kernel traced from their
+``derivative`` pass, on integers at a rational state: each entry is
+N / D**deg, with D the lcm of the inputs' denominators.  Rounding
 rule: a float expression associates as the integrator runs it
 (``flow_rhs``, ``reduced_z_rhs``, ``zcons_constraint``,
 ``crf_constraints``): da*Z2*Z3*Z4 left to right, Rs as
@@ -37,12 +40,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import isfinite, sqrt
+from math import isfinite, lcm, sqrt
 
 import numpy as np
 
 from .errors import InvalidRequestError
-from .exact import is_exact_scalar
+from .exact import QuadExt, is_exact_scalar
 
 __all__ = [
     "PhaseState",
@@ -364,9 +367,11 @@ class _Traced:
     of a float kernel instead of a value.  Each node is one +, -, * or
     negation exactly as the helpers run it, so printing the graph keeps
     their association, and with it every bit.  A trace makes each
-    operation on the same operands once.  Only int and float constants
-    combine with it; anything else (the time argument of an autonomous
-    right-hand side, passed as None) fails the trace."""
+    operation on the same operands once, and a product with the int 0
+    is 0, so a dual skips what it would skip at an exact-zero value.
+    Only int and float constants combine with it; anything else (the
+    time argument of an autonomous right-hand side, passed as None)
+    fails the trace."""
 
     __slots__ = ("op", "args", "nodes")
 
@@ -378,6 +383,8 @@ class _Traced:
     def _apply(self, op, args):
         if not all(type(a) in (_Traced, int, float) for a in args):
             return NotImplemented
+        if op == "*" and any(type(a) is int and not a for a in args):
+            return 0
         key = (op,) + tuple(a if type(a) is _Traced else (type(a), repr(a))
                             for a in args)
         node = self.nodes.get(key)
@@ -411,21 +418,28 @@ class _Traced:
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "neg": 3}
 
 
-def _trace(on_floats, n):
-    """The float kernel of on_floats(eta, y) on n components, as source.
+def _trace(on_floats, n, homogeneous=False):
+    """(source, degrees): the kernel of on_floats(eta, y) on n
+    components, and the degree of each output.
 
-    The result is a template of assignment lines: input j reads
+    The source is a template of assignment lines: input j reads
     "{v}j", output i is assigned to "{k}i", and a value used more than
     once is assigned to a temporary w_m first; every other value stays
     nested in the expression that uses it.  Coefficients appear as
     their repr literals, which round-trip.  Substituting names with
     str.format and running the lines gives on_floats' bits.
+
+    A value's degree is 1 for an input, 0 for a constant, the sum over
+    a product and the max over a sum.  Homogeneous lines carry D**degree
+    times each value, from D times each input: a sum's operand e below
+    its degree is multiplied by "{p}e", which is to hold D**e.
     """
     nodes = {}
     inputs = [_Traced("input", (j,), nodes) for j in range(n)]
     outputs = on_floats(None, inputs)
     uses = {}
     order = []  # operation nodes, each after its operands
+    degree = dict.fromkeys(inputs, 1)
 
     def visit(node):
         if type(node) is not _Traced or node.op == "input":
@@ -435,6 +449,8 @@ def _trace(on_floats, n):
             for arg in node.args:
                 visit(arg)
             order.append(node)
+            degrees = [degree.get(arg, 0) for arg in node.args]
+            degree[node] = sum(degrees) if node.op == "*" else max(degrees)
 
     for out in outputs:
         visit(out)
@@ -451,12 +467,20 @@ def _trace(on_floats, n):
             return names[node], 4
         return expression(node), _PRECEDENCE[node.op]
 
+    def operand(arg, node):
+        """text(arg), scaled to node's degree in a homogeneous sum."""
+        (source, prec), gap = text(arg), degree[node] - degree.get(arg, 0)
+        if not (homogeneous and gap and _PRECEDENCE[node.op] == 1):
+            return source, prec
+        return "%s * {p}%d" % (source if prec > 1 else "(%s)" % source,
+                               gap), 2
+
     def expression(node):
         prec = _PRECEDENCE[node.op]
         if node.op == "neg":
             source, inner = text(node.args[0])
             return "-" + (source if inner >= prec else "(%s)" % source)
-        (left, lp), (right, rp) = map(text, node.args)
+        (left, lp), (right, rp) = (operand(arg, node) for arg in node.args)
         return "%s %s %s" % (left if lp >= prec else "(%s)" % left, node.op,
                              right if rp > prec else "(%s)" % right)
 
@@ -467,7 +491,7 @@ def _trace(on_floats, n):
             names[node] = "w_%d" % len(names)
     for i, out in enumerate(outputs):
         lines.append("{k}%d = %s" % (i, text(out)[0]))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", [degree.get(out, 0) for out in outputs]
 
 
 def value_and_derivative(fun, point):
@@ -488,6 +512,61 @@ def value_and_derivative(fun, point):
 def derivative(fun, point):
     """The rows of value_and_derivative, exact at exact points."""
     return value_and_derivative(fun, point)[1]
+
+
+@lru_cache(maxsize=64)
+def _derivative_kernel(body, zeros):
+    """(kernel, degrees) for derivative(lambda y: body(c, y[:4], y[4:]))
+    over the inputs (X, Z, c), traced once per body and per set of zero
+    inputs.  A zero input is traced as 0, so each term with a zero
+    factor is skipped as the duals skip it at that value.
+    kernel(inputs, (1, D, D**2, ...)) returns the rows as one list in
+    _trace's homogeneous form: entry i carries D**degrees[i] times its
+    value."""
+
+    def rows(eta, inputs):
+        inputs = [0 if zero else v for v, zero in zip(inputs, zeros)]
+        return sum(derivative(lambda y: body(inputs[8:], y[:4], y[4:]),
+                              inputs[:8]), ())
+
+    template, degrees = _trace(rows, len(zeros), homogeneous=True)
+    namespace = {}
+    exec("def kernel(v, p):\n    %s, = v\n    %s, = p\n    %sreturn [%s]" % (
+        ", ".join("v%d" % j for j in range(len(zeros))),
+        ", ".join("p%d" % e for e in range(max(degrees) + 1)),
+        template.format(v="v", k="k", p="p").replace("\n", "\n    "),
+        ", ".join("k%d" % i for i in range(len(degrees)))), namespace)
+    return namespace["kernel"], degrees
+
+
+def _derivative_rows(body, c, state, rounded=False):
+    """derivative(lambda y: body(c, y[:4], y[4:]), state) from its
+    kernel; with rounded, each entry as float() rounds it.
+
+    At a rational state the kernel runs on integers, D the lcm of the
+    inputs' denominators: entry i is N_i / D**deg_i, and its float is
+    that quotient, correctly rounded.  At any other state (Q(sqrt d),
+    floats) it runs on the state's own numbers with D = 1: the duals'
+    operations.  Entries from two quadratic fields raise TypeError, as
+    in QuadExt arithmetic.
+    """
+    values = state.as_tuple() + tuple(c)
+    kernel, degrees = _derivative_kernel(body, tuple(not v for v in values))
+    powers = range(max(degrees) + 1)
+    if all(type(v) in (int, Fraction) for v in values):
+        den = lcm(*(v.denominator for v in values))
+        scales = [den ** e for e in powers]
+        out = kernel([v.numerator * (den // v.denominator) for v in values],
+                     scales)
+        out = [n / scales[e] if rounded else Fraction(n, scales[e])
+               for n, e in zip(out, degrees)]
+    else:
+        surds = [v for v in values if type(v) is QuadExt and v.b]
+        if None in [surds[0]._split(v) for v in surds[1:]]:
+            raise TypeError("state entries lie in two quadratic fields")
+        out = kernel(values, [1 for _ in powers])
+        out = [float(v) for v in out] if rounded else out
+    return tuple(tuple(out[i:i + 8]) for i in range(0, len(out), 8))
 
 
 def scalar_terms(params, state):
@@ -540,28 +619,35 @@ def rs_of_z(params, z):
 
 def jacobian(params, state):
     """8x8 derivative of the vector field; exact at exact states."""
-    c = _matching(quartic_coefficients(params), state.Z)
-    return derivative(lambda y: _field(c, y[:4], y[4:]), state.as_tuple())
+    return _derivative_rows(
+        _field, _matching(quartic_coefficients(params), state.Z), state)
+
+
+def _float_jacobian(params, state):
+    """jacobian(params, state) rounded entrywise by float(), as an array;
+    a rational state's exact entries are never built."""
+    return np.array(_derivative_rows(
+        _field, _matching(quartic_coefficients(params), state.Z), state,
+        rounded=True))
 
 
 def constraint_gradients(params, state):
     """Gradients of the hyperplane and conservation constraints."""
-    c = _matching(quartic_coefficients(params), state.Z)
-    hyperplane, conservation = derivative(
-        lambda y: _crf_values(c, y[:4], y[4:]), state.as_tuple())
+    hyperplane, conservation = _derivative_rows(
+        _crf_values, _matching(quartic_coefficients(params), state.Z), state)
     return {"hyperplane": hyperplane, "conservation": conservation}
+
+
+def _systems(d, x, z):
+    """F and H in one tuple."""
+    plus = _cubic_terms(d, z)
+    return sum(_first_order(x, z, plus, tuple(-u for u in plus)), ())
 
 
 def first_order_jacobians(params, state):
     """4x8 derivatives of the F system and of the H system."""
-    d = _matching(cubic_coefficients(params), state.Z)
-
-    def systems(y):
-        plus = _cubic_terms(d, y[4:])
-        return sum(_first_order(y[:4], y[4:], plus,
-                                tuple(-u for u in plus)), ())
-
-    rows = derivative(systems, state.as_tuple())
+    rows = _derivative_rows(
+        _systems, _matching(cubic_coefficients(params), state.Z), state)
     return rows[:4], rows[4:]
 
 
@@ -742,7 +828,7 @@ def _flow_on_floats(c):
     def on_floats(eta, y):
         return _field(c, y[:4], y[4:])
 
-    on_floats.kernel = _trace(on_floats, 8)
+    on_floats.kernel = _trace(on_floats, 8)[0]
     return on_floats
 
 
@@ -755,7 +841,7 @@ def _reduced_on_floats(d):
         x = _x_of_z(z, _cubic_terms(d, z))
         return _z_field(g_of_x(x), x, z)
 
-    on_floats.kernel = _trace(on_floats, 4)
+    on_floats.kernel = _trace(on_floats, 4)[0]
     return on_floats
 
 

@@ -4,18 +4,21 @@ ratpoly and critical_points run these kernels on integers: compose sums
 into one exponent dict, the Bernstein tables are cleared to integers,
 root bisection carries integer numerators over a doubling denominator,
 the Sturm chain and univariate_gcd run on primitive pseudo-remainders,
-and the tangency flags take integer dot products.  These are the forms
-they replaced, with every intermediate a Fraction or a RatPoly.  The
-new kernels must return exactly what these return (for the Sturm
-chain: positive multiples of these members).
+the tangency flags take integer dot products, and the exact Jacobian
+and gradients evaluate a kernel traced from the dual pass.  These are
+the forms they replaced, with every intermediate a Fraction, a RatPoly
+or a dual.  The new kernels must return exactly what these return (for
+the Sturm chain: positive multiples of these members; at a float state,
+the same bits).
 """
 
 from fractions import Fraction
 from math import comb
 
-from spin7flow.critical_points import (catalog, constraint_gradients,
-                                       first_order_jacobians)
+from spin7flow import phase_system
+from spin7flow.critical_points import catalog
 from spin7flow.errors import InvalidRequestError
+from spin7flow.phase_system import derivative
 from spin7flow.ratpoly import (ROOT_ACCURACY, SNAP_DENOMINATOR, RatPoly,
                                _convergents, _derivative, _integer_multiple,
                                _strip)
@@ -223,3 +226,34 @@ def tangency_flags(params, label, vectors):
                       crf and all(_dot(row, vec) == 0 for row in df),
                       crf and all(_dot(row, vec) == 0 for row in dh)))
     return flags
+
+
+def jacobian(params, state):
+    """phase_system.jacobian as one pass of the duals."""
+    c = phase_system._matching(phase_system.quartic_coefficients(params),
+                               state.Z)
+    return derivative(lambda y: phase_system._field(c, y[:4], y[4:]),
+                      state.as_tuple())
+
+
+def constraint_gradients(params, state):
+    """phase_system.constraint_gradients as one pass of the duals."""
+    c = phase_system._matching(phase_system.quartic_coefficients(params),
+                               state.Z)
+    hyperplane, conservation = derivative(
+        lambda y: phase_system._crf_values(c, y[:4], y[4:]), state.as_tuple())
+    return {"hyperplane": hyperplane, "conservation": conservation}
+
+
+def first_order_jacobians(params, state):
+    """phase_system.first_order_jacobians as one pass of the duals."""
+    d = phase_system._matching(phase_system.cubic_coefficients(params),
+                               state.Z)
+
+    def systems(y):
+        plus = phase_system._cubic_terms(d, y[4:])
+        return sum(phase_system._first_order(y[:4], y[4:], plus,
+                                             tuple(-u for u in plus)), ())
+
+    rows = derivative(systems, state.as_tuple())
+    return rows[:4], rows[4:]

@@ -328,6 +328,39 @@ def test_eigen_accepts_point_objects_and_rejects_families():
         eigen(p, "LineFamily")
 
 
+@pytest.mark.parametrize("kl", [(1, 0), (1, 1), (3, 2), (13, 5), (55, 41),
+                                (59, 23)])
+def test_eigen_decomposes_the_rounded_dual_jacobian(kl, monkeypatch):
+    """The matrix eigen hands to LAPACK is the dual-pass Jacobian rounded
+    entry by entry, bit for bit with the sign of every zero.  At (1, 0)
+    the coefficient of (Z1*Z3)^2 is 0, so row 1, column 7 of AC_1 and
+    AC_2 is +0.0, as the duals leave it."""
+    p = AWParams(*kl)
+    matrices = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig",
+                        lambda mat: matrices.append(mat.copy()) or eig(mat))
+    for pt in catalog(p).points:
+        eigen(p, pt)
+        want = [float(v) for row in fraction_reference.jacobian(p, pt.state)
+                for v in row]
+        assert [v.hex() for v in matrices.pop().ravel().tolist()] == \
+            [v.hex() for v in want], pt.label
+    if kl == (1, 0):
+        for label in ("AC_1", "AC_2"):
+            eigen(p, label)
+            assert math.copysign(1.0, matrices.pop()[1, 7]) == 1.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_eigen_refuses_a_non_finite_state(bad):
+    p = AWParams(3, 2)
+    sink = catalog(p).get("P1").state
+    state = PhaseState(sink.X, (bad,) + sink.Z[1:])
+    with pytest.raises(InvalidRequestError, match="not finite"):
+        eigen(p, state)
+
+
 def test_reference_frames_are_exact_eigenpairs():
     for p in PARAMS:
         labels = ["P0_KplusL", "P0_K", "P1"] + (["P0_L"] if p.l > 0 else [])

@@ -1,6 +1,7 @@
 """Tests for the polynomial flow, constraint residuals, and membership."""
 
 import ast
+import hashlib
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import fraction_reference
 import spin7flow
 from spin7flow import phase_system
 from spin7flow.aw_algebra import AWParams
@@ -622,3 +624,112 @@ def test_coefficient_tuples_stay_in_phase_system():
             if used & COEFFICIENT_TUPLES:
                 offenders.append("%s:%d" % (path.name, node.lineno))
     assert offenders == []
+
+
+# ---------------------------------------------------------------------------
+# the derivative kernels against the dual pass they are traced from
+
+
+def kernel_and_dual_rows(p, state):
+    """(kernel rows, dual rows) of jacobian, constraint_gradients and
+    first_order_jacobians, flattened in that order."""
+    def rows(jac, grads, first_order):
+        out = jac(p, state) + tuple(grads(p, state).values())
+        return out + sum(first_order(p, state), ())
+
+    return (rows(jacobian, constraint_gradients, first_order_jacobians),
+            rows(fraction_reference.jacobian,
+                 fraction_reference.constraint_gradients,
+                 fraction_reference.first_order_jacobians))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kl=coprime_pairs(), values=st.lists(rationals, min_size=8,
+                                           max_size=8))
+@example(kl=(1, 0), values=[Fraction(1, 7)] * 4 + [Fraction(1, 3)] * 4)
+@example(kl=(3, 2), values=[Fraction(-1, 2), 0, 2, 1, 0, 3,
+                            Fraction(1, 5), 0])
+def test_kernels_equal_dual_forms_at_rational_states(kl, values):
+    got, want = kernel_and_dual_rows(AWParams(*kl),
+                                     PhaseState.from_sequence(values))
+    assert got == want
+
+
+# Signed zeros or magnitudes in [2^-10, 4], so no product of up to seven
+# coordinates underflows.  The duals skip a factor that is 0 when they
+# run.  A zero coordinate is traced as 0 and skipped the same way, but a
+# product that underflows to 0 is not, and can leave a zero entry whose
+# sign the kernel, which keeps the term, does not share.
+float_coordinates = st.one_of(st.floats(2.0 ** -10, 4.0),
+                              st.floats(-4.0, -2.0 ** -10),
+                              st.sampled_from([0.0, -0.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kl=coprime_pairs(), values=st.lists(float_coordinates, min_size=8,
+                                           max_size=8),
+       exact_x=st.booleans())
+@example(kl=(1, 0), values=[0.5] * 8, exact_x=True)
+@example(kl=(3, 2), values=[-0.0, 0.5, 0.0, 1.5, 0.25, -0.0, 2.0, 0.0],
+         exact_x=False)
+def test_kernels_give_the_dual_bits_at_float_states(kl, values, exact_x):
+    """Bit for bit, signed zeros too; exact_x puts X at (1/7, ..., 1/7)
+    as at the inexact AC points, whose X stays exact."""
+    if exact_x:
+        values = [Fraction(1, 7)] * 4 + values[4:]
+    got, want = kernel_and_dual_rows(AWParams(*kl),
+                                     PhaseState.from_sequence(values))
+    assert [[float(v).hex() for v in row] for row in got] == \
+        [[float(v).hex() for v in row] for row in want]
+
+
+@pytest.mark.parametrize("kl", [(1, 0), (1, 1), (3, 2), (13, 5)])
+def test_kernels_at_one_field_written_as_sqrt2_and_sqrt8(kl):
+    root2, root8 = QuadExt(0, 1, 2), QuadExt(0, Fraction(1, 2), 8)
+    state = PhaseState((THIRD, root2, 0, Fraction(1, 5)),
+                       (root8, SIXTH + root2, Fraction(2, 7), 3 * root8))
+    got, want = kernel_and_dual_rows(AWParams(*kl), state)
+    assert got == want
+
+
+@pytest.mark.parametrize("kl", [(1, 0), (3, 2)])
+def test_kernels_refuse_a_state_across_two_fields_as_the_duals_do(kl):
+    p = AWParams(*kl)
+    state = PhaseState((THIRD, QuadExt(0, 1, 2), 0, Fraction(1, 5)),
+                       (SIXTH, QuadExt(THIRD, 1, 3), Fraction(2, 7), 1))
+    for name in ("jacobian", "first_order_jacobians"):
+        with pytest.raises(TypeError):
+            getattr(fraction_reference, name)(p, state)
+        with pytest.raises(TypeError):
+            getattr(phase_system, name)(p, state)
+
+
+# SHA-256 of the traced right-hand-side sources (flow, spin+, spin-); the
+# bits of every integrated trajectory rest on these lines.
+RHS_KERNEL_DIGESTS = {
+    (1, 0): (
+        "b4827498db1e7514f47e6b615268e777a0f58b2a9a787b4a924b6924abd4bcce",
+        "12a57201dd1f4f0aa2a8f687694fa116ef6667914f84b88d19be0cd2fbec4d93",
+        "4761d1f84b721b92c517b86e20f6aec297df6a3bf34a616f06b0c0231c11ee7b"),
+    (1, 1): (
+        "9a85767c7f3c950f72e30fb1602e3ad63096586c377c81293ec796450d8d6e99",
+        "0df25b1ccd568846c402d15c256e15a8f04003e2e2ab59c309f1fbca54f94d4e",
+        "8a1e3e37c8b324d723524add20eafb8c0116c3eecbe4194fe204d9ef94a4c2ae"),
+    (3, 2): (
+        "2e869f2686bfc463700d497932cf85cbc7472ddb2db6cf2e9bad5f077c3524e7",
+        "250b2c9019808d5b9e7b3c077a43d4c5a184134ece54a459c2ac62e0c2dd27a6",
+        "e94b7cd7926ef73504fe9e2c24232ffe3ccb36c52ebcffd363e193215b64a0e6"),
+    (13, 5): (
+        "29e76de9ff86379d68d22302b060982399d2eeeb6d717bee6a50c6816f5ed40c",
+        "b6f94e4db72d8590afd1ed18767cd108c09fdfb689aa8b535a382bcc10f48015",
+        "e339b404e0e7794402da8bcf8f91fa4d959eacb695792b3f75da3ab7c4834f5a"),
+}
+
+
+@pytest.mark.parametrize("kl", sorted(RHS_KERNEL_DIGESTS))
+def test_rhs_kernel_sources_are_pinned(kl):
+    p = AWParams(*kl)
+    sources = [flow_rhs(p).kernel] + [reduced_z_rhs(p, chir).kernel
+                                      for chir in CHIRALITIES]
+    assert tuple(hashlib.sha256(s.encode()).hexdigest()
+                 for s in sources) == RHS_KERNEL_DIGESTS[kl]

@@ -280,6 +280,30 @@ def test_resultant_vanishes_exactly_on_shared_roots():
             assert sylvester_resultant(f, g_coprime, "x") != 0
 
 
+def factored(lead, roots):
+    out = RatPoly.constant(("x",), lead)
+    for r in roots:
+        out = out * (X - r)
+    return out
+
+
+small_roots = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(f_roots=st.lists(small_roots, min_size=1, max_size=3),
+       g_roots=st.lists(small_roots, min_size=1, max_size=3),
+       leads=st.tuples(*[st.integers(-9, 9).filter(bool)] * 2))
+@example(f_roots=[F(1, 2), F(-3)], g_roots=[F(-3), F(-3), F(5, 4)],
+         leads=(2, -7))
+def test_resultant_is_zero_exactly_on_a_shared_root(f_roots, g_roots, leads):
+    """Res(f, g) = lc(f)^deg(g) * lc(g)^deg(f) * prod(r - s) over the
+    roots r of f and s of g, which vanishes exactly on a shared root."""
+    f, g = factored(leads[0], f_roots), factored(leads[1], g_roots)
+    shared = not set(f_roots).isdisjoint(g_roots)
+    assert (sylvester_resultant(f, g, "x") == 0) == shared
+
+
 def bareiss_determinant(matrix):
     """Fraction-free (Bareiss) elimination on a Fraction matrix."""
     m = [list(row) for row in matrix]
