@@ -20,8 +20,10 @@ entries).  The linearization and the constraint derivatives are those of
 ``eigen`` rounds the linearization once and adds a floating-point
 spectral decomposition with clustering, and ``reference_frame`` returns
 closed-form eigenvector tables for the cone points and the sink, with
-tangency flags computed from exact constraint gradients.  The AC Newton
-batch takes its Jacobian from ``derivative``, on duals over numpy columns.
+tangency flags computed from exact constraint gradients.  The AC pair
+comes from Newton's iteration started at the (1, 1) pair (``SEEDS``);
+its residual and Jacobian come from ``derivative``, on duals over numpy
+columns.
 """
 
 from __future__ import annotations
@@ -315,8 +317,12 @@ def _resolve_point(params, point_or_label):
 def eigen(params, point_or_label):
     """Floating-point spectrum of the linearization at a critical point."""
     pt = _resolve_point(params, point_or_label)
-    mat = _float_jacobian(params, pt.state)
-    if not np.isfinite(mat).all():
+    try:
+        mat = _float_jacobian(params, pt.state)
+        finite = np.isfinite(mat).all()
+    except OverflowError:  # an exact entry beyond the float range
+        finite = False
+    if not finite:
         raise InvalidRequestError(
             f"{pt.label}: the linearization at this state is not finite")
     vals, vecs = np.linalg.eig(mat)
@@ -528,12 +534,10 @@ def unstable_frame(params, label, flow_class):
 # homogeneous Einstein solve (the AC pair)
 
 
-# Starts of the batched Newton iteration: a GRID_POINTS^3 grid on Z_SPAN^3.
-GRID_POINTS = 10
-Z_SPAN = (0.05, 0.5)
+# The starts of Newton's iteration: the AC pair of (1, 1), as floats.
+SEEDS = ((2 / 7, 1 / 7, 1 / 7), (2 / 21, 5 / 21, 5 / 21))
 NEWTON_ITERS = 80
 RESID_TOL = 1e-12
-ROOT_SEPARATION = 1e-6  # max-norm distance of distinct roots
 
 
 def _einstein_system(params, z):
@@ -589,61 +593,47 @@ def _polish(params, z123):
     return z123 + (einstein_residual(params, *z123)[1] ** 0.5,)
 
 
-def _distinct_roots(z):
-    """The first row of each cluster of rows of z, in row order.
-
-    A row joins the cluster of an earlier kept row within max-norm
-    distance ROOT_SEPARATION; the iterates of one root differ by far
-    less, while rounding them to a fixed number of digits can split
-    them across a rounding boundary.
-    """
-    roots = []
-    while len(z):
-        roots.append(tuple(z[0].tolist()))
-        z = z[np.abs(z - z[0]).max(axis=1) >= ROOT_SEPARATION]
-    return roots
-
-
 def solve_homogeneous_einstein(params):
     """Solve R_i(z) = 6/49 (i = 1..4) with all z_i > 0.
 
     z4 is eliminated through R4 = 6/49, which fixes z4^2 rationally in
-    terms of (z1, z2, z3); batched Newton iteration over a positive grid,
-    each 3x3 step solved in closed form (_newton_step), finds the other
-    three equations' roots.  A start retires, keeping its iterate, once
-    its residual is below RESID_TOL; only live starts are iterated, each
-    as it would be alone.  Converged starts within
-    ROOT_SEPARATION of one another count as one root (see
-    _distinct_roots).  Exactly two solutions are expected; anything else
-    raises SolverIncompleteError.  Returns [(z_tuple, exact_flag),
-    ...] sorted by descending z1, with exact rational (or quadratic-surd
-    z4) coordinates whenever the numeric solution rationalizes and
-    verifies exactly, and otherwise z1..z3 the correctly rounded roots
-    (see _polish).
-    """
-    axis = np.linspace(*Z_SPAN, GRID_POINTS)
-    z = np.array(np.meshgrid(axis, axis, axis)).reshape(3, -1).T
-    live = np.arange(len(z))
-    converged = np.zeros(len(z), dtype=bool)
-    for sweep in range(NEWTON_ITERS + 1):
-        r0, jac = _einstein_system(params, z[live])
-        done = np.abs(r0).max(axis=1) < RESID_TOL
-        converged[live[done]] = True
-        live, r0, jac = live[~done], r0[~done], jac[~done]
-        if not len(live) or sweep == NEWTON_ITERS:
-            break
-        z[live] = np.clip(z[live] - _newton_step(jac, r0), 1e-4, 4.0)
+    terms of (z1, z2, z3).  The quartic coefficients then enter R1..R3
+    only through the ratios of ((k+l)^2, l^2, k^2), so the roots depend
+    on (k, l) only through rho = l/k in [0, 1].  Newton's iteration, each
+    3x3 step solved in closed form (_newton_step), follows them from
+    SEEDS, the pair at rho = 1; a start stops once its residual is below
+    RESID_TOL.  Returns [(z_tuple, exact_flag), ...] sorted by descending
+    z1, with exact rational (or quadratic-surd z4) coordinates whenever
+    the numeric solution rationalizes and verifies exactly, and
+    otherwise z1..z3 the correctly rounded roots (see _polish).
 
-    sols = sorted(_distinct_roots(z[converged]), key=lambda v: -v[0])
-    if len(sols) != 2:
-        raise SolverIncompleteError(
-            f"expected exactly 2 homogeneous Einstein solutions, found "
-            f"{len(sols)}: {sols}")
+    Raises SolverIncompleteError when a start does not reach RESID_TOL
+    within NEWTON_ITERS sweeps, or when the two final points, which are
+    canonical, are equal or not positive.
+    """
+    z = np.array(SEEDS)
+    for sweep in range(NEWTON_ITERS + 1):
+        r0, jac = _einstein_system(params, z)
+        done = np.abs(r0).max(axis=1) < RESID_TOL
+        if done.all():
+            break
+        if sweep == NEWTON_ITERS:
+            raise SolverIncompleteError(
+                f"Newton from {SEEDS} did not reach the residual "
+                f"{RESID_TOL} in {NEWTON_ITERS} sweeps; it stopped at "
+                f"{z.tolist()}")
+        z[~done] -= _newton_step(jac[~done], r0[~done])
 
     out = []
-    for z123 in sols:
+    for z123 in z.tolist():
         exact = _try_exact_einstein(params, z123)
         out.append((exact, True) if exact else (_polish(params, z123), False))
+    out.sort(key=lambda sol: -sol[0][0])
+    (first, _), (second, _) = out
+    if first == second or not all(v > 0 for v in first + second):
+        raise SolverIncompleteError(
+            f"expected 2 distinct positive homogeneous Einstein "
+            f"solutions, found {[z for z, _ in out]}")
     return out
 
 

@@ -124,7 +124,7 @@ def _as_params(params):
     except (TypeError, ValueError):
         raise InvalidRequestError(
             "params must be AWParams or a (k, l) pair") from None
-    return AWParams(int(k), int(l))
+    return AWParams(k, l)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,14 @@ import pytest
 from spin7flow.aw_algebra import AWParams
 from spin7flow import critical_points
 from spin7flow.cli import main
-from spin7flow.critical_points import (NEWTON_ITERS, RESID_TOL, FlowClass,
-                                       _distinct_roots, _einstein_system,
-                                       _newton_step, _polish, catalog, eigen,
+from spin7flow.critical_points import (RESID_TOL, SEEDS, FlowClass,
+                                       _catalog_cached, _einstein_system,
+                                       _newton_step, _polish,
+                                       _try_exact_einstein, catalog, eigen,
                                        jacobian, reference_frame,
                                        solve_homogeneous_einstein,
                                        unstable_frame)
-from spin7flow.errors import InvalidRequestError
+from spin7flow.errors import InvalidRequestError, SolverIncompleteError
 from spin7flow.phase_system import (PhaseState, derivative, einstein_residual,
                                     flow_rhs, residuals, vector_field)
 
@@ -92,23 +93,71 @@ def test_ac_solver_finds_two_positive_solutions():
             assert all(abs(r) < 1e-15 for r in resid)
 
 
-def test_ac_solver_on_1_0_runs_every_sweep(monkeypatch):
-    # Some (1, 0) starts wander without converging, so the batch runs
-    # all NEWTON_ITERS sweeps.  Which ones, and how many, depends on the
-    # rounding of the step and of the Jacobian (73 of the 1000 here);
-    # the roots do not.  _polish's one-row calls are not sweeps.
-    batches = []
+def grid_roots(params):
+    """The AC roots found by batched Newton from a 10^3 grid on
+    [0.05, 0.5]^3, in at most 80 sweeps.
 
-    def recording(params, z):
-        rows, jac = _einstein_system(params, z)
-        if len(z) > 1:
-            batches.append(rows)
-        return rows, jac
+    Iterates are clipped to [1e-4, 4]; a start retires once its residual
+    is below RESID_TOL, and converged iterates within 1e-6 (max norm) of
+    an earlier one count as the same root.  Each root comes back
+    rationalized or polished as solve_homogeneous_einstein does it.
+    """
+    axis = np.linspace(0.05, 0.5, 10)
+    z = np.array(np.meshgrid(axis, axis, axis)).reshape(3, -1).T
+    live = np.arange(len(z))
+    converged = np.zeros(len(z), dtype=bool)
+    for sweep in range(81):
+        rows, jac = _einstein_system(params, z[live])
+        done = np.abs(rows).max(axis=1) < RESID_TOL
+        converged[live[done]] = True
+        live, rows, jac = live[~done], rows[~done], jac[~done]
+        if not len(live) or sweep == 80:
+            break
+        z[live] = np.clip(z[live] - _newton_step(jac, rows), 1e-4, 4.0)
+    z = z[converged]
+    roots = []
+    while len(z):
+        z123 = tuple(z[0].tolist())
+        roots.append(_try_exact_einstein(params, z123)
+                     or _polish(params, z123))
+        z = z[np.abs(z - z[0]).max(axis=1) >= 1e-6]
+    return sorted(roots, key=lambda v: -v[0])
 
-    monkeypatch.setattr(critical_points, "_einstein_system", recording)
-    solve_homogeneous_einstein(AWParams(1, 0))
-    assert len(batches) == NEWTON_ITERS + 1
-    assert int((np.abs(batches[-1]).max(axis=1) >= RESID_TOL).sum()) == 73
+
+@pytest.mark.parametrize("kl", [(1, 0), (1, 1), (2, 1), (3, 2), (13, 5),
+                                (55, 41), (59, 23), (10 ** 6, 1),
+                                (10 ** 6 + 1, 10 ** 6)])
+def test_grid_search_finds_exactly_the_seeded_roots(kl):
+    # The seeds are the AC pair of (1, 1); a 1000-start grid finds no
+    # root that Newton from them misses.
+    p = AWParams(*kl)
+    assert grid_roots(p) == [z for z, _ in solve_homogeneous_einstein(p)]
+
+
+@pytest.fixture
+def fresh_catalog():
+    _catalog_cached.cache_clear()
+    yield
+    _catalog_cached.cache_clear()
+
+
+@pytest.mark.parametrize("seeds, reason", [
+    ((SEEDS[0], SEEDS[0]), "distinct positive"),
+    (tuple(tuple(-v for v in z) for z in SEEDS), "distinct positive"),
+    # Newton from this start wanders on (1, 0) without converging.
+    (((1.0, 10.0, 1.0), SEEDS[1]), "did not reach"),
+], ids=["one-start-twice", "negated", "wandering"])
+def test_ac_solver_failure_is_reported(monkeypatch, fresh_catalog, seeds,
+                                       reason):
+    p = AWParams(1, 0)
+    monkeypatch.setattr(critical_points, "SEEDS", seeds)
+    with pytest.raises(SolverIncompleteError, match=reason):
+        solve_homogeneous_einstein(p)
+    cat = catalog(p)
+    assert "AC_1" not in cat.labels() and "AC_2" not in cat.labels()
+    [note] = [n for n in cat.notes if n.label == "AC"]
+    assert note.reason.startswith("homogeneous Einstein solve failed: ")
+    assert reason in note.reason
 
 
 def test_newton_step_matches_lapack_solve():
@@ -183,20 +232,6 @@ def test_einstein_system_rows_and_jacobians(kl):
             scale = max(map(abs, want))
             for g, w in zip(got, want):
                 assert abs(Fraction(g) - w) <= 1e-14 * scale
-
-
-def test_distinct_roots_joins_iterates_across_a_rounding_boundary():
-    # Rows 0, 1 and 3 are iterates of one root; rows 0 and 1 are 4.4e-13
-    # apart but round to different 9-digit keys (...925 and ...926).
-    # Row 2 is another root.
-    near, far = 0.24020192549974, 0.24020192550018
-    assert round(near, 9) != round(far, 9)
-    z = np.array([[0.31, near, 0.12], [0.31, far, 0.12],
-                  [0.09, 0.23, 0.25], [0.31, near, 0.12 + 1e-12]])
-    assert _distinct_roots(z) == [(0.31, near, 0.12), (0.09, 0.23, 0.25)]
-    assert _distinct_roots(z[[2, 1, 0]]) == [(0.09, 0.23, 0.25),
-                                             (0.31, far, 0.12)]
-    assert _distinct_roots(z[:0]) == []
 
 
 def test_g2_points_satisfy_both_first_order_systems():
@@ -357,6 +392,15 @@ def test_eigen_refuses_a_non_finite_state(bad):
     p = AWParams(3, 2)
     sink = catalog(p).get("P1").state
     state = PhaseState(sink.X, (bad,) + sink.Z[1:])
+    with pytest.raises(InvalidRequestError, match="not finite"):
+        eigen(p, state)
+
+
+def test_eigen_refuses_an_exact_state_beyond_the_float_range():
+    # Exact entries are rounded as N / D**deg, which overflows here.
+    p = AWParams(3, 2)
+    sixth = F(1, 6)
+    state = PhaseState((sixth,) * 4, (F(10 ** 200), sixth, sixth, F(1)))
     with pytest.raises(InvalidRequestError, match="not finite"):
         eigen(p, state)
 

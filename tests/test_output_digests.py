@@ -9,10 +9,13 @@ left out, since it depends on the LAPACK build.
 
 import hashlib
 import json
+import math
 
 import pytest
 
+from spin7flow.aw_algebra import AWParams
 from spin7flow.cli import main
+from spin7flow.critical_points import solve_homogeneous_einstein
 
 EXACT_FIELDS = ("label", "X", "Z", "exact", "frame")
 
@@ -42,6 +45,14 @@ CERTIFY_DIGESTS = {
         "f2185c411f24cc039f9aa73b27e2453570400a68522dd60701df9e8a7a1e991b",
 }
 
+# repr(solve_homogeneous_einstein(p)), one line per orbit, over (1, 0),
+# (1, 1) and the coprime 30 >= k > l >= 1: the AC pair's values, bit for
+# bit, and its exact flags; taken while the solver searched a 1000-start
+# grid.
+AC_ORBITS = [(1, 0), (1, 1)] + [(k, l) for k in range(2, 31)
+                                for l in range(1, k) if math.gcd(k, l) == 1]
+AC_DIGEST = "4961117331336dc869927c0f169c5473ab72b3be41bc11b8207bf9d568320e31"
+
 
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -67,3 +78,10 @@ def test_certify_output_is_unchanged(target, capsys):
     if len(target) > 1:
         argv += ["--k", str(target[1]), "--l", str(target[2])]
     assert _sha256(_stdout(argv, capsys)) == CERTIFY_DIGESTS[target]
+
+
+def test_ac_pairs_are_unchanged():
+    assert len(AC_ORBITS) == 279
+    text = "".join(f"{solve_homogeneous_einstein(AWParams(*kl))!r}\n"
+                   for kl in AC_ORBITS)
+    assert _sha256(text) == AC_DIGEST

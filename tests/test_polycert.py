@@ -10,7 +10,8 @@ import pytest
 
 from spin7flow.aw_algebra import AWParams
 from spin7flow.errors import (DegenerateRootError, DomainAnomalyError,
-                              FormulaDiscrepancyError, InvalidRequestError)
+                              FormulaDiscrepancyError, InvalidParameterError,
+                              InvalidRequestError)
 from spin7flow import polycert as pc
 from spin7flow.phase_system import PhaseState, residuals, scalar_terms
 from spin7flow.ratpoly import (RatPoly, random_nonnegativity_audit,
@@ -51,6 +52,15 @@ def test_barrier_unknown_kind():
 
 def test_barrier_accepts_pairs():
     assert pc.barrier((3, 2), "Q") == pc.barrier(AWParams(3, 2), "Q")
+
+
+@pytest.mark.parametrize("pair", [(3.7, 2.2), (3.0, 2), ("3", "2")])
+def test_non_integer_pairs_are_refused(pair):
+    # A raw pair goes to AWParams unchanged: (3.7, 2.2) must not be read
+    # as the (3, 2) orbit.
+    for call in (pc.rtilde, pc.ray_slices, lambda p: pc.barrier(p, "Q")):
+        with pytest.raises(InvalidParameterError):
+            call(pair)
 
 
 # ---------------------------------------------------------------------------
