@@ -235,7 +235,9 @@ def einstein_residual(params, z1, z2, z3):
     return tuple(r - level for r in _r123(c, z1, z2, z3, t)), z4sq
 
 
-def _rs(c, z):
+def rs_of_z(c, z):
+    """Rs = 2*R1 + 2*R2 + 2*R3 + R4 at Z alone, as scalar_terms gives it,
+    with the quartic coefficients c that go with z's Z4."""
     ca, cb, cc = c
     z1, z2, z3, z4 = z
     q = (ca * z2 * z2 * z3 * z3 + cb * z1 * z1 * z3 * z3
@@ -247,7 +249,7 @@ def _rs(c, z):
 def _crf_values(c, x, z):
     """The hyperplane and conservation residuals."""
     x1, x2, x3, x4 = x
-    return 2 * (x1 + x2 + x3) + x4 - 1, g_of_x(x) - 1 + _rs(c, z)
+    return 2 * (x1 + x2 + x3) + x4 - 1, g_of_x(x) - 1 + rs_of_z(c, z)
 
 
 def _z_field(g, x, z):
@@ -574,7 +576,7 @@ def scalar_terms(params, state):
     c = _matching(quartic_coefficients(params), state.Z)
     z1, z2, z3, z4 = state.Z
     return ScalarTerms(G=g_of_x(state.X), R=r_terms(c, z1, z2, z3, z4 * z4),
-                       Rs=_rs(c, state.Z))
+                       Rs=rs_of_z(c, state.Z))
 
 
 def vector_field(params, state):
@@ -605,16 +607,10 @@ def x_from_z(params, z, chirality):
     return _x_of_z(z, _cubic_terms(d, z))
 
 
-def zcons_of_z(params, z, chirality):
-    """zcons+ (PLUS) or zcons- (MINUS), the Z-only constraint of a
-    chirality set, without the rest of residuals."""
-    d = _matching(_spin_coefficients(params, chirality), z)
+def zcons_of_z(d, z):
+    """zcons+ (cubic coefficients d) or zcons- (their negatives), the
+    Z-only constraint of a chirality set; d goes with z's Z4."""
     return _zcons(z, _cubic_terms(d, z))
-
-
-def rs_of_z(params, z):
-    """Rs = 2*R1 + 2*R2 + 2*R3 + R4 at Z alone, as scalar_terms gives it."""
-    return _rs(_matching(quartic_coefficients(params), z), z)
 
 
 def jacobian(params, state):

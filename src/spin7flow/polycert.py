@@ -18,7 +18,8 @@ Z4 = 6*Delta*beta/(k+l); the two barrier restrictions are called q1
 independent of the orbit integers.  Rays set (Z2, Z3) = (alpha*Z1,
 beta*Z1) with Z4 = (6*Delta/k)*delta; the restrictions p1 (quadratic
 in Z1) and p2 (quartic in Z1) depend on the orbit integers only
-through the ratio rho = l/k.
+through the ratio rho = l/k, so they and their resultant are built
+once per process with rho as a variable, and an orbit substitutes rho.
 
 All arithmetic below is exact.  Floating point enters only in the
 convenience return value of root_fn.
@@ -35,7 +36,7 @@ from .errors import (
     InvalidRequestError,
 )
 from .exact import exact_sqrt
-from .phase_system import Chirality, rs_of_z, zcons_of_z
+from .phase_system import rs_of_z, zcons_of_z
 from .ratpoly import (
     Ball,
     Box,
@@ -84,6 +85,7 @@ BARRIER_VARIABLES = ("Z1", "Z2", "Z3", "Z4")
 LINE_SLICE_VARIABLES = ("alpha", "beta", "u")
 RAY_SLICE_VARIABLES = ("alpha", "beta", "delta", "Z1")
 RAY_PARAMETER_VARIABLES = ("alpha", "beta", "delta")
+_RAY_FAMILY_VARIABLES = ("alpha", "beta", "delta", "rho", "Z1")
 
 BARRIER_KINDS = ("Q", "A", "P", "B")
 LINE_SLICE_KINDS = ("q1", "q2")
@@ -172,22 +174,29 @@ def _barrier_a(params):
             + 2 * z1 * z1 - 2 * z1 + 2)
 
 
-def _barrier_p(params):
+def _barrier_p(cubic, z):
     """P = -zcons-, the Z-only constraint of the minus chirality set."""
-    return -zcons_of_z(params, _barrier_variables(), Chirality.MINUS)
+    return -zcons_of_z(tuple(-c for c in cubic), z)
 
 
-def _barrier_b(params):
+def _barrier_b(quartic, z):
     """B = 2 - 2*(Z1 + Z2 + Z3) - Rs."""
-    z = _barrier_variables()
-    return 2 - 2 * (z[0] + z[1] + z[2]) - rs_of_z(params, z)
+    return 2 - 2 * (z[0] + z[1] + z[2]) - rs_of_z(quartic, z)
+
+
+def _orbit_coefficients(params):
+    """The orbit's cubic and quartic coefficients: the ray's, which go
+    with Z4 = (6*Delta/k)*delta, scaled back to Z4 itself."""
+    s = Fraction(params.k, 6 * params.delta)
+    cubic, quartic = _ray_coefficients(params.rho)
+    return tuple(s * c for c in cubic), tuple(s * s * c for c in quartic)
 
 
 _BARRIER_BUILDERS = {
     "Q": _barrier_q,
     "A": _barrier_a,
-    "P": _barrier_p,
-    "B": _barrier_b,
+    "P": lambda p: _barrier_p(_orbit_coefficients(p)[0], _barrier_variables()),
+    "B": lambda p: _barrier_b(_orbit_coefficients(p)[1], _barrier_variables()),
 }
 
 
@@ -241,29 +250,44 @@ def ray_slices(params):
 
     The substitution (Z2, Z3) = (alpha*Z1, beta*Z1) with
     Z4 = (6*Delta/k)*delta leaves polynomials whose coefficients
-    depend on the orbit integers only through rho = l/k, so results
-    are cached per ratio (one-to-one with the coprime pair k >= l >= 0).
+    depend on the orbit integers only through rho = l/k: this is the
+    ray family, built once per process, at rho.
     """
-    params = _as_params(params)
-    return _ray_slices_cached(params.k, params.l)
+    rho = _as_params(params).rho
+    return tuple(_substitute(p, {"rho": rho}) for p in _ray_family())
 
 
-@lru_cache(maxsize=32)
-def _ray_slices_cached(k, l):
-    params = AWParams(k, l)
-    names = RAY_SLICE_VARIABLES
-    alpha = RatPoly.variable(names, "alpha")
-    beta = RatPoly.variable(names, "beta")
-    delta = RatPoly.variable(names, "delta")
-    z1 = RatPoly.variable(names, "Z1")
-    image = {
-        "Z1": z1,
-        "Z2": alpha * z1,
-        "Z3": beta * z1,
-        "Z4": Fraction(6 * params.delta, params.k) * delta,
-    }
-    return (barrier(params, "P").compose(names, image),
-            barrier(params, "B").compose(names, image))
+def _ray_coefficients(rho):
+    """Cubic and quartic coefficients for a ray's Z4 = delta: the orbit's
+    times 6*Delta/k and (6*Delta/k)**2, which depend on rho alone."""
+    return ((3 * (1 + rho), 3 * rho, 3),
+            (18 * (1 + rho) ** 2, 18 * rho ** 2, 18))
+
+
+@lru_cache(maxsize=1)
+def _ray_family():
+    """(p1, p2) over _RAY_FAMILY_VARIABLES: barriers P and B at
+    Z = (Z1, alpha*Z1, beta*Z1, delta), with the ray coefficients."""
+    alpha, beta, delta, rho, z1 = (RatPoly.variable(_RAY_FAMILY_VARIABLES, n)
+                                   for n in _RAY_FAMILY_VARIABLES)
+    cubic, quartic = _ray_coefficients(rho)
+    z = (z1, alpha * z1, beta * z1, delta)
+    return _barrier_p(cubic, z), _barrier_b(quartic, z)
+
+
+def _substitute(poly, values):
+    """poly with the variables named in values set to those numbers."""
+    names = poly.variables
+    fixed = [(i, values[n]) for i, n in enumerate(names) if n in values]
+    kept = [i for i, n in enumerate(names) if n not in values]
+    out = {}
+    for exps, coeff in poly.terms.items():
+        for i, x in fixed:
+            if exps[i]:
+                coeff = coeff * x ** exps[i]
+        key = tuple(exps[i] for i in kept)
+        out[key] = out.get(key, 0) + coeff
+    return RatPoly(tuple(names[i] for i in kept), out)
 
 
 def slice(params, which, alpha, beta, delta=None):
@@ -285,21 +309,14 @@ def slice(params, which, alpha, beta, delta=None):
         if delta is None:
             raise InvalidRequestError(
                 "the ray slices p1 and p2 need a delta value")
-        source = ray_slices(params)[RAY_SLICE_KINDS.index(which)]
+        source = _ray_family()[RAY_SLICE_KINDS.index(which)]
         values["delta"] = _rat(delta)
+        values["rho"] = _as_params(params).rho
     else:
         raise InvalidRequestError(
             f"unknown slice {which!r}, expected one of "
             f"{LINE_SLICE_KINDS + RAY_SLICE_KINDS}")
-    # The root variable is the last one; every other one is a parameter.
-    point = [values[name] for name in source.variables[:-1]]
-    out = {}
-    for exps, coeff in source.terms.items():
-        for x, e in zip(point, exps):
-            if e:
-                coeff = coeff * x ** e
-        out[exps[-1:]] = out.get(exps[-1:], 0) + coeff
-    return RatPoly(source.variables[-1:], out)
+    return _substitute(source, values)
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +370,7 @@ def _root_exact(params, which, point):
         raise InvalidRequestError(
             f"{which} expects {len(names)} coordinates {names}, "
             f"got {len(point)}")
-    if slice_name in LINE_SLICE_KINDS:
-        poly = slice(params, slice_name, *point)
-    else:
-        poly = slice(params, slice_name, point[0], point[1],
-                     delta=point[2])
-    coeffs = poly.univariate_coefficients()
+    coeffs = slice(params, slice_name, *point).univariate_coefficients()
     if search == "quadratic":
         return _smaller_positive_quadratic_root(coeffs, which, point)
     if search == "zeta":
@@ -409,26 +421,27 @@ def implicit_derivatives(params, which, point, order=2):
     """
     if order not in (1, 2):
         raise InvalidRequestError("order must be 1 or 2")
-    slice_name, root_var, names, _ = _ROOT_SETUP[which]
     found = _root_exact(params, which, point)
     if found is None:
         raise InvalidRequestError(
             f"{which} has no root in its window at {point}, "
             "nothing to differentiate")
     root, _ = found
+    slice_name, root_var, names, _ = _ROOT_SETUP[which]
     point = tuple(_rat(x) for x in point)
+    values = dict(zip(names, point), rho=_as_params(params).rho)
+    values[root_var] = root
     if slice_name in LINE_SLICE_KINDS:
         symbolic = line_slices(params)[LINE_SLICE_KINDS.index(slice_name)]
     else:
-        symbolic = ray_slices(params)[RAY_SLICE_KINDS.index(slice_name)]
-    values = dict(zip(names, point))
-    values[root_var] = root
+        symbolic = _ray_family()[RAY_SLICE_KINDS.index(slice_name)]
 
     def at(poly):
         return poly.evaluate(values)
 
-    f_v = symbolic.partial(root_var)
-    denom = at(f_v)
+    # Each partial is taken once: the second partials reuse the first.
+    f = {name: symbolic.partial(name) for name in names + (root_var,)}
+    denom = at(f[root_var])
     if denom == 0:
         raise DegenerateRootError(
             f"{which} has a non-simple root at {tuple(map(str, point))}; "
@@ -436,18 +449,16 @@ def implicit_derivatives(params, which, point, order=2):
     out = {(): root}
     first = {}
     for name in names:
-        first[name] = -at(symbolic.partial(name)) / denom
+        first[name] = -at(f[name]) / denom
         out[(name,)] = first[name]
     if order == 2:
-        f_vv = at(f_v.partial(root_var))
+        f_vv = at(f[root_var].partial(root_var))
+        f_xv = {name: at(f[name].partial(root_var)) for name in names}
         for i, ni in enumerate(names):
-            f_iv = at(symbolic.partial(ni).partial(root_var))
             for nj in names[i:]:
-                f_ij = at(symbolic.partial(ni).partial(nj))
-                f_jv = at(symbolic.partial(nj).partial(root_var))
                 vi, vj = first[ni], first[nj]
-                out[(ni, nj)] = -(f_ij + f_iv * vj + f_jv * vi
-                                  + f_vv * vi * vj) / denom
+                out[(ni, nj)] = -(at(f[ni].partial(nj)) + f_xv[ni] * vj
+                                  + f_xv[nj] * vi + f_vv * vi * vj) / denom
     return out
 
 
@@ -583,65 +594,59 @@ _RTILDE_RHO_TERMS = (
 
 
 def printed_ray_expansion(params):
-    """The recorded reduced ray resultant at this parameter ratio.
+    """The recorded reduced ray resultant at this parameter ratio: the
+    recorded rho-expansion, read as one RatPoly over (alpha, beta,
+    delta, rho), at rho = l/k."""
+    return _substitute(_recorded_ray_resultant(),
+                       {"rho": _as_params(params).rho})
 
-    Collapses the recorded rho-expansion at rho = l/k into a RatPoly
-    over (alpha, beta, delta).
-    """
-    params = _as_params(params)
-    rho = params.rho
-    terms = {}
-    for coeff, e_rho, e_alpha, e_beta, e_delta in _RTILDE_RHO_TERMS:
-        key = (e_alpha, e_beta, e_delta)
-        terms[key] = terms.get(key, Fraction(0)) + coeff * rho ** e_rho
-    return RatPoly(RAY_PARAMETER_VARIABLES, terms)
+
+def _recorded_ray_resultant():
+    return RatPoly(RAY_PARAMETER_VARIABLES + ("rho",), {
+        (e_alpha, e_beta, e_delta, e_rho): coeff
+        for coeff, e_rho, e_alpha, e_beta, e_delta in _RTILDE_RHO_TERMS})
 
 
 def rtilde(params, cross_check=True):
     """The reduced ray resultant over (alpha, beta, delta).
 
-    Computes the Sylvester resultant of (p1, p2) in Z1, divides out
-    the exact prefactor 36*delta**2, and cross-checks the result
-    against the recorded rho-expansion coefficient by coefficient.
-    A zero at (alpha, beta, delta) is equivalent to the two ray
-    slices sharing a root, so non-negativity with a known zero set
-    is what the ray containment argument needs.  The resultant is
-    computed once per ratio, and so is the cross-check: a cross-checked
-    call returns only a resultant already compared in this process.
+    The Sylvester resultant of the ray family (p1, p2) in Z1 over
+    36*delta**2, computed once per process in (alpha, beta, delta, rho)
+    and taken at rho = l/k (p1 and p2 keep their degree in Z1 at every
+    rho).  A zero is equivalent to the two ray slices sharing a root,
+    which is what the ray containment argument rules out.  cross_check
+    compares it with the recorded rho-expansion coefficient by
+    coefficient, once per process and so for every ratio at once; a
+    mismatch raises FormulaDiscrepancyError on every call.
     """
-    params = _as_params(params)
-    if cross_check:
-        return _checked_ray_resultant(params.k, params.l)
-    return _reduced_ray_resultant(params.k, params.l)
+    family = _checked_ray_resultant() if cross_check else _ray_resultant()
+    return _substitute(family, {"rho": _as_params(params).rho})
 
 
-@lru_cache(maxsize=32)
-def _checked_ray_resultant(k, l):
-    """_reduced_ray_resultant once it matches the recorded expansion; a
+@lru_cache(maxsize=1)
+def _checked_ray_resultant():
+    """_ray_resultant once it matches the recorded expansion; a
     mismatch raises, and nothing is cached."""
-    computed = _reduced_ray_resultant(k, l)
-    _require_equal(computed, printed_ray_expansion(AWParams(k, l)),
-                   f"reduced ray resultant at (k, l) = ({k}, {l})")
+    computed = _ray_resultant()
+    _require_equal(computed, _recorded_ray_resultant(),
+                   "reduced ray resultant")
     return computed
 
 
-@lru_cache(maxsize=32)
-def _reduced_ray_resultant(k, l):
-    p1, p2 = _ray_slices_cached(k, l)
+@lru_cache(maxsize=1)
+def _ray_resultant():
+    p1, p2 = _ray_family()
     resultant = sylvester_resultant(p1, p2, "Z1")
-    reduced = {}
-    offenders = []
-    for exps, coeff in resultant.terms.items():
-        e_alpha, e_beta, e_delta = exps
-        if e_delta < 2:
-            offenders.append((exps, coeff, None))
-            continue
-        reduced[(e_alpha, e_beta, e_delta - 2)] = coeff / 36
+    offenders = [(exps, coeff, None)
+                 for exps, coeff in resultant.terms.items() if exps[2] < 2]
     if offenders:
         raise FormulaDiscrepancyError(
             "ray resultant lacks the expected 36*delta**2 prefactor",
             offenders)
-    return RatPoly(RAY_PARAMETER_VARIABLES, reduced)
+    return RatPoly(resultant.variables, {
+        (e_alpha, e_beta, e_delta - 2, e_rho): coeff / 36
+        for (e_alpha, e_beta, e_delta, e_rho), coeff
+        in resultant.terms.items()})
 
 
 def _require_equal(computed, recorded, label):
@@ -708,11 +713,7 @@ def boundary_zero_report(params):
             f"{first} and (1, 1, 0) to {second}; the stated zero "
             "list uses whichever corner actually vanishes")
     if params.l == 0:
-        face = poly.compose(("beta", "delta"), {
-            "alpha": Fraction(0),
-            "beta": RatPoly.variable(("beta", "delta"), "beta"),
-            "delta": RatPoly.variable(("beta", "delta"), "delta"),
-        })
+        face = poly.coefficient_of("alpha", 0)
         notes.append(
             "l = 0: the alpha = 0 face evaluates to the zero "
             f"polynomial ({face.is_zero}), so zeros there are "

@@ -919,8 +919,9 @@ def worker_count(requested=None):
 
 def quadrant_grid(count):
     """count interior directions of the open quadrant s1, s2 > 0."""
-    if count < 1:
-        raise InvalidRequestError("grid needs at least one point")
+    if not isinstance(count, int) or count < 1:
+        raise InvalidRequestError(
+            f"grid needs a positive integer count, got {count!r}")
     half_pi = math.pi / 2.0
     return tuple(
         (math.cos(j * half_pi / (count + 1)),

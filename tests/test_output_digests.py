@@ -16,6 +16,7 @@ import pytest
 from spin7flow.aw_algebra import AWParams
 from spin7flow.cli import main
 from spin7flow.critical_points import solve_homogeneous_einstein
+from spin7flow.polycert import ray_slices, rtilde
 
 EXACT_FIELDS = ("label", "X", "Z", "exact", "frame")
 
@@ -53,6 +54,13 @@ AC_ORBITS = [(1, 0), (1, 1)] + [(k, l) for k in range(2, 31)
                                 for l in range(1, k) if math.gcd(k, l) == 1]
 AC_DIGEST = "4961117331336dc869927c0f169c5473ab72b3be41bc11b8207bf9d568320e31"
 
+# repr(rtilde(p)) and repr(ray_slices(p)), one line each per orbit, over
+# (1, 0), (1, 1) and the coprime 20 >= k > l >= 1; taken while each ratio
+# composed its own barriers and took its own Sylvester resultant.
+RAY_ORBITS = [(1, 0), (1, 1)] + [(k, l) for k in range(2, 21)
+                                 for l in range(1, k) if math.gcd(k, l) == 1]
+RAY_DIGEST = "2e4b522cc4257ff72cfe1d0c30d75a7436d0e6d320dbe516781e25c19415df12"
+
 
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -85,3 +93,10 @@ def test_ac_pairs_are_unchanged():
     text = "".join(f"{solve_homogeneous_einstein(AWParams(*kl))!r}\n"
                    for kl in AC_ORBITS)
     assert _sha256(text) == AC_DIGEST
+
+
+def test_ray_resultants_and_slices_are_unchanged():
+    assert len(RAY_ORBITS) == 129
+    orbits = [AWParams(*kl) for kl in RAY_ORBITS]
+    text = "".join(f"{rtilde(p)!r}\n{ray_slices(p)!r}\n" for p in orbits)
+    assert _sha256(text) == RAY_DIGEST

@@ -7,15 +7,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spin7flow.aw_algebra import AWParams
 from spin7flow.errors import (DegenerateRootError, DomainAnomalyError,
                               FormulaDiscrepancyError, InvalidParameterError,
                               InvalidRequestError)
 from spin7flow import polycert as pc
-from spin7flow.phase_system import PhaseState, residuals, scalar_terms
+from spin7flow.phase_system import (PhaseState, cubic_coefficients,
+                                    quartic_coefficients, residuals,
+                                    scalar_terms)
 from spin7flow.ratpoly import (RatPoly, random_nonnegativity_audit,
-                               univariate_gcd)
+                               sylvester_resultant, univariate_gcd)
 
 F = Fraction
 PARAMS = [AWParams(1, 0), AWParams(1, 1), AWParams(3, 2), AWParams(17, 5)]
@@ -342,6 +345,11 @@ def test_missing_root_raises():
         pc.implicit_derivatives(AWParams(1, 1), "sigma", (0, 0, 1))
 
 
+def test_implicit_derivatives_unknown_kind():
+    with pytest.raises(InvalidRequestError, match="unknown root function"):
+        pc.implicit_derivatives(AWParams(3, 2), "foo", (0, 1))
+
+
 @pytest.mark.parametrize("p", [AWParams(1, 1), AWParams(3, 2),
                                AWParams(17, 5), AWParams(29, 1)],
                          ids=lambda p: f"{p.k},{p.l}")
@@ -426,65 +434,111 @@ def test_rtilde_alpha_face_vanishes_when_l_zero():
     assert not face.is_zero
 
 
-def test_rtilde_resultant_and_cross_check_once_per_ratio(monkeypatch):
-    """rtilde, certify_ray_resultant and boundary_zero_report share one
-    Sylvester resultant and one comparison with the recorded expansion
-    per ratio; a second ratio is compared on its own, and a forged
-    recorded expansion raises on every cross-checked call."""
-    p, second, forged = AWParams(7, 6), AWParams(8, 7), AWParams(9, 8)
-    want = pc.rtilde(p)
-    calls = {"sylvester_resultant": [], "printed_ray_expansion": []}
+def test_rtilde_resultant_and_cross_check_once_per_process(monkeypatch):
+    """One Sylvester resultant and one comparison with the recorded
+    expansion serve every ratio; a forged record raises on every
+    cross-checked call, and cross_check=False still returns the
+    computed resultant."""
+    orbits = (AWParams(7, 6), AWParams(8, 7), AWParams(9, 8))
+    want = [pc.rtilde(p) for p in orbits]
+    calls = {"sylvester_resultant": 0, "_recorded_ray_resultant": 0}
 
-    def recorded(name):
+    def counted(name):
         fun = getattr(pc, name)
 
         def wrapped(*args):
-            calls[name].append(args)
+            calls[name] += 1
             return fun(*args)
         monkeypatch.setattr(pc, name, wrapped)
 
-    recorded("sylvester_resultant")
-    recorded("printed_ray_expansion")
-    pc._reduced_ray_resultant.cache_clear()
+    counted("sylvester_resultant")
+    counted("_recorded_ray_resultant")
+    pc._ray_resultant.cache_clear()
     pc._checked_ray_resultant.cache_clear()
-    assert pc.rtilde(p) == want
-    assert pc.rtilde(p, cross_check=False) == want
-    assert pc.certify_ray_resultant(p).status == "NonNegative"
-    pc.boundary_zero_report(p)
-    assert len(calls["sylvester_resultant"]) == 1
-    assert calls["printed_ray_expansion"] == [(p,)]
-    assert pc.rtilde(second) == pc.rtilde(second)
-    assert calls["printed_ray_expansion"] == [(p,), (second,)]
+    assert [pc.rtilde(p) for p in orbits] == want
+    assert [pc.rtilde(p, cross_check=False) for p in orbits] == want
+    assert pc.certify_ray_resultant(orbits[0]).status == "NonNegative"
+    pc.boundary_zero_report(orbits[1])
+    assert calls == {"sylvester_resultant": 1, "_recorded_ray_resultant": 1}
 
-    # A resultant computed without the check is still compared before a
-    # cross-checked call returns it.
-    computed = pc.rtilde(forged, cross_check=False)
-    recorded_poly = pc.printed_ray_expansion(forged)
-    wrong = recorded_poly + RatPoly.constant(recorded_poly.variables, 1)
-    monkeypatch.setattr(pc, "printed_ray_expansion", lambda params: wrong)
+    # A forged record: the checked family is not cached, so every
+    # cross-checked call compares again and raises.
+    (coeff, *exps), *rest = pc._RTILDE_RHO_TERMS
+    monkeypatch.setattr(pc, "_RTILDE_RHO_TERMS", ((coeff + 1, *exps), *rest))
+    pc._checked_ray_resultant.cache_clear()
     for _ in range(2):
-        with pytest.raises(FormulaDiscrepancyError):
-            pc.rtilde(forged)
-        with pytest.raises(FormulaDiscrepancyError):
-            pc.certify_ray_resultant(forged)
-    assert pc.rtilde(forged, cross_check=False) == computed
-    assert pc.rtilde(p) == want  # compared before the forgery
+        for p in orbits:
+            with pytest.raises(FormulaDiscrepancyError):
+                pc.rtilde(p)
+            with pytest.raises(FormulaDiscrepancyError):
+                pc.certify_ray_resultant(p)
+    assert pc._checked_ray_resultant.cache_info().currsize == 0
+    assert [pc.rtilde(p, cross_check=False) for p in orbits] == want
+    assert calls["sylvester_resultant"] == 1
 
 
 def test_slice_and_resultant_caches_are_bounded():
-    for cached in (pc._ray_slices_cached, pc._reduced_ray_resultant,
-                   pc._checked_ray_resultant):
-        assert cached.cache_info().maxsize == 32
-    pc._ray_slices_cached.cache_clear()
+    """The ray family, its resultant and the line slices do not depend
+    on the orbit: each is one entry, built once over 38 orbits."""
+    caches = (pc._ray_family, pc._ray_resultant, pc._checked_ray_resultant,
+              pc._line_slices_once)
+    for cached in caches:
+        assert cached.cache_info().maxsize == 1
+        cached.cache_clear()
     for k in range(2, 40):
-        pc.ray_slices(AWParams(k, 1))
-    assert pc._ray_slices_cached.cache_info().currsize == 32
-    # The line slices do not depend on the orbit: one pair, built once.
-    assert pc._line_slices_once.cache_info().maxsize == 1
-    pc._line_slices_once.cache_clear()
+        p = AWParams(k, 1)
+        pc.ray_slices(p)
+        pc.rtilde(p)
+        pc.line_slices(p)
+    for cached in caches:
+        assert cached.cache_info().misses == 1
     pairs = {id(pc.line_slices(AWParams(k, 1))) for k in range(2, 40)}
     assert len(pairs) == 1
-    assert pc._line_slices_once.cache_info().misses == 1
+
+
+def _oracle_ray_slices(p):
+    """This orbit's barriers P and B on the ray image, taken from their
+    residual forms, so that they share no coefficient with polycert."""
+    names = pc.RAY_SLICE_VARIABLES
+    alpha, beta, delta, z1 = (RatPoly.variable(names, n) for n in names)
+    z = (z1, alpha * z1, beta * z1, F(6 * p.delta, p.k) * delta)
+    state = PhaseState((0, 0, 0, 0), z)
+    return (-residuals(p, state).zcons_minus,
+            2 - 2 * (z[0] + z[1] + z[2]) - scalar_terms(p, state).Rs)
+
+
+def _oracle_rtilde(p):
+    """The Sylvester resultant of the oracle slices over 36*delta**2."""
+    resultant = sylvester_resultant(*_oracle_ray_slices(p), "Z1")
+    assert all(e_delta >= 2 for _, _, e_delta in resultant.terms)
+    return RatPoly(pc.RAY_PARAMETER_VARIABLES, {
+        (e_alpha, e_beta, e_delta - 2): coeff / 36
+        for (e_alpha, e_beta, e_delta), coeff in resultant.terms.items()})
+
+
+@settings(max_examples=30, deadline=None)
+@given(kl=st.tuples(st.integers(1, 80), st.integers(0, 80)).filter(
+    lambda kl: kl[0] >= kl[1] and math.gcd(*kl) == 1))
+@example(kl=(1, 0))
+@example(kl=(1, 1))
+def test_ray_slices_equal_each_orbits_restriction(kl):
+    p = AWParams(*kl)
+    assert pc.ray_slices(p) == _oracle_ray_slices(p)
+
+
+@pytest.mark.parametrize("kl", [(1, 0), (1, 1), (3, 2), (13, 5)])
+def test_rtilde_equals_each_orbits_resultant(kl):
+    p = AWParams(*kl)
+    assert pc.rtilde(p) == _oracle_rtilde(p)
+
+
+def test_ray_coefficients_are_the_orbits_scaled_to_z4_delta():
+    for p in _orbit_sample(40, 63) + [AWParams(1, 0), AWParams(1, 1)]:
+        scale = F(6 * p.delta, p.k)
+        cubic, quartic = pc._ray_coefficients(p.rho)
+        assert cubic == tuple(c * scale for c in cubic_coefficients(p))
+        assert quartic == tuple(c * scale ** 2
+                                for c in quartic_coefficients(p))
 
 
 def _orbit_sample(count, seed):

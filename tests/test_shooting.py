@@ -451,6 +451,12 @@ def test_quadrant_grid_unit_directions():
         assert abs(s1 * s1 + s2 * s2 - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("count", [2.5, 3.0, "3", None, 0, -1])
+def test_quadrant_grid_refuses_a_bad_count(count):
+    with pytest.raises(InvalidRequestError):
+        quadrant_grid(count)
+
+
 def test_worker_count_env(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setenv("SPIN7_THREADS", "3")
