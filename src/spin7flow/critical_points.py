@@ -465,15 +465,15 @@ def _reference_frame_cached(k, l, label):
 
     point = catalog(params).get(label)
     grads = constraint_gradients(params, point.state)
-    crf_rows = [_integer_multiple(grads[name])
+    crf_rows = [_integer_multiple(grads[name])[0]
                 for name in ("hyperplane", "conservation")]
-    df, dh = ([_integer_multiple(row) for row in rows]
+    df, dh = ([_integer_multiple(row)[0] for row in rows]
               for rows in first_order_jacobians(params, point.state))
     pairs = []
     for lam, vec in zip(vals, vecs):
         vec = tuple(Fraction(c) if not isinstance(c, Fraction) else c
                     for c in vec)
-        ints = _integer_multiple(vec)
+        ints = _integer_multiple(vec)[0]
         crf = _annihilates(crf_rows, ints)
         plus = crf and _annihilates(df, ints)
         minus = crf and _annihilates(dh, ints)

@@ -254,7 +254,7 @@ def ray_slices(params):
     ray family, built once per process, at rho.
     """
     rho = _as_params(params).rho
-    return tuple(_substitute(p, {"rho": rho}) for p in _ray_family())
+    return tuple(p.substitute({"rho": rho}) for p in _ray_family())
 
 
 def _ray_coefficients(rho):
@@ -273,21 +273,6 @@ def _ray_family():
     cubic, quartic = _ray_coefficients(rho)
     z = (z1, alpha * z1, beta * z1, delta)
     return _barrier_p(cubic, z), _barrier_b(quartic, z)
-
-
-def _substitute(poly, values):
-    """poly with the variables named in values set to those numbers."""
-    names = poly.variables
-    fixed = [(i, values[n]) for i, n in enumerate(names) if n in values]
-    kept = [i for i, n in enumerate(names) if n not in values]
-    out = {}
-    for exps, coeff in poly.terms.items():
-        for i, x in fixed:
-            if exps[i]:
-                coeff = coeff * x ** exps[i]
-        key = tuple(exps[i] for i in kept)
-        out[key] = out.get(key, 0) + coeff
-    return RatPoly(tuple(names[i] for i in kept), out)
 
 
 def slice(params, which, alpha, beta, delta=None):
@@ -316,7 +301,7 @@ def slice(params, which, alpha, beta, delta=None):
         raise InvalidRequestError(
             f"unknown slice {which!r}, expected one of "
             f"{LINE_SLICE_KINDS + RAY_SLICE_KINDS}")
-    return _substitute(source, values)
+    return source.substitute(values)
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +582,8 @@ def printed_ray_expansion(params):
     """The recorded reduced ray resultant at this parameter ratio: the
     recorded rho-expansion, read as one RatPoly over (alpha, beta,
     delta, rho), at rho = l/k."""
-    return _substitute(_recorded_ray_resultant(),
-                       {"rho": _as_params(params).rho})
+    return _recorded_ray_resultant().substitute(
+        {"rho": _as_params(params).rho})
 
 
 def _recorded_ray_resultant():
@@ -620,7 +605,7 @@ def rtilde(params, cross_check=True):
     mismatch raises FormulaDiscrepancyError on every call.
     """
     family = _checked_ray_resultant() if cross_check else _ray_resultant()
-    return _substitute(family, {"rho": _as_params(params).rho})
+    return family.substitute({"rho": _as_params(params).rho})
 
 
 @lru_cache(maxsize=1)

@@ -79,6 +79,31 @@ def _product(f, g):
     return out
 
 
+def _integer_evaluation(poly, fixed, points):
+    """The one evaluation kernel: yields ({kept exponents: numerator},
+    denominator) for poly at each point, which sets the variables at
+    indices fixed to p/q from pairs (p, q), q > 0; a value x that is not
+    rational, such as a quadratic-extension number, comes as (x, 1).
+    The coefficients go over their lcm once per call, and a variable of
+    maximum degree m enters each term as p**e * q**(m - e)."""
+    nums, scale = _integer_multiple(poly.terms.values())
+    degrees = list(map(max, zip(*poly.terms))) or [0] * len(poly.variables)
+    kept = [i for i in range(len(degrees)) if i not in fixed]
+    keys = [tuple([exps[i] for i in kept]) for exps in poly.terms]
+    for point in points:
+        denominator, tables = scale, []
+        for i, (p, q) in zip(fixed, point):
+            m = degrees[i]
+            tables.append((i, [p ** e * q ** (m - e) for e in range(m + 1)]))
+            denominator *= q ** m
+        sums = {}
+        for exps, key, n in zip(poly.terms, keys, nums):
+            for i, table in tables:
+                n = n * table[exps[i]]
+            sums[key] = sums.get(key, 0) + n
+        yield sums, denominator
+
+
 class RatPoly:
     """A polynomial with Fraction coefficients over named variables.
 
@@ -241,11 +266,10 @@ class RatPoly:
         return RatPoly(self.variables, out)
 
     def evaluate(self, values):
-        """Exact evaluation.  Accepts a mapping by name or a sequence.
-
-        Point entries may be any exact scalar that supports ring
-        arithmetic with Fractions, so quadratic-extension numbers work.
-        """
+        """Exact evaluation, the full case of substitute.  Accepts a
+        mapping by name or a sequence.  Point entries may be any exact
+        scalar with ring arithmetic over the integers, so
+        quadratic-extension numbers work."""
         if isinstance(values, dict):
             try:
                 point = [values[v] for v in self.variables]
@@ -258,14 +282,20 @@ class RatPoly:
                 raise InvalidRequestError(
                     f"expected {len(self.variables)} coordinates, "
                     f"got {len(point)}")
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for x, e in zip(point, exps):
-                if e:
-                    term = term * x ** e
-            total = total + term
-        return total
+        (sums, denominator), = _integer_evaluation(self, range(len(point)), [[
+            x.as_integer_ratio() if isinstance(x, (int, Fraction)) else (x, 1)
+            for x in point]])
+        return sums.get((), 0) / Fraction(denominator)
+
+    def substitute(self, values):
+        """The polynomial in the remaining variables, with each variable
+        named in values set to that exact rational."""
+        fixed = [self._index(name) for name in values]
+        (sums, denominator), = _integer_evaluation(self, fixed, [[
+            _coerce(x).as_integer_ratio() for x in values.values()]])
+        kept = tuple(v for i, v in enumerate(self.variables) if i not in fixed)
+        return RatPoly(kept, {key: Fraction(n, denominator)
+                              for key, n in sums.items()})
 
     def compose(self, variables_out, mapping):
         """Substitute every variable by a polynomial or exact scalar.
@@ -313,14 +343,10 @@ class RatPoly:
 
     def drop_variable(self, name):
         """Remove an unused variable from the variable list."""
-        idx = self._index(name)
         if self.degree(name) > 0:
             raise InvalidRequestError(
                 f"{name!r} still occurs with positive degree")
-        rest = tuple(v for v in self.variables if v != name)
-        out = {tuple(e for i, e in enumerate(exps) if i != idx): coeff
-               for exps, coeff in self.terms.items()}
-        return RatPoly(rest, out)
+        return self.substitute({name: 0})
 
     def univariate_coefficients(self, name=None):
         """Ascending coefficient list of an effectively univariate
@@ -428,11 +454,11 @@ def _poly_determinant(matrix):
     scale = 1
     rows = []
     for row in matrix:
-        row_scale = lcm(*(c.denominator for entry in row
-                          for c in entry.terms.values()))
+        nums, row_scale = _integer_multiple(
+            [c for entry in row for c in entry.terms.values()])
         scale *= row_scale
-        rows.append([{e: c.numerator * (row_scale // c.denominator)
-                      for e, c in entry.terms.items()} for entry in row])
+        nums = iter(nums)
+        rows.append([{e: next(nums) for e in entry.terms} for entry in row])
     memo = {}
     unit = {(0,) * len(variables): 1}
 
@@ -509,7 +535,7 @@ def _sign_at(ints, p, q):
 def univariate_gcd(a, b):
     """Monic greatest common divisor of two exact coefficient lists, from
     the primitive pseudo-remainder chain of sturm_sequence."""
-    a, b = (_primitive(_integer_multiple(_strip(c))) for c in (a, b))
+    a, b = (_primitive(_integer_multiple(_strip(c))[0]) for c in (a, b))
     while b:
         a, b = b, _primitive(_pseudo_divmod(a, b)[1])
     if not a:
@@ -522,9 +548,10 @@ def _derivative(coeffs):
 
 
 def _integer_multiple(coeffs):
-    """Positive integer multiple of an exact coefficient list."""
+    """(ints, scale): an exact coefficient list as integer numerators
+    over scale, the lcm of its denominators."""
     scale = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (scale // c.denominator) for c in coeffs]
+    return [c.numerator * (scale // c.denominator) for c in coeffs], scale
 
 
 def _primitive(ints):
@@ -578,8 +605,8 @@ def sturm_sequence(coeffs):
     """
     p0 = _strip(coeffs)
     if len(p0) <= 1:
-        return [_integer_multiple(p0)] if p0 else []
-    p0 = _primitive(_integer_multiple(p0))
+        return [_integer_multiple(p0)[0]] if p0 else []
+    p0 = _primitive(_integer_multiple(p0)[0])
     seq = [p0, _primitive(_derivative(p0))]
     while len(seq[-1]) > 1:
         rem = _pseudo_divmod(seq[-2], seq[-1])[1]
@@ -854,11 +881,10 @@ def _dense_coefficients(poly):
         strides.append(acc)
         acc *= size
     strides = tuple(reversed(strides))
-    scale = lcm(*(c.denominator for c in poly.terms.values()))
+    nums, scale = _integer_multiple(poly.terms.values())
     flat = [0] * acc
-    for exps, coeff in poly.terms.items():
-        index = sum(e * s for e, s in zip(exps, strides))
-        flat[index] = coeff.numerator * (scale // coeff.denominator)
+    for exps, n in zip(poly.terms, nums):
+        flat[sum(e * s for e, s in zip(exps, strides))] = n
     return flat, scale, dims, strides
 
 
@@ -1081,7 +1107,7 @@ def random_nonnegativity_audit(poly, box, samples, seed):
     the closed box, evaluates the polynomial exactly at each, and returns
     the worst pair (value, point) encountered.  Every coordinate is an
     integer over one common unit (the box's denominators' lcm times
-    2^16), so each sample is evaluated in integers.
+    2^16), so the evaluation kernel takes every sample on integers.
     """
     if samples < 1:
         raise InvalidRequestError("the audit needs at least one sample")
@@ -1093,24 +1119,11 @@ def random_nonnegativity_audit(poly, box, samples, seed):
     unit = scale * lcm(*[q.denominator for q in lowers + widths])
     starts = [int(lo * unit) for lo in lowers]
     steps = [int(w * unit) // scale for w in widths]
-    clear = lcm(*[c.denominator for c in poly.terms.values()])
-    int_terms = [(int(c * clear), exps) for exps, c in poly.terms.items()]
-    max_deg = [max(poly.degree(v), 0) for v in poly.variables]
-    unit_powers = [unit ** e for e in range(max(max_deg, default=0) + 1)]
-    worst_num = worst_coords = None
-    for _ in range(samples):
-        coords = [start + step * rng.randrange(scale + 1)
-                  for start, step in zip(starts, steps)]
-        # x^e * unit^(m - e): each term homogenized to degree m per variable
-        tables = [[x ** e * unit_powers[m - e] for e in range(m + 1)]
-                  for x, m in zip(coords, max_deg)]
-        numerator = 0
-        for coeff, exps in int_terms:
-            for table, e in zip(tables, exps):
-                coeff *= table[e]
-            numerator += coeff
-        if worst_num is None or numerator < worst_num:
-            worst_num = numerator
-            worst_coords = coords
-    worst_value = Fraction(worst_num, clear * unit ** sum(max_deg))
-    return worst_value, tuple(Fraction(c, unit) for c in worst_coords)
+    coords = [[start + step * rng.randrange(scale + 1)
+               for start, step in zip(starts, steps)] for _ in range(samples)]
+    values = _integer_evaluation(
+        poly, range(len(starts)), ([(x, unit) for x in c] for c in coords))
+    (sums, denominator), worst = min(
+        zip(values, coords), key=lambda pair: pair[0][0].get((), 0))
+    return (Fraction(sums.get((), 0), denominator),
+            tuple(Fraction(x, unit) for x in worst))

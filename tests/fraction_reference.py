@@ -1,7 +1,9 @@
 """The Fraction forms of the exact kernels, kept as oracles.
 
 ratpoly and critical_points run these kernels on integers: compose sums
-into one exponent dict, the Bernstein tables are cleared to integers,
+into one exponent dict, evaluation and substitution sum integer
+numerators over one denominator, the Bernstein tables are cleared to
+integers,
 root bisection carries integer numerators over a doubling denominator,
 the Sturm chain and univariate_gcd run on primitive pseudo-remainders,
 the tangency flags take integer dot products, and the exact Jacobian
@@ -54,6 +56,35 @@ def compose(poly, variables_out, mapping):
             term = term * cache[e]
         result = result + term
     return result
+
+
+def evaluate(poly, point):
+    """RatPoly.evaluate term by term at a sequence of values: every term
+    and partial sum is a Fraction or the values' own type."""
+    total = Fraction(0)
+    for exps, coeff in poly.terms.items():
+        term = coeff
+        for x, e in zip(point, exps):
+            if e:
+                term = term * x ** e
+        total = total + term
+    return total
+
+
+def substitute(poly, values):
+    """RatPoly.substitute term by term in Fractions; names that are not
+    variables of poly are ignored."""
+    names = poly.variables
+    fixed = [(i, values[n]) for i, n in enumerate(names) if n in values]
+    kept = [i for i, n in enumerate(names) if n not in values]
+    out = {}
+    for exps, coeff in poly.terms.items():
+        for i, x in fixed:
+            if exps[i]:
+                coeff = coeff * x ** exps[i]
+        key = tuple(exps[i] for i in kept)
+        out[key] = out.get(key, 0) + coeff
+    return RatPoly(tuple(names[i] for i in kept), out)
 
 
 def _dense_coefficients(poly):
@@ -135,7 +166,7 @@ def sturm_sequence(coeffs):
     cleared of denominators; a non-constant gcd divides every member."""
     p0 = _strip(coeffs)
     if len(p0) <= 1:
-        return [_integer_multiple(p0)] if p0 else []
+        return [_integer_multiple(p0)[0]] if p0 else []
     seq = [p0, _derivative(p0)]
     while len(seq[-1]) > 1:
         _, rem = poly_divmod(seq[-2], seq[-1])
@@ -145,7 +176,7 @@ def sturm_sequence(coeffs):
             seq = [poly_divmod(member, monic)[0] for member in seq]
             break
         seq.append([-c for c in rem])
-    return [_integer_multiple(member) for member in seq]
+    return [_integer_multiple(member)[0] for member in seq]
 
 
 def _sign_at(ints, x):

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import fraction_reference
 from spin7flow.aw_algebra import AWParams
 from spin7flow.errors import (DegenerateRootError, DomainAnomalyError,
                               FormulaDiscrepancyError, InvalidParameterError,
@@ -546,6 +547,32 @@ def _orbit_sample(count, seed):
     pool = [(k, l) for k in range(2, 61) for l in range(1, k)
             if math.gcd(k, l) == 1]
     return [AWParams(k, l) for k, l in random.Random(seed).sample(pool, count)]
+
+
+def test_ray_layer_matches_term_by_term_substitution():
+    """Every orbit-level form of the ray layer is its process-wide
+    polynomial at rho = l/k; each one prints exactly as the Fraction
+    substitution of that polynomial does."""
+    oracle = fraction_reference.substitute
+    p1, p2 = pc._ray_family()
+    rng = random.Random(64)
+    for p in _orbit_sample(38, 64) + [AWParams(1, 0), AWParams(1, 1)]:
+        at_rho = {"rho": p.rho}
+        pairs = (
+            (pc.rtilde(p), oracle(pc._checked_ray_resultant(), at_rho)),
+            (pc.rtilde(p, cross_check=False),
+             oracle(pc._ray_resultant(), at_rho)),
+            (pc.ray_slices(p), (oracle(p1, at_rho), oracle(p2, at_rho))),
+            (pc.printed_ray_expansion(p),
+             oracle(pc._recorded_ray_resultant(), at_rho)))
+        for name, family in (("p1", p1), ("p2", p2)):
+            a, b, d = (F(rng.randrange(16), 15), F(rng.randrange(16), 15),
+                       F(rng.randrange(1, 17), 16))
+            values = {"alpha": a, "beta": b, "delta": d, "rho": p.rho}
+            pairs += ((pc.slice(p, name, a, b, delta=d),
+                       oracle(family, values)),)
+        for got, want in pairs:
+            assert repr(got) == repr(want)
 
 
 def test_line_slices_built_once_equal_each_orbits_restriction():

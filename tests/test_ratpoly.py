@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import fraction_reference
 from spin7flow.errors import InvalidRequestError
-from spin7flow.exact import exact_sqrt
+from spin7flow.exact import QuadExt, exact_sqrt
 from spin7flow.ratpoly import (ROOT_ACCURACY, SNAP_DENOMINATOR, Ball,
                                Box, Interval, RatPoly,
                                STATUS_COUNTEREXAMPLE, STATUS_INCONCLUSIVE,
@@ -204,6 +204,65 @@ def test_compose_matches_term_by_term_oracle(case):
     want = fraction_reference.compose(poly, out, images)
     assert got.variables == want.variables
     assert list(got.terms.items()) == list(want.terms.items())
+
+
+@st.composite
+def evaluation_cases(draw):
+    """A polynomial over (x, y, z) and a point whose entries are ints,
+    Fractions or numbers of Q(sqrt 5)."""
+    names = ("x", "y", "z")
+    coeff = st.fractions(-9, 9, max_denominator=7)
+    poly = RatPoly(names, draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 4)] * 3), coeff, max_size=8)))
+    entry = st.one_of(
+        st.integers(-5, 5), st.fractions(-3, 3, max_denominator=6),
+        st.builds(QuadExt, coeff, coeff.filter(bool), st.just(5)))
+    return poly, [draw(entry) for _ in names]
+
+
+ORIGIN_AND_SURD = [0, QuadExt(F(1, 2), 1, 5), F(-2, 3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(evaluation_cases())
+@example((RatPoly.zero(("x", "y", "z")), ORIGIN_AND_SURD))
+@example((RatPoly.constant(("x", "y", "z"), F(-3, 4)), ORIGIN_AND_SURD))
+@example((RatPoly.constant(("x", "y", "z"), 2), [1, F(1, 2), 3]))
+def test_substitute_and_evaluate_match_term_by_term_oracle(case):
+    """Setting the rational entries and then evaluating at the others
+    gives evaluate, and both agree with the Fraction loops in value and
+    in repr."""
+    poly, point = case
+    value = poly.evaluate(point)
+    want = fraction_reference.evaluate(poly, point)
+    assert value == want and repr(value) == repr(want)
+    rational = {name: x for name, x in zip(poly.variables, point)
+                if not isinstance(x, QuadExt)}
+    part = poly.substitute(rational)
+    want_part = fraction_reference.substitute(poly, rational)
+    assert part == want_part and repr(part) == repr(want_part)
+    rest = [x for x in point if isinstance(x, QuadExt)]
+    assert repr(part.evaluate(rest)) == repr(value)
+
+
+def test_substitute_checks_its_names_and_values():
+    x, y = xy()
+    poly = x * y + 1
+    assert poly.substitute({"x": 2}) == \
+        2 * RatPoly.variable(("y",), "y") + 1
+    assert poly.substitute({}) == poly
+    assert poly.substitute({"y": "1/2", "x": 4}) == 3
+    with pytest.raises(InvalidRequestError):
+        poly.substitute({"z": 1})
+    with pytest.raises(InvalidRequestError):
+        poly.substitute({"x": 1, "rho": 1})
+    with pytest.raises(InvalidRequestError):
+        poly.substitute({"x": 0.5})
+    zero = RatPoly.zero(("x", "y"))
+    assert zero.substitute({"x": 3}) == RatPoly.zero(("y",))
+    assert zero.evaluate((1, 2)) == 0
+    cert = certify_nonneg(zero, Box.unit(2))
+    assert cert.status == STATUS_NONNEGATIVE
 
 
 def test_coefficient_extraction():
