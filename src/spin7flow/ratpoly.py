@@ -15,9 +15,10 @@ convert results themselves when they want doubles.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd, lcm
+from functools import lru_cache
+from math import comb, gcd, lcm, prod
 from operator import add
 
 from .errors import InvalidRequestError
@@ -817,6 +818,9 @@ class Ball:
             raise InvalidRequestError("ball radius must be nonnegative")
 
     def contains_point(self, point):
+        point = tuple(point)
+        if len(point) != len(self.center):
+            raise InvalidRequestError("ball and point dimensions differ")
         gap = sum((Fraction(p) - c) ** 2
                   for p, c in zip(point, self.center))
         return gap <= self.radius ** 2
@@ -836,7 +840,9 @@ class Certificate:
     """Outcome of a branch-and-bound non-negativity run.
 
     status is one of the STATUS_* strings.  max_depth records the
-    deepest subdivision level that was actually examined.  For a
+    deepest subdivision level that was actually examined, and
+    boxes_per_depth the number of boxes examined at each level from 0 to
+    max_depth; it is left out of repr and of the JSON form.  For a
     counterexample the point and its exact negative value are kept; for
     an inconclusive run the box with the worst surviving lower bound is
     kept instead.
@@ -849,6 +855,7 @@ class Certificate:
     counterexample: tuple = None
     worst_box: Box = None
     worst_bound: Fraction = None
+    boxes_per_depth: tuple = field(default=(), repr=False)
 
     def to_json_dict(self):
         payload = {
@@ -888,29 +895,48 @@ def _dense_coefficients(poly):
     return flat, scale, dims, strides
 
 
+@lru_cache(maxsize=64)
+def _slab_index(dims, strides, axis):
+    """The tensor's entries sorted into slabs along one axis.
+
+    Slab i lists the flat index of every entry whose index along the
+    axis is i, one per fibre, in the same fibre order for every i.
+    order[j] is the place of flat entry j in the slabs laid end to end,
+    so a kernel can run each level of a fibre recursion as one pass over
+    whole slabs and put the result back in flat order at the end.
+    """
+    stride = strides[axis]
+    block = stride * dims[axis]
+    starts = [base + offset for base in range(0, prod(dims), block)
+              for offset in range(stride)]
+    slabs = tuple(tuple(start + i * stride for start in starts)
+                  for i in range(dims[axis]))
+    joined = [j for slab in slabs for j in slab]
+    return slabs, tuple(sorted(range(len(joined)), key=joined.__getitem__))
+
+
+def _unslab(rows, order):
+    """Slab rows, one per index along the axis, back in flat order."""
+    joined = [x for row in rows for x in row]
+    return [joined[place] for place in order]
+
+
 def _axis_transform(flat, dims, strides, axis, table):
     """Apply a square integer table along one tensor axis.
 
-    Each fiber f along the axis becomes table @ f; zero entries of the
-    table are skipped.
+    Each fiber f along the axis becomes table @ f, computed slab by
+    slab; zero entries of the table are skipped.
     """
-    size = dims[axis]
-    stride = strides[axis]
-    total = len(flat)
-    out = list(flat)
-    rows = [[(j, factor) for j, factor in enumerate(row) if factor]
-            for row in table]
-    block = stride * size
-    for base in range(0, total, block):
-        for offset in range(stride):
-            start = base + offset
-            fiber = [flat[start + i * stride] for i in range(size)]
-            for i, row in enumerate(rows):
-                acc = 0
-                for j, factor in row:
-                    acc += factor * fiber[j]
-                out[start + i * stride] = acc
-    return out
+    slabs, order = _slab_index(dims, strides, axis)
+    values = [[flat[j] for j in slab] for slab in slabs]
+    rows = []
+    for row in table:
+        acc = [0] * len(slabs[0])
+        for factor, slab in zip(row, values):
+            if factor:
+                acc = [a + factor * x for a, x in zip(acc, slab)]
+        rows.append(acc)
+    return _unslab(rows, order)
 
 
 def _bernstein_tensor(poly, box):
@@ -926,46 +952,46 @@ def _bernstein_tensor(poly, box):
     """
     flat, scale, dims, strides = _dense_coefficients(poly)
     for axis, (size, iv) in enumerate(zip(dims, box.intervals)):
-        d = size - 1
-        (a, b), (c, e) = (iv.lower.as_integer_ratio(),
-                          iv.width.as_integer_ratio())
-        m = lcm(*(comb(d, i) for i in range(size)))
-        table = [[sum(comb(k, i) * comb(j, i) * (m // comb(d, i))
-                      * a ** (j - i) * b ** (d - j + i) * c ** i * e ** (d - i)
-                      for i in range(min(k, j) + 1))
-                  for j in range(size)] for k in range(size)]
-        scale *= m * b ** d * e ** d
+        table, factor = _axis_table(size - 1, iv.lower, iv.width)
+        scale *= factor
         flat = _axis_transform(flat, dims, strides, axis, table)
     return flat, scale, dims, strides
+
+
+@lru_cache(maxsize=64)
+def _axis_table(d, lower, width):
+    """One axis's integer product table and the factor m b^d e^d it is
+    built times; it depends only on the degree and the interval."""
+    (a, b), (c, e) = lower.as_integer_ratio(), width.as_integer_ratio()
+    m = lcm(*(comb(d, i) for i in range(d + 1)))
+    table = tuple(tuple(sum(comb(k, i) * comb(j, i) * (m // comb(d, i))
+                            * a ** (j - i) * b ** (d - j + i) * c ** i
+                            * e ** (d - i)
+                            for i in range(min(k, j) + 1))
+                        for j in range(d + 1)) for k in range(d + 1))
+    return table, m * b ** d * e ** d
 
 
 def _split_axis(nums, dims, strides, axis):
     """Integer de Casteljau halves along one axis.
 
-    Input numerators carry an implicit scale; both outputs come back
-    multiplied by 2**degree, so the caller adds degree to the scale
-    exponent.
+    Each level of the recursion is one pass over a whole slab, every
+    fibre at once.  Input numerators carry an implicit scale; both
+    outputs come back multiplied by 2**degree, so the caller adds degree
+    to the scale exponent.
     """
-    size = dims[axis]
-    d = size - 1
-    stride = strides[axis]
-    total = len(nums)
-    left = [0] * total
-    right = [0] * total
-    block = stride * size
-    for base in range(0, total, block):
-        for offset in range(stride):
-            start = base + offset
-            cur = [nums[start + i * stride] for i in range(size)]
-            left[start] = cur[0] << d
-            right[start + d * stride] = cur[d] << d
-            for level in range(1, size):
-                for i in range(size - level):
-                    cur[i] = cur[i] + cur[i + 1]
-                left[start + level * stride] = cur[0] << (d - level)
-                right[start + (d - level) * stride] = \
-                    cur[d - level] << (d - level)
-    return left, right
+    slabs, order = _slab_index(dims, strides, axis)
+    d = dims[axis] - 1
+    cur = [[nums[j] for j in slab] for slab in slabs]
+    left = [[x << d for x in cur[0]]] + [None] * d
+    right = [None] * d + [[x << d for x in cur[d]]]
+    for level in range(1, d + 1):
+        shift = d - level
+        for i in range(d + 1 - level):
+            cur[i] = [a + b for a, b in zip(cur[i], cur[i + 1])]
+        left[level] = [x << shift for x in cur[0]]
+        right[shift] = [x << shift for x in cur[shift]]
+    return _unslab(left, order), _unslab(right, order)
 
 
 def _corner_indices(dims, strides):
@@ -974,6 +1000,43 @@ def _corner_indices(dims, strides):
         top = (size - 1) * stride
         corners = [c + extra for c in corners for extra in (0, top)]
     return tuple(corners)
+
+
+def _cell_exclusion(balls, box):
+    """An exact integer test whether a cell of the box lies in a ball.
+
+    A cell is one (offset, level) pair per axis: the dyadic piece
+    [offset, offset + 1] / 2^level of that edge.  The box's lowers and
+    widths and every ball's centre and radius go over one integer
+    denominator here, once.  A corner's squared distance from a centre
+    is a sum of one term per axis, and each term is largest at one end
+    of its edge, so the farthest corner's distance is the sum of those
+    largest terms: the cell is inside the closed ball exactly when every
+    corner is, which is Ball.contains_box.
+    """
+    lowers = [iv.lower for iv in box.intervals]
+    widths = [iv.width for iv in box.intervals]
+    unit = lcm(*(q.denominator for q in lowers + widths), *(
+        q.denominator for ball in balls
+        for q in ball.center + (ball.radius,)))
+    widths = [int(w * unit) for w in widths]
+    discs = [(tuple(int((lo - c) * unit) for lo, c in zip(lowers,
+                                                          ball.center)),
+              int(ball.radius * unit) ** 2) for ball in balls]
+
+    def inside(cells):
+        top = max(level for _, level in cells)
+        for gaps, radius2 in discs:
+            total = 0
+            for gap, width, (offset, level) in zip(gaps, widths, cells):
+                near = (gap << level) + width * offset
+                far = max(abs(near), abs(near + width))
+                total += far * far << 2 * (top - level)
+            if total <= radius2 << 2 * top:
+                return True
+        return False
+
+    return inside
 
 
 def _box_for(poly, box):
@@ -997,8 +1060,15 @@ def certify_nonneg(poly, box, exclusions=(), max_depth=DEFAULT_MAX_DEPTH):
     exclusion ball.  A corner coefficient is the exact value at that
     corner, so a negative corner outside the exclusion balls is returned
     as a counterexample at an exact rational point.  Subdivision bisects
-    the widest axis; boxes still alive at max_depth make the outcome
-    Inconclusive and the one with the worst bound is reported.
+    the axis that has been split the fewest times, the first such axis
+    on ties (so on [0, 1/2] x [0, 1] the first split halves the first
+    axis); boxes still alive at max_depth make the outcome Inconclusive
+    and the one with the worst bound is reported.
+
+    A box is a cell, one dyadic piece (offset, level) of each edge; each
+    split runs slab by slab (_split_axis), the ball test runs on
+    integers (_cell_exclusion), and Fractions are built only for a
+    counterexample and the worst box.
     """
     if not isinstance(poly, RatPoly):
         raise InvalidRequestError("certify_nonneg expects a RatPoly")
@@ -1017,15 +1087,17 @@ def certify_nonneg(poly, box, exclusions=(), max_depth=DEFAULT_MAX_DEPTH):
         value = poly.evaluate([0] * dimension)
         status = STATUS_NONNEGATIVE if value >= 0 else STATUS_COUNTEREXAMPLE
         counter = None if value >= 0 else ((), value)
-        return Certificate(status, balls, 1, 0, counterexample=counter)
+        return Certificate(status, balls, 1, 0, counterexample=counter,
+                           boxes_per_depth=(1,))
 
     nums, scale, dims, strides = _bernstein_tensor(poly, box)
     # scale // g is the least common denominator of the coefficients.
     g = gcd(scale, *nums)
-    nums = tuple(n // g for n in nums)
+    nums = [n // g for n in nums]
     denominator = scale // g
     corner_cells = _corner_indices(dims, strides)
     degrees = tuple(size - 1 for size in dims)
+    in_ball = _cell_exclusion(balls, box)
 
     def real_bounds(cells):
         bounds = []
@@ -1040,22 +1112,22 @@ def certify_nonneg(poly, box, exclusions=(), max_depth=DEFAULT_MAX_DEPTH):
 
     root_cells = tuple((0, 0) for _ in range(dimension))
     stack = [(nums, 0, root_cells, 0)]
-    boxes_processed = 0
-    deepest = 0
+    per_depth = []
     worst_bound = None
     worst_cells = None
-    inconclusive = False
+
+    def certificate(status, **found):
+        return Certificate(status, balls, sum(per_depth), len(per_depth) - 1,
+                           boxes_per_depth=tuple(per_depth), **found)
 
     while stack:
         cell_nums, shift, cells, depth = stack.pop()
-        boxes_processed += 1
-        deepest = max(deepest, depth)
+        if depth == len(per_depth):
+            per_depth.append(1)
+        else:
+            per_depth[depth] += 1
         low = min(cell_nums)
-        if low >= 0:
-            continue
-        bounds = real_bounds(cells)
-        sub_box = Box.from_bounds(bounds)
-        if any(ball.contains_box(sub_box) for ball in balls):
+        if low >= 0 or in_ball(cells):
             continue
         scale = denominator << shift
         for cell in corner_cells:
@@ -1069,11 +1141,9 @@ def certify_nonneg(poly, box, exclusions=(), max_depth=DEFAULT_MAX_DEPTH):
                 if any(ball.contains_point(point) for ball in balls):
                     continue
                 value = Fraction(cell_nums[cell], scale)
-                return Certificate(
-                    STATUS_COUNTEREXAMPLE, balls, boxes_processed,
-                    deepest, counterexample=(point, value))
+                return certificate(STATUS_COUNTEREXAMPLE,
+                                   counterexample=(point, value))
         if depth >= max_depth:
-            inconclusive = True
             bound = Fraction(low, scale)
             if worst_bound is None or bound < worst_bound:
                 worst_bound = bound
@@ -1089,15 +1159,15 @@ def certify_nonneg(poly, box, exclusions=(), max_depth=DEFAULT_MAX_DEPTH):
             (2 * offset + 1, level + 1) if i == axis else c
             for i, c in enumerate(cells))
         new_shift = shift + degrees[axis]
-        stack.append((tuple(right), new_shift, right_cells, depth + 1))
-        stack.append((tuple(left), new_shift, left_cells, depth + 1))
+        stack.append((right, new_shift, right_cells, depth + 1))
+        stack.append((left, new_shift, left_cells, depth + 1))
 
-    if inconclusive:
-        return Certificate(
-            STATUS_INCONCLUSIVE, balls, boxes_processed, deepest,
+    if worst_cells is not None:
+        return certificate(
+            STATUS_INCONCLUSIVE,
             worst_box=Box.from_bounds(real_bounds(worst_cells)),
             worst_bound=worst_bound)
-    return Certificate(STATUS_NONNEGATIVE, balls, boxes_processed, deepest)
+    return certificate(STATUS_NONNEGATIVE)
 
 
 def random_nonnegativity_audit(poly, box, samples, seed):

@@ -3,15 +3,16 @@
 ratpoly and critical_points run these kernels on integers: compose sums
 into one exponent dict, evaluation and substitution sum integer
 numerators over one denominator, the Bernstein tables are cleared to
-integers,
-root bisection carries integer numerators over a doubling denominator,
-the Sturm chain and univariate_gcd run on primitive pseudo-remainders,
-the tangency flags take integer dot products, and the exact Jacobian
-and gradients evaluate a kernel traced from the dual pass.  These are
-the forms they replaced, with every intermediate a Fraction, a RatPoly
-or a dual.  The new kernels must return exactly what these return (for
-the Sturm chain: positive multiples of these members; at a float state,
-the same bits).
+integers, the Bernstein axis transform and de Casteljau split run one
+slab (every fibre at one index) at a time, root bisection carries
+integer numerators over a doubling denominator, the Sturm chain and
+univariate_gcd run on primitive pseudo-remainders, the tangency flags
+take integer dot products, and the exact Jacobian and gradients
+evaluate a kernel traced from the dual pass.  These are the forms they
+replaced, with every intermediate a Fraction, a RatPoly or a dual, and
+the integer loops that went fibre by fibre.  The new kernels must
+return exactly what these return (for the Sturm chain: positive
+multiples of these members; at a float state, the same bits).
 """
 
 from fractions import Fraction
@@ -116,6 +117,52 @@ def _axis_transform(flat, dims, strides, axis, table):
                     acc += factor * value
                 out[start + i * stride] = acc
     return out
+
+
+def integer_axis_transform(flat, dims, strides, axis, table):
+    """ratpoly._axis_transform fibre by fibre on integers: each fibre
+    along the axis becomes table @ fibre."""
+    size = dims[axis]
+    stride = strides[axis]
+    out = list(flat)
+    rows = [[(j, factor) for j, factor in enumerate(row) if factor]
+            for row in table]
+    block = stride * size
+    for base in range(0, len(flat), block):
+        for offset in range(stride):
+            start = base + offset
+            fiber = [flat[start + i * stride] for i in range(size)]
+            for i, row in enumerate(rows):
+                acc = 0
+                for j, factor in row:
+                    acc += factor * fiber[j]
+                out[start + i * stride] = acc
+    return out
+
+
+def split_axis(nums, dims, strides, axis):
+    """ratpoly._split_axis fibre by fibre: the integer de Casteljau
+    halves of each fibre, both times 2**degree."""
+    size = dims[axis]
+    d = size - 1
+    stride = strides[axis]
+    total = len(nums)
+    left = [0] * total
+    right = [0] * total
+    block = stride * size
+    for base in range(0, total, block):
+        for offset in range(stride):
+            start = base + offset
+            cur = [nums[start + i * stride] for i in range(size)]
+            left[start] = cur[0] << d
+            right[start + d * stride] = cur[d] << d
+            for level in range(1, size):
+                for i in range(size - level):
+                    cur[i] = cur[i] + cur[i + 1]
+                left[start + level * stride] = cur[0] << (d - level)
+                right[start + (d - level) * stride] = \
+                    cur[d - level] << (d - level)
+    return left, right
 
 
 def bernstein_tensor(poly, box):

@@ -10,13 +10,18 @@ left out, since it depends on the LAPACK build.
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from spin7flow.aw_algebra import AWParams
 from spin7flow.cli import main
 from spin7flow.critical_points import solve_homogeneous_einstein
-from spin7flow.polycert import ray_slices, rtilde
+from spin7flow.polycert import (DEFAULT_EXCLUSION_RADIUS,
+                                certify_line_resultant,
+                                certify_ray_resultant, ray_slices, rtilde,
+                                stated_boundary_zeros)
+from spin7flow.ratpoly import Ball, Box, certify_nonneg
 
 EXACT_FIELDS = ("label", "X", "Z", "exact", "frame")
 
@@ -61,6 +66,16 @@ RAY_ORBITS = [(1, 0), (1, 1)] + [(k, l) for k in range(2, 21)
                                  for l in range(1, k) if math.gcd(k, l) == 1]
 RAY_DIGEST = "2e4b522cc4257ff72cfe1d0c30d75a7436d0e6d320dbe516781e25c19415df12"
 
+# json.dumps(certify_ray_resultant(p).to_json_dict()) over RAY_ORBITS,
+# the same for certify_line_resultant(), then repr of an Inconclusive
+# and of a CounterexampleFound run of rtilde(3, 2) on a box that is not
+# the unit cube; taken while certify_nonneg split fibre by fibre and
+# tested each ball on the corners of a Box of Fractions.
+CERTIFICATE_BOX = Box.from_bounds([(Fraction(1, 3), 1), (0, Fraction(2, 3)),
+                                   (Fraction(1, 5), 1)])
+CERTIFICATE_DIGEST = \
+    "81ed369f0c33dfafe787cee9734a2b1cc793f9cb95d68b1fb920e30658cee945"
+
 
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -100,3 +115,22 @@ def test_ray_resultants_and_slices_are_unchanged():
     orbits = [AWParams(*kl) for kl in RAY_ORBITS]
     text = "".join(f"{rtilde(p)!r}\n{ray_slices(p)!r}\n" for p in orbits)
     assert _sha256(text) == RAY_DIGEST
+
+
+def test_certificates_are_unchanged():
+    lines = [json.dumps(certify_ray_resultant(AWParams(*kl)).to_json_dict())
+             for kl in RAY_ORBITS]
+    lines.append(json.dumps(certify_line_resultant().to_json_dict()))
+    params = AWParams(3, 2)
+    balls = tuple(Ball(center, DEFAULT_EXCLUSION_RADIUS)
+                  for center in stated_boundary_zeros(params))
+    poly = rtilde(params)
+    inconclusive = certify_nonneg(poly, CERTIFICATE_BOX, exclusions=balls,
+                                  max_depth=6)
+    counter = certify_nonneg(poly - Fraction(1, 1000), CERTIFICATE_BOX,
+                             exclusions=balls)
+    assert (inconclusive.status, counter.status) == (
+        "Inconclusive", "CounterexampleFound")
+    lines += [repr(inconclusive), repr(counter)]
+    assert _sha256("".join(line + "\n" for line in lines)) == \
+        CERTIFICATE_DIGEST

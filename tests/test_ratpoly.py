@@ -11,10 +11,12 @@ from hypothesis import example, given, settings, strategies as st
 import fraction_reference
 from spin7flow.errors import InvalidRequestError
 from spin7flow.exact import QuadExt, exact_sqrt
+from spin7flow.polycert import LINE_PARAMETER_DOMAIN, RAY_PARAMETER_DOMAIN
 from spin7flow.ratpoly import (ROOT_ACCURACY, SNAP_DENOMINATOR, Ball,
                                Box, Interval, RatPoly,
                                STATUS_COUNTEREXAMPLE, STATUS_INCONCLUSIVE,
-                               STATUS_NONNEGATIVE, _bernstein_tensor,
+                               STATUS_NONNEGATIVE, _axis_transform,
+                               _bernstein_tensor, _cell_exclusion,
                                _convergents, _coerce, _derivative,
                                _split_axis, _strip,
                                certify_nonneg, count_distinct_roots,
@@ -734,6 +736,37 @@ def test_split_halves_match_fresh_tensors():
     assert trials >= 30
 
 
+@st.composite
+def integer_tensors(draw):
+    """A random signed integer tensor of up to 400 bits per entry with
+    1-4 axes of degree 0-6 (size-1 axes included), an axis, and an
+    integer table for that axis with some zero entries."""
+    dims = tuple(draw(st.lists(st.integers(1, 7), min_size=1, max_size=4)))
+    if math.prod(dims) > 1200:
+        dims = dims[:2]
+    strides = tuple(math.prod(dims[i + 1:]) for i in range(len(dims)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    bits = draw(st.integers(1, 400))
+    nums = [rng.getrandbits(bits) - (1 << (bits - 1))
+            for _ in range(math.prod(dims))]
+    axis = draw(st.integers(0, len(dims) - 1))
+    size = dims[axis]
+    table = [[rng.choice((0, rng.getrandbits(bits) - (1 << (bits - 1))))
+              for _ in range(size)] for _ in range(size)]
+    return nums, dims, strides, axis, table
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_tensors())
+def test_slab_kernels_match_fibre_loops(case):
+    nums, dims, strides, axis, table = case
+    assert list(_split_axis(nums, dims, strides, axis)) == list(
+        fraction_reference.split_axis(nums, dims, strides, axis))
+    assert _axis_transform(nums, dims, strides, axis, table) == \
+        fraction_reference.integer_axis_transform(nums, dims, strides, axis,
+                                                  table)
+
+
 def test_bernstein_corner_coefficients_are_values():
     rng = random.Random(9)
     poly = random_poly(rng, ("x", "y"), 3, 6)
@@ -912,6 +945,30 @@ def test_certify_input_validation():
                                                         F(1, 10))])
 
 
+def test_boxes_per_depth_counts_every_box():
+    x, y = xy()
+    poly = (x - F(1, 3)) ** 2 * (1 + y) - F(1, 10 ** 6)
+    certificates = [
+        certify_nonneg((X - F(1, 3)) ** 2, Box.from_bounds([(0, 1)]),
+                       exclusions=[Ball((F(1, 3),), F(1, 100))]),
+        certify_nonneg((X - F(1, 3)) ** 2, Box.from_bounds([(0, 1)]),
+                       max_depth=6),
+        certify_nonneg(poly, Box.from_bounds([(0, 1), (F(-1, 2), 2)])),
+        certify_nonneg(RatPoly.zero(("x",)), Box.unit(1)),
+    ]
+    assert [c.status for c in certificates] == [
+        STATUS_NONNEGATIVE, STATUS_INCONCLUSIVE, STATUS_COUNTEREXAMPLE,
+        STATUS_NONNEGATIVE]
+    for cert in certificates:
+        assert sum(cert.boxes_per_depth) == cert.boxes_processed
+        assert len(cert.boxes_per_depth) == cert.max_depth + 1
+        assert cert.boxes_per_depth[0] == 1
+        assert all(cert.boxes_per_depth)
+        assert "boxes_per_depth" not in cert.to_json_dict()
+        assert "boxes_per_depth" not in repr(cert)
+    assert len(certificates[1].boxes_per_depth) == 7
+
+
 def test_certificate_json_contract():
     cert = certify_nonneg(X - F(1, 2), Box.from_bounds([(0, 1)]),
                           exclusions=[Ball((F(1),), F(1, 100))])
@@ -952,6 +1009,75 @@ def test_ball_containment():
     assert not ball.contains_box(straddling)
     assert ball.contains_point((F(0), F(1)))
     assert not ball.contains_point((F(1, 2), F(1)))
+
+
+def test_ball_rejects_point_of_wrong_dimension():
+    ball = Ball((0, 1), F(1, 10))
+    for point in ((0,), (0, 1, 0)):
+        with pytest.raises(InvalidRequestError, match="dimensions differ"):
+            ball.contains_point(point)
+
+
+def cell_box(box, cells):
+    """The cell (offset, level) per axis of box as a Box of Fractions."""
+    return Box.from_bounds(
+        [(iv.lower + iv.width * F(offset, 2 ** level),
+          iv.lower + iv.width * F(offset + 1, 2 ** level))
+         for iv, (offset, level) in zip(box.intervals, cells)])
+
+
+@st.composite
+def cells_and_balls(draw):
+    """Random cells of the line or ray parameter domain and one or two
+    balls around points near the domain."""
+    box = draw(st.sampled_from([LINE_PARAMETER_DOMAIN,
+                                RAY_PARAMETER_DOMAIN]))
+    cells = []
+    for _ in box.intervals:
+        level = draw(st.integers(0, 8))
+        cells.append((draw(st.integers(0, 2 ** level - 1)), level))
+    coordinate = st.fractions(F(-1, 4), F(5, 4), max_denominator=64)
+    balls = draw(st.lists(
+        st.builds(Ball, st.tuples(*[coordinate] * box.dimension),
+                  st.fractions(0, F(3, 2), max_denominator=200)),
+        min_size=1, max_size=2))
+    return box, tuple(cells), balls
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells_and_balls())
+def test_cell_exclusion_matches_contains_box(case):
+    box, cells, balls = case
+    want = any(ball.contains_box(cell_box(box, cells)) for ball in balls)
+    assert _cell_exclusion(balls, box)(cells) == want
+
+
+def test_cell_exclusion_on_the_sphere():
+    # On [0, 1/2] x [0, 1] around (0, 1): the cell [191, 192] / 2^11 x
+    # [7/8, 1] has its far corner at (3/32, 7/8), at distance exactly
+    # 5/32 = |(3, 4)| / 32 from the centre.  The next cell along alpha
+    # reaches one tick, 2^-11, farther out.
+    box = LINE_PARAMETER_DOMAIN
+    ball = Ball((0, 1), F(5, 32))
+    on_sphere = ((191, 10), (7, 3))
+    outside = ((192, 10), (7, 3))
+    assert ball.contains_box(cell_box(box, on_sphere))
+    assert not ball.contains_box(cell_box(box, outside))
+    inside = _cell_exclusion((ball,), box)
+    assert inside(on_sphere) and not inside(outside)
+    smaller = _cell_exclusion((Ball((0, 1), F(5, 32) - F(1, 2 ** 40)),),
+                              box)
+    assert not smaller(on_sphere)
+    # The same on the unit cube around the ray zero (1, 0, 1), with the
+    # far corner (1 - 3/64, 4/64, 1 - 12/64) at distance 13/64.
+    box = RAY_PARAMETER_DOMAIN
+    ball = Ball((1, 0, 1), F(13, 64))
+    on_sphere = ((61, 6), (0, 4), (13, 4))
+    outside = ((60, 6), (0, 4), (13, 4))
+    assert ball.contains_box(cell_box(box, on_sphere))
+    assert not ball.contains_box(cell_box(box, outside))
+    inside = _cell_exclusion((ball,), box)
+    assert inside(on_sphere) and not inside(outside)
 
 
 # ---------------------------------------------------------------------------
