@@ -57,8 +57,8 @@ from .polycert import (certify_line_resultant, certify_ray_resultant,
                        stated_boundary_zeros)
 from .ratpoly import (STATUS_COUNTEREXAMPLE, STATUS_INCONCLUSIVE,
                       STATUS_NONNEGATIVE, random_nonnegativity_audit)
-from .shooting import (OUTCOME_AC, OUTCOME_ALC, ShootSpec, integrate,
-                       reconstruct_metric, sweep)
+from .shooting import (MAX_DIRECTIONS, OUTCOME_AC, OUTCOME_ALC, ShootSpec,
+                       integrate, reconstruct_metric, sweep)
 
 TRAJECTORY_HEADER = "eta,X1,X2,X3,X4,Z1,Z2,Z3,Z4,res_hyper,res_cons,res_spin"
 PROFILE_HEADER = "t,a,b,c,f,trL_inv"
@@ -288,8 +288,9 @@ def _sweep_thetas(args):
                                       "omit --n or pass --n 1")
         return [_float(args.theta, "--theta")]
     count = 16 if args.n is None else args.n
-    if count < 1:
-        raise InvalidRequestError("--n must be at least 1")
+    if not 1 <= count <= MAX_DIRECTIONS:
+        raise InvalidRequestError(
+            f"--n must be at least 1 and at most {MAX_DIRECTIONS}")
     return [math.pi * (2 * j + 1) / (2.0 * count) for j in range(count)]
 
 
@@ -635,8 +636,8 @@ def build_parser():
     _add_params(sub)
     _add_shooting(sub, with_s=False)
     sub.add_argument("--n", type=int, default=None,
-                     help="number of directions on the open upper "
-                          "half-circle (default 16)")
+                     help="directions on the open upper half-circle "
+                          f"(default 16, at most {MAX_DIRECTIONS})")
     sub.add_argument("--theta", type=_rational, default=None,
                      help="run a single direction (cos theta, sin theta)")
     _add_out(sub, formats=["csv", "json"], default_format="csv")

@@ -21,13 +21,13 @@ entries).  The linearization and the constraint derivatives are those of
 spectral decomposition with clustering, and ``reference_frame`` returns
 closed-form eigenvector tables for the cone points and the sink, with
 tangency flags computed from exact constraint gradients.  The AC pair
-comes from Newton's iteration started at the (1, 1) pair (``SEEDS``);
-its residual and Jacobian come from ``derivative``, on duals over numpy
-columns.
+comes from scalar Newton started at each point of the (1, 1) pair
+(``SEEDS``), with residual and Jacobian from one pass of duals.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -541,39 +541,31 @@ RESID_TOL = 1e-12
 
 
 def _einstein_system(params, z):
-    """R1..R3 - 6/49 at each row (z1, z2, z3) of z, shape (n, 3), and
-    their Jacobians, shape (n, 3, 3), from one pass of einstein_residual
-    on duals over the columns of z; each row gets the bits of its own.
-    """
-    rows, jac = value_and_derivative(
-        lambda y: einstein_residual(params, *y)[0], tuple(z.T))
-    return np.array(rows).T, np.moveaxis(np.array(jac), -1, 0)
+    """R1..R3 - 6/49 at z = (z1, z2, z3) and its Jacobian rows, from one
+    pass of einstein_residual on duals."""
+    return value_and_derivative(lambda y: einstein_residual(params, *y)[0], z)
 
 
 def _cross(u, v):
-    """u x v for vectors given as three component arrays."""
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
             u[0] * v[1] - u[1] * v[0])
 
 
 def _newton_step(jac, r):
-    """The solution s of jac @ s = r for each 3x3 jac and row r.
+    """The solution s of jac @ s = r for a 3x3 jac.
 
     In closed form: with a0, a1, a2 the rows of jac, the columns of the
     adjugate are a1 x a2, a2 x a0 and a0 x a1, and det = a0 . (a1 x a2).
-    A row with a non-finite entry in jac or r, or with |det| <= 1e-14,
-    gets the zero step.
+    A non-finite entry in jac or r, or |det| <= 1e-14, gives (0, 0, 0).
     """
-    with np.errstate(all="ignore"):
-        a0, a1, a2 = jac.transpose(1, 2, 0)
-        adj = _cross(a1, a2), _cross(a2, a0), _cross(a0, a1)
-        det = a0[0] * adj[0][0] + a0[1] * adj[0][1] + a0[2] * adj[0][2]
-        r0, r1, r2 = r.T
-        step = np.stack([c0 * r0 + c1 * r1 + c2 * r2
-                         for c0, c1, c2 in zip(*adj)], axis=1) / det[:, None]
-    ok = (np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(r).all(axis=1)
-          & (np.abs(det) > 1e-14))
-    return np.where(ok[:, None], step, 0.0)
+    a0, a1, a2 = jac
+    adj = _cross(a1, a2), _cross(a2, a0), _cross(a0, a1)
+    det = a0[0] * adj[0][0] + a0[1] * adj[0][1] + a0[2] * adj[0][2]
+    if not (all(map(math.isfinite, (*a0, *a1, *a2, *r))) and abs(det) > 1e-14):
+        return (0.0, 0.0, 0.0)
+    r0, r1, r2 = r
+    return tuple((c0 * r0 + c1 * r1 + c2 * r2) / det
+                 for c0, c1, c2 in zip(*adj))
 
 
 def _polish(params, z123):
@@ -582,15 +574,33 @@ def _polish(params, z123):
     The float iterates stop anywhere within RESID_TOL of the root; with
     the residual in Fractions the step lands far closer than half an
     ulp, so the single final rounding gives the correctly rounded root
-    whichever iterate the step starts from; the float Jacobian and the
-    solve are the batch's.  z4 = sqrt(Z4^2) in floats there.
+    whichever iterate the step starts from; the Jacobian is the float
+    one at z123, as in the iteration.  z4 = sqrt(Z4^2) in floats there.
     """
     resid = einstein_residual(params, *map(Fraction, z123))[0]
-    jac = _einstein_system(params, np.array([z123]))[1]
-    delta = _newton_step(jac, np.array([resid], dtype=float))[0].tolist()
+    jac = _einstein_system(params, z123)[1]
+    delta = _newton_step(jac, tuple(map(float, resid)))
     z123 = tuple(float(Fraction(v) - Fraction(d))
                  for v, d in zip(z123, delta))
     return z123 + (einstein_residual(params, *z123)[1] ** 0.5,)
+
+
+def _newton(params, seed):
+    """Newton's iteration from seed until the residual is below
+    RESID_TOL: at most NEWTON_ITERS steps, and none where R4 vanishes."""
+    z = seed
+    for sweep in range(NEWTON_ITERS + 1):
+        try:
+            r, jac = _einstein_system(params, z)
+        except ZeroDivisionError:
+            break
+        if all(abs(v) < RESID_TOL for v in r):
+            return z
+        if sweep < NEWTON_ITERS:
+            z = tuple(v - d for v, d in zip(z, _newton_step(jac, r)))
+    raise SolverIncompleteError(
+        f"Newton from {seed} did not reach the residual {RESID_TOL} in "
+        f"{NEWTON_ITERS} sweeps; it stopped at {z}")
 
 
 def solve_homogeneous_einstein(params):
@@ -599,10 +609,9 @@ def solve_homogeneous_einstein(params):
     z4 is eliminated through R4 = 6/49, which fixes z4^2 rationally in
     terms of (z1, z2, z3).  The quartic coefficients then enter R1..R3
     only through the ratios of ((k+l)^2, l^2, k^2), so the roots depend
-    on (k, l) only through rho = l/k in [0, 1].  Newton's iteration, each
-    3x3 step solved in closed form (_newton_step), follows them from
-    SEEDS, the pair at rho = 1; a start stops once its residual is below
-    RESID_TOL.  Returns [(z_tuple, exact_flag), ...] sorted by descending
+    on (k, l) only through rho = l/k in [0, 1].  Newton's iteration on
+    floats (_newton) follows them from each of SEEDS, the pair at
+    rho = 1.  Returns [(z_tuple, exact_flag), ...] sorted by descending
     z1, with exact rational (or quadratic-surd z4) coordinates whenever
     the numeric solution rationalizes and verifies exactly, and
     otherwise z1..z3 the correctly rounded roots (see _polish).
@@ -611,21 +620,9 @@ def solve_homogeneous_einstein(params):
     within NEWTON_ITERS sweeps, or when the two final points, which are
     canonical, are equal or not positive.
     """
-    z = np.array(SEEDS)
-    for sweep in range(NEWTON_ITERS + 1):
-        r0, jac = _einstein_system(params, z)
-        done = np.abs(r0).max(axis=1) < RESID_TOL
-        if done.all():
-            break
-        if sweep == NEWTON_ITERS:
-            raise SolverIncompleteError(
-                f"Newton from {SEEDS} did not reach the residual "
-                f"{RESID_TOL} in {NEWTON_ITERS} sweeps; it stopped at "
-                f"{z.tolist()}")
-        z[~done] -= _newton_step(jac[~done], r0[~done])
-
     out = []
-    for z123 in z.tolist():
+    for seed in SEEDS:
+        z123 = _newton(params, seed)
         exact = _try_exact_einstein(params, z123)
         out.append((exact, True) if exact else (_polish(params, z123), False))
     out.sort(key=lambda sol: -sol[0][0])

@@ -305,9 +305,8 @@ def _first_order(x, z, plus, minus):
 class _Dual:
     """A value with its partials {coordinate index: value}, for
     forward-mode differentiation (Griewank & Walther, Evaluating
-    Derivatives, 2008).  A value is a scalar or a numpy column of
-    points.  A product takes d(ab) = da*b + a*db in that order and, on
-    scalars, skips the terms with an exact-zero factor, so a
+    Derivatives, 2008).  A product takes d(ab) = da*b + a*db in that
+    order and skips the terms with an exact-zero factor, so a
     structurally zero partial is never stored; a seed's unit partial
     times a factor is the factor itself.  The one quotient is a
     constant over a dual, c/q, with d(c/q) = -(c/q)/q * dq."""
@@ -347,10 +346,10 @@ class _Dual:
             other = _Dual(other, {})
         a, b = self.value, other.value
         out = {}
-        if type(b) is np.ndarray or b:
+        if b:
             for j, p in self.partials.items():
                 out[j] = b if type(p) is int and p == 1 else p * b
-        if type(a) is np.ndarray or a:
+        if a:
             for j, p in other.partials.items():
                 p = a if type(p) is int and p == 1 else p * a
                 out[j] = out[j] + p if j in out else p
@@ -501,8 +500,7 @@ def value_and_derivative(fun, point):
 
     fun, made of ring operations and constants over a dual like every
     helper here, runs on duals seeded with unit partials; a constant
-    output gives a zero row.  A coordinate may be a numpy column of
-    points, each of which gets the bits of scalar duals.
+    output gives a zero row.
     """
     n = len(point)
     outputs = fun([_Dual(v, {j: 1}) for j, v in enumerate(point)])

@@ -633,10 +633,12 @@ def _sign_changes(seq, p, q):
 
 
 def count_distinct_roots(sequence, lo, hi):
-    """Distinct real roots in the half-open interval (lo, hi] of the
-    first member of a Sturm sequence.  Either endpoint may be a root.
+    """Distinct real roots in the half-open interval (lo, hi], lo <= hi,
+    of the first member of a Sturm sequence.  Either endpoint may be a root.
     """
     lo, hi = _coerce(lo), _coerce(hi)
+    if hi < lo:
+        raise InvalidRequestError("need lo <= hi to count roots")
     return (_sign_changes(sequence, *lo.as_integer_ratio())
             - _sign_changes(sequence, *hi.as_integer_ratio()))
 

@@ -65,6 +65,7 @@ FACE_LOCK_TOL = 1e-10
 FACE_RELEASE_TOL = 1e-8
 MAX_PROJECTION_ITERS = 50
 PROJECTION_TARGET = 1e-14
+MAX_DIRECTIONS = 10_000  # sweep cap: about 150 s at 15 ms per direction
 
 _CONE_LABEL = {
     BundleTag.K_PLUS_L: LABEL_P0_KPLUSL,
@@ -918,10 +919,10 @@ def worker_count(requested=None):
 
 
 def quadrant_grid(count):
-    """count interior directions of the open quadrant s1, s2 > 0."""
-    if not isinstance(count, int) or count < 1:
+    """count <= MAX_DIRECTIONS interior directions of the open quadrant."""
+    if not isinstance(count, int) or not 1 <= count <= MAX_DIRECTIONS:
         raise InvalidRequestError(
-            f"grid needs a positive integer count, got {count!r}")
+            f"grid count must be an int in 1..{MAX_DIRECTIONS}, got {count!r}")
     half_pi = math.pi / 2.0
     return tuple(
         (math.cos(j * half_pi / (count + 1)),

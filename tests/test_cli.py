@@ -8,8 +8,8 @@ import pytest
 
 from spin7flow.cli import (PROFILE_HEADER, SWEEP_HEADER, TRAJECTORY_HEADER,
                            main)
-from spin7flow.shooting import (Asymptotics, ShootSpec, SweepEntry, integrate,
-                                reconstruct_metric)
+from spin7flow.shooting import (MAX_DIRECTIONS, Asymptotics, ShootSpec,
+                                SweepEntry, integrate, reconstruct_metric)
 
 RUN_32 = ["--k", "3", "--l", "2", "--bundle", "k+l", "--mode", "spin+",
           "--s1", "0.6", "--s2", "0.8"]
@@ -212,6 +212,22 @@ def test_sweep_rejects_empty_fan(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--n must be at least 1" in captured.err
+
+
+def test_sweep_rejects_a_fan_above_the_cap(monkeypatch, capsys):
+    """--n above MAX_DIRECTIONS exits 2 before any direction is built."""
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep started above the cap")
+
+    monkeypatch.setattr("spin7flow.cli.sweep", no_sweep)
+    assert run(["sweep", "--k", "1", "--l", "1",
+                "--n", str(MAX_DIRECTIONS + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"at most {MAX_DIRECTIONS}" in captured.err
+    assert run(["sweep", "--help"]) == 0
+    assert f"at most {MAX_DIRECTIONS}" in " ".join(
+        capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize("flag, value, message", [

@@ -94,26 +94,40 @@ def test_ac_solver_finds_two_positive_solutions():
 
 
 def grid_roots(params):
-    """The AC roots found by batched Newton from a 10^3 grid on
-    [0.05, 0.5]^3, in at most 80 sweeps.
+    """The AC roots found by Newton from a 10^3 grid on [0.05, 0.5]^3,
+    in at most 80 sweeps, batched over numpy columns of
+    einstein_residual with a central-difference Jacobian (step 1e-6)
+    and LAPACK solves, so it shares no code with the solver's step.
 
     Iterates are clipped to [1e-4, 4]; a start retires once its residual
-    is below RESID_TOL, and converged iterates within 1e-6 (max norm) of
-    an earlier one count as the same root.  Each root comes back
-    rationalized or polished as solve_homogeneous_einstein does it.
+    is below RESID_TOL, and a system with a non-finite entry or
+    |det| <= 1e-14 takes no step.  Converged iterates within 1e-6 (max
+    norm) of an earlier one count as the same root.  Each root comes
+    back rationalized or polished as solve_homogeneous_einstein does it.
     """
+    def resid(w):
+        with np.errstate(all="ignore"):
+            return np.array(einstein_residual(params, *w.T)[0]).T
+
+    h = 1e-6
     axis = np.linspace(0.05, 0.5, 10)
     z = np.array(np.meshgrid(axis, axis, axis)).reshape(3, -1).T
     live = np.arange(len(z))
     converged = np.zeros(len(z), dtype=bool)
     for sweep in range(81):
-        rows, jac = _einstein_system(params, z[live])
+        rows = resid(z[live])
         done = np.abs(rows).max(axis=1) < RESID_TOL
         converged[live[done]] = True
-        live, rows, jac = live[~done], rows[~done], jac[~done]
+        live, rows = live[~done], rows[~done]
         if not len(live) or sweep == 80:
             break
-        z[live] = np.clip(z[live] - _newton_step(jac, rows), 1e-4, 4.0)
+        jac = np.stack([(resid(z[live] + h * e) - resid(z[live] - h * e))
+                        / (2 * h) for e in np.eye(3)], axis=2)
+        ok = np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(rows).all(axis=1)
+        ok[ok] = np.abs(np.linalg.det(jac[ok])) > 1e-14
+        step = np.zeros_like(rows)
+        step[ok] = np.linalg.solve(jac[ok], rows[ok][..., None])[..., 0]
+        z[live] = np.clip(z[live] - step, 1e-4, 4.0)
     z = z[converged]
     roots = []
     while len(z):
@@ -134,6 +148,34 @@ def test_grid_search_finds_exactly_the_seeded_roots(kl):
     assert grid_roots(p) == [z for z, _ in solve_homogeneous_einstein(p)]
 
 
+def test_newton_takes_at_most_six_steps_per_seed(monkeypatch):
+    # The README's "at most six sweeps": each seed evaluates the system
+    # at most 7 times (6 steps and the final check) on every orbit of
+    # coprime 60 >= k > l >= 1, (1, 0), (1, 1) and two far orbits.
+    orbits = [(k, l) for k in range(2, 61) for l in range(1, k)
+              if math.gcd(k, l) == 1]
+    orbits += [(1, 0), (1, 1), (10 ** 6, 1), (10 ** 6 + 1, 10 ** 6)]
+    system, newton = critical_points._einstein_system, critical_points._newton
+    calls, passes = [0], []
+
+    def counting_system(params, z):
+        calls[0] += 1
+        return system(params, z)
+
+    def counting_newton(params, seed):
+        before = calls[0]
+        z = newton(params, seed)
+        passes.append(calls[0] - before)
+        return z
+
+    monkeypatch.setattr(critical_points, "_einstein_system", counting_system)
+    monkeypatch.setattr(critical_points, "_newton", counting_newton)
+    for kl in orbits:
+        solve_homogeneous_einstein(AWParams(*kl))
+    assert len(orbits) == 1105 and len(passes) == 2 * len(orbits)
+    assert max(passes) <= 7
+
+
 @pytest.fixture
 def fresh_catalog():
     _catalog_cached.cache_clear()
@@ -146,7 +188,9 @@ def fresh_catalog():
     (tuple(tuple(-v for v in z) for z in SEEDS), "distinct positive"),
     # Newton from this start wanders on (1, 0) without converging.
     (((1.0, 10.0, 1.0), SEEDS[1]), "did not reach"),
-], ids=["one-start-twice", "negated", "wandering"])
+    # R4 = 0 there, since l = 0: the residual divides by zero.
+    (((1.0, 0.0, 1.0), SEEDS[1]), "did not reach"),
+], ids=["one-start-twice", "negated", "wandering", "r4-vanishes"])
 def test_ac_solver_failure_is_reported(monkeypatch, fresh_catalog, seeds,
                                        reason):
     p = AWParams(1, 0)
@@ -162,28 +206,30 @@ def test_ac_solver_failure_is_reported(monkeypatch, fresh_catalog, seeds,
 
 def test_newton_step_matches_lapack_solve():
     rng = np.random.default_rng(7)
-    jac = 2.0 * np.eye(3) + 0.3 * rng.standard_normal((500, 3, 3))
-    r = rng.standard_normal((500, 3))
-    want = np.linalg.solve(jac, r[..., None])[..., 0]
-    got = _newton_step(jac, r)
-    ulp = np.finfo(float).eps * np.abs(want).max(axis=1, keepdims=True)
-    assert (np.abs(got - want) <= 8 * ulp).all()
+    for _ in range(500):
+        jac = 2.0 * np.eye(3) + 0.3 * rng.standard_normal((3, 3))
+        r = rng.standard_normal(3)
+        want = np.linalg.solve(jac, r)
+        got = _newton_step(jac.tolist(), r.tolist())
+        assert type(got) is tuple and all(type(v) is float for v in got)
+        ulp = np.finfo(float).eps * np.abs(want).max()
+        assert (np.abs(np.array(got) - want) <= 8 * ulp).all()
 
 
 def test_newton_step_is_zero_on_masked_rows():
-    good = np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 1.0], [1.0, 0.0, 4.0]])
-    r = np.ones((7, 3))
-    jac = np.repeat(good[None], 7, axis=0)
-    jac[1, 0, 2] = np.nan
-    jac[2, 1, 1] = np.inf
-    r[3, 2] = -np.inf
-    jac[4] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]]
-    jac[5] = 1e-5 * np.eye(3)   # det 1e-15
-    jac[6] = 1e-4 * np.eye(3)   # det 1e-12 passes
-    step = _newton_step(jac, r)
-    assert np.array_equal(step[1:6], np.zeros((5, 3)))
-    assert np.allclose(step[0], np.linalg.solve(good, r[0]))
-    assert np.allclose(step[6], 1e4 * r[6])
+    good = [[2.0, 1.0, 0.0], [0.0, 3.0, 1.0], [1.0, 0.0, 4.0]]
+    ones = [1.0, 1.0, 1.0]
+    nan_entry = [[2.0, 1.0, math.nan], good[1], good[2]]
+    inf_entry = [good[0], [0.0, math.inf, 1.0], good[2]]
+    singular = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]]
+    tiny = (1e-5 * np.eye(3)).tolist()   # det 1e-15
+    for jac, r in ((nan_entry, ones), (inf_entry, ones),
+                   (good, [1.0, 1.0, -math.inf]), (singular, ones),
+                   (tiny, ones)):
+        assert _newton_step(jac, r) == (0.0, 0.0, 0.0)
+    assert np.allclose(_newton_step(good, ones), np.linalg.solve(good, ones))
+    step = _newton_step((1e-4 * np.eye(3)).tolist(), ones)  # det 1e-12
+    assert np.allclose(step, [1e4] * 3)
 
 
 def shifted(z, offsets):
@@ -213,22 +259,21 @@ def test_ac_polish_is_canonical(kl):
 
 @pytest.mark.parametrize("kl", [(1, 0), (3, 2), (55, 41)])
 def test_einstein_system_rows_and_jacobians(kl):
-    # The batch gives each row the bits of a one-row call, and each
-    # Jacobian entry is the exact partial at the same point up to
-    # rounding: at most 4.7e-16 of the largest partial in its row on
-    # these points.  Partials that nearly cancel are small, so an
-    # entry's error relative to itself reaches 1.4e-13.
+    # At each point the rows have the bits of einstein_residual on
+    # floats, and each Jacobian entry is the exact partial at the same
+    # point up to rounding: at most 4.7e-16 of the largest partial in
+    # its row on these points.  Partials that nearly cancel are small,
+    # so an entry's error relative to itself reaches 1.4e-13.
     p = AWParams(*kl)
-    z = np.random.default_rng(kl[0]).uniform(0.05, 0.5, size=(40, 3))
-    rows, jac = _einstein_system(p, z)
-    assert rows.shape == (40, 3) and jac.shape == (40, 3, 3)
-    for n, zn in enumerate(z):
-        one_rows, one_jac = _einstein_system(p, zn[None])
-        assert np.array_equal(rows[n], one_rows[0])
-        assert np.array_equal(jac[n], one_jac[0])
+    points = np.random.default_rng(kl[0]).uniform(0.05, 0.5, size=(40, 3))
+    for z in points.tolist():
+        rows, jac = _einstein_system(p, z)
+        assert [v.hex() for v in rows] == \
+            [v.hex() for v in einstein_residual(p, *z)[0]]
+        assert len(jac) == 3 and all(len(row) == 3 for row in jac)
         exact = derivative(lambda y: einstein_residual(p, *y)[0],
-                           tuple(map(Fraction, zn.tolist())))
-        for got, want in zip(jac[n].tolist(), exact):
+                           tuple(map(Fraction, z)))
+        for got, want in zip(jac, exact):
             scale = max(map(abs, want))
             for g, w in zip(got, want):
                 assert abs(Fraction(g) - w) <= 1e-14 * scale

@@ -59,6 +59,12 @@ AC_ORBITS = [(1, 0), (1, 1)] + [(k, l) for k in range(2, 31)
                                 for l in range(1, k) if math.gcd(k, l) == 1]
 AC_DIGEST = "4961117331336dc869927c0f169c5473ab72b3be41bc11b8207bf9d568320e31"
 
+# The same over two far orbits, rho near 0 and near 1; taken while both
+# seeds ran as one batch of duals over numpy columns.
+FAR_AC_ORBITS = [(10 ** 6, 1), (10 ** 6 + 1, 10 ** 6)]
+FAR_AC_DIGEST = \
+    "3083434c3c07bdc2daf8cf450a2e83ac82fbccdaa42708528b2ae6321790d896"
+
 # repr(rtilde(p)) and repr(ray_slices(p)), one line each per orbit, over
 # (1, 0), (1, 1) and the coprime 20 >= k > l >= 1; taken while each ratio
 # composed its own barriers and took its own Sylvester resultant.
@@ -108,6 +114,12 @@ def test_ac_pairs_are_unchanged():
     text = "".join(f"{solve_homogeneous_einstein(AWParams(*kl))!r}\n"
                    for kl in AC_ORBITS)
     assert _sha256(text) == AC_DIGEST
+
+
+def test_far_ac_pairs_are_unchanged():
+    text = "".join(f"{solve_homogeneous_einstein(AWParams(*kl))!r}\n"
+                   for kl in FAR_AC_ORBITS)
+    assert _sha256(text) == FAR_AC_DIGEST
 
 
 def test_ray_resultants_and_slices_are_unchanged():

@@ -448,6 +448,14 @@ def test_sturm_root_counting():
     assert count_distinct_roots(seq, 0, 2) == 2
 
 
+def test_sturm_count_refuses_a_reversed_interval():
+    seq = sturm_sequence([F(-1), F(0), F(1)])
+    assert count_distinct_roots(seq, -2, 2) == 2
+    assert count_distinct_roots(seq, 1, 1) == 0
+    with pytest.raises(InvalidRequestError, match="lo <= hi"):
+        count_distinct_roots(seq, 2, -2)
+
+
 small_rationals = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
 
 

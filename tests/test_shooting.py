@@ -16,9 +16,10 @@ from spin7flow import shooting
 from spin7flow.phase_system import (Chirality, PhaseState, derivative,
                                     membership, residuals, x_from_z,
                                     zcons_constraint)
-from spin7flow.shooting import (Asymptotics, ShootSpec, Trajectory, classify,
-                                initial_state, integrate, quadrant_grid,
-                                reconstruct_metric, sweep, worker_count)
+from spin7flow.shooting import (MAX_DIRECTIONS, Asymptotics, ShootSpec,
+                                Trajectory, classify, initial_state,
+                                integrate, quadrant_grid, reconstruct_metric,
+                                sweep, worker_count)
 
 P32 = AWParams(3, 2)
 P11 = AWParams(1, 1)
@@ -451,8 +452,11 @@ def test_quadrant_grid_unit_directions():
         assert abs(s1 * s1 + s2 * s2 - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("count", [2.5, 3.0, "3", None, 0, -1])
+@pytest.mark.parametrize("count", [2.5, 3.0, "3", None, 0, -1,
+                                   MAX_DIRECTIONS + 1])
 def test_quadrant_grid_refuses_a_bad_count(count):
+    # MAX_DIRECTIONS itself is a valid count.
+    assert len(quadrant_grid(MAX_DIRECTIONS)) == MAX_DIRECTIONS
     with pytest.raises(InvalidRequestError):
         quadrant_grid(count)
 
