@@ -17,9 +17,10 @@ Exit codes are a stable contract:
     1  verify found a failing invariant
     2  usage errors and invalid parameters (reconstruct --gauge <= 0)
     3  Escape or Undetermined classification, or conservation drift
-    4  initialization, integration, or reconstruction failure
-       (diagnostic JSON on stderr; reconstruction names the sample,
-       for a non-finite entry, a vanishing Z-product or a stuck eta)
+    4  initialization, integration, or reconstruction failure, or an
+       --out path that cannot be opened for writing (diagnostic JSON
+       on stderr; reconstruction names the sample, for a non-finite
+       entry, a vanishing Z-product or a stuck eta)
     5  certificate found a counterexample
     6  certificate inconclusive at the depth limit
 
@@ -76,6 +77,14 @@ EXIT_INCONCLUSIVE = 6
 class _DataError(Exception):
     """An input file that does not exist or does not parse."""
 
+    label = "TrajectoryDataError"
+
+
+class _OutputError(Exception):
+    """An --out path that cannot be opened or written."""
+
+    label = "OutputFileError"
+
 
 def _rational(text):
     """argparse type for flags that accept p/q, integers, or decimals."""
@@ -97,8 +106,11 @@ def _mode(args):
 
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise _OutputError(str(exc)) from None
     else:
         sys.stdout.write(text)
 
@@ -461,7 +473,7 @@ def _check_flow_identities():
 
 
 def _check_line_resultant():
-    poly = line_resultant(cross_check=True)
+    poly = line_resultant()
     value = poly.evaluate({"alpha": Fraction(0), "beta": Fraction(1)})
     if value != 0:
         raise AssertionError("line resultant nonzero at its stated zero")
@@ -680,9 +692,8 @@ def main(argv=None):
     except (InvalidParameterError, InvalidRequestError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except _DataError as exc:
-        json.dump({"error": "TrajectoryDataError", "message": str(exc)},
-                  sys.stderr)
+    except (_DataError, _OutputError) as exc:
+        json.dump({"error": exc.label, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return EXIT_RUNTIME
     except (InitializationError, IntegrationError, SolverIncompleteError,

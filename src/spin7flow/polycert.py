@@ -14,12 +14,15 @@ before any certificate is issued.
 Two slice families appear.  Lines hold Z1 = alpha fixed, travel in
 u = Z2 + Z3, and scale the fourth coordinate as
 Z4 = 6*Delta*beta/(k+l); the two barrier restrictions are called q1
-(quadratic in u) and q2 (quartic in u), and both turn out to be
-independent of the orbit integers.  Rays set (Z2, Z3) = (alpha*Z1,
-beta*Z1) with Z4 = (6*Delta/k)*delta; the restrictions p1 (quadratic
-in Z1) and p2 (quartic in Z1) depend on the orbit integers only
-through the ratio rho = l/k, so they and their resultant are built
-once per process with rho as a variable, and an orbit substitutes rho.
+(quadratic in u) and q2 (quartic in u).  The barriers Q and A see the
+orbit only through w = (k+l)/(2*Delta)*Z4, which is 3*beta on a line,
+so q1 and q2 and their resultant are built once per process and serve
+every orbit.  Rays set (Z2, Z3) = (alpha*Z1, beta*Z1) with
+Z4 = (6*Delta/k)*delta; the restrictions p1 (quadratic in Z1) and p2
+(quartic in Z1) depend on the orbit integers only through the ratio
+rho = l/k, so they and their resultant are built once per process with
+rho as a variable, and an orbit substitutes rho.  Both families are
+the barrier formulas evaluated on symbols.
 
 All arithmetic below is exact.  Floating point enters only in the
 convenience return value of root_fn.
@@ -119,8 +122,6 @@ SIGMA_WINDOW = (Fraction(0), Fraction(1, 2))
 def _as_params(params):
     if isinstance(params, AWParams):
         return params
-    if params is None:
-        return AWParams(1, 0)
     try:
         k, l = params
     except (TypeError, ValueError):
@@ -140,7 +141,9 @@ def barrier(params, which):
     lines of constant Z1) and P and B (bounding the spin(-) family
     along rays through the origin).  The result is a RatPoly over
     (Z1, Z2, Z3, Z4) whose coefficients involve the orbit integers
-    through k, l, and Delta = k**2 + k*l + l**2 only.
+    through k, l, and Delta = k**2 + k*l + l**2 only: Q and A are their
+    formulas at (Z1, Z2 + Z3, a*Z4) with a = (k+l)/(2*Delta), and P and
+    B take the orbit's cubic and quartic coefficients.
     """
     params = _as_params(params)
     try:
@@ -149,28 +152,19 @@ def barrier(params, which):
         raise InvalidRequestError(
             f"unknown barrier {which!r}, expected one of {BARRIER_KINDS}"
         ) from None
-    return builder(params)
-
-
-def _barrier_variables():
     names = BARRIER_VARIABLES
-    return tuple(RatPoly.variable(names, n) for n in names)
+    z = tuple(RatPoly.variable(names, n) for n in names)
+    return builder(*_orbit_coefficients(params), z)
 
 
-def _barrier_q(params):
-    z1, z2, z3, z4 = _barrier_variables()
-    s = z2 + z3
-    c8 = Fraction(params.k + params.l, 8 * params.delta)
-    c4 = Fraction(params.k + params.l, 4 * params.delta)
-    return (c8 * z4 * s * s - (2 + c4 * z1 * z4) * s
-            + c8 * z1 * z1 * z4 - 2 * z1 + 1)
+def _barrier_q(z1, s, w):
+    """Q at Z1, s = Z2 + Z3 and w = a*Z4, a = (k+l)/(2*Delta)."""
+    return w / 4 * (s - z1) ** 2 - 2 * (s + z1) + 1
 
 
-def _barrier_a(params):
-    z1, z2, z3, z4 = _barrier_variables()
-    s = z2 + z3
-    lead = Fraction(1, 32) * Fraction(params.k + params.l, params.delta) ** 2
-    return (lead * s ** 4 * z4 * z4 - 2 * s * s - (12 * z1 + 2) * s
+def _barrier_a(z1, s, w):
+    """A at Z1, s = Z2 + Z3 and w = a*Z4, a = (k+l)/(2*Delta)."""
+    return (w * w / 8 * s ** 4 - 2 * s * s - (12 * z1 + 2) * s
             + 2 * z1 * z1 - 2 * z1 + 2)
 
 
@@ -186,17 +180,19 @@ def _barrier_b(quartic, z):
 
 def _orbit_coefficients(params):
     """The orbit's cubic and quartic coefficients: the ray's, which go
-    with Z4 = (6*Delta/k)*delta, scaled back to Z4 itself."""
+    with Z4 = (6*Delta/k)*delta, scaled back to Z4 itself.  The first
+    cubic one is a = (k+l)/(2*Delta)."""
     s = Fraction(params.k, 6 * params.delta)
     cubic, quartic = _ray_coefficients(params.rho)
     return tuple(s * c for c in cubic), tuple(s * s * c for c in quartic)
 
 
+# Each builder takes the orbit's (cubic, quartic) and the symbols z.
 _BARRIER_BUILDERS = {
-    "Q": _barrier_q,
-    "A": _barrier_a,
-    "P": lambda p: _barrier_p(_orbit_coefficients(p)[0], _barrier_variables()),
-    "B": lambda p: _barrier_b(_orbit_coefficients(p)[1], _barrier_variables()),
+    "Q": lambda cubic, _, z: _barrier_q(z[0], z[1] + z[2], cubic[0] * z[3]),
+    "A": lambda cubic, _, z: _barrier_a(z[0], z[1] + z[2], cubic[0] * z[3]),
+    "P": lambda cubic, _, z: _barrier_p(cubic, z),
+    "B": lambda _, quartic, z: _barrier_b(quartic, z),
 }
 
 
@@ -204,45 +200,18 @@ _BARRIER_BUILDERS = {
 # slice families
 
 
-def line_slices(params=None):
+@lru_cache(maxsize=1)
+def line_slices():
     """The two line restrictions (q1, q2) over (alpha, beta, u).
 
-    The substitution Z1 = alpha, Z2 + Z3 = u, Z4 = 6*Delta*beta/(k+l)
-    cancels every orbit-integer factor, so one pair serves every
-    parameter choice: it is built once per process, from the barriers
-    of (1, 0), and the construction fails loudly if the restriction
-    ever picks up a dependence on how u is split between Z2 and Z3.
-    params is still validated.
+    On the line Z1 = alpha, Z2 + Z3 = u, Z4 = 6*Delta*beta/(k+l) the
+    barrier formulas of Q and A take w = 3*beta, so the orbit drops
+    out: q1 and q2 are those formulas at (alpha, u, 3*beta), built once
+    per process for every orbit.
     """
-    _as_params(params)
-    return _line_slices_once()
-
-
-@lru_cache(maxsize=1)
-def _line_slices_once():
-    params = AWParams(1, 0)
-    return (_restrict_line(barrier(params, "Q"), params),
-            _restrict_line(barrier(params, "A"), params))
-
-
-def _restrict_line(poly, params):
-    work = ("alpha", "beta", "u", "_s")
-    alpha = RatPoly.variable(work, "alpha")
-    beta = RatPoly.variable(work, "beta")
-    u = RatPoly.variable(work, "u")
-    s = RatPoly.variable(work, "_s")
-    image = {
-        "Z1": alpha,
-        "Z2": u - s,
-        "Z3": s,
-        "Z4": Fraction(6 * params.delta, params.k + params.l) * beta,
-    }
-    composed = poly.compose(work, image)
-    if composed.degree("_s") > 0:
-        raise FormulaDiscrepancyError(
-            "line restriction depends on the split of Z2 + Z3, "
-            "expected a function of the sum alone")
-    return composed.drop_variable("_s")
+    alpha, beta, u = (RatPoly.variable(LINE_SLICE_VARIABLES, n)
+                      for n in LINE_SLICE_VARIABLES)
+    return _barrier_q(alpha, u, 3 * beta), _barrier_a(alpha, u, 3 * beta)
 
 
 def ray_slices(params):
@@ -275,32 +244,40 @@ def _ray_family():
     return _barrier_p(cubic, z), _barrier_b(quartic, z)
 
 
+def _slice_family(params, which):
+    """(symbolic slice, fixed values) for a slice kind.  The line
+    slices serve every orbit, so params may be None for them; the ray
+    slices fix rho = l/k."""
+    if which in LINE_SLICE_KINDS:
+        if params is not None:
+            _as_params(params)
+        return line_slices()[LINE_SLICE_KINDS.index(which)], {}
+    if which in RAY_SLICE_KINDS:
+        return (_ray_family()[RAY_SLICE_KINDS.index(which)],
+                {"rho": _as_params(params).rho})
+    raise InvalidRequestError(
+        f"unknown slice {which!r}, expected one of "
+        f"{LINE_SLICE_KINDS + RAY_SLICE_KINDS}")
+
+
 def slice(params, which, alpha, beta, delta=None):
     """A univariate slice polynomial at exact parameter values.
 
     which in {q1, q2} fixes (alpha, beta) and returns a polynomial in
-    u = Z2 + Z3; which in {p1, p2} additionally needs delta and
-    returns a polynomial in Z1.  Coordinates must be exact rationals
-    (Fraction, int, or a num/den string); floats are refused so the
-    restriction stays exact.
+    u = Z2 + Z3, the same for every orbit (params may be None); which
+    in {p1, p2} additionally needs delta and returns a polynomial in
+    Z1.  Coordinates must be exact rationals (Fraction, int, or a
+    num/den string); floats are refused so the restriction stays
+    exact.
     """
-    values = {"alpha": _rat(alpha), "beta": _rat(beta)}
-    if which in LINE_SLICE_KINDS:
-        if delta is not None:
-            raise InvalidRequestError(
-                "delta applies only to the ray slices p1 and p2")
-        source = line_slices(params)[LINE_SLICE_KINDS.index(which)]
-    elif which in RAY_SLICE_KINDS:
-        if delta is None:
-            raise InvalidRequestError(
-                "the ray slices p1 and p2 need a delta value")
-        source = _ray_family()[RAY_SLICE_KINDS.index(which)]
-        values["delta"] = _rat(delta)
-        values["rho"] = _as_params(params).rho
-    else:
+    source, values = _slice_family(params, which)
+    if (delta is None) != (which in LINE_SLICE_KINDS):
         raise InvalidRequestError(
-            f"unknown slice {which!r}, expected one of "
-            f"{LINE_SLICE_KINDS + RAY_SLICE_KINDS}")
+            "the ray slices p1 and p2 need a delta value, "
+            "and the line slices q1 and q2 take none")
+    values.update(alpha=_rat(alpha), beta=_rat(beta))
+    if delta is not None:
+        values["delta"] = _rat(delta)
     return source.substitute(values)
 
 
@@ -328,7 +305,8 @@ def root_fn(params, which, point):
     polynomial.  Returns None when no root lies in the window.  A
     negative discriminant for omega or xi raises DomainAnomalyError
     because two real roots are guaranteed on the stated parameter
-    boxes.
+    boxes.  omega and zeta serve every orbit, so params may be None
+    for them.
     """
     found = _root_exact(params, which, point)
     if found is None:
@@ -414,12 +392,9 @@ def implicit_derivatives(params, which, point, order=2):
     root, _ = found
     slice_name, root_var, names, _ = _ROOT_SETUP[which]
     point = tuple(_rat(x) for x in point)
-    values = dict(zip(names, point), rho=_as_params(params).rho)
+    symbolic, values = _slice_family(params, slice_name)
+    values.update(zip(names, point))
     values[root_var] = root
-    if slice_name in LINE_SLICE_KINDS:
-        symbolic = line_slices(params)[LINE_SLICE_KINDS.index(slice_name)]
-    else:
-        symbolic = _ray_family()[RAY_SLICE_KINDS.index(slice_name)]
 
     def at(poly):
         return poly.evaluate(values)
@@ -469,20 +444,19 @@ def root_gap_hessian_det(params, point=(1, 0, 1)):
 # resultants and their recorded reference expansions
 
 
-def line_resultant(params=None, cross_check=True):
+@lru_cache(maxsize=1)
+def line_resultant():
     """Resultant of (q1, q2) in u, as a RatPoly over (alpha, beta).
 
     A zero of this polynomial at (alpha, beta) is equivalent to the
     two line slices sharing a root there, which is how root
-    interlacing can fail.  cross_check compares the computed
-    expansion against the recorded closed form coefficient by
-    coefficient and raises FormulaDiscrepancyError on any mismatch.
+    interlacing can fail.  It is computed once per process and compared
+    with the recorded closed form coefficient by coefficient; a
+    mismatch raises FormulaDiscrepancyError on every call, and nothing
+    is cached.
     """
-    q1, q2 = line_slices(params)
-    computed = sylvester_resultant(q1, q2, "u")
-    if cross_check:
-        _require_equal(computed, printed_line_resultant(),
-                       "line resultant")
+    computed = sylvester_resultant(*line_slices(), "u")
+    _require_equal(computed, printed_line_resultant(), "line resultant")
     return computed
 
 

@@ -230,7 +230,7 @@ def test_c5_root_function_data():
 
 def test_c6_resultant_certification():
     start = time.perf_counter()
-    computed = line_resultant(cross_check=True)
+    computed = line_resultant()
     printed = printed_line_resultant()
     assert computed.terms == printed.terms
 

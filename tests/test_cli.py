@@ -367,6 +367,18 @@ def test_reconstruct_missing_file_exit_4(tmp_path, capsys):
     assert diag["error"] == "TrajectoryDataError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["critical-points", "--k", "1", "--l", "1"],
+    ["certify", "--target", "r"],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_path_exit_4(argv, tmp_path, capsys):
+    for out in (tmp_path / "absent" / "x.json", tmp_path):
+        assert run([*argv, "--out", str(out)]) == 4
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["error"] == "OutputFileError"
+        assert str(out) in diag["message"]
+
+
 def test_reconstruct_rejects_wrong_header(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("eta,X1\n0.0,1.0\n")

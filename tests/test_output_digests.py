@@ -17,9 +17,10 @@ import pytest
 from spin7flow.aw_algebra import AWParams
 from spin7flow.cli import main
 from spin7flow.critical_points import solve_homogeneous_einstein
-from spin7flow.polycert import (DEFAULT_EXCLUSION_RADIUS,
+from spin7flow.polycert import (DEFAULT_EXCLUSION_RADIUS, barrier,
                                 certify_line_resultant,
-                                certify_ray_resultant, ray_slices, rtilde,
+                                certify_ray_resultant, line_resultant,
+                                line_slices, ray_slices, rtilde,
                                 stated_boundary_zeros)
 from spin7flow.ratpoly import Ball, Box, certify_nonneg
 
@@ -71,6 +72,12 @@ FAR_AC_DIGEST = \
 RAY_ORBITS = [(1, 0), (1, 1)] + [(k, l) for k in range(2, 21)
                                  for l in range(1, k) if math.gcd(k, l) == 1]
 RAY_DIGEST = "2e4b522cc4257ff72cfe1d0c30d75a7436d0e6d320dbe516781e25c19415df12"
+
+# repr(barrier(p, w)) for w in Q, A, P, B over RAY_ORBITS, then
+# repr(line_slices()) and repr(line_resultant()); taken while the line
+# slices were composed from the barriers of (1, 0) with a split variable.
+LINE_DIGEST = \
+    "dfcc37c0985dca07e6283b3856d03bd45648fb2233f2fbc67ae82859b5f32111"
 
 # json.dumps(certify_ray_resultant(p).to_json_dict()) over RAY_ORBITS,
 # the same for certify_line_resultant(), then repr of an Inconclusive
@@ -127,6 +134,13 @@ def test_ray_resultants_and_slices_are_unchanged():
     orbits = [AWParams(*kl) for kl in RAY_ORBITS]
     text = "".join(f"{rtilde(p)!r}\n{ray_slices(p)!r}\n" for p in orbits)
     assert _sha256(text) == RAY_DIGEST
+
+
+def test_barriers_and_line_family_are_unchanged():
+    text = "".join(f"{barrier(AWParams(*kl), w)!r}\n"
+                   for kl in RAY_ORBITS for w in "QAPB")
+    text += f"{line_slices()!r}\n{line_resultant()!r}\n"
+    assert _sha256(text) == LINE_DIGEST
 
 
 def test_certificates_are_unchanged():

@@ -15,6 +15,7 @@ from spin7flow.errors import (DegenerateRootError, DomainAnomalyError,
                               FormulaDiscrepancyError, InvalidParameterError,
                               InvalidRequestError)
 from spin7flow import polycert as pc
+from spin7flow.cli import main
 from spin7flow.phase_system import (PhaseState, cubic_coefficients,
                                     quartic_coefficients, residuals,
                                     scalar_terms)
@@ -67,14 +68,51 @@ def test_non_integer_pairs_are_refused(pair):
             call(pair)
 
 
+# Every call below depends on the orbit, so None, which once stood for
+# the orbit (1, 0), is refused.
+ORBIT_CALLS = {
+    "barrier": lambda p: pc.barrier(p, "Q"),
+    "ray_slices": pc.ray_slices,
+    "rtilde": pc.rtilde,
+    "printed_ray_expansion": pc.printed_ray_expansion,
+    "certify_ray_resultant": pc.certify_ray_resultant,
+    "stated_boundary_zeros": pc.stated_boundary_zeros,
+    "boundary_zero_report": pc.boundary_zero_report,
+    "root_gap_hessian_det": pc.root_gap_hessian_det,
+    "slice-p1": lambda p: pc.slice(p, "p1", 1, 0, 1),
+    "slice-p2": lambda p: pc.slice(p, "p2", 1, 0, 1),
+    "root_fn-xi": lambda p: pc.root_fn(p, "xi", (1, 0, 1)),
+    "root_fn-sigma": lambda p: pc.root_fn(p, "sigma", (1, 0, 1)),
+    "implicit_derivatives-xi":
+        lambda p: pc.implicit_derivatives(p, "xi", (1, 0, 1)),
+    "implicit_derivatives-sigma":
+        lambda p: pc.implicit_derivatives(p, "sigma", (1, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_CALLS))
+def test_orbit_functions_refuse_none(name):
+    call = ORBIT_CALLS[name]
+    call(AWParams(3, 2))
+    with pytest.raises(InvalidRequestError):
+        call(None)
+
+
+def test_line_kinds_take_any_orbit_or_none():
+    point = (F(1, 62), F(1, 32))
+    for which in pc.LINE_SLICE_KINDS:
+        want = pc.slice(None, which, *point)
+        assert all(pc.slice(p, which, *point) == want for p in PARAMS)
+    for which in ("omega", "zeta"):
+        want = pc.implicit_derivatives(None, which, point)
+        assert all(pc.implicit_derivatives(p, which, point) == want
+                   for p in PARAMS)
+    with pytest.raises(InvalidParameterError):
+        pc.slice((3.7, 2.2), "q1", *point)
+
+
 # ---------------------------------------------------------------------------
 # slices
-
-
-def test_line_slices_are_parameter_free():
-    base = pc.line_slices()
-    for p in PARAMS:
-        assert pc.line_slices(p) == base
 
 
 def test_line_slice_closed_forms():
@@ -191,7 +229,7 @@ def test_slice_matches_symbolic_composition(p):
     for _ in range(8):
         a, b, d = rational(), rational(), rational()
         for i, which in enumerate(pc.LINE_SLICE_KINDS):
-            source = pc.line_slices(p)[i]
+            source = pc.line_slices()[i]
             image = {"alpha": a, "beta": b,
                      "u": RatPoly.variable(("u",), "u")}
             assert pc.slice(p, which, a, b) == source.compose(("u",), image)
@@ -479,10 +517,11 @@ def test_rtilde_resultant_and_cross_check_once_per_process(monkeypatch):
 
 
 def test_slice_and_resultant_caches_are_bounded():
-    """The ray family, its resultant and the line slices do not depend
-    on the orbit: each is one entry, built once over 38 orbits."""
+    """The ray family, its resultant, the line slices and their
+    resultant do not depend on the orbit: each is one entry, built once
+    over 38 orbits."""
     caches = (pc._ray_family, pc._ray_resultant, pc._checked_ray_resultant,
-              pc._line_slices_once)
+              pc.line_slices, pc.line_resultant)
     for cached in caches:
         assert cached.cache_info().maxsize == 1
         cached.cache_clear()
@@ -490,11 +529,45 @@ def test_slice_and_resultant_caches_are_bounded():
         p = AWParams(k, 1)
         pc.ray_slices(p)
         pc.rtilde(p)
-        pc.line_slices(p)
+        pc.slice(p, "q1", F(1, 3), F(1, 2))
+        pc.line_resultant()
     for cached in caches:
         assert cached.cache_info().misses == 1
-    pairs = {id(pc.line_slices(AWParams(k, 1))) for k in range(2, 40)}
-    assert len(pairs) == 1
+
+
+def test_line_resultant_once_per_process(monkeypatch, capsys):
+    """One Sylvester resultant in u serves line_resultant,
+    certify_line_resultant and every check of verify."""
+    pc.rtilde(AWParams(3, 2))  # the ray resultant is built beforehand
+    variables = []
+    resultant = pc.sylvester_resultant
+
+    def counted(f, g, var):
+        variables.append(var)
+        return resultant(f, g, var)
+    monkeypatch.setattr(pc, "sylvester_resultant", counted)
+    pc.line_slices.cache_clear()
+    pc.line_resultant.cache_clear()
+    assert pc.line_resultant() == pc.printed_line_resultant()
+    assert pc.certify_line_resultant().status == "NonNegative"
+    assert main(["verify"]) == 0
+    capsys.readouterr()
+    assert variables == ["u"]
+
+
+def test_forged_line_record_raises_on_every_call(monkeypatch):
+    """A wrong recorded form raises on each call, and the mismatch
+    leaves nothing cached."""
+    recorded = pc.printed_line_resultant
+    monkeypatch.setattr(pc, "printed_line_resultant",
+                        lambda: recorded() + F(1, 16))
+    pc.line_resultant.cache_clear()
+    for _ in range(2):
+        with pytest.raises(FormulaDiscrepancyError):
+            pc.line_resultant()
+        with pytest.raises(FormulaDiscrepancyError):
+            pc.certify_line_resultant()
+    assert pc.line_resultant.cache_info().currsize == 0
 
 
 def _oracle_ray_slices(p):
@@ -575,11 +648,45 @@ def test_ray_layer_matches_term_by_term_substitution():
             assert repr(got) == repr(want)
 
 
+def _restricted_to_line(poly, p):
+    """poly at Z1 = alpha, Z2 = u - s, Z3 = s, Z4 = 6*Delta*beta/(k+l),
+    over (alpha, beta, u, s)."""
+    work = pc.LINE_SLICE_VARIABLES + ("s",)
+    alpha, beta, u, s = (RatPoly.variable(work, n) for n in work)
+    return poly.compose(work, {"Z1": alpha, "Z2": u - s, "Z3": s,
+                               "Z4": F(6 * p.delta, p.k + p.l) * beta})
+
+
 def test_line_slices_built_once_equal_each_orbits_restriction():
-    q1, q2 = pc.line_slices()
-    for p in _orbit_sample(40, 61):
-        assert pc._restrict_line(pc.barrier(p, "Q"), p) == q1
-        assert pc._restrict_line(pc.barrier(p, "A"), p) == q2
+    """Each orbit's Q and A on the line map lose the split s of
+    u = Z2 + Z3 and equal the one line family."""
+    want = pc.line_slices()
+    for p in _orbit_sample(40, 61) + [AWParams(1, 0)]:
+        got = tuple(_restricted_to_line(pc.barrier(p, which), p)
+                    for which in ("Q", "A"))
+        assert [poly.degree("s") for poly in got] == [0, 0]
+        assert tuple(poly.drop_variable("s") for poly in got) == want
+
+
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kl=st.integers(1, 10 ** 4).flatmap(
+           lambda k: st.tuples(st.just(k), st.integers(0, k))).filter(
+           lambda kl: math.gcd(*kl) == 1),
+       a=_RATIONALS, b=_RATIONALS, d=_RATIONALS, u=_RATIONALS,
+       s=_RATIONALS, z1=_RATIONALS)
+def test_slices_are_the_barriers_on_their_maps(kl, a, b, d, u, s, z1):
+    p = AWParams(*kl)
+    line_z4 = F(6 * p.delta, p.k + p.l) * b
+    for which, kind in (("q1", "Q"), ("q2", "A")):
+        assert pc.slice(p, which, a, b).evaluate((u,)) == \
+            pc.barrier(p, kind).evaluate((a, u - s, s, line_z4))
+    ray_z4 = F(6 * p.delta, p.k) * d
+    for which, kind in (("p1", "P"), ("p2", "B")):
+        assert pc.slice(p, which, a, b, delta=d).evaluate((z1,)) == \
+            pc.barrier(p, kind).evaluate((z1, a * z1, b * z1, ray_z4))
 
 
 def test_barriers_p_and_b_equal_their_residual_forms():
