@@ -349,6 +349,10 @@ def cmd_sweep(args):
 
 def cmd_certify(args):
     if args.target == "r":
+        if args.k is not None or args.l is not None:
+            raise InvalidRequestError(
+                "--target r takes no --k or --l: the line resultant is "
+                "orbit-free")
         cert = certify_line_resultant()
         payload = {"target": "r"}
     else:

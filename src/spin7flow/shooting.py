@@ -17,9 +17,10 @@ eigenvalue), so the integrator renormalizes: it works in fixed-length
 chunks and Newton-projects the state back onto the constraint set at
 every chunk boundary, logging the pre-projection defect as drift.
 
-The stepper's stages run the right-hand side as a kernel traced from
-the phase_system helpers and inlined into the step, so a stage makes
-no Python call and keeps the helpers' bits.  Samples are built lazily:
+The stepper runs a chunk's steps in one compiled loop whose stages
+evaluate the right-hand side as a kernel traced from the phase_system
+helpers and inlined, so a stage makes no Python call and keeps the
+helpers' bits.  Samples are built lazily:
 a chunk keeps its accepted steps, and their dense output on the sample
 grid is evaluated, X rebuilt from Z, and the rows handed to the decision
 scan only when a decision could fire (an early-stopping run whose last
@@ -42,6 +43,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -65,6 +67,7 @@ FACE_LOCK_TOL = 1e-10
 FACE_RELEASE_TOL = 1e-8
 MAX_PROJECTION_ITERS = 50
 PROJECTION_TARGET = 1e-14
+HORIZON_SLACK = 1e-12  # integrate stops once eta is this close to eta_max
 MAX_DIRECTIONS = 10_000  # sweep cap: about 150 s at 15 ms per direction
 
 _CONE_LABEL = {
@@ -91,8 +94,10 @@ def _check_run_settings(epsilon, eta_max, rel_tol, abs_tol):
     if not 0.0 < eps <= 1e-2:
         raise InvalidRequestError(
             "epsilon must lie in (0, 1e-2], got %g" % eps)
-    if not (eta_max > 0.0 and math.isfinite(eta_max)):
-        raise InvalidRequestError("eta_max must be positive and finite")
+    if not (eta_max > HORIZON_SLACK and math.isfinite(eta_max)):
+        raise InvalidRequestError(
+            "eta_max must be finite and above %g: no chunk runs at or "
+            "below it" % HORIZON_SLACK)
     if not all(0.0 < tol < math.inf for tol in (rel_tol, abs_tol)):
         raise InvalidRequestError(
             "integrator tolerances must be positive and finite")
@@ -339,7 +344,9 @@ class _DecisionScan:
     Per candidate it keeps the index of the last row outside the
     decision ball and the distance of the last row, both updated from
     the new rows only, so deciding after every chunk of a run costs
-    O(rows) in all.
+    O(rows) in all.  A block's rows are measured only against the balls
+    that hold its last row; for every other ball that row is the last
+    one outside.
     """
 
     def __init__(self, candidates):
@@ -352,16 +359,18 @@ class _DecisionScan:
     def extend(self, etas, states):
         base = len(self._etas)
         self._etas.extend(etas.tolist())
-        # max-norm distance of every row to every target, one coordinate
-        # at a time: no rows x targets x coordinates temporary
-        dist = np.zeros((len(states), len(self._targets)))
-        for column, values in zip(states.T, self._targets.T):
-            np.maximum(dist, np.abs(column[:, None] - values), out=dist)
-        outside = ~(dist <= DECISION_RADIUS)
-        last = base + len(dist) - 1 - np.argmax(outside[::-1], axis=0)
-        for i in np.flatnonzero(outside.any(axis=0)).tolist():
-            self._last_outside[i] = int(last[i])
-        self._last_distance = dist[-1].tolist()
+        # only a ball that holds the block's last row scans the block;
+        # a NaN distance counts as outside
+        last = np.abs(states[-1] - self._targets).max(axis=1)
+        self._last_distance = last.tolist()
+        for i, inside in enumerate((last <= DECISION_RADIUS).tolist()):
+            if not inside:
+                self._last_outside[i] = base + len(states) - 1
+                continue
+            dist = np.abs(states - self._targets[i]).max(axis=1)
+            outside = np.flatnonzero(~(dist <= DECISION_RADIUS))
+            if outside.size:
+                self._last_outside[i] = base + int(outside[-1])
 
     def may_decide(self, tail):
         """False when every row ending in the coordinates tail lies
@@ -512,8 +521,10 @@ def _dense(steps, grid):
     shared end point, as scipy's OdeSolution does); per step Q = K^T P,
     and y = y_old + h * Q (x, x^2, x^3, x^4) with x = (t - t_old) / h.
     """
-    table = np.array(steps)
-    n = (table.shape[1] - 2) // 8
+    width = len(steps[0])
+    table = np.fromiter(chain.from_iterable(steps), float,
+                        len(steps) * width).reshape(-1, width)
+    n = (width - 2) // 8
     starts, widths = table[:, 0], table[:, 1]
     seg = np.clip(np.searchsorted(starts, grid) - 1, 0, len(steps) - 1)
     q = table[:, 2 + n:].reshape(-1, 7, n).transpose(0, 2, 1) @ _P
@@ -538,18 +549,26 @@ def _crossing(step, t_end):
             lo = mid
 
 
-def _attempt_source(n, kernel=None):
-    """Python source of one step attempt on n components, written out.
+def _chunk_source(n, kernel=None):
+    """Python source of _dopri5's whole step loop on n components.
 
-    attempt(fun, t, h, y, k1, rtol, atol) returns (y_new, k7, error,
-    row) with row = (t, h, *y, *k1, ..., *k7).  Every component is one
-    straight-line expression in the association of the list form:
-    stage i is y_j + (k1_j*A_i1 + ... + k(i-1)_j*A_i(i-1))*h, the new
-    state y_j + h*(k1_j*B1 + k3_j*B3 + ... + k6_j*B6), the scaled error
-    (k1_j*E1 + ... + k7_j*E7)*h / (atol + max(|y_j|, |y_new_j|)*rtol),
-    and error their _rms.  Tableau values are written as float literals
-    (repr round-trips), max(a, b) as "b if b > a else a", its meaning
-    on floats.
+    chunk(fun, t, y, k1, h_abs, t_bound, rtol, atol, steps) steps from
+    t, with state y, first derivative k1 and first trial step h_abs, to
+    t_bound.  It appends one row (t, h, *y, *k1, ..., *k7) per accepted
+    step to steps and returns (status, t, y) with _dopri5's status; on
+    an escape t is the end of the last step and y is None.  y_j and k1_j
+    stay in locals from one step to the next, and k7 becomes the next
+    step's k1 (first same as last).
+
+    Every component is one straight-line expression in the association
+    of the list form: stage i is y_j + (k1_j*A_i1 + ... +
+    k(i-1)_j*A_i(i-1))*h, the new state y_j + h*(k1_j*B1 + k3_j*B3 + ...
+    + k6_j*B6), the scaled error (k1_j*E1 + ... + k7_j*E7)*h / (atol +
+    max(|y_j|, |u_j|)*rtol), and error their _rms.  Tableau values and
+    step-control factors are written as float literals (repr
+    round-trips); a two-argument min or max is written out with Python's
+    argument order (max(a, b) is "b if b > a else a"), so NaN takes the
+    branch the builtin takes.
 
     Each stage calls fun(t_i, [stage state]) unless a kernel is given:
     the template of an autonomous right-hand side that
@@ -560,58 +579,92 @@ def _attempt_source(n, kernel=None):
     """
     comps = range(n)
 
-    def names(stage):
-        return ", ".join("k%d_%d" % (stage, j) for j in comps)
+    def names(prefix):
+        return ", ".join("%s%d" % (prefix, j) for j in comps)
 
     def combo(terms, j):
         return " + ".join("k%d_%d * %r" % (s, j, coeff)
                           for s, coeff in terms)
 
-    def inlined(inputs, stage):
-        return ["    " + line for line in kernel.format(
-            v=inputs, k="k%d_" % stage).splitlines()]
-
-    lines = ["def attempt(fun, t, h, y, k1, rtol, atol):",
-             "    %s, = y" % ", ".join("y_%d" % j for j in comps),
-             "    %s, = k1" % names(1)]
+    attempt = []
     for stage, (c, row) in enumerate(_STAGES, start=2):
         terms = tuple(enumerate(row, start=1))
         args = ["y_%d + (%s) * h" % (j, combo(terms, j)) for j in comps]
         if kernel is not None:
-            lines += ["    v_%d = %s" % (j, arg) for j, arg in enumerate(args)]
-            lines += inlined("v_", stage)
+            attempt += ["v_%d = %s" % (j, arg) for j, arg in enumerate(args)]
+            attempt += kernel.format(v="v_", k="k%d_" % stage).splitlines()
             continue
         at = "t + h" if c is None else "t + %r * h" % c
-        lines.append("    k%d = fun(%s, [%s])" % (stage, at, ", ".join(args)))
-        lines.append("    %s, = k%d" % (names(stage), stage))
-    for j in comps:
-        lines.append("    u_%d = y_%d + h * (%s)" % (j, j, combo(_B_TERMS, j)))
-    lines.append("    y_new = [%s]" % ", ".join("u_%d" % j for j in comps))
+        attempt.append("%s, = fun(%s, [%s])" % (
+            names("k%d_" % stage), at, ", ".join(args)))
+    attempt += ["u_%d = y_%d + h * (%s)" % (j, j, combo(_B_TERMS, j))
+                for j in comps]
     if kernel is not None:
-        lines += inlined("u_", 7)
-        lines.append("    k7 = (%s,)" % names(7))
+        attempt += kernel.format(v="u_", k="k7_").splitlines()
     else:
-        lines.append("    k7 = fun(t + h, y_new)")
-        lines.append("    %s, = k7" % names(7))
+        attempt.append("%s, = fun(t + h, [%s])" % (names("k7_"),
+                                                    names("u_")))
     for j in comps:
-        lines.append("    a, b = abs(y_%d), abs(u_%d)" % (j, j))
-        lines.append("    s_%d = (%s) * h / (atol + (b if b > a else a)"
-                     " * rtol)" % (j, combo(_E_TERMS, j)))
-    lines.append("    error = sqrt(%s) / %r" % (
+        attempt.append("a, b = abs(y_%d), abs(u_%d)" % (j, j))
+        attempt.append("s_%d = (%s) * h / (atol + (b if b > a else a)"
+                       " * rtol)" % (j, combo(_E_TERMS, j)))
+    attempt.append("error = sqrt(%s) / %r" % (
         " + ".join("s_%d * s_%d" % (j, j) for j in comps), n ** 0.5))
-    lines.append("    return y_new, k7, error, (t, h, %s, %s)" % (
-        ", ".join("y_%d" % j for j in comps),
-        ", ".join(names(stage) for stage in range(1, 8))))
+    control = "%r * error ** %r" % (_SAFETY, _ERROR_EXPONENT)
+    size = ("max(%s)" % ", ".join("abs(u_%d)" % j for j in comps)
+            if n > 1 else "abs(u_0)")
+    lines = [
+        "def chunk(fun, t, y, k1, h_abs, t_bound, rtol, atol, steps):",
+        "    %s, = y" % names("y_"),
+        "    %s, = k1" % names("k1_"),
+        "    append = steps.append",
+        "    while t < t_bound:",
+        "        min_step = 10 * (nextafter(t, inf) - t)",
+        "        if min_step > h_abs:",
+        "            h_abs = min_step",
+        "        rejected = False",
+        "        while True:",
+        "            if not h_abs >= min_step:",
+        "                return -1, t, [%s]" % names("y_"),
+        "            t_new = t + h_abs",
+        "            if t_bound < t_new:",
+        "                t_new = t_bound",
+        "            h = h_abs = t_new - t"]
+    lines += ["            " + line for line in attempt]
+    lines += [
+        "            if error < 1:",
+        "                factor = %r if error == 0 else %s" % (_MAX_FACTOR,
+                                                           control),
+        "                if not factor < %r:" % _MAX_FACTOR,
+        "                    factor = %r" % _MAX_FACTOR,
+        "                if rejected and not factor < 1:",
+        "                    factor = 1",
+        "                h_abs *= factor",
+        "                break",
+        "            factor = %s" % control,
+        "            h_abs *= factor if factor > %r else %r" % (
+            _MIN_FACTOR, _MIN_FACTOR),
+        "            rejected = True",
+        "        append((t, h, %s, %s))" % (
+            names("y_"), ", ".join(names("k%d_" % stage)
+                                   for stage in range(1, 8))),
+        "        if %s >= %r:" % (size, ESCAPE_NORM),
+        "            return 1, t_new, None",
+        "        t = t_new"]
+    lines += ["        y_%d = u_%d" % (j, j) for j in comps]
+    lines += ["        k1_%d = k7_%d" % (j, j) for j in comps]
+    lines.append("    return 0, t, [%s]" % names("y_"))
     return "\n".join(lines) + "\n"
 
 
 @lru_cache(maxsize=64)
-def _attempt(n, kernel=None):
-    """The compiled _attempt_source(n, kernel)."""
-    namespace = {"sqrt": math.sqrt}
-    exec(compile(_attempt_source(n, kernel), "<dopri5 attempt, n=%d>" % n,
+def _chunk(n, kernel=None):
+    """The compiled _chunk_source(n, kernel)."""
+    namespace = {"sqrt": math.sqrt, "nextafter": math.nextafter,
+                 "inf": math.inf}
+    exec(compile(_chunk_source(n, kernel), "<dopri5 chunk, n=%d>" % n,
                  "exec"), namespace)
-    return namespace["attempt"]
+    return namespace["chunk"]
 
 
 def _dopri5(fun, t, y, t_bound, rtol, atol):
@@ -624,43 +677,24 @@ def _dopri5(fun, t, y, t_bound, rtol, atol):
     ulps of t (a non-finite start or right-hand side ends here too),
     with t, y the last accepted point.  steps holds one row
     (t_old, h, *y_old, *k1, ..., *k7) per accepted step, for _dense.
-    Each attempt runs the straight-line stages of _attempt(len(y)), and
-    every call of fun gets a list of floats.  When fun carries a traced
-    kernel (the attribute kernel of the phase_system right-hand sides),
-    the stages run it inlined and fun is called only for the first
-    derivative and the initial-step trial.
+    After the first derivative and the initial step, the steps run in
+    the compiled loop _chunk(len(y)), and every call of fun gets a list
+    of floats.  When fun carries a traced kernel (the attribute kernel
+    of the phase_system right-hand sides), the loop runs it inlined and
+    fun is called only for the first derivative and the initial-step
+    trial.
     """
-    attempt = _attempt(len(y), getattr(fun, "kernel", None))
     steps = []
     f = fun(t, y)
     if not all(map(math.isfinite, [*y, *f])):
         return -1, t, y, steps
     h_abs = _initial_step(fun, t, y, f, t_bound - t, rtol, atol)
-    while t < t_bound:
-        min_step = 10 * (math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if not h_abs >= min_step:
-                return -1, t, y, steps
-            t_new = min(t + h_abs, t_bound)
-            h = h_abs = t_new - t
-            y_new, k7, error, row = attempt(fun, t, h, y, f, rtol, atol)
-            if error < 1:
-                factor = (_MAX_FACTOR if error == 0 else
-                          min(_MAX_FACTOR,
-                              _SAFETY * error ** _ERROR_EXPONENT))
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
-            rejected = True
-        steps.append(row)
-        if max(map(abs, y_new)) >= ESCAPE_NORM:
-            t_cross = _crossing(steps[-1], t_new)
-            y_cross = _dense(steps[-1:], np.array([t_cross]))[0]
-            return 1, t_cross, y_cross.tolist(), steps
-        t, y, f = t_new, y_new, k7
-    return 0, t, y, steps
+    status, t, y = _chunk(len(y), getattr(fun, "kernel", None))(
+        fun, t, y, f, h_abs, t_bound, rtol, atol, steps)
+    if status == 1:
+        t = _crossing(steps[-1], t)
+        y = _dense(steps[-1:], np.array([t]))[0].tolist()
+    return status, t, y, steps
 
 
 def integrate(spec):
@@ -750,7 +784,7 @@ def integrate(spec):
     events = []
     eta = 0.0
     drift_logged = False
-    while eta < spec.eta_max - 1e-12:
+    while eta < spec.eta_max - HORIZON_SLACK:
         top = min(eta + CHUNK_LENGTH, spec.eta_max)
         status, reached, end, steps = _dopri5(
             rhs, eta, state.tolist(), top, spec.rel_tol, spec.abs_tol)

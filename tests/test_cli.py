@@ -180,6 +180,18 @@ def test_integrate_json_rows(capsys):
     assert len(row["state"]) == 8 and len(row["residuals"]) == 3
 
 
+@pytest.mark.parametrize("command", ["integrate", "classify"])
+@pytest.mark.parametrize("eta_max", ["1e-13", "1e-12", "0"])
+def test_horizon_without_a_chunk_exits_2(command, eta_max, capsys):
+    """An eta_max at which no chunk runs is refused up front, naming
+    eta_max, not reported late as too few samples."""
+    assert run([command, *RUN_32, "--eta-max", eta_max]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "eta_max must be finite and above 1e-12" in captured.err
+    assert "samples" not in captured.err
+
+
 def test_short_horizon_is_undetermined_exit_3(capsys):
     assert run(["classify", *RUN_32, "--eta-max", "5"]) == 3
     record = json.loads(capsys.readouterr().out)
@@ -233,6 +245,7 @@ def test_sweep_rejects_a_fan_above_the_cap(monkeypatch, capsys):
 @pytest.mark.parametrize("flag, value, message", [
     ("--rel-tol", "0", "integrator tolerances must be positive"),
     ("--eps", "1/2", "epsilon must lie in (0, 1e-2]"),
+    ("--eta-max", "1e-13", "eta_max must be finite and above 1e-12"),
 ])
 def test_sweep_invalid_run_setting_exits_2(flag, value, message, capsys):
     """A setting every direction shares is a usage error (exit 2), as in
@@ -465,6 +478,23 @@ def test_certify_unknown_target_exit_2(capsys):
 def test_certify_rtilde_requires_params(capsys):
     assert run(["certify", "--target", "rtilde"]) == 2
     assert "--k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("orbit", [["--k", "0", "--l", "0"],
+                                   ["--k", "2", "--l", "4"],
+                                   ["--k", "3", "--l", "2"], ["--l", "1"]])
+def test_certify_r_refuses_orbit_flags(orbit, monkeypatch, capsys):
+    """The line resultant is orbit-free: --k or --l with target r is a
+    usage error, checked before any certificate runs."""
+    def no_certificate():
+        raise AssertionError("the line certificate ran")
+
+    monkeypatch.setattr("spin7flow.cli.certify_line_resultant",
+                        no_certificate)
+    assert run(["certify", "--target", "r", *orbit]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "orbit-free" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ scipy is a test dependency only: solve_ivp(method="RK45") is the oracle
 for the Dormand-Prince stepper and cumulative_simpson for the quadrature
 of reconstruct_metric.  The list-form stepper (tests/list_dopri5.py) is
 the bit-for-bit oracle of the straight-line one.  The incremental
-decision scan is checked against the whole-table decision, integrate's
-outcome against classify, and the package must import without scipy.
+decision scan is checked against the whole-table decision and against
+the all-targets scan it replaced (tests/decision_reference.py),
+integrate's outcome against classify, and the package must import
+without scipy.
 """
 
 import ast
@@ -24,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import cumulative_simpson, solve_ivp
 
 import list_dopri5
+from decision_reference import AllTargetsScan
 import spin7flow
 from spin7flow import shooting
 from spin7flow.aw_algebra import AWParams
@@ -448,6 +451,67 @@ def test_decision_scan_matches_whole_table_on_patterns(pattern):
 def test_decision_scan_matches_whole_table_on_random_chunkings(codes, cuts):
     etas, states = _pattern_table(codes)
     _assert_scan_matches(etas, states, [c for c in cuts if c < len(etas)])
+
+
+R = shooting.DECISION_RADIUS
+
+
+def _row(base, j, value):
+    row = np.array(base, dtype=float)
+    row[j] = value
+    return row
+
+
+# Three targets where a row can sit exactly on a ball's boundary: T0 = 0,
+# T1 = 2R (a row at R is on both boundaries) and T2 = 1/2; the rows lie
+# at the targets, on or just past a boundary, far off, or hold NaN or inf.
+EXACT_TARGETS = (("ALC", "T0", np.zeros(8)), ("ALC", "T1", np.full(8, 2 * R)),
+                 ("AC", "T2", np.full(8, 0.5)))
+EXACT_ROWS = [
+    np.zeros(8), np.full(8, R), _row(np.zeros(8), 5, -R),
+    _row(np.zeros(8), 2, math.nextafter(R, 1.0)), np.full(8, 2 * R),
+    np.full(8, 0.5), _row(np.full(8, 0.5), 7, 0.5 + R),
+    _row(np.zeros(8), 3, math.nan), np.full(8, math.nan),
+    _row(np.full(8, 0.5), 0, math.inf), np.ones(8)]
+
+
+def _p11_rows():
+    """P1, next to P1, AC_1, P1 with a NaN, P1 moved by R, all NaN."""
+    cat = catalog(P11)
+    p1 = np.array(cat.get("P1").state.as_floats())
+    ac = np.array(cat.get("AC_1").state.as_floats())
+    return [p1, p1 + 1e-3, ac, _row(p1, 6, math.nan),
+            _row(p1, 4, p1[4] + R), np.full(8, math.nan)]
+
+
+@settings(max_examples=80, deadline=4000)
+@given(exact=st.booleans(),
+       runs=st.lists(st.tuples(st.integers(0, len(EXACT_ROWS) - 1),
+                               st.integers(1, 130)), min_size=1, max_size=6),
+       cuts=st.lists(st.integers(1, 500), max_size=12))
+def test_pruned_scan_matches_all_targets_scan(exact, runs, cuts):
+    """On random chunkings, with NaN rows and rows exactly at
+    DECISION_RADIUS, the scan that skips balls the block ends outside
+    keeps the all-targets scan's last outside rows, last distances (bit
+    for bit) and decision after every block.  Each run repeats one row
+    of the alphabet, so some tails stay in a ball long enough to
+    decide."""
+    if exact:
+        candidates, rows = EXACT_TARGETS, EXACT_ROWS
+    else:
+        candidates, rows = shooting._limit_candidates(P11), _p11_rows()
+    states = np.array([rows[i % len(rows)] for i, count in runs
+                       for _ in range(count)])
+    etas = np.arange(len(states)) * 0.05
+    ours, ref = shooting._DecisionScan(candidates), AllTargetsScan(candidates)
+    start = 0
+    for end in sorted({c for c in cuts if c < len(etas)} | {len(etas)}):
+        ours.extend(etas[start:end], states[start:end])
+        ref.extend(etas[start:end], states[start:end])
+        assert ours._last_outside == ref._last_outside
+        assert _bits(ours._last_distance) == _bits(ref._last_distance)
+        assert ours.decision() == ref.decision()
+        start = end
 
 
 # ---------------------------------------------------------------------------

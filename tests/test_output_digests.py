@@ -1,10 +1,13 @@
-"""Byte-identity guard for the exact outputs.
+"""Byte-identity guard for the exact outputs and the trajectories.
 
 The exact layer (catalog coordinates, reference frames, certificates)
 must not move when its arithmetic is reorganized.  These SHA-256
 digests were taken from the outputs before the integer kernels
 replaced the Fraction ones.  The float eigen data of the catalog is
-left out, since it depends on the LAPACK build.
+left out, since it depends on the LAPACK build.  The trajectory digest
+guards the stepper and the decision scan the same way: it was taken
+while each step attempt was its own compiled function and the decision
+scan measured every row against every target.
 """
 
 import hashlib
@@ -23,6 +26,7 @@ from spin7flow.polycert import (DEFAULT_EXCLUSION_RADIUS, barrier,
                                 line_slices, ray_slices, rtilde,
                                 stated_boundary_zeros)
 from spin7flow.ratpoly import Ball, Box, certify_nonneg
+from spin7flow.shooting import ShootSpec, integrate
 
 EXACT_FIELDS = ("label", "X", "Z", "exact", "frame")
 
@@ -88,6 +92,44 @@ CERTIFICATE_BOX = Box.from_bounds([(Fraction(1, 3), 1), (0, Fraction(2, 3)),
                                    (Fraction(1, 5), 1)])
 CERTIFICATE_DIGEST = \
     "81ed369f0c33dfafe787cee9734a2b1cc793f9cb95d68b1fb920e30658cee945"
+
+
+# Shooting runs: the benchmark's families ((3, 2) spin+ and spin- in the
+# quadrant, (1, 1) spin- converging and escaping, the two locked (1, 1)
+# AC runs, (3, 2) Ricci-flat), (13, 5) spin+ and spin-, early-stopping,
+# full-horizon and cut short (Undetermined), each at the default and at
+# a coarse tolerance pair.
+# Per run the digest reads the bytes of etas, states and residual_log,
+# then repr of events, outcome and face_lock; then the stdout of the
+# README's classify and sweep examples.
+S_LINE = (-3.0 / math.sqrt(10.0), 1.0 / math.sqrt(10.0))
+S_CURVE = (-1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
+FULL = {"stop_on_converged": False}
+TRAJECTORY_RUNS = [
+    ((3, 2), "k+l", "spin+", (0.6, 0.8), {}),
+    ((3, 2), "k+l", "spin+", (0.95, 0.3), FULL),
+    ((3, 2), "k+l", "spin+", (0.6, 0.8), {"eta_max": 30.0}),
+    ((3, 2), "k", "spin-", (0.8, 0.6), {}),
+    ((3, 2), "k", "spin-", (0.3, 0.95), FULL),
+    ((1, 1), "k", "spin-", (0.2, 0.98), {}),
+    ((1, 1), "k", "spin-", (-0.9, 0.3), {}),
+    ((1, 1), "k+l", "spin+", S_LINE, {}),
+    ((1, 1), "k", "spin-", S_CURVE, {}),
+    ((1, 1), "k+l", "spin+", S_LINE, FULL),
+    ((3, 2), "k+l", "ricci", (0.6, 0.8, 0.0), {}),
+    ((3, 2), "k+l", "ricci", (0.5, 0.5, 0.5), FULL),
+    ((13, 5), "k+l", "spin+", (0.6, 0.8), {}),
+    ((13, 5), "k", "spin-", (0.6, 0.8), {}),
+    ((13, 5), "k+l", "spin+", (0.8, 0.6), FULL),
+]
+TRAJECTORY_TOLERANCES = [(1e-10, 1e-12), (1e-6, 1e-9)]
+TRAJECTORY_ARGV = [
+    ["classify", "--k", "3", "--l", "2", "--bundle", "k+l",
+     "--s1", "0.6", "--s2", "0.8"],
+    ["sweep", "--k", "1", "--l", "1", "--bundle", "k", "--n", "8"],
+]
+TRAJECTORY_DIGEST = \
+    "c3693177963634fa7adb9d2c993ea5e8907f6d2d997de0c35f624ff3fd2ccb29"
 
 
 def _sha256(text):
@@ -160,3 +202,20 @@ def test_certificates_are_unchanged():
     lines += [repr(inconclusive), repr(counter)]
     assert _sha256("".join(line + "\n" for line in lines)) == \
         CERTIFICATE_DIGEST
+
+
+def test_trajectories_are_unchanged(monkeypatch, capsys):
+    digest = hashlib.sha256()
+    for kl, bundle_tag, mode, s, options in TRAJECTORY_RUNS:
+        for rel_tol, abs_tol in TRAJECTORY_TOLERANCES:
+            traj = integrate(ShootSpec(
+                AWParams(*kl), bundle_tag, mode, s, rel_tol=rel_tol,
+                abs_tol=abs_tol, **options))
+            for arr in (traj.etas, traj.states, traj.residual_log):
+                digest.update(arr.tobytes())
+            digest.update(repr((traj.events, traj.outcome,
+                                traj.face_lock)).encode())
+    monkeypatch.setenv("SPIN7_THREADS", "1")
+    for argv in TRAJECTORY_ARGV:
+        digest.update(_stdout(argv, capsys).encode())
+    assert digest.hexdigest() == TRAJECTORY_DIGEST

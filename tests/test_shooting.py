@@ -16,8 +16,8 @@ from spin7flow import shooting
 from spin7flow.phase_system import (Chirality, PhaseState, derivative,
                                     membership, residuals, x_from_z,
                                     zcons_constraint)
-from spin7flow.shooting import (MAX_DIRECTIONS, Asymptotics, ShootSpec,
-                                Trajectory, classify, initial_state,
+from spin7flow.shooting import (HORIZON_SLACK, MAX_DIRECTIONS, Asymptotics,
+                                ShootSpec, Trajectory, classify, initial_state,
                                 integrate, quadrant_grid, reconstruct_metric,
                                 sweep, worker_count)
 
@@ -89,6 +89,26 @@ def test_spec_rejects_nonfinite_or_nonpositive_eta_max(eta_max):
     with pytest.raises(InvalidRequestError):
         ShootSpec((3, 2), "k+l", "spin+", (0.6, 0.8), eta_max=eta_max,
                   stop_on_converged=False)
+
+
+@pytest.mark.parametrize("eta_max", [1e-13, 1e-12, 5e-324])
+def test_horizon_without_a_chunk_is_refused(eta_max):
+    """integrate runs a chunk only while eta < eta_max - HORIZON_SLACK,
+    so an eta_max at or below the slack is refused by ShootSpec and by
+    sweep before any run, with a message that names eta_max."""
+    with pytest.raises(InvalidRequestError, match="eta_max"):
+        ShootSpec(P32, "k+l", "spin+", (0.6, 0.8), eta_max=eta_max)
+    with pytest.raises(InvalidRequestError, match="eta_max"):
+        sweep(P32, "k+l", "spin+", [(0.6, 0.8)], eta_max=eta_max, workers=1)
+
+
+def test_shortest_horizon_runs_one_chunk():
+    """Just above the slack, one chunk runs and the run is classified."""
+    eta_max = math.nextafter(HORIZON_SLACK, math.inf)
+    traj = integrate(ShootSpec(P32, "k+l", "spin+", (0.6, 0.8),
+                               eta_max=eta_max))
+    assert traj.etas.tolist() == [0.0, eta_max]
+    assert traj.outcome.kind == "Undetermined"
 
 
 def test_spec_rescales_a_direction_whose_squares_overflow():
