@@ -45,8 +45,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .aw_algebra import AWParams
-from .critical_points import catalog, eigen, reference_frame
+from .aw_algebra import AWParams, BundleTag
+from .critical_points import _BUNDLE_CONES, catalog, eigen, reference_frame
 from .errors import (InitializationError, IntegrationError,
                      InvalidParameterError, InvalidRequestError,
                      ReconstructionDomainError, SolverIncompleteError,
@@ -101,7 +101,7 @@ def _params(args):
 def _mode(args):
     if args.mode is not None:
         return args.mode
-    return "spin+" if args.bundle == "k+l" else "spin-"
+    return _BUNDLE_CONES[BundleTag(args.bundle)][1].value
 
 
 def _emit(text, out_path):

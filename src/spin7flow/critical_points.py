@@ -23,6 +23,10 @@ closed-form eigenvector tables for the cone points and the sink, with
 tangency flags computed from exact constraint gradients.  The AC pair
 comes from scalar Newton started at each point of the (1, 1) pair
 (``SEEDS``), with residual and Jacobian from one pass of duals.
+
+``_BUNDLE_CONES``, the one bundle table, gives each circle bundle's cone
+point and the chirality its family is shot with; ``unstable_frame``,
+``shooting`` and the CLI's default ``--mode`` read it.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from operator import mul
 
 import numpy as np
 
-from .aw_algebra import AWParams
+from .aw_algebra import AWParams, BundleTag
 from .errors import InvalidRequestError, SolverIncompleteError
 from .exact import QuadExt, exact_sqrt
 from .phase_system import (Chirality, PhaseState, _float_jacobian,
@@ -74,6 +78,13 @@ LABELS_G2_SOURCE = ("G2_source_1", "G2_source_2", "G2_source_3")
 LABELS_G2_SADDLE = ("G2_saddle_1", "G2_saddle_2", "G2_saddle_3")
 LABEL_CIRCLE = "CircleFamily"
 LABEL_LINE = "LineFamily"
+
+# circle bundle -> (its cone point, the chirality of its shooting family)
+_BUNDLE_CONES = {
+    BundleTag.K_PLUS_L: (LABEL_P0_KPLUSL, Chirality.PLUS),
+    BundleTag.K: (LABEL_P0_K, Chirality.MINUS),
+    BundleTag.L: (LABEL_P0_L, Chirality.MINUS),
+}
 
 THIRD = Fraction(1, 3)
 SIXTH = Fraction(1, 6)
@@ -483,19 +494,12 @@ def _reference_frame_cached(k, l, label):
     return ReferenceFrame(label=label, point=point, pairs=tuple(pairs))
 
 
-_CHIRALITY_OF_CONE = {
-    LABEL_P0_KPLUSL: Chirality.PLUS,
-    LABEL_P0_K: Chirality.MINUS,
-    LABEL_P0_L: Chirality.MINUS,
-}
-
-
 def unstable_frame(params, label, flow_class):
     """The unstable directions used for shooting out of a cone point.
 
     For the Ricci-flat system this is (v1, v2, v3); for a chirality
-    system it is (v1, v2), and the chirality must match the cone point
-    (plus for the (k+l)-bundle, minus for the k- and l-bundles).
+    system it is (v1, v2), and the chirality must be the cone point's
+    (_BUNDLE_CONES).
     """
     if isinstance(flow_class, str):
         try:
@@ -503,30 +507,26 @@ def unstable_frame(params, label, flow_class):
         except ValueError:
             raise InvalidRequestError(
                 f"unknown flow class {flow_class!r}") from None
-    if label not in _CHIRALITY_OF_CONE:
+    cones = dict(_BUNDLE_CONES.values())
+    if label not in cones:
         raise InvalidRequestError(
             f"unstable frames are defined at cone points, not {label!r}")
     frame = reference_frame(params, label)
     if flow_class is FlowClass.RICCI_FLAT:
-        want = frame.pairs[:3]
-        if not all(p.tangent_crf for p in want):
+        want, flag, name = frame.pairs[:3], "tangent_crf", "Ricci-flat"
+    else:
+        chir = cones[label]
+        if Chirality(flow_class.value) is not chir:
             raise InvalidRequestError(
-                f"table inconsistency: unstable frame at {label} is not "
-                "tangent to the Ricci-flat set")
-        return want
-    chir = (Chirality.PLUS if flow_class is FlowClass.SPIN_PLUS
-            else Chirality.MINUS)
-    if _CHIRALITY_OF_CONE[label] is not chir:
-        raise InvalidRequestError(
-            f"{label} does not lie on the {flow_class.value} constraint set; "
-            f"its chirality is {_CHIRALITY_OF_CONE[label].value}")
-    want = frame.pairs[:2]
-    flag = ("tangent_spin_plus" if chir is Chirality.PLUS
-            else "tangent_spin_minus")
+                f"{label} does not lie on the {flow_class.value} constraint "
+                f"set; its chirality is {chir.value}")
+        want, name = frame.pairs[:2], flow_class.value
+        flag = ("tangent_spin_plus" if chir is Chirality.PLUS
+                else "tangent_spin_minus")
     if not all(getattr(p, flag) for p in want):
         raise InvalidRequestError(
             f"table inconsistency: unstable frame at {label} is not tangent "
-            f"to the {flow_class.value} set")
+            f"to the {name} set")
     return want
 
 

@@ -6,6 +6,10 @@ constraints, classifies the forward limit (ALC sink, conical point,
 escape, or undetermined), and recovers the metric coefficient profile
 (a, b, c, f) as functions of the arclength variable t.
 
+A run's cone point and, in a spin mode, its chirality come from the
+bundle table critical_points._BUNDLE_CONES; ShootSpec converts and
+checks every input of a run once, at construction.
+
 Two integration modes exist.  Spin modes run the reduced 4-dimensional
 Z-system (the X block is a function of Z on either chirality set) and
 carry the single Z-only conservation constraint.  The Ricci-flat mode
@@ -47,10 +51,9 @@ from itertools import chain
 
 import numpy as np
 
-from .aw_algebra import AWParams, BundleIndex, BundleTag, bundle
-from .critical_points import (LABEL_P0_K, LABEL_P0_KPLUSL, LABEL_P0_L,
-                              LABEL_P1, LABELS_AC, LABELS_ALC_B, FlowClass,
-                              catalog, unstable_frame)
+from .aw_algebra import AWParams, BundleIndex, bundle
+from .critical_points import (_BUNDLE_CONES, LABEL_P1, LABELS_AC,
+                              LABELS_ALC_B, FlowClass, catalog, unstable_frame)
 from .errors import (InitializationError, InvalidRequestError,
                      ReconstructionDomainError)
 from .phase_system import (Chirality, PhaseState, crf_constraints,
@@ -70,27 +73,34 @@ PROJECTION_TARGET = 1e-14
 HORIZON_SLACK = 1e-12  # integrate stops once eta is this close to eta_max
 MAX_DIRECTIONS = 10_000  # sweep cap: about 150 s at 15 ms per direction
 
-_CONE_LABEL = {
-    BundleTag.K_PLUS_L: LABEL_P0_KPLUSL,
-    BundleTag.K: LABEL_P0_K,
-    BundleTag.L: LABEL_P0_L,
-}
-
-_CHIRALITY = {
-    FlowClass.SPIN_PLUS: Chirality.PLUS,
-    FlowClass.SPIN_MINUS: Chirality.MINUS,
-}
-
 OUTCOME_ALC = "ALC"
 OUTCOME_AC = "AC"
 OUTCOME_ESCAPE = "Escape"
 OUTCOME_UNDETERMINED = "Undetermined"
 
+_SETTINGS = ("epsilon", "eta_max", "rel_tol", "abs_tol")
 
-def _check_run_settings(epsilon, eta_max, rel_tol, abs_tol):
-    """epsilon as a float, after checking the run settings that do not
-    depend on the direction; raises InvalidRequestError."""
-    eps = float(epsilon)
+
+def _real(value, name):
+    """value as a float; one that float() refuses or that lies past the
+    float range raises InvalidRequestError naming the input."""
+    try:
+        return float(value)
+    except (OverflowError, TypeError, ValueError):
+        raise InvalidRequestError(
+            "%s is not a real number that fits a float" % name) from None
+
+
+def _direction(s):
+    """The components of a direction s as floats (s1, s2, ...)."""
+    return tuple(_real(v, "s%d" % i) for i, v in enumerate(s, start=1))
+
+
+def _check_run_settings(**given):
+    """The run settings that do not depend on the direction (_SETTINGS),
+    as floats by name, after checking them; raises InvalidRequestError."""
+    settings = {name: _real(given[name], name) for name in _SETTINGS}
+    eps, eta_max, rel_tol, abs_tol = settings.values()
     if not 0.0 < eps <= 1e-2:
         raise InvalidRequestError(
             "epsilon must lie in (0, 1e-2], got %g" % eps)
@@ -101,7 +111,7 @@ def _check_run_settings(epsilon, eta_max, rel_tol, abs_tol):
     if not all(0.0 < tol < math.inf for tol in (rel_tol, abs_tol)):
         raise InvalidRequestError(
             "integrator tolerances must be positive and finite")
-    return eps
+    return settings
 
 
 @dataclass(frozen=True)
@@ -111,6 +121,8 @@ class ShootSpec:
     s is normalized to the unit sphere at construction (the zero vector
     is rejected); spin modes require s3 = 0 since their frame has two
     vectors.  epsilon is the max-norm amplitude of the initial offset.
+    The components of s and the four run settings are stored as floats;
+    one that does not convert raises InvalidRequestError naming it.
     """
 
     params: AWParams
@@ -129,9 +141,8 @@ class ShootSpec:
         if not isinstance(self.bundle, BundleIndex):
             object.__setattr__(self, "bundle",
                                bundle(self.params, self.bundle))
-        if not isinstance(self.mode, FlowClass):
-            object.__setattr__(self, "mode", FlowClass(self.mode))
-        s = tuple(float(v) for v in self.s)
+        object.__setattr__(self, "mode", FlowClass(self.mode))
+        s = _direction(self.s)
         if len(s) == 2:
             s = s + (0.0,)
         if len(s) != 3:
@@ -151,12 +162,13 @@ class ShootSpec:
             raise InvalidRequestError(
                 "spin modes have a two-vector frame; s3 must be 0")
         object.__setattr__(self, "s", tuple(v / norm for v in s))
-        object.__setattr__(self, "epsilon", _check_run_settings(
-            self.epsilon, self.eta_max, self.rel_tol, self.abs_tol))
+        for name, value in _check_run_settings(
+                **{name: getattr(self, name) for name in _SETTINGS}).items():
+            object.__setattr__(self, name, value)
 
     @property
     def cone_label(self):
-        return _CONE_LABEL[self.bundle.tag]
+        return _BUNDLE_CONES[self.bundle.tag][0]
 
 
 @dataclass(frozen=True)
@@ -310,13 +322,12 @@ def initial_state(spec):
     constraints the same way.
     """
     cat = catalog(spec.params)
-    p0 = np.array([float(c) for c in
-                   cat.get(spec.cone_label).state.as_tuple()])
+    p0 = np.array(cat.get(spec.cone_label).state.as_floats())
     w = _offset_direction(spec)
     if spec.mode is FlowClass.RICCI_FLAT:
         y, _ = _project(crf_constraints(spec.params), p0 + spec.epsilon * w)
         return PhaseState.from_sequence(y)
-    chirality = _CHIRALITY[spec.mode]
+    chirality = _BUNDLE_CONES[spec.bundle.tag][1]
     z, _ = _project(zcons_constraint(spec.params, chirality),
                     p0[4:] + spec.epsilon * w[4:])
     x = [float(v) for v in x_from_z(spec.params, tuple(z), chirality)]
@@ -326,16 +337,11 @@ def initial_state(spec):
 def _limit_candidates(params):
     """Fixed-point targets for classification, in decision priority."""
     cat = catalog(params)
-    out = []
-    for label in (LABEL_P1,) + tuple(LABELS_ALC_B):
-        point = cat.get(label)
-        out.append((OUTCOME_ALC, label,
-                    np.array(point.state.as_floats())))
-    for label in LABELS_AC:
-        point = cat.get(label)
-        out.append((OUTCOME_AC, label,
-                    np.array(point.state.as_floats())))
-    return tuple(out)
+    return tuple(
+        (kind, label, np.array(cat.get(label).state.as_floats()))
+        for kind, labels in ((OUTCOME_ALC, (LABEL_P1,) + LABELS_ALC_B),
+                             (OUTCOME_AC, LABELS_AC))
+        for label in labels)
 
 
 class _DecisionScan:
@@ -733,7 +739,7 @@ def integrate(spec):
     """
     params = spec.params
     spin = spec.mode is not FlowClass.RICCI_FLAT
-    chirality = _CHIRALITY.get(spec.mode)
+    chirality = _BUNDLE_CONES[spec.bundle.tag][1] if spin else None
     start = initial_state(spec)
     if spin:
         rhs = reduced_z_rhs(params, chirality)
@@ -821,9 +827,8 @@ def integrate(spec):
     res = residuals(params, PhaseState.from_sequence(rows.T))
     f_norm = np.max(np.abs(res.F), axis=0)
     h_norm = np.max(np.abs(res.H), axis=0)
-    chiral = {FlowClass.SPIN_PLUS: f_norm,
-              FlowClass.SPIN_MINUS: h_norm}.get(
-                  spec.mode, np.minimum(f_norm, h_norm))
+    chiral = {Chirality.PLUS: f_norm, Chirality.MINUS: h_norm}.get(
+        chirality, np.minimum(f_norm, h_norm))
     res_rows = np.column_stack(
         [np.abs(res.hyperplane), np.abs(res.conservation), chiral])
     outcome = _outcome(etas, rows, candidates, scan.decision)
@@ -890,10 +895,7 @@ def reconstruct_metric(traj, gauge=1.0):
     gauge, taken as a float, outside 0 < gauge < inf raises
     InvalidRequestError.
     """
-    try:
-        gauge = float(gauge)
-    except OverflowError:  # an exact gauge past the float range
-        gauge = math.inf
+    gauge = _real(gauge, "gauge")
     if not 0.0 < gauge < math.inf:
         raise InvalidRequestError("gauge must be positive and finite")
     etas = np.asarray(traj.etas, dtype=float)
@@ -933,23 +935,19 @@ def reconstruct_metric(traj, gauge=1.0):
         gauge=gauge)
 
 
-def worker_count(requested=None):
-    """Worker cap: explicit argument, else SPIN7_THREADS, else cpu count.
+def worker_count():
+    """Sweep worker cap: SPIN7_THREADS, else the CPU count.
 
     The cap is clamped to [1, os.cpu_count()], so no setting starts more
     worker processes than the machine has CPUs.
     """
     cpus = max(1, os.cpu_count() or 1)
-    if requested is None:
-        env = os.environ.get("SPIN7_THREADS", "").strip()
-        if not env:
-            return cpus
-        try:
-            requested = int(env)
-        except ValueError:
-            raise InvalidRequestError(
-                "SPIN7_THREADS must be an integer, got %r" % env) from None
-    return max(1, min(int(requested), cpus))
+    env = os.environ.get("SPIN7_THREADS", "").strip()
+    try:
+        return max(1, min(int(env or cpus), cpus))
+    except ValueError:
+        raise InvalidRequestError(
+            "SPIN7_THREADS must be an integer, got %r" % env) from None
 
 
 def quadrant_grid(count):
@@ -969,32 +967,33 @@ def _sweep_point(spec):
 
 
 def sweep(params, bundle_tag, mode, s_values, epsilon=1e-6, eta_max=200.0,
-          rel_tol=1e-10, abs_tol=1e-12, workers=None):
+          rel_tol=1e-10, abs_tol=1e-12):
     """Classify one run per direction; failures are recorded, not raised.
 
     An invalid shared setting (epsilon, eta_max, tolerances) raises
-    InvalidRequestError before any run; a bad direction fails its row.
-    Runs are independent and distributed over a process pool capped by
-    worker_count(workers); results keep the input order regardless of
-    completion order.
+    InvalidRequestError before any run; a bad direction fails its row,
+    whose s is then the row as given.  Runs are independent and
+    distributed over a process pool capped by worker_count() (the
+    environment variable SPIN7_THREADS, the only worker setting);
+    results keep the input order regardless of completion order.
     """
-    s_values = tuple(tuple(float(v) for v in s) for s in s_values)
-    if not s_values:
+    directions = list(s_values)
+    if not directions:
         raise InvalidRequestError("sweep grid must be non-empty")
-    _check_run_settings(epsilon, eta_max, rel_tol, abs_tol)
+    settings = _check_run_settings(epsilon=epsilon, eta_max=eta_max,
+                                   rel_tol=rel_tol, abs_tol=abs_tol)
     specs = []
     failures = {}
-    for i, s in enumerate(s_values):
+    for i, s in enumerate(directions):
         try:
-            specs.append((i, ShootSpec(
-                params=params, bundle=bundle_tag, mode=mode, s=s,
-                epsilon=epsilon, eta_max=eta_max, rel_tol=rel_tol,
-                abs_tol=abs_tol)))
+            directions[i] = _direction(s)
+            specs.append((i, ShootSpec(params, bundle_tag, mode,
+                                       directions[i], **settings)))
         except Exception as exc:
             failures[i] = str(exc)
     outcomes = {}
-    cap = min(worker_count(workers), max(1, len(specs)))
-    if cap == 1 or len(specs) <= 1:
+    cap = min(worker_count(), max(1, len(specs)))
+    if cap == 1:
         for i, spec in specs:
             try:
                 outcomes[i] = _sweep_point(spec)
@@ -1010,6 +1009,5 @@ def sweep(params, bundle_tag, mode, s_values, epsilon=1e-6, eta_max=200.0,
                 except Exception as exc:
                     failures[i] = str(exc)
     return tuple(
-        SweepEntry(s=s_values[i], outcome=outcomes.get(i),
-                   error=failures.get(i))
-        for i in range(len(s_values)))
+        SweepEntry(s=s, outcome=outcomes.get(i), error=failures.get(i))
+        for i, s in enumerate(directions))

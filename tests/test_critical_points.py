@@ -582,6 +582,27 @@ def test_unstable_frame_selection_and_chirality():
         unstable_frame(p, "P0_K", "bogus")
 
 
+@pytest.mark.parametrize("p", PARAMS)
+def test_fixed_family_samples_are_exact_ricci_flat_fixed_points(p):
+    """Every sample of the Z = 0 surface and of the X4-axis ray is an
+    exact fixed point on the Ricci-flat set; a zero direction and a
+    negative z4 are refused."""
+    samplers = {fam.label: fam.sample for fam in catalog(p).families}
+    circle, line = samplers["CircleFamily"], samplers["LineFamily"]
+    states = [circle(*d) for d in ((1, 0, 0), (F(1, 2), F(-1, 3), 2),
+                                   (1, -1, 0), (0, 0, F(-5, 7)), (-1, 1, 1))]
+    states += [line(z4) for z4 in (0, F(7, 3), 5)]
+    for state in states:
+        vel = vector_field(p, state)
+        assert all(v == 0 for v in vel.X + vel.Z)
+        res = residuals(p, state)
+        assert (res.hyperplane, res.conservation) == (0, 0)
+    with pytest.raises(InvalidRequestError):
+        circle(0, 0, 0)
+    with pytest.raises(InvalidRequestError):
+        line(F(-1, 5))
+
+
 def test_l_bundle_frame_absent_for_l_zero():
     p = AWParams(1, 0)
     with pytest.raises(InvalidRequestError):

@@ -3,16 +3,18 @@
 import dataclasses
 import math
 import os
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from spin7flow.aw_algebra import AWParams
-from spin7flow.critical_points import catalog, unstable_frame
-from spin7flow.errors import InvalidRequestError, ReconstructionDomainError
-from spin7flow import shooting
+from spin7flow.aw_algebra import AWParams, BundleTag
+from spin7flow.critical_points import _BUNDLE_CONES, catalog, unstable_frame
+from spin7flow.errors import (InvalidParameterError, InvalidRequestError,
+                              ReconstructionDomainError)
+from spin7flow import cli, shooting
 from spin7flow.phase_system import (Chirality, PhaseState, derivative,
                                     membership, residuals, x_from_z,
                                     zcons_constraint)
@@ -92,14 +94,15 @@ def test_spec_rejects_nonfinite_or_nonpositive_eta_max(eta_max):
 
 
 @pytest.mark.parametrize("eta_max", [1e-13, 1e-12, 5e-324])
-def test_horizon_without_a_chunk_is_refused(eta_max):
+def test_horizon_without_a_chunk_is_refused(eta_max, monkeypatch):
     """integrate runs a chunk only while eta < eta_max - HORIZON_SLACK,
     so an eta_max at or below the slack is refused by ShootSpec and by
     sweep before any run, with a message that names eta_max."""
+    monkeypatch.setenv("SPIN7_THREADS", "1")
     with pytest.raises(InvalidRequestError, match="eta_max"):
         ShootSpec(P32, "k+l", "spin+", (0.6, 0.8), eta_max=eta_max)
     with pytest.raises(InvalidRequestError, match="eta_max"):
-        sweep(P32, "k+l", "spin+", [(0.6, 0.8)], eta_max=eta_max, workers=1)
+        sweep(P32, "k+l", "spin+", [(0.6, 0.8)], eta_max=eta_max)
 
 
 def test_shortest_horizon_runs_one_chunk():
@@ -138,6 +141,107 @@ def test_spec_rejects_nonfinite_direction(s):
 def test_spec_requires_finite_positive_tolerances(tol):
     with pytest.raises(InvalidRequestError):
         ShootSpec(P32, "k+l", "spin+", (0.6, 0.8), **tol)
+
+
+HUGE = Fraction(10 ** 400)  # past the float range
+
+
+@pytest.mark.parametrize("name, value", [
+    ("eta_max", HUGE), ("rel_tol", HUGE), ("abs_tol", HUGE),
+    ("epsilon", HUGE), ("eta_max", "5x"), ("eta_max", None),
+    ("rel_tol", "x"), ("abs_tol", 1j)])
+def test_setting_that_is_no_float_is_refused_by_name(name, value,
+                                                     monkeypatch):
+    """A setting that float() refuses or that overflows a float raises
+    InvalidRequestError naming it, from ShootSpec and from sweep, and
+    sweep starts no run."""
+    message = "%s is not a real number" % name
+    with pytest.raises(InvalidRequestError, match=message):
+        ShootSpec(P32, "k+l", "spin+", (0.6, 0.8), **{name: value})
+
+    def no_run(spec):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(shooting, "_sweep_point", no_run)
+    monkeypatch.setenv("SPIN7_THREADS", "1")
+    with pytest.raises(InvalidRequestError, match=message):
+        sweep(P32, "k+l", "spin+", [(0.6, 0.8)], **{name: value})
+
+
+@pytest.mark.parametrize("bad, name", [
+    (("x", 1), "s1"), ((HUGE, 1), "s1"), ((None, 1), "s1"),
+    ((1, "y"), "s2"), ((1.0, -HUGE), "s2")])
+def test_bad_direction_fails_its_own_sweep_row(bad, name, monkeypatch):
+    with pytest.raises(InvalidRequestError, match=name):
+        ShootSpec(P32, "k+l", "spin+", bad)
+    monkeypatch.setenv("SPIN7_THREADS", "1")
+    table = sweep(P32, "k+l", "spin+", [(0.6, 0.8), bad, (0.8, 0.6)],
+                  eta_max=150.0)
+    assert table[1] == shooting.SweepEntry(
+        s=bad, error="%s is not a real number that fits a float" % name)
+    for entry in (table[0], table[2]):
+        assert entry.error is None
+        assert entry.outcome.limit_label == "P1"
+
+
+def _run_bytes(traj):
+    return (traj.etas.tobytes(), traj.states.tobytes(),
+            traj.residual_log.tobytes(), traj.events, traj.outcome,
+            traj.face_lock)
+
+
+@pytest.mark.parametrize("given", [
+    {"eta_max": Fraction(25)}, {"eta_max": 25}, {"eta_max": "25"},
+    {"epsilon": Fraction(1, 10 ** 6), "rel_tol": Fraction(1, 10 ** 10),
+     "abs_tol": Fraction(1, 10 ** 12)},
+    {"epsilon": "1e-6", "rel_tol": "1e-10", "abs_tol": "1e-12"},
+    {"s": (Fraction(3, 5), "0.8")}, {"s": (3, 4)}])
+def test_exact_and_text_inputs_run_as_their_floats(given):
+    """ShootSpec stores every setting and direction component as a float,
+    so an int, Fraction or numeric str gives the bytes of its float."""
+    base = {"s": (0.6, 0.8), "eta_max": 25.0}
+    floats = {name: (tuple(map(float, value)) if name == "s"
+                     else float(value)) for name, value in given.items()}
+    spec = ShootSpec(P32, "k+l", "spin+", **{**base, **given})
+    plain = ShootSpec(P32, "k+l", "spin+", **{**base, **floats})
+    assert spec == plain
+    for name in shooting._SETTINGS:
+        assert type(getattr(spec, name)) is float
+    assert all(type(v) is float for v in spec.s)
+    assert _run_bytes(integrate(spec)) == _run_bytes(integrate(plain))
+
+
+def test_one_bundle_table_sets_cone_chirality_and_cli_mode():
+    """Each bundle's cone label, the spin mode its unstable frame takes
+    and the CLI's default --mode all come from the one table; the other
+    spin mode is refused.  (1, 0) has no l-bundle."""
+    assert {tag.value: (label, chirality.value)
+            for tag, (label, chirality) in _BUNDLE_CONES.items()} == {
+        "k+l": ("P0_KplusL", "spin+"), "k": ("P0_K", "spin-"),
+        "l": ("P0_L", "spin-")}
+    parser = cli.build_parser()
+    for params in (P32, AWParams(1, 0)):
+        for tag, (label, chirality) in _BUNDLE_CONES.items():
+            if tag is BundleTag.L and params.l == 0:
+                with pytest.raises(InvalidParameterError):
+                    ShootSpec(params, tag.value, "ricci", (1.0, 0.0))
+                continue
+            mode = chirality.value
+            other = "spin-" if mode == "spin+" else "spin+"
+            assert ShootSpec(params, tag.value, mode,
+                             (1.0, 0.0)).cone_label == label
+            assert len(unstable_frame(params, label, mode)) == 2
+            refused = re.escape(
+                "%s does not lie on the %s constraint set; its chirality "
+                "is %s" % (label, other, mode))
+            with pytest.raises(InvalidRequestError, match=refused):
+                unstable_frame(params, label, other)
+            with pytest.raises(InvalidRequestError, match=refused):
+                initial_state(ShootSpec(params, tag.value, other, (1.0, 0.0)))
+            args = parser.parse_args(["classify", "--k", str(params.k),
+                                      "--l", str(params.l),
+                                      "--bundle", tag.value])
+            assert cli._mode(args) == mode
 
 
 @pytest.mark.parametrize("chirality, bundle, s", [
@@ -456,9 +560,10 @@ def test_sweep_pool_matches_inline(monkeypatch):
     assert pooled == inline
 
 
-def test_sweep_records_bad_points():
+def test_sweep_records_bad_points(monkeypatch):
+    monkeypatch.setenv("SPIN7_THREADS", "1")
     table = sweep(P32, "k+l", "spin+", [(1.0, 0.0), (0.0, 0.0)],
-                  eta_max=20.0, workers=1)
+                  eta_max=20.0)
     assert table[0].error is None
     assert table[1].outcome is None
     assert table[1].error is not None
@@ -485,7 +590,6 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setenv("SPIN7_THREADS", "3")
     assert worker_count() == 3
-    assert worker_count(5) == 5
     monkeypatch.setenv("SPIN7_THREADS", "zero")
     with pytest.raises(InvalidRequestError):
         worker_count()
@@ -497,7 +601,5 @@ def test_worker_count_clamps_to_cpu_count(monkeypatch):
     cpus = max(1, os.cpu_count() or 1)
     monkeypatch.setenv("SPIN7_THREADS", str(10 ** 9))
     assert worker_count() == cpus
-    assert worker_count(10 ** 9) == cpus
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert worker_count() == 3
-    assert worker_count(0) == 1
