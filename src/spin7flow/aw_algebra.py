@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import gcd
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, InvalidRequestError
 
 __all__ = [
     "AWParams",
@@ -74,6 +74,19 @@ class AWParams:
 
     def __str__(self):
         return f"N({self.k},{self.l})"
+
+
+def _as_params(params):
+    """params as AWParams: an AWParams as is, or a (k, l) pair; any
+    other value raises InvalidRequestError."""
+    if isinstance(params, AWParams):
+        return params
+    try:
+        k, l = params
+    except (TypeError, ValueError):
+        raise InvalidRequestError(
+            "params must be AWParams or a (k, l) pair") from None
+    return AWParams(k, l)
 
 
 def normalize(k, l):

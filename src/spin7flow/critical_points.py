@@ -18,7 +18,8 @@ Coordinates are stored exactly (Fraction, with QuadExt for the sqrt(10)
 entries).  The linearization and the constraint derivatives are those of
 ``phase_system`` (re-exported here) and are exact at exact states;
 ``eigen`` rounds the linearization once and adds a floating-point
-spectral decomposition with clustering, and ``reference_frame`` returns
+spectral decomposition with clustering, cached per process on the
+inputs the linearization reads, and ``reference_frame`` returns
 closed-form eigenvector tables for the cone points and the sink, with
 tangency flags computed from exact constraint gradients.  The AC pair
 comes from scalar Newton started at each point of the (1, 1) pair
@@ -36,17 +37,18 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Real
 from operator import mul
 
 import numpy as np
 
-from .aw_algebra import AWParams, BundleTag
+from .aw_algebra import AWParams, BundleTag, _as_params
 from .errors import InvalidRequestError, SolverIncompleteError
 from .exact import QuadExt, exact_sqrt
 from .phase_system import (Chirality, PhaseState, _float_jacobian,
-                           constraint_gradients, einstein_residual,
-                           first_order_jacobians, jacobian,
-                           value_and_derivative)
+                           _jacobian_inputs, constraint_gradients,
+                           einstein_residual, first_order_jacobians,
+                           jacobian, value_and_derivative)
 from .ratpoly import _integer_multiple
 
 __all__ = [
@@ -100,6 +102,15 @@ class FlowClass(Enum):
     RICCI_FLAT = "ricci"
     SPIN_PLUS = "spin+"
     SPIN_MINUS = "spin-"
+
+
+def _flow_class(value):
+    """value as a FlowClass (a member or its value); anything else
+    raises InvalidRequestError."""
+    try:
+        return FlowClass(value)
+    except (TypeError, ValueError):
+        raise InvalidRequestError(f"unknown flow class {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -211,7 +222,9 @@ def catalog(params):
     ``notes``; AC entries are still cataloged in that case, flagged
     ``exact=False``, with Z1..Z3 the correctly rounded roots of the
     homogeneous Einstein condition (see solve_homogeneous_einstein).
+    params is an AWParams or a (k, l) pair.
     """
+    params = _as_params(params)
     return _catalog_cached(params.k, params.l)
 
 
@@ -326,16 +339,47 @@ def _resolve_point(params, point_or_label):
 
 
 def eigen(params, point_or_label):
-    """Floating-point spectrum of the linearization at a critical point."""
+    """Floating-point spectrum of the linearization at a critical point.
+
+    The point is a catalog label, a CriticalPoint or a PhaseState, and
+    params an AWParams or a (k, l) pair.  The matrix is the exact
+    Jacobian rounded entry by entry.  Its decomposition is computed once
+    per process for each value of what the Jacobian reads
+    (phase_system._jacobian_inputs) and cached (_spectrum, 64 entries),
+    so the ten points with Z4 = 0 (P1, ALC_b1..3 and the six G2 points),
+    where the orbit's coefficients are not read, are decomposed once for
+    all orbits with l > 0 (and once for (1, 0), whose zero coefficient
+    l^2 changes the zero pattern).  The returned vectors are read-only.  A state entry that
+    is not a real number or a QuadExt, entries from two quadratic fields
+    and a linearization that is not finite raise InvalidRequestError
+    naming the point.
+    """
+    params = _as_params(params)
     pt = _resolve_point(params, point_or_label)
-    try:
-        mat = _float_jacobian(params, pt.state)
-        finite = np.isfinite(mat).all()
-    except OverflowError:  # an exact entry beyond the float range
-        finite = False
-    if not finite:
+    if not all(isinstance(v, (Real, QuadExt)) for v in pt.state.as_tuple()):
         raise InvalidRequestError(
-            f"{pt.label}: the linearization at this state is not finite")
+            f"{pt.label}: a state entry is not a real number")
+    try:
+        spectrum = _spectrum(*_jacobian_inputs(params, pt.state))
+    except TypeError as err:  # surds from two quadratic fields
+        raise InvalidRequestError(f"{pt.label}: {err}") from None
+    except ArithmeticError:
+        raise InvalidRequestError(
+            f"{pt.label}: the linearization at this state is not finite"
+        ) from None
+    return EigenData(pt.label, *spectrum)
+
+
+@lru_cache(maxsize=64)
+def _spectrum(zeros, live):
+    """(values, clusters, vectors, max_residual) of EigenData for the
+    Jacobian with _jacobian_inputs (zeros, live), with read-only
+    vectors.  An exact entry beyond the float range raises
+    OverflowError, and a matrix that is not finite FloatingPointError;
+    neither is cached."""
+    mat = _float_jacobian(zeros, live)
+    if not np.isfinite(mat).all():
+        raise FloatingPointError
     vals, vecs = np.linalg.eig(mat)
     order = np.argsort(-vals.real - 1e-12 * vals.imag)
     vals, vecs = vals[order], vecs[:, order]
@@ -350,8 +394,8 @@ def eigen(params, point_or_label):
             clusters.append((v, 1))
     clusters = tuple((complex(v).real if abs(complex(v).imag) < CLUSTER_TOL
                       else complex(v), m) for v, m in clusters)
-    return EigenData(label=pt.label, values=tuple(vals), clusters=clusters,
-                     vectors=vecs, max_residual=resid)
+    vecs.setflags(write=False)
+    return tuple(vals), clusters, vecs, resid
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +495,9 @@ def reference_frame(params, label):
     additionally lies in the kernel of that system's derivative; each dot
     product is taken on positive integer multiples of both sides.  Frames
     are cached per (k, l, label); they are frozen, so callers share them.
+    params is an AWParams or a (k, l) pair.
     """
+    params = _as_params(params)
     return _reference_frame_cached(params.k, params.l, label)
 
 
@@ -499,14 +545,9 @@ def unstable_frame(params, label, flow_class):
 
     For the Ricci-flat system this is (v1, v2, v3); for a chirality
     system it is (v1, v2), and the chirality must be the cone point's
-    (_BUNDLE_CONES).
+    (_BUNDLE_CONES).  params is an AWParams or a (k, l) pair.
     """
-    if isinstance(flow_class, str):
-        try:
-            flow_class = FlowClass(flow_class)
-        except ValueError:
-            raise InvalidRequestError(
-                f"unknown flow class {flow_class!r}") from None
+    flow_class = _flow_class(flow_class)
     cones = dict(_BUNDLE_CONES.values())
     if label not in cones:
         raise InvalidRequestError(
@@ -618,8 +659,10 @@ def solve_homogeneous_einstein(params):
 
     Raises SolverIncompleteError when a start does not reach RESID_TOL
     within NEWTON_ITERS sweeps, or when the two final points, which are
-    canonical, are equal or not positive.
+    canonical, are equal or not positive.  params is an AWParams or a
+    (k, l) pair.
     """
+    params = _as_params(params)
     out = []
     for seed in SEEDS:
         z123 = _newton(params, seed)

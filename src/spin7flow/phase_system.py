@@ -420,8 +420,9 @@ _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "neg": 3}
 
 
 def _trace(on_floats, n, homogeneous=False):
-    """(source, degrees): the kernel of on_floats(eta, y) on n
-    components, and the degree of each output.
+    """(source, degrees, inputs): the kernel of on_floats(eta, y) on n
+    components, the degree of each output, and the sorted indices of
+    the inputs that the kernel reads.
 
     The source is a template of assignment lines: input j reads
     "{v}j", output i is assigned to "{k}i", and a value used more than
@@ -441,9 +442,13 @@ def _trace(on_floats, n, homogeneous=False):
     uses = {}
     order = []  # operation nodes, each after its operands
     degree = dict.fromkeys(inputs, 1)
+    read = set()
 
     def visit(node):
-        if type(node) is not _Traced or node.op == "input":
+        if type(node) is not _Traced:
+            return
+        if node.op == "input":
+            read.add(node.args[0])
             return
         uses[node] = uses.get(node, 0) + 1
         if uses[node] == 1:
@@ -492,7 +497,8 @@ def _trace(on_floats, n, homogeneous=False):
             names[node] = "w_%d" % len(names)
     for i, out in enumerate(outputs):
         lines.append("{k}%d = %s" % (i, text(out)[0]))
-    return "\n".join(lines) + "\n", [degree.get(out, 0) for out in outputs]
+    return ("\n".join(lines) + "\n", [degree.get(out, 0) for out in outputs],
+            tuple(sorted(read)))
 
 
 def value_and_derivative(fun, point):
@@ -516,27 +522,28 @@ def derivative(fun, point):
 
 @lru_cache(maxsize=64)
 def _derivative_kernel(body, zeros):
-    """(kernel, degrees) for derivative(lambda y: body(c, y[:4], y[4:]))
-    over the inputs (X, Z, c), traced once per body and per set of zero
-    inputs.  A zero input is traced as 0, so each term with a zero
-    factor is skipped as the duals skip it at that value.
+    """(kernel, degrees, live) for derivative(lambda y: body(c, y[:4],
+    y[4:])) over the inputs (X, Z, c), traced once per body and per set
+    of zero inputs.  A zero input is traced as 0, so each term with a
+    zero factor is skipped as the duals skip it at that value.
     kernel(inputs, (1, D, D**2, ...)) returns the rows as one list in
     _trace's homogeneous form: entry i carries D**degrees[i] times its
-    value."""
+    value.  live holds the indices of the inputs that the kernel reads;
+    no other input changes its result."""
 
     def rows(eta, inputs):
         inputs = [0 if zero else v for v, zero in zip(inputs, zeros)]
         return sum(derivative(lambda y: body(inputs[8:], y[:4], y[4:]),
                               inputs[:8]), ())
 
-    template, degrees = _trace(rows, len(zeros), homogeneous=True)
+    template, degrees, live = _trace(rows, len(zeros), homogeneous=True)
     namespace = {}
     exec("def kernel(v, p):\n    %s, = v\n    %s, = p\n    %sreturn [%s]" % (
         ", ".join("v%d" % j for j in range(len(zeros))),
         ", ".join("p%d" % e for e in range(max(degrees) + 1)),
         template.format(v="v", k="k", p="p").replace("\n", "\n    "),
         ", ".join("k%d" % i for i in range(len(degrees)))), namespace)
-    return namespace["kernel"], degrees
+    return namespace["kernel"], degrees, live
 
 
 def _derivative_rows(body, c, state, rounded=False):
@@ -551,7 +558,8 @@ def _derivative_rows(body, c, state, rounded=False):
     in QuadExt arithmetic.
     """
     values = state.as_tuple() + tuple(c)
-    kernel, degrees = _derivative_kernel(body, tuple(not v for v in values))
+    kernel, degrees, _ = _derivative_kernel(body,
+                                            tuple(not v for v in values))
     powers = range(max(degrees) + 1)
     if all(type(v) in (int, Fraction) for v in values):
         den = lcm(*(v.denominator for v in values))
@@ -617,11 +625,35 @@ def jacobian(params, state):
         _field, _matching(quartic_coefficients(params), state.Z), state)
 
 
-def _float_jacobian(params, state):
-    """jacobian(params, state) rounded entrywise by float(), as an array;
-    a rational state's exact entries are never built."""
+def _jacobian_inputs(params, state):
+    """(zeros, live): what jacobian(params, state) reads.  zeros is the
+    zero pattern of _field's kernel inputs (X, Z, c); live has, for each
+    input the kernel reads, (index, type, parts...), with a QuadExt's
+    parts (a, b, d) and any other number's its value.  So a float never
+    matches an exact value, nor b*sqrt(d) a QuadExt written with
+    another d.  Where Z4 = 0 the kernel does not read c, and every
+    orbit gives the same pair."""
+    values = state.as_tuple() + tuple(
+        _matching(quartic_coefficients(params), state.Z))
+    zeros = tuple(not v for v in values)
+    live = []
+    for j in _derivative_kernel(_field, zeros)[2]:
+        v = values[j]
+        live.append((j, QuadExt, v.a, v.b, v.d) if type(v) is QuadExt
+                    else (j, type(v), v))
+    return zeros, tuple(live)
+
+
+def _float_jacobian(zeros, live):
+    """The jacobian at any state with _jacobian_inputs (zeros, live),
+    rounded entrywise by float(), as an array.  It is built at the state
+    whose inputs that the kernel does not read are 0 or 1, which gives
+    the same bits; a rational state's exact entries are never built."""
+    values = [0 if zero else 1 for zero in zeros]
+    for j, kind, *parts in live:
+        values[j] = QuadExt(*parts) if kind is QuadExt else parts[0]
     return np.array(_derivative_rows(
-        _field, _matching(quartic_coefficients(params), state.Z), state,
+        _field, values[8:], PhaseState.from_sequence(values[:8]),
         rounded=True))
 
 

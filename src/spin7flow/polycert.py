@@ -31,7 +31,7 @@ convenience return value of root_fn.
 from fractions import Fraction
 from functools import lru_cache
 
-from .aw_algebra import AWParams
+from .aw_algebra import _as_params
 from .errors import (
     DegenerateRootError,
     DomainAnomalyError,
@@ -117,17 +117,6 @@ RAY_PARAMETER_DOMAIN = Box((
 # use the exact discriminant instead of a window.
 ZETA_WINDOW = (Fraction(0), Fraction(2, 3))
 SIGMA_WINDOW = (Fraction(0), Fraction(1, 2))
-
-
-def _as_params(params):
-    if isinstance(params, AWParams):
-        return params
-    try:
-        k, l = params
-    except (TypeError, ValueError):
-        raise InvalidRequestError(
-            "params must be AWParams or a (k, l) pair") from None
-    return AWParams(k, l)
 
 
 # ---------------------------------------------------------------------------

@@ -51,9 +51,10 @@ from itertools import chain
 
 import numpy as np
 
-from .aw_algebra import AWParams, BundleIndex, bundle
+from .aw_algebra import AWParams, BundleIndex, _as_params, bundle
 from .critical_points import (_BUNDLE_CONES, LABEL_P1, LABELS_AC,
-                              LABELS_ALC_B, FlowClass, catalog, unstable_frame)
+                              LABELS_ALC_B, FlowClass, _flow_class, catalog,
+                              unstable_frame)
 from .errors import (InitializationError, InvalidRequestError,
                      ReconstructionDomainError)
 from .phase_system import (Chirality, PhaseState, crf_constraints,
@@ -92,8 +93,14 @@ def _real(value, name):
 
 
 def _direction(s):
-    """The components of a direction s as floats (s1, s2, ...)."""
-    return tuple(_real(v, "s%d" % i) for i, v in enumerate(s, start=1))
+    """The components of a direction s as floats (s1, s2, ...); s that
+    is not a sequence raises InvalidRequestError."""
+    try:
+        parts = tuple(s)
+    except TypeError:
+        raise InvalidRequestError(
+            "s must be a sequence of real numbers, got %r" % (s,)) from None
+    return tuple(_real(v, "s%d" % i) for i, v in enumerate(parts, start=1))
 
 
 def _check_run_settings(**given):
@@ -121,8 +128,10 @@ class ShootSpec:
     s is normalized to the unit sphere at construction (the zero vector
     is rejected); spin modes require s3 = 0 since their frame has two
     vectors.  epsilon is the max-norm amplitude of the initial offset.
-    The components of s and the four run settings are stored as floats;
-    one that does not convert raises InvalidRequestError naming it.
+    params is an AWParams or a (k, l) pair, and mode a FlowClass or its
+    value.  The components of s and the four run settings are stored as
+    floats; one that does not convert raises InvalidRequestError naming
+    it, as do an unknown mode and an s that is not a sequence.
     """
 
     params: AWParams
@@ -136,12 +145,11 @@ class ShootSpec:
     stop_on_converged: bool = True
 
     def __post_init__(self):
-        if not isinstance(self.params, AWParams):
-            object.__setattr__(self, "params", AWParams(*self.params))
+        object.__setattr__(self, "params", _as_params(self.params))
         if not isinstance(self.bundle, BundleIndex):
             object.__setattr__(self, "bundle",
                                bundle(self.params, self.bundle))
-        object.__setattr__(self, "mode", FlowClass(self.mode))
+        object.__setattr__(self, "mode", _flow_class(self.mode))
         s = _direction(self.s)
         if len(s) == 2:
             s = s + (0.0,)
@@ -970,25 +978,26 @@ def sweep(params, bundle_tag, mode, s_values, epsilon=1e-6, eta_max=200.0,
           rel_tol=1e-10, abs_tol=1e-12):
     """Classify one run per direction; failures are recorded, not raised.
 
-    An invalid shared setting (epsilon, eta_max, tolerances) raises
-    InvalidRequestError before any run; a bad direction fails its row,
-    whose s is then the row as given.  Runs are independent and
-    distributed over a process pool capped by worker_count() (the
-    environment variable SPIN7_THREADS, the only worker setting);
-    results keep the input order regardless of completion order.
+    An invalid shared input (params, bundle_tag, mode, epsilon, eta_max,
+    tolerances) raises before any run, as ShootSpec raises it; a bad
+    direction fails its row, whose s is then the row as given.  Runs
+    are independent and distributed over a process pool capped by
+    worker_count() (the environment variable SPIN7_THREADS, the only
+    worker setting); results keep the input order regardless of
+    completion order.
     """
     directions = list(s_values)
     if not directions:
         raise InvalidRequestError("sweep grid must be non-empty")
-    settings = _check_run_settings(epsilon=epsilon, eta_max=eta_max,
-                                   rel_tol=rel_tol, abs_tol=abs_tol)
+    # checks every shared input once; each row replaces only s
+    shared = ShootSpec(params, bundle_tag, mode, (1.0, 0.0), epsilon=epsilon,
+                       eta_max=eta_max, rel_tol=rel_tol, abs_tol=abs_tol)
     specs = []
     failures = {}
     for i, s in enumerate(directions):
         try:
             directions[i] = _direction(s)
-            specs.append((i, ShootSpec(params, bundle_tag, mode,
-                                       directions[i], **settings)))
+            specs.append((i, replace(shared, s=directions[i])))
         except Exception as exc:
             failures[i] = str(exc)
     outcomes = {}

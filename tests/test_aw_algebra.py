@@ -6,9 +6,10 @@ from itertools import permutations
 
 import pytest
 
-from spin7flow.aw_algebra import (AWParams, BundleTag, SpaceClass, bundle,
-                                  classify_space, normalize)
-from spin7flow.errors import InvalidParameterError
+from spin7flow.aw_algebra import (AWParams, BundleTag, SpaceClass,
+                                  _as_params, bundle, classify_space,
+                                  normalize)
+from spin7flow.errors import InvalidParameterError, InvalidRequestError
 
 
 def test_normalize_examples():
@@ -52,6 +53,20 @@ def test_params_validation():
         AWParams(6, 4)
     with pytest.raises(InvalidParameterError):
         normalize(0, 0)
+
+
+def test_as_params_takes_awparams_or_a_pair():
+    p = AWParams(3, 2)
+    assert _as_params(p) is p
+    assert _as_params((3, 2)) == p
+    assert _as_params([1, 0]) == AWParams(1, 0)
+    for bad in (None, 5, (3, 2, 1), "x", 2.5):
+        with pytest.raises(InvalidRequestError, match="pair"):
+            _as_params(bad)
+    # a pair is checked as AWParams checks it, not normalized
+    for bad in ((2, 3), (4, 2), (3.0, 2)):
+        with pytest.raises(InvalidParameterError):
+            _as_params(bad)
 
 
 def test_delta_and_rho():

@@ -11,14 +11,19 @@ import pytest
 from spin7flow.aw_algebra import AWParams
 from spin7flow import critical_points
 from spin7flow.cli import main
-from spin7flow.critical_points import (RESID_TOL, SEEDS, FlowClass,
-                                       _catalog_cached, _einstein_system,
-                                       _newton_step, _polish,
+from spin7flow.critical_points import (LABEL_P1, LABELS_ALC_B,
+                                       LABELS_G2_SADDLE, LABELS_G2_SOURCE,
+                                       RESID_TOL, SEEDS, CriticalPoint,
+                                       FlowClass, _catalog_cached,
+                                       _einstein_system, _newton_step,
+                                       _polish, _spectrum,
                                        _try_exact_einstein, catalog, eigen,
                                        jacobian, reference_frame,
                                        solve_homogeneous_einstein,
                                        unstable_frame)
-from spin7flow.errors import InvalidRequestError, SolverIncompleteError
+from spin7flow.errors import (InvalidParameterError, InvalidRequestError,
+                              SolverIncompleteError)
+from spin7flow.exact import QuadExt
 from spin7flow.phase_system import (PhaseState, derivative, einstein_residual,
                                     flow_rhs, residuals, vector_field)
 
@@ -421,6 +426,7 @@ def test_eigen_decomposes_the_rounded_dual_jacobian(kl, monkeypatch):
     monkeypatch.setattr(np.linalg, "eig",
                         lambda mat: matrices.append(mat.copy()) or eig(mat))
     for pt in catalog(p).points:
+        critical_points._spectrum.cache_clear()
         eigen(p, pt)
         want = [float(v) for row in fraction_reference.jacobian(p, pt.state)
                 for v in row]
@@ -428,6 +434,7 @@ def test_eigen_decomposes_the_rounded_dual_jacobian(kl, monkeypatch):
             [v.hex() for v in want], pt.label
     if kl == (1, 0):
         for label in ("AC_1", "AC_2"):
+            critical_points._spectrum.cache_clear()
             eigen(p, label)
             assert math.copysign(1.0, matrices.pop()[1, 7]) == 1.0
 
@@ -448,6 +455,121 @@ def test_eigen_refuses_an_exact_state_beyond_the_float_range():
     state = PhaseState((sixth,) * 4, (F(10 ** 200), sixth, sixth, F(1)))
     with pytest.raises(InvalidRequestError, match="not finite"):
         eigen(p, state)
+
+
+ORBIT_FREE = (LABEL_P1,) + LABELS_ALC_B + LABELS_G2_SOURCE + LABELS_G2_SADDLE
+
+
+def _bits(data):
+    """Everything eigen returns but the label, bit for bit."""
+    return ([(complex(v).real.hex(), complex(v).imag.hex())
+             for v in data.values], repr(data.clusters),
+            data.vectors.tobytes(), data.max_residual.hex())
+
+
+def test_eigen_hit_equals_a_cold_call():
+    """The ten points with Z4 = 0 are decomposed once for all orbits: a
+    hit warmed on (7, 3) gives every orbit's spectrum bit for bit as a
+    call with the cache cleared does, under the caller's label.  (1, 0)
+    has its own ten entries: its quartic coefficient l^2 is 0, so its
+    zero pattern differs."""
+    orbits = [AWParams(*kl) for kl in ((1, 0), (1, 1), (3, 2), (13, 5),
+                                       (55, 41), (59, 23))]
+    cold = {}
+    for p in orbits:
+        for label in ORBIT_FREE:
+            _spectrum.cache_clear()
+            cold[p, label] = _bits(eigen(p, label))
+    _spectrum.cache_clear()
+    for label in ORBIT_FREE:
+        eigen(AWParams(7, 3), label)
+    for p in orbits:
+        for label in ORBIT_FREE:
+            hit = eigen(p, label)
+            assert hit.label == label
+            assert _bits(hit) == cold[p, label], (p, label)
+        assert eigen(p, catalog(p).get(LABEL_P1).state).label == "(ad hoc)"
+    info = _spectrum.cache_info()
+    assert (info.misses, info.hits) == (20, 11 * len(orbits) - 10)
+
+
+def test_eigen_keys_on_the_type_and_form_of_each_input():
+    """A float state does not share the exact state's entry, even where
+    its floats equal the exact entries (the G2 source), nor
+    sqrt(40)/24 the entry of sqrt(10)/12."""
+    p = AWParams(3, 2)
+    states = [catalog(p).get(label).state for label in ("P1", "G2_source_1")]
+    states += [PhaseState.from_sequence(st.as_floats()) for st in states]
+    assert states[3].as_tuple() == states[1].as_tuple()
+    alc = catalog(p).get("ALC_b1").state
+    states += [alc, PhaseState(alc.X, (QuadExt(0, F(1, 24), 40),) + alc.Z[1:])]
+    assert states[5].Z[0] == alc.Z[0]
+    _spectrum.cache_clear()
+    for state in states:
+        eigen(p, state)
+    assert _spectrum.cache_info().misses == 6
+
+
+def test_eigen_vectors_are_read_only():
+    data = eigen(AWParams(3, 2), LABEL_P1)
+    assert not data.vectors.flags.writeable
+    with pytest.raises(ValueError):
+        data.vectors[0, 0] = 0.0
+
+
+def test_eigen_cache_is_bounded():
+    """Over 200 orbits the cache keeps at most 64 entries, and each
+    orbit-free point misses once."""
+    assert _spectrum.cache_info().maxsize == 64
+    _spectrum.cache_clear()
+    per_orbit = 0
+    for k in range(2, 202):
+        p = AWParams(k, 1)
+        points = catalog(p).points
+        for pt in points:
+            eigen(p, pt)
+        per_orbit += len(points) - len(ORBIT_FREE)
+        assert _spectrum.cache_info().currsize <= 64
+    assert _spectrum.cache_info().misses == len(ORBIT_FREE) + per_orbit
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("a", "not a real number"), (None, "not a real number"),
+    (1j, "not a real number"), (QuadExt(0, 1, 3), "two quadratic fields"),
+    (math.inf, "not finite")])
+def test_eigen_refuses_a_bad_state_and_caches_nothing(entry, message):
+    """A non-numeric entry (None too, which reads as zero), surds from two
+    fields and a non-finite state raise InvalidRequestError naming the
+    point, and leave no cache entry."""
+    p = AWParams(3, 2)
+    alc = catalog(p).get("ALC_b1").state
+    bad = CriticalPoint("bad", PhaseState(alc.X, (entry,) + alc.Z[1:]),
+                        False)
+    _spectrum.cache_clear()
+    with pytest.raises(InvalidRequestError, match="^bad: .*" + message):
+        eigen(p, bad)
+    assert _spectrum.cache_info().currsize == 0
+
+
+def test_critical_points_take_a_pair():
+    """Each public function takes (k, l) as AWParams(k, l); a malformed
+    value raises a package error, not AttributeError."""
+    p = AWParams(3, 2)
+    assert catalog((3, 2)) is catalog(p)
+    assert _bits(eigen((3, 2), LABEL_P1)) == _bits(eigen(p, LABEL_P1))
+    assert reference_frame((3, 2), "P0_K") is reference_frame(p, "P0_K")
+    assert unstable_frame((3, 2), "P0_KplusL", "spin+") == \
+        unstable_frame(p, "P0_KplusL", FlowClass.SPIN_PLUS)
+    assert solve_homogeneous_einstein((3, 2)) == solve_homogeneous_einstein(p)
+    for bad in (None, 5, (3, 2, 1), "x"):
+        with pytest.raises(InvalidRequestError, match=r"\(k, l\) pair"):
+            catalog(bad)
+        with pytest.raises(InvalidRequestError, match=r"\(k, l\) pair"):
+            eigen(bad, LABEL_P1)
+    with pytest.raises(InvalidParameterError):
+        reference_frame((2, 3), "P1")
+    with pytest.raises(InvalidRequestError, match="unknown flow class"):
+        unstable_frame(p, "P0_KplusL", 5)
 
 
 def test_reference_frames_are_exact_eigenpairs():

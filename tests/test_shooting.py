@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from spin7flow.aw_algebra import AWParams, BundleTag
-from spin7flow.critical_points import _BUNDLE_CONES, catalog, unstable_frame
+from spin7flow.critical_points import (_BUNDLE_CONES, FlowClass, catalog,
+                                       unstable_frame)
 from spin7flow.errors import (InvalidParameterError, InvalidRequestError,
                               ReconstructionDomainError)
 from spin7flow import cli, shooting
@@ -567,6 +568,45 @@ def test_sweep_records_bad_points(monkeypatch):
     assert table[0].error is None
     assert table[1].outcome is None
     assert table[1].error is not None
+
+
+@pytest.mark.parametrize("shared, error, message", [
+    ({"mode": "bogus"}, InvalidRequestError, "unknown flow class"),
+    ({"mode": None}, InvalidRequestError, "unknown flow class"),
+    ({"bundle": "zz"}, InvalidParameterError, "unknown bundle tag"),
+    ({"params": (3, 2, 1)}, InvalidRequestError, "pair"),
+    ({"params": (2, 3)}, InvalidParameterError, "k >= l")])
+def test_bad_shared_input_is_refused_before_any_run(shared, error, message,
+                                                    monkeypatch):
+    """A bad orbit, bundle or mode raises a package error from ShootSpec,
+    and from sweep before any run, not as an error on every row."""
+    given = {"params": P32, "bundle": "k+l", "mode": "spin+", **shared}
+    with pytest.raises(error, match=message):
+        ShootSpec(s=(0.6, 0.8), **given)
+
+    def no_run(spec):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(shooting, "_sweep_point", no_run)
+    monkeypatch.setenv("SPIN7_THREADS", "1")
+    with pytest.raises(error, match=message):
+        sweep(given["params"], given["bundle"], given["mode"],
+              [(0.6, 0.8), (0.8, 0.6)])
+
+
+def test_direction_that_is_no_sequence_is_refused(monkeypatch):
+    with pytest.raises(InvalidRequestError, match="s must be a sequence"):
+        ShootSpec(P32, "k+l", "spin+", None)
+    monkeypatch.setenv("SPIN7_THREADS", "1")
+    table = sweep(P32, "k+l", "spin+", [None, (0.6, 0.8)], eta_max=150.0)
+    assert table[0].s is None
+    assert table[0].error.startswith("s must be a sequence")
+    assert table[1].outcome.limit_label == "P1"
+
+
+def test_spec_takes_a_pair_and_a_flow_class():
+    spec = ShootSpec((3, 2), "k+l", FlowClass.SPIN_PLUS, (0.6, 0.8))
+    assert spec == ShootSpec(P32, "k+l", "spin+", (0.6, 0.8))
 
 
 def test_quadrant_grid_unit_directions():
