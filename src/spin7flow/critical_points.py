@@ -348,11 +348,10 @@ def eigen(params, point_or_label):
     (phase_system._jacobian_inputs) and cached (_spectrum, 64 entries),
     so the ten points with Z4 = 0 (P1, ALC_b1..3 and the six G2 points),
     where the orbit's coefficients are not read, are decomposed once for
-    all orbits with l > 0 (and once for (1, 0), whose zero coefficient
-    l^2 changes the zero pattern).  The returned vectors are read-only.  A state entry that
-    is not a real number or a QuadExt, entries from two quadratic fields
-    and a linearization that is not finite raise InvalidRequestError
-    naming the point.
+    all orbits, (1, 0) included.  The returned vectors are read-only.  A
+    state entry that is not a real number or a QuadExt, entries from two
+    quadratic fields and a linearization that is not finite raise
+    InvalidRequestError naming the point.
     """
     params = _as_params(params)
     pt = _resolve_point(params, point_or_label)
@@ -360,7 +359,7 @@ def eigen(params, point_or_label):
         raise InvalidRequestError(
             f"{pt.label}: a state entry is not a real number")
     try:
-        spectrum = _spectrum(*_jacobian_inputs(params, pt.state))
+        spectrum = _spectrum(_jacobian_inputs(params, pt.state))
     except TypeError as err:  # surds from two quadratic fields
         raise InvalidRequestError(f"{pt.label}: {err}") from None
     except ArithmeticError:
@@ -371,13 +370,13 @@ def eigen(params, point_or_label):
 
 
 @lru_cache(maxsize=64)
-def _spectrum(zeros, live):
+def _spectrum(live):
     """(values, clusters, vectors, max_residual) of EigenData for the
-    Jacobian with _jacobian_inputs (zeros, live), with read-only
+    Jacobian with _jacobian_inputs live, with read-only
     vectors.  An exact entry beyond the float range raises
     OverflowError, and a matrix that is not finite FloatingPointError;
     neither is cached."""
-    mat = _float_jacobian(zeros, live)
+    mat = _float_jacobian(live)
     if not np.isfinite(mat).all():
         raise FloatingPointError
     vals, vecs = np.linalg.eig(mat)

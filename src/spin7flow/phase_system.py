@@ -39,11 +39,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import isfinite, lcm, sqrt
 
 import numpy as np
 
+from .aw_algebra import _as_params
 from .errors import InvalidRequestError
 from .exact import QuadExt, is_exact_scalar
 
@@ -298,6 +299,28 @@ def _first_order(x, z, plus, minus):
                  for u in (plus, minus))
 
 
+# bodies body(coefficients, point) of the derivative kernels
+
+
+def _flow_body(c, y):
+    return _field(c, y[:4], y[4:])
+
+
+def _crf_body(c, y):
+    return _crf_values(c, y[:4], y[4:])
+
+
+def _systems(d, y):
+    """F and H in one tuple."""
+    x, z = y[:4], y[4:]
+    plus = _cubic_terms(d, z)
+    return sum(_first_order(x, z, plus, tuple(-u for u in plus)), ())
+
+
+def _zcons_body(d, z):
+    return (_zcons(z, _cubic_terms(d, z)),)
+
+
 # ---------------------------------------------------------------------------
 # derivatives: the helpers above run on forward-mode duals
 
@@ -521,20 +544,20 @@ def derivative(fun, point):
 
 
 @lru_cache(maxsize=64)
-def _derivative_kernel(body, zeros):
-    """(kernel, degrees, live) for derivative(lambda y: body(c, y[:4],
-    y[4:])) over the inputs (X, Z, c), traced once per body and per set
-    of zero inputs.  A zero input is traced as 0, so each term with a
-    zero factor is skipped as the duals skip it at that value.
-    kernel(inputs, (1, D, D**2, ...)) returns the rows as one list in
-    _trace's homogeneous form: entry i carries D**degrees[i] times its
-    value.  live holds the indices of the inputs that the kernel reads;
-    no other input changes its result."""
+def _derivative_kernel(body, zeros, n=8):
+    """(kernel, degrees, live) for derivative(lambda y: body(c, y), y)
+    over the inputs (y, c), y the first n of them, traced once per body
+    and per set of zero inputs.  A zero input is traced as 0, so each
+    term with a zero factor is skipped as the duals skip it at that
+    value.  kernel(inputs, (1, D, D**2, ...)) returns the rows as one
+    list in _trace's homogeneous form: entry i carries D**degrees[i]
+    times its value.  live holds the indices of the inputs that the
+    kernel reads; no other input changes its result."""
 
     def rows(eta, inputs):
         inputs = [0 if zero else v for v, zero in zip(inputs, zeros)]
-        return sum(derivative(lambda y: body(inputs[8:], y[:4], y[4:]),
-                              inputs[:8]), ())
+        return sum(derivative(lambda y: body(inputs[n:], y), inputs[:n]),
+                   ())
 
     template, degrees, live = _trace(rows, len(zeros), homogeneous=True)
     namespace = {}
@@ -546,35 +569,36 @@ def _derivative_kernel(body, zeros):
     return namespace["kernel"], degrees, live
 
 
-def _derivative_rows(body, c, state, rounded=False):
-    """derivative(lambda y: body(c, y[:4], y[4:]), state) from its
-    kernel; with rounded, each entry as float() rounds it.
+def _derivative_rows(body, c, point, rounded=False):
+    """derivative(lambda y: body(c, y), point) from its kernel; with
+    rounded, each entry as float() rounds it.
 
-    At a rational state the kernel runs on integers, D the lcm of the
+    At a rational point the kernel runs on integers, D the lcm of the
     inputs' denominators: entry i is N_i / D**deg_i, and its float is
-    that quotient, correctly rounded.  At any other state (Q(sqrt d),
-    floats) it runs on the state's own numbers with D = 1: the duals'
+    that quotient, correctly rounded.  At any other point (Q(sqrt d),
+    floats) it runs on the point's own numbers with D = 1: the duals'
     operations.  Entries from two quadratic fields raise TypeError, as
     in QuadExt arithmetic.
     """
-    values = state.as_tuple() + tuple(c)
-    kernel, degrees, _ = _derivative_kernel(body,
-                                            tuple(not v for v in values))
+    n = len(point)
+    values = tuple(point) + tuple(c)
+    kernel, degrees, _ = _derivative_kernel(
+        body, tuple(not v for v in values), n)
     powers = range(max(degrees) + 1)
     if all(type(v) in (int, Fraction) for v in values):
         den = lcm(*(v.denominator for v in values))
         scales = [den ** e for e in powers]
         out = kernel([v.numerator * (den // v.denominator) for v in values],
                      scales)
-        out = [n / scales[e] if rounded else Fraction(n, scales[e])
-               for n, e in zip(out, degrees)]
+        out = [num / scales[e] if rounded else Fraction(num, scales[e])
+               for num, e in zip(out, degrees)]
     else:
         surds = [v for v in values if type(v) is QuadExt and v.b]
         if None in [surds[0]._split(v) for v in surds[1:]]:
             raise TypeError("state entries lie in two quadratic fields")
         out = kernel(values, [1 for _ in powers])
         out = [float(v) for v in out] if rounded else out
-    return tuple(tuple(out[i:i + 8]) for i in range(0, len(out), 8))
+    return tuple(tuple(out[i:i + n]) for i in range(0, len(out), n))
 
 
 def scalar_terms(params, state):
@@ -620,60 +644,57 @@ def zcons_of_z(d, z):
 
 
 def jacobian(params, state):
-    """8x8 derivative of the vector field; exact at exact states."""
-    return _derivative_rows(
-        _field, _matching(quartic_coefficients(params), state.Z), state)
+    """8x8 derivative of the vector field; exact at exact states;
+    params is an AWParams or a (k, l) pair."""
+    return _derivative_rows(_flow_body, _matching(
+        quartic_coefficients(_as_params(params)), state.Z), state.as_tuple())
 
 
 def _jacobian_inputs(params, state):
-    """(zeros, live): what jacobian(params, state) reads.  zeros is the
-    zero pattern of _field's kernel inputs (X, Z, c); live has, for each
-    input the kernel reads, (index, type, parts...), with a QuadExt's
-    parts (a, b, d) and any other number's its value.  So a float never
-    matches an exact value, nor b*sqrt(d) a QuadExt written with
-    another d.  Where Z4 = 0 the kernel does not read c, and every
-    orbit gives the same pair."""
+    """live: (index, type, parts...) for each input of _flow_body's
+    kernel (X, Z, c) that jacobian(params, state) reads, with a
+    QuadExt's parts (a, b, d) and any other number's its value.  So a
+    float never matches an exact value, nor b*sqrt(d) a QuadExt written
+    with another d.  Read inputs are nonzero, and the others leave the
+    matrix as it is when zero, so live keys it alone: where Z4 = 0 the
+    kernel does not read c, and every orbit, (1, 0) included, gives the
+    same key."""
     values = state.as_tuple() + tuple(
         _matching(quartic_coefficients(params), state.Z))
-    zeros = tuple(not v for v in values)
     live = []
-    for j in _derivative_kernel(_field, zeros)[2]:
+    for j in _derivative_kernel(_flow_body,
+                                tuple(not v for v in values))[2]:
         v = values[j]
         live.append((j, QuadExt, v.a, v.b, v.d) if type(v) is QuadExt
                     else (j, type(v), v))
-    return zeros, tuple(live)
+    return tuple(live)
 
 
-def _float_jacobian(zeros, live):
-    """The jacobian at any state with _jacobian_inputs (zeros, live),
-    rounded entrywise by float(), as an array.  It is built at the state
-    whose inputs that the kernel does not read are 0 or 1, which gives
-    the same bits; a rational state's exact entries are never built."""
-    values = [0 if zero else 1 for zero in zeros]
+def _float_jacobian(live):
+    """The jacobian at any state with _jacobian_inputs live, rounded
+    entrywise by float(), as an array.  It is built at the state whose
+    inputs that the kernel does not read are 0, which gives the same
+    bits; a rational state's exact entries are never built."""
+    values = [0] * 11
     for j, kind, *parts in live:
         values[j] = QuadExt(*parts) if kind is QuadExt else parts[0]
-    return np.array(_derivative_rows(
-        _field, values[8:], PhaseState.from_sequence(values[:8]),
-        rounded=True))
+    return np.array(_derivative_rows(_flow_body, values[8:], values[:8],
+                                     rounded=True))
 
 
 def constraint_gradients(params, state):
-    """Gradients of the hyperplane and conservation constraints."""
-    hyperplane, conservation = _derivative_rows(
-        _crf_values, _matching(quartic_coefficients(params), state.Z), state)
+    """Gradients of the hyperplane and conservation constraints; params
+    is an AWParams or a (k, l) pair."""
+    hyperplane, conservation = _derivative_rows(_crf_body, _matching(
+        quartic_coefficients(_as_params(params)), state.Z), state.as_tuple())
     return {"hyperplane": hyperplane, "conservation": conservation}
 
 
-def _systems(d, x, z):
-    """F and H in one tuple."""
-    plus = _cubic_terms(d, z)
-    return sum(_first_order(x, z, plus, tuple(-u for u in plus)), ())
-
-
 def first_order_jacobians(params, state):
-    """4x8 derivatives of the F system and of the H system."""
-    rows = _derivative_rows(
-        _systems, _matching(cubic_coefficients(params), state.Z), state)
+    """4x8 derivatives of the F system and of the H system; params is an
+    AWParams or a (k, l) pair."""
+    rows = _derivative_rows(_systems, _matching(
+        cubic_coefficients(_as_params(params)), state.Z), state.as_tuple())
     return rows[:4], rows[4:]
 
 
@@ -889,22 +910,15 @@ def reduced_z_rhs(params, chirality):
 
 
 def zcons_constraint(params, chirality):
-    """Closure z -> (zcons+,) or (zcons-,); z holds Python floats (or
-    the duals of derivative)."""
-    d = tuple(map(float, _spin_coefficients(params, chirality)))
-
-    def fun(z):
-        return (_zcons(z, _cubic_terms(d, z)),)
-
-    return fun
+    """z -> (zcons+,) or (zcons-,), as partial(body, coefficients) of a
+    derivative kernel's body; z holds Python floats (or the duals of
+    derivative)."""
+    return partial(_zcons_body,
+                   tuple(map(float, _spin_coefficients(params, chirality))))
 
 
 def crf_constraints(params):
-    """Closure y -> (hyperplane, conservation); y holds Python floats (or
-    the duals of derivative)."""
-    c = tuple(map(float, quartic_coefficients(params)))
-
-    def fun(y):
-        return _crf_values(c, y[:4], y[4:])
-
-    return fun
+    """y -> (hyperplane, conservation), as partial(body, coefficients) of
+    a derivative kernel's body; y holds Python floats (or the duals of
+    derivative)."""
+    return partial(_crf_body, tuple(map(float, quartic_coefficients(params))))

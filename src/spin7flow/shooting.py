@@ -19,17 +19,22 @@ invariant for the exact flow but transversally unstable for the
 numerical one (the linearization at the sink has a positive off-set
 eigenvalue), so the integrator renormalizes: it works in fixed-length
 chunks and Newton-projects the state back onto the constraint set at
-every chunk boundary, logging the pre-projection defect as drift.
+every chunk boundary, logging the pre-projection defect as drift.  The
+projection's Jacobian comes from the derivative kernel traced from the
+constraint's body, as jacobian's does.
 
-The stepper runs a chunk's steps in one compiled loop whose stages
-evaluate the right-hand side as a kernel traced from the phase_system
-helpers and inlined, so a stage makes no Python call and keeps the
-helpers' bits.  Samples are built lazily:
-a chunk keeps its accepted steps, and their dense output on the sample
-grid is evaluated, X rebuilt from Z, and the rows handed to the decision
-scan only when a decision could fire (an early-stopping run whose last
-projected state lies inside a decision ball) and when the run ends.
-A full-horizon run therefore samples all its chunks in one pass.
+The stepper runs a whole chunk, its first derivative and initial step
+included, in one compiled function whose derivatives evaluate the
+right-hand side as a kernel traced from the phase_system helpers and
+inlined, so a chunk makes no Python call and keeps the helpers' bits;
+it packs each accepted step into one row of a float table.  Samples
+are built lazily: a chunk keeps its step table, and their dense output
+on the sample grid is evaluated, X rebuilt from Z, and the rows handed
+to the decision scan only when a decision could fire (an early-stopping
+run whose last projected state lies inside a decision ball) and when
+the run ends.  A full-horizon run therefore samples all its chunks in
+one pass.  Row max-norms of the sample table are reduced column by
+column.
 
 Boundary runs need one more ingredient.  For (k, l) = (1, 1) the
 invariant region has one-dimensional boundary segments (a line for the
@@ -44,10 +49,10 @@ defect ever grows past FACE_RELEASE_TOL, so nudged runs never lock.
 
 import math
 import os
+import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from itertools import chain
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -57,8 +62,8 @@ from .critical_points import (_BUNDLE_CONES, LABEL_P1, LABELS_AC,
                               unstable_frame)
 from .errors import (InitializationError, InvalidRequestError,
                      ReconstructionDomainError)
-from .phase_system import (Chirality, PhaseState, crf_constraints,
-                           derivative, flow_rhs, g_of_x, reduced_z_rhs,
+from .phase_system import (Chirality, PhaseState, _derivative_rows,
+                           crf_constraints, flow_rhs, g_of_x, reduced_z_rhs,
                            residuals, x_from_z, zcons_constraint)
 
 SAMPLE_STEP = 0.05
@@ -94,8 +99,11 @@ def _real(value, name):
 
 def _direction(s):
     """The components of a direction s as floats (s1, s2, ...); s that
-    is not a sequence raises InvalidRequestError."""
+    is not a sequence, or is text (str, bytes or bytearray), raises
+    InvalidRequestError."""
     try:
+        if isinstance(s, (str, bytes, bytearray)):
+            raise TypeError
         parts = tuple(s)
     except TypeError:
         raise InvalidRequestError(
@@ -285,26 +293,42 @@ def _face_defect(face, z):
     return max(abs(v) for v in face.equations(z))
 
 
+def _max_abs(values):
+    """The largest |v| of a sequence of floats; NaN when any v is NaN,
+    as numpy's max gives it."""
+    sizes = [abs(v) for v in values]
+    return math.nan if any(size != size for size in sizes) else max(sizes)
+
+
+@lru_cache(maxsize=8)
+def _with_face(body, equations):
+    """body(c, y) joined by a face's equations(y), one function per pair,
+    so that its derivative kernel is traced once."""
+    return lambda c, y: body(c, y) + equations(y)
+
+
 def _project(con, v, face=None):
     """Least-norm Gauss-Newton projection onto con(v) = 0, joined by the
-    equations of a locked face; the derivative is taken only for a step.
-    Returns the projected point and the pre-projection defect, the
-    max-norm of con at v."""
-    extra = face.equations if face is not None else (lambda y: ())
-    v = np.array(v, dtype=float)
+    equations of a locked face.  con is partial(body, coefficients), as
+    zcons_constraint and crf_constraints give it; a step's Jacobian is
+    body's derivative kernel (joined by the face) run on the floats, and
+    only the step enters numpy.  Returns the projected point and the
+    pre-projection defect, the max-norm of con at v."""
+    body, (c,) = con.func, con.args
+    if face is not None:
+        body = _with_face(body, face.equations)
+    y = [float(x) for x in v]
     defect = None
     for _ in range(MAX_PROJECTION_ITERS):
-        y = v.tolist()
         values = con(y)
-        r = values + extra(y)
-        size = np.abs(r)
+        r = values + face.equations(y) if face is not None else values
         if defect is None:
-            defect = float(size[:len(values)].max())
-        if size.max() < PROJECTION_TARGET:
-            return v, defect
-        jac = derivative(lambda t: con(t) + extra(t), y)
-        step, *_ = np.linalg.lstsq(jac, r, rcond=None)
-        v = v - step
+            defect = _max_abs(values)
+        if _max_abs(r) < PROJECTION_TARGET:
+            return np.array(y), defect
+        step, *_ = np.linalg.lstsq(_derivative_rows(body, c, y), r,
+                                   rcond=None)
+        y = [a - b for a, b in zip(y, step.tolist())]
     raise InitializationError(
         "constraint projection did not converge in %d iterations"
         % MAX_PROJECTION_ITERS)
@@ -352,6 +376,13 @@ def _limit_candidates(params):
         for label in labels)
 
 
+def _row_max(table):
+    """table.max(axis=1), reduced one column at a time with np.maximum:
+    the same values, NaN included, since max is exact, and much faster
+    than numpy's reduction along short rows."""
+    return reduce(np.maximum, table.T)
+
+
 class _DecisionScan:
     """The trailing-window decision over a table that grows by blocks.
 
@@ -366,6 +397,7 @@ class _DecisionScan:
     def __init__(self, candidates):
         self._candidates = candidates
         self._targets = np.array([target for _, _, target in candidates])
+        self._target_lists = self._targets.tolist()
         self._etas = []
         self._last_outside = [-1] * len(candidates)
         self._last_distance = [math.inf] * len(candidates)
@@ -375,23 +407,30 @@ class _DecisionScan:
         self._etas.extend(etas.tolist())
         # only a ball that holds the block's last row scans the block;
         # a NaN distance counts as outside
-        last = np.abs(states[-1] - self._targets).max(axis=1)
+        last = _row_max(np.abs(states[-1] - self._targets))
         self._last_distance = last.tolist()
         for i, inside in enumerate((last <= DECISION_RADIUS).tolist()):
             if not inside:
                 self._last_outside[i] = base + len(states) - 1
                 continue
-            dist = np.abs(states - self._targets[i]).max(axis=1)
+            dist = _row_max(np.abs(states - self._targets[i]))
             outside = np.flatnonzero(~(dist <= DECISION_RADIUS))
             if outside.size:
                 self._last_outside[i] = base + int(outside[-1])
 
     def may_decide(self, tail):
-        """False when every row ending in the coordinates tail lies
-        outside every decision ball; decision() after such a row is None.
-        A ball holds a row only if it holds the row's tail."""
-        near = np.abs(self._targets[:, -len(tail):] - tail) <= DECISION_RADIUS
-        return bool(near.all(axis=1).any())
+        """False when every row ending in the coordinates tail (a list of
+        floats) lies outside every decision ball; decision() after such a
+        row is None.  A ball holds a row only if it holds the row's tail;
+        a NaN counts as outside."""
+        n = len(tail)
+        for target in self._target_lists:
+            for a, b in zip(tail, target[-n:]):
+                if not abs(a - b) <= DECISION_RADIUS:
+                    break
+            else:
+                return True
+        return False
 
     def decision(self):
         """Earliest eta from which the tail stays inside one decision
@@ -444,7 +483,7 @@ def _outcome(etas, states, candidates, decision):
     the whole table), else Undetermined."""
     if len(etas) < 2:
         raise InvalidRequestError("classification needs at least 2 samples")
-    norms = np.max(np.abs(states), axis=1)
+    norms = _row_max(np.abs(states))
     crossed = np.nonzero(norms >= ESCAPE_NORM * (1.0 - 1e-9))[0]
     if crossed.size:
         i = int(crossed[0])
@@ -515,64 +554,54 @@ def _rms(values):
     return math.sqrt(total) / len(values) ** 0.5
 
 
-def _initial_step(fun, t, y, f, span, rtol, atol):
-    """First step size from the size of y, f and a trial Euler step."""
-    scale = [atol + abs(v) * rtol for v in y]
-    d0 = _rms([v / s for v, s in zip(y, scale)])
-    d1 = _rms([v / s for v, s in zip(f, scale)])
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    f1 = fun(t + h0, [v + h0 * g for v, g in zip(y, f)])
-    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f, scale)]) / h0
-    d = max(d1, d2)
-    h1 = max(1e-6, h0 * 1e-3) if d <= 1e-15 else (0.01 / d) ** (1 / 5)
-    return min(100 * h0, h1, span)
-
-
 def _dense(steps, grid):
-    """The continuous extension of accepted steps at grid points.
+    """The continuous extension of a step table at grid points.
 
     Each point takes the step whose span holds it (the earlier step at a
     shared end point, as scipy's OdeSolution does); per step Q = K^T P,
     and y = y_old + h * Q (x, x^2, x^3, x^4) with x = (t - t_old) / h.
     """
-    width = len(steps[0])
-    table = np.fromiter(chain.from_iterable(steps), float,
-                        len(steps) * width).reshape(-1, width)
-    n = (width - 2) // 8
-    starts, widths = table[:, 0], table[:, 1]
+    n = (steps.shape[1] - 2) // 8
+    starts, widths = steps[:, 0], steps[:, 1]
     seg = np.clip(np.searchsorted(starts, grid) - 1, 0, len(steps) - 1)
-    q = table[:, 2 + n:].reshape(-1, 7, n).transpose(0, 2, 1) @ _P
+    q = steps[:, 2 + n:].reshape(-1, 7, n).transpose(0, 2, 1) @ _P
     x = (grid - starts[seg]) / widths[seg]
     powers = np.cumprod(np.repeat(x[:, None], 4, axis=1), axis=1)
     return (widths[seg, None] * (q[seg] @ powers[:, :, None])[:, :, 0]
-            + table[seg, 2:2 + n])
+            + steps[seg, 2:2 + n])
 
 
 def _crossing(step, t_end):
-    """Bisect the step's interpolant on [t_old, t_end] down to adjacent
-    floats for where its max-norm reaches ESCAPE_NORM; returns the upper
-    end of the last bracket."""
-    lo, hi = step[0], t_end
+    """Bisect the interpolant of a one-row step table on [t_old, t_end]
+    down to adjacent floats for where its max-norm reaches ESCAPE_NORM;
+    returns the upper end of the last bracket."""
+    lo, hi = float(step[0, 0]), t_end
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return hi
-        if np.max(np.abs(_dense([step], np.array([mid])))) >= ESCAPE_NORM:
+        if np.max(np.abs(_dense(step, np.array([mid])))) >= ESCAPE_NORM:
             hi = mid
         else:
             lo = mid
 
 
 def _chunk_source(n, kernel=None):
-    """Python source of _dopri5's whole step loop on n components.
+    """Python source of _dopri5's whole chunk on n components.
 
-    chunk(fun, t, y, k1, h_abs, t_bound, rtol, atol, steps) steps from
-    t, with state y, first derivative k1 and first trial step h_abs, to
-    t_bound.  It appends one row (t, h, *y, *k1, ..., *k7) per accepted
-    step to steps and returns (status, t, y) with _dopri5's status; on
-    an escape t is the end of the last step and y is None.  y_j and k1_j
-    stay in locals from one step to the next, and k7 becomes the next
-    step's k1 (first same as last).
+    chunk(fun, t, y, t_bound, rtol, atol) steps from t, with state y, to
+    t_bound.  It returns (status, t, y, rows) with _dopri5's status; on
+    an escape t is the end of the last step and y is None.  rows holds
+    one row (t, h, *y, *k1, ..., *k7) per accepted step, packed as
+    2 + 8n doubles.  y_j and k1_j stay in locals from one step to the
+    next, and k7 becomes the next step's k1 (first same as last).
+
+    The chunk starts with the first derivative k1, the finiteness check
+    of y and k1 (status -1 at t with no row) and the initial-step rule
+    of Hairer, Norsett & Wanner (scipy RK45's): the scale atol +
+    |y_j|*rtol, the root mean squares d0 of y, d1 of k1 and d2 of
+    (f1 - k1)/h0, f1 the derivative after an Euler trial step h0, each
+    with its squares added from left to right (see _rms).
 
     Every component is one straight-line expression in the association
     of the list form: stage i is y_j + (k1_j*A_i1 + ... +
@@ -581,15 +610,15 @@ def _chunk_source(n, kernel=None):
     max(|y_j|, |u_j|)*rtol), and error their _rms.  Tableau values and
     step-control factors are written as float literals (repr
     round-trips); a two-argument min or max is written out with Python's
-    argument order (max(a, b) is "b if b > a else a"), so NaN takes the
-    branch the builtin takes.
+    argument order (max(a, b) is "b if b > a else a", min(a, b) "b if
+    b < a else a", a three-argument min two such compares), so NaN
+    takes the branch the builtin takes.
 
-    Each stage calls fun(t_i, [stage state]) unless a kernel is given:
-    the template of an autonomous right-hand side that
+    Each derivative calls fun(t_i, [stage state]) unless a kernel is
+    given: the template of an autonomous right-hand side that
     phase_system._trace wrote from fun's own body.  Its lines are then
-    inlined in place of every call, reading the stage state from v_j
-    (u_j, the new state, for k7) and writing kI_j, so a stage makes no
-    call and gives the bits the call would.
+    inlined in place of every call, so the chunk never calls fun and
+    gives the bits the calls would.
     """
     comps = range(n)
 
@@ -600,38 +629,77 @@ def _chunk_source(n, kernel=None):
         return " + ".join("k%d_%d * %r" % (s, j, coeff)
                           for s, coeff in terms)
 
+    def derivative(at, state, out):
+        """Lines setting out_j to the derivative at state_j, time at."""
+        if kernel is not None:
+            return kernel.format(v=state, k=out).splitlines()
+        return ["%s, = fun(%s, [%s])" % (names(out), at, names(state))]
+
+    def rms(prefix):
+        """The root mean square of the n locals prefix_j, as _rms."""
+        return "sqrt(%s) / %r" % (" + ".join(
+            "%s%d * %s%d" % (prefix, j, prefix, j) for j in comps), n ** 0.5)
+
+    start = derivative("t", "y_", "k1_")
+    start += [
+        "if not (%s):" % " and ".join(
+            "isfinite(%s%d)" % (prefix, j)
+            for prefix in ("y_", "k1_") for j in comps),
+        "    return -1, t, [%s], rows" % names("y_"),
+        "span = t_bound - t"]
+    start += ["sc_%d = atol + abs(y_%d) * rtol" % (j, j) for j in comps]
+    start += ["q_%d = y_%d / sc_%d" % (j, j, j) for j in comps]
+    start.append("d0 = " + rms("q_"))
+    start += ["q_%d = k1_%d / sc_%d" % (j, j, j) for j in comps]
+    start.append("d1 = " + rms("q_"))
+    start += [
+        "h0 = %r if d0 < %r or d1 < %r else %r * d0 / d1" % (
+            1e-6, 1e-5, 1e-5, 0.01),
+        "if span < h0:",
+        "    h0 = span"]
+    start += ["v_%d = y_%d + h0 * k1_%d" % (j, j, j) for j in comps]
+    start += derivative("t + h0", "v_", "f1_")
+    start += ["q_%d = (f1_%d - k1_%d) / sc_%d" % (j, j, j, j) for j in comps]
+    start += [
+        "d2 = %s / h0" % rms("q_"),
+        "d = d2 if d2 > d1 else d1",
+        "if d <= %r:" % 1e-15,
+        "    h1 = h0 * %r" % 1e-3,
+        "    if not h1 > %r:" % 1e-6,
+        "        h1 = %r" % 1e-6,
+        "else:",
+        "    h1 = (%r / d) ** %r" % (0.01, 1 / 5),
+        "h_abs = 100 * h0",
+        "if h1 < h_abs:",
+        "    h_abs = h1",
+        "if span < h_abs:",
+        "    h_abs = span"]
+
     attempt = []
     for stage, (c, row) in enumerate(_STAGES, start=2):
         terms = tuple(enumerate(row, start=1))
-        args = ["y_%d + (%s) * h" % (j, combo(terms, j)) for j in comps]
-        if kernel is not None:
-            attempt += ["v_%d = %s" % (j, arg) for j, arg in enumerate(args)]
-            attempt += kernel.format(v="v_", k="k%d_" % stage).splitlines()
-            continue
-        at = "t + h" if c is None else "t + %r * h" % c
-        attempt.append("%s, = fun(%s, [%s])" % (
-            names("k%d_" % stage), at, ", ".join(args)))
+        attempt += ["v_%d = y_%d + (%s) * h" % (j, j, combo(terms, j))
+                    for j in comps]
+        attempt += derivative("t + h" if c is None else "t + %r * h" % c,
+                              "v_", "k%d_" % stage)
     attempt += ["u_%d = y_%d + h * (%s)" % (j, j, combo(_B_TERMS, j))
                 for j in comps]
-    if kernel is not None:
-        attempt += kernel.format(v="u_", k="k7_").splitlines()
-    else:
-        attempt.append("%s, = fun(t + h, [%s])" % (names("k7_"),
-                                                    names("u_")))
+    attempt += derivative("t + h", "u_", "k7_")
     for j in comps:
         attempt.append("a, b = abs(y_%d), abs(u_%d)" % (j, j))
         attempt.append("s_%d = (%s) * h / (atol + (b if b > a else a)"
                        " * rtol)" % (j, combo(_E_TERMS, j)))
-    attempt.append("error = sqrt(%s) / %r" % (
-        " + ".join("s_%d * s_%d" % (j, j) for j in comps), n ** 0.5))
+    attempt.append("error = " + rms("s_"))
     control = "%r * error ** %r" % (_SAFETY, _ERROR_EXPONENT)
     size = ("max(%s)" % ", ".join("abs(u_%d)" % j for j in comps)
             if n > 1 else "abs(u_0)")
     lines = [
-        "def chunk(fun, t, y, k1, h_abs, t_bound, rtol, atol, steps):",
+        "def chunk(fun, t, y, t_bound, rtol, atol):",
         "    %s, = y" % names("y_"),
-        "    %s, = k1" % names("k1_"),
-        "    append = steps.append",
+        "    rows = []",
+        "    append = rows.append"]
+    lines += ["    " + line for line in start]
+    lines += [
         "    while t < t_bound:",
         "        min_step = 10 * (nextafter(t, inf) - t)",
         "        if min_step > h_abs:",
@@ -639,7 +707,7 @@ def _chunk_source(n, kernel=None):
         "        rejected = False",
         "        while True:",
         "            if not h_abs >= min_step:",
-        "                return -1, t, [%s]" % names("y_"),
+        "                return -1, t, [%s], rows" % names("y_"),
         "            t_new = t + h_abs",
         "            if t_bound < t_new:",
         "                t_new = t_bound",
@@ -659,23 +727,24 @@ def _chunk_source(n, kernel=None):
         "            h_abs *= factor if factor > %r else %r" % (
             _MIN_FACTOR, _MIN_FACTOR),
         "            rejected = True",
-        "        append((t, h, %s, %s))" % (
+        "        append(pack(t, h, %s, %s))" % (
             names("y_"), ", ".join(names("k%d_" % stage)
                                    for stage in range(1, 8))),
         "        if %s >= %r:" % (size, ESCAPE_NORM),
-        "            return 1, t_new, None",
+        "            return 1, t_new, None, rows",
         "        t = t_new"]
     lines += ["        y_%d = u_%d" % (j, j) for j in comps]
     lines += ["        k1_%d = k7_%d" % (j, j) for j in comps]
-    lines.append("    return 0, t, [%s]" % names("y_"))
+    lines.append("    return 0, t, [%s], rows" % names("y_"))
     return "\n".join(lines) + "\n"
 
 
 @lru_cache(maxsize=64)
 def _chunk(n, kernel=None):
     """The compiled _chunk_source(n, kernel)."""
-    namespace = {"sqrt": math.sqrt, "nextafter": math.nextafter,
-                 "inf": math.inf}
+    namespace = {"sqrt": math.sqrt, "isfinite": math.isfinite,
+                 "nextafter": math.nextafter, "inf": math.inf,
+                 "pack": struct.Struct("%dd" % (2 + 8 * n)).pack}
     exec(compile(_chunk_source(n, kernel), "<dopri5 chunk, n=%d>" % n,
                  "exec"), namespace)
     return namespace["chunk"]
@@ -689,24 +758,21 @@ def _dopri5(fun, t, y, t_bound, rtol, atol):
     ESCAPE_NORM or more, with t the crossing on that step's interpolant
     and y the interpolant there; -1 when the step size fell below ten
     ulps of t (a non-finite start or right-hand side ends here too),
-    with t, y the last accepted point.  steps holds one row
-    (t_old, h, *y_old, *k1, ..., *k7) per accepted step, for _dense.
-    After the first derivative and the initial step, the steps run in
-    the compiled loop _chunk(len(y)), and every call of fun gets a list
-    of floats.  When fun carries a traced kernel (the attribute kernel
-    of the phase_system right-hand sides), the loop runs it inlined and
-    fun is called only for the first derivative and the initial-step
-    trial.
+    with t, y the last accepted point.  steps is the read-only step
+    table, one row (t_old, h, *y_old, *k1, ..., *k7) per accepted step
+    ((0, 2 + 8n) when none was taken), for _dense.
+    The whole chunk, first derivative and initial step included, runs
+    in the compiled function _chunk(len(y)), and every call of fun gets
+    a list of floats.  When fun carries a traced kernel (the attribute
+    kernel of the phase_system right-hand sides), the chunk runs it
+    inlined and never calls fun.
     """
-    steps = []
-    f = fun(t, y)
-    if not all(map(math.isfinite, [*y, *f])):
-        return -1, t, y, steps
-    h_abs = _initial_step(fun, t, y, f, t_bound - t, rtol, atol)
-    status, t, y = _chunk(len(y), getattr(fun, "kernel", None))(
-        fun, t, y, f, h_abs, t_bound, rtol, atol, steps)
+    n = len(y)
+    status, t, y, rows = _chunk(n, getattr(fun, "kernel", None))(
+        fun, t, y, t_bound, rtol, atol)
+    steps = np.frombuffer(b"".join(rows)).reshape(-1, 2 + 8 * n)
     if status == 1:
-        t = _crossing(steps[-1], t)
+        t = _crossing(steps[-1:], t)
         y = _dense(steps[-1:], np.array([t]))[0].tolist()
     return status, t, y, steps
 
@@ -715,8 +781,8 @@ def integrate(spec):
     """Run one shooting trajectory and classify it.
 
     The integrator is the Dormand-Prince 5(4) pair (_dopri5: scipy
-    RK45's coefficients and step control, run on Python floats, its
-    stages on the right-hand side's traced kernel), driven in chunks of
+    RK45's coefficients and step control, run on Python floats, each
+    chunk on the right-hand side's traced kernel), driven in chunks of
     CHUNK_LENGTH; each chunk's samples on the SAMPLE_STEP grid come from
     its dense output, with the projected state as the chunk's last row.
     At every chunk boundary the state is renormalized onto the
@@ -786,8 +852,7 @@ def integrate(spec):
         if not pending:
             return
         grids, clipped, steps, ends = zip(*pending)
-        block = _dense([row for part in steps for row in part],
-                       np.concatenate(clipped))
+        block = _dense(np.concatenate(steps), np.concatenate(clipped))
         for i, end in zip(np.cumsum([g.size for g in grids]) - 1, ends):
             if end is not None:
                 block[i] = end
@@ -823,7 +888,7 @@ def integrate(spec):
             events.append((reached, "stiff-failure"))
             break
         eta = top
-        if spec.stop_on_converged and scan.may_decide(state):
+        if spec.stop_on_converged and scan.may_decide(state.tolist()):
             sample()
             decided = scan.decision()
             if decided is not None:
@@ -921,10 +986,10 @@ def reconstruct_metric(traj, gauge=1.0):
             "eta does not increase at sample %d (eta = %.6g after %.6g)"
             % (i, etas[i], etas[i-1]))
     z = states[:, 4:]
-    prods = np.column_stack([z[:, 1]*z[:, 2], z[:, 0]*z[:, 2],
-                             z[:, 0]*z[:, 1]])
-    start = 0 if np.all(prods[0] > 0.0) else 1
-    bad = np.nonzero(~np.all(prods[start:] > 0.0, axis=1))[0]
+    prods = (z[:, 1]*z[:, 2], z[:, 0]*z[:, 2], z[:, 0]*z[:, 1])
+    positive = (prods[0] > 0.0) & (prods[1] > 0.0) & (prods[2] > 0.0)
+    start = 0 if positive[0] else 1
+    bad = np.nonzero(~positive[start:])[0]
     if bad.size:
         i = int(bad[0]) + start
         raise ReconstructionDomainError(
@@ -935,9 +1000,9 @@ def reconstruct_metric(traj, gauge=1.0):
     sl = slice(start, None)
     return MetricProfile(
         t=t[sl],
-        a=trl_inv[sl] / np.sqrt(prods[sl, 0]),
-        b=trl_inv[sl] / np.sqrt(prods[sl, 1]),
-        c=trl_inv[sl] / np.sqrt(prods[sl, 2]),
+        a=trl_inv[sl] / np.sqrt(prods[0][sl]),
+        b=trl_inv[sl] / np.sqrt(prods[1][sl]),
+        c=trl_inv[sl] / np.sqrt(prods[2][sl]),
         f=trl_inv[sl] * z[sl, 3],
         trl_inv=trl_inv[sl],
         gauge=gauge)

@@ -1,10 +1,14 @@
 """The list-form Dormand-Prince stepper, kept as a bit-for-bit oracle.
 
-shooting._dopri5 runs each step attempt as straight-line per-component
-expressions.  This is the form it replaced: the stages, the new state
-and the scaled error terms as list comprehensions over zip, with the
-same association per component.  Both forms must give the same status,
-end point, step rows and right-hand side calls, bit for bit.
+shooting._dopri5 runs a whole chunk, its start included, as one
+generated function of straight-line per-component expressions, and
+returns its steps as a packed array.  This is the form it replaced: the
+stages, the new state and the scaled error terms as list comprehensions
+over zip, with the same association per component, the initial step,
+the dense output and the escape bisection as plain functions on tuple
+rows.  It shares only the tableau with the stepper it checks.  Both
+forms must give the same status, end point, step rows and right-hand
+side calls, bit for bit.
 """
 
 import math
@@ -16,8 +20,7 @@ from spin7flow.shooting import (_A21, _A31, _A32, _A41, _A42, _A43, _A51,
                                 _A65, _B1, _B3, _B4, _B5, _B6, _C2, _C3,
                                 _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7,
                                 _ERROR_EXPONENT, _MAX_FACTOR, _MIN_FACTOR,
-                                _SAFETY, ESCAPE_NORM, _crossing, _dense,
-                                _initial_step)
+                                _P, _SAFETY, ESCAPE_NORM)
 
 
 def _rms(values):
@@ -25,6 +28,45 @@ def _rms(values):
     for v in values:
         total += v * v
     return math.sqrt(total) / len(values) ** 0.5
+
+
+def _initial_step(fun, t, y, f, span, rtol, atol):
+    """First step size from the size of y, f and a trial Euler step."""
+    scale = [atol + abs(v) * rtol for v in y]
+    d0 = _rms([v / s for v, s in zip(y, scale)])
+    d1 = _rms([v / s for v, s in zip(f, scale)])
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    f1 = fun(t + h0, [v + h0 * g for v, g in zip(y, f)])
+    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f, scale)]) / h0
+    d = max(d1, d2)
+    h1 = max(1e-6, h0 * 1e-3) if d <= 1e-15 else (0.01 / d) ** (1 / 5)
+    return min(100 * h0, h1, span)
+
+
+def _dense(steps, grid):
+    """The continuous extension of tuple step rows at grid points."""
+    table = np.array(steps, dtype=float)
+    n = (table.shape[1] - 2) // 8
+    starts, widths = table[:, 0], table[:, 1]
+    seg = np.clip(np.searchsorted(starts, grid) - 1, 0, len(steps) - 1)
+    q = table[:, 2 + n:].reshape(-1, 7, n).transpose(0, 2, 1) @ _P
+    x = (grid - starts[seg]) / widths[seg]
+    powers = np.cumprod(np.repeat(x[:, None], 4, axis=1), axis=1)
+    return (widths[seg, None] * (q[seg] @ powers[:, :, None])[:, :, 0]
+            + table[seg, 2:2 + n])
+
+
+def _crossing(step, t_end):
+    """Bisect one step's interpolant for its ESCAPE_NORM crossing."""
+    lo, hi = step[0], t_end
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if np.max(np.abs(_dense([step], np.array([mid])))) >= ESCAPE_NORM:
+            hi = mid
+        else:
+            lo = mid
 
 
 def dopri5(fun, t, y, t_bound, rtol, atol):

@@ -17,8 +17,10 @@ from spin7flow.critical_points import (LABEL_P1, LABELS_ALC_B,
                                        FlowClass, _catalog_cached,
                                        _einstein_system, _newton_step,
                                        _polish, _spectrum,
-                                       _try_exact_einstein, catalog, eigen,
-                                       jacobian, reference_frame,
+                                       _try_exact_einstein, catalog,
+                                       constraint_gradients, eigen,
+                                       first_order_jacobians, jacobian,
+                                       reference_frame,
                                        solve_homogeneous_einstein,
                                        unstable_frame)
 from spin7flow.errors import (InvalidParameterError, InvalidRequestError,
@@ -471,8 +473,7 @@ def test_eigen_hit_equals_a_cold_call():
     """The ten points with Z4 = 0 are decomposed once for all orbits: a
     hit warmed on (7, 3) gives every orbit's spectrum bit for bit as a
     call with the cache cleared does, under the caller's label.  (1, 0)
-    has its own ten entries: its quartic coefficient l^2 is 0, so its
-    zero pattern differs."""
+    shares them: its zero quartic coefficient l^2 is not read there."""
     orbits = [AWParams(*kl) for kl in ((1, 0), (1, 1), (3, 2), (13, 5),
                                        (55, 41), (59, 23))]
     cold = {}
@@ -490,7 +491,7 @@ def test_eigen_hit_equals_a_cold_call():
             assert _bits(hit) == cold[p, label], (p, label)
         assert eigen(p, catalog(p).get(LABEL_P1).state).label == "(ad hoc)"
     info = _spectrum.cache_info()
-    assert (info.misses, info.hits) == (20, 11 * len(orbits) - 10)
+    assert (info.misses, info.hits) == (10, 11 * len(orbits))
 
 
 def test_eigen_keys_on_the_type_and_form_of_each_input():
@@ -570,6 +571,25 @@ def test_critical_points_take_a_pair():
         reference_frame((2, 3), "P1")
     with pytest.raises(InvalidRequestError, match="unknown flow class"):
         unstable_frame(p, "P0_KplusL", 5)
+
+
+@pytest.mark.parametrize("derivative_of", [
+    jacobian, constraint_gradients, first_order_jacobians])
+def test_derivatives_take_a_pair(derivative_of):
+    """The linearization and the constraint derivatives take (k, l) as
+    AWParams(k, l), at exact and float states; a malformed value raises
+    InvalidRequestError, not AttributeError."""
+    p = AWParams(3, 2)
+    for state in (catalog(p).get(LABEL_P1).state,
+                  catalog(p).get("P0_K").state,
+                  PhaseState.from_sequence(
+                      catalog(p).get("P0_K").state.as_floats())):
+        assert derivative_of((3, 2), state) == derivative_of(p, state)
+    for bad in (None, 5, (3, 2, 1), "x"):
+        with pytest.raises(InvalidRequestError, match=r"\(k, l\) pair"):
+            derivative_of(bad, state)
+    with pytest.raises(InvalidParameterError):
+        derivative_of((2, 3), state)
 
 
 def test_reference_frames_are_exact_eigenpairs():

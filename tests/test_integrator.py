@@ -176,7 +176,8 @@ def test_dopri5_nonfinite_start_fails_at_once():
     status, reached, end, steps = shooting._dopri5(
         lambda t, y: (math.nan,) * 4, 0.0, [0.1, 0.2, 0.3, 0.4], 5.0,
         RTOL, ATOL)
-    assert (status, reached, steps) == (-1, 0.0, [])
+    assert (status, reached) == (-1, 0.0)
+    assert steps.shape == (0, 2 + 8 * 4)
 
 
 def _relax(t, y):
@@ -225,6 +226,14 @@ def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
 
+def _same_table(steps, rows, n):
+    """The step table is one read-only (steps, 2 + 8n) float array that
+    holds the oracle's tuple rows, bit for bit."""
+    assert steps.dtype == np.float64 and not steps.flags.writeable
+    assert steps.shape == (len(rows), 2 + 8 * n)
+    assert steps.tobytes() == b"".join(_bits(row) for row in rows)
+
+
 @pytest.mark.parametrize("tol", [(1e-6, 1e-9), (RTOL, ATOL)],
                          ids=["coarse", "fine"])
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
@@ -240,8 +249,7 @@ def test_dopri5_matches_list_form_bit_for_bit(case, tol):
     assert status == want[0]
     assert _bits([reached]) == _bits([want[1]])
     assert _bits(end) == _bits(want[2])
-    assert len(steps) == len(want[3])
-    assert all(_bits(a) == _bits(b) for a, b in zip(steps, want[3]))
+    _same_table(steps, want[3], len(y0))
     assert _bits(our_calls) == _bits(ref_calls)
     assert status == {"n=1 blow-up": 1, "n=4 escape": 1,
                       "n=4 non-finite": -1}.get(case, 0)
@@ -287,10 +295,21 @@ def test_traced_kernel_steps_match_list_form_bit_for_bit(case, eta0, tol):
     assert status == want[0] == (1 if case == "(1,1) escape" else 0)
     assert _bits([reached]) == _bits([want[1]])
     assert _bits(end) == _bits(want[2])
-    assert len(steps) == len(want[3])
-    assert all(_bits(a) == _bits(b) for a, b in zip(steps, want[3]))
-    # the first derivative and the initial-step trial; no stage calls
-    assert len(calls) == 2
+    _same_table(steps, want[3], len(y0))
+    # the chunk start runs the kernel too: fun is never called
+    assert len(calls) == 0
+
+
+def test_kernel_chunk_never_calls_fun():
+    """With a kernel the chunk start (first derivative and initial-step
+    trial) and every stage run inlined: the source has no call of fun,
+    which the call path writes eight times: the first derivative, the
+    trial and six stages."""
+    for rhs, n in ((reduced_z_rhs(P32, Chirality.PLUS), 4),
+                   (reduced_z_rhs(P11, Chirality.MINUS), 4),
+                   (flow_rhs(P32), 8)):
+        assert "fun(" not in shooting._chunk_source(n, rhs.kernel)
+        assert shooting._chunk_source(n).count("fun(") == 8
 
 
 def _compiled(kernel, n):
@@ -512,6 +531,57 @@ def test_pruned_scan_matches_all_targets_scan(exact, runs, cuts):
         assert _bits(ours._last_distance) == _bits(ref._last_distance)
         assert ours.decision() == ref.decision()
         start = end
+
+
+def _reference_outcome(etas, states, candidates):
+    """classify's verdict with every row max-norm taken by
+    .max(axis=1), the decision from the whole table at once."""
+    norms = np.abs(states).max(axis=1)
+    crossed = np.nonzero(norms >= shooting.ESCAPE_NORM * (1.0 - 1e-9))[0]
+    if crossed.size:
+        i = int(crossed[0])
+        return ("Escape", float(norms[i]), float(etas[i]))
+    for kind, label, target in candidates:
+        dist = np.abs(states - target).max(axis=1)
+        outside = np.flatnonzero(~(dist <= R))
+        start = int(outside[-1]) + 1 if outside.size else 0
+        if start == len(etas):
+            continue
+        if (etas[-1] - etas[start] >= shooting.DECISION_WINDOW - 1e-9
+                or start == 0):
+            return (kind, label, float(dist[-1]), float(etas[start]))
+    dists = [(float(np.max(np.abs(states[-1] - target))), label)
+             for _, label, target in candidates]
+    return ("Undetermined",) + min(dists) + (float(etas[-1]),)
+
+
+def _verdict(outcome):
+    if outcome.kind == "Escape":
+        return (outcome.kind, outcome.limit_distance, outcome.eta_at_decision)
+    if outcome.kind == "Undetermined":
+        return (outcome.kind, outcome.limit_distance,
+                outcome.note.split()[2], outcome.eta_at_decision)
+    return (outcome.kind, outcome.limit_label, outcome.limit_distance,
+            outcome.eta_at_decision)
+
+
+@settings(max_examples=80, deadline=4000)
+@given(runs=st.lists(st.tuples(st.integers(0, 9), st.integers(1, 130)),
+                     min_size=2, max_size=6))
+def test_classify_on_nan_and_inf_rows_matches_row_max_reference(runs):
+    """Tables of P1 and AC_1 rows, rows next to them or on P1's ball,
+    and rows holding NaN, +inf or -inf: the column-wise reductions of
+    classify give the verdict of a reference that reduces each row with
+    .max(axis=1)."""
+    rows = _p11_rows()
+    p1, near, ac = rows[:3]
+    rows += [_row(p1, 2, math.inf), _row(ac, 7, -math.inf),
+             _row(near, 0, math.nan), _row(p1, 5, 2.0 * shooting.ESCAPE_NORM)]
+    states = np.array([rows[i] for i, count in runs for _ in range(count)])
+    etas = np.arange(len(states)) * 0.05
+    got = classify(SimpleNamespace(etas=etas, states=states), P11)
+    want = _reference_outcome(etas, states, shooting._limit_candidates(P11))
+    assert repr(_verdict(got)) == repr(want)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spin7flow.aw_algebra import AWParams, BundleTag
 from spin7flow.critical_points import (_BUNDLE_CONES, FlowClass, catalog,
@@ -16,9 +17,9 @@ from spin7flow.critical_points import (_BUNDLE_CONES, FlowClass, catalog,
 from spin7flow.errors import (InvalidParameterError, InvalidRequestError,
                               ReconstructionDomainError)
 from spin7flow import cli, shooting
-from spin7flow.phase_system import (Chirality, PhaseState, derivative,
-                                    membership, residuals, x_from_z,
-                                    zcons_constraint)
+from spin7flow.phase_system import (Chirality, PhaseState, _derivative_rows,
+                                    crf_constraints, derivative, membership,
+                                    residuals, x_from_z, zcons_constraint)
 from spin7flow.shooting import (HORIZON_SLACK, MAX_DIRECTIONS, Asymptotics,
                                 ShootSpec, Trajectory, classify, initial_state,
                                 integrate, quadrant_grid, reconstruct_metric,
@@ -262,6 +263,53 @@ def test_project_reports_constraint_defect_and_meets_face(chirality, bundle,
         assert abs(con(v.tolist())[0]) < shooting.PROJECTION_TARGET
         if locked is not None:
             assert shooting._face_defect(face, v) < shooting.PROJECTION_TARGET
+
+
+P10 = AWParams(1, 0)
+# (constraint, locked face or None, coordinates) of every projection
+PROJECTIONS = {
+    "(3,2) zcons+": (zcons_constraint(P32, Chirality.PLUS), None, 4),
+    "(3,2) zcons-": (zcons_constraint(P32, Chirality.MINUS), None, 4),
+    "(1,0) zcons+": (zcons_constraint(P10, Chirality.PLUS), None, 4),
+    "(1,0) zcons-": (zcons_constraint(P10, Chirality.MINUS), None, 4),
+    "(1,1) line": (zcons_constraint(P11, Chirality.PLUS),
+                   shooting.boundary_face(P11, Chirality.PLUS), 4),
+    "(1,1) curve": (zcons_constraint(P11, Chirality.MINUS),
+                    shooting.boundary_face(P11, Chirality.MINUS), 4),
+    "(3,2) ricci": (crf_constraints(P32), None, 8),
+    "(1,0) ricci": (crf_constraints(P10), None, 8),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(sorted(PROJECTIONS)),
+       y=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]),
+                            st.floats(-10.0, 10.0),
+                            st.floats(-1e40, 1e40)),
+                  min_size=8, max_size=8))
+def test_projection_kernel_rows_are_the_dual_rows(case, y):
+    """_project's Jacobian, run from the kernel traced from the
+    constraint's body (joined by a locked face's equations), equals the
+    rows of derivative's duals byte for byte up to the sign of a zero:
+    at exact zeros (of either sign) and with (1, 0)'s zero coefficient.
+    The duals skip a term whose factor is 0.0 when they run, the kernel
+    only one whose factor is an exact-zero input, so where an
+    intermediate underflows or cancels to zero the kernel adds a term
+    of +-0 that can flip a zero's sign.  Coordinates stay below 1e40,
+    so no product of degree 6 overflows, where the duals would form
+    0.0 * inf = NaN instead."""
+    con, face, n = PROJECTIONS[case]
+    point = y[:n]
+    body, (c,) = con.func, con.args
+    fun = con
+    if face is not None:
+        body = shooting._with_face(body, face.equations)
+        fun = lambda t: con(t) + face.equations(t)  # noqa: E731
+    want = np.array(derivative(fun, point), dtype=float)
+    got = np.array(_derivative_rows(body, c, point), dtype=float)
+    assert got.shape == want.shape == (len(fun(point)), n)
+    # adding 0.0 turns -0.0 into 0.0 and keeps every other bit
+    assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
 def test_boundary_face_gradients_come_from_its_equations():
@@ -601,6 +649,21 @@ def test_direction_that_is_no_sequence_is_refused(monkeypatch):
     table = sweep(P32, "k+l", "spin+", [None, (0.6, 0.8)], eta_max=150.0)
     assert table[0].s is None
     assert table[0].error.startswith("s must be a sequence")
+    assert table[1].outcome.limit_label == "P1"
+
+
+@pytest.mark.parametrize("text", ["10", "0.6,0.8", b"10", bytearray(b"10")],
+                         ids=["str", "comma str", "bytes", "bytearray"])
+def test_direction_given_as_text_is_refused(text, monkeypatch):
+    """A str, bytes or bytearray direction is refused, not read as its
+    characters or bytes; in a sweep it fails only its own row."""
+    with pytest.raises(InvalidRequestError, match="s must be a sequence"):
+        ShootSpec(P32, "k+l", "spin+", text)
+    monkeypatch.setenv("SPIN7_THREADS", "1")
+    table = sweep(P32, "k+l", "spin+", [text, (0.6, 0.8)], eta_max=150.0)
+    assert table[0].s == text and table[0].outcome is None
+    assert table[0].error.startswith("s must be a sequence")
+    assert table[1].error is None
     assert table[1].outcome.limit_label == "P1"
 
 
