@@ -576,9 +576,14 @@ def _derivative_rows(body, c, point, rounded=False):
     At a rational point the kernel runs on integers, D the lcm of the
     inputs' denominators: entry i is N_i / D**deg_i, and its float is
     that quotient, correctly rounded.  At any other point (Q(sqrt d),
-    floats) it runs on the point's own numbers with D = 1: the duals'
-    operations.  Entries from two quadratic fields raise TypeError, as
-    in QuadExt arithmetic.
+    floats) it runs on the point's own numbers with D = 1.  The kernel
+    skips only the products with an exact-zero input, where the duals
+    skip every product whose factor is zero when they run, so at a float
+    point two cases differ: where an intermediate underflows or cancels
+    to zero the kernel can give -0.0 where the duals give 0, and where a
+    factor next to a zero coordinate overflows it gives 0 where the
+    duals give 0.0 * inf = NaN.  Entries from two quadratic fields raise
+    TypeError, as in QuadExt arithmetic.
     """
     n = len(point)
     values = tuple(point) + tuple(c)

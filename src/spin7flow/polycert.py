@@ -25,7 +25,11 @@ rho as a variable, and an orbit substitutes rho.  Both families are
 the barrier formulas evaluated on symbols.
 
 All arithmetic below is exact.  Floating point enters only in the
-convenience return value of root_fn.
+convenience return value of root_fn and, as a guess that exact signs
+check, in the root isolation of ratpoly.  The root functions read each
+slice from the integer evaluation kernel on its symbolic family, as
+integer coefficients over one denominator, so they build no RatPoly;
+slice() builds the RatPoly for callers that want one.
 """
 
 from fractions import Fraction
@@ -47,6 +51,7 @@ from .ratpoly import (
     Interval,
     RatPoly,
     _coerce as _rat,
+    _integer_evaluation,
     certify_nonneg,
     random_nonnegativity_audit,
     smallest_root_in_interval,
@@ -286,12 +291,17 @@ _ROOT_SETUP = {
 def root_fn(params, which, point):
     """Distinguished root of a slice polynomial, as a float.
 
-    omega and xi are the smaller positive roots of the quadratic
-    slices q1 and p1, taken from the exact discriminant.  zeta is the
+    The slice at point is read from the integer evaluation kernel as
+    integer coefficients over one positive denominator; no RatPoly is
+    built.  omega and xi are the smaller positive roots of the
+    quadratic slices q1 and p1, picked by the integer signs of the
+    coefficients and the discriminant and built exactly.  zeta is the
     smallest non-negative root of q2 on [0, 2/3] and sigma the
     smallest positive root of p2 on (0, 1/2], both isolated by Sturm
-    counts and then bisected to 1e-12 on the exact sign of the slice
-    polynomial.  Returns None when no root lies in the window.  A
+    counts on the integer coefficients and then bisected to 1e-12 on
+    the exact sign of the slice polynomial (the last halvings skipped
+    when a float estimate's cell passes an exact check).  Returns None
+    when no root lies in the window.  A
     negative discriminant for omega or xi raises DomainAnomalyError
     because two real roots are guaranteed on the stated parameter
     boxes.  omega and zeta serve every orbit, so params may be None
@@ -322,37 +332,67 @@ def _root_exact(params, which, point):
         raise InvalidRequestError(
             f"{which} expects {len(names)} coordinates {names}, "
             f"got {len(point)}")
-    coeffs = slice(params, slice_name, *point).univariate_coefficients()
+    ints, denominator = _slice_integers(params, slice_name, names, point)
     if search == "quadratic":
-        return _smaller_positive_quadratic_root(coeffs, which, point)
+        return _smaller_positive_quadratic_root(ints, denominator, which,
+                                                point)
+    # A positive common denominator changes no sign, so the numerators
+    # have the slice's roots.
     if search == "zeta":
         return smallest_root_in_interval(
-            coeffs, ZETA_WINDOW[0], ZETA_WINDOW[1], include_lo=True)
+            ints, ZETA_WINDOW[0], ZETA_WINDOW[1], include_lo=True)
     return smallest_root_in_interval(
-        coeffs, SIGMA_WINDOW[0], SIGMA_WINDOW[1], include_lo=False)
+        ints, SIGMA_WINDOW[0], SIGMA_WINDOW[1], include_lo=False)
 
 
-def _smaller_positive_quadratic_root(coeffs, which, point):
-    """Smaller positive root of a (possibly degenerate) quadratic."""
-    while len(coeffs) < 3:
-        coeffs = coeffs + [Fraction(0)]
-    c0, c1, c2 = coeffs[:3]
-    if c2 == 0:
-        if c1 == 0:
+def _slice_integers(params, slice_name, names, point):
+    """(ints, denominator): the slice at point as the ascending integer
+    coefficients of its root variable over one positive denominator,
+    read from the integer kernel on the symbolic family."""
+    source, values = _slice_family(params, slice_name)
+    values.update(zip(names, point))
+    fixed = [source.variables.index(name) for name in values]
+    (sums, denominator), = _integer_evaluation(
+        source, fixed, [[x.as_integer_ratio() for x in values.values()]])
+    ints = [0] * (1 + max(e for e, in sums))
+    for (e,), n in sums.items():
+        ints[e] = n
+    return ints, denominator
+
+
+def _smaller_positive_quadratic_root(ints, denominator, which, point):
+    """Smaller positive root of a (possibly degenerate) quadratic
+    n0 + n1*x + n2*x**2 over a positive denominator.
+
+    The root is picked from integer signs: by Vieta the roots' product
+    has the sign of n0*n2 and their sum that of -n1*n2, and
+    (-c1 - sqrt(disc))/(2*c2), c_i = n_i/denominator, is the smaller
+    root when c2 > 0.  Only the picked root is built, as the same
+    Fraction or QuadExt expression that building both would give it.
+    """
+    n0, n1, n2 = ints
+    if n2 == 0:
+        if n1 == 0 or n0 * n1 >= 0:
             return None
-        root = -c0 / c1
-        return (root, True) if root > 0 else None
-    disc = c1 * c1 - 4 * c2 * c0
+        return Fraction(-n0, n1), True
+    disc = n1 * n1 - 4 * n2 * n0
     if disc < 0:
         raise DomainAnomalyError(
-            f"negative discriminant {disc} for {which} at {point}; "
+            f"negative discriminant {Fraction(disc, denominator ** 2)} "
+            f"for {which} at {point}; "
             "two real roots are guaranteed on the stated domain")
-    radical = exact_sqrt(disc)
-    roots = ((-c1 - radical) / (2 * c2), (-c1 + radical) / (2 * c2))
-    positive = [r for r in roots if r > 0]
-    if not positive:
+    product, total = n0 * n2, -n1 * n2
+    if product > 0 and total > 0:  # both roots positive: the smaller
+        minus = n2 > 0
+    elif product < 0 or (product == 0 and total > 0):  # only the larger
+        minus = n2 < 0
+    else:
         return None
-    return (min(positive), True)
+    c1, c2 = Fraction(n1, denominator), Fraction(n2, denominator)
+    radical = exact_sqrt(Fraction(disc, denominator ** 2))
+    if minus:
+        return (-c1 - radical) / (2 * c2), True
+    return (-c1 + radical) / (2 * c2), True
 
 
 def implicit_derivatives(params, which, point, order=2):

@@ -8,8 +8,11 @@ real roots of exact univariate polynomials, and a branch-and-bound box
 certifier for multivariate non-negativity whose per-box range bounds
 come from exact rational Bernstein coefficients.
 
-Every routine here is exact.  Floating point never enters; callers
-convert results themselves when they want doubles.
+Every routine here is exact.  Floating point enters in one place, as a
+guess: root isolation takes the last cell of its bisection from a float
+Newton estimate and checks that cell with exact signs, so no result
+depends on it.  Callers convert results themselves when they want
+doubles.
 """
 
 from __future__ import annotations
@@ -50,6 +53,10 @@ STATUS_INCONCLUSIVE = "Inconclusive"
 DEFAULT_MAX_DEPTH = 40
 ROOT_ACCURACY = Fraction(1, 10 ** 12)
 SNAP_DENOMINATOR = 10 ** 6
+# At most this many Newton or bisection steps for a float root estimate.
+# Newton's iteration near a simple root needs a few; an estimate the cap
+# cuts short is checked like any other.
+_NEWTON_STEPS = 100
 
 
 def _coerce(value):
@@ -130,7 +137,7 @@ class RatPoly:
                     f"bad exponent tuple {exps} for variables {variables}")
             q = _coerce(coeff)
             if q != 0:
-                cleaned[exps] = cleaned.get(exps, Fraction(0)) + q
+                cleaned[exps] = cleaned[exps] + q if exps in cleaned else q
         ordered = sorted(cleaned, key=lambda e: (sum(e), e), reverse=True)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(
@@ -643,13 +650,12 @@ def count_distinct_roots(sequence, lo, hi):
             - _sign_changes(sequence, *hi.as_integer_ratio()))
 
 
-def _convergents(value, max_denominator):
-    """Continued-fraction convergents of an exact rational."""
+def _convergents(n, d, max_denominator):
+    """Continued-fraction convergents (h, k) of n/d, d > 0, in lowest
+    terms with 0 < k <= max_denominator."""
     out = []
-    frac = Fraction(value)
     h0, h1 = 1, 0
     k0, k1 = 0, 1
-    n, d = frac.numerator, frac.denominator
     while d:
         a = n // d
         n, d = d, n - a * d
@@ -657,8 +663,61 @@ def _convergents(value, max_denominator):
         k0, k1 = a * k0 + k1, k0
         if k0 > max_denominator:
             break
-        out.append(Fraction(h0, k0))
+        out.append((h0, k0))
     return out
+
+
+def _float_root(ints, lo, hi, sign_hi):
+    """A float estimate of the one sign change of an integer polynomial
+    in (lo, hi), sign_hi its sign at hi: Newton steps from the midpoint,
+    each kept inside the bracket the float signs leave and replaced by
+    the bracket's midpoint when it falls outside."""
+    top = max(map(abs, ints))
+    coeffs = [c / top for c in reversed(ints)]  # in [-1, 1]: no overflow
+    x = (lo + hi) / 2
+    for _ in range(_NEWTON_STEPS):
+        value = slope = 0.0
+        for c in coeffs:
+            slope = slope * x + value
+            value = value * x + c
+        if value == 0:
+            return x
+        if (value > 0) == (sign_hi > 0):
+            hi = x
+        else:
+            lo = x
+        step = x - value / slope if slope else lo
+        step = step if lo < step < hi else (lo + hi) / 2
+        if step == x:
+            return x
+        x = step
+    return x
+
+
+def _estimated_cell(ints, a, b, q, sign_b, tol_num, tol_den):
+    """(x, y, r): of the cells (x/r, y/r] that halving (a/q, b/q] until
+    it is no wider than tol_num/tol_den can end in, the one that holds
+    _float_root's estimate; None when no halving is left, the bracket is
+    out of the float range, or the estimate is not a number in it.  The
+    cell is found in integers from the estimate's exact value; the signs
+    at its ends are not checked here."""
+    width = b - a
+    halvings = (-(-width * tol_den // (tol_num * q)) - 1).bit_length()
+    if not halvings:
+        return None
+    try:
+        lo, hi = a / q, b / q
+    except OverflowError:
+        return None
+    x = _float_root(ints, lo, hi, sign_b)
+    if not lo <= x < hi:  # NaN included
+        return None
+    num, den = x.as_integer_ratio()
+    cell = ((num * q - a * den) << halvings) // (width * den)
+    if not 0 <= cell < 1 << halvings:
+        return None
+    x = (a << halvings) + cell * width
+    return x, x + width, q << halvings
 
 
 def smallest_root_in_interval(coeffs, lo, hi, include_lo=False,
@@ -675,7 +734,13 @@ def smallest_root_in_interval(coeffs, lo, hi, include_lo=False,
     Bisection uses Sturm counts on (a, b] while the bracket holds more
     than one root, then the exact sign of the squarefree part alone.
     The bracket is (a/q, b/q] with integers a, b and a denominator q
-    that doubles at each halving, so its tests run in integers.
+    that doubles at each halving, so its tests run in integers.  Once
+    it holds one simple root, a float Newton estimate names the cell
+    the remaining halvings would end in, and two exact signs check it:
+    a zero at an end inside the bracket is the midpoint they would
+    return, and ends that bracket the sign change are their last cell.
+    When the check fails the halvings run as before, so the result is
+    the same either way.
     """
     lo, hi = _coerce(lo), _coerce(hi)
     if hi <= lo:
@@ -712,6 +777,22 @@ def smallest_root_in_interval(coeffs, lo, hi, include_lo=False,
         sign_b = _sign_at(squarefree, b, q)
         if sign_b == 0:
             return Fraction(b, q), True
+        cell = _estimated_cell(squarefree, a, b, q, sign_b, tol_num,
+                               tol_den)
+        if cell is not None:
+            # The last cell of the halvings below, if the estimate found
+            # it: an end inside (a, b) that is a zero is the midpoint they
+            # would return, and ends that bracket the sign change leave
+            # them nothing to do.
+            x, y, r = cell
+            sign_x, sign_y = _sign_at(squarefree, x, r), _sign_at(
+                squarefree, y, r)
+            if sign_y == 0:
+                return Fraction(y, r), True
+            if sign_x == 0 and x * q > a * r:
+                return Fraction(x, r), True
+            if sign_y == sign_b != sign_x:
+                a, b, q = x, y, r
         while (b - a) * tol_den > tol_num * q:
             a, mid, b, q = 2 * a, a + b, 2 * b, 2 * q
             sign = _sign_at(squarefree, mid, q)
@@ -721,12 +802,10 @@ def smallest_root_in_interval(coeffs, lo, hi, include_lo=False,
                 b = mid
             else:
                 a = mid
-    a, b, center = Fraction(a, q), Fraction(b, q), Fraction(a + b, 2 * q)
-    for candidate in _convergents(center, SNAP_DENOMINATOR):
-        if a < candidate < b and _sign_at(
-                squarefree, *candidate.as_integer_ratio()) == 0:
-            return candidate, True
-    return center, False
+    for h, k in _convergents(a + b, 2 * q, SNAP_DENOMINATOR):
+        if a * k < h * q < b * k and _sign_at(squarefree, h, k) == 0:
+            return Fraction(h, k), True
+    return Fraction(a + b, 2 * q), False
 
 
 # ---------------------------------------------------------------------------

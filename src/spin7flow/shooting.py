@@ -544,16 +544,6 @@ _B_TERMS = ((1, _B1), (3, _B3), (4, _B4), (5, _B5), (6, _B6))
 _E_TERMS = ((1, _E1), (3, _E3), (4, _E4), (5, _E5), (6, _E6), (7, _E7))
 
 
-def _rms(values):
-    """Root mean square, the squares added from left to right (sum()
-    compensates float sums from Python 3.12 on, which would make step
-    control depend on the interpreter)."""
-    total = 0.0
-    for v in values:
-        total += v * v
-    return math.sqrt(total) / len(values) ** 0.5
-
-
 def _dense(steps, grid):
     """The continuous extension of a step table at grid points.
 
@@ -601,13 +591,16 @@ def _chunk_source(n, kernel=None):
     of Hairer, Norsett & Wanner (scipy RK45's): the scale atol +
     |y_j|*rtol, the root mean squares d0 of y, d1 of k1 and d2 of
     (f1 - k1)/h0, f1 the derivative after an Euler trial step h0, each
-    with its squares added from left to right (see _rms).
+    with its squares added from left to right (as the list form's _rms
+    in tests/list_dopri5.py: sum() compensates float sums from Python
+    3.12 on, which would make step control depend on the interpreter).
 
     Every component is one straight-line expression in the association
     of the list form: stage i is y_j + (k1_j*A_i1 + ... +
     k(i-1)_j*A_i(i-1))*h, the new state y_j + h*(k1_j*B1 + k3_j*B3 + ...
     + k6_j*B6), the scaled error (k1_j*E1 + ... + k7_j*E7)*h / (atol +
-    max(|y_j|, |u_j|)*rtol), and error their _rms.  Tableau values and
+    max(|y_j|, |u_j|)*rtol), and error their root mean square, the
+    squares added from left to right.  Tableau values and
     step-control factors are written as float literals (repr
     round-trips); a two-argument min or max is written out with Python's
     argument order (max(a, b) is "b if b > a else a", min(a, b) "b if
@@ -636,7 +629,8 @@ def _chunk_source(n, kernel=None):
         return ["%s, = fun(%s, [%s])" % (names(out), at, names(state))]
 
     def rms(prefix):
-        """The root mean square of the n locals prefix_j, as _rms."""
+        """The root mean square of the n locals prefix_j, as the list
+        form's _rms adds it."""
         return "sqrt(%s) / %r" % (" + ".join(
             "%s%d * %s%d" % (prefix, j, prefix, j) for j in comps), n ** 0.5)
 

@@ -5,8 +5,10 @@ into one exponent dict, evaluation and substitution sum integer
 numerators over one denominator, the Bernstein tables are cleared to
 integers, the Bernstein axis transform and de Casteljau split run one
 slab (every fibre at one index) at a time, root bisection carries
-integer numerators over a doubling denominator, the Sturm chain and
-univariate_gcd run on primitive pseudo-remainders, the tangency flags
+integer numerators over a doubling denominator and snaps to a
+convergent in integer cross products, the Sturm chain and
+univariate_gcd run on primitive pseudo-remainders, the smaller positive
+root of a quadratic slice is picked by integer signs, the tangency flags
 take integer dot products, and the exact Jacobian and gradients
 evaluate a kernel traced from the dual pass.  These are the forms they
 replaced, with every intermediate a Fraction, a RatPoly or a dual, and
@@ -20,11 +22,11 @@ from math import comb
 
 from spin7flow import phase_system
 from spin7flow.critical_points import catalog
-from spin7flow.errors import InvalidRequestError
+from spin7flow.errors import DomainAnomalyError, InvalidRequestError
+from spin7flow.exact import exact_sqrt
 from spin7flow.phase_system import derivative
 from spin7flow.ratpoly import (ROOT_ACCURACY, SNAP_DENOMINATOR, RatPoly,
-                               _convergents, _derivative, _integer_multiple,
-                               _strip)
+                               _derivative, _integer_multiple, _strip)
 
 
 def compose(poly, variables_out, mapping):
@@ -242,6 +244,25 @@ def count_distinct_roots(sequence, lo, hi):
     return _sign_changes(sequence, lo) - _sign_changes(sequence, hi)
 
 
+def convergents(value, max_denominator):
+    """Continued-fraction convergents of an exact rational, as
+    Fractions."""
+    out = []
+    frac = Fraction(value)
+    h0, h1 = 1, 0
+    k0, k1 = 0, 1
+    n, d = frac.numerator, frac.denominator
+    while d:
+        a = n // d
+        n, d = d, n - a * d
+        h0, h1 = a * h0 + h1, h0
+        k0, k1 = a * k0 + k1, k0
+        if k0 > max_denominator:
+            break
+        out.append(Fraction(h0, k0))
+    return out
+
+
 def smallest_root_in_interval(coeffs, lo, hi, include_lo=False,
                               accuracy=ROOT_ACCURACY):
     """Root bisection with a Fraction bracket (a, b], Fraction midpoints
@@ -277,10 +298,34 @@ def smallest_root_in_interval(coeffs, lo, hi, include_lo=False,
                 b = mid
             else:
                 a = mid
-    for candidate in _convergents((a + b) / 2, SNAP_DENOMINATOR):
+    for candidate in convergents((a + b) / 2, SNAP_DENOMINATOR):
         if a < candidate < b and _sign_at(squarefree, candidate) == 0:
             return candidate, True
     return (a + b) / 2, False
+
+
+def smaller_positive_quadratic_root(coeffs, which, point):
+    """Smaller positive root of a (possibly degenerate) quadratic with
+    Fraction coefficients: both roots built and compared in QuadExt."""
+    while len(coeffs) < 3:
+        coeffs = coeffs + [Fraction(0)]
+    c0, c1, c2 = coeffs[:3]
+    if c2 == 0:
+        if c1 == 0:
+            return None
+        root = -c0 / c1
+        return (root, True) if root > 0 else None
+    disc = c1 * c1 - 4 * c2 * c0
+    if disc < 0:
+        raise DomainAnomalyError(
+            f"negative discriminant {disc} for {which} at {point}; "
+            "two real roots are guaranteed on the stated domain")
+    radical = exact_sqrt(disc)
+    roots = ((-c1 - radical) / (2 * c2), (-c1 + radical) / (2 * c2))
+    positive = [r for r in roots if r > 0]
+    if not positive:
+        return None
+    return (min(positive), True)
 
 
 def _dot(u, v):

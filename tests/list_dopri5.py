@@ -24,6 +24,9 @@ from spin7flow.shooting import (_A21, _A31, _A32, _A41, _A42, _A43, _A51,
 
 
 def _rms(values):
+    """Root mean square, the squares added from left to right (sum()
+    compensates float sums from Python 3.12 on, which would make step
+    control depend on the interpreter)."""
     total = 0.0
     for v in values:
         total += v * v

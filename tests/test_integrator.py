@@ -368,8 +368,9 @@ def test_traced_kernel_source_depends_only_on_coefficients():
 
 def test_rms_adds_left_to_right():
     """Two squares of 1e-16 each vanish against 1.0 one at a time; a
-    compensated sum would keep them and move the last bit."""
-    assert shooting._rms([1.0, 1e-8, 1e-8]) == 1.0 / 3 ** 0.5
+    compensated sum would keep them and move the last bit.  The oracle's
+    rule is the one the generated chunk writes out inline."""
+    assert list_dopri5._rms([1.0, 1e-8, 1e-8]) == 1.0 / 3 ** 0.5
 
 
 def test_rhs_kernels_match_public_closures():

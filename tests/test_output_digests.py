@@ -11,8 +11,10 @@ scan measured every row against every target.
 """
 
 import hashlib
+import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,8 +25,9 @@ from spin7flow.critical_points import solve_homogeneous_einstein
 from spin7flow.polycert import (DEFAULT_EXCLUSION_RADIUS, barrier,
                                 certify_line_resultant,
                                 certify_ray_resultant, line_resultant,
-                                line_slices, ray_slices, rtilde,
-                                stated_boundary_zeros)
+                                _root_exact, implicit_derivatives,
+                                line_slices, ray_slices, root_gap_hessian_det,
+                                rtilde, stated_boundary_zeros)
 from spin7flow.ratpoly import Ball, Box, certify_nonneg
 from spin7flow.shooting import ShootSpec, integrate
 
@@ -92,6 +95,38 @@ CERTIFICATE_BOX = Box.from_bounds([(Fraction(1, 3), 1), (0, Fraction(2, 3)),
                                    (Fraction(1, 5), 1)])
 CERTIFICATE_DIGEST = \
     "81ed369f0c33dfafe787cee9734a2b1cc793f9cb95d68b1fb920e30658cee945"
+
+
+# repr(_root_exact(p, kind, point)), or the exception's name and message,
+# one line each: omega and zeta on the exact workload's line grid
+# (alpha = i/62, beta = j/32, beta = 0 included) with params None; per
+# orbit four seeded line points and 24 seeded ray points (alpha = i/15,
+# beta = j/15, delta = m/16, zero edges included) for all four kinds; an
+# off-domain grid that raises DomainAnomalyError; then repr of
+# implicit_derivatives at eight points and of root_gap_hessian_det.
+# Taken while every root went through slice() and the RatPoly it
+# returns, both quadratic roots were built and compared in QuadExt, and
+# every single-root bracket was halved down to the accuracy.
+ROOT_ORBITS = [(1, 0), (1, 1), (13, 5), (55, 41), (59, 23)] + [
+    (k, l) for k in range(2, 10) for l in range(1, k) if math.gcd(k, l) == 1
+] + [(10, 3), (11, 4), (12, 7), (17, 6), (19, 11), (23, 9), (29, 13),
+     (31, 30), (37, 2), (41, 40), (47, 17), (53, 26), (60, 1), (61, 60),
+     (97, 89)]
+ROOT_LINE_GRID = [(Fraction(i, 62), Fraction(j, 32))
+                  for i in range(32) for j in range(33)]
+ROOT_OFF_DOMAIN = [Fraction(v) for v in ("-1", "-1/2", "0", "1/3", "1", "3")]
+ROOT_DERIVATIVES = [
+    ((3, 2), "omega", (Fraction(1, 4), Fraction(1, 2)), 2),
+    ((3, 2), "zeta", (Fraction(1, 4), Fraction(1, 2)), 2),
+    ((3, 2), "xi", (Fraction(1, 2), Fraction(1, 3), Fraction(1, 2)), 2),
+    ((3, 2), "sigma", (Fraction(1, 2), Fraction(1, 3), Fraction(1, 2)), 2),
+    ((13, 5), "xi", (Fraction(2, 3), Fraction(1, 5), Fraction(3, 4)), 1),
+    ((13, 5), "sigma", (Fraction(2, 3), Fraction(1, 5), Fraction(3, 4)), 1),
+    ((1, 0), "sigma", (Fraction(1, 3), Fraction(1, 3), Fraction(1)), 2),
+    ((1, 1), "zeta", (Fraction(15, 62), Fraction(7, 32)), 2),
+]
+ROOT_DIGEST = \
+    "e317a66d3dd09520093e7ee5ced7140469597a88faa698e5cec40320d04eef17"
 
 
 # Shooting runs: the benchmark's families ((3, 2) spin+ and spin- in the
@@ -202,6 +237,41 @@ def test_certificates_are_unchanged():
     lines += [repr(inconclusive), repr(counter)]
     assert _sha256("".join(line + "\n" for line in lines)) == \
         CERTIFICATE_DIGEST
+
+
+def _root_line(params, kind, point):
+    try:
+        return repr(_root_exact(params, kind, point))
+    except Exception as exc:  # the error and its message are pinned too
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_root_values_are_unchanged():
+    lines = [_root_line(None, kind, point) for point in ROOT_LINE_GRID
+             for kind in ("omega", "zeta")]
+    for kl in ROOT_ORBITS:
+        params = AWParams(*kl)
+        rng = random.Random("%d/%d" % kl)
+        rays = [(Fraction(rng.randrange(16), 15),
+                 Fraction(rng.randrange(16), 15),
+                 Fraction(rng.randrange(17), 16)) for _ in range(24)]
+        lines += [_root_line(params, kind, point)
+                  for point in rng.sample(ROOT_LINE_GRID, 4)
+                  for kind in ("omega", "zeta")]
+        lines += [_root_line(params, kind, point) for point in rays
+                  for kind in ("xi", "sigma")]
+    for kl in ((3, 2), (1, 0)):
+        for kind, n in (("omega", 2), ("zeta", 2), ("xi", 3), ("sigma", 3)):
+            lines += [_root_line(AWParams(*kl), kind, point)
+                      for point in itertools.product(ROOT_OFF_DOMAIN,
+                                                     repeat=n)]
+    for kl, kind, point, order in ROOT_DERIVATIVES:
+        lines.append(repr(implicit_derivatives(AWParams(*kl), kind, point,
+                                               order=order)))
+    lines += [repr(root_gap_hessian_det(AWParams(*kl)))
+              for kl in ((3, 2), (1, 1), (1, 0))]
+    assert len(ROOT_ORBITS) == 47 and len(lines) == 5763
+    assert _sha256("".join(line + "\n" for line in lines)) == ROOT_DIGEST
 
 
 def test_trajectories_are_unchanged(monkeypatch, capsys):

@@ -115,6 +115,30 @@ def test_line_kinds_take_any_orbit_or_none():
 # slices
 
 
+_SLICE_COORDINATE = st.builds(F, st.integers(-10 ** 6, 10 ** 6),
+                              st.integers(1, 10 ** 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(pc.ROOT_KINDS), kl=st.sampled_from(
+    [(1, 0), (1, 1), (3, 2), (17, 5), (10 ** 6 + 1, 10 ** 6)]),
+       point=st.lists(_SLICE_COORDINATE, min_size=3, max_size=3))
+def test_slice_integers_are_the_slice_coefficients(kind, kl, point):
+    """The integers a root function reads from the evaluation kernel,
+    over their denominator, are slice()'s coefficients in the root
+    variable, zero coefficients at the top included."""
+    slice_name, _, names, _ = pc._ROOT_SETUP[kind]
+    point = tuple(point[:len(names)])
+    ints, denominator = pc._slice_integers(AWParams(*kl), slice_name, names,
+                                           point)
+    assert denominator > 0 and len(ints) in (3, 5)
+    want = pc.slice(AWParams(*kl), slice_name, *point)
+    got = [F(n, denominator) for n in ints]
+    assert got[:len(want.univariate_coefficients())] == \
+        want.univariate_coefficients()
+    assert not any(got[len(want.univariate_coefficients()):])
+
+
 def test_line_slice_closed_forms():
     q1, q2 = pc.line_slices()
     names = pc.LINE_SLICE_VARIABLES
@@ -324,6 +348,69 @@ def test_sigma_absent_returns_none():
 def test_omega_negative_discriminant_is_domain_anomaly():
     with pytest.raises(DomainAnomalyError):
         pc.root_fn(AWParams(1, 1), "omega", (0, 2))
+
+
+_COEFFICIENT = st.one_of(st.just(0), st.integers(-30, 30),
+                         st.integers(-10 ** 40, 10 ** 40))
+
+
+@st.composite
+def quadratic_numerators(draw):
+    """(n0, n1, n2) over a positive denominator: random triples with
+    zeros, and n2*(x - r)*(x - s) for rationals r and s (a square
+    discriminant, zero when r = s), cleared to integers."""
+    if draw(st.booleans()):
+        ints = [draw(_COEFFICIENT) for _ in range(3)]
+    else:
+        n2 = draw(st.integers(-20, 20))
+        r, s = draw(st.lists(st.builds(F, st.integers(-30, 30),
+                                       st.integers(1, 9)),
+                             min_size=2, max_size=2))
+        if draw(st.booleans()):
+            s = r
+        scale = r.denominator * s.denominator
+        ints = [n2 * r.numerator * s.numerator,
+                -n2 * (r.numerator * s.denominator
+                       + s.numerator * r.denominator),
+                n2 * scale]
+    return ints, draw(st.integers(1, 10 ** 6))
+
+
+@settings(max_examples=500, deadline=None)
+@given(quadratic_numerators())
+@example(([0, 0, 0], 1))
+@example(([3, 0, 0], 7))
+@example(([-3, 2, 0], 5))
+@example(([3, 2, 0], 5))
+@example(([0, -4, 2], 3))
+@example(([0, 4, 2], 3))
+@example(([1, -2, 1], 2))
+@example(([-1, 2, -1], 2))
+@example(([1, 2, 1], 2))
+@example(([1, 0, -1], 1))
+@example(([2, 1, -3], 4))
+@example(([1, -3, 1], 1))
+@example(([-1, 3, -1], 1))
+@example(([1, 1, 1], 6))
+def test_quadratic_root_choice_matches_quadext_selection(case):
+    """The root picked by the signs of n0*n2, -n1*n2 and the
+    discriminant is the one that building both roots and comparing them
+    in QuadExt picks, with the same repr; a negative discriminant raises
+    the same error with the same message."""
+    ints, denominator = case
+    coeffs = [F(n, denominator) for n in ints]
+    point = (F(1, 3), F(2, 5), F(1, 2))
+    try:
+        want = fraction_reference.smaller_positive_quadratic_root(
+            coeffs, "xi", point)
+    except DomainAnomalyError as error:
+        with pytest.raises(DomainAnomalyError) as got:
+            pc._smaller_positive_quadratic_root(ints, denominator, "xi",
+                                                point)
+        assert str(got.value) == str(error)
+        return
+    got = pc._smaller_positive_quadratic_root(ints, denominator, "xi", point)
+    assert repr(got) == repr(want)
 
 
 def test_root_fn_validation():

@@ -4,11 +4,13 @@ import math
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fraction_reference
+from spin7flow import ratpoly
 from spin7flow.errors import InvalidRequestError
 from spin7flow.exact import QuadExt, exact_sqrt
 from spin7flow.polycert import LINE_PARAMETER_DOMAIN, RAY_PARAMETER_DOMAIN
@@ -17,7 +19,7 @@ from spin7flow.ratpoly import (ROOT_ACCURACY, SNAP_DENOMINATOR, Ball,
                                STATUS_COUNTEREXAMPLE, STATUS_INCONCLUSIVE,
                                STATUS_NONNEGATIVE, _axis_transform,
                                _bernstein_tensor, _cell_exclusion,
-                               _convergents, _coerce, _derivative,
+                               _coerce, _convergents, _derivative,
                                _split_axis, _strip,
                                certify_nonneg, count_distinct_roots,
                                random_nonnegativity_audit, rational_string,
@@ -654,7 +656,8 @@ def sturm_bisection_reference(coeffs, lo, hi, include_lo=False,
             b = mid
         else:
             a = mid
-    for candidate in _convergents((a + b) / 2, SNAP_DENOMINATOR):
+    for candidate in fraction_reference.convergents((a + b) / 2,
+                                                    SNAP_DENOMINATOR):
         if a < candidate <= b and _horner(poly, candidate) == 0:
             return candidate, True
     return (a + b) / 2, False
@@ -687,17 +690,85 @@ def root_isolation_cases(draw):
     return coeffs, lo, hi, include_lo, accuracy
 
 
+def _estimate(kind, accuracy):
+    """A stand-in for ratpoly._float_root: the float estimate itself,
+    NaN, an end or the midpoint of the bracket it is given, or the
+    estimate moved three accuracies away, into another cell."""
+    float_root = ratpoly._float_root
+    return {
+        "float": float_root,
+        "nan": lambda ints, lo, hi, sign_hi: math.nan,
+        "low end": lambda ints, lo, hi, sign_hi: lo,
+        "high end": lambda ints, lo, hi, sign_hi: hi,
+        "midpoint": lambda ints, lo, hi, sign_hi: (lo + hi) / 2,
+        "wrong cell": lambda *args: float_root(*args) + 3 * float(accuracy),
+    }[kind]
+
+
+ESTIMATES = ("float", "nan", "low end", "high end", "midpoint", "wrong cell")
+
+
 @settings(max_examples=300, deadline=None)
-@given(root_isolation_cases())
-def test_smallest_root_matches_sturm_bisection(case):
+@given(root_isolation_cases(), st.sampled_from(ESTIMATES))
+def test_smallest_root_matches_sturm_bisection(case, estimate):
+    """Whatever the float estimate of the last cell, the result is the
+    halving loop's: a missed cell falls back to it."""
     coeffs, lo, hi, include_lo, accuracy = case
-    got = smallest_root_in_interval(coeffs, lo, hi, include_lo=include_lo,
-                                    accuracy=accuracy)
+    with mock.patch.object(ratpoly, "_float_root",
+                           _estimate(estimate, accuracy)):
+        got = smallest_root_in_interval(coeffs, lo, hi,
+                                        include_lo=include_lo,
+                                        accuracy=accuracy)
     assert got == sturm_bisection_reference(
         coeffs, lo, hi, include_lo=include_lo, accuracy=accuracy)
     # The integer bracket returns the Fraction bracket's results.
     assert got == fraction_reference.smallest_root_in_interval(
         coeffs, lo, hi, include_lo=include_lo, accuracy=accuracy)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30),
+       st.integers(1, 10 ** 6), st.sampled_from([1, SNAP_DENOMINATOR]))
+def test_integer_convergents_are_the_fraction_ones(n, d, g, bound):
+    """The convergents of n/d, given unreduced as (g*n, g*d), are the
+    Fraction convergents of the value, in lowest terms."""
+    got = _convergents(g * n, g * d, bound)
+    assert [F(h, k) for h, k in got] == fraction_reference.convergents(
+        F(n, d), bound)
+    assert all(k > 0 and gcd(h, k) == 1 for h, k in got)
+
+
+@pytest.mark.parametrize("estimate", ESTIMATES)
+@pytest.mark.parametrize("coeffs, root", [
+    ([-2, 0, 1], None),  # sqrt(2): a bracket midpoint
+    ([-3, 2], F(3, 2)),  # a first-level midpoint, on a cell end
+    ([-4, 3], F(4, 3)),  # snapped to a convergent
+])
+def test_jump_is_checked_and_a_missed_cell_runs_the_halving_loop(
+        coeffs, root, estimate):
+    """On (1, 2] the float estimate's cell costs two exact signs and ends
+    the search (a zero at a cell end is the root the halvings would
+    meet); an estimate that is NaN, off the bracket or in another cell
+    fails the check, and the halving loop's 40 or so signs follow, with
+    the same result."""
+    calls = []
+
+    def sign_at(*args):
+        calls.append(args)
+        return sign(*args)
+
+    sign = ratpoly._sign_at
+    with mock.patch.object(ratpoly, "_sign_at", sign_at), \
+            mock.patch.object(ratpoly, "_float_root",
+                              _estimate(estimate, ROOT_ACCURACY)):
+        got = smallest_root_in_interval(coeffs, 1, 2)
+    assert got == fraction_reference.smallest_root_in_interval(coeffs, 1, 2)
+    if root is not None:
+        assert got == (root, True)
+    elif estimate != "float":
+        assert len(calls) > 40
+    else:
+        assert len(calls) < 15
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,28 @@ def test_projection_kernel_rows_are_the_dual_rows(case, y):
     assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
+def test_kernel_and_duals_part_at_an_underflow_and_an_overflow():
+    """Pinned points where the kernel rows and the dual rows part: an
+    intermediate that underflows to zero gives the kernel -0.0 for the
+    duals' 0; and at (1, 0), Z2 = 1.9e154 and a zero Z4, the Ricci
+    constraints' conservation row in Z4 meets a product that overflows
+    to inf, which the duals multiply by 0.0 into NaN and the kernel,
+    skipping the exact-zero input, leaves out (0)."""
+    con = PROJECTIONS["(3,2) zcons+"][0]
+    y = [-1e-200, 1e-200, 0.0, 1.0]
+    (want,), (got,) = derivative(con, y), _derivative_rows(con.func,
+                                                            *con.args, y)
+    assert want == got == (2.0, 2.0, 2.0, 0.0)
+    assert math.copysign(1.0, want[3]) == 1.0
+    assert math.copysign(1.0, got[3]) == -1.0
+    con = PROJECTIONS["(1,0) ricci"][0]
+    y = [0.0] * 5 + [1.9e154, 0.0, 0.0]
+    want, got = derivative(con, y), _derivative_rows(con.func, *con.args, y)
+    assert want[0] == got[0]
+    assert want[1][:7] == got[1][:7]
+    assert math.isnan(want[1][7]) and got[1][7] == 0.0
+
+
 def test_boundary_face_gradients_come_from_its_equations():
     z = [0.25, 0.5, 0.125, 4.0]
     line = shooting.boundary_face(P11, Chirality.PLUS)
