@@ -34,6 +34,8 @@ slice() builds the RatPoly for callers that want one.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, isqrt
+from operator import mul
 
 from .aw_algebra import _as_params
 from .errors import (
@@ -42,7 +44,7 @@ from .errors import (
     FormulaDiscrepancyError,
     InvalidRequestError,
 )
-from .exact import exact_sqrt
+from .exact import QuadExt, _square_decompose
 from .phase_system import rs_of_z, zcons_of_z
 from .ratpoly import (
     Ball,
@@ -50,7 +52,10 @@ from .ratpoly import (
     Certificate,
     Interval,
     RatPoly,
+    _bernstein_form,
     _coerce as _rat,
+    _compile_evaluation,
+    _dense_tensor,
     _integer_evaluation,
     certify_nonneg,
     random_nonnegativity_audit,
@@ -194,6 +199,29 @@ _BARRIER_BUILDERS = {
 # slice families
 
 
+class _Compiled(RatPoly):
+    """A process-wide family polynomial with data compiled from it once.
+
+    It prints, compares and computes as the RatPoly it is; compiled
+    holds what the per-orbit and per-point calls read instead of its
+    terms.  It lives in the family's one-entry cache, with the family.
+    """
+
+    __slots__ = ("compiled",)
+
+    def __init__(self, poly, compiled):
+        for name, value in (("variables", poly.variables),
+                            ("terms", poly.terms), ("compiled", compiled)):
+            object.__setattr__(self, name, value)
+
+
+def _compiled_slice(poly, fixed_names):
+    """A slice family with its evaluator: every variable but the root
+    one fixed, in the order _slice_family and its callers give them."""
+    return _Compiled(poly, _compile_evaluation(
+        poly, [poly.variables.index(name) for name in fixed_names]))
+
+
 @lru_cache(maxsize=1)
 def line_slices():
     """The two line restrictions (q1, q2) over (alpha, beta, u).
@@ -201,11 +229,12 @@ def line_slices():
     On the line Z1 = alpha, Z2 + Z3 = u, Z4 = 6*Delta*beta/(k+l) the
     barrier formulas of Q and A take w = 3*beta, so the orbit drops
     out: q1 and q2 are those formulas at (alpha, u, 3*beta), built once
-    per process for every orbit.
+    per process for every orbit, each with its compiled evaluator.
     """
     alpha, beta, u = (RatPoly.variable(LINE_SLICE_VARIABLES, n)
                       for n in LINE_SLICE_VARIABLES)
-    return _barrier_q(alpha, u, 3 * beta), _barrier_a(alpha, u, 3 * beta)
+    return tuple(_compiled_slice(poly, ("alpha", "beta")) for poly in (
+        _barrier_q(alpha, u, 3 * beta), _barrier_a(alpha, u, 3 * beta)))
 
 
 def ray_slices(params):
@@ -230,18 +259,21 @@ def _ray_coefficients(rho):
 @lru_cache(maxsize=1)
 def _ray_family():
     """(p1, p2) over _RAY_FAMILY_VARIABLES: barriers P and B at
-    Z = (Z1, alpha*Z1, beta*Z1, delta), with the ray coefficients."""
+    Z = (Z1, alpha*Z1, beta*Z1, delta), with the ray coefficients, each
+    with its compiled evaluator."""
     alpha, beta, delta, rho, z1 = (RatPoly.variable(_RAY_FAMILY_VARIABLES, n)
                                    for n in _RAY_FAMILY_VARIABLES)
     cubic, quartic = _ray_coefficients(rho)
     z = (z1, alpha * z1, beta * z1, delta)
-    return _barrier_p(cubic, z), _barrier_b(quartic, z)
+    return tuple(_compiled_slice(poly, ("rho",) + RAY_PARAMETER_VARIABLES)
+                 for poly in (_barrier_p(cubic, z), _barrier_b(quartic, z)))
 
 
 def _slice_family(params, which):
     """(symbolic slice, fixed values) for a slice kind.  The line
     slices serve every orbit, so params may be None for them; the ray
-    slices fix rho = l/k."""
+    slices fix rho = l/k.  The values followed by the slice parameters
+    are in the order the slice's evaluator takes them."""
     if which in LINE_SLICE_KINDS:
         if params is not None:
             _as_params(params)
@@ -348,12 +380,11 @@ def _root_exact(params, which, point):
 def _slice_integers(params, slice_name, names, point):
     """(ints, denominator): the slice at point as the ascending integer
     coefficients of its root variable over one positive denominator,
-    read from the integer kernel on the symbolic family."""
+    read from the integer kernel with the symbolic family's evaluator."""
     source, values = _slice_family(params, slice_name)
     values.update(zip(names, point))
-    fixed = [source.variables.index(name) for name in values]
     (sums, denominator), = _integer_evaluation(
-        source, fixed, [[x.as_integer_ratio() for x in values.values()]])
+        source.compiled, [[x.as_integer_ratio() for x in values.values()]])
     ints = [0] * (1 + max(e for e, in sums))
     for (e,), n in sums.items():
         ints[e] = n
@@ -367,8 +398,11 @@ def _smaller_positive_quadratic_root(ints, denominator, which, point):
     The root is picked from integer signs: by Vieta the roots' product
     has the sign of n0*n2 and their sum that of -n1*n2, and
     (-c1 - sqrt(disc))/(2*c2), c_i = n_i/denominator, is the smaller
-    root when c2 > 0.  Only the picked root is built, as the same
-    Fraction or QuadExt expression that building both would give it.
+    root when c2 > 0.  Only the picked root is built, from the
+    integers, as the Fraction or QuadExt that evaluating this with
+    exact_sqrt gives: sqrt(disc) is rational exactly when disc is a
+    square, and otherwise exact_sqrt(disc/denominator**2) is
+    s*sqrt(d)*g/denominator**2, g = gcd(disc, denominator**2).
     """
     n0, n1, n2 = ints
     if n2 == 0:
@@ -383,16 +417,19 @@ def _smaller_positive_quadratic_root(ints, denominator, which, point):
             "two real roots are guaranteed on the stated domain")
     product, total = n0 * n2, -n1 * n2
     if product > 0 and total > 0:  # both roots positive: the smaller
-        minus = n2 > 0
+        sign = -1 if n2 > 0 else 1
     elif product < 0 or (product == 0 and total > 0):  # only the larger
-        minus = n2 < 0
+        sign = -1 if n2 < 0 else 1
     else:
         return None
-    c1, c2 = Fraction(n1, denominator), Fraction(n2, denominator)
-    radical = exact_sqrt(Fraction(disc, denominator ** 2))
-    if minus:
-        return (-c1 - radical) / (2 * c2), True
-    return (-c1 + radical) / (2 * c2), True
+    root = isqrt(disc)
+    if root * root == disc:
+        return Fraction(sign * root - n1, 2 * n2), True
+    square = denominator * denominator
+    g = gcd(disc, square)
+    s, d = _square_decompose(disc // g * (square // g))
+    return QuadExt(Fraction(-n1, 2 * n2),
+                   Fraction(sign * s * g, 2 * n2 * denominator), d), True
 
 
 def implicit_derivatives(params, which, point, order=2):
@@ -606,9 +643,19 @@ def rtilde(params, cross_check=True):
     compares it with the recorded rho-expansion coefficient by
     coefficient, once per process and so for every ratio at once; a
     mismatch raises FormulaDiscrepancyError on every call.
+
+    The process-wide form holds, for each (alpha, beta, delta) exponent
+    key in term order, the integer coefficients c_m of rho**m over one
+    lcm L.  With rho = p/q the coefficient at a key is one integer dot
+    product, sum c_m p**m q**(4 - m) over L*q**4; the keys whose sum
+    vanishes drop out, and the RatPoly is built without re-checking the
+    keys this module made.
     """
     family = _checked_ray_resultant() if cross_check else _ray_resultant()
-    return family.substitute({"rho": _as_params(params).rho})
+    (sums, denominator), = _integer_evaluation(
+        family.compiled[0], [[_as_params(params).rho.as_integer_ratio()]])
+    return RatPoly._ordered(RAY_PARAMETER_VARIABLES, {
+        key: Fraction(n, denominator) for key, n in sums.items() if n})
 
 
 @lru_cache(maxsize=1)
@@ -623,6 +670,10 @@ def _checked_ray_resultant():
 
 @lru_cache(maxsize=1)
 def _ray_resultant():
+    """The reduced ray resultant over (alpha, beta, delta, rho), compiled
+    for every ratio: its evaluator at fixed rho, whose groups are the
+    rho-coefficients of each (alpha, beta, delta) key, and the Bernstein
+    tensors of its rho**m parts on RAY_PARAMETER_DOMAIN."""
     p1, p2 = _ray_family()
     resultant = sylvester_resultant(p1, p2, "Z1")
     offenders = [(exps, coeff, None)
@@ -631,10 +682,49 @@ def _ray_resultant():
         raise FormulaDiscrepancyError(
             "ray resultant lacks the expected 36*delta**2 prefactor",
             offenders)
-    return RatPoly(resultant.variables, {
+    reduced = RatPoly(resultant.variables, {
         (e_alpha, e_beta, e_delta - 2, e_rho): coeff / 36
         for (e_alpha, e_beta, e_delta, e_rho), coeff
         in resultant.terms.items()})
+    evaluator = _compile_evaluation(reduced, [reduced.variables.index("rho")])
+    return _Compiled(reduced, (evaluator, _rho_bernstein_parts(evaluator)))
+
+
+def _rho_bernstein_parts(evaluator):
+    """(columns, scale, dims, strides): the Bernstein tensors B_m of the
+    rho**m parts of the ray resultant on RAY_PARAMETER_DOMAIN, integer
+    numerators over one scale, entry by entry: column i holds entry i of
+    B_0, ..., B_top.
+
+    The Bernstein transform is linear, so at rho = p/q the tensor of
+    the resultant is sum p**m q**(top - m) B_m over scale*q**top.  Its
+    degrees are the family's at every rho >= 0, because each of alpha,
+    beta and delta has a top-degree rho-group whose coefficients are all
+    positive, the rho**0 one included.
+    """
+    scale, (top,), groups = evaluator
+    dims = tuple(max(e) + 1 for e in zip(*(key for key, _ in groups)))
+    parts = []
+    for m in range(top + 1):
+        flat, strides = _dense_tensor(
+            [(key, n) for key, rows in groups for (e,), n in rows if e == m],
+            dims)
+        nums, part_scale, _, _ = _bernstein_form(flat, scale, dims, strides,
+                                                 RAY_PARAMETER_DOMAIN)
+        parts.append(nums)
+    return tuple(zip(*parts)), part_scale, dims, strides
+
+
+def _ray_bernstein_tensor(family, rho):
+    """The Bernstein tensor of the compiled ray resultant at rho on
+    RAY_PARAMETER_DOMAIN, as _bernstein_tensor returns it up to a
+    common factor: the combination of _rho_bernstein_parts."""
+    columns, scale, dims, strides = family.compiled[1]
+    p, q = rho.as_integer_ratio()
+    top = len(columns[0]) - 1
+    weights = [p ** m * q ** (top - m) for m in range(top + 1)]
+    return ([sum(map(mul, weights, column)) for column in columns],
+            scale * q ** top, dims, strides)
 
 
 def _require_equal(computed, recorded, label):
@@ -735,9 +825,16 @@ def certify_ray_resultant(params):
     given parameters, so the certificate and the zero-locus statement
     are checked against each other: a missing or misplaced ball shows
     up as an Inconclusive or CounterexampleFound verdict.
+
+    The root tensor of the subdivision is sum rho**m B_m, taken in
+    integers from the Bernstein tensors B_m of the resultant's rho**m
+    parts, built once per process; reduced, it has the numerators and
+    denominator that converting rtilde(params) gives.
     """
     params = _as_params(params)
     poly = rtilde(params)
     balls = tuple(Ball(center, DEFAULT_EXCLUSION_RADIUS)
                   for center in stated_boundary_zeros(params))
-    return certify_nonneg(poly, RAY_PARAMETER_DOMAIN, exclusions=balls)
+    tensor = _ray_bernstein_tensor(_checked_ray_resultant(), params.rho)
+    return certify_nonneg(poly, RAY_PARAMETER_DOMAIN, exclusions=balls,
+                          _bernstein=tensor)

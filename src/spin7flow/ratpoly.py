@@ -87,28 +87,46 @@ def _product(f, g):
     return out
 
 
-def _integer_evaluation(poly, fixed, points):
-    """The one evaluation kernel: yields ({kept exponents: numerator},
-    denominator) for poly at each point, which sets the variables at
-    indices fixed to p/q from pairs (p, q), q > 0; a value x that is not
-    rational, such as a quadratic-extension number, comes as (x, 1).
-    The coefficients go over their lcm once per call, and a variable of
-    maximum degree m enters each term as p**e * q**(m - e)."""
+def _compile_evaluation(poly, fixed):
+    """The fixed data of the evaluation kernel for poly with the
+    variables at indices fixed set: the coefficients as integer
+    numerators over their lcm, the degree of each fixed variable, and
+    the terms grouped by their exponents in the kept variables, the
+    groups in RatPoly term order.  A family that serves many points
+    compiles once and runs _integer_evaluation per point."""
     nums, scale = _integer_multiple(poly.terms.values())
     degrees = list(map(max, zip(*poly.terms))) or [0] * len(poly.variables)
     kept = [i for i in range(len(degrees)) if i not in fixed]
-    keys = [tuple([exps[i] for i in kept]) for exps in poly.terms]
+    groups = {}
+    for exps, n in zip(poly.terms, nums):
+        groups.setdefault(tuple([exps[i] for i in kept]), []).append(
+            (tuple([exps[i] for i in fixed]), n))
+    return (scale, tuple(degrees[i] for i in fixed),
+            tuple(sorted(groups.items(), key=lambda group: (
+                sum(group[0]), group[0]), reverse=True)))
+
+
+def _integer_evaluation(compiled, points):
+    """The one evaluation kernel: yields ({kept exponents: numerator},
+    denominator) at each point for a polynomial compiled by
+    _compile_evaluation.  A point gives each fixed variable, in the
+    compiled order, as p/q from a pair (p, q), q > 0; a value x that is
+    not rational, such as a quadratic-extension number, comes as (x, 1).
+    A fixed variable of degree m enters each term as p**e * q**(m - e)."""
+    scale, degrees, groups = compiled
     for point in points:
         denominator, tables = scale, []
-        for i, (p, q) in zip(fixed, point):
-            m = degrees[i]
-            tables.append((i, [p ** e * q ** (m - e) for e in range(m + 1)]))
+        for m, (p, q) in zip(degrees, point):
+            tables.append([p ** e * q ** (m - e) for e in range(m + 1)])
             denominator *= q ** m
         sums = {}
-        for exps, key, n in zip(poly.terms, keys, nums):
-            for i, table in tables:
-                n = n * table[exps[i]]
-            sums[key] = sums.get(key, 0) + n
+        for key, rows in groups:
+            total = 0
+            for exps, n in rows:
+                for table, e in zip(tables, exps):
+                    n = n * table[e]
+                total = total + n
+            sums[key] = total
         yield sums, denominator
 
 
@@ -147,6 +165,16 @@ class RatPoly:
     # The slots are read-only by convention; block accidental rebinds.
     def __setattr__(self, name, value):
         raise AttributeError("RatPoly is immutable")
+
+    @classmethod
+    def _ordered(cls, variables, terms):
+        """A RatPoly from terms its caller built in canonical form:
+        distinct variable names, and nonzero Fractions under in-range
+        exponent tuples, in term order.  Nothing is checked."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "variables", variables)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     @classmethod
     def zero(cls, variables):
@@ -290,7 +318,8 @@ class RatPoly:
                 raise InvalidRequestError(
                     f"expected {len(self.variables)} coordinates, "
                     f"got {len(point)}")
-        (sums, denominator), = _integer_evaluation(self, range(len(point)), [[
+        compiled = _compile_evaluation(self, range(len(point)))
+        (sums, denominator), = _integer_evaluation(compiled, [[
             x.as_integer_ratio() if isinstance(x, (int, Fraction)) else (x, 1)
             for x in point]])
         return sums.get((), 0) / Fraction(denominator)
@@ -299,8 +328,9 @@ class RatPoly:
         """The polynomial in the remaining variables, with each variable
         named in values set to that exact rational."""
         fixed = [self._index(name) for name in values]
-        (sums, denominator), = _integer_evaluation(self, fixed, [[
-            _coerce(x).as_integer_ratio() for x in values.values()]])
+        (sums, denominator), = _integer_evaluation(
+            _compile_evaluation(self, fixed),
+            [[_coerce(x).as_integer_ratio() for x in values.values()]])
         kept = tuple(v for i, v in enumerate(self.variables) if i not in fixed)
         return RatPoly(kept, {key: Fraction(n, denominator)
                               for key, n in sums.items()})
@@ -963,17 +993,24 @@ def _dense_coefficients(poly):
     """Dense power-basis coefficient tensor with per-axis degrees, as
     integer numerators over scale, the lcm of the denominators."""
     dims = tuple(max(poly.degree(v), 0) + 1 for v in poly.variables)
+    nums, scale = _integer_multiple(poly.terms.values())
+    flat, strides = _dense_tensor(zip(poly.terms, nums), dims)
+    return flat, scale, dims, strides
+
+
+def _dense_tensor(terms, dims):
+    """(flat, strides): integer (exponents, numerator) pairs as a dense
+    row-major tensor with dims entries per axis."""
     strides = []
     acc = 1
     for size in reversed(dims):
         strides.append(acc)
         acc *= size
     strides = tuple(reversed(strides))
-    nums, scale = _integer_multiple(poly.terms.values())
     flat = [0] * acc
-    for exps, n in zip(poly.terms, nums):
+    for exps, n in terms:
         flat[sum(e * s for e, s in zip(exps, strides))] = n
-    return flat, scale, dims, strides
+    return flat, strides
 
 
 @lru_cache(maxsize=64)
@@ -1021,7 +1058,14 @@ def _axis_transform(flat, dims, strides, axis, table):
 
 
 def _bernstein_tensor(poly, box):
-    """Bernstein coefficients of a polynomial over a box, in integers.
+    """Bernstein coefficients of a polynomial over a box, in integers:
+    _bernstein_form of its dense coefficients."""
+    return _bernstein_form(*_dense_coefficients(poly), box)
+
+
+def _bernstein_form(flat, scale, dims, strides, box):
+    """A dense power-basis tensor, integer numerators over scale, in the
+    Bernstein basis of the box, as integer numerators over a new scale.
 
     On each axis the power coefficients of x go through the affine map
     x = lo + w*u onto the unit interval (a Taylor shift and a scaling)
@@ -1029,9 +1073,9 @@ def _bernstein_tensor(poly, box):
     table: entry (k, j) sums C(k,i)/C(d,i) * C(j,i) lo^(j-i) w^i over i.
     With lo = a/b and w = c/e the table is built times the integer
     m b^d e^d, m = lcm_i C(d,i); coefficient i is nums[i]/scale, where
-    scale is the power coefficients' lcm times those factors.
+    scale is the input scale times those factors.  The map is linear,
+    and the new scale depends on the input scale, dims and box alone.
     """
-    flat, scale, dims, strides = _dense_coefficients(poly)
     for axis, (size, iv) in enumerate(zip(dims, box.intervals)):
         table, factor = _axis_table(size - 1, iv.lower, iv.width)
         scale *= factor
@@ -1131,7 +1175,8 @@ def _box_for(poly, box):
     return box
 
 
-def certify_nonneg(poly, box, exclusions=(), max_depth=DEFAULT_MAX_DEPTH):
+def certify_nonneg(poly, box, exclusions=(), max_depth=DEFAULT_MAX_DEPTH,
+                   _bernstein=None):
     """Branch-and-bound certificate that poly >= 0 on a closed box.
 
     Each box's range is enclosed by its exact rational Bernstein
@@ -1150,6 +1195,10 @@ def certify_nonneg(poly, box, exclusions=(), max_depth=DEFAULT_MAX_DEPTH):
     split runs slab by slab (_split_axis), the ball test runs on
     integers (_cell_exclusion), and Fractions are built only for a
     counterexample and the worst box.
+
+    _bernstein, when given, is poly's Bernstein tensor on box as
+    _bernstein_tensor returns it, up to a common factor of numerators
+    and scale, from a caller that holds it in a cheaper form.
     """
     if not isinstance(poly, RatPoly):
         raise InvalidRequestError("certify_nonneg expects a RatPoly")
@@ -1171,7 +1220,8 @@ def certify_nonneg(poly, box, exclusions=(), max_depth=DEFAULT_MAX_DEPTH):
         return Certificate(status, balls, 1, 0, counterexample=counter,
                            boxes_per_depth=(1,))
 
-    nums, scale, dims, strides = _bernstein_tensor(poly, box)
+    nums, scale, dims, strides = (_bernstein_tensor(poly, box)
+                                  if _bernstein is None else _bernstein)
     # scale // g is the least common denominator of the coefficients.
     g = gcd(scale, *nums)
     nums = [n // g for n in nums]
@@ -1273,7 +1323,8 @@ def random_nonnegativity_audit(poly, box, samples, seed):
     coords = [[start + step * rng.randrange(scale + 1)
                for start, step in zip(starts, steps)] for _ in range(samples)]
     values = _integer_evaluation(
-        poly, range(len(starts)), ([(x, unit) for x in c] for c in coords))
+        _compile_evaluation(poly, range(len(starts))),
+        ([(x, unit) for x in c] for c in coords))
     (sums, denominator), worst = min(
         zip(values, coords), key=lambda pair: pair[0][0].get((), 0))
     return (Fraction(sums.get((), 0), denominator),

@@ -96,6 +96,14 @@ CERTIFICATE_BOX = Box.from_bounds([(Fraction(1, 3), 1), (0, Fraction(2, 3)),
 CERTIFICATE_DIGEST = \
     "81ed369f0c33dfafe787cee9734a2b1cc793f9cb95d68b1fb920e30658cee945"
 
+# repr(certificate.boxes_per_depth), one line each, of
+# certify_ray_resultant(p) over RAY_ORBITS and of
+# certify_line_resultant(): the shape of every subdivision tree, which
+# the JSON form leaves out; taken while each ray certificate converted
+# its own rtilde(p) to Bernstein form.
+TREE_DIGEST = \
+    "70256b44a2a64e8e7e4dd403b8eb0237fef95a4575a8f1c3776db628cfa2f217"
+
 
 # repr(_root_exact(p, kind, point)), or the exception's name and message,
 # one line each: omega and zeta on the exact workload's line grid
@@ -237,6 +245,13 @@ def test_certificates_are_unchanged():
     lines += [repr(inconclusive), repr(counter)]
     assert _sha256("".join(line + "\n" for line in lines)) == \
         CERTIFICATE_DIGEST
+
+
+def test_certificate_trees_are_unchanged():
+    lines = [repr(certify_ray_resultant(AWParams(*kl)).boxes_per_depth)
+             for kl in RAY_ORBITS]
+    lines.append(repr(certify_line_resultant().boxes_per_depth))
+    assert _sha256("".join(line + "\n" for line in lines)) == TREE_DIGEST
 
 
 def _root_line(params, kind, point):

@@ -19,7 +19,8 @@ from spin7flow.cli import main
 from spin7flow.phase_system import (PhaseState, cubic_coefficients,
                                     quartic_coefficients, residuals,
                                     scalar_terms)
-from spin7flow.ratpoly import (RatPoly, random_nonnegativity_audit,
+from spin7flow.ratpoly import (RatPoly, _bernstein_tensor,
+                               random_nonnegativity_audit,
                                sylvester_resultant, univariate_gcd)
 
 F = Fraction
@@ -620,6 +621,84 @@ def test_slice_and_resultant_caches_are_bounded():
         pc.line_resultant()
     for cached in caches:
         assert cached.cache_info().misses == 1
+
+
+def test_slice_families_compile_once(monkeypatch):
+    """Each slice family and the ray resultant compile their evaluators
+    once, inside their own cache entries: over 38 orbits, every root
+    kind and rtilde, polycert compiles five polynomials and no more."""
+    compiled = []
+    compile_evaluation = pc._compile_evaluation
+
+    def counted(poly, fixed):
+        compiled.append(poly.variables)
+        return compile_evaluation(poly, fixed)
+    monkeypatch.setattr(pc, "_compile_evaluation", counted)
+    for cached in (pc.line_slices, pc._ray_family, pc._ray_resultant,
+                   pc._checked_ray_resultant):
+        cached.cache_clear()
+    for k in range(2, 40):
+        p = AWParams(k, 1)
+        pc.root_fn(p, "omega", (F(1, 3), F(1, 2)))
+        pc.root_fn(p, "zeta", (F(1, 3), F(1, 2)))
+        pc.root_fn(p, "xi", (F(1, 2), F(1, 3), F(1, 2)))
+        pc.root_fn(p, "sigma", (F(1, 2), F(1, 3), F(1, 2)))
+        pc.rtilde(p)
+    assert sorted(compiled) == sorted(
+        [pc.LINE_SLICE_VARIABLES] * 2 + [pc._RAY_FAMILY_VARIABLES] * 2
+        + [pc.RAY_PARAMETER_VARIABLES + ("rho",)])
+
+
+def test_rtilde_has_degrees_six_six_two_at_every_ratio():
+    """For each of alpha, beta and delta some group of recorded terms
+    at that variable's top degree, the other two exponents fixed, has
+    only positive rho-coefficients, the rho**0 one among them; so that
+    coefficient is positive at every rho >= 0 and rtilde keeps the
+    degrees (6, 6, 2) of the family, the dims of its Bernstein tensor."""
+    groups = {}
+    for coeff, e_rho, *exps in pc._RTILDE_RHO_TERMS:
+        groups.setdefault(tuple(exps), {})[e_rho] = coeff
+    tops = [max(exps[axis] for exps in groups) for axis in range(3)]
+    assert tops == [6, 6, 2]
+    for axis, top in enumerate(tops):
+        positive = [exps for exps, rho_coeffs in groups.items()
+                    if exps[axis] == top and 0 in rho_coeffs
+                    and all(c > 0 for c in rho_coeffs.values())]
+        assert positive, axis
+    for p in (AWParams(1, 0), AWParams(1, 1), AWParams(13, 5)):
+        assert [pc.rtilde(p).degree(v) for v in pc.RAY_PARAMETER_VARIABLES] \
+            == tops
+
+
+def _reduced(tensor):
+    nums, scale, dims, strides = tensor
+    g = math.gcd(scale, *nums)
+    return [n // g for n in nums], scale // g, dims, strides
+
+
+_ORBITS = st.tuples(st.integers(1, 10 ** 6 + 1), st.integers(0, 10 ** 6 + 1)
+                    ).filter(lambda kl: kl[0] >= kl[1]
+                             and math.gcd(*kl) == 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kl=_ORBITS)
+@example(kl=(1, 0))
+@example(kl=(1, 1))
+@example(kl=(10 ** 6 + 1, 10 ** 6))
+@example(kl=(10 ** 6 + 1, 1))
+def test_ray_tensor_is_the_combination_of_its_rho_parts(kl):
+    """The ray certificate's root tensor, sum rho**m B_m, reduces to the
+    Bernstein tensor of rtilde(p) on the ray box; rtilde's RatPoly is
+    the one the checked constructor builds, in the same term order."""
+    p = AWParams(*kl)
+    poly = pc.rtilde(p)
+    want = _bernstein_tensor(poly, pc.RAY_PARAMETER_DOMAIN)
+    got = pc._ray_bernstein_tensor(pc._checked_ray_resultant(), p.rho)
+    assert _reduced(got) == _reduced(want)
+    rebuilt = RatPoly(poly.variables, dict(poly.terms))
+    assert poly == rebuilt and repr(poly) == repr(rebuilt)
+    assert list(poly.terms) == list(rebuilt.terms)
 
 
 def test_line_resultant_once_per_process(monkeypatch, capsys):

@@ -249,6 +249,47 @@ def test_substitute_and_evaluate_match_term_by_term_oracle(case):
     assert repr(part.evaluate(rest)) == repr(value)
 
 
+@st.composite
+def compiled_cases(draw):
+    """A polynomial over (x, y, z), a set of its variables in any order,
+    and two points of rational values for them."""
+    names = ("x", "y", "z")
+    coeff = st.fractions(-9, 9, max_denominator=7)
+    poly = RatPoly(names, draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 4)] * 3), coeff, max_size=8)))
+    fixed = draw(st.permutations(range(3)))[:draw(st.integers(0, 3))]
+    value = st.fractions(-3, 3, max_denominator=6)
+    points = [[draw(value) for _ in fixed] for _ in range(2)]
+    return poly, fixed, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(compiled_cases())
+@example((RatPoly.zero(("x", "y", "z")), [2, 0], [[F(1, 2), 3]] * 2))
+def test_compiled_evaluator_matches_term_by_term_oracle(case):
+    """One compile serves every point: the kernel's integers over its
+    denominator are the Fraction substitution's coefficients, keyed in
+    term order, and with every variable fixed the Fraction evaluation."""
+    poly, fixed, points = case
+    compiled = ratpoly._compile_evaluation(poly, fixed)
+    results = list(ratpoly._integer_evaluation(
+        compiled, ([x.as_integer_ratio() for x in point]
+                   for point in points)))
+    assert len(results) == len(points)
+    for point, (sums, denominator) in zip(points, results):
+        assert denominator > 0
+        values = {poly.variables[i]: x for i, x in zip(fixed, point)}
+        want = fraction_reference.substitute(poly, values)
+        got = {key: F(n, denominator) for key, n in sums.items() if n}
+        assert got == want.terms
+        assert list(sums) == sorted(sums, key=lambda e: (sum(e), e),
+                                    reverse=True)
+        if len(fixed) == 3:
+            full = [values[name] for name in poly.variables]
+            assert F(sums.get((), 0), denominator) == \
+                fraction_reference.evaluate(poly, full)
+
+
 def test_substitute_checks_its_names_and_values():
     x, y = xy()
     poly = x * y + 1
