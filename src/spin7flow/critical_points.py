@@ -23,7 +23,9 @@ inputs the linearization reads, and ``reference_frame`` returns
 closed-form eigenvector tables for the cone points and the sink, with
 tangency flags computed from exact constraint gradients.  The AC pair
 comes from scalar Newton started at each point of the (1, 1) pair
-(``SEEDS``), with residual and Jacobian from one pass of duals.
+(``SEEDS``), with residual and Jacobian from a float kernel traced once
+per process from a pass of duals, and a last step with the residual
+exact, on integers.
 
 ``_BUNDLE_CONES``, the one bundle table, gives each circle bundle's cone
 point and the chirality its family is shot with; ``unstable_frame``,
@@ -45,11 +47,12 @@ import numpy as np
 from .aw_algebra import AWParams, BundleTag, _as_params
 from .errors import InvalidRequestError, SolverIncompleteError
 from .exact import QuadExt, exact_sqrt
-from .phase_system import (Chirality, PhaseState, _float_jacobian,
-                           _jacobian_inputs, constraint_gradients,
-                           einstein_residual, first_order_jacobians,
-                           jacobian, value_and_derivative)
-from .ratpoly import _integer_multiple
+from .phase_system import (Chirality, PhaseState,
+                           _einstein_values_and_rows,
+                           _exact_einstein_residual, _float_jacobian,
+                           _jacobian_inputs, _tangency_rows,
+                           constraint_gradients, einstein_residual,
+                           first_order_jacobians, jacobian)
 
 __all__ = [
     "FlowClass",
@@ -417,38 +420,42 @@ class ReferenceFrame:
     pairs: tuple
 
 
+# Each table gives the eigenvalues, the eigenvectors as integer tuples
+# and the denominator den of their Z4 slot (k + l, k, l or 1): a vector
+# is (v1, ..., v7, v8 / den), and (den*v1, ..., den*v7, v8) is a
+# positive integer multiple of it.
+
+
 def _table_p0_kplusl(k, l, delta):
     kl = k + l
-    c = Fraction(delta, kl)
     vals = [Fraction(2, 3)] * 4 + [Fraction(-2, 3)] * 2 + [Fraction(-4, 3)] * 2
     vecs = [
-        (2, 0, 0, -4, 0, -1, -1, -36 * c),
+        (2, 0, 0, -4, 0, -1, -1, -36 * delta),
         (-3 * kl, 4 * k + 5 * l, 5 * k + 4 * l, -12 * kl,
          3 * kl, -5 * k - 4 * l, -4 * k - 5 * l, 0),
         (0, 1, -1, 0, 0, 1, -1, 0),
         (0, 3, 3, 0, 2, 0, 0, 0),
-        (4, -3, -3, 4, 0, -2, -2, 36 * c),
+        (4, -3, -3, 4, 0, -2, -2, 36 * delta),
         (0, 1, 1, 0, 0, 0, 0, 0),
         (0, 2, -2, 0, 0, -1, 1, 0),
-        (2, -1, 1, -4, 0, 1, 0, 18 * c),
+        (2, -1, 1, -4, 0, 1, 0, 18 * delta),
     ]
-    return vals, vecs
+    return vals, vecs, kl
 
 
 def _table_p0_k(k, l, delta):
-    c = Fraction(delta, k)
     vals = [Fraction(2, 3)] * 4 + [Fraction(-2, 3)] * 2 + [Fraction(-4, 3)] * 2
     vecs = [
-        (0, 0, 2, -4, -1, -1, 0, -36 * c),
+        (0, 0, 2, -4, -1, -1, 0, -36 * delta),
         (5 * k + l, 4 * k - l, -3 * k, -12 * k, -4 * k + l, -5 * k - l, 3 * k, 0),
         (-1, 1, 0, 0, -1, 1, 0, 0),
         (3, 3, 0, 0, 0, 0, 2, 0),
-        (0, 0, 2, 2, -1, -1, 0, 18 * c),
+        (0, 0, 2, 2, -1, -1, 0, 18 * delta),
         (1, 1, 0, 0, 0, 0, 0, 0),
         (2, -2, 0, 0, -1, 1, 0, 0),
-        (-1, 1, 2, -4, 1, 0, 0, 18 * c),
+        (-1, 1, 2, -4, 1, 0, 0, 18 * delta),
     ]
-    return vals, vecs
+    return vals, vecs, k
 
 
 def _mirror(vec):
@@ -460,8 +467,8 @@ def _table_p0_l(k, l, delta):
     # The flow with parameters (k, l) maps to the flow with (l, k) under the
     # mirror that swaps the second and third slots, carrying the k-bundle
     # cone point to the l-bundle one.
-    vals, vecs = _table_p0_k(l, k, delta)
-    return vals, [_mirror(v) for v in vecs]
+    vals, vecs, den = _table_p0_k(l, k, delta)
+    return vals, [_mirror(v) for v in vecs], den
 
 
 def _table_p1():
@@ -477,7 +484,7 @@ def _table_p1():
         (0, 2, -2, 0, 0, -1, 1, 0),
         (2, 2, 2, 0, 1, 1, 1, 0),
     ]
-    return vals, vecs
+    return vals, vecs, 1
 
 
 def _annihilates(rows, vec):
@@ -492,9 +499,11 @@ def reference_frame(params, label):
     Ricci-flat set when it annihilates the gradients of the hyperplane and
     conservation constraints, and tangent to a chirality set when it
     additionally lies in the kernel of that system's derivative; each dot
-    product is taken on positive integer multiples of both sides.  Frames
-    are cached per (k, l, label); they are frozen, so callers share them.
-    params is an AWParams or a (k, l) pair.
+    product is taken in integers, on the table's integer form of the
+    vector and the gradient rows as phase_system._tangency_rows gives
+    them, positive multiples of both sides.  Frames are cached per
+    (k, l, label); they are frozen, so callers share them.  params is an
+    AWParams or a (k, l) pair.
     """
     params = _as_params(params)
     return _reference_frame_cached(params.k, params.l, label)
@@ -505,35 +514,30 @@ def _reference_frame_cached(k, l, label):
     params = AWParams(k, l)
     d = params.delta
     if label == LABEL_P0_KPLUSL:
-        vals, vecs = _table_p0_kplusl(k, l, d)
+        vals, vecs, den = _table_p0_kplusl(k, l, d)
     elif label == LABEL_P0_K:
-        vals, vecs = _table_p0_k(k, l, d)
+        vals, vecs, den = _table_p0_k(k, l, d)
     elif label == LABEL_P0_L:
         if l == 0:
             raise InvalidRequestError("the l-bundle cone point does not exist "
                                       "for l = 0")
-        vals, vecs = _table_p0_l(k, l, d)
+        vals, vecs, den = _table_p0_l(k, l, d)
     elif label == LABEL_P1:
-        vals, vecs = _table_p1()
+        vals, vecs, den = _table_p1()
     else:
         raise InvalidRequestError(
             f"no closed-form eigenvector table for {label!r}")
 
     point = catalog(params).get(label)
-    grads = constraint_gradients(params, point.state)
-    crf_rows = [_integer_multiple(grads[name])[0]
-                for name in ("hyperplane", "conservation")]
-    df, dh = ([_integer_multiple(row)[0] for row in rows]
-              for rows in first_order_jacobians(params, point.state))
+    crf_rows, df, dh = _tangency_rows(params, point.state)
     pairs = []
     for lam, vec in zip(vals, vecs):
-        vec = tuple(Fraction(c) if not isinstance(c, Fraction) else c
-                    for c in vec)
-        ints = _integer_multiple(vec)[0]
+        ints = tuple(den * v for v in vec[:7]) + vec[7:]
         crf = _annihilates(crf_rows, ints)
         plus = crf and _annihilates(df, ints)
         minus = crf and _annihilates(dh, ints)
-        pairs.append(FrameVector(value=lam, vector=vec, tangent_crf=crf,
+        vector = tuple(map(Fraction, vec[:7])) + (Fraction(vec[7], den),)
+        pairs.append(FrameVector(value=lam, vector=vector, tangent_crf=crf,
                                  tangent_spin_plus=plus,
                                  tangent_spin_minus=minus))
     return ReferenceFrame(label=label, point=point, pairs=tuple(pairs))
@@ -581,9 +585,12 @@ RESID_TOL = 1e-12
 
 
 def _einstein_system(params, z):
-    """R1..R3 - 6/49 at z = (z1, z2, z3) and its Jacobian rows, from one
-    pass of einstein_residual on duals."""
-    return value_and_derivative(lambda y: einstein_residual(params, *y)[0], z)
+    """R1..R3 - 6/49 at z = (z1, z2, z3) and its Jacobian rows: what
+    value_and_derivative over einstein_residual's residual gives, bit
+    for bit, from the float kernel traced once per process from that
+    dual pass (phase_system._einstein_values_and_rows), with the
+    quartic coefficients and the level as inputs."""
+    return _einstein_values_and_rows(params, z)
 
 
 def _cross(u, v):
@@ -612,12 +619,13 @@ def _polish(params, z123):
     """(z1, z2, z3, z4) after one Newton step with an exact residual.
 
     The float iterates stop anywhere within RESID_TOL of the root; with
-    the residual in Fractions the step lands far closer than half an
-    ulp, so the single final rounding gives the correctly rounded root
-    whichever iterate the step starts from; the Jacobian is the float
-    one at z123, as in the iteration.  z4 = sqrt(Z4^2) in floats there.
+    the exact residual (_exact_einstein_residual, on integers) the step
+    lands far closer than half an ulp, so the single final rounding
+    gives the correctly rounded root whichever iterate the step starts
+    from; the Jacobian is the float one at z123, as in the iteration.
+    z4 = sqrt(Z4^2) in floats there.
     """
-    resid = einstein_residual(params, *map(Fraction, z123))[0]
+    resid = _exact_einstein_residual(params, z123)
     jac = _einstein_system(params, z123)[1]
     delta = _newton_step(jac, tuple(map(float, resid)))
     z123 = tuple(float(Fraction(v) - Fraction(d))
@@ -679,12 +687,13 @@ def solve_homogeneous_einstein(params):
 def _try_exact_einstein(params, z123):
     """Rationalize a numeric solution and verify it exactly, or None.
 
-    The residual needs only Z4^2, so the check runs before exact_sqrt.
+    The exact residual runs on integers (_exact_einstein_residual); only
+    a verified point takes Z4^2 from einstein_residual in Fractions, for
+    exact_sqrt.
     """
     zr = tuple(Fraction(v).limit_denominator(10 ** 6) for v in z123)
     if any(abs(float(r) - v) > 1e-9 for v, r in zip(z123, zr)):
         return None
-    resid, z4sq = einstein_residual(params, *zr)
-    if any(resid):
+    if any(_exact_einstein_residual(params, zr)):
         return None
-    return zr + (exact_sqrt(z4sq),)
+    return zr + (exact_sqrt(einstein_residual(params, *zr)[1]),)

@@ -230,6 +230,11 @@ def einstein_residual(params, z1, z2, z3):
     squares, which has the bits of R4 at Z4^2 = 1."""
     *c, level = _matching(quartic_coefficients(params) + (EINSTEIN_LEVEL,),
                           (z1, z2, z3))
+    return _einstein(c, level, z1, z2, z3)
+
+
+def _einstein(c, level, z1, z2, z3):
+    """einstein_residual with the quartic coefficients c and the level."""
     squares = _squares(z1, z2, z3)
     z4sq = level / _r4(c, squares)
     t = tuple(m * z4sq for m in squares)
@@ -321,6 +326,27 @@ def _zcons_body(d, z):
     return (_zcons(z, _cubic_terms(d, z)),)
 
 
+def _einstein_body(c, z):
+    """R1..R3 - level at z, c = (the quartic coefficients, the level)."""
+    *c, level = c
+    return _einstein(c, level, *z)[0]
+
+
+def _einstein_numerators(c, z):
+    """(q*(R1 - level), q*(R2 - level), q*(R3 - level), q) at z, with
+    c as in _einstein_body and q = R4 on the bare squares: the residual
+    over q without a quotient.  R1..R3 are affine in R4's terms t, so q
+    times R_i at t = squares*level/q is q*R_i(t = 0) plus
+    R_i(t = squares*level) - R_i(t = 0)."""
+    *c, level = c
+    squares = _squares(*z)
+    q = _r4(c, squares)
+    bare = _r123(c, *z, (0, 0, 0))
+    full = _r123(c, *z, tuple(m * level for m in squares))
+    return tuple(q * (b - level) + (f - b)
+                 for b, f in zip(bare, full)) + (q,)
+
+
 # ---------------------------------------------------------------------------
 # derivatives: the helpers above run on forward-mode duals
 
@@ -332,7 +358,9 @@ class _Dual:
     order and skips the terms with an exact-zero factor, so a
     structurally zero partial is never stored; a seed's unit partial
     times a factor is the factor itself.  The one quotient is a
-    constant over a dual, c/q, with d(c/q) = -(c/q)/q * dq."""
+    constant over a dual, c/q, with d(c/q) = -(c/q)/q * dq; the
+    constant may be a _Traced input, as the level is when the AC Newton
+    kernel is traced (_einstein_values_and_rows)."""
 
     __slots__ = ("value", "partials")
 
@@ -388,14 +416,16 @@ class _Dual:
 
 class _Traced:
     """A recording scalar: arithmetic on it builds the expression graph
-    of a float kernel instead of a value.  Each node is one +, -, * or
-    negation exactly as the helpers run it, so printing the graph keeps
-    their association, and with it every bit.  A trace makes each
-    operation on the same operands once, and a product with the int 0
-    is 0, so a dual skips what it would skip at an exact-zero value.
-    Only int and float constants combine with it; anything else (the
-    time argument of an autonomous right-hand side, passed as None)
-    fails the trace."""
+    of a float kernel instead of a value.  Each node is one +, -, *, /
+    or negation exactly as the helpers run it, so printing the graph
+    keeps their association, and with it every bit.  The quotient is
+    the one _Dual.__rtruediv__ performs, (c/q and -(c/q)/q); only the
+    plain form of _trace prints it.  A trace makes each operation on
+    the same operands once, and a product with the int 0 is 0, so a
+    dual skips what it would skip at an exact-zero value.  Only int and
+    float constants combine with it; anything else (the time argument
+    of an autonomous right-hand side, passed as None) fails the
+    trace."""
 
     __slots__ = ("op", "args", "nodes")
 
@@ -434,12 +464,18 @@ class _Traced:
     def __rmul__(self, other):
         return self._apply("*", (other, self))
 
+    def __truediv__(self, other):
+        return self._apply("/", (self, other))
+
+    def __rtruediv__(self, other):
+        return self._apply("/", (other, self))
+
     def __neg__(self):
         return self._apply("neg", (self,))
 
 
-# binding strength in Python source: + and - < * < unary minus < a name
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "neg": 3}
+# binding strength in Python source: + and - < * and / < unary minus < a name
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3}
 
 
 def _trace(on_floats, n, homogeneous=False):
@@ -450,14 +486,19 @@ def _trace(on_floats, n, homogeneous=False):
     The source is a template of assignment lines: input j reads
     "{v}j", output i is assigned to "{k}i", and a value used more than
     once is assigned to a temporary w_m first; every other value stays
-    nested in the expression that uses it.  Coefficients appear as
-    their repr literals, which round-trip.  Substituting names with
-    str.format and running the lines gives on_floats' bits.
+    nested in the expression that uses it.  A quotient is always
+    assigned, even where a product with the int 0 drops its value, so a
+    zero divisor raises ZeroDivisionError as it does on the duals.
+    Coefficients appear as their repr literals, which round-trip.
+    Substituting names with str.format and running the lines gives
+    on_floats' bits.
 
     A value's degree is 1 for an input, 0 for a constant, the sum over
-    a product and the max over a sum.  Homogeneous lines carry D**degree
-    times each value, from D times each input: a sum's operand e below
-    its degree is multiplied by "{p}e", which is to hold D**e.
+    a product, the difference over a quotient and the max over a sum.
+    Homogeneous lines carry D**degree times each value, from D times
+    each input: a sum's operand e below its degree is multiplied by
+    "{p}e", which is to hold D**e.  They have no quotient: a body that
+    divides raises ValueError there.
     """
     nodes = {}
     inputs = [_Traced("input", (j,), nodes) for j in range(n)]
@@ -475,14 +516,21 @@ def _trace(on_floats, n, homogeneous=False):
             return
         uses[node] = uses.get(node, 0) + 1
         if uses[node] == 1:
+            if homogeneous and node.op == "/":
+                raise ValueError("a homogeneous kernel has no quotient")
             for arg in node.args:
                 visit(arg)
             order.append(node)
             degrees = [degree.get(arg, 0) for arg in node.args]
-            degree[node] = sum(degrees) if node.op == "*" else max(degrees)
+            degree[node] = (sum(degrees) if node.op == "*" else
+                            degrees[0] - degrees[1] if node.op == "/"
+                            else max(degrees))
 
     for out in outputs:
         visit(out)
+    for node in list(nodes.values()):
+        if node.op == "/":
+            visit(node)
     names = {}
 
     def text(node):
@@ -515,7 +563,7 @@ def _trace(on_floats, n, homogeneous=False):
 
     lines = []
     for node in order:
-        if uses[node] > 1:
+        if uses[node] > 1 or node.op == "/":
             lines.append("w_%d = %s" % (len(names), expression(node)))
             names[node] = "w_%d" % len(names)
     for i, out in enumerate(outputs):
@@ -543,67 +591,163 @@ def derivative(fun, point):
     return value_and_derivative(fun, point)[1]
 
 
-@lru_cache(maxsize=64)
-def _derivative_kernel(body, zeros, n=8):
-    """(kernel, degrees, live) for derivative(lambda y: body(c, y), y)
-    over the inputs (y, c), y the first n of them, traced once per body
-    and per set of zero inputs.  A zero input is traced as 0, so each
-    term with a zero factor is skipped as the duals skip it at that
-    value.  kernel(inputs, (1, D, D**2, ...)) returns the rows as one
-    list in _trace's homogeneous form: entry i carries D**degrees[i]
-    times its value.  live holds the indices of the inputs that the
-    kernel reads; no other input changes its result."""
+def _compile(fun, zeros, homogeneous=True):
+    """(kernel, degrees, live): fun(inputs) on len(zeros) inputs, traced
+    by _trace with each zero input as 0, so each term with a zero factor
+    is skipped as the duals skip it at that value.  A homogeneous kernel
+    is called kernel(inputs, (1, D, D**2, ...)) and returns the outputs
+    as one list in _trace's homogeneous form: entry i carries
+    D**degrees[i] times its value; a plain one is called kernel(inputs).
+    live holds the indices of the inputs that the kernel reads; no
+    other input changes its result."""
 
-    def rows(eta, inputs):
-        inputs = [0 if zero else v for v, zero in zip(inputs, zeros)]
-        return sum(derivative(lambda y: body(inputs[n:], y), inputs[:n]),
-                   ())
+    def traced(eta, inputs):
+        return fun([0 if zero else v for v, zero in zip(inputs, zeros)])
 
-    template, degrees, live = _trace(rows, len(zeros), homogeneous=True)
+    template, degrees, live = _trace(traced, len(zeros), homogeneous)
+    lines = ["def kernel(v%s):" % (", p" if homogeneous else ""),
+             "%s, = v" % ", ".join("v%d" % j for j in range(len(zeros)))]
+    if homogeneous:
+        lines.append("%s, = p" % ", ".join(
+            "p%d" % e for e in range(max(degrees) + 1)))
+    lines += template.format(v="v", k="k", p="p").splitlines()
+    lines.append("return [%s]" % ", ".join(
+        "k%d" % i for i in range(len(degrees))))
     namespace = {}
-    exec("def kernel(v, p):\n    %s, = v\n    %s, = p\n    %sreturn [%s]" % (
-        ", ".join("v%d" % j for j in range(len(zeros))),
-        ", ".join("p%d" % e for e in range(max(degrees) + 1)),
-        template.format(v="v", k="k", p="p").replace("\n", "\n    "),
-        ", ".join("k%d" % i for i in range(len(degrees)))), namespace)
+    exec("\n    ".join(lines), namespace)
     return namespace["kernel"], degrees, live
+
+
+@lru_cache(maxsize=64)
+def _derivative_kernel(body, zeros, n, values=False):
+    """(kernel, degrees, live) from _compile for derivative(lambda y:
+    body(c, y), y) over the inputs (y, c), y the first n of them, traced
+    once per body, per set of zero inputs and per form.  The kernel is
+    homogeneous and returns the rows as one list; with values it is
+    plain, runs on floats, and its list starts with body's values, and
+    only then may the body divide."""
+
+    def rows(inputs):
+        out, partials = value_and_derivative(
+            lambda y: body(inputs[n:], y), inputs[:n])
+        return (out if values else ()) + sum(partials, ())
+
+    return _compile(rows, zeros, homogeneous=not values)
+
+
+def _on_integers(kernel, degrees, values):
+    """(nums, scales): a homogeneous kernel with output degrees run at
+    rational values (ints, floats or Fractions) on their numerators over
+    D, the lcm of their denominators, with scales[e] = D**e: output i
+    is nums[i] / scales[degrees[i]]."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = lcm(*(d for _, d in ratios))
+    scales = [den ** e for e in range(max(degrees) + 1)]
+    return kernel([n * (den // d) for n, d in ratios], scales), scales
 
 
 def _derivative_rows(body, c, point, rounded=False):
     """derivative(lambda y: body(c, y), point) from its kernel; with
     rounded, each entry as float() rounds it.
 
-    At a rational point the kernel runs on integers, D the lcm of the
-    inputs' denominators: entry i is N_i / D**deg_i, and its float is
-    that quotient, correctly rounded.  At any other point (Q(sqrt d),
-    floats) it runs on the point's own numbers with D = 1.  The kernel
-    skips only the products with an exact-zero input, where the duals
-    skip every product whose factor is zero when they run, so at a float
-    point two cases differ: where an intermediate underflows or cancels
-    to zero the kernel can give -0.0 where the duals give 0, and where a
-    factor next to a zero coordinate overflows it gives 0 where the
-    duals give 0.0 * inf = NaN.  Entries from two quadratic fields raise
-    TypeError, as in QuadExt arithmetic.
+    At a rational point the kernel runs on integers (_on_integers):
+    entry i is N_i / D**deg_i, and its float is that quotient, correctly
+    rounded.  At any other point (Q(sqrt d), floats) it runs on the
+    point's own numbers with D = 1.  The kernel skips only the products
+    with an exact-zero input, where the duals skip every product whose
+    factor is zero when they run, so at a float point two cases differ:
+    where an intermediate underflows or cancels to zero the kernel can
+    give -0.0 where the duals give 0, and where a factor next to a zero
+    coordinate overflows it gives 0 where the duals give 0.0 * inf =
+    NaN.  Entries from two quadratic fields raise TypeError, as in
+    QuadExt arithmetic.
     """
     n = len(point)
     values = tuple(point) + tuple(c)
     kernel, degrees, _ = _derivative_kernel(
         body, tuple(not v for v in values), n)
-    powers = range(max(degrees) + 1)
     if all(type(v) in (int, Fraction) for v in values):
-        den = lcm(*(v.denominator for v in values))
-        scales = [den ** e for e in powers]
-        out = kernel([v.numerator * (den // v.denominator) for v in values],
-                     scales)
+        out, scales = _on_integers(kernel, degrees, values)
         out = [num / scales[e] if rounded else Fraction(num, scales[e])
                for num, e in zip(out, degrees)]
     else:
         surds = [v for v in values if type(v) is QuadExt and v.b]
         if None in [surds[0]._split(v) for v in surds[1:]]:
             raise TypeError("state entries lie in two quadratic fields")
-        out = kernel(values, [1 for _ in powers])
+        out = kernel(values, [1] * (max(degrees) + 1))
         out = [float(v) for v in out] if rounded else out
+    return _split_rows(out, n)
+
+
+def _split_rows(out, n):
     return tuple(tuple(out[i:i + n]) for i in range(0, len(out), n))
+
+
+def _integer_rows(body, c, point):
+    """derivative(lambda y: body(c, y), point) at a rational point as
+    integers: entry i is N_i * D**(top - deg_i), top the largest degree,
+    so every entry is the exact one times D**top, a positive multiple
+    shared by all rows."""
+    values = tuple(point) + tuple(c)
+    kernel, degrees, _ = _derivative_kernel(
+        body, tuple(not v for v in values), len(point))
+    out, scales = _on_integers(kernel, degrees, values)
+    top = len(scales) - 1
+    return _split_rows([num * scales[top - e]
+                        for num, e in zip(out, degrees)], len(point))
+
+
+def _tangency_rows(params, state):
+    """(crf, F, H) at a rational state: the hyperplane and conservation
+    gradients of constraint_gradients and the rows of
+    first_order_jacobians, each set as _integer_rows gives it, for the
+    integer dot products of the tangency flags."""
+    point = state.as_tuple()
+    systems = _integer_rows(_systems, cubic_coefficients(params), point)
+    return (_integer_rows(_crf_body, quartic_coefficients(params), point),
+            systems[:4], systems[4:])
+
+
+def _einstein_values_and_rows(params, z):
+    """value_and_derivative over einstein_residual(params, *z)[0] at a
+    float z, from the plain kernel of _derivative_kernel for
+    _einstein_body, traced once per process and per set of zero inputs
+    (the dual pass with its quotient c/q), with the quartic coefficients
+    and the level as float inputs: the duals' bits wherever no
+    intermediate of their pass underflows to zero (see
+    _derivative_rows).  Where R4 vanishes it raises ZeroDivisionError,
+    as the duals do."""
+    values = (*z, *map(float, quartic_coefficients(params)),
+              float(EINSTEIN_LEVEL))
+    out = _derivative_kernel(_einstein_body, tuple(not v for v in values),
+                             3, True)[0](values)
+    return tuple(out[:3]), _split_rows(out[3:], 3)
+
+
+@lru_cache(maxsize=1)
+def _einstein_numerator_kernel():
+    """(kernel, degrees): _compile's homogeneous form of
+    _einstein_numerators over the inputs (z, c)."""
+    return _compile(lambda v: _einstein_numerators(v[3:], v[:3]),
+                    (False,) * 7)[:2]
+
+
+def _exact_einstein_residual(params, z):
+    """einstein_residual(params, *z)[0] at a rational z, on integers.
+
+    The homogeneous kernel of _einstein_numerators runs at (z, quartic
+    coefficients, EINSTEIN_LEVEL) on integers (_on_integers): numerator
+    i is N_i / D**deg_i and q is Q / D**deg_q, so residual i is the one
+    Fraction N_i * D**deg_q / (Q * D**deg_i), reduced.  The rational is
+    the one einstein_residual builds term by term in Fractions; Q = 0,
+    where R4 vanishes, raises ZeroDivisionError as that quotient does.
+    z holds ints, floats or Fractions.
+    """
+    kernel, degrees = _einstein_numerator_kernel()
+    (*nums, q), scales = _on_integers(kernel, degrees, (
+        *z, *quartic_coefficients(params), EINSTEIN_LEVEL))
+    return tuple(Fraction(num * scales[degrees[-1]], q * scales[e])
+                 for num, e in zip(nums, degrees))
 
 
 def scalar_terms(params, state):
@@ -668,7 +812,7 @@ def _jacobian_inputs(params, state):
         _matching(quartic_coefficients(params), state.Z))
     live = []
     for j in _derivative_kernel(_flow_body,
-                                tuple(not v for v in values))[2]:
+                                tuple(not v for v in values), 8)[2]:
         v = values[j]
         live.append((j, QuadExt, v.a, v.b, v.d) if type(v) is QuadExt
                     else (j, type(v), v))

@@ -53,6 +53,8 @@ from .ratpoly import (
     Interval,
     RatPoly,
     _bernstein_form,
+    _certify_checks,
+    _certify_tensor,
     _coerce as _rat,
     _compile_evaluation,
     _dense_tensor,
@@ -829,12 +831,16 @@ def certify_ray_resultant(params):
     The root tensor of the subdivision is sum rho**m B_m, taken in
     integers from the Bernstein tensors B_m of the resultant's rho**m
     parts, built once per process; reduced, it has the numerators and
-    denominator that converting rtilde(params) gives.
+    denominator that converting rtilde(params) gives.  So the
+    certificate is certify_nonneg's on rtilde(params), with the box and
+    ball checks made against RAY_PARAMETER_VARIABLES, and rtilde's
+    RatPoly is not built.
     """
     params = _as_params(params)
-    poly = rtilde(params)
-    balls = tuple(Ball(center, DEFAULT_EXCLUSION_RADIUS)
-                  for center in stated_boundary_zeros(params))
-    tensor = _ray_bernstein_tensor(_checked_ray_resultant(), params.rho)
-    return certify_nonneg(poly, RAY_PARAMETER_DOMAIN, exclusions=balls,
-                          _bernstein=tensor)
+    box, balls = _certify_checks(
+        RAY_PARAMETER_VARIABLES, RAY_PARAMETER_DOMAIN,
+        (Ball(center, DEFAULT_EXCLUSION_RADIUS)
+         for center in stated_boundary_zeros(params)))
+    return _certify_tensor(
+        _ray_bernstein_tensor(_checked_ray_resultant(), params.rho), box,
+        balls)

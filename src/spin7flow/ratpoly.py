@@ -1164,19 +1164,33 @@ def _cell_exclusion(balls, box):
     return inside
 
 
-def _box_for(poly, box):
-    """The box as a Box, checked against the polynomial's variables."""
+def _box_for(variables, box):
+    """The box as a Box, checked against a polynomial's variables."""
     if not isinstance(box, Box):
         box = Box.from_bounds(box)
-    if box.dimension != len(poly.variables):
+    if box.dimension != len(variables):
         raise InvalidRequestError(
             f"box dimension {box.dimension} does not match "
-            f"{len(poly.variables)} variables")
+            f"{len(variables)} variables")
     return box
 
 
-def certify_nonneg(poly, box, exclusions=(), max_depth=DEFAULT_MAX_DEPTH,
-                   _bernstein=None):
+def _certify_checks(variables, box, exclusions):
+    """(box, balls) for a certificate over variables: the box as
+    _box_for gives it, with no degenerate edge, and the exclusion balls,
+    each of the box's dimension."""
+    box = _box_for(variables, box)
+    if any(iv.width == 0 for iv in box.intervals):
+        raise InvalidRequestError(
+            "degenerate box edges are not supported; evaluate instead")
+    balls = tuple(exclusions)
+    for ball in balls:
+        if len(ball.center) != box.dimension:
+            raise InvalidRequestError("exclusion ball dimension mismatch")
+    return box, balls
+
+
+def certify_nonneg(poly, box, exclusions=(), max_depth=DEFAULT_MAX_DEPTH):
     """Branch-and-bound certificate that poly >= 0 on a closed box.
 
     Each box's range is enclosed by its exact rational Bernstein
@@ -1194,34 +1208,33 @@ def certify_nonneg(poly, box, exclusions=(), max_depth=DEFAULT_MAX_DEPTH,
     A box is a cell, one dyadic piece (offset, level) of each edge; each
     split runs slab by slab (_split_axis), the ball test runs on
     integers (_cell_exclusion), and Fractions are built only for a
-    counterexample and the worst box.
-
-    _bernstein, when given, is poly's Bernstein tensor on box as
-    _bernstein_tensor returns it, up to a common factor of numerators
-    and scale, from a caller that holds it in a cheaper form.
+    counterexample and the worst box.  The subdivision itself
+    (_certify_tensor) starts from poly's Bernstein tensor.
     """
     if not isinstance(poly, RatPoly):
         raise InvalidRequestError("certify_nonneg expects a RatPoly")
-    box = _box_for(poly, box)
-    dimension = box.dimension
-    if any(iv.width == 0 for iv in box.intervals):
-        raise InvalidRequestError(
-            "degenerate box edges are not supported; evaluate instead")
-    balls = tuple(exclusions)
-    for ball in balls:
-        if len(ball.center) != dimension:
-            raise InvalidRequestError("exclusion ball dimension mismatch")
-    lowers = [iv.lower for iv in box.intervals]
-    widths = [iv.width for iv in box.intervals]
-    if dimension == 0 or poly.is_zero:
-        value = poly.evaluate([0] * dimension)
+    box, balls = _certify_checks(poly.variables, box, exclusions)
+    if box.dimension == 0 or poly.is_zero:
+        value = poly.evaluate([0] * box.dimension)
         status = STATUS_NONNEGATIVE if value >= 0 else STATUS_COUNTEREXAMPLE
         counter = None if value >= 0 else ((), value)
         return Certificate(status, balls, 1, 0, counterexample=counter,
                            boxes_per_depth=(1,))
+    return _certify_tensor(_bernstein_tensor(poly, box), box, balls,
+                           max_depth)
 
-    nums, scale, dims, strides = (_bernstein_tensor(poly, box)
-                                  if _bernstein is None else _bernstein)
+
+def _certify_tensor(tensor, box, balls, max_depth=DEFAULT_MAX_DEPTH):
+    """certify_nonneg's subdivision from a polynomial's Bernstein tensor
+    on box, as _bernstein_tensor returns it up to a common factor of
+    numerators and scale, with box and balls from _certify_checks and a
+    positive dimension, for a caller that holds the tensor in a cheaper
+    form.  A zero tensor gives the certificate that certify_nonneg
+    gives the zero polynomial."""
+    dimension = box.dimension
+    lowers = [iv.lower for iv in box.intervals]
+    widths = [iv.width for iv in box.intervals]
+    nums, scale, dims, strides = tensor
     # scale // g is the least common denominator of the coefficients.
     g = gcd(scale, *nums)
     nums = [n // g for n in nums]
@@ -1312,7 +1325,7 @@ def random_nonnegativity_audit(poly, box, samples, seed):
     """
     if samples < 1:
         raise InvalidRequestError("the audit needs at least one sample")
-    box = _box_for(poly, box)
+    box = _box_for(poly.variables, box)
     rng = random.Random(seed)
     scale = 1 << 16
     lowers = [iv.lower for iv in box.intervals]

@@ -50,7 +50,6 @@ defect ever grows past FACE_RELEASE_TOL, so nudged runs never lock.
 import math
 import os
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 
@@ -1068,6 +1067,9 @@ def sweep(params, bundle_tag, mode, s_values, epsilon=1e-6, eta_max=200.0,
             except Exception as exc:
                 failures[i] = str(exc)
     else:
+        # imported here, its only use: concurrent.futures costs every
+        # process that imports the package about 20 ms
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cap) as pool:
             futures = [(i, pool.submit(_sweep_point, spec))
                        for i, spec in specs]

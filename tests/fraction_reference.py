@@ -9,12 +9,15 @@ integer numerators over a doubling denominator and snaps to a
 convergent in integer cross products, the Sturm chain and
 univariate_gcd run on primitive pseudo-remainders, the smaller positive
 root of a quadratic slice is picked by integer signs, the tangency flags
-take integer dot products, and the exact Jacobian and gradients
-evaluate a kernel traced from the dual pass.  These are the forms they
-replaced, with every intermediate a Fraction, a RatPoly or a dual, and
-the integer loops that went fibre by fibre.  The new kernels must
-return exactly what these return (for the Sturm chain: positive
-multiples of these members; at a float state, the same bits).
+take integer dot products on integer gradient rows, the exact Jacobian
+and gradients evaluate a kernel traced from the dual pass, the AC
+Newton system runs a float kernel traced from its dual pass, and the
+AC solve's exact residual runs on integer numerators over q.  These
+are the forms they replaced, with every intermediate a Fraction, a
+RatPoly or a dual, and the integer loops that went fibre by fibre.  The
+new kernels must return exactly what these return (for the Sturm
+chain: positive multiples of these members; at a float state, the same
+bits).
 """
 
 from fractions import Fraction
@@ -380,3 +383,16 @@ def first_order_jacobians(params, state):
 
     rows = derivative(systems, state.as_tuple())
     return rows[:4], rows[4:]
+
+
+def einstein_system(params, z):
+    """critical_points._einstein_system as one pass of the duals over
+    einstein_residual."""
+    return phase_system.value_and_derivative(
+        lambda y: phase_system.einstein_residual(params, *y)[0], z)
+
+
+def exact_einstein_residual(params, z):
+    """phase_system._exact_einstein_residual as einstein_residual on
+    Fractions, term by term."""
+    return phase_system.einstein_residual(params, *map(Fraction, z))[0]

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spin7flow.aw_algebra import AWParams
 from spin7flow import critical_points
@@ -26,7 +27,8 @@ from spin7flow.critical_points import (LABEL_P1, LABELS_ALC_B,
 from spin7flow.errors import (InvalidParameterError, InvalidRequestError,
                               SolverIncompleteError)
 from spin7flow.exact import QuadExt
-from spin7flow.phase_system import (PhaseState, derivative, einstein_residual,
+from spin7flow.phase_system import (PhaseState, _exact_einstein_residual,
+                                    _trace, derivative, einstein_residual,
                                     flow_rhs, residuals, vector_field)
 
 import fraction_reference
@@ -284,6 +286,87 @@ def test_einstein_system_rows_and_jacobians(kl):
             scale = max(map(abs, want))
             for g, w in zip(got, want):
                 assert abs(Fraction(g) - w) <= 1e-14 * scale
+
+
+# Coprime k >= l >= 0 up to 10^6 + 1.
+ORBITS = st.integers(1, 10 ** 6 + 1).flatmap(
+    lambda k: st.tuples(st.just(k), st.integers(0, k))).filter(
+    lambda kl: math.gcd(*kl) == 1)
+FAR_ORBITS = [(1, 0), (1, 1), (10 ** 6, 1), (10 ** 6 + 1, 10 ** 6)]
+# Magnitudes in [2^-60, 1].  The duals skip a factor that is 0 when they
+# run and the kernel only one that is 0 where it is traced, so where a
+# product of smaller coordinates underflows to 0 the two can part in the
+# sign of a zero or in a NaN (see phase_system._derivative_rows).
+UNIT_FLOATS = st.floats(2.0 ** -60, 1.0)
+
+
+def typed_bits(values, rows):
+    return [(type(v).__name__, float(v).hex())
+            for v in values + sum(rows, ())]
+
+
+@settings(max_examples=300, deadline=None)
+@given(kl=ORBITS, z=st.tuples(UNIT_FLOATS, UNIT_FLOATS, UNIT_FLOATS))
+@example(kl=(1, 0), z=(0.5, 0.25, 0.125))
+@example(kl=(1, 1), z=SEEDS[0])
+@example(kl=(10 ** 6, 1), z=SEEDS[1])
+@example(kl=(10 ** 6 + 1, 10 ** 6), z=(1.0, 2.0 ** -60, 1.0))
+def test_einstein_kernel_gives_the_dual_bits(kl, z):
+    # The traced kernel returns the values and partials of the dual pass
+    # over einstein_residual, type and bits.
+    p = AWParams(*kl)
+    assert typed_bits(*_einstein_system(p, z)) == \
+        typed_bits(*fraction_reference.einstein_system(p, z))
+
+
+def test_einstein_kernel_divides_by_zero_as_the_duals_do():
+    # R4 = 0 at l = 0, z = (1, 0, 1): every term of the residual that
+    # reads Z4^2 has a zero factor, but the quotient is still taken.
+    p = AWParams(1, 0)
+    for system in (_einstein_system, fraction_reference.einstein_system):
+        with pytest.raises(ZeroDivisionError):
+            system(p, (1.0, 0.0, 1.0))
+    for residual in (_exact_einstein_residual,
+                     fraction_reference.exact_einstein_residual):
+        with pytest.raises(ZeroDivisionError):
+            residual(p, (1, 0, 1))
+    # A plain trace keeps a quotient whose value a zero product drops;
+    # the homogeneous (integer) form refuses a quotient.
+    assert _trace(lambda eta, v: (0 * (v[0] / v[1]) + v[1],), 2)[0] == \
+        "w_0 = {v}0 / {v}1\n{k}0 = 0 + {v}1\n"
+    with pytest.raises(ValueError, match="quotient"):
+        _trace(lambda eta, v: (v[0] / (v[1] * v[1]),), 2, homogeneous=True)
+
+
+DYADIC = st.one_of(UNIT_FLOATS, st.floats(2.0 ** -30, 64.0),
+                   st.builds(lambda n, e: Fraction(n, 2 ** e),
+                             st.integers(1, 2 ** 40), st.integers(0, 80)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kl=ORBITS, z=st.tuples(DYADIC, DYADIC, DYADIC))
+@example(kl=(1, 0), z=(0.5, 0.25, 0.125))
+@example(kl=(1, 1), z=(F(2, 7), F(1, 7), F(1, 7)))
+@example(kl=(1, 1), z=(F(2, 21), F(5, 21), F(5, 21)))
+def test_exact_einstein_residual_is_the_fraction_one(kl, z):
+    p = AWParams(*kl)
+    got = _exact_einstein_residual(p, z)
+    assert all(type(v) is Fraction for v in got)
+    assert got == fraction_reference.exact_einstein_residual(p, z)
+
+
+@pytest.mark.parametrize("kl", FAR_ORBITS + [(3, 2), (13, 5), (59, 23)])
+def test_exact_einstein_residual_at_the_solver_points(kl):
+    # The rationalized Newton roots that _try_exact_einstein checks, and
+    # the exact AC points it finds, where the residual vanishes.
+    p = AWParams(*kl)
+    for z, exact in solve_homogeneous_einstein(p):
+        z123 = (tuple(F(v).limit_denominator(10 ** 6) for v in z[:3]),
+                z[:3])
+        for point in z123:
+            want = fraction_reference.exact_einstein_residual(p, point)
+            assert _exact_einstein_residual(p, point) == want
+            assert (not any(want)) == (exact and point == z[:3])
 
 
 def test_g2_points_satisfy_both_first_order_systems():
@@ -689,7 +772,21 @@ def test_tangency_flags():
                     assert v.tangent_crf
 
 
-@pytest.mark.parametrize("kl", [(1, 0), (1, 1), (3, 2), (17, 5), (59, 23)])
+def seeded_orbits(count, top, seed):
+    """count coprime orbits with top >= k > l >= 1."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        k = rng.randint(2, top)
+        l = rng.randint(1, k - 1)
+        if math.gcd(k, l) == 1:
+            out.append((k, l))
+    return out
+
+
+@pytest.mark.parametrize("kl", [(1, 0), (1, 1), (3, 2), (17, 5), (59, 23),
+                                (10 ** 6, 1), (10 ** 6 + 1, 10 ** 6)]
+                         + seeded_orbits(12, 10 ** 4, 32))
 def test_tangency_flags_match_fraction_dot_products(kl):
     p = AWParams(*kl)
     for label in ("P0_KplusL", "P0_K", "P0_L", "P1"):
@@ -699,6 +796,7 @@ def test_tangency_flags_match_fraction_dot_products(kl):
         assert [(v.tangent_crf, v.tangent_spin_plus, v.tangent_spin_minus)
                 for v in pairs] == fraction_reference.tangency_flags(
             p, label, [v.vector for v in pairs])
+        assert all(type(c) is Fraction for v in pairs for c in v.vector)
 
 
 def test_unstable_frame_selection_and_chirality():

@@ -674,7 +674,9 @@ def test_early_stop_is_the_full_run_cut_at_its_first_decision(name, window,
     assert early.outcome == outcome
 
 
-def test_package_imports_without_scipy():
+def modules_after_a_fresh_import(prefix):
+    """The sorted names of the modules under prefix that a fresh process
+    has loaded after importing spin7flow and spin7flow.cli."""
     src = Path(spin7flow.__file__).resolve().parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -682,11 +684,16 @@ def test_package_imports_without_scipy():
                              else []))
     code = ("import sys, spin7flow, spin7flow.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
+            "if m == %r or m.startswith(%r)))" % (prefix, prefix + "."))
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_package_imports_without_scipy():
+    src = Path(spin7flow.__file__).resolve().parent
+    assert modules_after_a_fresh_import("scipy") == "[]"
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             names = ([a.name for a in node.names]
@@ -695,3 +702,8 @@ def test_package_imports_without_scipy():
                      else [])
             assert not any(n.split(".")[0] == "scipy" for n in names), \
                 "%s:%d imports scipy" % (path.name, node.lineno)
+
+
+def test_package_imports_without_a_process_pool():
+    # sweep imports concurrent.futures itself, when it starts a pool.
+    assert modules_after_a_fresh_import("concurrent.futures") == "[]"

@@ -643,6 +643,17 @@ def test_kernels_give_the_dual_bits_at_float_states(kl, values, exact_x):
         [[float(v).hex() for v in row] for row in want]
 
 
+def test_jacobian_inputs_and_jacobian_share_one_kernel():
+    # _jacobian_inputs reads the live set from the kernel that jacobian
+    # runs, so a state traces it once.
+    p = AWParams(3, 2)
+    state = PhaseState((THIRD, 0, 0, THIRD), (0, THIRD, THIRD, Fraction(19)))
+    phase_system._derivative_kernel.cache_clear()
+    phase_system._jacobian_inputs(p, state)
+    jacobian(p, state)
+    assert phase_system._derivative_kernel.cache_info().misses == 1
+
+
 @pytest.mark.parametrize("kl", [(1, 0), (1, 1), (3, 2), (13, 5)])
 def test_kernels_at_one_field_written_as_sqrt2_and_sqrt8(kl):
     root2, root8 = QuadExt(0, 1, 2), QuadExt(0, Fraction(1, 2), 8)

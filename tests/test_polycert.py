@@ -19,8 +19,8 @@ from spin7flow.cli import main
 from spin7flow.phase_system import (PhaseState, cubic_coefficients,
                                     quartic_coefficients, residuals,
                                     scalar_terms)
-from spin7flow.ratpoly import (RatPoly, _bernstein_tensor,
-                               random_nonnegativity_audit,
+from spin7flow.ratpoly import (Ball, RatPoly, _bernstein_tensor,
+                               certify_nonneg, random_nonnegativity_audit,
                                sylvester_resultant, univariate_gcd)
 
 F = Fraction
@@ -902,6 +902,12 @@ def test_certify_ray_resultant(p):
     assert cert.status == "NonNegative"
     assert cert.max_depth <= 40
     assert len(cert.exclusion_balls) == len(pc.stated_boundary_zeros(p))
+    # the certificate certify_nonneg gives rtilde from its own tensor
+    want = certify_nonneg(pc.rtilde(p), pc.RAY_PARAMETER_DOMAIN, [
+        Ball(c, pc.DEFAULT_EXCLUSION_RADIUS)
+        for c in pc.stated_boundary_zeros(p)])
+    assert (repr(cert), cert.boxes_per_depth) == \
+        (repr(want), want.boxes_per_depth)
 
 
 def test_certified_line_box_random_audit():
