@@ -625,9 +625,9 @@ def _polish(params, z123):
     from; the Jacobian is the float one at z123, as in the iteration.
     z4 = sqrt(Z4^2) in floats there.
     """
-    resid = _exact_einstein_residual(params, z123)
+    resid = tuple(n / d for n, d in _exact_einstein_residual(params, z123))
     jac = _einstein_system(params, z123)[1]
-    delta = _newton_step(jac, tuple(map(float, resid)))
+    delta = _newton_step(jac, resid)
     z123 = tuple(float(Fraction(v) - Fraction(d))
                  for v, d in zip(z123, delta))
     return z123 + (einstein_residual(params, *z123)[1] ** 0.5,)
@@ -694,6 +694,6 @@ def _try_exact_einstein(params, z123):
     zr = tuple(Fraction(v).limit_denominator(10 ** 6) for v in z123)
     if any(abs(float(r) - v) > 1e-9 for v, r in zip(z123, zr)):
         return None
-    if any(_exact_einstein_residual(params, zr)):
+    if any(n for n, _ in _exact_einstein_residual(params, zr)):
         return None
     return zr + (exact_sqrt(einstein_residual(params, *zr)[1]),)

@@ -733,20 +733,25 @@ def _einstein_numerator_kernel():
 
 
 def _exact_einstein_residual(params, z):
-    """einstein_residual(params, *z)[0] at a rational z, on integers.
+    """einstein_residual(params, *z)[0] at a rational z, on integers, as
+    unreduced (numerator, denominator) pairs.
 
     The homogeneous kernel of _einstein_numerators runs at (z, quartic
     coefficients, EINSTEIN_LEVEL) on integers (_on_integers): numerator
-    i is N_i / D**deg_i and q is Q / D**deg_q, so residual i is the one
-    Fraction N_i * D**deg_q / (Q * D**deg_i), reduced.  The rational is
-    the one einstein_residual builds term by term in Fractions; Q = 0,
-    where R4 vanishes, raises ZeroDivisionError as that quotient does.
-    z holds ints, floats or Fractions.
+    i is N_i / D**deg_i and q is Q / D**deg_q, so residual i is
+    N_i * D**deg_q / (Q * D**deg_i), the rational einstein_residual
+    builds term by term in Fractions.  The pairs are not reduced: the
+    float of a residual is the quotient n / d, correctly rounded as
+    Fraction.__float__ rounds the reduced one, and it vanishes exactly
+    when N_i does.  Q = 0, where R4 vanishes, raises ZeroDivisionError
+    as that quotient does.  z holds ints, floats or Fractions.
     """
     kernel, degrees = _einstein_numerator_kernel()
     (*nums, q), scales = _on_integers(kernel, degrees, (
         *z, *quartic_coefficients(params), EINSTEIN_LEVEL))
-    return tuple(Fraction(num * scales[degrees[-1]], q * scales[e])
+    if q == 0:
+        raise ZeroDivisionError("the Einstein residual divides by R4 = 0")
+    return tuple((num * scales[degrees[-1]], q * scales[e])
                  for num, e in zip(nums, degrees))
 
 

@@ -32,9 +32,10 @@ integer coefficients over one denominator, so they build no RatPoly;
 slice() builds the RatPoly for callers that want one.
 """
 
+import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 from operator import mul
 
 from .aw_algebra import _as_params
@@ -47,18 +48,24 @@ from .errors import (
 from .exact import QuadExt, _square_decompose
 from .phase_system import rs_of_z, zcons_of_z
 from .ratpoly import (
+    DEFAULT_MAX_DEPTH,
     Ball,
     Box,
     Certificate,
     Interval,
     RatPoly,
     _bernstein_form,
+    _cell_exclusion,
+    _cell_point,
     _certify_checks,
-    _certify_tensor,
     _coerce as _rat,
     _compile_evaluation,
+    _corners,
     _dense_tensor,
     _integer_evaluation,
+    _split_axis,
+    _subdivide,
+    _tensor_steps,
     certify_nonneg,
     random_nonnegativity_audit,
     smallest_root_in_interval,
@@ -674,8 +681,8 @@ def _checked_ray_resultant():
 def _ray_resultant():
     """The reduced ray resultant over (alpha, beta, delta, rho), compiled
     for every ratio: its evaluator at fixed rho, whose groups are the
-    rho-coefficients of each (alpha, beta, delta) key, and the Bernstein
-    tensors of its rho**m parts on RAY_PARAMETER_DOMAIN."""
+    rho-coefficients of each (alpha, beta, delta) key, and its Bernstein
+    tensor in (alpha, beta, delta, rho) (_rho_bernstein_parts)."""
     p1, p2 = _ray_family()
     resultant = sylvester_resultant(p1, p2, "Z1")
     offenders = [(exps, coeff, None)
@@ -693,40 +700,27 @@ def _ray_resultant():
 
 
 def _rho_bernstein_parts(evaluator):
-    """(columns, scale, dims, strides): the Bernstein tensors B_m of the
-    rho**m parts of the ray resultant on RAY_PARAMETER_DOMAIN, integer
-    numerators over one scale, entry by entry: column i holds entry i of
-    B_0, ..., B_top.
+    """(nums, scale, dims, strides): the Bernstein tensor of the ray
+    resultant on RAY_PARAMETER_DOMAIN x [0, 1] in (alpha, beta, delta,
+    rho), integer numerators over one scale, rho the last axis.
 
-    The Bernstein transform is linear, so at rho = p/q the tensor of
-    the resultant is sum p**m q**(top - m) B_m over scale*q**top.  Its
-    degrees are the family's at every rho >= 0, because each of alpha,
-    beta and delta has a top-degree rho-group whose coefficients are all
-    positive, the rho**0 one included.
+    The first three axes' tables give the Bernstein tensors B_m of the
+    rho**m parts on RAY_PARAMETER_DOMAIN; the rho axis's degree-4 table,
+    _axis_table(4, 0, 1), then turns each entry's (B_0, ..., B_4) into
+    its five rho-Bernstein coefficients b_j.  At rho = p/q in [0, 1] an
+    entry's Bernstein coefficient on the (alpha, beta, delta) box is
+    sum w_j b_j with w_j = C(4, j) p**j (q - p)**(4 - j), over
+    scale*q**4.  The degrees are the family's at every rho >= 0, because
+    each of alpha, beta and delta has a top-degree rho-group whose
+    coefficients are all positive, the rho**0 one included.
     """
-    scale, (top,), groups = evaluator
-    dims = tuple(max(e) + 1 for e in zip(*(key for key, _ in groups)))
-    parts = []
-    for m in range(top + 1):
-        flat, strides = _dense_tensor(
-            [(key, n) for key, rows in groups for (e,), n in rows if e == m],
-            dims)
-        nums, part_scale, _, _ = _bernstein_form(flat, scale, dims, strides,
-                                                 RAY_PARAMETER_DOMAIN)
-        parts.append(nums)
-    return tuple(zip(*parts)), part_scale, dims, strides
-
-
-def _ray_bernstein_tensor(family, rho):
-    """The Bernstein tensor of the compiled ray resultant at rho on
-    RAY_PARAMETER_DOMAIN, as _bernstein_tensor returns it up to a
-    common factor: the combination of _rho_bernstein_parts."""
-    columns, scale, dims, strides = family.compiled[1]
-    p, q = rho.as_integer_ratio()
-    top = len(columns[0]) - 1
-    weights = [p ** m * q ** (top - m) for m in range(top + 1)]
-    return ([sum(map(mul, weights, column)) for column in columns],
-            scale * q ** top, dims, strides)
+    scale, _, groups = evaluator
+    terms = [(key + exps, n) for key, rows in groups for exps, n in rows]
+    dims = tuple(max(e) + 1 for e in zip(*(exps for exps, _ in terms)))
+    flat, strides = _dense_tensor(terms, dims)
+    box = Box(RAY_PARAMETER_DOMAIN.intervals
+              + (Interval(Fraction(0), Fraction(1)),))
+    return _bernstein_form(flat, scale, dims, strides, box)
 
 
 def _require_equal(computed, recorded, label):
@@ -828,19 +822,165 @@ def certify_ray_resultant(params):
     are checked against each other: a missing or misplaced ball shows
     up as an Inconclusive or CounterexampleFound verdict.
 
-    The root tensor of the subdivision is sum rho**m B_m, taken in
-    integers from the Bernstein tensors B_m of the resultant's rho**m
-    parts, built once per process; reduced, it has the numerators and
-    denominator that converting rtilde(params) gives.  So the
-    certificate is certify_nonneg's on rtilde(params), with the box and
-    ball checks made against RAY_PARAMETER_VARIABLES, and rtilde's
+    The certificate is certify_nonneg's on rtilde(params), with the box
+    and ball checks made against RAY_PARAMETER_VARIABLES: the same
+    subdivision, decision for decision, with the same exact values.  It
+    walks the cells of one tree that every orbit shares
+    (_ray_certificate): the resultant's Bernstein tensor in (alpha,
+    beta, delta, rho), split in (alpha, beta, delta) once per process,
+    whose cells know for which entries the sign holds at every rho, so
+    an orbit evaluates only the others at its rho = l/k.  rtilde's
     RatPoly is not built.
     """
     params = _as_params(params)
+    parts = _checked_ray_resultant().compiled[1]
+    exclusions = _ray_exclusions(stated_boundary_zeros(params))
+    with _RAY_CELLS_LOCK:
+        return _ray_certificate(parts, _RAY_CELLS, params.rho, exclusions)
+
+
+@lru_cache(maxsize=4)
+def _ray_exclusions(centers):
+    """(box, balls, in_ball): RAY_PARAMETER_DOMAIN and exclusion balls
+    of radius DEFAULT_EXCLUSION_RADIUS on centers, as _certify_checks
+    gives them, with their integer cell test (_cell_exclusion); one
+    tuple per process for each list of centers."""
     box, balls = _certify_checks(
         RAY_PARAMETER_VARIABLES, RAY_PARAMETER_DOMAIN,
-        (Ball(center, DEFAULT_EXCLUSION_RADIUS)
-         for center in stated_boundary_zeros(params)))
-    return _certify_tensor(
-        _ray_bernstein_tensor(_checked_ray_resultant(), params.rho), box,
-        balls)
+        (Ball(center, DEFAULT_EXCLUSION_RADIUS) for center in centers))
+    return box, balls, _cell_exclusion(balls, box)
+
+
+# The ray certificate's shared cells, keyed by their cells as _subdivide
+# names them; a process keeps at most _RAY_CELL_LIMIT of them.  A stored
+# cell holds a full tensor only while it is a leaf of the stored tree,
+# so at most half of them do: 512 cells, at most 256 tensors of 735
+# integers (7.9 MiB once a stream of small-rho orbits filled it).  A
+# walk changes the cells it visits, so one walk at a time holds the lock.
+_RAY_CELL_LIMIT = 512
+_RAY_CELLS = {}
+_RAY_CELLS_LOCK = threading.Lock()
+
+
+class _RayCell:
+    """A cell of the ray resultant's tensor from _rho_bernstein_parts,
+    read for every rho in [0, 1] at once.
+
+    Entry e of the (alpha, beta, delta) tensor holds five rho-Bernstein
+    coefficients b_j; at rho = p/q its value is sum w_j b_j with weights
+    w_j = C(4, j) p**j (q - p)**(4 - j) >= 0.  An entry whose b_j are all
+    >= 0 is nonnegative at every rho; undecided maps each other entry to
+    its b_j, so a cell with none is discharged at every rho.  negative
+    marks an entry negative at every rho (every b_j <= 0, b_0 < 0 and
+    b_4 < 0): no rho discharges the cell by sign.  tensor, the cell's
+    full data for splitting, numerators over the root scale << shift, is
+    dropped once its children are stored or nothing is undecided.  near
+    is (balls, inside, free) for the last set of exclusion balls the
+    cell was examined with: whether it lies in one of them, and its
+    undecided corners outside them (see _corners), which depend on the
+    balls alone.  split_before records that an orbit has split the cell
+    without storing its halves.
+    """
+
+    __slots__ = ("shift", "undecided", "negative", "tensor", "near",
+                 "split_before")
+
+    def __init__(self, tensor, shift, width):
+        lows = map(min, *(tensor[j::width] for j in range(width)))
+        self.undecided = {e: tensor[e * width:(e + 1) * width]
+                          for e, low in enumerate(lows) if low < 0}
+        self.negative = any(max(b) <= 0 and b[0] < 0 and b[-1] < 0
+                            for b in self.undecided.values())
+        self.tensor = tensor if self.undecided else None
+        self.shift = shift
+        self.near = None
+        self.split_before = False
+
+
+def _ray_certificate(parts, table, rho, exclusions,
+                     max_depth=DEFAULT_MAX_DEPTH):
+    """certify_nonneg's certificate of the ray resultant at rho in
+    [0, 1], with the box and balls of exclusions (_ray_exclusions), from
+    its tensor parts (_rho_bernstein_parts) and a table of _RayCell
+    shared by every rho.
+
+    An orbit evaluates a cell's undecided entries only, as the integer
+    dot products sum w_j b_j over scale*q**4 << shift: all of them for
+    the sign test and at max_depth (the lowest coefficient is among
+    them), the corners alone when one entry is negative at every rho.
+    A stored cell's halves are stored the second time it is split, both
+    from one _split_axis of its tensor, which it then drops.  The first
+    time, and whenever the table holds _RAY_CELL_LIMIT cells, its
+    entries at this rho become the orbit's own (alpha, beta, delta)
+    tensor, which the rest of that branch splits as certify_nonneg does
+    and which goes with the walk: a cell that one orbit alone visits
+    costs no split in four dimensions, and one-shot certificates cost
+    what they cost without the table.  Reduced, every value is the one
+    certify_nonneg finds on rtilde at rho, so the certificate and its
+    boxes per depth are that one's.
+    """
+    tensor, scale, dims, strides = parts
+    box, balls, in_ball = exclusions
+    width = dims[-1]
+    dims3, strides3 = dims[:-1], tuple(s // width for s in strides[:-1])
+    degrees = tuple(size - 1 for size in dims3)
+    corners = _corners(dims3, strides3)
+    p, q = rho.as_integer_ratio()
+    weights = [comb(width - 1, j) * p ** j * (q - p) ** (width - 1 - j)
+               for j in range(width)]
+    scale *= q ** (width - 1)
+    own_examine, own_split = _tensor_steps(dims3, strides3, scale, in_ball)
+
+    def at_rho(b):
+        return sum(map(mul, weights, b))
+
+    def near(cell, cells):
+        if cell.near is None or cell.near[0] is not balls:
+            cell.near = balls, in_ball(cells), tuple(
+                (top, c) for top, c in corners if c in cell.undecided
+                and not any(ball.contains_point(_cell_point(box, cells, top))
+                            for ball in balls))
+        return cell.near[1:]
+
+    def examine(cell, cells, last):
+        if type(cell) is tuple:
+            return own_examine(cell, cells, last)
+        undecided = cell.undecided
+        if not undecided:
+            return None
+        inside, free = near(cell, cells)
+        if inside:
+            return None
+        if cell.negative and not last:
+            values = {c: at_rho(undecided[c]) for _, c in free}
+        else:
+            values = {e: at_rho(b) for e, b in undecided.items()}
+            if min(values.values()) >= 0:
+                return None
+        return ([(top, values[c]) for top, c in free if values[c] < 0],
+                scale << cell.shift, min(values.values()) if last else None)
+
+    def split(cell, axis, halves):
+        if type(cell) is tuple:
+            return own_split(cell, axis, halves)
+        stored = tuple(map(table.get, halves))
+        if stored[0] is not None:
+            return stored
+        if not cell.split_before or len(table) + 2 > _RAY_CELL_LIMIT:
+            cell.split_before = True
+            full = cell.tensor
+            nums = [at_rho(full[i:i + width])
+                    for i in range(0, len(full), width)]
+            return own_split((nums, cell.shift), axis, halves)
+        shift = cell.shift + degrees[axis]
+        children = tuple(_RayCell(half, shift, width) for half
+                         in _split_axis(cell.tensor, dims, strides, axis))
+        table.update(zip(halves, children))
+        cell.tensor = None
+        return children
+
+    root_cells = ((0, 0),) * len(dims3)
+    root = table.get(root_cells)
+    if root is None:
+        root = table[root_cells] = _RayCell(tensor, 0, width)
+    return _subdivide(box, balls, max_depth, root, examine, split)

@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import comb, gcd, lcm, prod
 from operator import add
 
@@ -1119,12 +1120,20 @@ def _split_axis(nums, dims, strides, axis):
     return _unslab(left, order), _unslab(right, order)
 
 
-def _corner_indices(dims, strides):
-    corners = [0]
-    for size, stride in zip(dims, strides):
-        top = (size - 1) * stride
-        corners = [c + extra for c in corners for extra in (0, top)]
-    return tuple(corners)
+@lru_cache(maxsize=64)
+def _corners(dims, strides):
+    """The tensor's corner entries as (top, flat index) pairs, top
+    holding 1 on each axis where the entry is the last one; in the order
+    of product((0, 1), repeat=len(dims))."""
+    return tuple((top, sum(t * (size - 1) * stride
+                           for t, size, stride in zip(top, dims, strides)))
+                 for top in product((0, 1), repeat=len(dims)))
+
+
+def _cell_point(box, cells, top):
+    """The corner of a cell of the box that top names (see _corners)."""
+    return tuple(iv.lower + iv.width * Fraction(offset + t, 1 << level)
+                 for iv, (offset, level), t in zip(box.intervals, cells, top))
 
 
 def _cell_exclusion(balls, box):
@@ -1231,31 +1240,55 @@ def _certify_tensor(tensor, box, balls, max_depth=DEFAULT_MAX_DEPTH):
     positive dimension, for a caller that holds the tensor in a cheaper
     form.  A zero tensor gives the certificate that certify_nonneg
     gives the zero polynomial."""
-    dimension = box.dimension
-    lowers = [iv.lower for iv in box.intervals]
-    widths = [iv.width for iv in box.intervals]
     nums, scale, dims, strides = tensor
     # scale // g is the least common denominator of the coefficients.
     g = gcd(scale, *nums)
-    nums = [n // g for n in nums]
-    denominator = scale // g
-    corner_cells = _corner_indices(dims, strides)
+    examine, split = _tensor_steps(dims, strides, scale // g,
+                                   _cell_exclusion(balls, box))
+    return _subdivide(box, balls, max_depth, ([n // g for n in nums], 0),
+                      examine, split)
+
+
+def _tensor_steps(dims, strides, denominator, in_ball):
+    """_subdivide's examine and split over nodes (nums, shift): a
+    Bernstein tensor on the node's cell, integer numerators over
+    denominator << shift, that each split halves in integers."""
+    corners = _corners(dims, strides)
     degrees = tuple(size - 1 for size in dims)
-    in_ball = _cell_exclusion(balls, box)
 
-    def real_bounds(cells):
-        bounds = []
-        for i, (offset, level) in enumerate(cells):
-            lo = lowers[i] + widths[i] * Fraction(offset, 1 << level)
-            hi = lowers[i] + widths[i] * Fraction(offset + 1, 1 << level)
-            bounds.append((lo, hi))
-        return bounds
+    def examine(node, cells, last):
+        nums, shift = node
+        low = min(nums)
+        if low >= 0 or in_ball(cells):
+            return None
+        return ([(top, nums[c]) for top, c in corners if nums[c] < 0],
+                denominator << shift, low)
 
-    def cell_has_top(cell, axis):
-        return (cell // strides[axis]) % dims[axis] == degrees[axis]
+    def split(node, axis, halves):
+        nums, shift = node
+        shift += degrees[axis]
+        left, right = _split_axis(nums, dims, strides, axis)
+        return (left, shift), (right, shift)
 
-    root_cells = tuple((0, 0) for _ in range(dimension))
-    stack = [(nums, 0, root_cells, 0)]
+    return examine, split
+
+
+def _subdivide(box, balls, max_depth, root, examine, split):
+    """certify_nonneg's depth-first subdivision of box into cells, on
+    nodes that carry a polynomial's Bernstein data on a cell in any form.
+
+    examine(node, cells, last) is None when the cell is discharged: the
+    polynomial is nonnegative there or the cell lies in a ball.  Else it
+    is (negatives, scale, low): (top, numerator) for each corner (see
+    _corners) where the polynomial is negative, in the order of
+    _corners (corners inside a ball may be left out), their denominator,
+    and, when last (the cell is at max_depth), the numerator of a lowest
+    Bernstein coefficient.  split(node, axis, halves) gives the nodes of
+    the two halves, whose cells are halves.  The axis is the one split
+    the fewest times, the first on ties; the left half is examined
+    first.
+    """
+    dimension = box.dimension
     per_depth = []
     worst_bound = None
     worst_cells = None
@@ -1264,53 +1297,46 @@ def _certify_tensor(tensor, box, balls, max_depth=DEFAULT_MAX_DEPTH):
         return Certificate(status, balls, sum(per_depth), len(per_depth) - 1,
                            boxes_per_depth=tuple(per_depth), **found)
 
+    stack = [(root, ((0, 0),) * dimension, 0)]
     while stack:
-        cell_nums, shift, cells, depth = stack.pop()
+        node, cells, depth = stack.pop()
         if depth == len(per_depth):
             per_depth.append(1)
         else:
             per_depth[depth] += 1
-        low = min(cell_nums)
-        if low >= 0 or in_ball(cells):
+        last = depth >= max_depth
+        found = examine(node, cells, last)
+        if found is None:
             continue
-        scale = denominator << shift
-        for cell in corner_cells:
-            if cell_nums[cell] < 0:
-                point = []
-                for i, (offset, level) in enumerate(cells):
-                    tick = offset + (1 if cell_has_top(cell, i) else 0)
-                    point.append(
-                        lowers[i] + widths[i] * Fraction(tick, 1 << level))
-                point = tuple(point)
-                if any(ball.contains_point(point) for ball in balls):
-                    continue
-                value = Fraction(cell_nums[cell], scale)
-                return certificate(STATUS_COUNTEREXAMPLE,
-                                   counterexample=(point, value))
-        if depth >= max_depth:
+        negatives, scale, low = found
+        for top, value in negatives:
+            corner = _cell_point(box, cells, top)
+            if not any(ball.contains_point(corner) for ball in balls):
+                return certificate(
+                    STATUS_COUNTEREXAMPLE,
+                    counterexample=(corner, Fraction(value, scale)))
+        if last:
             bound = Fraction(low, scale)
             if worst_bound is None or bound < worst_bound:
                 worst_bound = bound
                 worst_cells = cells
             continue
-        axis = min(range(dimension), key=lambda i: (cells[i][1], i))
-        left, right = _split_axis(cell_nums, dims, strides, axis)
-        offset, level = cells[axis]
-        left_cells = tuple(
-            (2 * offset, level + 1) if i == axis else c
-            for i, c in enumerate(cells))
-        right_cells = tuple(
-            (2 * offset + 1, level + 1) if i == axis else c
-            for i, c in enumerate(cells))
-        new_shift = shift + degrees[axis]
-        stack.append((right, new_shift, right_cells, depth + 1))
-        stack.append((left, new_shift, left_cells, depth + 1))
+        levels = [level for _, level in cells]
+        axis = levels.index(min(levels))
+        head, (offset, level), tail = (cells[:axis], cells[axis],
+                                       cells[axis + 1:])
+        halves = (head + ((2 * offset, level + 1),) + tail,
+                  head + ((2 * offset + 1, level + 1),) + tail)
+        left, right = split(node, axis, halves)
+        stack.append((right, halves[1], depth + 1))
+        stack.append((left, halves[0], depth + 1))
 
     if worst_cells is not None:
         return certificate(
-            STATUS_INCONCLUSIVE,
-            worst_box=Box.from_bounds(real_bounds(worst_cells)),
-            worst_bound=worst_bound)
+            STATUS_INCONCLUSIVE, worst_bound=worst_bound,
+            worst_box=Box.from_bounds(zip(
+                _cell_point(box, worst_cells, (0,) * dimension),
+                _cell_point(box, worst_cells, (1,) * dimension))))
     return certificate(STATUS_NONNEGATIVE)
 
 

@@ -349,10 +349,16 @@ DYADIC = st.one_of(UNIT_FLOATS, st.floats(2.0 ** -30, 64.0),
 @example(kl=(1, 1), z=(F(2, 7), F(1, 7), F(1, 7)))
 @example(kl=(1, 1), z=(F(2, 21), F(5, 21), F(5, 21)))
 def test_exact_einstein_residual_is_the_fraction_one(kl, z):
+    # Unreduced integer pairs: their quotients are the Fraction
+    # residuals, their floats those Fractions' floats, and a residual
+    # vanishes exactly when its numerator does.
     p = AWParams(*kl)
     got = _exact_einstein_residual(p, z)
-    assert all(type(v) is Fraction for v in got)
-    assert got == fraction_reference.exact_einstein_residual(p, z)
+    want = fraction_reference.exact_einstein_residual(p, z)
+    assert all(type(n) is int and type(d) is int and d for n, d in got)
+    assert tuple(F(n, d) for n, d in got) == want
+    assert [n / d for n, d in got] == [float(v) for v in want]
+    assert [n != 0 for n, _ in got] == [v != 0 for v in want]
 
 
 @pytest.mark.parametrize("kl", FAR_ORBITS + [(3, 2), (13, 5), (59, 23)])
@@ -365,7 +371,8 @@ def test_exact_einstein_residual_at_the_solver_points(kl):
                 z[:3])
         for point in z123:
             want = fraction_reference.exact_einstein_residual(p, point)
-            assert _exact_einstein_residual(p, point) == want
+            assert tuple(F(n, d) for n, d in
+                         _exact_einstein_residual(p, point)) == want
             assert (not any(want)) == (exact and point == z[:3])
 
 

@@ -4,6 +4,8 @@ certified positivity layer."""
 import hashlib
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -19,8 +21,9 @@ from spin7flow.cli import main
 from spin7flow.phase_system import (PhaseState, cubic_coefficients,
                                     quartic_coefficients, residuals,
                                     scalar_terms)
-from spin7flow.ratpoly import (Ball, RatPoly, _bernstein_tensor,
-                               certify_nonneg, random_nonnegativity_audit,
+from spin7flow.ratpoly import (Ball, Box, Interval, RatPoly,
+                               _bernstein_tensor, certify_nonneg,
+                               random_nonnegativity_audit,
                                sylvester_resultant, univariate_gcd)
 
 F = Fraction
@@ -676,6 +679,32 @@ def _reduced(tensor):
     return [n // g for n in nums], scale // g, dims, strides
 
 
+def _ray_tensor_at(parts, rho):
+    """The ray box's tensor at rho from the (alpha, beta, delta, rho)
+    one: entry by entry sum C(4, j) rho**j (1 - rho)**(4 - j) b_j, taken
+    with rho = p/q over scale*q**4."""
+    nums, scale, dims, strides = parts
+    width = dims[-1]
+    p, q = rho.as_integer_ratio()
+    weights = [math.comb(width - 1, j) * p ** j * (q - p) ** (width - 1 - j)
+               for j in range(width)]
+    values = [sum(w * b for w, b in zip(weights, nums[i:i + width]))
+              for i in range(0, len(nums), width)]
+    return (values, scale * q ** (width - 1), dims[:-1],
+            tuple(s // width for s in strides[:-1]))
+
+
+def test_ray_tensor_is_the_resultants_on_the_four_cube():
+    """The shared tree's root is the Bernstein tensor of the reduced ray
+    resultant over (alpha, beta, delta, rho) on the ray box times
+    [0, 1], converted term by term."""
+    family = pc._checked_ray_resultant()
+    box = Box(pc.RAY_PARAMETER_DOMAIN.intervals + (Interval(0, 1),))
+    assert _reduced(family.compiled[1]) == \
+        _reduced(_bernstein_tensor(family, box))
+    assert family.compiled[1][2] == (7, 7, 3, 5)
+
+
 _ORBITS = st.tuples(st.integers(1, 10 ** 6 + 1), st.integers(0, 10 ** 6 + 1)
                     ).filter(lambda kl: kl[0] >= kl[1]
                              and math.gcd(*kl) == 1)
@@ -688,13 +717,14 @@ _ORBITS = st.tuples(st.integers(1, 10 ** 6 + 1), st.integers(0, 10 ** 6 + 1)
 @example(kl=(10 ** 6 + 1, 10 ** 6))
 @example(kl=(10 ** 6 + 1, 1))
 def test_ray_tensor_is_the_combination_of_its_rho_parts(kl):
-    """The ray certificate's root tensor, sum rho**m B_m, reduces to the
+    """The ray certificate's (alpha, beta, delta, rho) tensor, its
+    entries' rho-Bernstein coefficients combined at rho, reduces to the
     Bernstein tensor of rtilde(p) on the ray box; rtilde's RatPoly is
     the one the checked constructor builds, in the same term order."""
     p = AWParams(*kl)
     poly = pc.rtilde(p)
     want = _bernstein_tensor(poly, pc.RAY_PARAMETER_DOMAIN)
-    got = pc._ray_bernstein_tensor(pc._checked_ray_resultant(), p.rho)
+    got = _ray_tensor_at(pc._checked_ray_resultant().compiled[1], p.rho)
     assert _reduced(got) == _reduced(want)
     rebuilt = RatPoly(poly.variables, dict(poly.terms))
     assert poly == rebuilt and repr(poly) == repr(rebuilt)
@@ -908,6 +938,157 @@ def test_certify_ray_resultant(p):
         for c in pc.stated_boundary_zeros(p)])
     assert (repr(cert), cert.boxes_per_depth) == \
         (repr(want), want.boxes_per_depth)
+
+
+def _nonneg_certificate(p, extra=0, max_depth=40, balls=None):
+    """certify_nonneg's certificate of rtilde(p) - extra on the ray box,
+    with the stated balls unless balls is given."""
+    if balls is None:
+        balls = [Ball(c, pc.DEFAULT_EXCLUSION_RADIUS)
+                 for c in pc.stated_boundary_zeros(p)]
+    return certify_nonneg(pc.rtilde(p) - extra, pc.RAY_PARAMETER_DOMAIN,
+                          balls, max_depth=max_depth)
+
+
+def _same_certificate(got, want):
+    # repr holds status, counterexample, worst box and worst bound.
+    assert (repr(got), got.boxes_per_depth) == \
+        (repr(want), want.boxes_per_depth)
+
+
+_CERTIFIED_ORBITS = st.tuples(st.integers(1, 400), st.integers(0, 400)
+                              ).filter(lambda kl: kl[0] >= kl[1]
+                                       and math.gcd(*kl) == 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(orbits=st.lists(_CERTIFIED_ORBITS, min_size=1, max_size=5),
+       cleared=st.booleans(), limit=st.sampled_from([1, 9, None]))
+@example(orbits=[(1, 0), (1, 1), (100, 1), (300, 1)], cleared=True,
+         limit=None)
+@example(orbits=[(300, 1), (1, 1), (13, 5), (1, 0), (100, 1)],
+         cleared=False, limit=None)
+@example(orbits=[(100, 1), (1, 1), (3, 2)], cleared=True, limit=9)
+@example(orbits=[(3, 2)] * 4 + [(13, 5)] * 4, cleared=True, limit=None)
+def test_shared_tree_certificate_is_certify_nonnegs(orbits, cleared, limit):
+    """Orbits in any order, on a cleared or a warm table and past any
+    table bound, get certify_nonneg's certificate on rtilde, tree
+    included."""
+    saved = pc._RAY_CELL_LIMIT
+    if cleared:
+        pc._RAY_CELLS.clear()
+    try:
+        pc._RAY_CELL_LIMIT = limit or saved
+        for kl in orbits:
+            p = AWParams(*kl)
+            _same_certificate(pc.certify_ray_resultant(p),
+                              _nonneg_certificate(p))
+    finally:
+        pc._RAY_CELL_LIMIT = saved
+
+
+def test_ray_tree_without_balls_chains_to_max_depth():
+    # Nothing discharges the zero at (1, 0, 1): the walk runs to
+    # max_depth there and reports the worst box, on a new table and on
+    # the same table again, until the table holds the chain past the
+    # depth where its cells fit in the stated ball.  Then the stated
+    # ball discharges them, and the ball-less walk again does not.
+    p = AWParams(3, 2)
+    parts = pc._checked_ray_resultant().compiled[1]
+    bare = _nonneg_certificate(p, balls=[])
+    assert bare.status == "Inconclusive" and bare.max_depth == 40
+    stated = _nonneg_certificate(p)
+    assert stated.status == "NonNegative"
+    table = {}
+    for centers, want in [((), bare)] * 30 + [
+            (pc.stated_boundary_zeros(p), stated), ((), bare)]:
+        got = pc._ray_certificate(parts, table, p.rho,
+                                  pc._ray_exclusions(centers))
+        _same_certificate(got, want)
+    assert max(level for cells in table for _, level in cells) > 8
+
+
+@pytest.mark.parametrize("max_depth", [0, 1, 6])
+def test_ray_tree_at_a_small_max_depth(max_depth):
+    p = AWParams(17, 5)
+    want = _nonneg_certificate(p, max_depth=max_depth)
+    assert want.status == "Inconclusive"
+    got = pc._ray_certificate(
+        pc._checked_ray_resultant().compiled[1], {}, p.rho,
+        pc._ray_exclusions(pc.stated_boundary_zeros(p)), max_depth)
+    _same_certificate(got, want)
+
+
+@pytest.mark.parametrize("kl", [(1, 0), (3, 2), (1, 1)])
+def test_ray_tree_finds_a_negative_corner(kl):
+    # The resultant minus a constant: every Bernstein coefficient drops
+    # by the same numerator, so cells with an entry negative at every
+    # rho appear, and a corner outside the balls is negative.
+    p = AWParams(*kl)
+    nums, scale, dims, strides = pc._checked_ray_resultant().compiled[1]
+    drop = scale // 1000
+    want = _nonneg_certificate(p, F(drop, scale))
+    assert want.status == "CounterexampleFound"
+    table = {}
+    for _ in range(3):
+        got = pc._ray_certificate(
+            ([n - drop for n in nums], scale, dims, strides), table, p.rho,
+            pc._ray_exclusions(pc.stated_boundary_zeros(p)))
+        _same_certificate(got, want)
+    assert any(cell.negative for cell in table.values())
+
+
+def test_ray_table_stays_bounded_under_small_rho():
+    """A stream of small-rho orbits, whose trees are far larger than the
+    table, fills it to _RAY_CELL_LIMIT cells and no further, with at
+    most half of them holding a full tensor, and every tree unchanged."""
+    pc._RAY_CELLS.clear()
+    stream = [AWParams(400, 1), AWParams(401, 1), AWParams(999, 2)]
+    want = [_nonneg_certificate(p) for p in stream]
+    for _ in range(6):
+        for p, cert in zip(stream, want):
+            _same_certificate(pc.certify_ray_resultant(p), cert)
+            assert len(pc._RAY_CELLS) <= pc._RAY_CELL_LIMIT
+            held = sum(cell.tensor is not None
+                       for cell in pc._RAY_CELLS.values())
+            assert held <= pc._RAY_CELL_LIMIT // 2
+    assert len(pc._RAY_CELLS) > pc._RAY_CELL_LIMIT - 2
+
+
+def test_ray_table_is_shared_safely_between_threads():
+    """Threads walking one table at once, switching every microsecond,
+    each get certify_nonneg's certificates, (1, 1)'s extra ball
+    included."""
+    orbits = [AWParams(1, 1), AWParams(3, 2), AWParams(7, 6),
+              AWParams(29, 1)]
+    want = {p: _nonneg_certificate(p) for p in orbits}
+    pc._RAY_CELLS.clear()
+    failures = []
+
+    def work(shift):
+        try:
+            for i in range(12):
+                p = orbits[(i + shift) % len(orbits)]
+                got = pc.certify_ray_resultant(p)
+                if (repr(got), got.boxes_per_depth) != \
+                        (repr(want[p]), want[p].boxes_per_depth):
+                    failures.append(p)
+        except Exception as exc:  # reported below, with the orbit lists
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(shift,))
+                   for shift in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
 
 
 def test_certified_line_box_random_audit():
