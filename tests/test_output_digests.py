@@ -304,3 +304,32 @@ def test_trajectories_are_unchanged(monkeypatch, capsys):
     for argv in TRAJECTORY_ARGV:
         digest.update(_stdout(argv, capsys).encode())
     assert digest.hexdigest() == TRAJECTORY_DIGEST
+
+
+# Short full-horizon runs on orbits the runs above leave out: a zero
+# cubic coefficient ((1, 0), l = 0), (13, 5) on the k+l bundle and in
+# the Ricci-flat mode, and (59, 23); the same bytes per run as above,
+# at both tolerance pairs.  Taken while each orbit and chirality traced
+# its own right-hand side with the coefficients as float literals.
+ORBIT_RUNS = [
+    ((1, 0), "k", "spin-", (0.6, 0.8)),
+    ((13, 5), "k+l", "spin+", (0.3, 0.95)),
+    ((59, 23), "k", "spin-", (0.8, 0.6)),
+    ((13, 5), "k+l", "ricci", (0.6, 0.8, 0.0)),
+]
+ORBIT_DIGEST = \
+    "2a86173d287e2d71744d6265c6b428bb9fe05c1133ec219501c2fa2e856d4510"
+
+
+def test_trajectories_on_more_orbits_are_unchanged():
+    digest = hashlib.sha256()
+    for kl, bundle_tag, mode, s in ORBIT_RUNS:
+        for rel_tol, abs_tol in TRAJECTORY_TOLERANCES:
+            traj = integrate(ShootSpec(
+                AWParams(*kl), bundle_tag, mode, s, rel_tol=rel_tol,
+                abs_tol=abs_tol, eta_max=20.0, **FULL))
+            for arr in (traj.etas, traj.states, traj.residual_log):
+                digest.update(arr.tobytes())
+            digest.update(repr((traj.events, traj.outcome,
+                                traj.face_lock)).encode())
+    assert digest.hexdigest() == ORBIT_DIGEST
