@@ -584,15 +584,6 @@ NEWTON_ITERS = 80
 RESID_TOL = 1e-12
 
 
-def _einstein_system(params, z):
-    """R1..R3 - 6/49 at z = (z1, z2, z3) and its Jacobian rows: what
-    value_and_derivative over einstein_residual's residual gives, bit
-    for bit, from the float kernel traced once per process from that
-    dual pass (phase_system._einstein_values_and_rows), with the
-    quartic coefficients and the level as inputs."""
-    return _einstein_values_and_rows(params, z)
-
-
 def _cross(u, v):
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
             u[0] * v[1] - u[1] * v[0])
@@ -626,7 +617,7 @@ def _polish(params, z123):
     z4 = sqrt(Z4^2) in floats there.
     """
     resid = tuple(n / d for n, d in _exact_einstein_residual(params, z123))
-    jac = _einstein_system(params, z123)[1]
+    jac = _einstein_values_and_rows(params, z123)[1]
     delta = _newton_step(jac, resid)
     z123 = tuple(float(Fraction(v) - Fraction(d))
                  for v, d in zip(z123, delta))
@@ -639,7 +630,7 @@ def _newton(params, seed):
     z = seed
     for sweep in range(NEWTON_ITERS + 1):
         try:
-            r, jac = _einstein_system(params, z)
+            r, jac = _einstein_values_and_rows(params, z)
         except ZeroDivisionError:
             break
         if all(abs(v) < RESID_TOL for v in r):

@@ -18,16 +18,17 @@ This module is the one place where a flow polynomial is written, each
 once, generic over exact values (Fraction, QuadExt, RatPoly), floats,
 numpy columns and the duals of ``derivative``, which takes every
 Jacobian and gradient from the polynomial it differentiates.  Kernels
-come from the same helpers: ``_trace`` runs a body on recording scalars
-and writes it out as source.  The stepper inlines the right-hand sides'
-kernels into its stages.  ``jacobian``, ``constraint_gradients`` and
-``first_order_jacobians`` run the kernel traced from their
-``derivative`` pass, on integers at a rational state: each entry is
-N / D**deg, with D the lcm of the inputs' denominators.  Rounding
-rule: a float expression associates as the integrator runs it
-(``flow_rhs``, ``reduced_z_rhs``, ``zcons_constraint``,
-``crf_constraints``): da*Z2*Z3*Z4 left to right, Rs as
-12*(Z1*Z2 + Z2*Z3 + Z3*Z1) - 2*(Z1^2 + Z2^2 + Z3^2) - q*Z4^2, since a
+come from the same helpers: ``_trace`` runs a body body(coefficients,
+point) on recording scalars and writes it out as source, once per
+process, with the orbit's coefficients among its inputs.  The stepper
+inlines the kernels of the right-hand sides' bodies into its stages.
+``jacobian``, ``constraint_gradients`` and ``first_order_jacobians``
+run the kernel traced from their ``derivative`` pass, on integers at a
+rational state: each entry is N / D**deg, with D the lcm of the
+inputs' denominators.  Rounding rule: a float expression associates
+as the integrator runs it (``flow_rhs``, ``reduced_z_rhs``,
+``zcons_constraint``, ``crf_constraints``): da*Z2*Z3*Z4 left to right,
+Rs as 12*(Z1*Z2 + Z2*Z3 + Z3*Z1) - 2*(Z1^2 + Z2^2 + Z3^2) - q*Z4^2, since a
 last-bit change there moves integrated states well beyond an ulp.  The
 evaluators thus agree with the integrator bit for bit.  A float partial
 associates as the product rule d(ab) = da*b + a*db runs through that
@@ -326,6 +327,13 @@ def _zcons_body(d, z):
     return (_zcons(z, _cubic_terms(d, z)),)
 
 
+def _reduced_body(d, z):
+    """The Z rows of the flow at X = _x_of_z: the reduced system on the
+    chirality set of the signed cubic coefficients d."""
+    x = _x_of_z(z, _cubic_terms(d, z))
+    return _z_field(g_of_x(x), x, z)
+
+
 def _einstein_body(c, z):
     """R1..R3 - level at z, c = (the quartic coefficients, the level)."""
     *c, level = c
@@ -423,9 +431,7 @@ class _Traced:
     plain form of _trace prints it.  A trace makes each operation on
     the same operands once, and a product with the int 0 is 0, so a
     dual skips what it would skip at an exact-zero value.  Only int and
-    float constants combine with it; anything else (the time argument
-    of an autonomous right-hand side, passed as None) fails the
-    trace."""
+    float constants combine with it; anything else fails the trace."""
 
     __slots__ = ("op", "args", "nodes")
 
@@ -478,20 +484,21 @@ class _Traced:
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3}
 
 
-def _trace(on_floats, n, homogeneous=False):
-    """(source, degrees, inputs): the kernel of on_floats(eta, y) on n
-    components, the degree of each output, and the sorted indices of
-    the inputs that the kernel reads.
+def _trace(fun, n, homogeneous=False, m=0):
+    """(source, degrees, inputs): the kernel of fun(inputs) on n + m
+    inputs, the degree of each output, and the sorted indices of the
+    inputs that the kernel reads.
 
-    The source is a template of assignment lines: input j reads
-    "{v}j", output i is assigned to "{k}i", and a value used more than
-    once is assigned to a temporary w_m first; every other value stays
-    nested in the expression that uses it.  A quotient is always
-    assigned, even where a product with the int 0 drops its value, so a
-    zero divisor raises ZeroDivisionError as it does on the duals.
-    Coefficients appear as their repr literals, which round-trip.
-    Substituting names with str.format and running the lines gives
-    on_floats' bits.
+    The source is a template of assignment lines: input j < n reads
+    "{v}j" and input n + j reads "{c}j", which keeps m coefficient
+    inputs named apart from the others; output i is assigned to "{k}i",
+    and a value used more than once is assigned to a temporary w_m
+    first; every other value stays nested in the expression that uses
+    it.  A quotient is always assigned, even where a product with the
+    int 0 drops its value, so a zero divisor raises ZeroDivisionError
+    as it does on the duals.  Constants appear as their repr literals,
+    which round-trip.  Substituting names with str.format and running
+    the lines gives fun's bits on floats.
 
     A value's degree is 1 for an input, 0 for a constant, the sum over
     a product, the difference over a quotient and the max over a sum.
@@ -501,8 +508,8 @@ def _trace(on_floats, n, homogeneous=False):
     divides raises ValueError there.
     """
     nodes = {}
-    inputs = [_Traced("input", (j,), nodes) for j in range(n)]
-    outputs = on_floats(None, inputs)
+    inputs = [_Traced("input", (j,), nodes) for j in range(n + m)]
+    outputs = fun(inputs)
     uses = {}
     order = []  # operation nodes, each after its operands
     degree = dict.fromkeys(inputs, 1)
@@ -539,7 +546,8 @@ def _trace(on_floats, n, homogeneous=False):
             source = repr(node)
             return source, 3 if source.startswith("-") else 4
         if node.op == "input":
-            return "{v}%d" % node.args[0], 4
+            j = node.args[0]
+            return ("{v}%d" % j if j < n else "{c}%d" % (j - n)), 4
         if node in names:
             return names[node], 4
         return expression(node), _PRECEDENCE[node.op]
@@ -601,7 +609,7 @@ def _compile(fun, zeros, homogeneous=True):
     live holds the indices of the inputs that the kernel reads; no
     other input changes its result."""
 
-    def traced(eta, inputs):
+    def traced(inputs):
         return fun([0 if zero else v for v, zero in zip(inputs, zeros)])
 
     template, degrees, live = _trace(traced, len(zeros), homogeneous)
@@ -1005,51 +1013,33 @@ def membership(params, state, set_id, tol=1e-9):
                             conditions=conds)
 
 
-def _float_rhs(on_floats):
-    """A right-hand side (eta, values) for any sequence of numbers, which
-    it turns into Python floats (float64 arithmetic, faster than numpy
-    scalars) for on_floats.  on_floats itself is kept as the attribute of
-    that name, for callers that already hold a list of Python floats (the
-    integrator), and its traced kernel as the attribute kernel on both."""
+def _stepping_kernel(body, n, m):
+    """The plain template of body(c, y) from _trace, y's n components
+    read as "{v}j" and the m coefficients c as "{c}j": one template for
+    every orbit, which the stepper inlines into its stages."""
+    return _trace(lambda v: body(v[n:], v[:n]), n, m=m)[0]
 
-    def rhs(eta, values):
+
+class _RightHandSide(partial):
+    """partial(body, coefficients) of a stepping body, called as a
+    right-hand side (eta, values): values, any sequence of numbers,
+    become Python floats (float64 arithmetic, faster than numpy
+    scalars) for body(coefficients, values).  The stepper reads func and
+    args, as _project reads a constraint's, and runs the body's kernel
+    with the coefficients as inputs."""
+
+    def __call__(self, eta, values):
         if isinstance(values, np.ndarray):
-            return on_floats(eta, values.astype(float, copy=False).tolist())
-        return on_floats(eta, list(map(float, values)))
-
-    rhs.on_floats = on_floats
-    rhs.kernel = on_floats.kernel
-    return rhs
-
-
-@lru_cache(maxsize=64)
-def _flow_on_floats(c):
-    """flow_rhs's body for quartic coefficients c, traced once per c."""
-
-    def on_floats(eta, y):
-        return _field(c, y[:4], y[4:])
-
-    on_floats.kernel = _trace(on_floats, 8)[0]
-    return on_floats
-
-
-@lru_cache(maxsize=64)
-def _reduced_on_floats(d):
-    """reduced_z_rhs's body for signed cubic coefficients d, traced once
-    per d."""
-
-    def on_floats(eta, z):
-        x = _x_of_z(z, _cubic_terms(d, z))
-        return _z_field(g_of_x(x), x, z)
-
-    on_floats.kernel = _trace(on_floats, 4)[0]
-    return on_floats
+            values = values.astype(float, copy=False).tolist()
+        else:
+            values = list(map(float, values))
+        return self.func(*self.args, values)
 
 
 def flow_rhs(params):
     """Float-specialized right-hand side for the full 8-dimensional flow."""
-    return _float_rhs(_flow_on_floats(
-        tuple(map(float, quartic_coefficients(params)))))
+    return _RightHandSide(_flow_body,
+                          tuple(map(float, quartic_coefficients(params))))
 
 
 def reduced_z_rhs(params, chirality):
@@ -1059,8 +1049,8 @@ def reduced_z_rhs(params, chirality):
     equations close up; this is the system actually integrated in the spin
     shooting modes.
     """
-    return _float_rhs(_reduced_on_floats(
-        tuple(map(float, _spin_coefficients(params, chirality)))))
+    return _RightHandSide(_reduced_body, tuple(
+        map(float, _spin_coefficients(params, chirality))))
 
 
 def zcons_constraint(params, chirality):

@@ -303,17 +303,21 @@ def slice(params, which, alpha, beta, delta=None):
     in {p1, p2} additionally needs delta and returns a polynomial in
     Z1.  Coordinates must be exact rationals (Fraction, int, or a
     num/den string); floats are refused so the restriction stays
-    exact.
+    exact.  The coefficients are the root functions' (_slice_integers).
     """
-    source, values = _slice_family(params, which)
+    source, _ = _slice_family(params, which)
     if (delta is None) != (which in LINE_SLICE_KINDS):
         raise InvalidRequestError(
             "the ray slices p1 and p2 need a delta value, "
             "and the line slices q1 and q2 take none")
-    values.update(alpha=_rat(alpha), beta=_rat(beta))
-    if delta is not None:
-        values["delta"] = _rat(delta)
-    return source.substitute(values)
+    point = (alpha, beta) if delta is None else (alpha, beta, delta)
+    # (alpha, beta) and then delta: the parameters in either family's
+    # evaluator order; the variable a slice keeps is its family's last.
+    ints, denominator = _slice_integers(
+        params, which, RAY_PARAMETER_VARIABLES[:len(point)],
+        tuple(map(_rat, point)))
+    return RatPoly(source.variables[-1:], {
+        (e,): Fraction(n, denominator) for e, n in enumerate(ints)})
 
 
 # ---------------------------------------------------------------------------

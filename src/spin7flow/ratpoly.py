@@ -1217,8 +1217,7 @@ def certify_nonneg(poly, box, exclusions=(), max_depth=DEFAULT_MAX_DEPTH):
     A box is a cell, one dyadic piece (offset, level) of each edge; each
     split runs slab by slab (_split_axis), the ball test runs on
     integers (_cell_exclusion), and Fractions are built only for a
-    counterexample and the worst box.  The subdivision itself
-    (_certify_tensor) starts from poly's Bernstein tensor.
+    counterexample and the worst box.
     """
     if not isinstance(poly, RatPoly):
         raise InvalidRequestError("certify_nonneg expects a RatPoly")
@@ -1229,18 +1228,7 @@ def certify_nonneg(poly, box, exclusions=(), max_depth=DEFAULT_MAX_DEPTH):
         counter = None if value >= 0 else ((), value)
         return Certificate(status, balls, 1, 0, counterexample=counter,
                            boxes_per_depth=(1,))
-    return _certify_tensor(_bernstein_tensor(poly, box), box, balls,
-                           max_depth)
-
-
-def _certify_tensor(tensor, box, balls, max_depth=DEFAULT_MAX_DEPTH):
-    """certify_nonneg's subdivision from a polynomial's Bernstein tensor
-    on box, as _bernstein_tensor returns it up to a common factor of
-    numerators and scale, with box and balls from _certify_checks and a
-    positive dimension, for a caller that holds the tensor in a cheaper
-    form.  A zero tensor gives the certificate that certify_nonneg
-    gives the zero polynomial."""
-    nums, scale, dims, strides = tensor
+    nums, scale, dims, strides = _bernstein_tensor(poly, box)
     # scale // g is the least common denominator of the coefficients.
     g = gcd(scale, *nums)
     examine, split = _tensor_steps(dims, strides, scale // g,

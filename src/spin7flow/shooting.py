@@ -25,14 +25,15 @@ constraint's body, as jacobian's does.
 
 The stepper runs a whole chunk, its first derivative and initial step
 included, in one compiled function whose derivatives evaluate the
-right-hand side as a kernel traced from the phase_system helpers and
+right-hand side as a kernel traced from its phase_system body and
 inlined, so a chunk makes no Python call and keeps the helpers' bits;
-it packs each accepted step into one row of a float table.  Samples
-are built lazily: a chunk keeps its step table, and their dense output
-on the sample grid is evaluated, X rebuilt from Z, and the rows handed
-to the decision scan only when a decision could fire (an early-stopping
-run whose last projected state lies inside a decision ball) and when
-the run ends.  A full-horizon run therefore samples all its chunks in
+it packs each accepted step into one row of a float table.  The
+orbit's coefficients are the chunk's inputs, so one chunk per body
+serves every orbit and chirality.  Samples are built lazily: a chunk
+keeps its step table, and their dense output on the sample grid is
+evaluated, X rebuilt from Z, and the rows handed to the decision scan
+only when a decision could fire (an early-stopping run whose last
+projected state lies inside a decision ball) and when the run ends.  A full-horizon run therefore samples all its chunks in
 one pass.  Row max-norms of the sample table are reduced column by
 column.
 
@@ -51,7 +52,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -62,8 +63,9 @@ from .critical_points import (_BUNDLE_CONES, LABEL_P1, LABELS_AC,
 from .errors import (InitializationError, InvalidRequestError,
                      ReconstructionDomainError)
 from .phase_system import (Chirality, PhaseState, _derivative_rows,
-                           crf_constraints, flow_rhs, g_of_x, reduced_z_rhs,
-                           residuals, x_from_z, zcons_constraint)
+                           _stepping_kernel, crf_constraints, flow_rhs,
+                           g_of_x, reduced_z_rhs, residuals, x_from_z,
+                           zcons_constraint)
 
 SAMPLE_STEP = 0.05
 CHUNK_LENGTH = 5.0
@@ -575,7 +577,7 @@ def _crossing(step, t_end):
             lo = mid
 
 
-def _chunk_source(n, kernel=None):
+def _chunk_source(n, body=None, m=0):
     """Python source of _dopri5's whole chunk on n components.
 
     chunk(fun, t, y, t_bound, rtol, atol) steps from t, with state y, to
@@ -606,13 +608,16 @@ def _chunk_source(n, kernel=None):
     b < a else a", a three-argument min two such compares), so NaN
     takes the branch the builtin takes.
 
-    Each derivative calls fun(t_i, [stage state]) unless a kernel is
-    given: the template of an autonomous right-hand side that
-    phase_system._trace wrote from fun's own body.  Its lines are then
-    inlined in place of every call, so the chunk never calls fun and
-    gives the bits the calls would.
+    Each derivative calls fun(t_i, [stage state]) unless a body is
+    given: then fun holds the m coefficients c of an autonomous
+    right-hand side body(c, y), which the chunk unpacks into locals,
+    and the lines of body's template (phase_system._stepping_kernel,
+    the coefficients among its inputs) are inlined in place of every
+    call, so the chunk never calls a function and gives the bits the
+    calls would.
     """
     comps = range(n)
+    kernel = None if body is None else _stepping_kernel(body, n, m)
 
     def names(prefix):
         return ", ".join("%s%d" % (prefix, j) for j in comps)
@@ -624,7 +629,7 @@ def _chunk_source(n, kernel=None):
     def derivative(at, state, out):
         """Lines setting out_j to the derivative at state_j, time at."""
         if kernel is not None:
-            return kernel.format(v=state, k=out).splitlines()
+            return kernel.format(v=state, k=out, c="c_").splitlines()
         return ["%s, = fun(%s, [%s])" % (names(out), at, names(state))]
 
     def rms(prefix):
@@ -688,7 +693,11 @@ def _chunk_source(n, kernel=None):
             if n > 1 else "abs(u_0)")
     lines = [
         "def chunk(fun, t, y, t_bound, rtol, atol):",
-        "    %s, = y" % names("y_"),
+        "    %s, = y" % names("y_")]
+    if kernel is not None:
+        lines.append("    %s, = fun" % ", ".join("c_%d" % j
+                                               for j in range(m)))
+    lines += [
         "    rows = []",
         "    append = rows.append"]
     lines += ["    " + line for line in start]
@@ -732,13 +741,13 @@ def _chunk_source(n, kernel=None):
     return "\n".join(lines) + "\n"
 
 
-@lru_cache(maxsize=64)
-def _chunk(n, kernel=None):
-    """The compiled _chunk_source(n, kernel)."""
+@lru_cache(maxsize=None)
+def _chunk(n, body=None, m=0):
+    """The compiled _chunk_source(n, body, m), once per size and body."""
     namespace = {"sqrt": math.sqrt, "isfinite": math.isfinite,
                  "nextafter": math.nextafter, "inf": math.inf,
                  "pack": struct.Struct("%dd" % (2 + 8 * n)).pack}
-    exec(compile(_chunk_source(n, kernel), "<dopri5 chunk, n=%d>" % n,
+    exec(compile(_chunk_source(n, body, m), "<dopri5 chunk, n=%d>" % n,
                  "exec"), namespace)
     return namespace["chunk"]
 
@@ -755,14 +764,18 @@ def _dopri5(fun, t, y, t_bound, rtol, atol):
     table, one row (t_old, h, *y_old, *k1, ..., *k7) per accepted step
     ((0, 2 + 8n) when none was taken), for _dense.
     The whole chunk, first derivative and initial step included, runs
-    in the compiled function _chunk(len(y)), and every call of fun gets
-    a list of floats.  When fun carries a traced kernel (the attribute
-    kernel of the phase_system right-hand sides), the chunk runs it
-    inlined and never calls fun.
+    in one compiled function (_chunk).  When fun is partial(body,
+    coefficients), as flow_rhs and reduced_z_rhs give it, the chunk
+    runs body's kernel inlined, on the coefficients, and never calls
+    fun; any other fun is called with a list of floats.
     """
     n = len(y)
-    status, t, y, rows = _chunk(n, getattr(fun, "kernel", None))(
-        fun, t, y, t_bound, rtol, atol)
+    if isinstance(fun, partial):
+        (c,) = fun.args
+        chunk, fun = _chunk(n, fun.func, len(c)), c
+    else:
+        chunk = _chunk(n)
+    status, t, y, rows = chunk(fun, t, y, t_bound, rtol, atol)
     steps = np.frombuffer(b"".join(rows)).reshape(-1, 2 + 8 * n)
     if status == 1:
         t = _crossing(steps[-1:], t)
@@ -775,8 +788,8 @@ def integrate(spec):
 
     The integrator is the Dormand-Prince 5(4) pair (_dopri5: scipy
     RK45's coefficients and step control, run on Python floats, each
-    chunk on the right-hand side's traced kernel), driven in chunks of
-    CHUNK_LENGTH; each chunk's samples on the SAMPLE_STEP grid come from
+    chunk on the kernel of the right-hand side's body), driven in
+    chunks of CHUNK_LENGTH; each chunk's samples on the SAMPLE_STEP grid come from
     its dense output, with the projected state as the chunk's last row.
     At every chunk boundary the state is renormalized onto the
     constraint set (see the module docstring) and the pre-projection
@@ -820,8 +833,6 @@ def integrate(spec):
         state = np.array(start.as_tuple(), dtype=float)
         con = crf_constraints(params)
         locked = None
-    # _dopri5 passes lists of Python floats, which need no conversion
-    rhs = getattr(rhs, "on_floats", rhs)
 
     table = []  # sampled (etas, rows) blocks
     pending = []  # (grid, clipped grid, steps, projected end) per chunk

@@ -386,7 +386,7 @@ def first_order_jacobians(params, state):
 
 
 def einstein_system(params, z):
-    """critical_points._einstein_system as one pass of the duals over
+    """phase_system._einstein_values_and_rows as one pass of the duals over
     einstein_residual."""
     return phase_system.value_and_derivative(
         lambda y: phase_system.einstein_residual(params, *y)[0], z)

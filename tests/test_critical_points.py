@@ -16,7 +16,8 @@ from spin7flow.critical_points import (LABEL_P1, LABELS_ALC_B,
                                        LABELS_G2_SADDLE, LABELS_G2_SOURCE,
                                        RESID_TOL, SEEDS, CriticalPoint,
                                        FlowClass, _catalog_cached,
-                                       _einstein_system, _newton_step,
+                                       _einstein_values_and_rows,
+                                       _newton_step,
                                        _polish, _spectrum,
                                        _try_exact_einstein, catalog,
                                        constraint_gradients, eigen,
@@ -164,7 +165,8 @@ def test_newton_takes_at_most_six_steps_per_seed(monkeypatch):
     orbits = [(k, l) for k in range(2, 61) for l in range(1, k)
               if math.gcd(k, l) == 1]
     orbits += [(1, 0), (1, 1), (10 ** 6, 1), (10 ** 6 + 1, 10 ** 6)]
-    system, newton = critical_points._einstein_system, critical_points._newton
+    system = critical_points._einstein_values_and_rows
+    newton = critical_points._newton
     calls, passes = [0], []
 
     def counting_system(params, z):
@@ -177,7 +179,8 @@ def test_newton_takes_at_most_six_steps_per_seed(monkeypatch):
         passes.append(calls[0] - before)
         return z
 
-    monkeypatch.setattr(critical_points, "_einstein_system", counting_system)
+    monkeypatch.setattr(critical_points, "_einstein_values_and_rows",
+                        counting_system)
     monkeypatch.setattr(critical_points, "_newton", counting_newton)
     for kl in orbits:
         solve_homogeneous_einstein(AWParams(*kl))
@@ -276,7 +279,7 @@ def test_einstein_system_rows_and_jacobians(kl):
     p = AWParams(*kl)
     points = np.random.default_rng(kl[0]).uniform(0.05, 0.5, size=(40, 3))
     for z in points.tolist():
-        rows, jac = _einstein_system(p, z)
+        rows, jac = _einstein_values_and_rows(p, z)
         assert [v.hex() for v in rows] == \
             [v.hex() for v in einstein_residual(p, *z)[0]]
         assert len(jac) == 3 and all(len(row) == 3 for row in jac)
@@ -315,7 +318,7 @@ def test_einstein_kernel_gives_the_dual_bits(kl, z):
     # The traced kernel returns the values and partials of the dual pass
     # over einstein_residual, type and bits.
     p = AWParams(*kl)
-    assert typed_bits(*_einstein_system(p, z)) == \
+    assert typed_bits(*_einstein_values_and_rows(p, z)) == \
         typed_bits(*fraction_reference.einstein_system(p, z))
 
 
@@ -323,7 +326,8 @@ def test_einstein_kernel_divides_by_zero_as_the_duals_do():
     # R4 = 0 at l = 0, z = (1, 0, 1): every term of the residual that
     # reads Z4^2 has a zero factor, but the quotient is still taken.
     p = AWParams(1, 0)
-    for system in (_einstein_system, fraction_reference.einstein_system):
+    for system in (_einstein_values_and_rows,
+                   fraction_reference.einstein_system):
         with pytest.raises(ZeroDivisionError):
             system(p, (1.0, 0.0, 1.0))
     for residual in (_exact_einstein_residual,
@@ -332,10 +336,10 @@ def test_einstein_kernel_divides_by_zero_as_the_duals_do():
             residual(p, (1, 0, 1))
     # A plain trace keeps a quotient whose value a zero product drops;
     # the homogeneous (integer) form refuses a quotient.
-    assert _trace(lambda eta, v: (0 * (v[0] / v[1]) + v[1],), 2)[0] == \
+    assert _trace(lambda v: (0 * (v[0] / v[1]) + v[1],), 2)[0] == \
         "w_0 = {v}0 / {v}1\n{k}0 = 0 + {v}1\n"
     with pytest.raises(ValueError, match="quotient"):
-        _trace(lambda eta, v: (v[0] / (v[1] * v[1]),), 2, homogeneous=True)
+        _trace(lambda v: (v[0] / (v[1] * v[1]),), 2, homogeneous=True)
 
 
 DYADIC = st.one_of(UNIT_FLOATS, st.floats(2.0 ** -30, 64.0),

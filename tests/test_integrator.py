@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import cumulative_simpson, solve_ivp
 
 import list_dopri5
@@ -31,7 +31,8 @@ import spin7flow
 from spin7flow import shooting
 from spin7flow.aw_algebra import AWParams
 from spin7flow.critical_points import FlowClass, catalog
-from spin7flow.phase_system import Chirality, flow_rhs, reduced_z_rhs
+from spin7flow.phase_system import (Chirality, _stepping_kernel, flow_rhs,
+                                    reduced_z_rhs)
 from spin7flow.shooting import ShootSpec, classify, initial_state, integrate
 
 P32 = AWParams(3, 2)
@@ -190,11 +191,11 @@ def _blow_up(t, y):
 
 def _chunk_case(name):
     """(fun for the stepper, fun for the oracle, y0, t0, t_bound); the
-    phase-system cases give the stepper the float kernel integrate uses
-    and the oracle the converting public closure."""
+    phase-system cases give both the public closure, which the stepper
+    calls once it is wrapped for counting."""
     spec, eta0 = CHUNK_CASES[name]
     rhs = _rhs(spec)
-    return (rhs.on_floats, rhs, _chunk_start(spec, eta0), eta0,
+    return (rhs, rhs, _chunk_start(spec, eta0), eta0,
             eta0 + shooting.CHUNK_LENGTH)
 
 
@@ -271,6 +272,14 @@ KERNEL_CHUNKS = {
                      (0.0, 40.0)),
     "(1,1) escape": (CHUNK_CASES["(1,1) escape"][0], (25.0,)),
     "ricci": (CHUNK_CASES["ricci start"][0], (0.0, 40.0)),
+    "(1,0) spin+": (ShootSpec(AWParams(1, 0), "k+l", "spin+", (0.6, 0.8)),
+                    (0.0, 40.0)),
+    "(1,0) spin-": (ShootSpec(AWParams(1, 0), "k", "spin-", (0.6, 0.8)),
+                    (0.0, 40.0)),
+    "(1,0) ricci": (ShootSpec(AWParams(1, 0), "k+l", "ricci",
+                              (0.6, 0.8, 0.0)), (0.0,)),
+    "(59,23) spin-": (ShootSpec(AWParams(59, 23), "k", "spin-", (0.8, 0.6)),
+                      (0.0, 40.0)),
 }
 
 
@@ -279,44 +288,52 @@ KERNEL_CHUNKS = {
 @pytest.mark.parametrize("case, eta0", [
     (case, eta0) for case in sorted(KERNEL_CHUNKS)
     for eta0 in KERNEL_CHUNKS[case][1]])
-def test_traced_kernel_steps_match_list_form_bit_for_bit(case, eta0, tol):
-    """The stages run the kernel traced from the phase_system helpers,
-    inlined: status, end point and every step row equal the list-form
-    stepper's calling the public closure, bit for bit."""
+def test_traced_kernel_steps_match_list_form_bit_for_bit(case, eta0, tol,
+                                                        monkeypatch):
+    """The stages run the kernel of the right-hand side's body, with the
+    orbit's coefficients as inputs, inlined: status, end point and every
+    step row equal the list-form stepper's calling the public closure,
+    bit for bit."""
     spec = KERNEL_CHUNKS[case][0]
     rhs = _rhs(spec)
-    kernel_fun, calls = _counted(rhs.on_floats)
-    kernel_fun.kernel = rhs.kernel
     y0 = _chunk_start(spec, eta0)
     t_bound = eta0 + shooting.CHUNK_LENGTH
-    status, reached, end, steps = shooting._dopri5(kernel_fun, eta0, list(y0),
-                                                   t_bound, *tol)
     want = list_dopri5.dopri5(rhs, eta0, list(y0), t_bound, *tol)
+
+    def never(self, eta, values):
+        raise AssertionError("the chunk called the right-hand side")
+
+    # the chunk start runs the kernel too: the closure is never called
+    monkeypatch.setattr(type(rhs), "__call__", never)
+    status, reached, end, steps = shooting._dopri5(rhs, eta0, list(y0),
+                                                   t_bound, *tol)
     assert status == want[0] == (1 if case == "(1,1) escape" else 0)
     assert _bits([reached]) == _bits([want[1]])
     assert _bits(end) == _bits(want[2])
     _same_table(steps, want[3], len(y0))
-    # the chunk start runs the kernel too: fun is never called
-    assert len(calls) == 0
 
 
 def test_kernel_chunk_never_calls_fun():
-    """With a kernel the chunk start (first derivative and initial-step
+    """With a body the chunk start (first derivative and initial-step
     trial) and every stage run inlined: the source has no call of fun,
     which the call path writes eight times: the first derivative, the
     trial and six stages."""
     for rhs, n in ((reduced_z_rhs(P32, Chirality.PLUS), 4),
                    (reduced_z_rhs(P11, Chirality.MINUS), 4),
                    (flow_rhs(P32), 8)):
-        assert "fun(" not in shooting._chunk_source(n, rhs.kernel)
+        source = shooting._chunk_source(n, rhs.func, len(rhs.args[0]))
+        assert "fun(" not in source
         assert shooting._chunk_source(n).count("fun(") == 8
 
 
-def _compiled(kernel, n):
-    """A function (y) -> outputs running a kernel template's lines."""
-    body = kernel.format(v="v_", k="k_")
-    source = "def run(%s):\n%s    return (%s,)\n" % (
+def _compiled(rhs, n):
+    """A function (c, *y) -> outputs running the lines of the kernel of
+    rhs's body."""
+    m = len(rhs.args[0])
+    body = _stepping_kernel(rhs.func, n, m).format(v="v_", k="k_", c="c_")
+    source = "def run(c, %s):\n    %s, = c\n%s    return (%s,)\n" % (
         ", ".join("v_%d" % j for j in range(n)),
+        ", ".join("c_%d" % j for j in range(m)),
         "".join("    %s\n" % line for line in body.splitlines()),
         ", ".join("k_%d" % j for j in range(n)))
     namespace = {}
@@ -324,46 +341,47 @@ def _compiled(kernel, n):
     return namespace["run"]
 
 
-KERNEL_ORBITS = [AWParams(3, 2), AWParams(1, 1), AWParams(13, 5),
-                 AWParams(59, 23), AWParams(1, 0)]
+# Coprime k >= l >= 0 up to 10^6 + 1.
+ORBITS = st.integers(1, 10 ** 6 + 1).flatmap(
+    lambda k: st.tuples(st.just(k), st.integers(0, k))).filter(
+    lambda kl: math.gcd(*kl) == 1)
 
 
 @settings(max_examples=200, deadline=None)
-@given(orbit=st.sampled_from(KERNEL_ORBITS),
-       which=st.sampled_from(["spin+", "spin-", "flow"]),
+@given(kl=ORBITS, which=st.sampled_from(["spin+", "spin-", "flow"]),
        y=st.lists(st.floats(allow_nan=False, allow_infinity=False),
                   min_size=8, max_size=8))
-def test_traced_kernel_gives_on_floats_bits(orbit, which, y):
-    """A kernel compiled from the trace returns the bits of the
-    on_floats body it was traced from, overflow and all."""
+@example(kl=(1, 0), which="spin+", y=[0.5, 0.25, 0.125, 2.0] * 2)
+@example(kl=(1, 0), which="spin-", y=[0.5, 0.25, 0.125, 2.0] * 2)
+@example(kl=(1, 0), which="flow", y=[0.1, 0.2, 0.15, 0.1, 0.5, 0.25,
+                                     0.125, 2.0])
+def test_traced_kernel_gives_on_floats_bits(kl, which, y):
+    """The kernel traced once from each body, with the orbit's float
+    coefficients as inputs, returns the bits of the body run on floats
+    at every orbit, overflow and all."""
+    orbit = AWParams(*kl)
     if which == "flow":
         rhs, n = flow_rhs(orbit), 8
     else:
         rhs, n = reduced_z_rhs(orbit, Chirality(which)), 4
     point = y[:n]
     with np.errstate(all="ignore"):
-        assert _bits(_compiled(rhs.kernel, n)(*point)) == \
-            _bits(rhs.on_floats(0.0, point))
+        assert _bits(_compiled(rhs, n)(*rhs.args, *point)) == \
+            _bits(rhs.func(*rhs.args, point))
 
 
-def test_traced_kernel_source_depends_only_on_coefficients():
-    """Tracing the same coefficients again gives the same source; other
-    coefficients give another."""
-    from spin7flow import phase_system
-    for params in KERNEL_ORBITS:
-        for fresh, cached in (
-                (phase_system._flow_on_floats.__wrapped__(
-                    tuple(map(float, phase_system.quartic_coefficients(
-                        params)))), flow_rhs(params)),
-                (phase_system._reduced_on_floats.__wrapped__(
-                    tuple(map(float, phase_system._spin_coefficients(
-                        params, Chirality.MINUS)))),
-                 reduced_z_rhs(params, Chirality.MINUS))):
-            assert fresh is not cached.on_floats
-            assert fresh.kernel == cached.kernel == cached.on_floats.kernel
-    assert reduced_z_rhs(P32, Chirality.PLUS).kernel != \
-        reduced_z_rhs(P32, Chirality.MINUS).kernel
-    assert flow_rhs(P32).kernel != flow_rhs(P11).kernel
+def test_chunk_is_compiled_once_per_body():
+    """Runs on four orbits in both chiralities and a Ricci-flat run
+    compile two chunks in all: one for the reduced body, one for the
+    flow's."""
+    shooting._chunk.cache_clear()
+    for kl in ((3, 2), (1, 1), (13, 5), (1, 0)):
+        for bundle_tag, mode in (("k+l", "spin+"), ("k", "spin-")):
+            integrate(ShootSpec(AWParams(*kl), bundle_tag, mode, (0.6, 0.8),
+                                eta_max=10.0))
+    integrate(ShootSpec(P32, "k+l", "ricci", (0.6, 0.8, 0.0), eta_max=10.0))
+    info = shooting._chunk.cache_info()
+    assert (info.currsize, info.misses) == (2, 2)
 
 
 def test_rms_adds_left_to_right():
@@ -374,15 +392,16 @@ def test_rms_adds_left_to_right():
 
 
 def test_rhs_kernels_match_public_closures():
-    """The float kernels the stepper calls give the public closures'
-    values; the closures still take tuples, arrays and Fractions."""
+    """The bodies the stepper's kernels are traced from give the public
+    closures' values on lists of floats; the closures still take
+    tuples, arrays and Fractions."""
     z = [0.1, 0.25, 0.3, 2.5]
     y = [0.1, 0.2, 0.15, 0.1] + z
     for rhs, point in ((reduced_z_rhs(P32, Chirality.PLUS), z),
                        (reduced_z_rhs(P32, Chirality.MINUS), z),
                        (flow_rhs(P32), y)):
         want = rhs(0.0, point)
-        assert _bits(rhs.on_floats(0.0, list(point))) == _bits(want)
+        assert _bits(rhs.func(*rhs.args, list(point))) == _bits(want)
         assert _bits(rhs(0.0, tuple(point))) == _bits(want)
         assert _bits(rhs(0.0, np.array(point))) == _bits(want)
         exact = [Fraction(v).limit_denominator(1000) for v in point]

@@ -675,32 +675,22 @@ def test_kernels_refuse_a_state_across_two_fields_as_the_duals_do(kl):
             getattr(phase_system, name)(p, state)
 
 
-# SHA-256 of the traced right-hand-side sources (flow, spin+, spin-); the
-# bits of every integrated trajectory rest on these lines.
-RHS_KERNEL_DIGESTS = {
-    (1, 0): (
-        "b4827498db1e7514f47e6b615268e777a0f58b2a9a787b4a924b6924abd4bcce",
-        "12a57201dd1f4f0aa2a8f687694fa116ef6667914f84b88d19be0cd2fbec4d93",
-        "4761d1f84b721b92c517b86e20f6aec297df6a3bf34a616f06b0c0231c11ee7b"),
-    (1, 1): (
-        "9a85767c7f3c950f72e30fb1602e3ad63096586c377c81293ec796450d8d6e99",
-        "0df25b1ccd568846c402d15c256e15a8f04003e2e2ab59c309f1fbca54f94d4e",
-        "8a1e3e37c8b324d723524add20eafb8c0116c3eecbe4194fe204d9ef94a4c2ae"),
-    (3, 2): (
-        "2e869f2686bfc463700d497932cf85cbc7472ddb2db6cf2e9bad5f077c3524e7",
-        "250b2c9019808d5b9e7b3c077a43d4c5a184134ece54a459c2ac62e0c2dd27a6",
-        "e94b7cd7926ef73504fe9e2c24232ffe3ccb36c52ebcffd363e193215b64a0e6"),
-    (13, 5): (
-        "29e76de9ff86379d68d22302b060982399d2eeeb6d717bee6a50c6816f5ed40c",
-        "b6f94e4db72d8590afd1ed18767cd108c09fdfb689aa8b535a382bcc10f48015",
-        "e339b404e0e7794402da8bcf8f91fa4d959eacb695792b3f75da3ab7c4834f5a"),
-}
+# SHA-256 of the stepping kernels' sources, one per body (the flow and
+# the reduced system), with the orbit's coefficients as inputs; the bits
+# of every integrated trajectory rest on these lines.
+RHS_KERNEL_DIGESTS = (
+    "f475dad3d12a93bd7307e1f6e1d2f13b7539651b5e74e1458de502722accaa91",
+    "675a5367976417891724dbfd04068fdf906d8075230c86ee9c59b079edb3a294")
 
 
-@pytest.mark.parametrize("kl", sorted(RHS_KERNEL_DIGESTS))
-def test_rhs_kernel_sources_are_pinned(kl):
-    p = AWParams(*kl)
-    sources = [flow_rhs(p).kernel] + [reduced_z_rhs(p, chir).kernel
-                                      for chir in CHIRALITIES]
+def test_rhs_kernel_sources_are_pinned():
+    """Every orbit and chirality steps on one body per system, whose
+    kernel source is pinned."""
+    orbits = [AWParams(*kl) for kl in ((1, 0), (1, 1), (3, 2), (13, 5))]
+    (flow,) = {flow_rhs(p).func for p in orbits}
+    (reduced,) = {reduced_z_rhs(p, chir).func
+                  for p in orbits for chir in CHIRALITIES}
+    sources = (phase_system._stepping_kernel(flow, 8, 3),
+               phase_system._stepping_kernel(reduced, 4, 3))
     assert tuple(hashlib.sha256(s.encode()).hexdigest()
-                 for s in sources) == RHS_KERNEL_DIGESTS[kl]
+                 for s in sources) == RHS_KERNEL_DIGESTS

@@ -143,6 +143,29 @@ def test_slice_integers_are_the_slice_coefficients(kind, kl, point):
     assert not any(got[len(want.univariate_coefficients()):])
 
 
+@pytest.mark.parametrize("which", pc.LINE_SLICE_KINDS + pc.RAY_SLICE_KINDS)
+def test_slice_equals_substitute(which):
+    """slice, built from the integers the root functions read, equals
+    the family polynomial with its parameters substituted by
+    RatPoly.substitute, zero coordinates and zero top coefficients
+    included."""
+    rng = random.Random(which)
+    line = which in pc.LINE_SLICE_KINDS
+    kinds = pc.LINE_SLICE_KINDS if line else pc.RAY_SLICE_KINDS
+    for kl in ((1, 0), (1, 1), (3, 2), (13, 5), (59, 23)):
+        p = AWParams(*kl)
+        families = pc.line_slices() if line else pc.ray_slices(p)
+        family = families[kinds.index(which)]
+        for _ in range(12):
+            point = [F(rng.randint(-30, 30) * rng.randint(0, 1),
+                       rng.randint(1, 30)) for _ in range(2 if line else 3)]
+            want = family.substitute(dict(zip(pc.RAY_PARAMETER_VARIABLES,
+                                              point)))
+            got = pc.slice(p, which, *point)
+            assert got.variables == want.variables
+            assert list(got.terms.items()) == list(want.terms.items())
+
+
 def test_line_slice_closed_forms():
     q1, q2 = pc.line_slices()
     names = pc.LINE_SLICE_VARIABLES

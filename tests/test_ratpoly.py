@@ -19,7 +19,7 @@ from spin7flow.ratpoly import (ROOT_ACCURACY, SNAP_DENOMINATOR, Ball,
                                STATUS_COUNTEREXAMPLE, STATUS_INCONCLUSIVE,
                                STATUS_NONNEGATIVE, _axis_transform,
                                _bernstein_tensor, _cell_exclusion,
-                               _certify_checks, _certify_tensor,
+                               _certify_checks,
                                _coerce, _convergents, _derivative,
                                _split_axis, _strip,
                                certify_nonneg, count_distinct_roots,
@@ -998,21 +998,6 @@ def test_certify_zero_face_discharges_exactly():
     cert = certify_nonneg(x * x * (1 + y), Box.unit(2))
     assert cert.status == STATUS_NONNEGATIVE
     assert cert.boxes_processed == 1
-
-
-def test_zero_tensor_certifies_as_the_zero_polynomial():
-    # A caller that hands _certify_tensor its own tensor skips
-    # certify_nonneg's zero-polynomial branch; a zero tensor gives the
-    # same certificate, boxes per depth included.
-    x, y = xy()
-    box, balls = _certify_checks(x.variables, Box.unit(2),
-                                 [Ball((0, 1), F(1, 100))])
-    nums, scale, dims, strides = _bernstein_tensor(x * y + 1, box)
-    got = _certify_tensor(([0] * len(nums), scale, dims, strides), box,
-                          balls)
-    want = certify_nonneg(RatPoly.zero(x.variables), box, balls)
-    assert (repr(got), got.boxes_per_depth) == \
-        (repr(want), want.boxes_per_depth)
 
 
 def dyadic_grid(box, level):
