@@ -683,14 +683,15 @@ RHS_KERNEL_DIGESTS = (
     "675a5367976417891724dbfd04068fdf906d8075230c86ee9c59b079edb3a294")
 
 
-def test_rhs_kernel_sources_are_pinned():
-    """Every orbit and chirality steps on one body per system, whose
-    kernel source is pinned."""
-    orbits = [AWParams(*kl) for kl in ((1, 0), (1, 1), (3, 2), (13, 5))]
-    (flow,) = {flow_rhs(p).func for p in orbits}
-    (reduced,) = {reduced_z_rhs(p, chir).func
-                  for p in orbits for chir in CHIRALITIES}
-    sources = (phase_system._stepping_kernel(flow, 8, 3),
-               phase_system._stepping_kernel(reduced, 4, 3))
+@pytest.mark.parametrize("kl", [(1, 0), (1, 1), (3, 2), (13, 5)])
+def test_rhs_kernel_sources_are_pinned(kl):
+    """The orbit's flow and both chiralities step on one body per
+    system, whose kernel source is pinned and shared by every orbit."""
+    p, first = AWParams(*kl), AWParams(1, 0)
+    assert flow_rhs(p).func is flow_rhs(first).func
+    (reduced_body,) = {reduced_z_rhs(q, chir).func
+                       for q in (p, first) for chir in CHIRALITIES}
+    sources = (phase_system._stepping_kernel(flow_rhs(p).func, 8, 3),
+               phase_system._stepping_kernel(reduced_body, 4, 3))
     assert tuple(hashlib.sha256(s.encode()).hexdigest()
                  for s in sources) == RHS_KERNEL_DIGESTS
