@@ -19,9 +19,10 @@ from fractions import Fraction
 
 import pytest
 
-from spin7flow.aw_algebra import AWParams
+from spin7flow.aw_algebra import AWParams, normalize
 from spin7flow.cli import main
-from spin7flow.critical_points import solve_homogeneous_einstein
+from spin7flow.critical_points import catalog, solve_homogeneous_einstein
+from spin7flow.phase_system import Chirality, SetId, derivative, membership
 from spin7flow.polycert import (DEFAULT_EXCLUSION_RADIUS, barrier,
                                 certify_line_resultant,
                                 certify_ray_resultant, line_resultant,
@@ -29,7 +30,7 @@ from spin7flow.polycert import (DEFAULT_EXCLUSION_RADIUS, barrier,
                                 line_slices, ray_slices, root_gap_hessian_det,
                                 rtilde, stated_boundary_zeros)
 from spin7flow.ratpoly import Ball, Box, certify_nonneg
-from spin7flow.shooting import ShootSpec, integrate
+from spin7flow.shooting import ShootSpec, boundary_face, integrate
 
 EXACT_FIELDS = ("label", "X", "Z", "exact", "frame")
 
@@ -333,3 +334,83 @@ def test_trajectories_on_more_orbits_are_unchanged():
             digest.update(repr((traj.events, traj.outcome,
                                 traj.face_lock)).encode())
     assert digest.hexdigest() == ORBIT_DIGEST
+
+
+# Per orbit, per cataloged point and per SetId that the orbit admits
+# (the two tilde sets only at (1, 1)): the set, the point's label, then
+# each condition's name, ok and float.hex of its value, and the report's
+# ok.  Taken while membership typed the TTilde curve and the cone
+# points' Z4 caps itself.
+MEMBERSHIP_ORBITS = [(1, 0), (1, 1), (3, 2), (13, 5)]
+MEMBERSHIP_DIGEST = \
+    "f7c2e54d04d7fc197af20b883f0591cf4963a64bada9c06e46c77a5481db0020"
+
+
+def test_membership_reports_are_unchanged():
+    lines = []
+    for kl in MEMBERSHIP_ORBITS:
+        params = AWParams(*kl)
+        sets = [s for s in SetId if kl == (1, 1)
+                or s not in (SetId.S_TILDE, SetId.T_TILDE)]
+        for point in catalog(params).points:
+            for set_id in sets:
+                report = membership(params, point.state, set_id)
+                lines.append(" ".join(
+                    [set_id.value, point.label, str(report.ok)]
+                    + ["%s|%s|%s" % (c.name, c.ok, c.value.hex())
+                       for c in report.conditions]))
+    assert len(lines) == 384
+    assert _sha256("".join(line + "\n" for line in lines)) == \
+        MEMBERSHIP_DIGEST
+
+
+# float.hex of boundary_face(...).equations(z) and of every entry of
+# derivative(face.equations, z), per chirality of (1, 1), at 200 seeded
+# float points: half of them near the face, where shooting locks it;
+# taken while shooting typed both faces as float lambdas.
+FACE_DIGEST = \
+    "9a929f528a20d22fbf8d7b2d440774c1b530a41208fbb3105ec96afdfeee5568"
+
+
+def _face_points(rng, chirality):
+    points = []
+    for i in range(200):
+        z = [rng.uniform(-1.0, 1.0) for _ in range(3)] + \
+            [rng.uniform(0.0, 40.0)]
+        if i % 2:  # near the face
+            if chirality is Chirality.PLUS:
+                z[2] = z[1] + rng.uniform(-1e-9, 1e-9)
+                z[0] = (1.0 - 3.0 * z[1]) / 3.0
+            else:
+                z[0] = z[1] + z[2]
+                z[3] = 6.0 / z[0] if z[0] else z[3]
+        points.append(z)
+    return points
+
+
+def test_boundary_faces_are_unchanged():
+    rng = random.Random(35)
+    lines = []
+    for chirality in (Chirality.PLUS, Chirality.MINUS):
+        face = boundary_face(AWParams(1, 1), chirality)
+        for z in _face_points(rng, chirality):
+            values = face.equations(z)
+            rows = derivative(face.equations, z)
+            lines.append(" ".join(float(v).hex() for v in values) + " | "
+                         + " ".join(float(v).hex()
+                                    for row in rows for v in row))
+    assert _sha256("".join(line + "\n" for line in lines)) == FACE_DIGEST
+
+
+# repr(normalize(k, l)) over every nonzero pair with |k|, |l| <= 60;
+# taken while normalize enumerated the twelve signed permutations.
+NORMALIZE_DIGEST = \
+    "7ff16885e040090f576095b8bd84557a069d96b3c613b56a91d64edfe9e8b0d7"
+
+
+def test_normalize_is_unchanged():
+    pairs = [(k, l) for k in range(-60, 61) for l in range(-60, 61)
+             if (k, l) != (0, 0)]
+    assert len(pairs) == 14640
+    text = "".join(f"{normalize(k, l)!r}\n" for k, l in pairs)
+    assert _sha256(text) == NORMALIZE_DIGEST
