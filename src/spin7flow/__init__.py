@@ -12,12 +12,11 @@ __version__ = "0.1.0"
 
 from .aw_algebra import (AWParams, BundleIndex, BundleTag, SpaceClass,
                          bundle, classify_space, normalize)
-from .errors import (CertificationError, DegenerateRootError,
-                     DomainAnomalyError, FormulaDiscrepancyError,
-                     InitializationError, IntegrationError,
-                     InvalidParameterError, InvalidRequestError,
-                     ReconstructionDomainError, SolverIncompleteError,
-                     Spin7FlowError)
+from .errors import (DegenerateRootError, DomainAnomalyError,
+                     FormulaDiscrepancyError, InitializationError,
+                     IntegrationError, InvalidParameterError,
+                     InvalidRequestError, ReconstructionDomainError,
+                     SolverIncompleteError, Spin7FlowError)
 from .critical_points import (Catalog, CriticalFamily, CriticalPoint,
                               EigenData, FlowClass, FrameVector,
                               ReferenceFrame, catalog, eigen, jacobian,

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import permutations
 from math import gcd
 
 from .errors import InvalidParameterError, InvalidRequestError
@@ -92,28 +91,17 @@ def _as_params(params):
 def normalize(k, l):
     """Canonical AWParams for an arbitrary nonzero integer pair (k, l).
 
-    Enumerates the twelve signed permutations of the zero-sum triple
-    (k, l, -(k+l)), keeps the images whose leading pair satisfies
-    a >= b >= 0, reduces by the gcd, and checks that a single canonical
-    pair results.
+    In the zero-sum triple (k, l, -(k+l)) the odd-signed entry has the
+    largest absolute value, so the canonical pair is the middle and the
+    smallest absolute value, each divided by their gcd.
     """
     if not isinstance(k, int) or not isinstance(l, int):
         raise InvalidParameterError("k and l must be integers")
     if (k, l) == (0, 0):
         raise InvalidParameterError("(k, l) = (0, 0) is not an orbit")
-    found = set()
-    triple = (k, l, -(k + l))
-    for sign in (1, -1):
-        for perm in permutations(triple):
-            a, b = sign * perm[0], sign * perm[1]
-            if a >= b >= 0 and (a, b) != (0, 0):
-                g = gcd(a, b)
-                found.add((a // g, b // g))
-    if len(found) != 1:
-        raise InvalidParameterError(
-            f"no unique canonical form for ({k}, {l}): {sorted(found)}")
-    a, b = found.pop()
-    return AWParams(a, b)
+    b, a, _ = sorted(map(abs, (k, l, k + l)))
+    g = gcd(a, b)
+    return AWParams(a // g, b // g)
 
 
 def classify_space(params):

@@ -22,7 +22,8 @@ Exit codes are a stable contract:
        on stderr; reconstruction names the sample, for a non-finite
        entry, a vanishing Z-product or a stuck eta)
     5  certificate found a counterexample
-    6  certificate inconclusive at the depth limit
+    6  certificate inconclusive at the depth limit or past the box
+       budget (ratpoly.BOX_BUDGET, 2**20 boxes)
 
 Numeric flags accept exact rational syntax such as 7/10 alongside
 decimals.  A value starting with a minus sign parses when attached

@@ -47,7 +47,7 @@ import numpy as np
 from .aw_algebra import AWParams, BundleTag, _as_params
 from .errors import InvalidRequestError, SolverIncompleteError
 from .exact import QuadExt, exact_sqrt
-from .phase_system import (Chirality, PhaseState,
+from .phase_system import (Chirality, PhaseState, _cone_z4,
                            _einstein_values_and_rows,
                            _exact_einstein_residual, _float_jacobian,
                            _jacobian_inputs, _tangency_rows,
@@ -157,19 +157,15 @@ class Catalog:
 
 
 def _cone_states(params):
-    d = params.delta
-    out = {
-        LABEL_P0_KPLUSL: PhaseState(
-            (THIRD, 0, 0, THIRD),
-            (0, THIRD, THIRD, Fraction(6 * d, params.k + params.l))),
-        LABEL_P0_K: PhaseState(
-            (0, 0, THIRD, THIRD),
-            (THIRD, THIRD, 0, Fraction(6 * d, params.k))),
-    }
-    if params.l > 0:
-        out[LABEL_P0_L] = PhaseState(
-            (0, THIRD, 0, THIRD),
-            (THIRD, 0, THIRD, Fraction(6 * d, params.l)))
+    """The cone point of the bundle in slot i of (k+l, l, k): X is 1/3
+    in slots i and 4, Z is 1/3 off slot i, and Z4 = 6*Delta/order; the
+    l-bundle has none at l = 0."""
+    out = {}
+    for i, label in enumerate((LABEL_P0_KPLUSL, LABEL_P0_L, LABEL_P0_K)):
+        if i != 1 or params.l:
+            x, z = [0, 0, 0, THIRD], [THIRD, THIRD, THIRD, _cone_z4(params, i)]
+            x[i], z[i] = THIRD, 0
+            out[label] = PhaseState(tuple(x), tuple(z))
     return out
 
 

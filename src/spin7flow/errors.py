@@ -31,10 +31,6 @@ class ReconstructionDomainError(Spin7FlowError, RuntimeError):
     undefined (non-finite entry, vanishing Z-product, eta not increasing)."""
 
 
-class CertificationError(Spin7FlowError, RuntimeError):
-    """A positivity certification run ended without a verdict."""
-
-
 class DomainAnomalyError(Spin7FlowError, ArithmeticError):
     """An exact computation met a condition the governing analysis
     rules out inside its stated domain, such as a negative discriminant

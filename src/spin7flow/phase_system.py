@@ -17,18 +17,22 @@ Spin(7) systems F = 0, H = 0, on whose sets X is linear in Z.
 This module is the one place where a flow polynomial is written, each
 once, generic over exact values (Fraction, QuadExt, RatPoly), floats,
 numpy columns and the duals of ``derivative``, which takes every
-Jacobian and gradient from the polynomial it differentiates.  Kernels
-come from the same helpers: ``_trace`` runs a body body(coefficients,
-point) on recording scalars and writes it out as source, once per
-process, with the orbit's coefficients among its inputs.  The stepper
-inlines the kernels of the right-hand sides' bodies into its stages.
-``jacobian``, ``constraint_gradients`` and ``first_order_jacobians``
-run the kernel traced from their ``derivative`` pass, on integers at a
-rational state: each entry is N / D**deg, with D the lcm of the
-inputs' denominators.  Rounding rule: a float expression associates
-as the integrator runs it (``flow_rhs``, ``reduced_z_rhs``,
-``zcons_constraint``, ``crf_constraints``): da*Z2*Z3*Z4 left to right,
-Rs as 12*(Z1*Z2 + Z2*Z3 + Z3*Z1) - 2*(Z1^2 + Z2^2 + Z3^2) - q*Z4^2, since a
+Jacobian and gradient from the polynomial it differentiates.  So are
+the orbit's coefficients (``_scaled_coefficients``, on (k, l) or
+symbols), the cone points' Z4 (``_cone_z4``) and the (1, 1) boundary
+faces (``_line_face``, ``_curve_face``) that shooting locks and
+membership checks.  Kernels come from the same helpers: ``_trace``
+runs a body body(coefficients, point) on recording scalars and writes
+it out as source, once per process, with the orbit's coefficients
+among its inputs.  The stepper inlines the kernels of the right-hand
+sides' bodies into its stages.  ``jacobian``, ``constraint_gradients``
+and ``first_order_jacobians`` run the kernel traced from their
+``derivative`` pass, on integers at a rational state: each entry is
+N / D**deg, with D the lcm of the inputs' denominators.  Rounding
+rule: a float expression associates as the integrator runs it
+(``flow_rhs``, ``reduced_z_rhs``, ``zcons_constraint``,
+``crf_constraints``): da*Z2*Z3*Z4 left to right, Rs as
+12*(Z1*Z2 + Z2*Z3 + Z3*Z1) - 2*(Z1^2 + Z2^2 + Z3^2) - q*Z4^2, since a
 last-bit change there moves integrated states well beyond an ulp.  The
 evaluators thus agree with the integrator bit for bit.  A float partial
 associates as the product rule d(ab) = da*b + a*db runs through that
@@ -155,20 +159,33 @@ class ConstraintResiduals:
     zcons_minus: object
 
 
+def _scaled_coefficients(k, l):
+    """6*Delta times the cubic and (6*Delta)**2 times the quartic
+    coefficients, in the bundles' slot order (k+l, l, k), on ints or
+    symbols; at (1, rho) they go with the rays' Z4 = (6*Delta/k)*delta."""
+    m = k + l
+    return (3 * m, 3 * l, 3 * k), (18 * m ** 2, 18 * l ** 2, 18 * k ** 2)
+
+
 def cubic_coefficients(params):
     """The rational coefficients ((k+l), l, k) / (2*delta) of the Z-cubics."""
-    twod = 2 * params.delta
-    return (Fraction(params.k + params.l, twod),
-            Fraction(params.l, twod),
-            Fraction(params.k, twod))
+    (a, b, c), _ = _scaled_coefficients(params.k, params.l)
+    d = 6 * params.delta
+    return Fraction(a, d), Fraction(b, d), Fraction(c, d)
 
 
 def quartic_coefficients(params):
     """The rational coefficients ((k+l)^2, l^2, k^2) / (2*delta^2)."""
-    d2 = 2 * params.delta * params.delta
-    return (Fraction((params.k + params.l) ** 2, d2),
-            Fraction(params.l ** 2, d2),
-            Fraction(params.k ** 2, d2))
+    _, (a, b, c) = _scaled_coefficients(params.k, params.l)
+    d = (6 * params.delta) ** 2
+    return Fraction(a, d), Fraction(b, d), Fraction(c, d)
+
+
+def _cone_z4(params, i):
+    """Z4 = 6*Delta/order at the cone point of the bundle in slot i, as
+    18*Delta over its scaled cubic coefficient 3*order (not 0)."""
+    return Fraction(18 * params.delta,
+                    _scaled_coefficients(params.k, params.l)[0][i])
 
 
 def _matching(coeffs, z):
@@ -297,6 +314,18 @@ def _zcons(z, u):
     z1, z2, z3, _ = z
     u23, u13, u12 = u
     return 2 * (z1 + z2 + z3) - u23 + u13 + u12 - 1
+
+
+def _line_face(z):
+    """The (1, 1) boundary line of the plus chirality, {Z2 = Z3,
+    3Z1 + 3Z2 = 1}, as the zeros of its two values."""
+    return z[1] - z[2], 3 * z[0] + 3 * z[1] - 1
+
+
+def _curve_face(z):
+    """The (1, 1) boundary curve of the minus chirality, {Z2 + Z3 = Z1,
+    (Z2 + Z3) Z4 = 6}, as the zeros of its two values."""
+    return z[1] + z[2] - z[0], (z[1] + z[2]) * z[3] - 6
 
 
 def _first_order(x, z, plus, minus):
@@ -893,11 +922,6 @@ class IdentityReport:
     spin_plus_sum: object
     spin_minus_sum: object
 
-    def max_abs(self):
-        return max(abs(float(self.hyperplane_flow)),
-                   abs(float(self.spin_plus_sum)),
-                   abs(float(self.spin_minus_sum)))
-
 
 def identity_checks(params, state):
     res = residuals(params, state)
@@ -980,20 +1004,19 @@ def membership(params, state, set_id, tol=1e-9):
         add_spin(Chirality.MINUS)
     elif set_id is SetId.S_CHECK:
         add_spin(Chirality.PLUS)
-        z4cap = Fraction(6 * params.delta, params.k + params.l)
-        conds.append(_ge("Z4 <= 6*delta/(k+l)", z4cap - z4, tol))
+        conds.append(_ge("Z4 <= 6*delta/(k+l)", _cone_z4(params, 0) - z4,
+                         tol))
         conds.append(_ge("Z2 + Z3 <= 2/3", TWO_THIRDS - (z2 + z3), tol))
     elif set_id is SetId.T_K_CHECK:
         add_spin(Chirality.MINUS)
-        z4cap = Fraction(6 * params.delta, params.k)
         conds.append(_ge("Z1 + Z2 + Z3 <= 2/3", TWO_THIRDS - (z1 + z2 + z3), tol))
-        conds.append(_ge("Z4 <= 6*delta/k", z4cap - z4, tol))
+        conds.append(_ge("Z4 <= 6*delta/k", _cone_z4(params, 2) - z4, tol))
         conds.append(_ge("Z1 >= Z2", z1 - z2, tol))
         conds.append(_ge("Z2 >= Z3", z2 - z3, tol))
     elif set_id is SetId.S_TILDE:
         add_spin(Chirality.PLUS)
         conds.append(_eq("X2 = X3", state.X[1] - state.X[2], tol))
-        conds.append(_eq("Z2 = Z3", z2 - z3, tol))
+        conds.append(_eq("Z2 = Z3", _line_face(state.Z)[0], tol))
         if is_exact_scalar(z2) and is_exact_scalar(z3) and is_exact_scalar(z4) \
                 and z2 == z3:
             slack = 3 - z2 * z4
@@ -1003,8 +1026,9 @@ def membership(params, state, set_id, tol=1e-9):
         conds.append(_ge("sqrt(Z2*Z3)*Z4 <= 3", slack, tol))
     elif set_id is SetId.T_TILDE:
         add_spin(Chirality.MINUS)
-        conds.append(_ge("Z2 + Z3 >= Z1", z2 + z3 - z1, tol))
-        conds.append(_ge("(Z2 + Z3)*Z4 <= 6", 6 - (z2 * z4 + z3 * z4), tol))
+        sides, level = _curve_face(state.Z)
+        conds.append(_ge("Z2 + Z3 >= Z1", sides, tol))
+        conds.append(_ge("(Z2 + Z3)*Z4 <= 6", -level, tol))
     else:  # pragma: no cover
         raise InvalidRequestError(f"unhandled set id {set_id!r}")
 

@@ -22,7 +22,9 @@ Z4 = (6*Delta/k)*delta; the restrictions p1 (quadratic in Z1) and p2
 (quartic in Z1) depend on the orbit integers only through the ratio
 rho = l/k, so they and their resultant are built once per process with
 rho as a variable, and an orbit substitutes rho.  Both families are
-the barrier formulas evaluated on symbols.
+the barrier formulas evaluated on symbols, with phase_system's
+coefficients: the barriers take the orbit's, and the ray family the
+scaled ones at (k, l) = (1, rho), which go with Z4 = (6*Delta/k)*delta.
 
 All arithmetic below is exact.  Floating point enters only in the
 convenience return value of root_fn and, as a guess that exact signs
@@ -46,7 +48,7 @@ from .errors import (
     InvalidRequestError,
 )
 from .exact import QuadExt, _square_decompose
-from .phase_system import rs_of_z, zcons_of_z
+from .phase_system import _scaled_coefficients, rs_of_z, zcons_of_z
 from .ratpoly import (
     DEFAULT_MAX_DEPTH,
     Ball,
@@ -151,7 +153,8 @@ def barrier(params, which):
     (Z1, Z2, Z3, Z4) whose coefficients involve the orbit integers
     through k, l, and Delta = k**2 + k*l + l**2 only: Q and A are their
     formulas at (Z1, Z2 + Z3, a*Z4) with a = (k+l)/(2*Delta), and P and
-    B take the orbit's cubic and quartic coefficients.
+    B take the orbit's cubic and quartic coefficients: phase_system's
+    scaled ones at Z4/(6*Delta).
     """
     params = _as_params(params)
     try:
@@ -160,9 +163,10 @@ def barrier(params, which):
         raise InvalidRequestError(
             f"unknown barrier {which!r}, expected one of {BARRIER_KINDS}"
         ) from None
-    names = BARRIER_VARIABLES
-    z = tuple(RatPoly.variable(names, n) for n in names)
-    return builder(*_orbit_coefficients(params), z)
+    z1, z2, z3, z4 = (RatPoly.variable(BARRIER_VARIABLES, n)
+                      for n in BARRIER_VARIABLES)
+    return builder(*_scaled_coefficients(params.k, params.l),
+                   (z1, z2, z3, Fraction(1, 6 * params.delta) * z4))
 
 
 def _barrier_q(z1, s, w):
@@ -186,16 +190,7 @@ def _barrier_b(quartic, z):
     return 2 - 2 * (z[0] + z[1] + z[2]) - rs_of_z(quartic, z)
 
 
-def _orbit_coefficients(params):
-    """The orbit's cubic and quartic coefficients: the ray's, which go
-    with Z4 = (6*Delta/k)*delta, scaled back to Z4 itself.  The first
-    cubic one is a = (k+l)/(2*Delta)."""
-    s = Fraction(params.k, 6 * params.delta)
-    cubic, quartic = _ray_coefficients(params.rho)
-    return tuple(s * c for c in cubic), tuple(s * s * c for c in quartic)
-
-
-# Each builder takes the orbit's (cubic, quartic) and the symbols z.
+# Each builder takes (cubic, quartic) and the symbols z they go with.
 _BARRIER_BUILDERS = {
     "Q": lambda cubic, _, z: _barrier_q(z[0], z[1] + z[2], cubic[0] * z[3]),
     "A": lambda cubic, _, z: _barrier_a(z[0], z[1] + z[2], cubic[0] * z[3]),
@@ -258,21 +253,14 @@ def ray_slices(params):
     return tuple(p.substitute({"rho": rho}) for p in _ray_family())
 
 
-def _ray_coefficients(rho):
-    """Cubic and quartic coefficients for a ray's Z4 = delta: the orbit's
-    times 6*Delta/k and (6*Delta/k)**2, which depend on rho alone."""
-    return ((3 * (1 + rho), 3 * rho, 3),
-            (18 * (1 + rho) ** 2, 18 * rho ** 2, 18))
-
-
 @lru_cache(maxsize=1)
 def _ray_family():
-    """(p1, p2) over _RAY_FAMILY_VARIABLES: barriers P and B at
-    Z = (Z1, alpha*Z1, beta*Z1, delta), with the ray coefficients, each
-    with its compiled evaluator."""
+    """(p1, p2) over _RAY_FAMILY_VARIABLES: barriers P and B at Z =
+    (Z1, alpha*Z1, beta*Z1, delta) with the scaled coefficients at
+    (k, l) = (1, rho), each with its compiled evaluator."""
     alpha, beta, delta, rho, z1 = (RatPoly.variable(_RAY_FAMILY_VARIABLES, n)
                                    for n in _RAY_FAMILY_VARIABLES)
-    cubic, quartic = _ray_coefficients(rho)
+    cubic, quartic = _scaled_coefficients(1, rho)
     z = (z1, alpha * z1, beta * z1, delta)
     return tuple(_compiled_slice(poly, ("rho",) + RAY_PARAMETER_VARIABLES)
                  for poly in (_barrier_p(cubic, z), _barrier_b(quartic, z)))

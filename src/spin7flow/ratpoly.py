@@ -52,6 +52,9 @@ STATUS_COUNTEREXAMPLE = "CounterexampleFound"
 STATUS_INCONCLUSIVE = "Inconclusive"
 
 DEFAULT_MAX_DEPTH = 40
+# _subdivide's box budget: the ray certificate of (10**4, 1) takes
+# 609,965 boxes, and its tree grows about 70-fold per decade of k.
+BOX_BUDGET = 2 ** 20
 ROOT_ACCURACY = Fraction(1, 10 ** 12)
 SNAP_DENOMINATOR = 10 ** 6
 # At most this many Newton or bisection steps for a float root estimate.
@@ -956,8 +959,8 @@ class Certificate:
     boxes_per_depth the number of boxes examined at each level from 0 to
     max_depth; it is left out of repr and of the JSON form.  For a
     counterexample the point and its exact negative value are kept; for
-    an inconclusive run the box with the worst surviving lower bound is
-    kept instead.
+    an inconclusive run the box with the worst surviving lower bound (or,
+    past the box budget, the cell the walk stopped at) is kept instead.
     """
 
     status: str
@@ -1212,7 +1215,8 @@ def certify_nonneg(poly, box, exclusions=(), max_depth=DEFAULT_MAX_DEPTH):
     the axis that has been split the fewest times, the first such axis
     on ties (so on [0, 1/2] x [0, 1] the first split halves the first
     axis); boxes still alive at max_depth make the outcome Inconclusive
-    and the one with the worst bound is reported.
+    and the one with the worst bound is reported.  A run that would
+    examine more than BOX_BUDGET boxes is Inconclusive too (_subdivide).
 
     A box is a cell, one dyadic piece (offset, level) of each edge; each
     split runs slab by slab (_split_axis), the ball test runs on
@@ -1274,7 +1278,9 @@ def _subdivide(box, balls, max_depth, root, examine, split):
     Bernstein coefficient.  split(node, axis, halves) gives the nodes of
     the two halves, whose cells are halves.  The axis is the one split
     the fewest times, the first on ties; the left half is examined
-    first.
+    first.  Past BOX_BUDGET boxes every cell is examined as last, and
+    the first that survives ends the walk Inconclusive, as its worst
+    box with its lowest bound.
     """
     dimension = box.dimension
     per_depth = []
@@ -1292,7 +1298,8 @@ def _subdivide(box, balls, max_depth, root, examine, split):
             per_depth.append(1)
         else:
             per_depth[depth] += 1
-        last = depth >= max_depth
+        spent = sum(per_depth) > BOX_BUDGET
+        last = spent or depth >= max_depth
         found = examine(node, cells, last)
         if found is None:
             continue
@@ -1305,9 +1312,11 @@ def _subdivide(box, balls, max_depth, root, examine, split):
                     counterexample=(corner, Fraction(value, scale)))
         if last:
             bound = Fraction(low, scale)
-            if worst_bound is None or bound < worst_bound:
+            if spent or worst_bound is None or bound < worst_bound:
                 worst_bound = bound
                 worst_cells = cells
+            if spent:
+                break
             continue
         levels = [level for _, level in cells]
         axis = levels.index(min(levels))

@@ -62,10 +62,10 @@ from .critical_points import (_BUNDLE_CONES, LABEL_P1, LABELS_AC,
                               unstable_frame)
 from .errors import (InitializationError, InvalidRequestError,
                      ReconstructionDomainError)
-from .phase_system import (Chirality, PhaseState, _derivative_rows,
-                           _stepping_kernel, crf_constraints, flow_rhs,
-                           g_of_x, reduced_z_rhs, residuals, x_from_z,
-                           zcons_constraint)
+from .phase_system import (Chirality, PhaseState, _curve_face,
+                           _derivative_rows, _line_face, _stepping_kernel,
+                           crf_constraints, flow_rhs, g_of_x, reduced_z_rhs,
+                           residuals, x_from_z, zcons_constraint)
 
 SAMPLE_STEP = 0.05
 CHUNK_LENGTH = 5.0
@@ -78,7 +78,7 @@ FACE_RELEASE_TOL = 1e-8
 MAX_PROJECTION_ITERS = 50
 PROJECTION_TARGET = 1e-14
 HORIZON_SLACK = 1e-12  # integrate stops once eta is this close to eta_max
-MAX_DIRECTIONS = 10_000  # sweep cap: about 150 s at 15 ms per direction
+MAX_DIRECTIONS = 10_000  # sweep cap: about 80 s at 8 ms per direction
 
 OUTCOME_ALC = "ALC"
 OUTCOME_AC = "AC"
@@ -269,11 +269,8 @@ class _BoundaryFace:
     equations: object
 
 
-_LINE_FACE = _BoundaryFace(
-    "boundary-line", lambda z: (z[1] - z[2], 3.0*z[0] + 3.0*z[1] - 1.0))
-_CURVE_FACE = _BoundaryFace(
-    "boundary-curve",
-    lambda z: (z[1] + z[2] - z[0], (z[1] + z[2])*z[3] - 6.0))
+_LINE_FACE = _BoundaryFace("boundary-line", _line_face)
+_CURVE_FACE = _BoundaryFace("boundary-curve", _curve_face)
 
 
 def boundary_face(params, chirality):
@@ -282,8 +279,9 @@ def boundary_face(params, chirality):
     Only the (1, 1) orbit ships one: the plus chirality region has the
     line segment {Z2 = Z3, 3Z1 + 3Z2 = 1} and the minus chirality
     region the curve {Z2 + Z3 = Z1, (Z2 + Z3) Z4 = 6}.  Returns None
-    when no verified segment exists.  equations(z) returns the two
-    segment values; derivative(face.equations, z) gives their gradients.
+    when no verified segment exists.  equations(z), phase_system's
+    _line_face or _curve_face, returns the two segment values, and
+    derivative(face.equations, z) their gradients.
     """
     if (params.k, params.l) != (1, 1):
         return None

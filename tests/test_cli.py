@@ -2,12 +2,14 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spin7flow.cli import (PROFILE_HEADER, SWEEP_HEADER, TRAJECTORY_HEADER,
-                           main)
+                           VERIFY_CHECKS, main)
 from spin7flow.shooting import (MAX_DIRECTIONS, Asymptotics, ShootSpec,
                                 SweepEntry, integrate, reconstruct_metric)
 
@@ -506,6 +508,17 @@ def test_verify_suite_passes(capsys):
     out = capsys.readouterr().out
     assert "all 10 checks passed" in out
     assert out.count("ok ") == 10
+
+
+def test_benchmark_expects_the_verify_line_of_every_check():
+    """The benchmark's cli workload requires verify's last line to equal
+    benchmarks/workloads.py's VERIFY_LINE; read from that file's text,
+    without importing it, the line names every check in VERIFY_CHECKS,
+    so a new check shows here first."""
+    text = (Path(__file__).resolve().parents[1] / "benchmarks"
+            / "workloads.py").read_text()
+    found = re.findall(r'^VERIFY_LINE = "([^"]*)"$', text, re.MULTILINE)
+    assert found == ["all %d checks passed" % len(VERIFY_CHECKS)]
 
 
 def test_help_exits_zero(capsys):

@@ -154,6 +154,22 @@ def test_membership_cone_points():
     assert not membership(p, ptk, SetId.C_SPIN_PLUS).ok
 
 
+def test_faces_vanish_exactly_at_the_cone_points_they_join():
+    """The (1, 1) line face passes through the k+l cone point and the
+    curve face through the k cone point: exactly on the catalog's
+    Fractions, and as polynomials on RatPoly symbols."""
+    names = ("Z1", "Z2", "Z3", "Z4")
+    symbols = [RatPoly.variable(names, n) for n in names]
+    cat = catalog(AWParams(1, 1))
+    for face, label in ((phase_system._line_face, "P0_KplusL"),
+                        (phase_system._curve_face, "P0_K")):
+        z = cat.get(label).state.Z
+        values = face(z)
+        assert values == (0, 0)
+        assert all(type(v) in (int, Fraction) for v in values)
+        assert [v.evaluate(z) for v in face(symbols)] == [0, 0]
+
+
 def test_membership_alc_sink_in_g2_locus():
     p = AWParams(1, 1)
     pt = alc_sink()

@@ -2,6 +2,7 @@
 certified positivity layer."""
 
 import hashlib
+import json
 import math
 import random
 import sys
@@ -16,11 +17,11 @@ from spin7flow.aw_algebra import AWParams
 from spin7flow.errors import (DegenerateRootError, DomainAnomalyError,
                               FormulaDiscrepancyError, InvalidParameterError,
                               InvalidRequestError)
-from spin7flow import polycert as pc
+from spin7flow import polycert as pc, ratpoly
 from spin7flow.cli import main
-from spin7flow.phase_system import (PhaseState, cubic_coefficients,
-                                    quartic_coefficients, residuals,
-                                    scalar_terms)
+from spin7flow.phase_system import (PhaseState, _scaled_coefficients,
+                                    cubic_coefficients, quartic_coefficients,
+                                    residuals, scalar_terms)
 from spin7flow.ratpoly import (Ball, Box, Interval, RatPoly,
                                _bernstein_tensor, certify_nonneg,
                                random_nonnegativity_audit,
@@ -826,12 +827,24 @@ def test_rtilde_equals_each_orbits_resultant(kl):
 
 
 def test_ray_coefficients_are_the_orbits_scaled_to_z4_delta():
+    """The ray family's coefficients, the scaled ones at (1, rho), are
+    the orbit's ((k+l), l, k)/(2*Delta) and ((k+l)^2, l^2, k^2)/(2*Delta^2)
+    times 6*Delta/k and its square; on symbols (k, l) the scaled ones
+    are polynomials that give the same values."""
+    names = ("k", "l")
+    k, l = (RatPoly.variable(names, n) for n in names)
+    symbolic = _scaled_coefficients(k, l)
     for p in _orbit_sample(40, 63) + [AWParams(1, 0), AWParams(1, 1)]:
+        orders = (p.k + p.l, p.l, p.k)
+        orbit = (tuple(F(n, 2 * p.delta) for n in orders),
+                 tuple(F(n * n, 2 * p.delta ** 2) for n in orders))
+        assert (cubic_coefficients(p), quartic_coefficients(p)) == orbit
         scale = F(6 * p.delta, p.k)
-        cubic, quartic = pc._ray_coefficients(p.rho)
-        assert cubic == tuple(c * scale for c in cubic_coefficients(p))
-        assert quartic == tuple(c * scale ** 2
-                                for c in quartic_coefficients(p))
+        cubic, quartic = _scaled_coefficients(1, p.rho)
+        assert cubic == tuple(c * scale for c in orbit[0])
+        assert quartic == tuple(c * scale ** 2 for c in orbit[1])
+        assert tuple(tuple(c.evaluate((p.k, p.l)) for c in part)
+                     for part in symbolic) == _scaled_coefficients(p.k, p.l)
 
 
 def _orbit_sample(count, seed):
@@ -1076,6 +1089,23 @@ def test_ray_table_stays_bounded_under_small_rho():
                        for cell in pc._RAY_CELLS.values())
             assert held <= pc._RAY_CELL_LIMIT // 2
     assert len(pc._RAY_CELLS) > pc._RAY_CELL_LIMIT - 2
+
+
+def test_box_budget_ends_a_small_rho_certificate(monkeypatch, capsys):
+    """Past ratpoly.BOX_BUDGET boxes a walk stops Inconclusive at the
+    first cell that survives: (1000, 1), which certifies in 8,509 boxes,
+    stops under a budget of 1,000, at the same cell on the shared tree
+    as on certify_nonneg's walk over rtilde, and the CLI exits 6."""
+    p = AWParams(1000, 1)
+    monkeypatch.setattr(ratpoly, "BOX_BUDGET", 1000)
+    cert = pc.certify_ray_resultant(p)
+    assert cert.status == "Inconclusive"
+    assert 1000 < cert.boxes_processed <= 1001 + cert.max_depth
+    assert cert.worst_bound < 0
+    _same_certificate(cert, _nonneg_certificate(p))
+    assert main(["certify", "--target", "rtilde", "--k", "1000",
+                 "--l", "1"]) == 6
+    assert json.loads(capsys.readouterr().out)["status"] == "Inconclusive"
 
 
 def test_ray_table_is_shared_safely_between_threads():
