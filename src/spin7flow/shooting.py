@@ -23,19 +23,25 @@ every chunk boundary, logging the pre-projection defect as drift.  The
 projection's Jacobian comes from the derivative kernel traced from the
 constraint's body, as jacobian's does.
 
-The stepper runs a whole chunk, its first derivative and initial step
-included, in one compiled function whose derivatives evaluate the
-right-hand side as a kernel traced from its phase_system body and
-inlined, so a chunk makes no Python call and keeps the helpers' bits;
-it packs each accepted step into one row of a float table.  The
-orbit's coefficients are the chunk's inputs, so one chunk per body
-serves every orbit and chirality.  Samples are built lazily: a chunk
+The stepper, the Dormand-Prince 8(5,3) pair (DOP853), runs a whole
+chunk, its first derivative included, in one compiled function whose
+derivatives evaluate the right-hand side as a kernel traced from its
+phase_system body and inlined, so a chunk makes no Python call and
+keeps the helpers' bits; it packs each accepted step, with its
+continuous extension, into one row of a float table.  The orbit's
+coefficients are the chunk's inputs, so one chunk per body serves every
+orbit and chirality.  A run's first chunk takes the initial-step rule,
+and every later one the step size its predecessor proposed, since only
+the projection has moved the state.  Samples are built lazily: a chunk
 keeps its step table, and their dense output on the sample grid is
 evaluated, X rebuilt from Z, and the rows handed to the decision scan
 only when a decision could fire (an early-stopping run whose last
-projected state lies inside a decision ball) and when the run ends.  A full-horizon run therefore samples all its chunks in
-one pass.  Row max-norms of the sample table are reduced column by
-column.
+projected state lies inside a decision ball) and when the run ends.  A
+full-horizon run therefore samples all its chunks in one pass.  Row
+max-norms of the sample table are reduced column by column.  No BLAS or
+LAPACK call reaches a trajectory (the projection's step is solved on
+Python floats, the dense output is elementwise), so its bits do not
+depend on the BLAS build.
 
 Boundary runs need one more ingredient.  For (k, l) = (1, 1) the
 invariant region has one-dimensional boundary segments (a line for the
@@ -78,7 +84,7 @@ FACE_RELEASE_TOL = 1e-8
 MAX_PROJECTION_ITERS = 50
 PROJECTION_TARGET = 1e-14
 HORIZON_SLACK = 1e-12  # integrate stops once eta is this close to eta_max
-MAX_DIRECTIONS = 10_000  # sweep cap: about 80 s at 8 ms per direction
+MAX_DIRECTIONS = 10_000  # sweep cap: about 50 s at 5 ms per direction
 
 OUTCOME_ALC = "ALC"
 OUTCOME_AC = "AC"
@@ -306,13 +312,44 @@ def _with_face(body, equations):
     return lambda c, y: body(c, y) + equations(y)
 
 
+def _dot(a, b):
+    """The sum of the products a_i*b_i, added from left to right."""
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
+
+
+def _least_norm_step(rows, r):
+    """The least-norm solution s of rows s = r for at most 3 independent
+    rows, on Python floats: s = rows^T w with G w = r, G the Gram matrix
+    of the rows.  Every dot product (_dot) adds from left to right; w
+    comes from Gaussian elimination of G in row order without pivoting
+    (G is symmetric positive definite), then back substitution from the
+    last row, w_i = (r'_i - G'_i,>i . w_>i) / G'_ii.  No BLAS or LAPACK
+    call, so the bits do not depend on the build; a zero pivot raises
+    ZeroDivisionError."""
+    g = [[_dot(a, b) for b in rows] for a in rows]
+    w = list(r)
+    for i in range(len(g)):
+        for j in range(i + 1, len(g)):
+            f = g[j][i] / g[i][i]
+            g[j] = [a - f * b for a, b in zip(g[j], g[i])]
+            w[j] -= f * w[i]
+    for i in reversed(range(len(g))):
+        w[i] = (w[i] - _dot(g[i][i + 1:], w[i + 1:])) / g[i][i]
+    return [_dot(column, w) for column in zip(*rows)]
+
+
 def _project(con, v, face=None):
     """Least-norm Gauss-Newton projection onto con(v) = 0, joined by the
     equations of a locked face.  con is partial(body, coefficients), as
     zcons_constraint and crf_constraints give it; a step's Jacobian is
     body's derivative kernel (joined by the face) run on the floats, and
-    only the step enters numpy.  Returns the projected point and the
-    pre-projection defect, the max-norm of con at v."""
+    the step is _least_norm_step's, so the projection stays on Python
+    floats.  Returns the projected point and the pre-projection defect,
+    the max-norm of con at v; a singular Jacobian raises
+    InitializationError."""
     body, (c,) = con.func, con.args
     if face is not None:
         body = _with_face(body, face.equations)
@@ -325,9 +362,12 @@ def _project(con, v, face=None):
             defect = _max_abs(values)
         if _max_abs(r) < PROJECTION_TARGET:
             return np.array(y), defect
-        step, *_ = np.linalg.lstsq(_derivative_rows(body, c, y), r,
-                                   rcond=None)
-        y = [a - b for a, b in zip(y, step.tolist())]
+        try:
+            step = _least_norm_step(_derivative_rows(body, c, y), r)
+        except ZeroDivisionError:
+            raise InitializationError(
+                "constraint Jacobian is singular in the projection") from None
+        y = [a - b for a, b in zip(y, step)]
     raise InitializationError(
         "constraint projection did not converge in %d iterations"
         % MAX_PROJECTION_ITERS)
@@ -504,103 +544,186 @@ def _outcome(etas, states, candidates, decision):
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince 5(4) with the step control of Hairer, Norsett & Wanner,
-# Solving ODEs I, Sec. II.4: scipy RK45's tableau, error weights,
-# dense-output matrix, initial-step rule and step-size factors.
+# Dormand-Prince 8(5,3), DOP853, with the step control of Hairer, Norsett &
+# Wanner, Solving ODEs I, Sec. II.4 and II.10: scipy DOP853's tableau, error
+# weights, dense-output stages and coefficients, initial-step rule and
+# step-size factors.  A step's derivatives are k1..k16: k1 at its start,
+# k2..k12 its stages, k13 at the new state (the next step's k1, first same
+# as last) and k14..k16 the stages of its continuous extension.  Each row
+# lists the weights of k1, k2, ... in order; zero weights are skipped.
 
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = (19372 / 6561, -25360 / 2187, 64448 / 6561,
-                          -212 / 729)
-_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
-                                49 / 176, -5103 / 18656)
-_B1, _B3, _B4, _B5, _B6 = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784,
-                           11 / 84)
-_E1, _E3, _E4, _E5, _E6, _E7 = (-71 / 57600, 71 / 16695, -71 / 1920,
-                                17253 / 339200, -22 / 525, 1 / 40)
-_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
-     -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
-     -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883,
-     -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+# (time fraction, A row) of stages 2..12
+_STAGES = (
+    (0.05260015195876773, (0.05260015195876773,)),
+    (0.0789002279381516, (0.0197250569845379, 0.0591751709536137)),
+    (0.1183503419072274, (0.02958758547680685, 0, 0.08876275643042054)),
+    (0.2816496580927726, (0.2413651341592667, 0, -0.8845494793282861,
+                          0.924834003261792)),
+    (0.3333333333333333, (0.037037037037037035, 0, 0, 0.17082860872947386,
+                          0.12546768756682242)),
+    (0.25, (0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596,
+            -0.017578125)),
+    (0.3076923076923077, (0.03709200011850479, 0, 0, 0.17038392571223998,
+                          0.10726203044637328, -0.015319437748624402,
+                          0.008273789163814023)),
+    (0.6512820512820513, (0.6241109587160757, 0, 0, -3.3608926294469414,
+                          -0.868219346841726, 27.59209969944671,
+                          20.154067550477894, -43.48988418106996)),
+    (0.6, (0.47766253643826434, 0, 0, -2.4881146199716677,
+           -0.590290826836843, 21.230051448181193, 15.279233632882423,
+           -33.28821096898486, -0.020331201708508627)),
+    (0.8571428571428571, (-0.9371424300859873, 0, 0, 5.186372428844064,
+                          1.0914373489967295, -8.149787010746927,
+                          -18.52006565999696, 22.739487099350505,
+                          2.4936055526796523, -3.0467644718982196)),
+    (1.0, (2.273310147516538, 0, 0, -10.53449546673725,
+           -2.0008720582248625, -17.9589318631188, 27.94888452941996,
+           -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+           0.6433927460157636)),
+)
+# the same of the dense-output stages 14..16
+_DENSE_STAGES = (
+    (0.1, (0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483,
+           -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+           0.00820105229563469, 0.007567897660545699, -0.008298)),
+    (0.2, (0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776,
+           0.053541988307438566, -0.05492374857139099, 0, 0,
+           -0.00010834732869724932, 0.0003825710908356584,
+           -0.00034046500868740456, 0.1413124436746325)),
+    (0.7777777777777778, (-0.42889630158379194, 0, 0, 0, 0,
+                          -4.697621415361164, 7.683421196062599,
+                          4.06898981839711, 0.3567271874552811, 0, 0, 0,
+                          -0.0013990241651590145, 2.9475147891527724,
+                          -9.15095847217987)),
+)
+_B = (0.054293734116568765, 0, 0, 0, 0, 4.450312892752409,
+      1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+      -0.1521609496625161, 0.20136540080403034, 0.04471061572777259)
+# the error estimators of orders 5 and 3
+_E5 = (0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044,
+       -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+       0.3341791187130175, 0.08192320648511571, -0.022355307863886294)
+_E3 = (-0.18980075407240762, 0, 0, 0, 0, 4.450312892752409,
+       1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+       -0.1521609496625161, 0.20136540080403034, 0.02265179219836082)
+# F3..F6 of the continuous extension are h times these combinations
+_D = (
+    (-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777,
+     -3.0689499459498917, 2.38466765651207, 2.117034582445028,
+     -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894),
+    (10.427508642579134, 0, 0, 0, 0, 242.28349177525817,
+     165.20045171727028, -374.5467547226902, -22.113666853125306,
+     7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408),
+    (19.985053242002433, 0, 0, 0, 0, -387.0373087493518,
+     -189.17813819516758, 527.8081592054236, -11.57390253995963,
+     6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279),
+    (-25.69393346270375, 0, 0, 0, 0, -154.18974869023643,
+     -231.5293791760455, 357.6391179106141, 93.40532418362432,
+     -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564),
+)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_ERROR_EXPONENT = -1 / 5
-# (time fraction, A row) of stages 2..6; stage 6 runs at t + h
-_STAGES = ((_C2, (_A21,)), (_C3, (_A31, _A32)), (_C4, (_A41, _A42, _A43)),
-           (_C5, (_A51, _A52, _A53, _A54)),
-           (None, (_A61, _A62, _A63, _A64, _A65)))
-_B_TERMS = ((1, _B1), (3, _B3), (4, _B4), (5, _B5), (6, _B6))
-_E_TERMS = ((1, _E1), (3, _E3), (4, _E4), (5, _E5), (6, _E6), (7, _E7))
+_ERROR_EXPONENT = -1 / 8
+
+
+def _terms(row):
+    """The nonzero (stage, weight) pairs of a tableau row, stages from 1."""
+    return tuple((s, w) for s, w in enumerate(row, start=1) if w)
 
 
 def _dense(steps, grid):
     """The continuous extension of a step table at grid points.
 
     Each point takes the step whose span holds it (the earlier step at a
-    shared end point, as scipy's OdeSolution does); per step Q = K^T P,
-    and y = y_old + h * Q (x, x^2, x^3, x^4) with x = (t - t_old) / h.
+    shared end point, as scipy's OdeSolution does).  With x = (t - t_old)
+    / h its value is y_old + x*(F0 + (1 - x)*(F1 + x*(F2 + (1 - x)*(F3 +
+    x*(F4 + (1 - x)*(F5 + x*F6)))))), elementwise: no BLAS call, and the
+    bits of _interpolant on the same row.
     """
     n = (steps.shape[1] - 2) // 8
-    starts, widths = steps[:, 0], steps[:, 1]
-    seg = np.clip(np.searchsorted(starts, grid) - 1, 0, len(steps) - 1)
-    q = steps[:, 2 + n:].reshape(-1, 7, n).transpose(0, 2, 1) @ _P
-    x = (grid - starts[seg]) / widths[seg]
-    powers = np.cumprod(np.repeat(x[:, None], 4, axis=1), axis=1)
-    return (widths[seg, None] * (q[seg] @ powers[:, :, None])[:, :, 0]
-            + steps[seg, 2:2 + n])
+    seg = np.clip(np.searchsorted(steps[:, 0], grid) - 1, 0, len(steps) - 1)
+    rows = steps[seg]
+    x = ((grid - rows[:, 0]) / rows[:, 1])[:, None]
+    w = 1.0 - x
+    f = rows[:, 2:].reshape(-1, 8, n)  # y_old, F0, ..., F6
+    y = f[:, 7] * x
+    for i in range(5, -1, -1):
+        y = (y + f[:, 1 + i]) * (w if i % 2 else x)
+    return y + f[:, 0]
 
 
-def _crossing(step, t_end):
-    """Bisect the interpolant of a one-row step table on [t_old, t_end]
-    down to adjacent floats for where its max-norm reaches ESCAPE_NORM;
-    returns the upper end of the last bracket."""
-    lo, hi = float(step[0, 0]), t_end
+def _interpolant(row, t):
+    """_dense of one step row (a list of floats) at t, on Python floats
+    in _dense's association, so with its bits."""
+    n = (len(row) - 2) // 8
+    x = (t - row[0]) / row[1]
+    w = 1.0 - x
+    y = [v * x for v in row[2 + 7 * n:]]
+    for i in range(5, -1, -1):
+        s = w if i % 2 else x
+        y = [(a + b) * s for a, b in zip(y, row[2 + (1 + i) * n:])]
+    return [a + b for a, b in zip(y, row[2:2 + n])]
+
+
+def _crossing(row, t_end):
+    """Bisect the interpolant of one step row on [t_old, t_end] down to
+    adjacent floats for where its max-norm reaches ESCAPE_NORM; returns
+    the upper end of the last bracket."""
+    lo, hi = row[0], t_end
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return hi
-        if np.max(np.abs(_dense(step, np.array([mid])))) >= ESCAPE_NORM:
+        if _max_abs(_interpolant(row, mid)) >= ESCAPE_NORM:
             hi = mid
         else:
             lo = mid
 
 
 def _chunk_source(n, body=None, m=0):
-    """Python source of _dopri5's whole chunk on n components.
+    """Python source of _dop853's whole chunk on n components.
 
-    chunk(fun, t, y, t_bound, rtol, atol) steps from t, with state y, to
-    t_bound.  It returns (status, t, y, rows) with _dopri5's status; on
-    an escape t is the end of the last step and y is None.  rows holds
-    one row (t, h, *y, *k1, ..., *k7) per accepted step, packed as
-    2 + 8n doubles.  y_j and k1_j stay in locals from one step to the
-    next, and k7 becomes the next step's k1 (first same as last).
+    chunk(fun, t, y, t_bound, rtol, atol, h_abs) steps from t, with state
+    y, to t_bound.  It returns (status, t, y, rows, h_next) with
+    _dop853's status; on an escape t is the end of the last step and y
+    is None.  rows holds one row (t, h, *y, *F0, ..., *F6) per accepted
+    step, packed as 2 + 8n doubles: y the step's start and F0..F6 its
+    continuous extension (scipy's Dop853DenseOutput), F0 = u - y for the
+    new state u, F1 = h*k1 - F0, F2 = 2*F0 - h*(k13 + k1) and F3..F6 h
+    times the _D combinations of k1..k16.  Only an accepted step runs
+    k13, which no error estimate reads, and the dense-output stages.
+    y_j and k1_j stay in locals from one step to the next, and k13
+    becomes the next step's k1.
 
-    The chunk starts with the first derivative k1, the finiteness check
-    of y and k1 (status -1 at t with no row) and the initial-step rule
-    of Hairer, Norsett & Wanner (scipy RK45's): the scale atol +
-    |y_j|*rtol, the root mean squares d0 of y, d1 of k1 and d2 of
-    (f1 - k1)/h0, f1 the derivative after an Euler trial step h0, each
-    with its squares added from left to right (as the list form's _rms
-    in tests/list_dopri5.py: sum() compensates float sums from Python
-    3.12 on, which would make step control depend on the interpreter).
+    The chunk starts with the first derivative k1 and the finiteness
+    check of y and k1 (status -1 at t with no row).  h_abs is the first
+    step tried; None takes the initial-step rule of Hairer, Norsett &
+    Wanner (scipy's, with DOP853's exponent 1/8): the scale atol +
+    |y_j|*rtol, the root mean squares d0 of y, d1 of k1 and d2 of (f1 -
+    k1)/h0, f1 the derivative after an Euler trial step h0, each with
+    its squares added from left to right (as the list form's _rms in
+    tests/list_dop853.py: sum() compensates float sums from Python 3.12
+    on, which would make step control depend on the interpreter).
+    h_next, for the run's next chunk, is the step the controller
+    proposed after the last accepted step that t_bound did not clip, or
+    the first step tried when there was none.
 
     Every component is one straight-line expression in the association
     of the list form: stage i is y_j + (k1_j*A_i1 + ... +
-    k(i-1)_j*A_i(i-1))*h, the new state y_j + h*(k1_j*B1 + k3_j*B3 + ...
-    + k6_j*B6), the scaled error (k1_j*E1 + ... + k7_j*E7)*h / (atol +
-    max(|y_j|, |u_j|)*rtol), and error their root mean square, the
-    squares added from left to right.  Tableau values and
-    step-control factors are written as float literals (repr
+    k(i-1)_j*A_i(i-1))*h over the nonzero weights, the new state y_j +
+    h*(k1_j*B1 + ... + k12_j*B12), the scaled errors (k1_j*E5_1 + ... +
+    k12_j*E5_12) / sc_j and the same with E3, sc_j = atol + max(|y_j|,
+    |u_j|)*rtol, and error Hairer's combined norm h*e5 / sqrt((e5 +
+    0.01*e3)*n), with e5 and e3 the sums of squares of the scaled
+    errors added from left to right (0 when (e5 + 0.01*e3)*n is 0).  Tableau
+    values and step-control factors are written as float literals (repr
     round-trips); a two-argument min or max is written out with Python's
     argument order (max(a, b) is "b if b > a else a", min(a, b) "b if
     b < a else a", a three-argument min two such compares), so NaN
@@ -620,9 +743,8 @@ def _chunk_source(n, body=None, m=0):
     def names(prefix):
         return ", ".join("%s%d" % (prefix, j) for j in comps)
 
-    def combo(terms, j):
-        return " + ".join("k%d_%d * %r" % (s, j, coeff)
-                          for s, coeff in terms)
+    def combo(row, j):
+        return " + ".join("k%d_%d * %r" % (s, j, w) for s, w in _terms(row))
 
     def derivative(at, state, out):
         """Lines setting out_j to the derivative at state_j, time at."""
@@ -630,33 +752,39 @@ def _chunk_source(n, body=None, m=0):
             return kernel.format(v=state, k=out, c="c_").splitlines()
         return ["%s, = fun(%s, [%s])" % (names(out), at, names(state))]
 
-    def rms(prefix):
-        """The root mean square of the n locals prefix_j, as the list
-        form's _rms adds it."""
-        return "sqrt(%s) / %r" % (" + ".join(
-            "%s%d * %s%d" % (prefix, j, prefix, j) for j in comps), n ** 0.5)
+    def stages(table, first):
+        """Lines running the stages of table, numbered from first."""
+        lines = []
+        for stage, (c, row) in enumerate(table, start=first):
+            lines += ["v_%d = y_%d + (%s) * h" % (j, j, combo(row, j))
+                      for j in comps]
+            lines += derivative("t + %r * h" % c, "v_", "k%d_" % stage)
+        return lines
 
-    start = derivative("t", "y_", "k1_")
-    start += [
-        "if not (%s):" % " and ".join(
-            "isfinite(%s%d)" % (prefix, j)
-            for prefix in ("y_", "k1_") for j in comps),
-        "    return -1, t, [%s], rows" % names("y_"),
-        "span = t_bound - t"]
-    start += ["sc_%d = atol + abs(y_%d) * rtol" % (j, j) for j in comps]
-    start += ["q_%d = y_%d / sc_%d" % (j, j, j) for j in comps]
-    start.append("d0 = " + rms("q_"))
-    start += ["q_%d = k1_%d / sc_%d" % (j, j, j) for j in comps]
-    start.append("d1 = " + rms("q_"))
-    start += [
+    def squares(prefix):
+        """The sum of squares of the n locals prefix_j, added from left
+        to right."""
+        return " + ".join("%s%d * %s%d" % (prefix, j, prefix, j)
+                          for j in comps)
+
+    def rms(prefix):
+        return "sqrt(%s) / %r" % (squares(prefix), n ** 0.5)
+
+    rule = ["span = t_bound - t"]
+    rule += ["sc_%d = atol + abs(y_%d) * rtol" % (j, j) for j in comps]
+    rule += ["q_%d = y_%d / sc_%d" % (j, j, j) for j in comps]
+    rule.append("d0 = " + rms("q_"))
+    rule += ["q_%d = k1_%d / sc_%d" % (j, j, j) for j in comps]
+    rule.append("d1 = " + rms("q_"))
+    rule += [
         "h0 = %r if d0 < %r or d1 < %r else %r * d0 / d1" % (
             1e-6, 1e-5, 1e-5, 0.01),
         "if span < h0:",
         "    h0 = span"]
-    start += ["v_%d = y_%d + h0 * k1_%d" % (j, j, j) for j in comps]
-    start += derivative("t + h0", "v_", "f1_")
-    start += ["q_%d = (f1_%d - k1_%d) / sc_%d" % (j, j, j, j) for j in comps]
-    start += [
+    rule += ["v_%d = y_%d + h0 * k1_%d" % (j, j, j) for j in comps]
+    rule += derivative("t + h0", "v_", "f1_")
+    rule += ["q_%d = (f1_%d - k1_%d) / sc_%d" % (j, j, j, j) for j in comps]
+    rule += [
         "d2 = %s / h0" % rms("q_"),
         "d = d2 if d2 > d1 else d1",
         "if d <= %r:" % 1e-15,
@@ -664,33 +792,48 @@ def _chunk_source(n, body=None, m=0):
         "    if not h1 > %r:" % 1e-6,
         "        h1 = %r" % 1e-6,
         "else:",
-        "    h1 = (%r / d) ** %r" % (0.01, 1 / 5),
+        "    h1 = (%r / d) ** %r" % (0.01, -_ERROR_EXPONENT),
         "h_abs = 100 * h0",
         "if h1 < h_abs:",
         "    h_abs = h1",
         "if span < h_abs:",
         "    h_abs = span"]
+    start = derivative("t", "y_", "k1_")
+    start += [
+        "if not (%s):" % " and ".join(
+            "isfinite(%s%d)" % (prefix, j)
+            for prefix in ("y_", "k1_") for j in comps),
+        "    return -1, t, [%s], rows, h_abs" % names("y_"),
+        "if h_abs is None:"]
+    start += ["    " + line for line in rule]
+    start.append("h_next = h_abs")
 
-    attempt = []
-    for stage, (c, row) in enumerate(_STAGES, start=2):
-        terms = tuple(enumerate(row, start=1))
-        attempt += ["v_%d = y_%d + (%s) * h" % (j, j, combo(terms, j))
-                    for j in comps]
-        attempt += derivative("t + h" if c is None else "t + %r * h" % c,
-                              "v_", "k%d_" % stage)
-    attempt += ["u_%d = y_%d + h * (%s)" % (j, j, combo(_B_TERMS, j))
+    attempt = stages(_STAGES, 2)
+    attempt += ["u_%d = y_%d + h * (%s)" % (j, j, combo(_B, j))
                 for j in comps]
-    attempt += derivative("t + h", "u_", "k7_")
     for j in comps:
-        attempt.append("a, b = abs(y_%d), abs(u_%d)" % (j, j))
-        attempt.append("s_%d = (%s) * h / (atol + (b if b > a else a)"
-                       " * rtol)" % (j, combo(_E_TERMS, j)))
-    attempt.append("error = " + rms("s_"))
+        attempt += [
+            "a, b = abs(y_%d), abs(u_%d)" % (j, j),
+            "sc = atol + (b if b > a else a) * rtol",
+            "s_%d = (%s) / sc" % (j, combo(_E5, j)),
+            "r_%d = (%s) / sc" % (j, combo(_E3, j))]
+    attempt += [
+        "e5 = " + squares("s_"),
+        "d = (e5 + %r * (%s)) * %d" % (0.01, squares("r_"), n),
+        "error = 0.0 if d == 0 else h * e5 / sqrt(d)"]
+    accept = derivative("t + h", "u_", "k13_")
+    accept += stages(_DENSE_STAGES, 14)
+    accept += ["f_%d = u_%d - y_%d" % (j, j, j) for j in comps]
+    dense = ["h * k1_%d - f_%d" % (j, j) for j in comps]
+    dense += ["2 * f_%d - h * (k13_%d + k1_%d)" % (j, j, j) for j in comps]
+    dense += ["h * (%s)" % combo(row, j) for row in _D for j in comps]
+    accept.append("append(pack(t, h, %s, %s, %s))" % (
+        names("y_"), names("f_"), ", ".join(dense)))
     control = "%r * error ** %r" % (_SAFETY, _ERROR_EXPONENT)
     size = ("max(%s)" % ", ".join("abs(u_%d)" % j for j in comps)
             if n > 1 else "abs(u_0)")
     lines = [
-        "def chunk(fun, t, y, t_bound, rtol, atol):",
+        "def chunk(fun, t, y, t_bound, rtol, atol, h_abs):",
         "    %s, = y" % names("y_")]
     if kernel is not None:
         lines.append("    %s, = fun" % ", ".join("c_%d" % j
@@ -707,9 +850,10 @@ def _chunk_source(n, body=None, m=0):
         "        rejected = False",
         "        while True:",
         "            if not h_abs >= min_step:",
-        "                return -1, t, [%s], rows" % names("y_"),
+        "                return -1, t, [%s], rows, h_next" % names("y_"),
         "            t_new = t + h_abs",
-        "            if t_bound < t_new:",
+        "            clipped = t_bound < t_new",
+        "            if clipped:",
         "                t_new = t_bound",
         "            h = h_abs = t_new - t"]
     lines += ["            " + line for line in attempt]
@@ -727,15 +871,16 @@ def _chunk_source(n, body=None, m=0):
         "            h_abs *= factor if factor > %r else %r" % (
             _MIN_FACTOR, _MIN_FACTOR),
         "            rejected = True",
-        "        append(pack(t, h, %s, %s))" % (
-            names("y_"), ", ".join(names("k%d_" % stage)
-                                   for stage in range(1, 8))),
+        "        if not clipped:",
+        "            h_next = h_abs"]
+    lines += ["        " + line for line in accept]
+    lines += [
         "        if %s >= %r:" % (size, ESCAPE_NORM),
-        "            return 1, t_new, None, rows",
+        "            return 1, t_new, None, rows, h_next",
         "        t = t_new"]
     lines += ["        y_%d = u_%d" % (j, j) for j in comps]
-    lines += ["        k1_%d = k7_%d" % (j, j) for j in comps]
-    lines.append("    return 0, t, [%s], rows" % names("y_"))
+    lines += ["        k1_%d = k13_%d" % (j, j) for j in comps]
+    lines.append("    return 0, t, [%s], rows, h_next" % names("y_"))
     return "\n".join(lines) + "\n"
 
 
@@ -745,22 +890,24 @@ def _chunk(n, body=None, m=0):
     namespace = {"sqrt": math.sqrt, "isfinite": math.isfinite,
                  "nextafter": math.nextafter, "inf": math.inf,
                  "pack": struct.Struct("%dd" % (2 + 8 * n)).pack}
-    exec(compile(_chunk_source(n, body, m), "<dopri5 chunk, n=%d>" % n,
+    exec(compile(_chunk_source(n, body, m), "<dop853 chunk, n=%d>" % n,
                  "exec"), namespace)
     return namespace["chunk"]
 
 
-def _dopri5(fun, t, y, t_bound, rtol, atol):
+def _dop853(fun, t, y, t_bound, rtol, atol, h_abs=None):
     """Integrate y' = fun(t, y) from t to t_bound on Python floats.
 
-    y is a list of floats.  Returns (status, t, y, steps): status 0
+    y is a list of floats, and h_abs the first step to try (None: the
+    initial-step rule).  Returns (status, t, y, steps, h_next): status 0
     when t_bound was reached; 1 when an accepted step ended at max-norm
     ESCAPE_NORM or more, with t the crossing on that step's interpolant
-    and y the interpolant there; -1 when the step size fell below ten
-    ulps of t (a non-finite start or right-hand side ends here too),
-    with t, y the last accepted point.  steps is the read-only step
-    table, one row (t_old, h, *y_old, *k1, ..., *k7) per accepted step
-    ((0, 2 + 8n) when none was taken), for _dense.
+    and y the interpolant there (_crossing and _interpolant); -1 when
+    the step size fell below ten ulps of t (a non-finite start or
+    right-hand side ends here too), with t, y the last accepted point.
+    steps is the read-only step table, one row (t_old, h, *y_old, *F0,
+    ..., *F6) per accepted step ((0, 2 + 8n) when none was taken), for
+    _dense; h_next the step size for a next chunk (_chunk_source).
     The whole chunk, first derivative and initial step included, runs
     in one compiled function (_chunk).  When fun is partial(body,
     coefficients), as flow_rhs and reduced_z_rhs give it, the chunk
@@ -773,22 +920,26 @@ def _dopri5(fun, t, y, t_bound, rtol, atol):
         chunk, fun = _chunk(n, fun.func, len(c)), c
     else:
         chunk = _chunk(n)
-    status, t, y, rows = chunk(fun, t, y, t_bound, rtol, atol)
+    status, t, y, rows, h_abs = chunk(fun, t, y, t_bound, rtol, atol, h_abs)
     steps = np.frombuffer(b"".join(rows)).reshape(-1, 2 + 8 * n)
     if status == 1:
-        t = _crossing(steps[-1:], t)
-        y = _dense(steps[-1:], np.array([t]))[0].tolist()
-    return status, t, y, steps
+        row = steps[-1].tolist()
+        t = _crossing(row, t)
+        y = _interpolant(row, t)
+    return status, t, y, steps, h_abs
 
 
 def integrate(spec):
     """Run one shooting trajectory and classify it.
 
-    The integrator is the Dormand-Prince 5(4) pair (_dopri5: scipy
-    RK45's coefficients and step control, run on Python floats, each
+    The integrator is the Dormand-Prince 8(5,3) pair (_dop853: scipy
+    DOP853's coefficients and step control, run on Python floats, each
     chunk on the kernel of the right-hand side's body), driven in
-    chunks of CHUNK_LENGTH; each chunk's samples on the SAMPLE_STEP grid come from
-    its dense output, with the projected state as the chunk's last row.
+    chunks of CHUNK_LENGTH.  The first chunk takes the initial-step
+    rule, and each later one the step size its predecessor proposed,
+    held in a local of this run.  Each chunk's samples on the
+    SAMPLE_STEP grid come from its dense output, with the projected
+    state as the chunk's last row.
     At every chunk boundary the state is renormalized onto the
     constraint set (see the module docstring) and the pre-projection
     defect is logged.  Events: "escaped" (an accepted step ended at
@@ -865,10 +1016,11 @@ def integrate(spec):
     events = []
     eta = 0.0
     drift_logged = False
+    h_abs = None  # the first chunk takes the initial-step rule
     while eta < spec.eta_max - HORIZON_SLACK:
         top = min(eta + CHUNK_LENGTH, spec.eta_max)
-        status, reached, end, steps = _dopri5(
-            rhs, eta, state.tolist(), top, spec.rel_tol, spec.abs_tol)
+        status, reached, end, steps, h_abs = _dop853(
+            rhs, eta, state.tolist(), top, spec.rel_tol, spec.abs_tol, h_abs)
         if status == 0:
             if locked is not None and _face_defect(locked, end) > \
                     FACE_RELEASE_TOL:

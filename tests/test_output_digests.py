@@ -4,20 +4,28 @@ The exact layer (catalog coordinates, reference frames, certificates)
 must not move when its arithmetic is reorganized.  These SHA-256
 digests were taken from the outputs before the integer kernels
 replaced the Fraction ones.  The float eigen data of the catalog is
-left out, since it depends on the LAPACK build.  The trajectory digest
-guards the stepper and the decision scan the same way: it was taken
-while each step attempt was its own compiled function and the decision
-scan measured every row against every target.
+left out, since it depends on the LAPACK build.  The trajectory digests
+guard the stepper, the projection and the decision scan: they were
+taken when the stepper became the DOP853 pair, with its step size
+carried from chunk to chunk, and the projection and the dense output
+left BLAS, so they hold under every OpenBLAS kernel.
 """
 
 import hashlib
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
+
+import spin7flow
 
 from spin7flow.aw_algebra import AWParams, normalize
 from spin7flow.cli import main
@@ -173,7 +181,7 @@ TRAJECTORY_ARGV = [
     ["sweep", "--k", "1", "--l", "1", "--bundle", "k", "--n", "8"],
 ]
 TRAJECTORY_DIGEST = \
-    "c3693177963634fa7adb9d2c993ea5e8907f6d2d997de0c35f624ff3fd2ccb29"
+    "348d26a0efccdfe961552e467b2d2d5708d97d7b16afe890102df3d165b12800"
 
 
 def _sha256(text):
@@ -310,8 +318,7 @@ def test_trajectories_are_unchanged(monkeypatch, capsys):
 # Short full-horizon runs on orbits the runs above leave out: a zero
 # cubic coefficient ((1, 0), l = 0), (13, 5) on the k+l bundle and in
 # the Ricci-flat mode, and (59, 23); the same bytes per run as above,
-# at both tolerance pairs.  Taken while each orbit and chirality traced
-# its own right-hand side with the coefficients as float literals.
+# at both tolerance pairs.  Taken with the trajectory digest above.
 ORBIT_RUNS = [
     ((1, 0), "k", "spin-", (0.6, 0.8)),
     ((13, 5), "k+l", "spin+", (0.3, 0.95)),
@@ -319,7 +326,7 @@ ORBIT_RUNS = [
     ((13, 5), "k+l", "ricci", (0.6, 0.8, 0.0)),
 ]
 ORBIT_DIGEST = \
-    "2a86173d287e2d71744d6265c6b428bb9fe05c1133ec219501c2fa2e856d4510"
+    "9336b72bffdfaa94c79de31d9cd8565a89cd3ac2c5dbb0857330ea672a751061"
 
 
 def test_trajectories_on_more_orbits_are_unchanged():
@@ -334,6 +341,62 @@ def test_trajectories_on_more_orbits_are_unchanged():
             digest.update(repr((traj.events, traj.outcome,
                                 traj.face_lock)).encode())
     assert digest.hexdigest() == ORBIT_DIGEST
+
+
+# The bytes of a short face-locked run (its projection solves a 3-row
+# least-norm step) and of a short Ricci-flat run, one digest each, from
+# child processes: one under the default OpenBLAS kernel and one under
+# each older kernel that OPENBLAS_CORETYPE picks for that child.  No BLAS
+# or LAPACK call reaches a trajectory, so every kernel gives the same
+# bytes.
+KERNEL_RUNS = [((1, 1), "k+l", "spin+", S_LINE),
+               ((3, 2), "k+l", "ricci", (0.6, 0.8, 0.0))]
+KERNEL_SCRIPT = """
+import hashlib
+from spin7flow.aw_algebra import AWParams
+from spin7flow.shooting import ShootSpec, integrate
+for kl, bundle_tag, mode, s in %r:
+    traj = integrate(ShootSpec(AWParams(*kl), bundle_tag, mode, s,
+                               eta_max=20.0, stop_on_converged=False))
+    digest = hashlib.sha256()
+    for arr in (traj.etas, traj.states, traj.residual_log):
+        digest.update(arr.tobytes())
+    digest.update(repr((traj.events, traj.outcome,
+                        traj.face_lock)).encode())
+    print(digest.hexdigest())
+""" % (KERNEL_RUNS,)
+
+
+def _on_openblas():
+    try:
+        config = np.show_config(mode="dicts")
+        return "openblas" in config["Build Dependencies"]["blas"]["name"]
+    except (KeyError, TypeError):
+        return False
+
+
+def _kernel_digests(coretype):
+    env = {name: value for name, value in os.environ.items()
+           if name != "OPENBLAS_CORETYPE"}
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    src = str(Path(spin7flow.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", KERNEL_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+@pytest.mark.skipif(not _on_openblas(),
+                    reason="OPENBLAS_CORETYPE picks a kernel only when "
+                    "numpy is built on OpenBLAS")
+def test_trajectories_do_not_depend_on_the_blas_kernel():
+    default = _kernel_digests(None)
+    assert len(default) == len(KERNEL_RUNS)
+    for coretype in ("Prescott", "Haswell"):
+        assert _kernel_digests(coretype) == default, coretype
 
 
 # Per orbit, per cataloged point and per SetId that the orbit admits

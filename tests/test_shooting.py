@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from spin7flow.aw_algebra import AWParams, BundleTag
 from spin7flow.critical_points import (_BUNDLE_CONES, FlowClass, catalog,
@@ -312,6 +312,29 @@ def test_projection_kernel_rows_are_the_dual_rows(case, y):
     assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(sorted(PROJECTIONS)),
+       y=st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=8),
+       r=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+def test_least_norm_step_matches_lstsq(case, y, r):
+    """The projection's step, solved on Python floats, is the least-norm
+    solution lstsq gives, for the Jacobians of every projection at
+    random points where the rows are well conditioned (condition number
+    below 1e3: the Gram matrix squares it, and lstsq drops singular
+    values below its own cutoff)."""
+    con, face, n = PROJECTIONS[case]
+    body, (c,) = con.func, con.args
+    if face is not None:
+        body = shooting._with_face(body, face.equations)
+    rows = [list(row) for row in _derivative_rows(body, c, y[:n])]
+    assume(np.linalg.cond(np.array(rows)) < 1e3)
+    got = shooting._least_norm_step(rows, r[:len(rows)])
+    want = np.linalg.lstsq(np.array(rows), np.array(r[:len(rows)]),
+                           rcond=None)[0]
+    assert np.max(np.abs(np.array(got) - want)) <= \
+        1e-9 * max(1.0, np.max(np.abs(want)))
+
+
 def test_kernel_and_duals_part_at_an_underflow_and_an_overflow():
     """Pinned points where the kernel rows and the dual rows part: an
     intermediate that underflows to zero gives the kernel -0.0 for the
@@ -516,16 +539,16 @@ def test_samples_match_scalar_evaluators(name, request):
 
 def test_integrate_drops_zero_width_chunk(monkeypatch):
     """A chunk that fails at its own start adds no sample."""
-    dopri5 = shooting._dopri5
+    dop853 = shooting._dop853
     calls = []
 
-    def failing_second_chunk(fun, t, y, t_bound, rtol, atol):
+    def failing_second_chunk(fun, t, y, t_bound, rtol, atol, h_abs):
         calls.append((t, t_bound))
         if len(calls) == 2:
-            return -1, t, y, []
-        return dopri5(fun, t, y, t_bound, rtol, atol)
+            return -1, t, y, [], h_abs
+        return dop853(fun, t, y, t_bound, rtol, atol, h_abs)
 
-    monkeypatch.setattr(shooting, "_dopri5", failing_second_chunk)
+    monkeypatch.setattr(shooting, "_dop853", failing_second_chunk)
     traj = integrate(ShootSpec(params=P32, bundle="k+l", mode="spin+",
                                s=(0.6, 0.8)))
     assert traj.events[-1] == (5.0, "stiff-failure")
