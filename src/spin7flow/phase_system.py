@@ -167,18 +167,25 @@ def _scaled_coefficients(k, l):
     return (3 * m, 3 * l, 3 * k), (18 * m ** 2, 18 * l ** 2, 18 * k ** 2)
 
 
+@lru_cache(maxsize=64)
+def _coefficient_tuples(k, l, delta):
+    """The cubic and the quartic coefficients of the orbit as Fractions,
+    built once per orbit; keyed on integers, so any params object with
+    k, l and delta shares the entry."""
+    cubic, quartic = _scaled_coefficients(k, l)
+    d = 6 * delta
+    return (tuple(Fraction(a, d) for a in cubic),
+            tuple(Fraction(a, d * d) for a in quartic))
+
+
 def cubic_coefficients(params):
     """The rational coefficients ((k+l), l, k) / (2*delta) of the Z-cubics."""
-    (a, b, c), _ = _scaled_coefficients(params.k, params.l)
-    d = 6 * params.delta
-    return Fraction(a, d), Fraction(b, d), Fraction(c, d)
+    return _coefficient_tuples(params.k, params.l, params.delta)[0]
 
 
 def quartic_coefficients(params):
     """The rational coefficients ((k+l)^2, l^2, k^2) / (2*delta^2)."""
-    _, (a, b, c) = _scaled_coefficients(params.k, params.l)
-    d = (6 * params.delta) ** 2
-    return Fraction(a, d), Fraction(b, d), Fraction(c, d)
+    return _coefficient_tuples(params.k, params.l, params.delta)[1]
 
 
 def _cone_z4(params, i):
