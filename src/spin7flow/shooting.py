@@ -655,8 +655,10 @@ def _dense(steps, grid):
     f = rows[:, 2:].reshape(-1, 8, n)  # y_old, F0, ..., F6
     y = f[:, 7] * x
     for i in range(5, -1, -1):
-        y = (y + f[:, 1 + i]) * (w if i % 2 else x)
-    return y + f[:, 0]
+        y += f[:, 1 + i]
+        y *= w if i % 2 else x
+    y += f[:, 0]
+    return y
 
 
 def _interpolant(row, t):
