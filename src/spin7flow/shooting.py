@@ -23,6 +23,18 @@ every chunk boundary, logging the pre-projection defect as drift.  The
 projection's Jacobian comes from the derivative kernel traced from the
 constraint's body, as jacobian's does.
 
+CHUNK_LENGTH = 10 was measured under DOP853, whose steps span about
+1.6-1.9 units of eta on the benchmark's families.  At the default
+tolerances, over the (1, 1) separatrix runs and (3, 2) spin and
+Ricci-flat runs, the largest pre-projection defect is 8.1e-11 against
+the drift bound DRIFT_FACTOR * rel_tol = 1e-8, and the largest face
+defect of a locked run 2.4e-10 against FACE_RELEASE_TOL = 1e-8; a test
+keeps both within a tenth of their bounds.  At 20 the curve-locked
+run's face defect reaches 1.0e-8, the lock releases and the run ends at
+the sink instead of its conical limit, so the face defect bounds the
+length.  An early-stopping run stops at the first chunk end after its
+decision window closes, so it ends up to one chunk past that window.
+
 The stepper, the Dormand-Prince 8(5,3) pair (DOP853), runs a whole
 chunk, its first derivative included, in one compiled function whose
 derivatives evaluate the right-hand side as a kernel traced from its
@@ -74,7 +86,7 @@ from .phase_system import (Chirality, PhaseState, _curve_face,
                            residuals, x_from_z, zcons_constraint)
 
 SAMPLE_STEP = 0.05
-CHUNK_LENGTH = 5.0
+CHUNK_LENGTH = 10.0
 DECISION_WINDOW = 5.0
 DECISION_RADIUS = 1e-6
 ESCAPE_NORM = 1e3

@@ -551,10 +551,47 @@ def test_integrate_drops_zero_width_chunk(monkeypatch):
     monkeypatch.setattr(shooting, "_dop853", failing_second_chunk)
     traj = integrate(ShootSpec(params=P32, bundle="k+l", mode="spin+",
                                s=(0.6, 0.8)))
-    assert traj.events[-1] == (5.0, "stiff-failure")
-    assert traj.etas.size == 101
+    samples = round(shooting.CHUNK_LENGTH / shooting.SAMPLE_STEP) + 1
+    assert traj.events[-1] == (shooting.CHUNK_LENGTH, "stiff-failure")
+    assert traj.etas.size == samples
     assert np.all(np.diff(traj.etas) > 0.0)
-    assert reconstruct_metric(traj).t.size == 101
+    assert reconstruct_metric(traj).t.size == samples
+
+
+MARGIN_RUNS = [
+    (P11, "k+l", "spin+", S_LINE),
+    (P11, "k", "spin-", S_CURVE),
+    (P32, "k+l", "spin+", (0.6, 0.8)),
+    (P32, "k", "spin-", (0.6, 0.8)),
+    (P32, "k+l", "ricci", (0.6, 0.8, 0.0)),
+]
+
+
+def test_chunk_length_keeps_a_tenfold_margin(monkeypatch):
+    """At the default tolerances, over the (1, 1) separatrix runs and
+    (3, 2) spin and Ricci-flat runs, every pre-projection defect stays a
+    tenth of the drift bound and every face defect a tenth of
+    FACE_RELEASE_TOL: the margins that bound CHUNK_LENGTH (at twice the
+    shipped length the S_CURVE run releases its lock)."""
+    project, face_defect = shooting._project, shooting._face_defect
+    drifts, faces = [], []
+
+    def recorded_project(con, v, face=None):
+        state, defect = project(con, v, face)
+        drifts.append(defect)
+        return state, defect
+
+    def recorded_face_defect(face, z):
+        faces.append(face_defect(face, z))
+        return faces[-1]
+
+    monkeypatch.setattr(shooting, "_project", recorded_project)
+    monkeypatch.setattr(shooting, "_face_defect", recorded_face_defect)
+    rel_tol = ShootSpec.rel_tol
+    for params, bundle, mode, s in MARGIN_RUNS:
+        integrate(ShootSpec(params, bundle, mode, s))
+    assert max(drifts) <= shooting.DRIFT_FACTOR * rel_tol / 10
+    assert max(faces) <= shooting.FACE_RELEASE_TOL / 10
 
 
 def test_reconstruct_constant_g_closed_form():
