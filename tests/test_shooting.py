@@ -587,10 +587,9 @@ def test_chunk_length_keeps_a_tenfold_margin(monkeypatch):
 
     monkeypatch.setattr(shooting, "_project", recorded_project)
     monkeypatch.setattr(shooting, "_face_defect", recorded_face_defect)
-    rel_tol = ShootSpec.rel_tol
     for params, bundle, mode, s in MARGIN_RUNS:
         integrate(ShootSpec(params, bundle, mode, s))
-    assert max(drifts) <= shooting.DRIFT_FACTOR * rel_tol / 10
+    assert max(drifts) <= shooting.DRIFT_FACTOR * ShootSpec.rel_tol / 10
     assert max(faces) <= shooting.FACE_RELEASE_TOL / 10
 
 
