@@ -487,7 +487,7 @@ def _check_line_resultant():
 def _check_ray_expansions():
     for k, l in ((1, 1), (3, 2), (17, 5)):
         params = AWParams(k, l)
-        poly = rtilde(params, cross_check=True)
+        poly = rtilde(params)
         for zero in stated_boundary_zeros(params):
             point = dict(zip(("alpha", "beta", "delta"), map(Fraction, zero)))
             if poly.evaluate(point) != 0:

@@ -44,16 +44,17 @@ continuous extension, into one row of a float table.  The orbit's
 coefficients are the chunk's inputs, so one chunk per body serves every
 orbit and chirality.  A run's first chunk takes the initial-step rule,
 and every later one the step size its predecessor proposed, since only
-the projection has moved the state.  Samples are built lazily: a chunk
-keeps its step table, and their dense output on the sample grid is
-evaluated, X rebuilt from Z, and the rows handed to the decision scan
-only when a decision could fire (an early-stopping run whose last
-projected state lies inside a decision ball) and when the run ends.  A
-full-horizon run therefore samples all its chunks in one pass.  Row
-max-norms of the sample table are reduced column by column.  No BLAS or
-LAPACK call reaches a trajectory (the projection's step is solved on
-Python floats, the dense output is elementwise), so its bits do not
-depend on the BLAS build.
+the projection has moved the state.  A sample's eta is its grid index
+over round(1 / SAMPLE_STEP), whatever the chunk length.  Samples are
+built lazily: a chunk keeps its step table, and their dense output on
+the sample grid is evaluated, X rebuilt from Z, and the rows handed to
+the decision scan only when a decision could fire (an early-stopping
+run whose last projected state lies inside a decision ball) and when
+the run ends.  A full-horizon run therefore samples all its chunks in
+one pass.  Row max-norms of the sample table are reduced column by
+column.  No BLAS or LAPACK call reaches a trajectory (the projection's
+step is solved on Python floats, the dense output is elementwise), so
+its bits do not depend on the BLAS build.
 
 Boundary runs need one more ingredient.  For (k, l) = (1, 1) the
 invariant region has one-dimensional boundary segments (a line for the
@@ -656,8 +657,8 @@ def _dense(steps, grid):
     Each point takes the step whose span holds it (the earlier step at a
     shared end point, as scipy's OdeSolution does).  With x = (t - t_old)
     / h its value is y_old + x*(F0 + (1 - x)*(F1 + x*(F2 + (1 - x)*(F3 +
-    x*(F4 + (1 - x)*(F5 + x*F6)))))), elementwise: no BLAS call, and the
-    bits of _interpolant on the same row.
+    x*(F4 + (1 - x)*(F5 + x*F6)))))), elementwise, with no BLAS call; the
+    samples and the escape bisection (_crossing) both read it.
     """
     n = (steps.shape[1] - 2) // 8
     seg = np.clip(np.searchsorted(steps[:, 0], grid) - 1, 0, len(steps) - 1)
@@ -673,29 +674,16 @@ def _dense(steps, grid):
     return y
 
 
-def _interpolant(row, t):
-    """_dense of one step row (a list of floats) at t, on Python floats
-    in _dense's association, so with its bits."""
-    n = (len(row) - 2) // 8
-    x = (t - row[0]) / row[1]
-    w = 1.0 - x
-    y = [v * x for v in row[2 + 7 * n:]]
-    for i in range(5, -1, -1):
-        s = w if i % 2 else x
-        y = [(a + b) * s for a, b in zip(y, row[2 + (1 + i) * n:])]
-    return [a + b for a, b in zip(y, row[2:2 + n])]
-
-
 def _crossing(row, t_end):
-    """Bisect the interpolant of one step row on [t_old, t_end] down to
-    adjacent floats for where its max-norm reaches ESCAPE_NORM; returns
-    the upper end of the last bracket."""
-    lo, hi = row[0], t_end
+    """Bisect the continuous extension of a one-row step table on
+    [t_old, t_end] down to adjacent floats for where its max-norm
+    reaches ESCAPE_NORM; returns the upper end of the last bracket."""
+    lo, hi = float(row[0, 0]), t_end
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return hi
-        if _max_abs(_interpolant(row, mid)) >= ESCAPE_NORM:
+        if np.max(np.abs(_dense(row, np.array([mid])))) >= ESCAPE_NORM:
             hi = mid
         else:
             lo = mid
@@ -916,7 +904,7 @@ def _dop853(fun, t, y, t_bound, rtol, atol, h_abs=None):
     initial-step rule).  Returns (status, t, y, steps, h_next): status 0
     when t_bound was reached; 1 when an accepted step ended at max-norm
     ESCAPE_NORM or more, with t the crossing on that step's interpolant
-    and y the interpolant there (_crossing and _interpolant); -1 when
+    and y the interpolant there (_crossing and _dense); -1 when
     the step size fell below ten ulps of t (a non-finite start or
     right-hand side ends here too), with t, y the last accepted point.
     steps is the read-only step table, one row (t_old, h, *y_old, *F0,
@@ -937,9 +925,9 @@ def _dop853(fun, t, y, t_bound, rtol, atol, h_abs=None):
     status, t, y, rows, h_abs = chunk(fun, t, y, t_bound, rtol, atol, h_abs)
     steps = np.frombuffer(b"".join(rows)).reshape(-1, 2 + 8 * n)
     if status == 1:
-        row = steps[-1].tolist()
+        row = steps[-1:]
         t = _crossing(row, t)
-        y = _interpolant(row, t)
+        y = _dense(row, np.array([t]))[0].tolist()
     return status, t, y, steps, h_abs
 
 
@@ -951,9 +939,11 @@ def integrate(spec):
     chunk on the kernel of the right-hand side's body), driven in
     chunks of CHUNK_LENGTH.  The first chunk takes the initial-step
     rule, and each later one the step size its predecessor proposed,
-    held in a local of this run.  Each chunk's samples on the
-    SAMPLE_STEP grid come from its dense output, with the projected
-    state as the chunk's last row.
+    held in a local of this run.  Sample k lies at eta = k / round(1 /
+    SAMPLE_STEP): chunk j takes the indices (j*N, (j+1)*N], N =
+    CHUNK_LENGTH / SAMPLE_STEP, up to the eta it reached, and that eta
+    when it is off the grid.  Its samples come from its dense output,
+    with the projected state as its last row.
     At every chunk boundary the state is renormalized onto the
     constraint set (see the module docstring) and the pre-projection
     defect is logged.  Events: "escaped" (an accepted step ended at
@@ -998,7 +988,7 @@ def integrate(spec):
         locked = None
 
     table = []  # sampled (etas, rows) blocks
-    pending = []  # (grid, clipped grid, steps, projected end) per chunk
+    pending = []  # (grid, steps, projected end) per chunk
     candidates = _limit_candidates(params)
     scan = _DecisionScan(candidates)
 
@@ -1018,17 +1008,21 @@ def integrate(spec):
         state when it has one."""
         if not pending:
             return
-        grids, clipped, steps, ends = zip(*pending)
-        block = _dense(np.concatenate(steps), np.concatenate(clipped))
+        grids, steps, ends = zip(*pending)
+        grid = np.concatenate(grids)
+        block = _dense(np.concatenate(steps), grid)
         for i, end in zip(np.cumsum([g.size for g in grids]) - 1, ends):
             if end is not None:
                 block[i] = end
         pending.clear()
-        add(np.concatenate(grids), block)
+        add(grid, block)
 
     add(np.zeros(1), [state])
+    per_unit = round(1 / SAMPLE_STEP)
+    per_chunk = round(CHUNK_LENGTH / SAMPLE_STEP)
     events = []
     eta = 0.0
+    first = 1  # grid index of the chunk's first sample
     drift_logged = False
     h_abs = None  # the first chunk takes the initial-step rule
     while eta < spec.eta_max - HORIZON_SLACK:
@@ -1044,11 +1038,11 @@ def integrate(spec):
                 events.append((reached, "drift"))
                 drift_logged = True
         if reached > eta:
-            grid = np.arange(eta + SAMPLE_STEP, reached + 1e-9, SAMPLE_STEP)
-            if grid.size == 0 or reached - grid[-1] > 1e-9:
+            grid = np.arange(first, first + per_chunk) / per_unit
+            grid = grid[grid <= reached]
+            if grid.size == 0 or grid[-1] < reached:
                 grid = np.append(grid, reached)
-            pending.append((grid, np.minimum(grid, reached), steps,
-                            state if status == 0 else None))
+            pending.append((grid, steps, state if status == 0 else None))
         if status == 1:
             events.append((reached, "escaped"))
             break
@@ -1056,6 +1050,7 @@ def integrate(spec):
             events.append((reached, "stiff-failure"))
             break
         eta = top
+        first += per_chunk
         if spec.stop_on_converged and scan.may_decide(state.tolist()):
             sample()
             decided = scan.decision()

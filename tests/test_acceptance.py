@@ -250,8 +250,7 @@ def test_c6_resultant_certification():
         assert centers == stated, (params.k, params.l)
 
     for params in (P11, P32):
-        assert rtilde(params, cross_check=True).terms == \
-            printed_ray_expansion(params).terms
+        assert rtilde(params).terms == printed_ray_expansion(params).terms
     elapsed = time.perf_counter() - start
     ok = elapsed < 300.0
     _report(6, ok, "computed resultants equal the recorded expansions "

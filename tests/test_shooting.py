@@ -558,6 +558,46 @@ def test_integrate_drops_zero_width_chunk(monkeypatch):
     assert reconstruct_metric(traj).t.size == samples
 
 
+GRID_RUNS = [
+    (ShootSpec(P32, "k+l", "spin+", (0.6, 0.8)), None),
+    (ShootSpec(P32, "k", "spin-", (0.3, 0.95), stop_on_converged=False),
+     None),
+    (ShootSpec(P32, "k+l", "ricci", (0.6, 0.8, 0.0), eta_max=33.33,
+               stop_on_converged=False), 33.33),
+    (ShootSpec(P11, "k", "spin-", (-0.9, 0.3)), "escaped"),
+]
+
+
+@pytest.mark.parametrize("spec, end", GRID_RUNS)
+def test_sample_eta_is_its_grid_index(spec, end):
+    """Every sample lies at eta = k / round(1 / SAMPLE_STEP) for an
+    integer k, but a last sample that ends the run off the grid: the
+    escape's crossing, or an eta_max between grid points."""
+    per_unit = round(1 / shooting.SAMPLE_STEP)
+    traj = integrate(spec)
+    on_grid = traj.etas[:-1] if end is not None else traj.etas
+    index = np.round(on_grid * per_unit)
+    assert np.array_equal(on_grid, index / per_unit)
+    assert np.array_equal(index, np.arange(index.size))
+    if end == "escaped":
+        assert traj.events[-1] == (traj.etas[-1], "escaped")
+    elif end is not None:
+        assert traj.etas[-1] == end
+
+
+def test_sample_etas_do_not_depend_on_the_chunk_length(monkeypatch):
+    """A full-horizon run's eta column is byte-identical at chunk
+    lengths 5 and 10, each a whole number of sample steps."""
+    spec = ShootSpec(P32, "k+l", "spin+", (0.95, 0.3),
+                     stop_on_converged=False)
+    assert (shooting.CHUNK_LENGTH / shooting.SAMPLE_STEP).is_integer()
+    columns = []
+    for length in (5.0, 10.0):
+        monkeypatch.setattr(shooting, "CHUNK_LENGTH", length)
+        columns.append(integrate(spec).etas.tobytes())
+    assert columns[0] == columns[1]
+
+
 MARGIN_RUNS = [
     (P11, "k+l", "spin+", S_LINE),
     (P11, "k", "spin-", S_CURVE),
