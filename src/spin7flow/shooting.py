@@ -47,10 +47,11 @@ and every later one the step size its predecessor proposed, since only
 the projection has moved the state.  A sample's eta is its grid index
 over round(1 / SAMPLE_STEP), whatever the chunk length.  Samples are
 built lazily: a chunk keeps its step table, and their dense output on
-the sample grid is evaluated, X rebuilt from Z, and the rows handed to
-the decision scan only when a decision could fire (an early-stopping
-run whose last projected state lies inside a decision ball) and when
-the run ends.  A full-horizon run therefore samples all its chunks in
+the sample grid is evaluated and X rebuilt from Z only when a decision
+could fire (an early-stopping run whose last projected state lies
+inside a decision ball) and when the run ends; the decision is then
+one stateless pass over the table built so far, classify's own
+(_decision).  A full-horizon run therefore samples all its chunks in
 one pass.  Row max-norms of the sample table are reduced column by
 column.  No BLAS or LAPACK call reaches a trajectory (the projection's
 step is solved on Python floats, the dense output is elementwise), so
@@ -79,8 +80,8 @@ from .aw_algebra import AWParams, BundleIndex, _as_params, bundle
 from .critical_points import (_BUNDLE_CONES, LABEL_P1, LABELS_AC,
                               LABELS_ALC_B, FlowClass, _flow_class, catalog,
                               unstable_frame)
-from .errors import (InitializationError, InvalidRequestError,
-                     ReconstructionDomainError)
+from .errors import (InitializationError, IntegrationError,
+                     InvalidRequestError, ReconstructionDomainError)
 from .phase_system import (Chirality, PhaseState, _curve_face,
                            _derivative_rows, _line_face, _stepping_kernel,
                            crf_constraints, flow_rhs, g_of_x, reduced_z_rhs,
@@ -435,80 +436,45 @@ def _row_max(table):
     return reduce(np.maximum, table.T)
 
 
-class _DecisionScan:
-    """The trailing-window decision over a table that grows by blocks.
+def _may_decide(tail, targets):
+    """False when every row ending in the coordinates tail (a list of
+    floats) lies outside every decision ball of targets (lists of
+    floats); _decision on a table ending in such a row is None.  A ball
+    holds a row only if it holds the row's tail; a NaN counts as
+    outside."""
+    n = len(tail)
+    for target in targets:
+        for a, b in zip(tail, target[-n:]):
+            if not abs(a - b) <= DECISION_RADIUS:
+                break
+        else:
+            return True
+    return False
 
-    Per candidate it keeps the index of the last row outside the
-    decision ball and the distance of the last row, both updated from
-    the new rows only, so deciding after every chunk of a run costs
-    O(rows) in all.  A block's rows are measured only against the balls
-    that hold its last row; for every other ball that row is the last
-    one outside.
+
+def _decision(etas, states, candidates):
+    """Earliest eta from which the tail of the table stays inside one
+    decision ball, as an Asymptotics, or None.
+
+    Only a ball that holds the last row scans the table; a NaN distance
+    counts as outside.  The window has length DECISION_WINDOW, or is the
+    whole table when no row lies outside the ball.
     """
-
-    def __init__(self, candidates):
-        self._candidates = candidates
-        self._targets = np.array([target for _, _, target in candidates])
-        self._target_lists = self._targets.tolist()
-        self._etas = []
-        self._last_outside = [-1] * len(candidates)
-        self._last_distance = [math.inf] * len(candidates)
-
-    def extend(self, etas, states):
-        base = len(self._etas)
-        self._etas.extend(etas.tolist())
-        # only a ball that holds the block's last row scans the block;
-        # a NaN distance counts as outside
-        last = _row_max(np.abs(states[-1] - self._targets))
-        self._last_distance = last.tolist()
-        for i, inside in enumerate((last <= DECISION_RADIUS).tolist()):
-            if not inside:
-                self._last_outside[i] = base + len(states) - 1
-                continue
-            dist = _row_max(np.abs(states - self._targets[i]))
-            outside = np.flatnonzero(~(dist <= DECISION_RADIUS))
-            if outside.size:
-                self._last_outside[i] = base + int(outside[-1])
-
-    def may_decide(self, tail):
-        """False when every row ending in the coordinates tail (a list of
-        floats) lies outside every decision ball; decision() after such a
-        row is None.  A ball holds a row only if it holds the row's tail;
-        a NaN counts as outside."""
-        n = len(tail)
-        for target in self._target_lists:
-            for a, b in zip(tail, target[-n:]):
-                if not abs(a - b) <= DECISION_RADIUS:
-                    break
-            else:
-                return True
-        return False
-
-    def decision(self):
-        """Earliest eta from which the tail stays inside one decision
-        ball, as an Asymptotics, or None."""
-        etas = self._etas
-        span = etas[-1] - etas[0]
-        for (kind, label, target), outside, dist in zip(
-                self._candidates, self._last_outside, self._last_distance):
-            if outside == len(etas) - 1:
-                continue
-            run_start = outside + 1
-            tail = etas[-1] - etas[run_start]
-            if tail >= DECISION_WINDOW - 1e-9 or (run_start == 0
-                                                  and span >= 0.0):
-                return Asymptotics(
-                    kind=kind, limit_label=label,
-                    limit_state=tuple(float(v) for v in target),
-                    limit_distance=dist, eta_at_decision=etas[run_start])
-        return None
-
-
-def _trailing_decision(etas, states, candidates):
-    """Earliest eta from which the tail stays inside one decision ball."""
-    scan = _DecisionScan(candidates)
-    scan.extend(etas, states)
-    return scan.decision()
+    last = _row_max(np.abs(states[-1] - np.array(
+        [target for _, _, target in candidates])))
+    for (kind, label, target), dist in zip(candidates, last.tolist()):
+        if not dist <= DECISION_RADIUS:
+            continue
+        outside = np.flatnonzero(
+            ~(_row_max(np.abs(states - target)) <= DECISION_RADIUS))
+        start = int(outside[-1]) + 1 if outside.size else 0
+        if (etas[-1] - etas[start] >= DECISION_WINDOW - 1e-9
+                or (start == 0 and etas[-1] - etas[0] >= 0.0)):
+            return Asymptotics(
+                kind=kind, limit_label=label,
+                limit_state=tuple(float(v) for v in target),
+                limit_distance=dist, eta_at_decision=float(etas[start]))
+    return None
 
 
 def classify(traj, params=None):
@@ -517,24 +483,17 @@ def classify(traj, params=None):
     Escape fires when the max-norm of any sample exceeds ESCAPE_NORM.
     ALC and AC need the trailing window (length DECISION_WINDOW, or the
     whole trajectory when it never left the ball) to stay within
-    DECISION_RADIUS of one cataloged limit point.  Anything else is
-    Undetermined, with the nearest candidate recorded in the note.
+    DECISION_RADIUS of one cataloged limit point (_decision).  Anything
+    else is Undetermined, with the nearest candidate recorded in the
+    note.
     """
     if params is None:
         params = traj.spec.params
     etas = np.asarray(traj.etas, dtype=float)
     states = np.asarray(traj.states, dtype=float)
-    candidates = _limit_candidates(params)
-    return _outcome(etas, states, candidates,
-                    lambda: _trailing_decision(etas, states, candidates))
-
-
-def _outcome(etas, states, candidates, decision):
-    """classify's verdict on a sample table: escape at the first sample
-    past ESCAPE_NORM, else decision() (the trailing-window decision over
-    the whole table), else Undetermined."""
     if len(etas) < 2:
         raise InvalidRequestError("classification needs at least 2 samples")
+    candidates = _limit_candidates(params)
     norms = _row_max(np.abs(states))
     crossed = np.nonzero(norms >= ESCAPE_NORM * (1.0 - 1e-9))[0]
     if crossed.size:
@@ -543,7 +502,7 @@ def _outcome(etas, states, candidates, decision):
             kind=OUTCOME_ESCAPE, limit_distance=float(norms[i]),
             eta_at_decision=float(etas[i]),
             note="state max-norm crossed %g" % ESCAPE_NORM)
-    decided = decision()
+    decided = _decision(etas, states, candidates)
     if decided is not None:
         return decided
     dists = [(float(np.max(np.abs(states[-1] - target))), label)
@@ -950,25 +909,26 @@ def integrate(spec):
     max-norm ESCAPE_NORM or more; the crossing is bisected on that
     step's interpolant), "stiff-failure" (step-size underflow, also
     forced by a non-finite right-hand side; partial trajectory
-    returned), "drift" (defect above DRIFT_FACTOR * rel_tol),
-    "converged" (trailing window settled inside a decision ball; stops
-    the run when stop_on_converged is set).
+    returned, or IntegrationError raised when it comes before the
+    first accepted step, since a one-row table has no verdict),
+    "drift" (defect above DRIFT_FACTOR * rel_tol), "converged"
+    (trailing window settled inside a decision ball; stops the run
+    when stop_on_converged is set).
 
     Samples are built only where a decision can fire.  With
     stop_on_converged set, a chunk whose projected end state lies
     outside every decision ball leaves the decision None, so its
     samples wait; the pending chunks are sampled in one dense-output
-    pass and fed to the decision scan once an end state may lie inside
-    a ball, and when the run ends.  A full-horizon run samples all its
-    chunks in one pass.
-    The decision scan is chunking-independent, so the table and the
-    events are those of sampling every chunk.
+    pass once an end state may lie inside a ball (_may_decide), and
+    _decision runs on the whole table built so far; chunks still
+    pending are sampled when the run ends.  A full-horizon run samples
+    all its chunks in one pass.  _decision reads only the table, so the
+    table and the events are those of sampling every chunk.
 
     The residual log is computed once, over the whole sample table, when
     the run ends; its operations are elementwise, so the rows carry the
-    bits a per-row evaluation gives.  The outcome is classify's, taken
-    from the decision scan the run kept chunk by chunk instead of a
-    second pass over the table.
+    bits a per-row evaluation gives.  The outcome is classify's verdict
+    on the finished table.
     """
     params = spec.params
     spin = spec.mode is not FlowClass.RICCI_FLAT
@@ -987,37 +947,38 @@ def integrate(spec):
         con = crf_constraints(params)
         locked = None
 
-    table = []  # sampled (etas, rows) blocks
-    pending = []  # (grid, steps, projected end) per chunk
     candidates = _limit_candidates(params)
-    scan = _DecisionScan(candidates)
+    targets = [target.tolist() for _, _, target in candidates]
+    pending = []  # (grid, steps, projected end) per chunk
 
-    def add(grid, block):
-        """Store a block of solver states as full rows (X rebuilt from Z
-        in spin modes) and feed them to the decision scan."""
+    def rows_of(block):
+        """A block of solver states as full rows (X rebuilt from Z in
+        spin modes)."""
         cols = tuple(np.asarray(block, dtype=float).T)
         if spin:
             cols = x_from_z(params, cols, chirality) + cols
-        rows = np.column_stack(cols)
-        table.append((grid, rows))
-        scan.extend(grid, rows)
+        return np.column_stack(cols)
+
+    table = [(np.zeros(1), rows_of([state]))]  # sampled (etas, rows)
 
     def sample():
-        """Add the pending chunks' samples, from one dense-output pass
-        over all their steps; a chunk's last sample is its projected end
-        state when it has one."""
-        if not pending:
-            return
-        grids, steps, ends = zip(*pending)
-        grid = np.concatenate(grids)
-        block = _dense(np.concatenate(steps), grid)
-        for i, end in zip(np.cumsum([g.size for g in grids]) - 1, ends):
-            if end is not None:
-                block[i] = end
-        pending.clear()
-        add(grid, block)
+        """The sample table so far as one (etas, rows) block, after adding
+        the pending chunks' samples from one dense-output pass over all
+        their steps; a chunk's last sample is its projected end state
+        when it has one."""
+        if pending:
+            grids, steps, ends = zip(*pending)
+            grid = np.concatenate(grids)
+            block = _dense(np.concatenate(steps), grid)
+            for i, end in zip(np.cumsum([g.size for g in grids]) - 1, ends):
+                if end is not None:
+                    block[i] = end
+            pending.clear()
+            table.append((grid, rows_of(block)))
+        if len(table) > 1:
+            table[:] = [tuple(np.concatenate(part) for part in zip(*table))]
+        return table[0]
 
-    add(np.zeros(1), [state])
     per_unit = round(1 / SAMPLE_STEP)
     per_chunk = round(CHUNK_LENGTH / SAMPLE_STEP)
     events = []
@@ -1051,15 +1012,17 @@ def integrate(spec):
             break
         eta = top
         first += per_chunk
-        if spec.stop_on_converged and scan.may_decide(state.tolist()):
-            sample()
-            decided = scan.decision()
+        if spec.stop_on_converged and _may_decide(state.tolist(), targets):
+            decided = _decision(*sample(), candidates)
             if decided is not None:
                 events.append((decided.eta_at_decision, "converged"))
                 break
-    sample()
-
-    etas, rows = (np.concatenate(part) for part in zip(*table))
+    etas, rows = sample()
+    if len(etas) < 2:
+        raise IntegrationError(
+            "stiff-failure at eta = %r, before the first accepted step "
+            "(step-size underflow or a non-finite right-hand side): the "
+            "run has no sample past its start" % reached)
     res = residuals(params, PhaseState.from_sequence(rows.T))
     f_norm = np.max(np.abs(res.F), axis=0)
     h_norm = np.max(np.abs(res.H), axis=0)
@@ -1067,17 +1030,18 @@ def integrate(spec):
         chirality, np.minimum(f_norm, h_norm))
     res_rows = np.column_stack(
         [np.abs(res.hyperplane), np.abs(res.conservation), chiral])
-    outcome = _outcome(etas, rows, candidates, scan.decision)
+    traj = Trajectory(
+        spec=spec, etas=etas, states=rows, residual_log=res_rows,
+        events=tuple(events), outcome=None,
+        face_lock=locked.name if locked is not None else None)
+    outcome = classify(traj)
     if outcome.kind == OUTCOME_AC and locked is not None:
         outcome = replace(
             outcome,
             note=("limit identified by coordinates while locked to the "
                   "invariant boundary segment; an alternative labeling "
                   "convention swaps the two boundary limits"))
-    return Trajectory(
-        spec=spec, etas=etas, states=rows, residual_log=res_rows,
-        events=tuple(events), outcome=outcome,
-        face_lock=locked.name if locked is not None else None)
+    return replace(traj, outcome=outcome)
 
 
 def _simpson_pieces(y, dx):

@@ -194,6 +194,21 @@ def test_horizon_without_a_chunk_exits_2(command, eta_max, capsys):
     assert "samples" not in captured.err
 
 
+def test_step_underflow_at_the_start_exits_4(capsys):
+    """Tolerances so small that the step size underflows before the
+    first step are an integration failure (exit 4, JSON on stderr), not
+    a usage error about too few samples."""
+    assert run(["classify", "--k", "3", "--l", "2", "--bundle", "k+l",
+                "--s1", "0.6", "--s2", "0.8", "--rel-tol", "1e-300",
+                "--abs-tol", "1e-300"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["error"] == "IntegrationError"
+    assert error["message"].startswith(
+        "stiff-failure at eta = 0.0, before the first accepted step")
+
+
 def test_short_horizon_is_undetermined_exit_3(capsys):
     assert run(["classify", *RUN_32, "--eta-max", "5"]) == 3
     record = json.loads(capsys.readouterr().out)

@@ -6,11 +6,10 @@ quadrature of reconstruct_metric.  The list-form stepper
 (tests/list_dop853.py) is the bit-for-bit oracle of the straight-line
 one.  The tests named after dopri5 and scipy's rk45 check the DOP853
 stepper against those two oracles; they keep the names they had when
-the stepper was the 5(4) pair.  The incremental
-decision scan is checked against the whole-table decision and against
-the all-targets scan it replaced (tests/decision_reference.py),
-integrate's outcome against classify, and the package must import
-without scipy.
+the stepper was the 5(4) pair.  classify's verdict is checked against
+a reference that measures every row against every target, the
+early-stop prefilter _may_decide against _decision, integrate's outcome
+against classify, and the package must import without scipy.
 """
 
 import ast
@@ -23,6 +22,7 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,11 +30,11 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import cumulative_simpson, solve_ivp
 
 import list_dop853
-from decision_reference import AllTargetsScan
 import spin7flow
 from spin7flow import shooting
 from spin7flow.aw_algebra import AWParams
 from spin7flow.critical_points import FlowClass, catalog
+from spin7flow.errors import IntegrationError, InvalidRequestError
 from spin7flow.phase_system import (Chirality, _stepping_kernel, flow_rhs,
                                     reduced_z_rhs)
 from spin7flow.shooting import ShootSpec, classify, initial_state, integrate
@@ -547,6 +547,24 @@ def test_integrate_stops_on_nonfinite_rhs(monkeypatch):
     assert abs(traj.etas[-1] - eta) <= 1e-9
 
 
+def test_integrate_failing_at_its_start_raises_integration_error(
+        monkeypatch):
+    """A stiff failure before the first accepted step leaves only the
+    starting row, which has no verdict: integrate raises
+    IntegrationError naming the failure and its eta, while classify
+    still refuses such a table passed in as an invalid request."""
+    def stuck(fun, t, y, t_bound, rtol, atol, h_abs=None):
+        return -1, t, y, np.zeros((0, 2 + 8 * len(y))), h_abs
+
+    monkeypatch.setattr(shooting, "_dop853", stuck)
+    with pytest.raises(IntegrationError, match=(
+            r"^stiff-failure at eta = 0\.0, before the first accepted step")):
+        integrate(ShootSpec(P32, "k+l", "spin+", (0.6, 0.8)))
+    with pytest.raises(InvalidRequestError, match="at least 2 samples"):
+        classify(SimpleNamespace(etas=np.zeros(1), states=np.zeros((1, 8))),
+                 P32)
+
+
 def _simpson_grid(rng, n, uniform):
     if uniform:
         x = np.arange(n) * 0.05
@@ -568,51 +586,7 @@ def test_cumulative_simpson_matches_scipy_bit_for_bit(seed):
 
 
 # ---------------------------------------------------------------------------
-# incremental decision scan
-
-PATTERNS = ["1" * 7, "0" + "1" * 6, "1" * 30 + "0", "0" * 20 + "1" * 101,
-            "0" * 20 + "1" * 100, "1" * 50 + "0" + "1" * 101,
-            "10" * 40 + "1" * 120]
-
-
-def _pattern_table(codes):
-    """Rows at P1 ("1"), next to P1 ("0") or at AC_1 ("a")."""
-    cat = catalog(P11)
-    at = {"1": np.array(cat.get("P1").state.as_floats()),
-          "a": np.array(cat.get("AC_1").state.as_floats())}
-    at["0"] = at["1"] + 1e-3
-    states = np.array([at[c] for c in codes])
-    return np.arange(len(codes)) * 0.05, states
-
-
-def _assert_scan_matches(etas, states, cuts):
-    candidates = shooting._limit_candidates(P11)
-    scan = shooting._DecisionScan(candidates)
-    bounds = sorted(set(cuts) | {len(etas)})
-    start = 0
-    for end in bounds:
-        if end <= start:
-            continue
-        scan.extend(etas[start:end], states[start:end])
-        assert scan.decision() == shooting._trailing_decision(
-            etas[:end], states[:end], candidates)
-        start = end
-
-
-@pytest.mark.parametrize("pattern", PATTERNS)
-def test_decision_scan_matches_whole_table_on_patterns(pattern):
-    etas, states = _pattern_table(pattern)
-    _assert_scan_matches(etas, states, [1] + list(range(1, len(etas), 100)))
-    _assert_scan_matches(etas, states, range(1, len(etas)))
-
-
-@settings(max_examples=60, deadline=2000)
-@given(codes=st.lists(st.sampled_from("10a"), min_size=1, max_size=300),
-       cuts=st.lists(st.integers(1, 300), max_size=12))
-def test_decision_scan_matches_whole_table_on_random_chunkings(codes, cuts):
-    etas, states = _pattern_table(codes)
-    _assert_scan_matches(etas, states, [c for c in cuts if c < len(etas)])
-
+# the trailing-window decision
 
 R = shooting.DECISION_RADIUS
 
@@ -637,42 +611,35 @@ EXACT_ROWS = [
 
 
 def _p11_rows():
-    """P1, next to P1, AC_1, P1 with a NaN, P1 moved by R, all NaN."""
+    """P1, next to P1, AC_1, P1 with a NaN, P1 moved by R, all NaN, P1
+    with +inf, AC_1 with -inf, next to P1 with a NaN, and P1 past
+    ESCAPE_NORM in one coordinate."""
     cat = catalog(P11)
     p1 = np.array(cat.get("P1").state.as_floats())
     ac = np.array(cat.get("AC_1").state.as_floats())
     return [p1, p1 + 1e-3, ac, _row(p1, 6, math.nan),
-            _row(p1, 4, p1[4] + R), np.full(8, math.nan)]
+            _row(p1, 4, p1[4] + R), np.full(8, math.nan),
+            _row(p1, 2, math.inf), _row(ac, 7, -math.inf),
+            _row(p1 + 1e-3, 0, math.nan),
+            _row(p1, 5, 2.0 * shooting.ESCAPE_NORM)]
 
 
-@settings(max_examples=80, deadline=4000)
-@given(exact=st.booleans(),
-       runs=st.lists(st.tuples(st.integers(0, len(EXACT_ROWS) - 1),
-                               st.integers(1, 130)), min_size=1, max_size=6),
-       cuts=st.lists(st.integers(1, 500), max_size=12))
-def test_pruned_scan_matches_all_targets_scan(exact, runs, cuts):
-    """On random chunkings, with NaN rows and rows exactly at
-    DECISION_RADIUS, the scan that skips balls the block ends outside
-    keeps the all-targets scan's last outside rows, last distances (bit
-    for bit) and decision after every block.  Each run repeats one row
-    of the alphabet, so some tails stay in a ball long enough to
-    decide."""
+def _table(exact, runs):
+    """(candidates, etas, states): the exact targets and rows, or the
+    (1, 1) limit points and _p11_rows, with each (row index, count) of
+    runs repeating one row of the alphabet, so some tails stay in a
+    ball long enough to decide; samples lie 0.05 apart in eta."""
     if exact:
         candidates, rows = EXACT_TARGETS, EXACT_ROWS
     else:
         candidates, rows = shooting._limit_candidates(P11), _p11_rows()
     states = np.array([rows[i % len(rows)] for i, count in runs
                        for _ in range(count)])
-    etas = np.arange(len(states)) * 0.05
-    ours, ref = shooting._DecisionScan(candidates), AllTargetsScan(candidates)
-    start = 0
-    for end in sorted({c for c in cuts if c < len(etas)} | {len(etas)}):
-        ours.extend(etas[start:end], states[start:end])
-        ref.extend(etas[start:end], states[start:end])
-        assert ours._last_outside == ref._last_outside
-        assert _bits(ours._last_distance) == _bits(ref._last_distance)
-        assert ours.decision() == ref.decision()
-        start = end
+    return candidates, np.arange(len(states)) * 0.05, states
+
+
+RUNS = st.lists(st.tuples(st.integers(0, 10), st.integers(1, 130)),
+                min_size=2, max_size=6)
 
 
 def _reference_outcome(etas, states, candidates):
@@ -707,23 +674,51 @@ def _verdict(outcome):
             outcome.eta_at_decision)
 
 
-@settings(max_examples=80, deadline=4000)
-@given(runs=st.lists(st.tuples(st.integers(0, 9), st.integers(1, 130)),
-                     min_size=2, max_size=6))
-def test_classify_on_nan_and_inf_rows_matches_row_max_reference(runs):
-    """Tables of P1 and AC_1 rows, rows next to them or on P1's ball,
-    and rows holding NaN, +inf or -inf: the column-wise reductions of
-    classify give the verdict of a reference that reduces each row with
-    .max(axis=1)."""
-    rows = _p11_rows()
-    p1, near, ac = rows[:3]
-    rows += [_row(p1, 2, math.inf), _row(ac, 7, -math.inf),
-             _row(near, 0, math.nan), _row(p1, 5, 2.0 * shooting.ESCAPE_NORM)]
-    states = np.array([rows[i] for i, count in runs for _ in range(count)])
-    etas = np.arange(len(states)) * 0.05
-    got = classify(SimpleNamespace(etas=etas, states=states), P11)
-    want = _reference_outcome(etas, states, shooting._limit_candidates(P11))
-    assert repr(_verdict(got)) == repr(want)
+def _float_bits(verdict):
+    return tuple(_bits([v]) if isinstance(v, float) else v for v in verdict)
+
+
+@settings(max_examples=120, deadline=4000)
+@given(exact=st.booleans(), runs=RUNS)
+# runs of P1 (row 0) and of rows next to it (row 1): the window closes
+# at 101 rows inside the ball, not at 100
+@example(exact=False, runs=[(0, 7)])
+@example(exact=False, runs=[(1, 1), (0, 6)])
+@example(exact=False, runs=[(0, 30), (1, 1)])
+@example(exact=False, runs=[(1, 20), (0, 101)])
+@example(exact=False, runs=[(1, 20), (0, 100)])
+@example(exact=False, runs=[(0, 50), (1, 1), (0, 101)])
+@example(exact=False, runs=[(0, 1), (1, 1)] * 40 + [(0, 120)])
+def test_classify_on_nan_and_inf_rows_matches_row_max_reference(exact, runs):
+    """On tables of limit points, rows next to them, on or just past a
+    ball's boundary, and rows holding NaN, +inf or -inf, classify's
+    column-wise reductions and pruned decision give, bit for bit, the
+    verdict of a reference that measures every row against every
+    target with .max(axis=1)."""
+    candidates, etas, states = _table(exact, runs)
+    with mock.patch.object(shooting, "_limit_candidates",
+                           lambda params: candidates):
+        got = classify(SimpleNamespace(etas=etas, states=states), P11)
+    want = _reference_outcome(etas, states, candidates)
+    assert _float_bits(_verdict(got)) == _float_bits(want)
+
+
+@settings(max_examples=120, deadline=4000)
+@given(exact=st.booleans(), runs=RUNS)
+def test_decision_is_none_where_may_decide_is_false(exact, runs):
+    """On the same alphabets, a table whose last row ends in a tail that
+    _may_decide puts outside every ball is one _decision leaves
+    undecided, for the Z tail that spin runs pass and the whole row
+    that Ricci-flat runs pass; on the whole row _may_decide is True
+    exactly when a ball holds the row."""
+    candidates, etas, states = _table(exact, runs)
+    targets = [target.tolist() for _, _, target in candidates]
+    decided = shooting._decision(etas, states, candidates)
+    for tail in (states[-1, 4:].tolist(), states[-1].tolist()):
+        assert decided is None or shooting._may_decide(tail, targets)
+    assert shooting._may_decide(states[-1].tolist(), targets) == any(
+        np.max(np.abs(states[-1] - target)) <= R
+        for _, _, target in candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -760,8 +755,9 @@ OUTCOME_RUNS = {
 
 @pytest.mark.parametrize("name", sorted(OUTCOME_RUNS))
 def test_integrate_outcome_equals_classify(name):
-    """The outcome integrate reads off its decision scan is classify's
-    verdict on the finished table (face-locked AC runs add a note)."""
+    """integrate's outcome is classify's verdict on the finished table
+    (face-locked AC runs add a note), also where the run stopped early
+    on a decision taken mid-run from the table built so far."""
     traj = integrate(OUTCOME_RUNS[name])
     expected = classify(traj)
     if traj.face_lock is not None:
