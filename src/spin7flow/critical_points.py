@@ -21,7 +21,9 @@ entries).  The linearization and the constraint derivatives are those of
 spectral decomposition with clustering, cached per process on the
 inputs the linearization reads, and ``reference_frame`` returns
 closed-form eigenvector tables for the cone points and the sink, with
-tangency flags computed from exact constraint gradients.  The AC pair
+the tangency flags typed into them: the flags are the same on every
+orbit, and the tests prove each one for all (k, l) at once, on
+symbols.  The AC pair
 comes from scalar Newton started at each point of the (1, 1) pair
 (``SEEDS``), with residual and Jacobian from a float kernel traced once
 per process from a pass of duals, and a last step with the residual
@@ -40,7 +42,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Real
-from operator import mul
 
 import numpy as np
 
@@ -50,9 +51,9 @@ from .exact import QuadExt, exact_sqrt
 from .phase_system import (Chirality, PhaseState, _cone_z4,
                            _einstein_values_and_rows,
                            _exact_einstein_residual, _float_jacobian,
-                           _jacobian_inputs, _tangency_rows,
-                           constraint_gradients, einstein_residual,
-                           first_order_jacobians, jacobian)
+                           _jacobian_inputs, constraint_gradients,
+                           einstein_residual, first_order_jacobians,
+                           jacobian)
 
 __all__ = [
     "FlowClass",
@@ -416,42 +417,52 @@ class ReferenceFrame:
     pairs: tuple
 
 
-# Each table gives the eigenvalues, the eigenvectors as integer tuples
-# and the denominator den of their Z4 slot (k + l, k, l or 1): a vector
-# is (v1, ..., v7, v8 / den), and (den*v1, ..., den*v7, v8) is a
-# positive integer multiple of it.
+# Each table gives the eigenvalues and, in the same order, rows
+# (vector, flags).  A vector is given as integers and the denominator
+# den of its Z4 slot (k + l, k, l or 1): it is (v1, ..., v7, v8 / den),
+# and (den*v1, ..., den*v7, v8) is a positive integer multiple of it.
+# flags are its tangency flags (crf, spin+, spin-), the same on every
+# orbit: test_typed_tangency_flags_hold_on_every_orbit proves each one
+# for all (k, l) from phase_system's bodies, on symbols.
+
+_OFF = (False, False, False)  # tangent to no constraint set
+_CRF = (True, False, False)  # to the Ricci-flat set only
+_PLUS = (True, True, False)  # to the spin+ set inside it
+_MINUS = (True, False, True)  # to the spin- set inside it
+_BOTH = (True, True, True)  # to both chirality sets
 
 
 def _table_p0_kplusl(k, l, delta):
     kl = k + l
     vals = [Fraction(2, 3)] * 4 + [Fraction(-2, 3)] * 2 + [Fraction(-4, 3)] * 2
-    vecs = [
-        (2, 0, 0, -4, 0, -1, -1, -36 * delta),
-        (-3 * kl, 4 * k + 5 * l, 5 * k + 4 * l, -12 * kl,
-         3 * kl, -5 * k - 4 * l, -4 * k - 5 * l, 0),
-        (0, 1, -1, 0, 0, 1, -1, 0),
-        (0, 3, 3, 0, 2, 0, 0, 0),
-        (4, -3, -3, 4, 0, -2, -2, 36 * delta),
-        (0, 1, 1, 0, 0, 0, 0, 0),
-        (0, 2, -2, 0, 0, -1, 1, 0),
-        (2, -1, 1, -4, 0, 1, 0, 18 * delta),
+    rows = [
+        ((2, 0, 0, -4, 0, -1, -1, -36 * delta), _PLUS),
+        ((-3 * kl, 4 * k + 5 * l, 5 * k + 4 * l, -12 * kl,
+          3 * kl, -5 * k - 4 * l, -4 * k - 5 * l, 0), _PLUS),
+        ((0, 1, -1, 0, 0, 1, -1, 0), _CRF),
+        ((0, 3, 3, 0, 2, 0, 0, 0), _OFF),
+        ((4, -3, -3, 4, 0, -2, -2, 36 * delta), _CRF),
+        ((0, 1, 1, 0, 0, 0, 0, 0), _OFF),
+        ((0, 2, -2, 0, 0, -1, 1, 0), _BOTH),
+        ((2, -1, 1, -4, 0, 1, 0, 18 * delta), _CRF),
     ]
-    return vals, vecs, kl
+    return vals, rows, kl
 
 
 def _table_p0_k(k, l, delta):
     vals = [Fraction(2, 3)] * 4 + [Fraction(-2, 3)] * 2 + [Fraction(-4, 3)] * 2
-    vecs = [
-        (0, 0, 2, -4, -1, -1, 0, -36 * delta),
-        (5 * k + l, 4 * k - l, -3 * k, -12 * k, -4 * k + l, -5 * k - l, 3 * k, 0),
-        (-1, 1, 0, 0, -1, 1, 0, 0),
-        (3, 3, 0, 0, 0, 0, 2, 0),
-        (0, 0, 2, 2, -1, -1, 0, 18 * delta),
-        (1, 1, 0, 0, 0, 0, 0, 0),
-        (2, -2, 0, 0, -1, 1, 0, 0),
-        (-1, 1, 2, -4, 1, 0, 0, 18 * delta),
+    rows = [
+        ((0, 0, 2, -4, -1, -1, 0, -36 * delta), _MINUS),
+        ((5 * k + l, 4 * k - l, -3 * k, -12 * k, -4 * k + l, -5 * k - l,
+          3 * k, 0), _MINUS),
+        ((-1, 1, 0, 0, -1, 1, 0, 0), _CRF),
+        ((3, 3, 0, 0, 0, 0, 2, 0), _OFF),
+        ((0, 0, 2, 2, -1, -1, 0, 18 * delta), _OFF),
+        ((1, 1, 0, 0, 0, 0, 0, 0), _OFF),
+        ((2, -2, 0, 0, -1, 1, 0, 0), _BOTH),
+        ((-1, 1, 2, -4, 1, 0, 0, 18 * delta), _CRF),
     ]
-    return vals, vecs, k
+    return vals, rows, k
 
 
 def _mirror(vec):
@@ -462,44 +473,38 @@ def _mirror(vec):
 def _table_p0_l(k, l, delta):
     # The flow with parameters (k, l) maps to the flow with (l, k) under the
     # mirror that swaps the second and third slots, carrying the k-bundle
-    # cone point to the l-bundle one.
-    vals, vecs, den = _table_p0_k(l, k, delta)
-    return vals, [_mirror(v) for v in vecs], den
+    # cone point to the l-bundle one, and each constraint set to itself.
+    vals, rows, den = _table_p0_k(l, k, delta)
+    return vals, [(_mirror(vec), flags) for vec, flags in rows], den
 
 
 def _table_p1():
     vals = ([Fraction(-1, 6)] * 3 + [Fraction(-5, 6)] * 2
             + [Fraction(-2, 3)] * 2 + [Fraction(1, 3)])
-    vecs = [
-        (0, 0, 0, 0, 0, 0, 0, 1),
-        (2, -1, -1, 0, -4, 2, 2, 0),
-        (0, -1, 1, 0, 0, 2, -2, 0),
-        (0, 0, 0, 1, 0, 0, 0, 0),
-        (-5, -5, -5, 0, 1, 1, 1, 0),
-        (4, -2, -2, 0, -2, 1, 1, 0),
-        (0, 2, -2, 0, 0, -1, 1, 0),
-        (2, 2, 2, 0, 1, 1, 1, 0),
+    rows = [
+        ((0, 0, 0, 0, 0, 0, 0, 1), _CRF),
+        ((2, -1, -1, 0, -4, 2, 2, 0), _CRF),
+        ((0, -1, 1, 0, 0, 2, -2, 0), _CRF),
+        ((0, 0, 0, 1, 0, 0, 0, 0), _OFF),
+        ((-5, -5, -5, 0, 1, 1, 1, 0), _OFF),
+        ((4, -2, -2, 0, -2, 1, 1, 0), _BOTH),
+        ((0, 2, -2, 0, 0, -1, 1, 0), _BOTH),
+        ((2, 2, 2, 0, 1, 1, 1, 0), _OFF),
     ]
-    return vals, vecs, 1
-
-
-def _annihilates(rows, vec):
-    """Whether every integer row has a zero dot product with vec."""
-    return not any(sum(map(mul, row, vec)) for row in rows)
+    return vals, rows, 1
 
 
 def reference_frame(params, label):
     """Closed-form eigenvalue/eigenvector table at a cone point or the sink.
 
-    Tangency flags are computed exactly: a vector is tangent to the
-    Ricci-flat set when it annihilates the gradients of the hyperplane and
-    conservation constraints, and tangent to a chirality set when it
-    additionally lies in the kernel of that system's derivative; each dot
-    product is taken in integers, on the table's integer form of the
-    vector and the gradient rows as phase_system._tangency_rows gives
-    them, positive multiples of both sides.  Frames are cached per
-    (k, l, label); they are frozen, so callers share them.  params is an
-    AWParams or a (k, l) pair.
+    A vector is tangent to the Ricci-flat set when it annihilates the
+    gradients of the hyperplane and conservation constraints, and tangent
+    to a chirality set when it also lies in the kernel of that system's
+    derivative.  These flags do not depend on the orbit: each table
+    carries them, proven once for every (k, l), so no orbit computes a
+    derivative or a dot product.  Frames are cached per (k, l, label);
+    they are frozen, so callers share them.  params is an AWParams or a
+    (k, l) pair.
     """
     params = _as_params(params)
     return _reference_frame_cached(params.k, params.l, label)
@@ -510,33 +515,25 @@ def _reference_frame_cached(k, l, label):
     params = AWParams(k, l)
     d = params.delta
     if label == LABEL_P0_KPLUSL:
-        vals, vecs, den = _table_p0_kplusl(k, l, d)
+        vals, rows, den = _table_p0_kplusl(k, l, d)
     elif label == LABEL_P0_K:
-        vals, vecs, den = _table_p0_k(k, l, d)
+        vals, rows, den = _table_p0_k(k, l, d)
     elif label == LABEL_P0_L:
         if l == 0:
             raise InvalidRequestError("the l-bundle cone point does not exist "
                                       "for l = 0")
-        vals, vecs, den = _table_p0_l(k, l, d)
+        vals, rows, den = _table_p0_l(k, l, d)
     elif label == LABEL_P1:
-        vals, vecs, den = _table_p1()
+        vals, rows, den = _table_p1()
     else:
         raise InvalidRequestError(
             f"no closed-form eigenvector table for {label!r}")
-
-    point = catalog(params).get(label)
-    crf_rows, df, dh = _tangency_rows(params, point.state)
-    pairs = []
-    for lam, vec in zip(vals, vecs):
-        ints = tuple(den * v for v in vec[:7]) + vec[7:]
-        crf = _annihilates(crf_rows, ints)
-        plus = crf and _annihilates(df, ints)
-        minus = crf and _annihilates(dh, ints)
-        vector = tuple(map(Fraction, vec[:7])) + (Fraction(vec[7], den),)
-        pairs.append(FrameVector(value=lam, vector=vector, tangent_crf=crf,
-                                 tangent_spin_plus=plus,
-                                 tangent_spin_minus=minus))
-    return ReferenceFrame(label=label, point=point, pairs=tuple(pairs))
+    pairs = tuple(
+        FrameVector(lam, tuple(map(Fraction, vec[:7]))
+                    + (Fraction(vec[7], den),), *flags)
+        for lam, (vec, flags) in zip(vals, rows))
+    return ReferenceFrame(label=label, point=catalog(params).get(label),
+                          pairs=pairs)
 
 
 def unstable_frame(params, label, flow_class):

@@ -727,31 +727,6 @@ def _split_rows(out, n):
     return tuple(tuple(out[i:i + n]) for i in range(0, len(out), n))
 
 
-def _integer_rows(body, c, point):
-    """derivative(lambda y: body(c, y), point) at a rational point as
-    integers: entry i is N_i * D**(top - deg_i), top the largest degree,
-    so every entry is the exact one times D**top, a positive multiple
-    shared by all rows."""
-    values = tuple(point) + tuple(c)
-    kernel, degrees, _ = _derivative_kernel(
-        body, tuple(not v for v in values), len(point))
-    out, scales = _on_integers(kernel, degrees, values)
-    top = len(scales) - 1
-    return _split_rows([num * scales[top - e]
-                        for num, e in zip(out, degrees)], len(point))
-
-
-def _tangency_rows(params, state):
-    """(crf, F, H) at a rational state: the hyperplane and conservation
-    gradients of constraint_gradients and the rows of
-    first_order_jacobians, each set as _integer_rows gives it, for the
-    integer dot products of the tangency flags."""
-    point = state.as_tuple()
-    systems = _integer_rows(_systems, cubic_coefficients(params), point)
-    return (_integer_rows(_crf_body, quartic_coefficients(params), point),
-            systems[:4], systems[4:])
-
-
 def _einstein_values_and_rows(params, z):
     """value_and_derivative over einstein_residual(params, *z)[0] at a
     float z, from the plain kernel of _derivative_kernel for

@@ -420,13 +420,25 @@ def initial_state(spec):
 
 
 def _limit_candidates(params):
-    """Fixed-point targets for classification, in decision priority."""
-    cat = catalog(params)
-    return tuple(
-        (kind, label, np.array(cat.get(label).state.as_floats()))
-        for kind, labels in ((OUTCOME_ALC, (LABEL_P1,) + LABELS_ALC_B),
-                             (OUTCOME_AC, LABELS_AC))
-        for label in labels)
+    """Fixed-point targets for classification, in decision priority, as
+    (kind, label, state) with the state a read-only float array; built
+    once per orbit and shared, like the catalog.  params is an AWParams
+    or a (k, l) pair."""
+    params = _as_params(params)
+    return _limit_candidates_cached(params.k, params.l)
+
+
+@lru_cache(maxsize=64)
+def _limit_candidates_cached(k, l):
+    cat = catalog((k, l))
+    out = []
+    for kind, labels in ((OUTCOME_ALC, (LABEL_P1,) + LABELS_ALC_B),
+                         (OUTCOME_AC, LABELS_AC)):
+        for label in labels:
+            target = np.array(cat.get(label).state.as_floats())
+            target.setflags(write=False)
+            out.append((kind, label, target))
+    return tuple(out)
 
 
 def _row_max(table):
@@ -1171,8 +1183,10 @@ def sweep(params, bundle_tag, mode, s_values, epsilon=1e-6, eta_max=200.0,
     """Classify one run per direction; failures are recorded, not raised.
 
     An invalid shared input (params, bundle_tag, mode, epsilon, eta_max,
-    tolerances) raises before any run, as ShootSpec raises it; a bad
-    direction fails its row, whose s is then the row as given.  Runs
+    tolerances) raises before any run, as ShootSpec raises it, and so
+    does a spin mode that is not the chirality of the bundle's cone
+    point (unstable_frame); a bad direction fails its row, whose s is
+    then the row as given.  Runs
     are independent and distributed over a process pool capped by
     worker_count() (the environment variable SPIN7_THREADS, the only
     worker setting); results keep the input order regardless of
@@ -1181,9 +1195,11 @@ def sweep(params, bundle_tag, mode, s_values, epsilon=1e-6, eta_max=200.0,
     directions = list(s_values)
     if not directions:
         raise InvalidRequestError("sweep grid must be non-empty")
-    # checks every shared input once; each row replaces only s
+    # checks every shared input and the cone's frame once; each row
+    # replaces only s
     shared = ShootSpec(params, bundle_tag, mode, (1.0, 0.0), epsilon=epsilon,
                        eta_max=eta_max, rel_tol=rel_tol, abs_tol=abs_tol)
+    unstable_frame(shared.params, shared.cone_label, shared.mode)
     specs = []
     failures = {}
     for i, s in enumerate(directions):

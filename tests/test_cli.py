@@ -263,10 +263,12 @@ def test_sweep_rejects_a_fan_above_the_cap(monkeypatch, capsys):
     ("--rel-tol", "0", "integrator tolerances must be positive"),
     ("--eps", "1/2", "epsilon must lie in (0, 1e-2]"),
     ("--eta-max", "1e-13", "eta_max must be finite and above 1e-12"),
+    ("--mode", "spin+", "P0_K does not lie on the spin+ constraint set"),
 ])
 def test_sweep_invalid_run_setting_exits_2(flag, value, message, capsys):
     """A setting every direction shares is a usage error (exit 2), as in
-    classify, and no row runs; it is not one error row per direction."""
+    classify, and no row runs; it is not one error row per direction.
+    So is a spin mode that is not the chirality of the bundle's cone."""
     assert run(["sweep", "--k", "1", "--l", "1", "--bundle", "k",
                 "--n", "2", flag, value]) == 2
     captured = capsys.readouterr()

@@ -18,7 +18,9 @@ from spin7flow.critical_points import (LABEL_P1, LABELS_ALC_B,
                                        FlowClass, _catalog_cached,
                                        _einstein_values_and_rows,
                                        _newton_step,
-                                       _polish, _spectrum,
+                                       _polish, _spectrum, _table_p0_k,
+                                       _table_p0_kplusl, _table_p0_l,
+                                       _table_p1,
                                        _try_exact_einstein, catalog,
                                        constraint_gradients, eigen,
                                        first_order_jacobians, jacobian,
@@ -28,9 +30,12 @@ from spin7flow.critical_points import (LABEL_P1, LABELS_ALC_B,
 from spin7flow.errors import (InvalidParameterError, InvalidRequestError,
                               SolverIncompleteError)
 from spin7flow.exact import QuadExt
-from spin7flow.phase_system import (PhaseState, _exact_einstein_residual,
-                                    _trace, derivative, einstein_residual,
+from spin7flow.phase_system import (PhaseState, _crf_body, _Dual,
+                                    _exact_einstein_residual, _flow_body,
+                                    _scaled_coefficients, _systems, _trace,
+                                    derivative, einstein_residual,
                                     flow_rhs, residuals, vector_field)
+from spin7flow.ratpoly import RatPoly
 
 import fraction_reference
 from printed_tables import (expected_lin_cone_k, expected_lin_cone_kpl,
@@ -808,6 +813,167 @@ def test_tangency_flags_match_fraction_dot_products(kl):
                 for v in pairs] == fraction_reference.tangency_flags(
             p, label, [v.vector for v in pairs])
         assert all(type(c) is Fraction for v in pairs for c in v.vector)
+
+
+@pytest.mark.parametrize("kl", [(1, 0), (1, 1), (3, 2), (17, 5),
+                                (10 ** 6, 1), (10 ** 6 + 1, 10 ** 6)])
+def test_tangency_flags_match_the_public_derivatives(kl):
+    """An independent per-orbit oracle: the typed flags are those of
+    Fraction dot products with the rows of the public
+    constraint_gradients and first_order_jacobians."""
+    p = AWParams(*kl)
+    for label in ("P0_KplusL", "P0_K", "P1") + (("P0_L",) if p.l else ()):
+        frame = reference_frame(p, label)
+        grads = constraint_gradients(p, frame.point.state)
+        df, dh = first_order_jacobians(p, frame.point.state)
+        for pair in frame.pairs:
+
+            def annihilated(rows):
+                return all(sum(a * b for a, b in zip(row, pair.vector)) == 0
+                           for row in rows)
+
+            crf = annihilated(grads.values())
+            assert (pair.tangent_crf, pair.tangent_spin_plus,
+                    pair.tangent_spin_minus) == (
+                crf, crf and annihilated(df), crf and annihilated(dh))
+
+
+# The proofs for every orbit run on symbols (k, l, u), with u = Z4/(6*Delta)
+# in place of Z4.  phase_system's bodies read the orbit's coefficients only
+# as c*Z4 and c*Z4**2, so on _scaled_coefficients(k, l) and u in the Z4 slot
+# they give the flow in these coordinates, as polynomials in (k, l, u).
+SYMBOLS = ("k", "l", "u")
+K, L, U = (RatPoly.variable(SYMBOLS, name) for name in SYMBOLS)
+
+
+def _symbolic_tables():
+    """(label, order, l_zero, point, vals, rows) for each frame table in
+    the u-coordinates.  A cone point has u = 1/order, kept as the symbol
+    u, with order = k + l, l or k its scaled cubic coefficient over 3;
+    the sink has u = 0 and order 1 (no u is cleared).  A P0 table's Z4 entry n*Delta/order
+    is n*u/6 there, the table at delta = u/6.  The sink's vectors are
+    scaled by 6*Delta, which keeps every flag and eigen equation.
+    l_zero: whether the label's point exists at l = 0."""
+    cubic = _scaled_coefficients(K, L)[0]
+    out = []
+    for i, (label, table) in enumerate((("P0_KplusL", _table_p0_kplusl),
+                                        ("P0_L", _table_p0_l),
+                                        ("P0_K", _table_p0_k))):
+        x, z = [0, 0, 0, F(1, 3)], [F(1, 3)] * 3 + [U]
+        x[i], z[i] = F(1, 3), 0
+        vals, rows, den = table(K, L, U / 6)
+        assert den == cubic[i] / 3
+        out.append((label, den, label != "P0_L", tuple(x + z), vals, rows))
+    vals, rows, _ = _table_p1()
+    scale = 6 * (K * K + K * L + L * L)
+    out.append(("P1", RatPoly.constant(SYMBOLS, 1), True,
+                (F(1, 6),) * 3 + (0,) + (F(1, 6),) * 3 + (0,), vals,
+                [(tuple(scale * v for v in vec[:7]) + vec[7:], flags)
+                 for vec, flags in rows]))
+    return out
+
+
+def _symbolic_rows(body, coefficients, point):
+    """derivative(body) at point on the scaled coefficients; they enter
+    as constant duals, since a RatPoly times a dual raises."""
+    c = tuple(_Dual(v, {}) for v in coefficients)
+    return derivative(lambda y: body(c, y), point)
+
+
+def _dot(row, vec):
+    return sum((a * b for a, b in zip(row, vec)), RatPoly.zero(SYMBOLS))
+
+
+def _at_orbit(poly, order):
+    """order**deg_u times poly at u = 1/order: a polynomial in (k, l)
+    with poly's zeros on every orbit, where order > 0."""
+    top = max(poly.degree("u"), 0)
+    return sum((poly.coefficient_of("u", e) * order ** (top - e)
+                for e in range(top + 1)), RatPoly.zero(SYMBOLS))
+
+
+def _zero_free(poly, l_zero):
+    """Whether poly in (k, l) has no zero at integers k >= l >= 1, nor
+    at l = 0 when l_zero: with k = l + m, its coefficients in (l, m)
+    share one sign and it has a monomial without m, which is nonzero
+    where l >= 1, and with l_zero one without l, nonzero where m >= 1."""
+    names = ("l", "m")
+    ell, m = (RatPoly.variable(names, name) for name in names)
+    terms = poly.compose(names, {"k": ell + m, "l": ell, "u": 0}).terms
+    return (len({c > 0 for c in terms.values()}) == 1
+            and any(e[1] == 0 for e in terms)
+            and (not l_zero or any(e[0] == 0 for e in terms)))
+
+
+def _proven_flag(rows, vec, order, l_zero):
+    """True when every row's dot product with vec is the zero
+    polynomial, False when one of them has no zero on the label's
+    orbits; anything else fails the proof."""
+    dots = [_at_orbit(_dot(row, vec), order) for row in rows]
+    if all(d.is_zero for d in dots):
+        return True
+    assert any(_zero_free(d, l_zero) for d in dots), dots
+    return False
+
+
+def test_zero_free_reads_the_orbits():
+    """(k + l)*l vanishes on (1, 0) only, k - l on (1, 1), and
+    k*k - 3*l*l on no orbit but has mixed signs, so only the first is
+    proven zero-free, and only where l = 0 is left out."""
+    assert _zero_free((K + L) * L, False)
+    assert not _zero_free((K + L) * L, True)
+    assert _zero_free(K + L, True) and _zero_free(-6 * K, True)
+    assert not _zero_free(K - L, False)
+    assert not _zero_free(K * K - 3 * L * L, False)
+    assert not _zero_free(RatPoly.zero(SYMBOLS), False)
+
+
+def test_symbolic_points_are_the_catalog_points():
+    """Each table's point in the u-coordinates is the cataloged point."""
+    for p in PARAMS:
+        for label, order, l_zero, point, _, _ in _symbolic_tables():
+            if l_zero or p.l:
+                u = 1 / order.evaluate((p.k, p.l, 0))
+                state = catalog(p).get(label).state.as_tuple()
+                assert state[:7] + (state[7] / (6 * p.delta),) == tuple(
+                    v.evaluate((p.k, p.l, u)) if type(v) is RatPoly else v
+                    for v in point)
+
+
+def test_typed_tangency_flags_hold_on_every_orbit():
+    """Every typed (crf, spin+, spin-) flag of the four tables is
+    derived once for all (k, l) from phase_system's own bodies: a True
+    flag from dot products that are the zero polynomial, a False one
+    from a dot product with no zero on the orbits where the point
+    exists."""
+    cubic, quartic = _scaled_coefficients(K, L)
+    proven = 0
+    for label, order, l_zero, point, _, rows in _symbolic_tables():
+        crf = _symbolic_rows(_crf_body, quartic, point)
+        systems = _symbolic_rows(_systems, cubic, point)
+        for vec, flags in rows:
+            tangent = _proven_flag(crf, vec, order, l_zero)
+            assert (tangent,
+                    tangent and _proven_flag(systems[:4], vec, order, l_zero),
+                    tangent and _proven_flag(systems[4:], vec, order, l_zero)
+                    ) == flags, (label, vec)
+            proven += 3
+    assert proven == 96
+
+
+def test_tables_are_exact_eigenpairs_on_every_orbit():
+    """J*v = lambda*v for all 32 table pairs, as polynomial identities in
+    (k, l), with J the Jacobian of _flow_body at the table's point."""
+    quartic = _scaled_coefficients(K, L)[1]
+    pairs = 0
+    for label, order, _, point, vals, rows in _symbolic_tables():
+        jac = _symbolic_rows(_flow_body, quartic, point)
+        for lam, (vec, _) in zip(vals, rows):
+            for row, v in zip(jac, vec):
+                assert _at_orbit(_dot(row, vec) - lam * v, order).is_zero, (
+                    label, vec)
+            pairs += 1
+    assert pairs == 32
 
 
 def test_unstable_frame_selection_and_chirality():

@@ -721,6 +721,21 @@ def test_decision_is_none_where_may_decide_is_false(exact, runs):
         for _, _, target in candidates)
 
 
+def test_limit_candidates_are_built_once_per_orbit():
+    """A second call, with the AWParams or the (k, l) pair, returns the
+    same tuple; its targets are the cataloged points as floats, in
+    decision priority, and refuse writes."""
+    first = shooting._limit_candidates(P32)
+    assert shooting._limit_candidates((3, 2)) is first
+    assert [label for _, label, _ in first] == [
+        "P1", "ALC_b1", "ALC_b2", "ALC_b3", "AC_1", "AC_2"]
+    for _, label, target in first:
+        assert target.tolist() == list(catalog(P32).get(label).state
+                                       .as_floats())
+        with pytest.raises(ValueError, match="read-only"):
+            target[0] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # properties of whole runs
 

@@ -763,6 +763,21 @@ def test_bad_shared_input_is_refused_before_any_run(shared, error, message,
               [(0.6, 0.8), (0.8, 0.6)])
 
 
+def test_sweep_refuses_a_mode_off_its_cone_before_any_run(monkeypatch):
+    """A spin mode that is not the chirality of the bundle's cone point
+    raises from sweep before any run, as classify refuses it, not as an
+    error on every row."""
+
+    def no_run(spec):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(shooting, "_sweep_point", no_run)
+    monkeypatch.setenv("SPIN7_THREADS", "1")
+    with pytest.raises(InvalidRequestError,
+                       match="P0_KplusL does not lie on the spin- constraint"):
+        sweep(P32, "k+l", "spin-", [(0.6, 0.8), (0.8, 0.6)])
+
+
 def test_direction_that_is_no_sequence_is_refused(monkeypatch):
     with pytest.raises(InvalidRequestError, match="s must be a sequence"):
         ShootSpec(P32, "k+l", "spin+", None)
