@@ -24,16 +24,10 @@ projection's Jacobian comes from the derivative kernel traced from the
 constraint's body, as jacobian's does.
 
 CHUNK_LENGTH = 10 was measured under DOP853, whose steps span about
-1.6-1.9 units of eta on the benchmark's families.  At the default
-tolerances, over the (1, 1) separatrix runs and (3, 2) spin and
-Ricci-flat runs, the largest pre-projection defect is 8.1e-11 against
-the drift bound DRIFT_FACTOR * rel_tol = 1e-8, and the largest face
-defect of a locked run 2.4e-10 against FACE_RELEASE_TOL = 1e-8; a test
-keeps both within a tenth of their bounds.  At 20 the curve-locked
-run's face defect reaches 1.0e-8, the lock releases and the run ends at
-the sink instead of its conical limit, so the face defect bounds the
-length.  An early-stopping run stops at the first chunk end after its
-decision window closes, so it ends up to one chunk past that window.
+1.6-1.9 units of eta on the benchmark's families; a test keeps every
+pre-projection defect of its reference runs within a tenth of the drift
+bound DRIFT_FACTOR * rel_tol.  An early-stopping run ends at the first
+chunk end after its decision window closes, up to one chunk past it.
 
 The stepper, the Dormand-Prince 8(5,3) pair (DOP853), runs a whole
 chunk, its first derivative included, in one compiled function whose
@@ -42,30 +36,22 @@ phase_system body and inlined, so a chunk makes no Python call and
 keeps the helpers' bits; it packs each accepted step, with its
 continuous extension, into one row of a float table.  The orbit's
 coefficients are the chunk's inputs, so one chunk per body serves every
-orbit and chirality.  A run's first chunk takes the initial-step rule,
-and every later one the step size its predecessor proposed, since only
-the projection has moved the state.  A sample's eta is its grid index
-over round(1 / SAMPLE_STEP), whatever the chunk length.  Samples are
-built lazily: a chunk keeps its step table, and their dense output on
-the sample grid is evaluated and X rebuilt from Z only when a decision
-could fire (an early-stopping run whose last projected state lies
-inside a decision ball) and when the run ends; the decision is then
-one stateless pass over the table built so far, classify's own
-(_decision).  A full-horizon run therefore samples all its chunks in
-one pass.  Row max-norms of the sample table are reduced column by
-column.  No BLAS or LAPACK call reaches a trajectory (the projection's
-step is solved on Python floats, the dense output is elementwise), so
-its bits do not depend on the BLAS build.
+orbit and chirality.  Samples are built lazily from the chunks' step
+tables, only where a decision could fire and when the run ends
+(integrate); the decision is one stateless pass over the table built
+so far, classify's own (_decision).  No BLAS or LAPACK call reaches a
+trajectory (the projection's step is solved on Python floats, the
+dense output is elementwise), so its bits do not depend on the BLAS
+build.
 
 Boundary runs need one more ingredient.  For (k, l) = (1, 1) the
 invariant region has one-dimensional boundary segments (a line for the
 plus chirality, a curve for the minus chirality) that join the cone
-point to a conical limit, and the tangent boundary offsets land on
-them to round-off accuracy.  When the initial state satisfies a
-cataloged segment to within FACE_LOCK_TOL, the segment equations join
-the per-chunk projection ("face lock"), which removes the two unstable
-transverse modes of the conical saddle; the lock is dropped if the
-defect ever grows past FACE_RELEASE_TOL, so nudged runs never lock.
+point to a conical limit.  A spin run whose offset direction is tangent
+to its segment at the cone point (_locked_face) is locked to it for the
+whole run: the segment equations join every chunk-end projection ("face
+lock"), which removes the two unstable transverse modes of the conical
+saddle.  It depends on the direction alone, not on epsilon or tolerances.
 """
 
 import math
@@ -84,8 +70,9 @@ from .errors import (InitializationError, IntegrationError,
                      InvalidRequestError, ReconstructionDomainError)
 from .phase_system import (Chirality, PhaseState, _curve_face,
                            _derivative_rows, _line_face, _stepping_kernel,
-                           crf_constraints, flow_rhs, g_of_x, reduced_z_rhs,
-                           residuals, x_from_z, zcons_constraint)
+                           crf_constraints, derivative, flow_rhs, g_of_x,
+                           reduced_z_rhs, residuals, x_from_z,
+                           zcons_constraint)
 
 SAMPLE_STEP = 0.05
 CHUNK_LENGTH = 10.0
@@ -93,8 +80,7 @@ DECISION_WINDOW = 5.0
 DECISION_RADIUS = 1e-6
 ESCAPE_NORM = 1e3
 DRIFT_FACTOR = 100.0
-FACE_LOCK_TOL = 1e-10
-FACE_RELEASE_TOL = 1e-8
+TANGENCY_TOL = 1e-13
 MAX_PROJECTION_ITERS = 50
 PROJECTION_TARGET = 1e-14
 HORIZON_SLACK = 1e-12  # integrate stops once eta is this close to eta_max
@@ -229,7 +215,7 @@ class Trajectory:
     the chirality residual max-norm at each sample (the smaller of the
     two chiralities in Ricci-flat mode).  events is a tuple of
     (eta, kind) pairs with kind in {"converged", "escaped", "drift",
-    "stiff-failure"}.
+    "stiff-failure"}.  face_lock names the face locked for the whole run.
     """
 
     spec: ShootSpec
@@ -306,10 +292,6 @@ def boundary_face(params, chirality):
     if (params.k, params.l) != (1, 1):
         return None
     return _LINE_FACE if chirality is Chirality.PLUS else _CURVE_FACE
-
-
-def _face_defect(face, z):
-    return max(abs(v) for v in face.equations(z))
 
 
 def _max_abs(values):
@@ -392,6 +374,29 @@ def _offset_direction(spec):
     vectors = [np.array([float(c) for c in pair.vector]) for pair in frame]
     w = sum(si * v for si, v in zip(spec.s, vectors))
     return w / np.max(np.abs(w))
+
+
+@lru_cache(maxsize=16)
+def _face_gradients(k, l, cone_label):
+    """The boundary face at a cone point and its equations' gradients."""
+    face = boundary_face(_as_params((k, l)),
+                         dict(_BUNDLE_CONES.values())[cone_label])
+    z = catalog((k, l)).get(cone_label).state.Z
+    return face, [list(map(float, g)) for g in
+                  (derivative(face.equations, z) if face else ())]
+
+
+def _locked_face(spec):
+    """The face a spin run is locked to for the whole run, or None: its
+    cone point's boundary face when the Z part w of _offset_direction is
+    tangent to it there to round-off, |grad f . w| <= TANGENCY_TOL
+    |grad f| |w| for each face equation f, summed on Python floats."""
+    face, gradients = _face_gradients(spec.params.k, spec.params.l,
+                                      spec.cone_label)
+    w = _offset_direction(spec)[4:].tolist() if face else ()
+    return face if all(
+        abs(_dot(g, w)) <= TANGENCY_TOL * math.sqrt(_dot(g, g) * _dot(w, w))
+        for g in gradients) else None
 
 
 def initial_state(spec):
@@ -916,7 +921,7 @@ def integrate(spec):
     when it is off the grid.  Its samples come from its dense output,
     with the projected state as its last row.
     At every chunk boundary the state is renormalized onto the
-    constraint set (see the module docstring) and the pre-projection
+    constraint set, and a locked run onto its face; the pre-projection
     defect is logged.  Events: "escaped" (an accepted step ended at
     max-norm ESCAPE_NORM or more; the crossing is bisected on that
     step's interpolant), "stiff-failure" (step-size underflow, also
@@ -950,9 +955,7 @@ def integrate(spec):
         rhs = reduced_z_rhs(params, chirality)
         state = np.array(start.Z, dtype=float)
         con = zcons_constraint(params, chirality)
-        face = boundary_face(params, chirality)
-        locked = (face if face is not None
-                  and _face_defect(face, state) < FACE_LOCK_TOL else None)
+        locked = _locked_face(spec)
     else:
         rhs = flow_rhs(params)
         state = np.array(start.as_tuple(), dtype=float)
@@ -1003,9 +1006,6 @@ def integrate(spec):
         status, reached, end, steps, h_abs = _dop853(
             rhs, eta, state.tolist(), top, spec.rel_tol, spec.abs_tol, h_abs)
         if status == 0:
-            if locked is not None and _face_defect(locked, end) > \
-                    FACE_RELEASE_TOL:
-                locked = None
             state, drift = _project(con, end, locked)
             if drift > DRIFT_FACTOR * spec.rel_tol and not drift_logged:
                 events.append((reached, "drift"))

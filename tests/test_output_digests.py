@@ -186,7 +186,7 @@ TRAJECTORY_ARGV = [
     ["sweep", "--k", "1", "--l", "1", "--bundle", "k", "--n", "8"],
 ]
 TRAJECTORY_DIGEST = \
-    "d1dab02a18209994feb4b333262b31f95e65aeaf028cb22ba23ed6389fd85646"
+    "b1216128eef704aa63d5b0a2270e8a4d00102f4f9b0faf65cb173077be221ffd"
 
 
 def _sha256(text):

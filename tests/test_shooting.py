@@ -246,6 +246,10 @@ def test_one_bundle_table_sets_cone_chirality_and_cli_mode():
             assert cli._mode(args) == mode
 
 
+def _face_defect(face, z):
+    return max(abs(v) for v in face.equations(z))
+
+
 @pytest.mark.parametrize("chirality, bundle, s", [
     (Chirality.PLUS, "k+l", S_LINE), (Chirality.MINUS, "k", S_CURVE)])
 def test_project_reports_constraint_defect_and_meets_face(chirality, bundle,
@@ -256,13 +260,13 @@ def test_project_reports_constraint_defect_and_meets_face(chirality, bundle,
     face = shooting.boundary_face(P11, chirality)
     z0 = initial_state(ShootSpec(P11, bundle, chirality.value, s)).Z
     z = [v + 1e-7 * (j + 1) for j, v in enumerate(z0)]
-    assert shooting._face_defect(face, z) > max(abs(v) for v in con(z))
+    assert _face_defect(face, z) > max(abs(v) for v in con(z))
     for locked in (None, face):
         v, defect = shooting._project(con, z, locked)
         assert defect == float(np.max(np.abs(con(z))))
         assert abs(con(v.tolist())[0]) < shooting.PROJECTION_TARGET
         if locked is not None:
-            assert shooting._face_defect(face, v) < shooting.PROJECTION_TARGET
+            assert _face_defect(face, v) < shooting.PROJECTION_TARGET
 
 
 P10 = AWParams(1, 0)
@@ -435,12 +439,64 @@ def test_boundary_run_locks_curve_face(traj_curve):
     assert np.max(np.abs((z[:, 1] + z[:, 2]) * z[:, 3] - 6.0)) <= 1e-6
 
 
-def test_nudged_run_does_not_lock():
-    traj = integrate(ShootSpec(params=P11, bundle="k+l", mode="spin+",
-                               s=(S_LINE[0] + 0.05, S_LINE[1])))
+# (mode, boundary direction in s) of each (1, 1) bundle
+BOUNDARY_DIRECTIONS = {"k+l": ("spin+", S_LINE), "k": ("spin-", S_CURVE),
+                       "l": ("spin-", S_CURVE)}
+
+
+def _turned(s, angle):
+    """s turned by angle in the (s1, s2) plane."""
+    theta = math.atan2(s[1], s[0]) + angle
+    return math.cos(theta), math.sin(theta)
+
+
+@pytest.mark.parametrize("side", [-1, 1], ids=["minus", "plus"])
+@pytest.mark.parametrize("d", [1e-6, 1e-5, 3e-5, 1e-4])
+@pytest.mark.parametrize("bundle", sorted(BOUNDARY_DIRECTIONS))
+def test_nudged_run_does_not_lock(bundle, d, side):
+    """A direction d radians off the boundary direction runs unlocked,
+    however small its start's face defect: it ends at the ALC sink on
+    the minus side and escapes on the plus side."""
+    mode, s = BOUNDARY_DIRECTIONS[bundle]
+    traj = integrate(ShootSpec(P11, bundle, mode, _turned(s, side * d)))
     assert traj.face_lock is None
-    assert traj.outcome.kind == "ALC"
-    assert traj.outcome.limit_label == "P1"
+    want = ("ALC", "P1") if side < 0 else ("Escape", None)
+    assert (traj.outcome.kind, traj.outcome.limit_label) == want
+
+
+@pytest.mark.parametrize("bundle, face, label", [
+    ("k+l", "boundary-line", "AC_2"), ("k", "boundary-curve", "AC_1")])
+def test_separatrix_runs_stay_locked_at_coarse_tolerances(bundle, face,
+                                                          label):
+    """The lock is fixed by the direction, so a boundary run keeps it
+    and ends at its conical limit at coarse tolerances too."""
+    mode, s = BOUNDARY_DIRECTIONS[bundle]
+    traj = integrate(ShootSpec(P11, bundle, mode, s, rel_tol=1e-6,
+                               abs_tol=1e-9))
+    assert traj.face_lock == face
+    assert (traj.outcome.kind, traj.outcome.limit_label) == ("AC", label)
+
+
+def test_tangency_bound_separates_boundary_directions(monkeypatch):
+    """Every (1, 1) cone point lies on its bundle's face.  The boundary
+    direction still locks under a bound 100 times tighter, and a
+    direction 1e-8 radians off stays unlocked under one 100 times
+    looser.  Other orbits have no face and never lock."""
+    tol = shooting.TANGENCY_TOL
+    cat = catalog(P11)
+    for bundle, (mode, s) in BOUNDARY_DIRECTIONS.items():
+        spec = ShootSpec(P11, bundle, mode, s)
+        face = shooting.boundary_face(P11, Chirality(mode))
+        assert face.equations(cat.get(spec.cone_label).state.Z) == (0, 0)
+        monkeypatch.setattr(shooting, "TANGENCY_TOL", tol / 100)
+        assert shooting._locked_face(spec) is face
+        monkeypatch.setattr(shooting, "TANGENCY_TOL", tol * 100)
+        for side in (-1, 1):
+            nudged = dataclasses.replace(spec, s=_turned(s, side * 1e-8))
+            assert shooting._locked_face(nudged) is None
+    assert shooting._face_gradients(1, 1, "P0_K") is \
+        shooting._face_gradients(1, 1, "P0_K")
+    assert shooting._locked_face(ShootSpec(P32, "k", "spin-", (1, 0))) is None
 
 
 def test_classify_constant_trajectory_at_sink():
@@ -610,27 +666,25 @@ MARGIN_RUNS = [
 def test_chunk_length_keeps_a_tenfold_margin(monkeypatch):
     """At the default tolerances, over the (1, 1) separatrix runs and
     (3, 2) spin and Ricci-flat runs, every pre-projection defect stays a
-    tenth of the drift bound and every face defect a tenth of
-    FACE_RELEASE_TOL: the margins that bound CHUNK_LENGTH (at twice the
-    shipped length the S_CURVE run releases its lock)."""
-    project, face_defect = shooting._project, shooting._face_defect
+    tenth of the drift bound, the margin that bounds CHUNK_LENGTH.  A
+    locked run stays on its face between projections: its
+    pre-projection face defect stays below 1e-9 (at most 2.4e-10
+    measured)."""
+    project = shooting._project
     drifts, faces = [], []
 
     def recorded_project(con, v, face=None):
+        if face is not None:
+            faces.append(_face_defect(face, v))
         state, defect = project(con, v, face)
         drifts.append(defect)
         return state, defect
 
-    def recorded_face_defect(face, z):
-        faces.append(face_defect(face, z))
-        return faces[-1]
-
     monkeypatch.setattr(shooting, "_project", recorded_project)
-    monkeypatch.setattr(shooting, "_face_defect", recorded_face_defect)
     for params, bundle, mode, s in MARGIN_RUNS:
         integrate(ShootSpec(params, bundle, mode, s))
     assert max(drifts) <= shooting.DRIFT_FACTOR * ShootSpec.rel_tol / 10
-    assert max(faces) <= shooting.FACE_RELEASE_TOL / 10
+    assert faces and max(faces) <= 1e-9
 
 
 def test_reconstruct_constant_g_closed_form():
