@@ -656,9 +656,9 @@ def solve_homogeneous_einstein(params):
     params = _as_params(params)
     out = []
     for seed in SEEDS:
-        z123 = _newton(params, seed)
-        exact = _try_exact_einstein(params, z123)
-        out.append((exact, True) if exact else (_polish(params, z123), False))
+        z = _polish(params, _newton(params, seed))
+        exact = _try_exact_einstein(params, z[:3])
+        out.append((exact, True) if exact else (z, False))
     out.sort(key=lambda sol: -sol[0][0])
     (first, _), (second, _) = out
     if first == second or not all(v > 0 for v in first + second):
@@ -669,14 +669,18 @@ def solve_homogeneous_einstein(params):
 
 
 def _try_exact_einstein(params, z123):
-    """Rationalize a numeric solution and verify it exactly, or None.
+    """Rationalize a polished solution (_polish) and verify it exactly,
+    or None.
 
+    The polished coordinates are the correctly rounded root, so at a
+    rational root each one is the float of its fraction: only a
+    candidate whose floats equal z123 in every coordinate is verified.
     The exact residual runs on integers (_exact_einstein_residual); only
     a verified point takes Z4^2 from einstein_residual in Fractions, for
     exact_sqrt.
     """
     zr = tuple(Fraction(v).limit_denominator(10 ** 6) for v in z123)
-    if any(abs(float(r) - v) > 1e-9 for v, r in zip(z123, zr)):
+    if any(float(r) != v for v, r in zip(z123, zr)):
         return None
     if any(n for n, _ in _exact_einstein_residual(params, zr)):
         return None

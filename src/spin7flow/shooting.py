@@ -33,16 +33,21 @@ The stepper, the Dormand-Prince 8(5,3) pair (DOP853), runs a whole
 chunk, its first derivative included, in one compiled function whose
 derivatives evaluate the right-hand side as a kernel traced from its
 phase_system body and inlined, so a chunk makes no Python call and
-keeps the helpers' bits; it packs each accepted step, with its
-continuous extension, into one row of a float table.  The orbit's
-coefficients are the chunk's inputs, so one chunk per body serves every
-orbit and chirality.  Samples are built lazily from the chunks' step
-tables, only where a decision could fire and when the run ends
-(integrate); the decision is one stateless pass over the table built
-so far, classify's own (_decision).  No BLAS or LAPACK call reaches a
-trajectory (the projection's step is solved on Python floats, the
-dense output is elementwise), so its bits do not depend on the BLAS
-build.
+keeps the helpers' bits; it packs each accepted step into one raw row
+of a float table: its start, F0 and the derivatives that its
+continuous extension reads.  The extension itself (its three stages
+and the coefficients that _dense reads) is computed later, by one
+finishing pass generated from the same tableau and kernel and run on
+numpy columns over every raw row that a sampling pass needs (_finish),
+with the bits of a per-step pass on Python floats.  The orbit's
+coefficients are the inputs of both, so one chunk and one finishing
+pass per body serve every orbit and chirality.  Samples are built
+lazily from the chunks' step tables, only where a decision could fire
+and when the run ends (integrate); the decision is one stateless pass
+over the table built so far, classify's own (_decision).  No BLAS or
+LAPACK call reaches a trajectory (the projection's step is solved on
+Python floats, the extension and the dense output are elementwise), so
+its bits do not depend on the BLAS build.
 
 Boundary runs need one more ingredient.  For (k, l) = (1, 1) the
 invariant region has one-dimensional boundary segments (a line for the
@@ -85,6 +90,8 @@ MAX_PROJECTION_ITERS = 50
 PROJECTION_TARGET = 1e-14
 HORIZON_SLACK = 1e-12  # integrate stops once eta is this close to eta_max
 MAX_DIRECTIONS = 10_000  # sweep cap: about 50 s at 5 ms per direction
+# rows in _last_outside's first window: a decision window of samples
+_FIRST_WINDOW = round(DECISION_WINDOW / SAMPLE_STEP) + 1
 
 OUTCOME_ALC = "ALC"
 OUTCOME_AC = "AC"
@@ -469,22 +476,38 @@ def _may_decide(tail, targets):
     return False
 
 
+def _last_outside(states, target):
+    """The index of the last row of states outside target's decision
+    ball (a NaN distance counts as outside), or -1 when there is none.
+    Windows of rows are scanned back from the end, each twice as long
+    as the one after it, so the cost follows the distance of that row
+    from the end, not the length of the table."""
+    end, size = len(states), _FIRST_WINDOW
+    while end > 0:
+        start = max(end - size, 0)
+        outside = np.flatnonzero(~(_row_max(np.abs(
+            states[start:end] - target)) <= DECISION_RADIUS))
+        if outside.size:
+            return start + int(outside[-1])
+        end, size = start, 2 * size
+    return -1
+
+
 def _decision(etas, states, candidates):
     """Earliest eta from which the tail of the table stays inside one
     decision ball, as an Asymptotics, or None.
 
-    Only a ball that holds the last row scans the table; a NaN distance
-    counts as outside.  The window has length DECISION_WINDOW, or is the
-    whole table when no row lies outside the ball.
+    Only a ball that holds the last row scans the table, back from its
+    end (_last_outside); a NaN distance counts as outside.  The window
+    has length DECISION_WINDOW, or is the whole table when no row lies
+    outside the ball.
     """
     last = _row_max(np.abs(states[-1] - np.array(
         [target for _, _, target in candidates])))
     for (kind, label, target), dist in zip(candidates, last.tolist()):
         if not dist <= DECISION_RADIUS:
             continue
-        outside = np.flatnonzero(
-            ~(_row_max(np.abs(states - target)) <= DECISION_RADIUS))
-        start = int(outside[-1]) + 1 if outside.size else 0
+        start = _last_outside(states, target) + 1
         if (etas[-1] - etas[start] >= DECISION_WINDOW - 1e-9
                 or (start == 0 and etas[-1] - etas[0] >= 0.0)):
             return Asymptotics(
@@ -627,14 +650,29 @@ def _terms(row):
     return tuple((s, w) for s, w in enumerate(row, start=1) if w)
 
 
+# The derivatives of a step that its continuous extension reads besides
+# its own stages k14..k16: k1 and k6..k13.  The chunk packs them into the
+# step's raw row, and the finishing pass (_finish) reads them there.
+_RAW_STAGES = tuple(sorted(
+    {s for row in _D + tuple(row for _, row in _DENSE_STAGES)
+     for s, _ in _terms(row)} - {14, 15, 16}))
+
+
+def _raw_width(n):
+    """The doubles of a raw step row (t, h, *y, *F0, *k1, *k6, ...,
+    *k13) on n components."""
+    return 2 + (2 + len(_RAW_STAGES)) * n
+
+
 def _dense(steps, grid):
-    """The continuous extension of a step table at grid points.
+    """The continuous extension of a finished step table (_finish) at
+    grid points.
 
     Each point takes the step whose span holds it (the earlier step at a
     shared end point, as scipy's OdeSolution does).  With x = (t - t_old)
     / h its value is y_old + x*(F0 + (1 - x)*(F1 + x*(F2 + (1 - x)*(F3 +
-    x*(F4 + (1 - x)*(F5 + x*F6)))))), elementwise, with no BLAS call; the
-    samples and the escape bisection (_crossing) both read it.
+    x*(F4 + (1 - x)*(F5 + x*F6)))))), elementwise, with no BLAS call;
+    _interpolant evaluates one row the same way on Python floats.
     """
     n = (steps.shape[1] - 2) // 8
     seg = np.clip(np.searchsorted(steps[:, 0], grid) - 1, 0, len(steps) - 1)
@@ -650,16 +688,32 @@ def _dense(steps, grid):
     return y
 
 
+def _interpolant(row, t):
+    """The continuous extension of one step row (a list of floats) at t,
+    on Python floats in _dense's order of operations, so with _dense's
+    bits."""
+    n = (len(row) - 2) // 8
+    x = (t - row[0]) / row[1]
+    w = 1.0 - x
+    f = [row[2 + i * n:2 + (i + 1) * n] for i in range(8)]  # y_old, F0..F6
+    y = [v * x for v in f[7]]
+    for i in range(5, -1, -1):
+        weight = w if i % 2 else x
+        y = [(a + b) * weight for a, b in zip(y, f[1 + i])]
+    return [a + b for a, b in zip(y, f[0])]
+
+
 def _crossing(row, t_end):
-    """Bisect the continuous extension of a one-row step table on
-    [t_old, t_end] down to adjacent floats for where its max-norm
-    reaches ESCAPE_NORM; returns the upper end of the last bracket."""
-    lo, hi = float(row[0, 0]), t_end
+    """Bisect the continuous extension of one step row (a list of
+    floats) on [t_old, t_end] down to adjacent floats for where its
+    max-norm reaches ESCAPE_NORM; returns the upper end of the last
+    bracket.  A NaN component reads as below the norm."""
+    lo, hi = row[0], t_end
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return hi
-        if np.max(np.abs(_dense(row, np.array([mid])))) >= ESCAPE_NORM:
+        if _max_abs(_interpolant(row, mid)) >= ESCAPE_NORM:
             hi = mid
         else:
             lo = mid
@@ -671,14 +725,15 @@ def _chunk_source(n, body=None, m=0):
     chunk(fun, t, y, t_bound, rtol, atol, h_abs) steps from t, with state
     y, to t_bound.  It returns (status, t, y, rows, h_next) with
     _dop853's status; on an escape t is the end of the last step and y
-    is None.  rows holds one row (t, h, *y, *F0, ..., *F6) per accepted
-    step, packed as 2 + 8n doubles: y the step's start and F0..F6 its
-    continuous extension (scipy's Dop853DenseOutput), F0 = u - y for the
-    new state u, F1 = h*k1 - F0, F2 = 2*F0 - h*(k13 + k1) and F3..F6 h
-    times the _D combinations of k1..k16.  Only an accepted step runs
-    k13, which no error estimate reads, and the dense-output stages.
-    y_j and k1_j stay in locals from one step to the next, and k13
-    becomes the next step's k1.
+    is None.  rows holds one raw row (t, h, *y, *F0, *k1, *k6, ...,
+    *k13) per accepted step, packed as 2 + 11n doubles: y the step's
+    start, F0 = u - y for the new state u, and the derivatives that its
+    continuous extension reads besides its own stages (_RAW_STAGES).
+    The extension, stages 14..16 included, is left to the finishing
+    pass (_finish_source), which runs once over many chunks' rows.  Only
+    an accepted step runs k13, which no error estimate reads.  y_j and
+    k1_j stay in locals from one step to the next, and k13 becomes the
+    next step's k1.
 
     The chunk starts with the first derivative k1 and the finiteness
     check of y and k1 (status -1 at t with no row).  h_abs is the first
@@ -800,13 +855,10 @@ def _chunk_source(n, body=None, m=0):
         "d = (e5 + %r * (%s)) * %d" % (0.01, squares("r_"), n),
         "error = 0.0 if d == 0 else h * e5 / sqrt(d)"]
     accept = derivative("t + h", "u_", "k13_")
-    accept += stages(_DENSE_STAGES, 14)
     accept += ["f_%d = u_%d - y_%d" % (j, j, j) for j in comps]
-    dense = ["h * k1_%d - f_%d" % (j, j) for j in comps]
-    dense += ["2 * f_%d - h * (k13_%d + k1_%d)" % (j, j, j) for j in comps]
-    dense += ["h * (%s)" % combo(row, j) for row in _D for j in comps]
-    accept.append("append(pack(t, h, %s, %s, %s))" % (
-        names("y_"), names("f_"), ", ".join(dense)))
+    accept.append("append(pack(t, h, %s))" % ", ".join(
+        names(prefix) for prefix in ("y_", "f_") + tuple(
+            "k%d_" % stage for stage in _RAW_STAGES)))
     control = "%r * error ** %r" % (_SAFETY, _ERROR_EXPONENT)
     size = ("max(%s)" % ", ".join("abs(u_%d)" % j for j in comps)
             if n > 1 else "abs(u_0)")
@@ -867,44 +919,144 @@ def _chunk(n, body=None, m=0):
     """The compiled _chunk_source(n, body, m), once per size and body."""
     namespace = {"sqrt": math.sqrt, "isfinite": math.isfinite,
                  "nextafter": math.nextafter, "inf": math.inf,
-                 "pack": struct.Struct("%dd" % (2 + 8 * n)).pack}
+                 "pack": struct.Struct("%dd" % _raw_width(n)).pack}
     exec(compile(_chunk_source(n, body, m), "<dop853 chunk, n=%d>" % n,
                  "exec"), namespace)
     return namespace["chunk"]
+
+
+def _finish_source(n, body=None, m=0):
+    """Python source of the finishing pass over raw step rows on n
+    components.
+
+    finish(fun, raw) turns a table of the chunk's raw rows (_chunk_source)
+    into the step rows (t, h, *y, *F0, ..., *F6) that _dense reads, 2 +
+    8n doubles each: scipy's Dop853DenseOutput, with F1 = h*k1 - F0, F2
+    = 2*F0 - h*(k13 + k1) and F3..F6 h times the _D combinations of
+    k1..k16.  It runs the dense-output stages 14..16 over all s rows at
+    once: each quantity is an (n, s) block of numpy columns, one row per
+    component, and the four _D rows, which share their nonzero stages,
+    are summed as one (4, n, s) block.  Every sum keeps the association
+    of the chunk's expressions (stage i is y + (k1*A_i1 + ...)*h over
+    the nonzero weights, added from left to right), and elementwise
+    float64 +, - and * round each operation as Python floats do, so each
+    row holds the bits that finishing it alone on Python floats gives,
+    whatever the rows around it.
+
+    A stage's derivatives run body's kernel (_stepping_kernel) on the
+    columns, with fun holding the m coefficients, as the chunk inlines
+    it.  Without a body fun is called once per row and stage (_calls),
+    with the stage's time and its state as a list of floats: stage 14
+    on every row in row order, then stage 15, then stage 16.
+    """
+    kernel = None if body is None else _stepping_kernel(body, n, m)
+    raw = ("Y", "F0") + tuple("K%d" % stage for stage in _RAW_STAGES)
+    lines = ["def finish(fun, raw):"]
+    if kernel is not None:
+        lines.append("    %s, = fun" % ", ".join("c_%d" % j
+                                               for j in range(m)))
+    lines += [
+        "    cols = raw.T.copy()",
+        "    t, h = cols[0], cols[1]",
+        "    %s = cols[2:].reshape(%d, %d, len(t))" % (", ".join(raw),
+                                                     len(raw), n)]
+    for stage, (c, row) in enumerate(_DENSE_STAGES, start=14):
+        lines.append("    V = Y + (%s) * h" % " + ".join(
+            "K%d * %r" % term for term in _terms(row)))
+        if kernel is None:
+            lines.append("    K%d = calls(fun, t + %r * h, V)" % (stage, c))
+            continue
+        lines.append("    %s, = V" % ", ".join("v_%d" % j for j in range(n)))
+        lines += ["    " + line for line in kernel.format(
+            v="v_", k="k_", c="c_").splitlines()]
+        lines.append("    K%d = empty_like(Y)" % stage)
+        lines += ["    K%d[%d] = k_%d" % (stage, j, j) for j in range(n)]
+    stacked = [stage for stage, _ in _terms(_D[0])]
+    assert all([stage for stage, _ in _terms(row)] == stacked for row in _D)
+    lines += [
+        "    F1 = h * K1 - F0",
+        "    F2 = 2 * F0 - h * (K13 + K1)",
+        "    D = %s" % " + ".join("K%d * d%d" % (s, s) for s in stacked),
+        "    return concatenate((cols[:%d], F1, F2, (h * D).reshape(%d, "
+        "len(t)))).T.copy()" % (2 + 2 * n, 4 * n)]
+    return "\n".join(lines) + "\n"
+
+
+def _calls(fun, times, states):
+    """fun(t_r, [the floats of state r]) for each column r of an (n, s)
+    block of states and its time t_r, one call per column in order, as
+    an (n, s) block."""
+    out = [fun(t, v) for t, v in zip(times.tolist(), states.T.tolist())]
+    return np.array(out, dtype=float).reshape(-1, len(states)).T
+
+
+@lru_cache(maxsize=None)
+def _finisher(n, body=None, m=0):
+    """The compiled _finish_source(n, body, m), once per size and body,
+    with the columns of _D as (4, 1, 1) weights d1, d6, ..., d16."""
+    namespace = {"concatenate": np.concatenate, "empty_like": np.empty_like,
+                 "calls": _calls}
+    for s, _ in _terms(_D[0]):
+        namespace["d%d" % s] = np.array([row[s - 1] for row in _D])[
+            :, None, None]
+    exec(compile(_finish_source(n, body, m), "<dop853 finish, n=%d>" % n,
+                 "exec"), namespace)
+    return namespace["finish"]
+
+
+def _specialized(factory, fun, n):
+    """(factory's function for n components, its first argument).  For
+    fun = partial(body, coefficients), as flow_rhs and reduced_z_rhs give
+    it, the function runs body's kernel inlined and takes the
+    coefficients; for any other fun it calls fun, which it takes."""
+    if isinstance(fun, partial):
+        (c,) = fun.args
+        return factory(n, fun.func, len(c)), c
+    return factory(n), fun
+
+
+def _finish(fun, raw):
+    """The step rows of a raw step table of _dop853 for the right-hand
+    side fun, from one finishing pass over all its rows (_finish_source):
+    a (s, 2 + 8n) float array for _dense.  Its cost is almost all fixed,
+    about that of extending five steps one at a time on Python floats,
+    so callers finish many chunks at once."""
+    n = (raw.shape[1] - 2) // (2 + len(_RAW_STAGES))
+    finish, arg = _specialized(_finisher, fun, n)
+    with np.errstate(all="ignore"):
+        return finish(arg, raw)
 
 
 def _dop853(fun, t, y, t_bound, rtol, atol, h_abs=None):
     """Integrate y' = fun(t, y) from t to t_bound on Python floats.
 
     y is a list of floats, and h_abs the first step to try (None: the
-    initial-step rule).  Returns (status, t, y, steps, h_next): status 0
+    initial-step rule).  Returns (status, t, y, raw, h_next): status 0
     when t_bound was reached; 1 when an accepted step ended at max-norm
     ESCAPE_NORM or more, with t the crossing on that step's interpolant
-    and y the interpolant there (_crossing and _dense); -1 when
-    the step size fell below ten ulps of t (a non-finite start or
-    right-hand side ends here too), with t, y the last accepted point.
-    steps is the read-only step table, one row (t_old, h, *y_old, *F0,
-    ..., *F6) per accepted step ((0, 2 + 8n) when none was taken), for
-    _dense; h_next the step size for a next chunk (_chunk_source).
-    The whole chunk, first derivative and initial step included, runs
-    in one compiled function (_chunk).  When fun is partial(body,
-    coefficients), as flow_rhs and reduced_z_rhs give it, the chunk
-    runs body's kernel inlined, on the coefficients, and never calls
-    fun; any other fun is called with a list of floats.
+    and y the interpolant there (its row finished by _finish, then
+    _crossing and _interpolant); -1 when the step size fell below ten
+    ulps of t (a non-finite start or right-hand side ends here too),
+    with t, y the last accepted point.  raw is the read-only raw step
+    table, one row (t_old, h, *y_old, *F0, *k1, *k6, ..., *k13) per
+    accepted step ((0, 2 + 11n) when none was taken), which _finish
+    turns into _dense's step rows; h_next the step size for a next
+    chunk (_chunk_source).  The whole chunk, first derivative and
+    initial step included, runs in one compiled function (_chunk).
+    When fun is partial(body, coefficients), as flow_rhs and
+    reduced_z_rhs give it, the chunk and the finishing pass run body's
+    kernel inlined, on the coefficients, and never call fun; any other
+    fun is called with a list of floats.
     """
     n = len(y)
-    if isinstance(fun, partial):
-        (c,) = fun.args
-        chunk, fun = _chunk(n, fun.func, len(c)), c
-    else:
-        chunk = _chunk(n)
-    status, t, y, rows, h_abs = chunk(fun, t, y, t_bound, rtol, atol, h_abs)
-    steps = np.frombuffer(b"".join(rows)).reshape(-1, 2 + 8 * n)
+    chunk, arg = _specialized(_chunk, fun, n)
+    status, t, y, rows, h_abs = chunk(arg, t, y, t_bound, rtol, atol, h_abs)
+    raw = np.frombuffer(b"".join(rows)).reshape(-1, _raw_width(n))
     if status == 1:
-        row = steps[-1:]
+        row = _finish(fun, raw[-1:])[0].tolist()
         t = _crossing(row, t)
-        y = _dense(row, np.array([t]))[0].tolist()
-    return status, t, y, steps, h_abs
+        y = _interpolant(row, t)
+    return status, t, y, raw, h_abs
 
 
 def integrate(spec):
@@ -964,7 +1116,7 @@ def integrate(spec):
 
     candidates = _limit_candidates(params)
     targets = [target.tolist() for _, _, target in candidates]
-    pending = []  # (grid, steps, projected end) per chunk
+    pending = []  # (grid, raw steps, projected end) per chunk
 
     def rows_of(block):
         """A block of solver states as full rows (X rebuilt from Z in
@@ -978,13 +1130,13 @@ def integrate(spec):
 
     def sample():
         """The sample table so far as one (etas, rows) block, after adding
-        the pending chunks' samples from one dense-output pass over all
-        their steps; a chunk's last sample is its projected end state
-        when it has one."""
+        the pending chunks' samples from one finishing pass and one
+        dense-output pass over all their steps; a chunk's last sample is
+        its projected end state when it has one."""
         if pending:
-            grids, steps, ends = zip(*pending)
+            grids, raws, ends = zip(*pending)
             grid = np.concatenate(grids)
-            block = _dense(np.concatenate(steps), grid)
+            block = _dense(_finish(rhs, np.concatenate(raws)), grid)
             for i, end in zip(np.cumsum([g.size for g in grids]) - 1, ends):
                 if end is not None:
                     block[i] = end
@@ -1003,7 +1155,7 @@ def integrate(spec):
     h_abs = None  # the first chunk takes the initial-step rule
     while eta < spec.eta_max - HORIZON_SLACK:
         top = min(eta + CHUNK_LENGTH, spec.eta_max)
-        status, reached, end, steps, h_abs = _dop853(
+        status, reached, end, raw, h_abs = _dop853(
             rhs, eta, state.tolist(), top, spec.rel_tol, spec.abs_tol, h_abs)
         if status == 0:
             state, drift = _project(con, end, locked)
@@ -1015,7 +1167,7 @@ def integrate(spec):
             grid = grid[grid <= reached]
             if grid.size == 0 or grid[-1] < reached:
                 grid = np.append(grid, reached)
-            pending.append((grid, steps, state if status == 0 else None))
+            pending.append((grid, raw, state if status == 0 else None))
         if status == 1:
             events.append((reached, "escaped"))
             break

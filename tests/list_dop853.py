@@ -2,15 +2,17 @@
 
 shooting._dop853 runs a whole chunk, its start included, as one
 generated function of straight-line per-component expressions, and
-returns its steps as a packed array.  This is the same contract written
-as plain functions on lists: each stage, the new state, the two scaled
-error estimates and the continuous extension as comprehensions over the
-components, every weighted sum added from left to right over the
-nonzero weights, and the initial step, the dense output and the escape
-bisection as plain functions on tuple rows.  It shares only the tableau
-with the stepper it checks.  Both forms must give the same status, end
-point, step rows, next step size and right-hand side calls, bit for
-bit.
+returns its steps as a packed array of raw rows; shooting._finish runs
+the continuous extension of many raw rows at once on numpy columns.
+This is the same contract written as plain functions on lists: each
+stage, the new state, the two scaled error estimates and the continuous
+extension as comprehensions over the components, every weighted sum
+added from left to right over the nonzero weights, and the initial
+step, the finishing pass, the dense output and the escape bisection as
+plain functions on tuple rows.  It shares only the tableau with the
+stepper it checks.  Both forms must give the same status, end point,
+raw rows, next step size and right-hand side calls of a chunk, and the
+same finished rows and calls of a finishing pass, bit for bit.
 """
 
 import math
@@ -18,6 +20,9 @@ import math
 from spin7flow.shooting import (_B, _D, _DENSE_STAGES, _E3, _E5,
                                 _ERROR_EXPONENT, _MAX_FACTOR, _MIN_FACTOR,
                                 _SAFETY, _STAGES, ESCAPE_NORM)
+
+# the derivatives a raw row carries, k1 and k6..k13
+RAW_STAGES = (1, 6, 7, 8, 9, 10, 11, 12, 13)
 
 
 def _rms(values):
@@ -76,13 +81,37 @@ def _error(k, h, y, y_new, rtol, atol):
     return 0.0 if d == 0 else h * e5 / math.sqrt(d)
 
 
-def _row(t, h, y, y_new, k):
-    """(t, h, *y, *F0, ..., *F6): the step's continuous extension."""
+def _raw_row(t, h, y, y_new, k):
+    """(t, h, *y, *F0, *k1, *k6, ..., *k13): what the continuous
+    extension reads of the step."""
     f0 = [u - v for u, v in zip(y_new, y)]
-    f1 = [h * a - d for a, d in zip(k[0], f0)]
-    f2 = [2 * d - h * (b + a) for d, a, b in zip(f0, k[0], k[12])]
-    rest = [h * _weighted(k, row, j) for row in _D for j in range(len(y))]
-    return (t, h, *y, *f0, *f1, *f2, *rest)
+    return (t, h, *y, *f0, *(v for s in RAW_STAGES for v in k[s - 1]))
+
+
+def finish(fun, rows):
+    """The finished rows (t, h, *y, *F0, ..., *F6) of raw rows: the
+    stages 14..16, stage 14 on every row first, then 15, then 16, and
+    the continuous extension of each row."""
+    n = (len(rows[0]) - 2) // 11 if rows else 0
+    ks = []
+    for row in rows:
+        k = [None] * 13
+        for i, s in enumerate(RAW_STAGES):
+            k[s - 1] = list(row[2 + (2 + i) * n:2 + (3 + i) * n])
+        ks.append(k)
+    for c, a_row in _DENSE_STAGES:
+        for row, k in zip(rows, ks):
+            t, h, y = row[0], row[1], row[2:2 + n]
+            k.append(fun(t + c * h, [v + _weighted(k, a_row, j) * h
+                                     for j, v in enumerate(y)]))
+    out = []
+    for row, k in zip(rows, ks):
+        h, f0 = row[1], row[2 + n:2 + 2 * n]
+        f1 = [h * a - d for a, d in zip(k[0], f0)]
+        f2 = [2 * d - h * (b + a) for d, a, b in zip(f0, k[0], k[12])]
+        rest = [h * _weighted(k, d_row, j) for d_row in _D for j in range(n)]
+        out.append((*row[:2 + 2 * n], *f1, *f2, *rest))
+    return out
 
 
 def interpolant(row, t):
@@ -113,7 +142,8 @@ def _crossing(row, t_end):
 
 
 def dop853(fun, t, y, t_bound, rtol, atol, h_abs=None):
-    """shooting._dop853's contract, one list comprehension per stage."""
+    """shooting._dop853's contract, one list comprehension per stage:
+    raw rows, and an escaping step's row finished for its crossing."""
     steps = []
     f = fun(t, y)
     if not all(map(math.isfinite, [*y, *f])):
@@ -146,10 +176,10 @@ def dop853(fun, t, y, t_bound, rtol, atol, h_abs=None):
         if not clipped:
             h_next = h_abs
         k.append(fun(t + h, y_new))
-        _run_stages(fun, t, y, h, k, _DENSE_STAGES)
-        steps.append(_row(t, h, y, y_new, k))
+        steps.append(_raw_row(t, h, y, y_new, k))
         if max(map(abs, y_new)) >= ESCAPE_NORM:
-            t_cross = _crossing(steps[-1], t_new)
-            return 1, t_cross, interpolant(steps[-1], t_cross), steps, h_next
+            row = finish(fun, steps[-1:])[0]
+            t_cross = _crossing(row, t_new)
+            return 1, t_cross, interpolant(row, t_cross), steps, h_next
         t, y, f = t_new, y_new, k[12]
     return 0, t, y, steps, h_next

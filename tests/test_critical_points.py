@@ -146,9 +146,8 @@ def grid_roots(params):
     z = z[converged]
     roots = []
     while len(z):
-        z123 = tuple(z[0].tolist())
-        roots.append(_try_exact_einstein(params, z123)
-                     or _polish(params, z123))
+        polished = _polish(params, tuple(z[0].tolist()))
+        roots.append(_try_exact_einstein(params, polished[:3]) or polished)
         z = z[np.abs(z - z[0]).max(axis=1) >= 1e-6]
     return sorted(roots, key=lambda v: -v[0])
 
@@ -161,6 +160,41 @@ def test_grid_search_finds_exactly_the_seeded_roots(kl):
     # root that Newton from them misses.
     p = AWParams(*kl)
     assert grid_roots(p) == [z for z, _ in solve_homogeneous_einstein(p)]
+
+
+def test_exact_check_runs_only_at_the_exact_roots(monkeypatch):
+    """Each start is polished before its exact check, and the exact
+    residual runs on a start's rationalized candidate only when the
+    candidate's floats are the polished root: on the coprime orbits
+    60 >= k >= l >= 1 and (1, 0), at the four exact AC points of (1, 1),
+    (11, 2) and (38, 17) alone, each of which it verifies."""
+    checked, active = [], []
+    residual, attempt = (critical_points._exact_einstein_residual,
+                         critical_points._try_exact_einstein)
+
+    def counted(params, z):
+        if active:
+            active[-1].append(z)
+        return residual(params, z)
+
+    def tried(params, z123):
+        checked.append([(params.k, params.l)])
+        active.append(checked[-1])
+        try:
+            return attempt(params, z123)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(critical_points, "_exact_einstein_residual", counted)
+    monkeypatch.setattr(critical_points, "_try_exact_einstein", tried)
+    orbits = [(1, 0)] + [(k, l) for k in range(1, 61)
+                         for l in range(1, k + 1) if math.gcd(k, l) == 1]
+    exact = [(kl, z) for kl in orbits
+             for z, flag in solve_homogeneous_einstein(kl) if flag]
+    assert len(checked) == 2 * len(orbits) == 2206
+    assert [(kl, z[:3]) for kl, z in exact] == [
+        tuple(start) for start in checked if len(start) > 1]
+    assert [kl for kl, _ in exact] == [(1, 1), (1, 1), (11, 2), (38, 17)]
 
 
 def test_newton_takes_at_most_six_steps_per_seed(monkeypatch):
@@ -372,7 +406,7 @@ def test_exact_einstein_residual_is_the_fraction_one(kl, z):
 
 @pytest.mark.parametrize("kl", FAR_ORBITS + [(3, 2), (13, 5), (59, 23)])
 def test_exact_einstein_residual_at_the_solver_points(kl):
-    # The rationalized Newton roots that _try_exact_einstein checks, and
+    # The rationalized polished roots that _try_exact_einstein checks, and
     # the exact AC points it finds, where the residual vanishes.
     p = AWParams(*kl)
     for z, exact in solve_homogeneous_einstein(p):

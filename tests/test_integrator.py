@@ -95,15 +95,30 @@ _escape_event.direction = -1.0
 
 
 def _dop853_calls(sol):
-    """The right-hand side calls of a chunk that takes scipy DOP853's
-    steps.  scipy counts the start, the initial-step trial, 12 calls per
-    attempt and the 3 dense-output stages per accepted step; the chunk
-    makes one call less per rejected attempt, whose derivative at the
-    new state enters no error estimate."""
+    """The right-hand side calls of a chunk and its finishing pass that
+    take scipy DOP853's steps.  scipy counts the start, the initial-step
+    trial, 12 calls per attempt and the 3 dense-output stages per
+    accepted step; the chunk makes one call less per rejected attempt,
+    whose derivative at the new state enters no error estimate."""
     accepted = sol.t.size - 1
     attempts, rest = divmod(sol.nfev - 2 - 3 * accepted, 12)
     assert rest == 0 and attempts >= accepted
     return sol.nfev - (attempts - accepted)
+
+
+def _finished(fun, calls, chunk):
+    """The finished step table of a _dop853 chunk made by the counted
+    fun, after checking that the finishing pass made 3 calls per step.
+    The calls that scipy makes for the chunk are then the chunk's and
+    the finishing pass's, less the 3 of an escaping step's row, which
+    the chunk finishes alone for its crossing."""
+    status, raw = chunk[0], chunk[3]
+    made = len(calls)
+    steps = shooting._finish(fun, raw)
+    assert len(calls) - made == 3 * len(raw)
+    if status == 1:
+        del calls[made - 3:made]
+    return steps
 
 
 @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
@@ -113,8 +128,9 @@ def test_dopri5_chunk_matches_scipy_rk45(case):
     y0 = _chunk_start(spec, eta0)
     top = eta0 + shooting.CHUNK_LENGTH
     ours, our_calls = _counted(_rhs(spec))
-    status, reached, end, steps, _ = shooting._dop853(ours, eta0, list(y0),
-                                                      top, RTOL, ATOL)
+    chunk = shooting._dop853(ours, eta0, list(y0), top, RTOL, ATOL)
+    status, reached, end, _, _ = chunk
+    steps = _finished(ours, our_calls, chunk)
     sol = solve_ivp(_rhs(spec), (eta0, top), np.array(y0), method="DOP853",
                     rtol=RTOL, atol=ATOL, dense_output=True,
                     events=[_escape_event])
@@ -180,8 +196,9 @@ def test_dopri5_matches_scipy_rk45_step_control(fun, y0, rtol, atol):
     its size (1.8e-11 under OpenBLAS's Haswell kernel).  Under a kernel
     without FMA (Prescott, Sandybridge) the two agree bit for bit."""
     ours, calls = _counted(fun)
-    status, reached, end, steps, _ = shooting._dop853(ours, 0.0, list(y0),
-                                                      20.0, rtol, atol)
+    chunk = shooting._dop853(ours, 0.0, list(y0), 20.0, rtol, atol)
+    status, reached, end, _, _ = chunk
+    steps = _finished(ours, calls, chunk)
     sol = solve_ivp(fun, (0.0, 20.0), np.array(y0), method="DOP853",
                     rtol=rtol, atol=atol, dense_output=True)
     assert (status, reached) == (sol.status, sol.t[-1]) == (0, 20.0)
@@ -217,7 +234,8 @@ def test_dopri5_nonfinite_start_fails_at_once():
         lambda t, y: (math.nan,) * 4, 0.0, [0.1, 0.2, 0.3, 0.4], 5.0,
         RTOL, ATOL)
     assert (status, reached) == (-1, 0.0)
-    assert steps.shape == (0, 2 + 8 * 4)
+    assert steps.shape == (0, 2 + 11 * 4)
+    assert shooting._finish(_decay, steps).shape == (0, 2 + 8 * 4)
 
 
 def _relax(t, y):
@@ -266,24 +284,36 @@ def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
 
-def _same_table(steps, rows, n):
-    """The step table is one read-only (steps, 2 + 8n) float array that
-    holds the oracle's tuple rows, bit for bit."""
-    assert steps.dtype == np.float64 and not steps.flags.writeable
-    assert steps.shape == (len(rows), 2 + 8 * n)
+def _same_table(steps, rows, width):
+    """The step table is one (steps, width) float array that holds the
+    oracle's tuple rows, bit for bit."""
+    assert steps.dtype == np.float64
+    assert steps.shape == (len(rows), width)
     assert steps.tobytes() == b"".join(_bits(row) for row in rows)
 
 
-def _same_chunk(got, want, n):
-    """_dop853's result equals the list form's, bit for bit: status,
-    end point, step table and next step size.  An escape's end state is
+def _oracle(fun, *args):
+    """The list form's chunk result with the list form's finished rows
+    of its raw rows appended, the chunk's calls made first."""
+    want = list_dop853.dop853(fun, *args)
+    return want + (list_dop853.finish(fun, want[3]),)
+
+
+def _same_chunk(got, want, n, fun):
+    """_dop853's result equals the list form's (_oracle), bit for bit:
+    status, end point, read-only raw step table (2 + 11n doubles a row)
+    and next step size; finishing the raw table with fun gives the list
+    form's finished rows (2 + 8n doubles).  An escape's end state is
     also the one _dense gives at the crossing."""
-    status, reached, end, steps, h_next = got
+    status, reached, end, raw, h_next = got
     assert status == want[0]
     assert _bits([reached]) == _bits([want[1]])
     assert _bits(end) == _bits(want[2])
-    _same_table(steps, want[3], n)
+    assert not raw.flags.writeable
+    _same_table(raw, want[3], 2 + 11 * n)
     assert _bits([h_next]) == _bits([want[4]])
+    steps = shooting._finish(fun, raw)
+    _same_table(steps, want[5], 2 + 8 * n)
     if status == 1:
         assert _bits(shooting._dense(steps, np.array([reached]))) == \
             _bits(end)
@@ -293,16 +323,20 @@ def _same_chunk(got, want, n):
                          ids=["coarse", "fine"])
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_dopri5_matches_list_form_bit_for_bit(case, tol):
-    """Status, end point, every step row, the next step size and every
-    right-hand side call equal the list-form stepper's, bit for bit, for
-    n = 1, 2, 4 and 8."""
+    """Status, end point, every raw and finished step row, the next step
+    size and every right-hand side call equal the list-form stepper's,
+    bit for bit, for n = 1, 2, 4 and 8: the chunk's calls, then the
+    finishing pass's, stage 14 on every row first, then 15, then 16."""
     fun, oracle_fun, y0, t0, t_bound = ORACLE_CASES[case]()
     ours, our_calls = _counted(fun)
     ref, ref_calls = _counted(oracle_fun)
     got = shooting._dop853(ours, t0, list(y0), t_bound, *tol)
-    want = list_dop853.dop853(ref, t0, list(y0), t_bound, *tol)
-    _same_chunk(got, want, len(y0))
-    assert _bits(our_calls) == _bits(ref_calls)
+    want = _oracle(ref, t0, list(y0), t_bound, *tol)
+    chunk_calls = len(our_calls)
+    assert _bits(our_calls) == _bits(ref_calls[:chunk_calls])
+    _same_chunk(got, want, len(y0), ours)
+    assert len(our_calls) - chunk_calls == 3 * len(got[3])
+    assert _bits(our_calls[chunk_calls:]) == _bits(ref_calls[chunk_calls:])
     assert got[0] == {"n=1 blow-up": 1, "n=4 escape": 1,
                       "n=4 non-finite": -1}.get(case, 0)
 
@@ -341,23 +375,25 @@ KERNEL_CHUNKS = {
     for eta0 in KERNEL_CHUNKS[case][1]])
 def test_traced_kernel_steps_match_list_form_bit_for_bit(case, eta0, tol,
                                                         monkeypatch):
-    """The stages run the kernel of the right-hand side's body, with the
-    orbit's coefficients as inputs, inlined: status, end point and every
-    step row equal the list-form stepper's calling the public closure,
-    bit for bit."""
+    """The stages and the dense-output stages run the kernel of the
+    right-hand side's body, with the orbit's coefficients as inputs,
+    inlined: status, end point and every raw and finished step row
+    equal the list-form stepper's calling the public closure, bit for
+    bit."""
     spec = KERNEL_CHUNKS[case][0]
     rhs = _rhs(spec)
     y0 = _chunk_start(spec, eta0)
     t_bound = eta0 + shooting.CHUNK_LENGTH
-    want = list_dop853.dop853(rhs, eta0, list(y0), t_bound, *tol)
+    want = _oracle(rhs, eta0, list(y0), t_bound, *tol)
 
     def never(self, eta, values):
         raise AssertionError("the chunk called the right-hand side")
 
-    # the chunk start runs the kernel too: the closure is never called
+    # the chunk start and the finishing pass run the kernel too: the
+    # closure is never called
     monkeypatch.setattr(type(rhs), "__call__", never)
     got = shooting._dop853(rhs, eta0, list(y0), t_bound, *tol)
-    _same_chunk(got, want, len(y0))
+    _same_chunk(got, want, len(y0), rhs)
     assert got[0] == (1 if case == "(1,1) escape" else 0)
 
 
@@ -366,25 +402,24 @@ def test_traced_kernel_steps_match_list_form_bit_for_bit(case, eta0, tol,
                                   "(13,5) spin-", "ricci"])
 def test_carried_step_matches_list_form_bit_for_bit(case, path):
     """A chunk that starts from the step its predecessor proposed, on
-    the inlined kernel and on the call path: status, end point, step
-    rows, next step size and calls equal the list form's, bit for
-    bit."""
+    the inlined kernel and on the call path: status, end point, raw and
+    finished step rows, next step size and calls equal the list form's,
+    bit for bit."""
     spec = KERNEL_CHUNKS[case][0]
     rhs = _rhs(spec)
     y0 = _chunk_start(spec, 0.0)
     t0, t1 = 0.0, shooting.CHUNK_LENGTH
     t2 = t1 + shooting.CHUNK_LENGTH
     first = shooting._dop853(rhs, t0, list(y0), t1, RTOL, ATOL)
-    _same_chunk(first, list_dop853.dop853(rhs, t0, list(y0), t1, RTOL, ATOL),
-                len(y0))
+    _same_chunk(first, _oracle(rhs, t0, list(y0), t1, RTOL, ATOL),
+                len(y0), rhs)
     assert first[0] == 0 and first[4] != first[3][-1, 1]
     ours, our_calls = _counted(rhs)
     ref, ref_calls = _counted(rhs)
-    got = shooting._dop853(rhs if path == "kernel" else ours, t1,
-                           list(first[2]), t2, RTOL, ATOL, first[4])
-    want = list_dop853.dop853(ref, t1, list(first[2]), t2, RTOL, ATOL,
-                              first[4])
-    _same_chunk(got, want, len(y0))
+    fun = rhs if path == "kernel" else ours
+    got = shooting._dop853(fun, t1, list(first[2]), t2, RTOL, ATOL, first[4])
+    want = _oracle(ref, t1, list(first[2]), t2, RTOL, ATOL, first[4])
+    _same_chunk(got, want, len(y0), fun)
     if path == "call":
         assert _bits(our_calls) == _bits(ref_calls)
 
@@ -393,10 +428,11 @@ def test_later_chunks_skip_the_initial_step_rule(monkeypatch):
     """On the call path, a run's first chunk makes the initial-step
     trial call and every later chunk starts from the step size its
     predecessor proposed.  A chunk with s accepted steps and r rejected
-    attempts calls the right-hand side 1 + 15s + 11r times (the start;
-    eleven stages per attempt; the derivative at the new state and three
-    dense-output stages per accepted step), plus the trial on the first
-    chunk only.  The run gives the kernel path's bits."""
+    attempts calls the right-hand side 1 + 12s + 11r times (the start;
+    eleven stages per attempt; the derivative at the new state per
+    accepted step), plus the trial on the first chunk only; the
+    finishing passes call it for the three dense-output stages of every
+    accepted step.  The run gives the kernel path's bits."""
     spec = ShootSpec(P32, "k+l", "spin+", (0.6, 0.8))
     inlined = integrate(spec)
     calls, chunks = [], []
@@ -427,8 +463,10 @@ def test_later_chunks_skip_the_initial_step_rule(monkeypatch):
         assert _bits([given]) == _bits([proposed])
     for i, (_, made, accepted, _) in enumerate(chunks):
         trial = 1 if i == 0 else 0
-        rejected, rest = divmod(made - 1 - trial - 15 * accepted, 11)
+        rejected, rest = divmod(made - 1 - trial - 12 * accepted, 11)
         assert (rest, rejected >= 0) == (0, True), i
+    assert len(calls) - sum(made for _, made, _, _ in chunks) == \
+        3 * sum(accepted for _, _, accepted, _ in chunks)
     for name in ("etas", "states", "residual_log"):
         assert _bits(getattr(traj, name)) == _bits(getattr(inlined, name))
     assert (traj.events, traj.outcome) == (inlined.events, inlined.outcome)
@@ -436,16 +474,20 @@ def test_later_chunks_skip_the_initial_step_rule(monkeypatch):
 
 def test_kernel_chunk_never_calls_fun():
     """With a body the chunk start (first derivative and initial-step
-    trial) and every stage run inlined: the source has no call of fun,
-    which the call path writes 17 times: the first derivative, the
-    trial, eleven stages, the derivative at the new state and three
-    dense-output stages."""
+    trial), every stage and the dense-output stages of the finishing
+    pass run inlined: the sources have no call of fun.  The chunk's
+    call path writes 14: the first derivative, the trial, eleven stages
+    and the derivative at the new state; the finishing pass's writes 3,
+    one per dense-output stage."""
     for rhs, n in ((reduced_z_rhs(P32, Chirality.PLUS), 4),
                    (reduced_z_rhs(P11, Chirality.MINUS), 4),
                    (flow_rhs(P32), 8)):
-        source = shooting._chunk_source(n, rhs.func, len(rhs.args[0]))
-        assert "fun(" not in source
-        assert shooting._chunk_source(n).count("fun(") == 17
+        body, m = rhs.func, len(rhs.args[0])
+        for source in (shooting._chunk_source(n, body, m),
+                       shooting._finish_source(n, body, m)):
+            assert "fun(" not in source and "calls(" not in source
+        assert shooting._chunk_source(n).count("fun(") == 14
+        assert shooting._finish_source(n).count("calls(fun, ") == 3
 
 
 def _compiled(rhs, n):
@@ -494,16 +536,109 @@ def test_traced_kernel_gives_on_floats_bits(kl, which, y):
 
 def test_chunk_is_compiled_once_per_body():
     """Runs on four orbits in both chiralities and a Ricci-flat run
-    compile two chunks in all: one for the reduced body, one for the
-    flow's."""
+    compile two chunks and two finishing passes in all: one of each for
+    the reduced body, one for the flow's."""
     shooting._chunk.cache_clear()
+    shooting._finisher.cache_clear()
     for kl in ((3, 2), (1, 1), (13, 5), (1, 0)):
         for bundle_tag, mode in (("k+l", "spin+"), ("k", "spin-")):
             integrate(ShootSpec(AWParams(*kl), bundle_tag, mode, (0.6, 0.8),
                                 eta_max=10.0))
     integrate(ShootSpec(P32, "k+l", "ricci", (0.6, 0.8, 0.0), eta_max=10.0))
-    info = shooting._chunk.cache_info()
-    assert (info.currsize, info.misses) == (2, 2)
+    for compiled in (shooting._chunk, shooting._finisher):
+        info = compiled.cache_info()
+        assert (info.currsize, info.misses) == (2, 2)
+
+
+def _run_chunks(fun, spec, count):
+    """The raw tables of count consecutive chunks of a run, each from
+    the state and step size its predecessor left."""
+    y, h_abs, raws = _chunk_start(spec, 0.0), None, []
+    for j in range(count):
+        t0 = j * shooting.CHUNK_LENGTH
+        status, _, y, raw, h_abs = shooting._dop853(
+            fun, t0, y, t0 + shooting.CHUNK_LENGTH, RTOL, ATOL, h_abs)
+        assert status == 0
+        raws.append(raw)
+    return raws
+
+
+FINISH_TABLES = {
+    name: np.concatenate(_run_chunks(_rhs(spec), spec, 2))
+    for name, spec in (("spin+", CHUNK_CASES["spin+ start"][0]),
+                       ("ricci", CHUNK_CASES["ricci start"][0]))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(FINISH_TABLES)),
+       path=st.sampled_from(["kernel", "call"]),
+       cuts=st.lists(st.integers(0, 60), max_size=4))
+@example(name="spin+", path="kernel", cuts=[0])
+@example(name="ricci", path="call", cuts=[1, 1, 7])
+def test_finishing_a_table_equals_finishing_its_parts(name, path, cuts):
+    """Finishing the concatenation of a run's raw chunk tables gives,
+    bit for bit, the rows of finishing its parts alone, for any split
+    points (empty parts included), on the inlined kernel and on the
+    call path."""
+    raw = FINISH_TABLES[name]
+    rhs = _rhs(CHUNK_CASES["%s start" % name][0])
+    fun = rhs if path == "kernel" else (lambda t, y: rhs(t, y))
+    edges = [0] + sorted(min(c, len(raw)) for c in cuts) + [len(raw)]
+    parts = [shooting._finish(fun, raw[a:b])
+             for a, b in zip(edges, edges[1:])]
+    whole = shooting._finish(fun, raw)
+    assert whole.shape == (len(raw), 2 + 8 * (raw.shape[1] - 2) // 11)
+    assert _bits(np.concatenate(parts)) == _bits(whole)
+
+
+def test_call_path_evaluates_sixteen_derivatives_per_accepted_step():
+    """On the call path a chunk and its finishing pass evaluate each
+    accepted step's 16 derivatives, k1..k16 at t + c*h for the tableau's
+    time fractions c (0 for k1, 1 for k13): k1 is the chunk's first call
+    or the step before's k13, so each step adds 15 calls; every other
+    call is the start, the initial-step trial or one of the 11 stages of
+    a rejected attempt."""
+    fractions = ([0.0] + [c for c, _ in shooting._STAGES] + [1.0]
+                 + [c for c, _ in shooting._DENSE_STAGES])
+    assert len(fractions) == 16
+    for fun, y0, t_bound, rtol, atol in (
+            (_van_der_pol, [2.0, 0.0], 20.0, 1e-6, 1e-9),
+            (_blow_up, [1.0], 2.0, RTOL, ATOL)):
+        ours, calls = _counted(fun)
+        status, _, _, raw, _ = shooting._dop853(ours, 0.0, y0, t_bound,
+                                                rtol, atol)
+        made = len(calls)
+        shooting._finish(ours, raw)
+        assert len(calls) - made == 3 * len(raw) > 0
+        left = list(calls)
+        if status == 1:  # the escaping row, finished for its crossing
+            del left[made - 3:made]
+        assert left[0] == raw[0, 0]  # the first step's k1
+        for t, h in raw[:, :2].tolist():
+            for c in fractions[1:]:
+                left.remove(t + c * h)
+        rejected, rest = divmod(len(left) - 2, 11)
+        assert rest == 0 and rejected >= 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=st.floats(0.0, 1.0), scale=st.floats(1e-3, 1e3),
+       nan=st.sampled_from([None, 0, 3]))
+def test_interpolant_gives_dense_bits(x, scale, nan):
+    """The scalar interpolant that the crossing bisects gives the bits
+    of _dense on one finished row, NaN components included, and the
+    bisection reads a NaN as below the escape norm."""
+    raw = FINISH_TABLES["spin+"][3:4].copy()
+    steps = shooting._finish(_rhs(CHUNK_CASES["spin+ start"][0]), raw)
+    steps[:, 2:] *= scale
+    if nan is not None:
+        steps[0, 2 + 4 * 7 + nan] = math.nan
+    t = steps[0, 0] + x * steps[0, 1]
+    row = steps[0].tolist()
+    assert _bits(shooting._interpolant(row, t)) == \
+        _bits(shooting._dense(steps, np.array([t]))[0])
+    if nan is not None:
+        assert shooting._crossing(row, row[0] + row[1]) == row[0] + row[1]
 
 
 def test_rms_adds_left_to_right():
@@ -554,7 +689,7 @@ def test_integrate_failing_at_its_start_raises_integration_error(
     IntegrationError naming the failure and its eta, while classify
     still refuses such a table passed in as an invalid request."""
     def stuck(fun, t, y, t_bound, rtol, atol, h_abs=None):
-        return -1, t, y, np.zeros((0, 2 + 8 * len(y))), h_abs
+        return -1, t, y, np.zeros((0, 2 + 11 * len(y))), h_abs
 
     monkeypatch.setattr(shooting, "_dop853", stuck)
     with pytest.raises(IntegrationError, match=(
@@ -719,6 +854,40 @@ def test_decision_is_none_where_may_decide_is_false(exact, runs):
     assert shooting._may_decide(states[-1].tolist(), targets) == any(
         np.max(np.abs(states[-1] - target)) <= R
         for _, _, target in candidates)
+
+
+def _full_scan(states, target):
+    outside = np.flatnonzero(~(np.abs(states - target).max(axis=1) <= R))
+    return int(outside[-1]) if outside.size else -1
+
+
+# an inside row, rows just inside and just outside the ball, far off, NaN
+SCAN_ROWS = (np.zeros(8), np.full(8, R), _row(np.zeros(8), 3, -R),
+             _row(np.zeros(8), 6, math.nextafter(R, 1.0)), np.ones(8),
+             _row(np.zeros(8), 1, math.nan), np.full(8, math.nan))
+
+
+@settings(max_examples=150, deadline=None)
+@given(runs=st.lists(st.tuples(st.integers(0, len(SCAN_ROWS) - 1),
+                               st.integers(1, 700)), min_size=1, max_size=5))
+@example(runs=[(0, 3000)])
+@example(runs=[(4, 1), (0, 101)])
+@example(runs=[(4, 1), (0, 102)])
+@example(runs=[(6, 1), (1, 2600)])
+@example(runs=[(5, 1), (2, 303), (0, 101)])
+def test_last_outside_matches_a_full_scan(runs):
+    """The backward scan in doubling windows finds the last row outside
+    the ball that a scan of the whole table finds, with NaN rows
+    counted as outside, or -1 when every row is inside; so does
+    _decision's window start."""
+    states = np.array([SCAN_ROWS[i] for i, count in runs
+                       for _ in range(count)])
+    want = _full_scan(states, np.zeros(8))
+    assert shooting._last_outside(states, np.zeros(8)) == want
+    etas = np.arange(len(states)) * 0.05
+    decided = shooting._decision(etas, states, (("ALC", "T0", np.zeros(8)),))
+    if decided is not None:
+        assert decided.eta_at_decision == etas[want + 1]
 
 
 def test_limit_candidates_are_built_once_per_orbit():
