@@ -91,7 +91,7 @@ def _rational(text):
     """argparse type for flags that accept p/q, integers, or decimals."""
     try:
         return parse_rational(text)
-    except (Spin7FlowError, ValueError, ZeroDivisionError) as exc:
+    except (Spin7FlowError, ValueError) as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 

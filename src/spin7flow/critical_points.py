@@ -25,8 +25,9 @@ the tangency flags typed into them: the flags are the same on every
 orbit, and the tests prove each one for all (k, l) at once, on
 symbols.  The AC pair
 comes from scalar Newton started at each point of the (1, 1) pair
-(``SEEDS``), with residual and Jacobian from a float kernel traced once
-per process from a pass of duals, and a last step with the residual
+(``SEEDS``), with residual and Jacobian from the float kernel of the
+polynomial ``phase_system._einstein_body`` in (Z, W = Z4^2), its W
+column composed in by the chain rule, and a last step with the residual
 exact, on integers.
 
 ``_BUNDLE_CONES``, the one bundle table, gives each circle bundle's cone

@@ -13,6 +13,8 @@ import operator
 from fractions import Fraction
 from math import isqrt
 
+from .errors import InvalidRequestError
+
 __all__ = [
     "parse_rational",
     "exact_sqrt",
@@ -23,15 +25,18 @@ __all__ = [
 
 
 def parse_rational(text):
-    """Parse ``p/q``, integer, or decimal strings into a Fraction."""
+    """Parse ``p/q``, integer, or decimal strings into a Fraction; a zero
+    q raises InvalidRequestError naming the text."""
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
         return Fraction(text)
     s = str(text).strip()
     if "/" in s:
-        num, den = s.split("/", 1)
-        return Fraction(int(num.strip()), int(den.strip()))
+        num, den = (int(part.strip()) for part in s.split("/", 1))
+        if not den:
+            raise InvalidRequestError(f"zero denominator in {s!r}")
+        return Fraction(num, den)
     return Fraction(s)
 
 

@@ -21,14 +21,16 @@ Jacobian and gradient from the polynomial it differentiates.  So are
 the orbit's coefficients (``_scaled_coefficients``, on (k, l) or
 symbols), the cone points' Z4 (``_cone_z4``) and the (1, 1) boundary
 faces (``_line_face``, ``_curve_face``) that shooting locks and
-membership checks.  Kernels come from the same helpers: ``_trace``
-runs a body body(coefficients, point) on recording scalars and writes
-it out as source, once per process, with the orbit's coefficients
-among its inputs.  The stepper inlines the kernels of the right-hand
-sides' bodies into its stages.  ``jacobian``, ``constraint_gradients``
-and ``first_order_jacobians`` run the kernel traced from their
-``derivative`` pass, on integers at a rational state: each entry is
-N / D**deg, with D the lcm of the inputs' denominators.  Rounding
+membership checks, and the Einstein residual: ``_einstein_body``, a
+polynomial in (Z1, Z2, Z3, W = Z4^2), at W = level/q.  Kernels come
+from the same helpers: ``_trace`` runs a body body(coefficients, point)
+on recording scalars and writes it out as source, once per process,
+with the orbit's coefficients among its inputs; neither they nor the
+duals divide, so every kernel is a polynomial.  The stepper inlines the
+kernels of the right-hand sides' bodies into its stages.  ``jacobian``,
+``constraint_gradients`` and ``first_order_jacobians`` run the kernel
+traced from their ``derivative`` pass, on integers at a rational state:
+each entry is N / D**deg, with D the lcm of the inputs' denominators.  Rounding
 rule: a float expression associates as the integrator runs it
 (``flow_rhs``, ``reduced_z_rhs``, ``zcons_constraint``,
 ``crf_constraints``): da*Z2*Z3*Z4 left to right, Rs as
@@ -178,6 +180,14 @@ def _coefficient_tuples(k, l, delta):
             tuple(Fraction(a, d * d) for a in quartic))
 
 
+@lru_cache(maxsize=64)
+def _einstein_floats(k, l, delta):
+    """The quartic coefficients and EINSTEIN_LEVEL as floats, the inputs
+    of the AC Newton kernel besides (Z, W), built once per orbit."""
+    return (*map(float, _coefficient_tuples(k, l, delta)[1]),
+            float(EINSTEIN_LEVEL))
+
+
 def cubic_coefficients(params):
     """The rational coefficients ((k+l), l, k) / (2*delta) of the Z-cubics."""
     return _coefficient_tuples(params.k, params.l, params.delta)[0]
@@ -252,18 +262,12 @@ def einstein_residual(params, z1, z2, z3):
     """((R1, R2, R3) - 6/49, Z4^2) with Z4^2 = (6/49)/q solving R4 = 6/49:
     the vector field's X rows at X = (1/7, ..., 1/7), where its Z rows
     vanish (the homogeneous Einstein condition).  q is R4 on the bare
-    squares, which has the bits of R4 at Z4^2 = 1."""
-    *c, level = _matching(quartic_coefficients(params) + (EINSTEIN_LEVEL,),
-                          (z1, z2, z3))
-    return _einstein(c, level, z1, z2, z3)
-
-
-def _einstein(c, level, z1, z2, z3):
-    """einstein_residual with the quartic coefficients c and the level."""
-    squares = _squares(z1, z2, z3)
-    z4sq = level / _r4(c, squares)
-    t = tuple(m * z4sq for m in squares)
-    return tuple(r - level for r in _r123(c, z1, z2, z3, t)), z4sq
+    squares, which has the bits of R4 at Z4^2 = 1; the rows are
+    _einstein_body at W = Z4^2."""
+    c = _matching(quartic_coefficients(params) + (EINSTEIN_LEVEL,),
+                  (z1, z2, z3))
+    w = c[3] / _r4(c[:3], _squares(z1, z2, z3))
+    return _einstein_body(c, (z1, z2, z3, w))[:3], w
 
 
 def rs_of_z(c, z):
@@ -370,25 +374,27 @@ def _reduced_body(d, z):
     return _z_field(g_of_x(x), x, z)
 
 
-def _einstein_body(c, z):
-    """R1..R3 - level at z, c = (the quartic coefficients, the level)."""
+def _einstein_body(c, y):
+    """(R1 - level, R2 - level, R3 - level, q) at y = (Z1, Z2, Z3, W),
+    c = (the quartic coefficients, the level), with W in place of Z4^2
+    and q = R4 / Z4^2, R4 on the bare squares: the one Einstein formula,
+    a polynomial, affine in W.  The residual is its first three values
+    at W = level/q."""
     *c, level = c
-    return _einstein(c, level, *z)[0]
+    z1, z2, z3, w = y
+    squares = _squares(z1, z2, z3)
+    t = tuple(m * w for m in squares)
+    return (tuple(r - level for r in _r123(c, z1, z2, z3, t))
+            + (_r4(c, squares),))
 
 
 def _einstein_numerators(c, z):
-    """(q*(R1 - level), q*(R2 - level), q*(R3 - level), q) at z, with
-    c as in _einstein_body and q = R4 on the bare squares: the residual
-    over q without a quotient.  R1..R3 are affine in R4's terms t, so q
-    times R_i at t = squares*level/q is q*R_i(t = 0) plus
-    R_i(t = squares*level) - R_i(t = 0)."""
-    *c, level = c
-    squares = _squares(*z)
-    q = _r4(c, squares)
-    bare = _r123(c, *z, (0, 0, 0))
-    full = _r123(c, *z, tuple(m * level for m in squares))
-    return tuple(q * (b - level) + (f - b)
-                 for b, f in zip(bare, full)) + (q,)
+    """(q*(R1 - level), q*(R2 - level), q*(R3 - level), q) at z, with c
+    as in _einstein_body: the residual over q without a quotient.  The
+    body is affine in W, so q times its value at W = level/q is q times
+    its value at W = 0 plus its values at W = level less those at 0."""
+    (*bare, q), (*full, _) = (_einstein_body(c, (*z, w)) for w in (0, c[-1]))
+    return tuple(q * b + (f - b) for b, f in zip(bare, full)) + (q,)
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +407,8 @@ class _Dual:
     Derivatives, 2008).  A product takes d(ab) = da*b + a*db in that
     order and skips the terms with an exact-zero factor, so a
     structurally zero partial is never stored; a seed's unit partial
-    times a factor is the factor itself.  The one quotient is a
-    constant over a dual, c/q, with d(c/q) = -(c/q)/q * dq; the
-    constant may be a _Traced input, as the level is when the AC Newton
-    kernel is traced (_einstein_values_and_rows)."""
+    times a factor is the factor itself.  It has no quotient: a
+    function that divides a dual raises TypeError."""
 
     __slots__ = ("value", "partials")
 
@@ -452,22 +456,16 @@ class _Dual:
 
     __rmul__ = __mul__
 
-    def __rtruediv__(self, other):
-        value = other / self.value
-        scale = -value / self.value
-        return _Dual(value, {j: p * scale for j, p in self.partials.items()})
-
 
 class _Traced:
     """A recording scalar: arithmetic on it builds the expression graph
-    of a float kernel instead of a value.  Each node is one +, -, *, /
-    or negation exactly as the helpers run it, so printing the graph
-    keeps their association, and with it every bit.  The quotient is
-    the one _Dual.__rtruediv__ performs, (c/q and -(c/q)/q); only the
-    plain form of _trace prints it.  A trace makes each operation on
-    the same operands once, and a product with the int 0 is 0, so a
-    dual skips what it would skip at an exact-zero value.  Only int and
-    float constants combine with it; anything else fails the trace."""
+    of a float kernel instead of a value.  Each node is one +, -, * or
+    negation exactly as the helpers run it, so printing the graph keeps
+    their association, and with it every bit.  A trace makes each
+    operation on the same operands once, and a product with the int 0
+    is 0, so a dual skips what it would skip at an exact-zero value.
+    Only int and float constants combine with it, and it has no
+    quotient; anything else fails the trace with TypeError."""
 
     __slots__ = ("op", "args", "nodes")
 
@@ -506,18 +504,12 @@ class _Traced:
     def __rmul__(self, other):
         return self._apply("*", (other, self))
 
-    def __truediv__(self, other):
-        return self._apply("/", (self, other))
-
-    def __rtruediv__(self, other):
-        return self._apply("/", (other, self))
-
     def __neg__(self):
         return self._apply("neg", (self,))
 
 
-# binding strength in Python source: + and - < * and / < unary minus < a name
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3}
+# binding strength in Python source: + and - < * < unary minus < a name
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "neg": 3}
 
 
 def _trace(fun, n, homogeneous=False, m=0):
@@ -530,18 +522,15 @@ def _trace(fun, n, homogeneous=False, m=0):
     inputs named apart from the others; output i is assigned to "{k}i",
     and a value used more than once is assigned to a temporary w_m
     first; every other value stays nested in the expression that uses
-    it.  A quotient is always assigned, even where a product with the
-    int 0 drops its value, so a zero divisor raises ZeroDivisionError
-    as it does on the duals.  Constants appear as their repr literals,
-    which round-trip.  Substituting names with str.format and running
-    the lines gives fun's bits on floats.
+    it.  Constants appear as their repr literals, which round-trip.
+    Substituting names with str.format and running the lines gives
+    fun's bits on floats.
 
     A value's degree is 1 for an input, 0 for a constant, the sum over
-    a product, the difference over a quotient and the max over a sum.
-    Homogeneous lines carry D**degree times each value, from D times
-    each input: a sum's operand e below its degree is multiplied by
-    "{p}e", which is to hold D**e.  They have no quotient: a body that
-    divides raises ValueError there.
+    a product and the max over a sum.  Homogeneous lines carry
+    D**degree times each value, from D times each input: a sum's
+    operand e below its degree is multiplied by "{p}e", which is to
+    hold D**e.
     """
     nodes = {}
     inputs = [_Traced("input", (j,), nodes) for j in range(n + m)]
@@ -559,21 +548,14 @@ def _trace(fun, n, homogeneous=False, m=0):
             return
         uses[node] = uses.get(node, 0) + 1
         if uses[node] == 1:
-            if homogeneous and node.op == "/":
-                raise ValueError("a homogeneous kernel has no quotient")
             for arg in node.args:
                 visit(arg)
             order.append(node)
             degrees = [degree.get(arg, 0) for arg in node.args]
-            degree[node] = (sum(degrees) if node.op == "*" else
-                            degrees[0] - degrees[1] if node.op == "/"
-                            else max(degrees))
+            degree[node] = sum(degrees) if node.op == "*" else max(degrees)
 
     for out in outputs:
         visit(out)
-    for node in list(nodes.values()):
-        if node.op == "/":
-            visit(node)
     names = {}
 
     def text(node):
@@ -607,7 +589,7 @@ def _trace(fun, n, homogeneous=False, m=0):
 
     lines = []
     for node in order:
-        if uses[node] > 1 or node.op == "/":
+        if uses[node] > 1:
             lines.append("w_%d = %s" % (len(names), expression(node)))
             names[node] = "w_%d" % len(names)
     for i, out in enumerate(outputs):
@@ -635,25 +617,23 @@ def derivative(fun, point):
     return value_and_derivative(fun, point)[1]
 
 
-def _compile(fun, zeros, homogeneous=True):
+def _compile(fun, zeros):
     """(kernel, degrees, live): fun(inputs) on len(zeros) inputs, traced
-    by _trace with each zero input as 0, so each term with a zero factor
-    is skipped as the duals skip it at that value.  A homogeneous kernel
-    is called kernel(inputs, (1, D, D**2, ...)) and returns the outputs
-    as one list in _trace's homogeneous form: entry i carries
-    D**degrees[i] times its value; a plain one is called kernel(inputs).
-    live holds the indices of the inputs that the kernel reads; no
-    other input changes its result."""
+    by _trace in its homogeneous form with each zero input as 0, so each
+    term with a zero factor is skipped as the duals skip it at that
+    value.  The kernel is called kernel(inputs, (1, D, D**2, ...)) and
+    returns the outputs as one list: entry i carries D**degrees[i] times
+    its value.  live holds the indices of the inputs that the kernel
+    reads; no other input changes its result."""
 
     def traced(inputs):
         return fun([0 if zero else v for v, zero in zip(inputs, zeros)])
 
-    template, degrees, live = _trace(traced, len(zeros), homogeneous)
-    lines = ["def kernel(v%s):" % (", p" if homogeneous else ""),
-             "%s, = v" % ", ".join("v%d" % j for j in range(len(zeros)))]
-    if homogeneous:
-        lines.append("%s, = p" % ", ".join(
-            "p%d" % e for e in range(max(degrees) + 1)))
+    template, degrees, live = _trace(traced, len(zeros), True)
+    lines = ["def kernel(v, p):",
+             "%s, = v" % ", ".join("v%d" % j for j in range(len(zeros))),
+             "%s, = p" % ", ".join("p%d" % e
+                                   for e in range(max(degrees) + 1))]
     lines += template.format(v="v", k="k", p="p").splitlines()
     lines.append("return [%s]" % ", ".join(
         "k%d" % i for i in range(len(degrees))))
@@ -666,17 +646,16 @@ def _compile(fun, zeros, homogeneous=True):
 def _derivative_kernel(body, zeros, n, values=False):
     """(kernel, degrees, live) from _compile for derivative(lambda y:
     body(c, y), y) over the inputs (y, c), y the first n of them, traced
-    once per body, per set of zero inputs and per form.  The kernel is
-    homogeneous and returns the rows as one list; with values it is
-    plain, runs on floats, and its list starts with body's values, and
-    only then may the body divide."""
+    once per body, per set of zero inputs and per form.  The kernel
+    returns the rows as one list; with values, the list starts with
+    body's values."""
 
     def rows(inputs):
         out, partials = value_and_derivative(
             lambda y: body(inputs[n:], y), inputs[:n])
         return (out if values else ()) + sum(partials, ())
 
-    return _compile(rows, zeros, homogeneous=not values)
+    return _compile(rows, zeros)
 
 
 def _on_integers(kernel, degrees, values):
@@ -728,19 +707,28 @@ def _split_rows(out, n):
 
 
 def _einstein_values_and_rows(params, z):
-    """value_and_derivative over einstein_residual(params, *z)[0] at a
-    float z, from the plain kernel of _derivative_kernel for
-    _einstein_body, traced once per process and per set of zero inputs
-    (the dual pass with its quotient c/q), with the quartic coefficients
-    and the level as float inputs: the duals' bits wherever no
-    intermediate of their pass underflows to zero (see
-    _derivative_rows).  Where R4 vanishes it raises ZeroDivisionError,
-    as the duals do."""
-    values = (*z, *map(float, quartic_coefficients(params)),
-              float(EINSTEIN_LEVEL))
-    out = _derivative_kernel(_einstein_body, tuple(not v for v in values),
-                             3, True)[0](values)
-    return tuple(out[:3]), _split_rows(out[3:], 3)
+    """(einstein_residual(params, *z)[0], its 3x3 Jacobian) at a float z.
+
+    W = level/q is one float division, so where R4 vanishes it raises
+    ZeroDivisionError.  One call of the kernel of _derivative_kernel for
+    _einstein_body with values, traced once per process and per set of
+    zero inputs, runs on floats with D = 1: it gives the residual's bits
+    and the partials in (Z, W), and the W column enters through the
+    chain rule dW/dZ_j = -(W/q) * dq/dZ_j.
+    """
+    c = _einstein_floats(params.k, params.l, params.delta)
+    q = _r4(c[:3], _squares(*z))
+    w = c[3] / q
+    values = (*z, w, *c)
+    kernel, degrees, _ = _derivative_kernel(
+        _einstein_body, tuple(not v for v in values), 4, True)
+    (r1, r2, r3, _, a1, a2, a3, aw, b1, b2, b3, bw, e1, e2, e3, ew,
+     q1, q2, q3, _) = kernel(values, [1] * (max(degrees) + 1))
+    s = -w / q
+    d1, d2, d3 = q1 * s, q2 * s, q3 * s
+    return (r1, r2, r3), ((a1 + aw * d1, a2 + aw * d2, a3 + aw * d3),
+                          (b1 + bw * d1, b2 + bw * d2, b3 + bw * d3),
+                          (e1 + ew * d1, e2 + ew * d2, e3 + ew * d3))
 
 
 @lru_cache(maxsize=1)

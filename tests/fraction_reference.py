@@ -10,20 +10,23 @@ convergent in integer cross products, the Sturm chain and
 univariate_gcd run on primitive pseudo-remainders, the smaller positive
 root of a quadratic slice is picked by integer signs, the tangency flags
 take integer dot products on integer gradient rows, the exact Jacobian
-and gradients evaluate a kernel traced from the dual pass, the AC
-Newton system runs a float kernel traced from its dual pass, and the
-AC solve's exact residual runs on integer numerators over q.  These
-are the forms they replaced, with every intermediate a Fraction, a
-RatPoly or a dual, and the integer loops that went fibre by fibre.  The
-new kernels must return exactly what these return (for the Sturm
-chain: positive multiples of these members; at a float state, the same
-bits).
+and gradients evaluate a kernel traced from the dual pass, and the AC
+solve's exact residual runs on integer numerators over q.  These are
+the forms they replaced, with every intermediate a Fraction, a RatPoly
+or a dual, and the integer loops that went fibre by fibre.  The new
+kernels must return exactly what these return (for the Sturm chain:
+positive multiples of these members; at a float state, the same bits).
+The AC Newton Jacobian, which takes its W = Z4^2 column through the
+chain rule in floats, is checked against RatPoly partials with W as a
+symbol of its own, up to rounding.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from spin7flow import phase_system
+from spin7flow.aw_algebra import AWParams
 from spin7flow.critical_points import catalog
 from spin7flow.errors import DomainAnomalyError, InvalidRequestError
 from spin7flow.exact import exact_sqrt
@@ -385,11 +388,37 @@ def first_order_jacobians(params, state):
     return rows[:4], rows[4:]
 
 
-def einstein_system(params, z):
-    """phase_system._einstein_values_and_rows as one pass of the duals over
-    einstein_residual."""
-    return phase_system.value_and_derivative(
-        lambda y: phase_system.einstein_residual(params, *y)[0], z)
+@lru_cache(maxsize=None)
+def einstein_chain_rule_pieces(k, l):
+    """RatPoly partials of R1..R3 in Z1, Z2, Z3 and in W = Z4^2 taken as
+    a symbol of its own, and of q = R4 / Z4^2 in Z1, Z2, Z3."""
+    names = ("Z1", "Z2", "Z3", "W")
+    z1, z2, z3, w = (RatPoly.variable(names, n) for n in names)
+    c = phase_system.quartic_coefficients(AWParams(k, l))
+    r = phase_system.r_terms(c, z1, z2, z3, w)[:3]
+    q = phase_system.r_terms(c, z1, z2, z3, 1)[3]
+    return (q, tuple(q.partial(n) for n in names[:3]),
+            tuple(tuple(ri.partial(n) for n in names) for ri in r))
+
+
+def einstein_chain_rule_terms(k, l, z):
+    """The two terms of each partial d(R_i - 6/49)/dZ_j at a rational z,
+    at W = L/q (L = 6/49): the partial in Z_j, and the partial in W times
+    dW/dZ_j = -L * (dq/dZ_j) / q^2."""
+    level = phase_system.EINSTEIN_LEVEL
+    q, dq, dr = einstein_chain_rule_pieces(k, l)
+    qz = q.evaluate(list(z) + [0])
+    at = list(z) + [level / qz]
+    dw = [-level * d.evaluate(at) / (qz * qz) for d in dq]
+    return tuple(tuple((row[j].evaluate(at), row[3].evaluate(at) * dw[j])
+                       for j in range(3)) for row in dr)
+
+
+def einstein_jacobian_by_chain_rule(k, l, z):
+    """The Jacobian of phase_system._einstein_values_and_rows, exact at a
+    rational z: each partial the sum of its two chain-rule terms."""
+    return tuple(tuple(a + b for a, b in row)
+                 for row in einstein_chain_rule_terms(k, l, z))
 
 
 def exact_einstein_residual(params, z):

@@ -138,6 +138,13 @@ def test_rational_flags_match_decimal_flags(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_zero_denominator_exits_2(capsys):
+    assert run(["classify", "--k", "3", "--l", "2", "--s1", "1/0",
+                "--s2", "0.8"]) == 2
+    assert "argument --s1: zero denominator in '1/0'" in \
+        capsys.readouterr().err
+
+
 def test_epsilon_out_of_range_exits_2(capsys):
     assert run(["classify", *RUN_32[:-4], "--s1", "0.6", "--s2", "0.8",
                 "--eps", "1/2"]) == 2

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spin7flow.errors import InvalidRequestError
 from spin7flow.exact import (TRIAL_DIVISION_BOUND, QuadExt,
                              _square_decompose, exact_sqrt, exact_str,
                              parse_rational)
@@ -20,6 +21,9 @@ def test_parse_rational_forms():
     assert parse_rational("0.25") == Fraction(1, 4)
     assert parse_rational(7) == Fraction(7)
     assert parse_rational(Fraction(2, 3)) == Fraction(2, 3)
+    with pytest.raises(InvalidRequestError,
+                       match="zero denominator in '1/0'"):
+        parse_rational(" 1/0 ")
 
 
 def test_squarefree_decompose():

@@ -87,6 +87,15 @@ FAR_AC_ORBITS = [(10 ** 6, 1), (10 ** 6 + 1, 10 ** 6)]
 FAR_AC_DIGEST = \
     "3083434c3c07bdc2daf8cf450a2e83ac82fbccdaa42708528b2ae6321790d896"
 
+# The same over 40 extreme orbits, (10^e, 1), (10^e + 1, 10^e),
+# (10^e, 10^e - 1) and (2*10^e + 1, 10^e) for e = 3..12; taken while the
+# Newton Jacobian came from a dual pass through the quotient W = L/q.
+EXTREME_AC_ORBITS = [kl for e in range(3, 13) for kl in (
+    (10 ** e, 1), (10 ** e + 1, 10 ** e), (10 ** e, 10 ** e - 1),
+    (2 * 10 ** e + 1, 10 ** e))]
+EXTREME_AC_DIGEST = \
+    "3282c67576e867dd7d22a11591f118deea8a23a12555264bcd96f2f1fb92b918"
+
 # repr(rtilde(p)) and repr(ray_slices(p)), one line each per orbit, over
 # (1, 0), (1, 1) and the coprime 20 >= k > l >= 1; taken while each ratio
 # composed its own barriers and took its own Sylvester resultant.
@@ -226,6 +235,13 @@ def test_far_ac_pairs_are_unchanged():
     text = "".join(f"{solve_homogeneous_einstein(AWParams(*kl))!r}\n"
                    for kl in FAR_AC_ORBITS)
     assert _sha256(text) == FAR_AC_DIGEST
+
+
+def test_extreme_ac_pairs_are_unchanged():
+    assert len(EXTREME_AC_ORBITS) == 40
+    text = "".join(f"{solve_homogeneous_einstein(AWParams(*kl))!r}\n"
+                   for kl in EXTREME_AC_ORBITS)
+    assert _sha256(text) == EXTREME_AC_DIGEST
 
 
 def test_ray_resultants_and_slices_are_unchanged():
