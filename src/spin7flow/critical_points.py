@@ -605,16 +605,15 @@ def _polish(params, z123):
 
     The float iterates stop anywhere within RESID_TOL of the root; with
     the exact residual (_exact_einstein_residual, on integers) the step
-    lands far closer than half an ulp, so the single final rounding
-    gives the correctly rounded root whichever iterate the step starts
-    from; the Jacobian is the float one at z123, as in the iteration.
-    z4 = sqrt(Z4^2) in floats there.
+    lands far closer than half an ulp, so its one float subtraction,
+    which IEEE 754 rounds correctly, gives the correctly rounded root
+    whichever iterate the step starts from; the Jacobian is the float
+    one at z123, as in the iteration.  z4 = sqrt(Z4^2) in floats there.
     """
     resid = tuple(n / d for n, d in _exact_einstein_residual(params, z123))
     jac = _einstein_values_and_rows(params, z123)[1]
     delta = _newton_step(jac, resid)
-    z123 = tuple(float(Fraction(v) - Fraction(d))
-                 for v, d in zip(z123, delta))
+    z123 = tuple(v - d for v, d in zip(z123, delta))
     return z123 + (einstein_residual(params, *z123)[1] ** 0.5,)
 
 
@@ -674,15 +673,16 @@ def _try_exact_einstein(params, z123):
     or None.
 
     The polished coordinates are the correctly rounded root, so at a
-    rational root each one is the float of its fraction: only a
-    candidate whose floats equal z123 in every coordinate is verified.
-    The exact residual runs on integers (_exact_einstein_residual); only
-    a verified point takes Z4^2 from einstein_residual in Fractions, for
-    exact_sqrt.
-    """
-    zr = tuple(Fraction(v).limit_denominator(10 ** 6) for v in z123)
-    if any(float(r) != v for v, r in zip(z123, zr)):
-        return None
+    rational root each is the float of its fraction; the first
+    coordinate whose fraction's float differs ends the check.  The
+    exact residual runs on integers (_exact_einstein_residual); only a
+    verified point takes Z4^2, exact, from einstein_residual for
+    exact_sqrt."""
+    zr = ()
+    for v in z123:
+        zr += (Fraction(v).limit_denominator(10 ** 6),)
+        if float(zr[-1]) != v:
+            return None
     if any(n for n, _ in _exact_einstein_residual(params, zr)):
         return None
     return zr + (exact_sqrt(einstein_residual(params, *zr)[1]),)

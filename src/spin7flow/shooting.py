@@ -29,25 +29,27 @@ pre-projection defect of its reference runs within a tenth of the drift
 bound DRIFT_FACTOR * rel_tol.  An early-stopping run ends at the first
 chunk end after its decision window closes, up to one chunk past it.
 
-The stepper, the Dormand-Prince 8(5,3) pair (DOP853), runs a whole
-chunk, its first derivative included, in one compiled function whose
-derivatives evaluate the right-hand side as a kernel traced from its
-phase_system body and inlined, so a chunk makes no Python call and
-keeps the helpers' bits; it packs each accepted step into one raw row
-of a float table: its start, F0 and the derivatives that its
-continuous extension reads.  The extension itself (its three stages
-and the coefficients that _dense reads) is computed later, by one
-finishing pass generated from the same tableau and kernel and run on
-numpy columns over every raw row that a sampling pass needs (_finish),
-with the bits of a per-step pass on Python floats.  The orbit's
-coefficients are the inputs of both, so one chunk and one finishing
-pass per body serve every orbit and chirality.  Samples are built
-lazily from the chunks' step tables, only where a decision could fire
-and when the run ends (integrate); the decision is one stateless pass
-over the table built so far, classify's own (_decision).  No BLAS or
-LAPACK call reaches a trajectory (the projection's step is solved on
-Python floats, the extension and the dense output are elementwise), so
-its bits do not depend on the BLAS build.
+The stepper, the Dormand-Prince 8(5,3) pair (DOP853), only steps: it
+runs a whole chunk, its first derivative included, in one compiled
+function whose derivatives evaluate the right-hand side as a kernel
+traced from its phase_system body and inlined, so a chunk makes no
+Python call and keeps the helpers' bits; it packs each accepted step
+into one raw row of a float table: its start, F0 and the derivatives
+that its continuous extension reads.  The extension (its three stages
+and the coefficients that _dense reads) is computed by one finishing
+pass generated from the same tableau and kernel and run on numpy
+columns over every raw row that a sampling pass needs (_finish), with
+the bits of a per-step pass on Python floats.  The orbit's coefficients
+are the inputs of both, so one chunk and one finishing pass per body
+serve every orbit and chirality.  Samples are built lazily from the
+chunks' step tables, only where a decision could fire and when the run
+ends (integrate), so each raw row is finished once, and an escape's
+crossing is bisected on its step's row from the run's last pass.  The
+decision is one stateless pass over the table built so far, classify's
+own (_decision).  No BLAS or LAPACK call reaches a trajectory (the
+projection's step is solved on Python floats, the extension and the
+dense output are elementwise), so its bits do not depend on the BLAS
+build.
 
 Boundary runs need one more ingredient.  For (k, l) = (1, 1) the
 invariant region has one-dimensional boundary segments (a line for the
@@ -1033,29 +1035,23 @@ def _dop853(fun, t, y, t_bound, rtol, atol, h_abs=None):
     y is a list of floats, and h_abs the first step to try (None: the
     initial-step rule).  Returns (status, t, y, raw, h_next): status 0
     when t_bound was reached; 1 when an accepted step ended at max-norm
-    ESCAPE_NORM or more, with t the crossing on that step's interpolant
-    and y the interpolant there (its row finished by _finish, then
-    _crossing and _interpolant); -1 when the step size fell below ten
-    ulps of t (a non-finite start or right-hand side ends here too),
-    with t, y the last accepted point.  raw is the read-only raw step
-    table, one row (t_old, h, *y_old, *F0, *k1, *k6, ..., *k13) per
-    accepted step ((0, 2 + 11n) when none was taken), which _finish
-    turns into _dense's step rows; h_next the step size for a next
-    chunk (_chunk_source).  The whole chunk, first derivative and
-    initial step included, runs in one compiled function (_chunk).
-    When fun is partial(body, coefficients), as flow_rhs and
-    reduced_z_rhs give it, the chunk and the finishing pass run body's
-    kernel inlined, on the coefficients, and never call fun; any other
-    fun is called with a list of floats.
+    ESCAPE_NORM or more, with t that step's end and y None; -1 when the
+    step size fell below ten ulps of t (a non-finite start or
+    right-hand side ends here too), with t, y the last accepted point.
+    raw is the read-only raw step table, one row (t_old, h, *y_old,
+    *F0, *k1, *k6, ..., *k13) per accepted step ((0, 2 + 11n) when none
+    was taken), which only integrate's sampling pass finishes
+    (_finish); h_next the step size for a next chunk.  The whole chunk,
+    first derivative and initial step included, runs in one compiled
+    function (_chunk).  When fun is partial(body, coefficients), as
+    flow_rhs and reduced_z_rhs give it, the chunk and the finishing
+    pass run body's kernel inlined, on the coefficients, and never call
+    fun; any other fun is called with a list of floats.
     """
     n = len(y)
     chunk, arg = _specialized(_chunk, fun, n)
     status, t, y, rows, h_abs = chunk(arg, t, y, t_bound, rtol, atol, h_abs)
     raw = np.frombuffer(b"".join(rows)).reshape(-1, _raw_width(n))
-    if status == 1:
-        row = _finish(fun, raw[-1:])[0].tolist()
-        t = _crossing(row, t)
-        y = _interpolant(row, t)
     return status, t, y, raw, h_abs
 
 
@@ -1075,24 +1071,24 @@ def integrate(spec):
     At every chunk boundary the state is renormalized onto the
     constraint set, and a locked run onto its face; the pre-projection
     defect is logged.  Events: "escaped" (an accepted step ended at
-    max-norm ESCAPE_NORM or more; the crossing is bisected on that
-    step's interpolant), "stiff-failure" (step-size underflow, also
-    forced by a non-finite right-hand side; partial trajectory
-    returned, or IntegrationError raised when it comes before the
-    first accepted step, since a one-row table has no verdict),
-    "drift" (defect above DRIFT_FACTOR * rel_tol), "converged"
-    (trailing window settled inside a decision ball; stops the run
-    when stop_on_converged is set).
+    max-norm ESCAPE_NORM or more; the last sample is the crossing,
+    bisected on that step's finished row), "stiff-failure" (step-size
+    underflow, also forced by a non-finite right-hand side; partial
+    trajectory returned, or IntegrationError raised when it comes
+    before the first accepted step, since a one-row table has no
+    verdict), "drift" (defect above DRIFT_FACTOR * rel_tol),
+    "converged" (trailing window settled inside a decision ball; stops
+    the run when stop_on_converged is set).
 
     Samples are built only where a decision can fire.  With
     stop_on_converged set, a chunk whose projected end state lies
     outside every decision ball leaves the decision None, so its
-    samples wait; the pending chunks are sampled in one dense-output
+    samples wait; the pending chunks are finished and sampled in one
     pass once an end state may lie inside a ball (_may_decide), and
     _decision runs on the whole table built so far; chunks still
-    pending are sampled when the run ends.  A full-horizon run samples
-    all its chunks in one pass.  _decision reads only the table, so the
-    table and the events are those of sampling every chunk.
+    pending, an escaping one included, are sampled when the run ends.
+    So each raw row is finished once.  _decision reads only the table,
+    so the table and the events are those of sampling every chunk.
 
     The residual log is computed once, over the whole sample table, when
     the run ends; its operations are elementwise, so the rows carry the
@@ -1116,7 +1112,7 @@ def integrate(spec):
 
     candidates = _limit_candidates(params)
     targets = [target.tolist() for _, _, target in candidates]
-    pending = []  # (grid, raw steps, projected end) per chunk
+    pending = []  # (first grid index, eta reached, raw, projected end)
 
     def rows_of(block):
         """A block of solver states as full rows (X rebuilt from Z in
@@ -1128,15 +1124,22 @@ def integrate(spec):
 
     table = [(np.zeros(1), rows_of([state]))]  # sampled (etas, rows)
 
-    def sample():
+    def sample(escaped=False):
         """The sample table so far as one (etas, rows) block, after adding
-        the pending chunks' samples from one finishing pass and one
-        dense-output pass over all their steps; a chunk's last sample is
-        its projected end state when it has one."""
+        the pending chunks' samples from one finishing and dense-output
+        pass; a chunk's last sample is its projected end state when it
+        has one, an escaping chunk's the crossing on its last finished row."""
         if pending:
-            grids, raws, ends = zip(*pending)
+            firsts, ends_at, raws, ends = map(list, zip(*pending))
+            steps = _finish(rhs, np.concatenate(raws))
+            if escaped:
+                ends_at[-1] = _crossing(steps[-1].tolist(), ends_at[-1])
+            grids = []
+            for first, reached in zip(firsts, ends_at):
+                grid = np.arange(first, first + per_chunk) / per_unit
+                grids.append(np.append(grid[grid < reached], reached))
             grid = np.concatenate(grids)
-            block = _dense(_finish(rhs, np.concatenate(raws)), grid)
+            block = _dense(steps, grid)
             for i, end in zip(np.cumsum([g.size for g in grids]) - 1, ends):
                 if end is not None:
                     block[i] = end
@@ -1163,16 +1166,8 @@ def integrate(spec):
                 events.append((reached, "drift"))
                 drift_logged = True
         if reached > eta:
-            grid = np.arange(first, first + per_chunk) / per_unit
-            grid = grid[grid <= reached]
-            if grid.size == 0 or grid[-1] < reached:
-                grid = np.append(grid, reached)
-            pending.append((grid, raw, state if status == 0 else None))
-        if status == 1:
-            events.append((reached, "escaped"))
-            break
+            pending.append((first, reached, raw, None if status else state))
         if status != 0:
-            events.append((reached, "stiff-failure"))
             break
         eta = top
         first += per_chunk
@@ -1181,12 +1176,15 @@ def integrate(spec):
             if decided is not None:
                 events.append((decided.eta_at_decision, "converged"))
                 break
-    etas, rows = sample()
+    etas, rows = sample(status == 1)
     if len(etas) < 2:
         raise IntegrationError(
             "stiff-failure at eta = %r, before the first accepted step "
             "(step-size underflow or a non-finite right-hand side): the "
             "run has no sample past its start" % reached)
+    if status != 0:
+        events.append((float(etas[-1]),
+                       "escaped" if status == 1 else "stiff-failure"))
     res = residuals(params, PhaseState.from_sequence(rows.T))
     f_norm = np.max(np.abs(res.F), axis=0)
     h_norm = np.max(np.abs(res.H), axis=0)
@@ -1345,8 +1343,10 @@ def sweep(params, bundle_tag, mode, s_values, epsilon=1e-6, eta_max=200.0,
     completion order.
     """
     directions = list(s_values)
-    if not directions:
-        raise InvalidRequestError("sweep grid must be non-empty")
+    if not 1 <= len(directions) <= MAX_DIRECTIONS:
+        raise InvalidRequestError(
+            f"sweep takes 1..{MAX_DIRECTIONS} directions, got "
+            f"{len(directions)}")
     # checks every shared input and the cone's frame once; each row
     # replaces only s
     shared = ShootSpec(params, bundle_tag, mode, (1.0, 0.0), epsilon=epsilon,

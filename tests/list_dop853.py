@@ -2,17 +2,19 @@
 
 shooting._dop853 runs a whole chunk, its start included, as one
 generated function of straight-line per-component expressions, and
-returns its steps as a packed array of raw rows; shooting._finish runs
-the continuous extension of many raw rows at once on numpy columns.
-This is the same contract written as plain functions on lists: each
-stage, the new state, the two scaled error estimates and the continuous
-extension as comprehensions over the components, every weighted sum
-added from left to right over the nonzero weights, and the initial
-step, the finishing pass, the dense output and the escape bisection as
-plain functions on tuple rows.  It shares only the tableau with the
-stepper it checks.  Both forms must give the same status, end point,
-raw rows, next step size and right-hand side calls of a chunk, and the
-same finished rows and calls of a finishing pass, bit for bit.
+returns its steps as a packed array of raw rows, an escape ending at
+its last step's end; shooting._finish runs the continuous extension of
+many raw rows at once on numpy columns, and shooting._crossing bisects
+an escape on its finished last row.  This is the same contract written
+as plain functions on lists: each stage, the new state, the two scaled
+error estimates and the continuous extension as comprehensions over the
+components, every weighted sum added from left to right over the
+nonzero weights, and the initial step, the finishing pass, the dense
+output and the escape bisection as plain functions on tuple rows.  It
+shares only the tableau with the stepper it checks.  Both forms must
+give the same status, end point, raw rows, next step size and
+right-hand side calls of a chunk, the same finished rows and calls of a
+finishing pass, and the same crossing, bit for bit.
 """
 
 import math
@@ -143,7 +145,8 @@ def _crossing(row, t_end):
 
 def dop853(fun, t, y, t_bound, rtol, atol, h_abs=None):
     """shooting._dop853's contract, one list comprehension per stage:
-    raw rows, and an escaping step's row finished for its crossing."""
+    the raw rows, and on an escape the escaping step's end and no
+    state."""
     steps = []
     f = fun(t, y)
     if not all(map(math.isfinite, [*y, *f])):
@@ -178,8 +181,6 @@ def dop853(fun, t, y, t_bound, rtol, atol, h_abs=None):
         k.append(fun(t + h, y_new))
         steps.append(_raw_row(t, h, y, y_new, k))
         if max(map(abs, y_new)) >= ESCAPE_NORM:
-            row = finish(fun, steps[-1:])[0]
-            t_cross = _crossing(row, t_new)
-            return 1, t_cross, interpolant(row, t_cross), steps, h_next
+            return 1, t_new, None, steps, h_next
         t, y, f = t_new, y_new, k[12]
     return 0, t, y, steps, h_next

@@ -110,14 +110,11 @@ def _finished(fun, calls, chunk):
     """The finished step table of a _dop853 chunk made by the counted
     fun, after checking that the finishing pass made 3 calls per step.
     The calls that scipy makes for the chunk are then the chunk's and
-    the finishing pass's, less the 3 of an escaping step's row, which
-    the chunk finishes alone for its crossing."""
-    status, raw = chunk[0], chunk[3]
+    the finishing pass's."""
+    raw = chunk[3]
     made = len(calls)
     steps = shooting._finish(fun, raw)
     assert len(calls) - made == 3 * len(raw)
-    if status == 1:
-        del calls[made - 3:made]
     return steps
 
 
@@ -140,9 +137,13 @@ def test_dopri5_chunk_matches_scipy_rk45(case):
     assert len(steps) == sol.t.size - 1
     if status == 1:
         # Near the crossing one ulp of eta moves the state by about 1e-4,
-        # so there only the crossing eta is compared.
-        assert abs(reached - sol.t[-1]) <= 1e-9
-        assert max(map(abs, end)) >= shooting.ESCAPE_NORM
+        # so there only the crossing eta, bisected on the finished last
+        # row, is compared with scipy's event time.
+        assert end is None
+        crossing = shooting._crossing(steps[-1].tolist(), reached)
+        assert abs(crossing - sol.t_events[0][0]) <= 1e-9
+        assert max(map(abs, shooting._interpolant(
+            steps[-1].tolist(), crossing))) >= shooting.ESCAPE_NORM
     else:
         assert reached == sol.t[-1] == top
         ref_end = sol.y[:, -1]
@@ -303,20 +304,27 @@ def _same_chunk(got, want, n, fun):
     """_dop853's result equals the list form's (_oracle), bit for bit:
     status, end point, read-only raw step table (2 + 11n doubles a row)
     and next step size; finishing the raw table with fun gives the list
-    form's finished rows (2 + 8n doubles).  An escape's end state is
-    also the one _dense gives at the crossing."""
+    form's finished rows (2 + 8n doubles).  An escape has no end state,
+    and its crossing, bisected on the finished last row, is the list
+    form's, as is the state _dense gives there."""
     status, reached, end, raw, h_next = got
     assert status == want[0]
     assert _bits([reached]) == _bits([want[1]])
-    assert _bits(end) == _bits(want[2])
+    if status == 1:
+        assert end is None is want[2]
+    else:
+        assert _bits(end) == _bits(want[2])
     assert not raw.flags.writeable
     _same_table(raw, want[3], 2 + 11 * n)
     assert _bits([h_next]) == _bits([want[4]])
     steps = shooting._finish(fun, raw)
     _same_table(steps, want[5], 2 + 8 * n)
     if status == 1:
-        assert _bits(shooting._dense(steps, np.array([reached]))) == \
-            _bits(end)
+        crossing = shooting._crossing(steps[-1].tolist(), reached)
+        assert _bits([crossing]) == _bits(
+            [list_dop853._crossing(want[5][-1], want[1])])
+        assert _bits(shooting._dense(steps, np.array([crossing]))) == \
+            _bits(list_dop853.interpolant(want[5][-1], crossing))
 
 
 @pytest.mark.parametrize("tol", [(1e-6, 1e-9), (RTOL, ATOL)],
@@ -605,14 +613,12 @@ def test_call_path_evaluates_sixteen_derivatives_per_accepted_step():
             (_van_der_pol, [2.0, 0.0], 20.0, 1e-6, 1e-9),
             (_blow_up, [1.0], 2.0, RTOL, ATOL)):
         ours, calls = _counted(fun)
-        status, _, _, raw, _ = shooting._dop853(ours, 0.0, y0, t_bound,
-                                                rtol, atol)
+        _, _, _, raw, _ = shooting._dop853(ours, 0.0, y0, t_bound, rtol,
+                                           atol)
         made = len(calls)
         shooting._finish(ours, raw)
         assert len(calls) - made == 3 * len(raw) > 0
         left = list(calls)
-        if status == 1:  # the escaping row, finished for its crossing
-            del left[made - 3:made]
         assert left[0] == raw[0, 0]  # the first step's k1
         for t, h in raw[:, :2].tolist():
             for c in fractions[1:]:
@@ -666,20 +672,70 @@ def test_rhs_kernels_match_public_closures():
             rhs(0.0, [float(v) for v in exact]))
 
 
-def test_integrate_stops_on_nonfinite_rhs(monkeypatch):
+def _poisoned_factory(monkeypatch):
+    """Make spin runs' right-hand side turn NaN after eta = 7.5."""
     factory = shooting.reduced_z_rhs
 
     def poisoned_factory(params, chirality):
         rhs = factory(params, chirality)
         return lambda t, y: tuple(math.nan if t > 7.5 else v
                                   for v in rhs(t, y))
-
     monkeypatch.setattr(shooting, "reduced_z_rhs", poisoned_factory)
+
+
+def test_integrate_stops_on_nonfinite_rhs(monkeypatch):
+    _poisoned_factory(monkeypatch)
     traj = integrate(ShootSpec(P32, "k+l", "spin+", (0.6, 0.8)))
     eta, kind = traj.events[-1]
     assert kind == "stiff-failure" and 5.0 < eta <= 7.5
     assert np.all(np.isfinite(traj.states))
     assert abs(traj.etas[-1] - eta) <= 1e-9
+
+
+FINISH_RUNS = {  # (spec, last event, sampling passes that finish rows)
+    "(1,1) escape": (CHUNK_CASES["(1,1) escape"][0], "escaped", 1),
+    "stiff-failure": (CHUNK_CASES["spin+ start"][0], "stiff-failure", 1),
+    "(3,2) early stop": (CHUNK_CASES["spin- start"][0], "converged", 2),
+    "full horizon": (replace(CHUNK_CASES["spin+ start"][0],
+                             stop_on_converged=False), None, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FINISH_RUNS))
+def test_integrate_finishes_every_raw_row_once(case, monkeypatch):
+    """The rows integrate passes to _finish, over all its sampling
+    passes, are the raw rows its chunks returned, each once and in
+    order; an escape's eta is the list form's crossing on its finished
+    last row, bit for bit."""
+    spec, last, passes = FINISH_RUNS[case]
+    if case == "stiff-failure":
+        _poisoned_factory(monkeypatch)
+    chunks, finished = [], []
+    step, finish = shooting._dop853, shooting._finish
+
+    def recorded_step(*args):
+        chunks.append(step(*args))
+        return chunks[-1]
+
+    def recorded_finish(fun, raw):
+        finished.append(raw)
+        return finish(fun, raw)
+
+    monkeypatch.setattr(shooting, "_dop853", recorded_step)
+    monkeypatch.setattr(shooting, "_finish", recorded_finish)
+    traj = integrate(spec)
+    raws = [raw for _, _, _, raw, _ in chunks]
+    assert len(finished) == passes
+    assert sum(map(len, finished)) == sum(map(len, raws)) > 0
+    assert _bits(np.concatenate(finished)) == _bits(np.concatenate(raws))
+    assert (traj.events[-1][1] if traj.events else None) == last
+    if last == "escaped":
+        rhs = _rhs(spec)
+        row = list_dop853.finish(rhs, [chunks[-1][3][-1].tolist()])[0]
+        crossing = list_dop853._crossing(row, chunks[-1][1])
+        assert _bits([traj.etas[-1]]) == _bits([crossing])
+        assert traj.events[-1] == (crossing, "escaped")
+        assert type(traj.events[-1][0]) is float
 
 
 def test_integrate_failing_at_its_start_raises_integration_error(

@@ -832,6 +832,22 @@ def test_sweep_refuses_a_mode_off_its_cone_before_any_run(monkeypatch):
         sweep(P32, "k+l", "spin-", [(0.6, 0.8), (0.8, 0.6)])
 
 
+def test_sweep_refuses_more_than_max_directions_before_any_run(
+        monkeypatch):
+    """More than MAX_DIRECTIONS directions raise from sweep, naming the
+    cap, before any run or worker process starts."""
+
+    def no_run(*args):
+        raise AssertionError("a run or a pool started")
+
+    monkeypatch.setattr(shooting, "_sweep_point", no_run)
+    monkeypatch.setattr(shooting, "worker_count", no_run)
+    with pytest.raises(InvalidRequestError,
+                       match="1..%d directions, got %d" % (
+                           MAX_DIRECTIONS, MAX_DIRECTIONS + 1)):
+        sweep(P32, "k+l", "spin+", [(0.6, 0.8)] * (MAX_DIRECTIONS + 1))
+
+
 def test_direction_that_is_no_sequence_is_refused(monkeypatch):
     with pytest.raises(InvalidRequestError, match="s must be a sequence"):
         ShootSpec(P32, "k+l", "spin+", None)
